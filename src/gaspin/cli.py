@@ -31,7 +31,7 @@ from .core import (
     residual,
     reverse,
 )
-from .errors import DegenerateState, DomainViolation, GAError, NonTimelike
+from .errors import GAError, VerificationFailure
 from .isomap import (
     AlgebraTag,
     euclidean_to_spacetime,
@@ -60,6 +60,7 @@ from .quatspinor import (
     reconstruct,
 )
 from .spinors import (
+    CenterScalar,
     IdealSpinor,
     antipodal_chart,
     canonical_form,
@@ -67,12 +68,14 @@ from .spinors import (
     fidelity_bloch,
     fidelity_chart,
     idempotent,
+    m_vector,
     to_multivector,
 )
 from . import dirac as dirac_mod
 from . import stereo
 
 FMT = "%.17g"
+DEFAULT_TOL = 1e-12
 
 
 def _f(x: float) -> str:
@@ -118,7 +121,7 @@ def _rand_quat(rng) -> Quaternion:
     return Quaternion(v[0], tuple(v[1:]))
 
 
-def _rand_admissible_q(rng) -> QuatSpinor:
+def _rand_admissible_q(rng, tag: AlgebraTag = AlgebraTag.SPACETIME13) -> QuatSpinor:
     while True:
         q0 = _rand_quat(rng)
         q1 = _rand_quat(rng)
@@ -126,17 +129,26 @@ def _rand_admissible_q(rng) -> QuatSpinor:
             continue
         if q1.norm2() >= 0.8 * q0.norm2():
             q1 = q1.scale(0.6 * q0.norm() / q1.norm())
-        psi = QuatSpinor(q0, q1)
+        psi = QuatSpinor(q0, q1, tag)
         if norm2_q(psi) > 0.05:
             return psi
 
 
-def _rand_orthogonal_q(rng) -> QuatSpinor:
-    psi = _rand_admissible_q(rng)
+def _rand_orthogonal_q(rng, tag: AlgebraTag = AlgebraTag.SPACETIME13) -> QuatSpinor:
+    psi = _rand_admissible_q(rng, tag)
     c = quat_mul(psi.q0.conjugate(), psi.q1).s
     q1 = psi.q1 - psi.q0.scale(c / psi.q0.norm2())
-    out = QuatSpinor(psi.q0, q1)
-    return out if norm2_q(out) > 0.05 else _rand_orthogonal_q(rng)
+    out = QuatSpinor(psi.q0, q1, tag)
+    return out if norm2_q(out) > 0.05 else _rand_orthogonal_q(rng, tag)
+
+
+def _rand_plane(rng, scale: float) -> stereo.PlanePoint:
+    return stereo.PlanePoint(tuple(rng.uniform(-scale, scale, size=3)))
+
+
+def _rand_ball(rng, rmax: float) -> stereo.PlanePoint:
+    v = rng.uniform(-1, 1, size=3)
+    return stereo.PlanePoint(tuple(v / np.linalg.norm(v) * rng.uniform(0.01, rmax)))
 
 
 def _rand_chart(rng, tag: AlgebraTag):
@@ -258,46 +270,33 @@ def _suite_quatrep_idempotents(rng, cases, tol):
 def _suite_isomap_homomorphism(rng, cases, tol):
     worst = 0.0
     for _ in range(max(1, cases // 2)):
-        a, b = _rand_mv(rng, EUCLIDEAN4), _rand_mv(rng, EUCLIDEAN4)
-        worst = max(
-            worst,
-            residual(
-                euclidean_to_spacetime(a * b),
-                euclidean_to_spacetime(a) * euclidean_to_spacetime(b),
-            ),
-        )
-        c, d = _rand_mv(rng, SPACETIME13), _rand_mv(rng, SPACETIME13)
-        worst = max(
-            worst,
-            residual(
-                spacetime_to_euclidean(c * d),
-                spacetime_to_euclidean(c) * spacetime_to_euclidean(d),
-            ),
-        )
+        for sig, f in ((EUCLIDEAN4, euclidean_to_spacetime), (SPACETIME13, spacetime_to_euclidean)):
+            a, b = _rand_mv(rng, sig), _rand_mv(rng, sig)
+            worst = max(worst, residual(f(a * b), f(a) * f(b)))
     return worst, tol
 
 
 def _suite_isomap_inverse(rng, cases, tol):
+    # the 16 blades of each algebra, then cases // 2 random elements of each
     worst = 0.0
-    for mask in range(16):
-        b4 = Multivector.blade(EUCLIDEAN4, mask)
-        worst = max(worst, residual(spacetime_to_euclidean(euclidean_to_spacetime(b4)), b4))
-        b13 = Multivector.blade(SPACETIME13, mask)
-        worst = max(worst, residual(euclidean_to_spacetime(spacetime_to_euclidean(b13)), b13))
+    for sig, there, back in (
+        (EUCLIDEAN4, euclidean_to_spacetime, spacetime_to_euclidean),
+        (SPACETIME13, spacetime_to_euclidean, euclidean_to_spacetime),
+    ):
+        elements = [Multivector.blade(sig, mask) for mask in range(16)]
+        elements += [_rand_mv(rng, sig) for _ in range(max(1, cases // 2))]
+        for g in elements:
+            worst = max(worst, residual(back(there(g)), g))
     return worst, tol
 
 
 def _suite_stereo_roundtrip(rng, cases, tol):
     worst = 0.0
     for _ in range(max(1, cases // 2)):
-        x = stereo.PlanePoint(tuple(rng.uniform(-3, 3, size=3)))
-        back = stereo.project_sphere(stereo.lift_sphere(x))
-        worst = max(worst, max(abs(a - b) for a, b in zip(back.x, x.x)))
-        v = rng.uniform(-1, 1, size=3)
-        v = v / np.linalg.norm(v) * rng.uniform(0.01, 0.95)
-        xh = stereo.PlanePoint(tuple(v))
-        back = stereo.project_hyper(stereo.lift_hyper(xh))
-        worst = max(worst, max(abs(a - b) for a, b in zip(back.x, xh.x)))
+        x, xh = _rand_plane(rng, 3.0), _rand_ball(rng, 0.95)
+        for p, back in ((x, stereo.project_sphere(stereo.lift_sphere(x))),
+                        (xh, stereo.project_hyper(stereo.lift_hyper(xh)))):
+            worst = max(worst, max(abs(a - b) for a, b in zip(back.x, p.x)))
     return worst, 100.0 * tol
 
 
@@ -306,13 +305,9 @@ def _suite_stereo_rotor(rng, cases, tol):
     e0 = Multivector.basis(EUCLIDEAN4, 0)
     g0 = Multivector.basis(SPACETIME13, 0)
     for _ in range(max(1, cases // 2)):
-        x = stereo.PlanePoint(tuple(rng.uniform(-3, 3, size=3)))
-        r = stereo.sphere_rotor(x)
+        x, xh = _rand_plane(rng, 3.0), _rand_ball(rng, 0.95)
+        r, rh = stereo.sphere_rotor(x), stereo.hyper_boost(xh)
         worst = max(worst, residual(stereo.rotor_apply(r, e0), stereo.lift_sphere(x).a_hat))
-        v = rng.uniform(-1, 1, size=3)
-        v = v / np.linalg.norm(v) * rng.uniform(0.01, 0.95)
-        xh = stereo.PlanePoint(tuple(v))
-        rh = stereo.hyper_boost(xh)
         worst = max(worst, residual(stereo.rotor_apply(rh, g0), stereo.lift_hyper(xh).a_hat))
     return worst, 100.0 * tol
 
@@ -320,7 +315,7 @@ def _suite_stereo_rotor(rng, cases, tol):
 def _suite_stereo_trig(rng, cases, tol):
     worst = 0.0
     for _ in range(cases):
-        r2 = float(rng.uniform(0, 9))
+        r2 = float(rng.uniform(0, 27))  # |x|^2 over the chart box [-3, 3]^3
         c = (1.0 - r2) / (1.0 + r2)
         s = 2.0 * math.sqrt(r2) / (1.0 + r2)
         worst = max(worst, abs(c * c + s * s - 1.0))
@@ -335,23 +330,20 @@ def _suite_stereo_metric(rng, cases, tol):
     worst = 0.0
     h = 1e-5
     for _ in range(max(1, cases // 2)):
-        x = stereo.PlanePoint(tuple(rng.uniform(-2, 2, size=3)))
-        dx = rng.uniform(-1, 1, size=3)
-        _, ds2 = stereo.sphere_metric(x, dx)
-        xp = stereo.PlanePoint(tuple(np.array(x.x) + h * dx))
-        xm = stereo.PlanePoint(tuple(np.array(x.x) - h * dx))
-        da_fd = (stereo.lift_sphere(xp).a_hat - stereo.lift_sphere(xm).a_hat) / (2 * h)
-        ds2_fd = geometric_product(da_fd, da_fd).scalar_part
-        worst = max(worst, abs(ds2_fd - ds2) / max(1.0, abs(ds2)))
-        v = rng.uniform(-1, 1, size=3)
-        v = v / np.linalg.norm(v) * rng.uniform(0.01, 0.8)
-        xh = stereo.PlanePoint(tuple(v))
-        _, ds2 = stereo.hyper_metric(xh, dx)
-        xp = stereo.PlanePoint(tuple(np.array(xh.x) + h * dx))
-        xm = stereo.PlanePoint(tuple(np.array(xh.x) - h * dx))
-        da_fd = (stereo.lift_hyper(xp).a_hat - stereo.lift_hyper(xm).a_hat) / (2 * h)
-        ds2_fd = geometric_product(da_fd, da_fd).scalar_part
-        worst = max(worst, abs(ds2_fd - ds2) / max(1.0, abs(ds2)))
+        x, dx = _rand_plane(rng, 2.0), rng.uniform(-1, 1, size=3)
+        xh = _rand_ball(rng, 0.8)
+        # (point, metric, lift, sign of the metric: positive on the sphere,
+        # negative on the hyperboloid)
+        for p, metric, lift, sign in ((x, stereo.sphere_metric, stereo.lift_sphere, 1.0),
+                                      (xh, stereo.hyper_metric, stereo.lift_hyper, -1.0)):
+            _, ds2 = metric(p, dx)
+            if not sign * ds2 > 0.0:
+                worst = math.inf
+            xp = stereo.PlanePoint(tuple(np.array(p.x) + h * dx))
+            xm = stereo.PlanePoint(tuple(np.array(p.x) - h * dx))
+            da_fd = (lift(xp).a_hat - lift(xm).a_hat) / (2 * h)
+            ds2_fd = geometric_product(da_fd, da_fd).scalar_part
+            worst = max(worst, abs(ds2_fd - ds2) / max(1e-30, abs(ds2)))
     return worst, 1e-6
 
 
@@ -372,7 +364,8 @@ def _suite_gspinor_fidelity(rng, cases, tol):
                 bound_violation = max(bound_violation, -f1, f1 - 1.0)
             else:
                 bound_violation = max(bound_violation, 1.0 - f1)
-    return max(worst, bound_violation), 100.0 * tol
+    # the bounds hold to tol itself, not to the 100x route tolerance
+    return max(worst, 100.0 * bound_violation), 100.0 * tol
 
 
 def _suite_gspinor_antipode(rng, cases, tol):
@@ -385,16 +378,12 @@ def _suite_gspinor_antipode(rng, cases, tol):
         psi = IdealSpinor.from_chart(AlgebraTag.PAULI3, ca)
         chi = IdealSpinor.from_chart(AlgebraTag.PAULI3, cb)
         worst = max(worst, fidelity(psi, chi))
-        from .spinors import m_vector
-
         worst = max(worst, abs(core.dot(m_vector(AlgebraTag.PAULI3, ca), m_vector(AlgebraTag.PAULI3, cb))))
     return worst, tol
 
 
 def _suite_gspinor_canonical(rng, cases, tol):
     worst = 0.0
-    from .spinors import CenterScalar
-
     for tag in (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12):
         for _ in range(max(1, cases // 2)):
             ca = _rand_chart(rng, tag)
@@ -427,6 +416,7 @@ def _suite_qspinor_projector(rng, cases, tol):
     for _ in range(max(1, cases // 2)):
         psi = _rand_orthogonal_q(rng)
         worst = max(worst, residual(projector(psi), projector_closed_orthogonal(psi)))
+        worst = max(worst, residual(reconstruct(canonical_q(psi), psi.tag), image(psi)))
     return worst, tol
 
 
@@ -495,12 +485,16 @@ SUITES: dict[str, Callable] = {
 }
 
 
+def run_suite(name: str, seed: int, cases: int, tol: float) -> SuiteResult:
+    """Run the registered suite ``name`` on its own stream, seeded by
+    (seed, name), so its result does not depend on which suites run."""
+    rng = np.random.default_rng((seed, name.encode()))
+    worst, bound = SUITES[name](rng, cases, tol)
+    return SuiteResult(name, cases, worst, bound)
+
+
 def cmd_verify(args) -> int:
-    results = []
-    for name in sorted(SUITES):
-        rng = np.random.default_rng((args.seed, name.encode()))
-        worst, tol = SUITES[name](rng, args.cases, args.tol)
-        results.append(SuiteResult(name, args.cases, worst, tol))
+    results = [run_suite(name, args.seed, args.cases, args.tol) for name in sorted(SUITES)]
     failures = 0
     for r in results:
         print(f"suite={r.name}")
@@ -579,7 +573,10 @@ def _parse_point(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("point needs exactly 3 comma-separated reals")
-    return tuple(float(t) for t in parts)
+    point = tuple(float(t) for t in parts)
+    if not all(math.isfinite(c) for c in point):
+        raise ValueError(f"point {text!r} has a non-finite coordinate")
+    return point
 
 
 def cmd_project(args) -> int:
@@ -602,7 +599,7 @@ def cmd_project(args) -> int:
             rotor = stereo.hyper_boost(x)
             pole = Multivector.basis(SPACETIME13, 0)
             factor = -4.0 / (1.0 - x.norm2) ** 2
-    except (DomainViolation,) as exc:
+    except GAError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     # re-validate before printing
@@ -660,7 +657,7 @@ def cmd_prob(args) -> int:
             chi = IdealSpinor.from_chart(tag, cb)
             f_braket = fidelity(psi, chi)
             f_closed = fidelity_chart(tag, ca, cb)
-    except (DegenerateState, NonTimelike, GAError) as exc:
+    except GAError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     resid = abs(f_braket - f_closed)
@@ -695,7 +692,7 @@ def _figure_stereo_sphere(samples: int):
         relabeled = stereo.permute_generators(lifted, (2, 0, 1))
         sq = geometric_product(relabeled, relabeled).scalar_part
         if abs(sq - 1.0) > 1e-10:
-            raise AssertionError("figure row failed the unit-square check")
+            raise VerificationFailure("figure row failed the unit-square check")
         comps = relabeled.vector_components()
         rows.append([_f(t), _f(t), _f(comps[0]), _f(comps[1]), _f(comps[2])])
     return rows
@@ -711,7 +708,7 @@ def _figure_stereo_hyper(samples: int):
         )
         sq = geometric_product(lifted, lifted).scalar_part
         if abs(sq - 1.0) > 1e-10:
-            raise AssertionError("figure row failed the unit-square check")
+            raise VerificationFailure("figure row failed the unit-square check")
         comps = lifted.vector_components()
         rows.append([_f(t), _f(t), _f(comps[0]), _f(comps[1]), _f(comps[2])])
     return rows
@@ -736,19 +733,19 @@ def _figure_poincare_geodesic(samples: int):
         )
         sq = geometric_product(lifted, lifted).scalar_part
         if abs(sq - 1.0) > 1e-10:
-            raise AssertionError("figure row failed the unit-square check")
+            raise VerificationFailure("figure row failed the unit-square check")
         lifted_pts.append(lifted.vector_components())
         rows.append([_f(psi), _f(x1), _f(x2), *(_f(c) for c in lifted.vector_components())])
     # endpoints on the unit circle
     for idx in (1, len(rows) - 1):
         x1, x2 = float(rows[idx][1]), float(rows[idx][2])
         if abs(x1 * x1 + x2 * x2 - 1.0) > 1e-10:
-            raise AssertionError("arc endpoints must lie on the unit circle")
+            raise VerificationFailure("arc endpoints must lie on the unit circle")
     # geodesic = hyperboloid cut by a plane through the origin
     if len(lifted_pts) >= 3:
         sv = np.linalg.svd(np.stack(lifted_pts), compute_uv=False)
         if sv[-1] > 1e-8 * sv[0]:
-            raise AssertionError("lifted arc is not planar through the origin")
+            raise VerificationFailure("lifted arc is not planar through the origin")
     return rows
 
 
@@ -758,7 +755,11 @@ def cmd_figure(args) -> int:
         "stereo-hyper": _figure_stereo_hyper,
         "poincare-geodesic": _figure_poincare_geodesic,
     }
-    rows = builders[args.name](args.samples)
+    try:
+        rows = builders[args.name](args.samples)
+    except VerificationFailure as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     try:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -778,10 +779,14 @@ def cmd_figure(args) -> int:
 
 
 def cmd_dirac(args) -> int:
-    phi = dirac_mod.DiracSpinor.from_reals(args.components)
-    m = dirac_mod.dirac_to_geometric(phi)
-    psi = dirac_mod.geometric_to_qspinor(m)
-    resid = dirac_mod.dirac_roundtrip_residual(phi)
+    try:
+        phi = dirac_mod.DiracSpinor.from_reals(args.components)
+        m = dirac_mod.dirac_to_geometric(phi)
+        psi = dirac_mod.geometric_to_qspinor(m)
+        resid = dirac_mod.dirac_roundtrip_residual(phi)
+    except GAError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     if resid > 1e-10:
         print("error: round trip failed re-validation", file=sys.stderr)
         return 1
@@ -810,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run every property suite")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--cases", type=int, default=200)
-    p_verify.add_argument("--tol", type=float, default=1e-12)
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit the exact blade product table")
@@ -856,6 +861,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--samples must be >= 2")
     if args.command == "dirac" and len(args.components) != 8:
         parser.error("--components needs exactly 8 reals")
+    if args.command == "dirac" and not all(math.isfinite(c) for c in args.components):
+        parser.error("--components must be finite reals")
     return args.func(args)
 
 

@@ -55,3 +55,7 @@ class NotOrthogonal(GAError):
 
 class ZeroQ0(GAError):
     """Canonical form requires a nonzero leading quaternion."""
+
+
+class VerificationFailure(GAError):
+    """A computed result failed its own runtime invariant check."""

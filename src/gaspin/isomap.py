@@ -27,7 +27,7 @@ from .core import (
     Signature,
     geometric_product,
 )
-from .errors import SignatureMismatch
+from .errors import SignatureMismatch, VerificationFailure
 
 
 class AlgebraTag(Enum):
@@ -104,7 +104,8 @@ def blade_image_table() -> list[tuple[int, int, int]]:
     rows = []
     for mask, img in enumerate(_g4_blade_images()):
         nz = np.nonzero(img.coeffs)[0]
-        assert len(nz) == 1, "blade image must be a single blade"
+        if len(nz) != 1:
+            raise VerificationFailure(f"image of blade {mask} is not a single blade")
         target = int(nz[0])
         rows.append((mask, int(round(img.coeffs[target])), target))
     return rows

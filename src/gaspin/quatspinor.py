@@ -31,7 +31,7 @@ from .core import (
     residual,
     reverse,
 )
-from .errors import NonTimelike, NotInIdeal, NotOrthogonal, TagMismatch, ZeroQ0
+from .errors import NonTimelike, NotInIdeal, NotOrthogonal, TagMismatch, VerificationFailure, ZeroQ0
 from .isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
 from .quatrep import Quaternion, quat_mul
 from .spinors import IdealSpinor
@@ -359,7 +359,7 @@ def fidelity_q(psi: QuatSpinor, chi: QuatSpinor, tol: float = _TOL) -> float:
     prod = z_ba * z_ab
     rest = prod - Multivector.scalar(SPACETIME13, prod.scalar_part)
     if rest.max_abs() > 1e-9 * max(1.0, prod.max_abs()):
-        raise AssertionError("fidelity chain did not reduce to a scalar")
+        raise VerificationFailure("fidelity chain did not reduce to a scalar")
     return prod.scalar_part / (rho2_psi * rho2_chi)
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
 from gaspin import cli
@@ -24,6 +25,42 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert len(suites) >= 12
     assert sorted(suites) == suites
     assert "status=fail" not in out1
+
+
+# The names the benchmark and the report rely on; renaming a suite breaks both.
+SUITE_NAMES = (
+    "core.associativity", "core.exp_unitarity", "core.generator_contract",
+    "core.grade_partition", "core.reverse_antiautomorphism",
+    "dirac.idempotents", "dirac.j_action", "dirac.roundtrip",
+    "gspinor.antipode", "gspinor.canonical_reconstruction", "gspinor.fidelity_triple",
+    "isomap.homomorphism", "isomap.inverse_blades",
+    "qspinor.canonical_reconstruction", "qspinor.fidelity_dual_route",
+    "qspinor.orthogonal_projector",
+    "quatrep.change_of_basis", "quatrep.embedding_product", "quatrep.faithfulness",
+    "quatrep.homomorphism", "quatrep.idempotent_relations",
+    "stereo.metric_finite_difference", "stereo.rotor_sandwich", "stereo.roundtrip",
+    "stereo.trig_identities",
+)
+
+
+def test_verify_calls_every_suite_through_the_registry(capsys, monkeypatch):
+    # Wrap each value of cli.SUITES and call it as fn(*args), as a timing
+    # harness does; verify must look every suite up in the dict.
+    called = []
+
+    def recording(name, fn):
+        def run(*args):
+            called.append(name)
+            return fn(*args)
+
+        return run
+
+    for name, fn in list(cli.SUITES.items()):
+        monkeypatch.setitem(cli.SUITES, name, recording(name, fn))
+    code, out, _ = run_cli(capsys, ["verify", "--cases", "2"])
+    assert code == 0
+    assert sorted(called) == list(SUITE_NAMES)
+    assert [ln[len("suite="):] for ln in out.splitlines() if ln.startswith("suite=")] == list(SUITE_NAMES)
 
 
 def test_verify_rejects_zero_cases(capsys):
@@ -109,6 +146,29 @@ def test_project_hyper_boundary_fails(capsys):
     code, _, err = run_cli(capsys, ["project", "hyper", "--point", "1,0,0"])
     assert code == 1
     assert "DomainViolation" in err
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["project", "sphere", "--point", "nan,0,0"], 2),
+        (["prob", "sphere", "--point-a", "inf,0,0", "--point-b", "0,0,0"], 2),
+        (["dirac", "--components", "nan", "0", "0", "0", "0", "0", "0", "0"], 2),
+        # the lift fails inside the open ball (a known defect); the CLI must
+        # report it as one line, not a traceback
+        (["project", "hyper", "--point", "0.9999999999,0,0"], 1),
+    ],
+)
+def test_bad_input_exit_codes(capsys, argv, want):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == want
+    assert err.splitlines()[-1].startswith(("error: ", "gaspin: error: "))
+    if want == 1:
+        assert len(err.splitlines()) == 1
 
 
 def test_prob_examples(capsys):
@@ -220,6 +280,28 @@ def test_figure_unwritable_path(capsys):
     )
     assert code == 1
     assert "cannot write" in err
+
+
+_NOT_UNIT = (cli, "geometric_product", lambda a, b: Multivector.scalar(EUCLIDEAN4, 2.0))
+# an arc that stops short of the unit circle
+_SHORT_ARC = (np, "linspace", lambda a, b, n, f=np.linspace: f(a + 0.1, b - 0.1, n))
+_NOT_PLANAR = (np.linalg, "svd", lambda m, compute_uv: [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "name, patch, message",
+    [
+        ("stereo-sphere", _NOT_UNIT, "figure row failed the unit-square check"),
+        ("stereo-hyper", _NOT_UNIT, "figure row failed the unit-square check"),
+        ("poincare-geodesic", _NOT_UNIT, "figure row failed the unit-square check"),
+        ("poincare-geodesic", _SHORT_ARC, "arc endpoints must lie on the unit circle"),
+        ("poincare-geodesic", _NOT_PLANAR, "lifted arc is not planar through the origin"),
+    ],
+)
+def test_figure_verification_failure_exits_1(tmp_path, capsys, monkeypatch, name, patch, message):
+    monkeypatch.setattr(*patch)
+    code, _, err = run_cli(capsys, ["figure", name, "--out", str(tmp_path / "f.csv")])
+    assert (code, err) == (1, f"error: VerificationFailure: {message}\n")
 
 
 def test_dirac_command(capsys, rng):

@@ -9,7 +9,8 @@ from gaspin.core import (
     grade_of,
     residual,
 )
-from gaspin.errors import SignatureMismatch
+from gaspin import isomap
+from gaspin.errors import SignatureMismatch, VerificationFailure
 from gaspin.isomap import (
     AlgebraTag,
     blade_image_table,
@@ -67,6 +68,13 @@ def test_golden_blade_table_frozen():
     assert blade_image_table() == GOLDEN_TABLE
 
 
+def test_blade_table_rejects_a_multi_blade_image(monkeypatch):
+    two_blades = Multivector.basis(SPACETIME13, 0) + Multivector.basis(SPACETIME13, 1)
+    monkeypatch.setattr(isomap, "_g4_blade_images", lambda: (two_blades,))
+    with pytest.raises(VerificationFailure):
+        blade_image_table()
+
+
 def test_grade_images_not_preserved():
     # e1 (grade 1) maps to a grade-2 blade; the 4-volume maps to grade 3.
     for mask, _, img in GOLDEN_TABLE:
@@ -76,41 +84,12 @@ def test_grade_images_not_preserved():
     assert grade_of(GOLDEN_TABLE[15][2]) == 3
 
 
-def test_mutually_inverse_on_blades_exact():
-    for mask in range(16):
-        b4 = Multivector.blade(EUCLIDEAN4, mask)
-        assert residual(spacetime_to_euclidean(euclidean_to_spacetime(b4)), b4) == 0.0
-        b13 = Multivector.blade(SPACETIME13, mask)
-        assert residual(euclidean_to_spacetime(spacetime_to_euclidean(b13)), b13) == 0.0
-
-
-def test_homomorphism_both_directions(rng):
-    for _ in range(1000):
-        a = random_mv(rng, EUCLIDEAN4)
-        b = random_mv(rng, EUCLIDEAN4)
-        lhs = euclidean_to_spacetime(a * b)
-        rhs = euclidean_to_spacetime(a) * euclidean_to_spacetime(b)
-        assert residual(lhs, rhs) <= 1e-12
-    for _ in range(1000):
-        a = random_mv(rng, SPACETIME13)
-        b = random_mv(rng, SPACETIME13)
-        lhs = spacetime_to_euclidean(a * b)
-        rhs = spacetime_to_euclidean(a) * spacetime_to_euclidean(b)
-        assert residual(lhs, rhs) <= 1e-12
-
-
 def test_linear(rng):
     a = random_mv(rng, EUCLIDEAN4)
     b = random_mv(rng, EUCLIDEAN4)
     lhs = euclidean_to_spacetime(a + 0.25 * b)
     rhs = euclidean_to_spacetime(a) + 0.25 * euclidean_to_spacetime(b)
     assert residual(lhs, rhs) <= 1e-15
-
-
-def test_roundtrip_random(rng):
-    for _ in range(200):
-        g = random_mv(rng, EUCLIDEAN4)
-        assert residual(spacetime_to_euclidean(euclidean_to_spacetime(g)), g) == 0.0
 
 
 def test_refuses_wrong_signature():

@@ -12,7 +12,17 @@ from gaspin.core import (
     residual,
     reverse,
 )
-from gaspin.errors import NonTimelike, NotInIdeal, NotOrthogonal, TagMismatch, ZeroQ0
+from gaspin import quatspinor
+from gaspin.cli import _rand_admissible_q as rand_admissible
+from gaspin.cli import _rand_orthogonal_q as rand_orthogonal
+from gaspin.errors import (
+    NonTimelike,
+    NotInIdeal,
+    NotOrthogonal,
+    TagMismatch,
+    VerificationFailure,
+    ZeroQ0,
+)
 from gaspin.isomap import AlgebraTag, euclidean_to_spacetime
 from gaspin.quatrep import Quaternion, quat_mul
 from gaspin.quatspinor import (
@@ -49,30 +59,6 @@ def rand_quat(rng, scale=1.0, integer=False):
     else:
         vals = rng.uniform(-scale, scale, size=4)
     return Quaternion(vals[0], tuple(vals[1:]))
-
-
-def rand_admissible(rng, tag=AlgebraTag.SPACETIME13):
-    while True:
-        q0 = rand_quat(rng)
-        if q0.norm2() < 0.3:
-            continue
-        q1 = rand_quat(rng).scale(0.5 * q0.norm() / max(1e-9, rand_quat(rng).norm()))
-        q1 = rand_quat(rng)
-        if q1.norm2() >= 0.8 * q0.norm2():
-            q1 = q1.scale(0.6 * q0.norm() / q1.norm())
-        psi = QuatSpinor(q0, q1, tag)
-        if norm2_q(psi) > 0.05:
-            return psi
-
-
-def rand_orthogonal(rng, tag=AlgebraTag.SPACETIME13):
-    psi = rand_admissible(rng, tag)
-    c = quat_mul(psi.q0.conjugate(), psi.q1).s
-    q1 = psi.q1 - psi.q0.scale(c / psi.q0.norm2())
-    psi = QuatSpinor(psi.q0, q1, tag)
-    if norm2_q(psi) <= 0.05:
-        return rand_orthogonal(rng, tag)
-    return psi
 
 
 # ----------------------------------------------------- product decomposition
@@ -407,6 +393,15 @@ def test_fidelity_errors():
         fidelity_q(psi, QuatSpinor(Quaternion.one(), Quaternion.from_vector((1, 0, 0))))
     with pytest.raises(ZeroQ0):
         fidelity_q(psi, QuatSpinor(Quaternion.zero(), Quaternion.one()))
+
+
+def test_fidelity_chain_must_reduce_to_a_scalar(monkeypatch):
+    # (1 + g1)^2 = 2 g1 is not a scalar
+    one_plus_g1 = Multivector.scalar(SPACETIME13, 1.0) + Multivector.basis(SPACETIME13, 1)
+    monkeypatch.setattr(quatspinor, "_chain_inner", lambda am, bm: one_plus_g1)
+    psi = QuatSpinor(Quaternion.one(), Quaternion.zero())
+    with pytest.raises(VerificationFailure):
+        fidelity_q(psi, psi)
 
 
 # ------------------------------------------------------------- G1,2 reduction

@@ -14,6 +14,7 @@ from gaspin.core import (
     residual,
     reverse,
 )
+from gaspin.cli import _rand_chart as rand_chart
 from gaspin.errors import DegenerateState, NonTimelike, NotInIdeal, TagMismatch
 from gaspin.isomap import AlgebraTag
 from gaspin.spinors import (
@@ -289,15 +290,6 @@ def test_fidelity_hyperbolic_example():
     adotb = dot(a, b)
     assert adotb == pytest.approx(5.0 / 3.0, abs=1e-12)
     assert got == pytest.approx(0.5 * (1.0 + adotb), abs=1e-12)
-
-
-def rand_chart(rng, tag):
-    if tag is AlgebraTag.PAULI3:
-        return tuple(rng.uniform(-2.5, 2.5, size=2))
-    while True:
-        c = rng.uniform(-0.95, 0.95, size=2)
-        if float(c @ c) < 0.9:
-            return tuple(c)
 
 
 def test_fidelity_triple_equality(rng):
