@@ -75,7 +75,7 @@ from . import dirac as dirac_mod
 from . import stereo
 
 FMT = "%.17g"
-DEFAULT_TOL = 1e-12
+DEFAULT_TOL = core.TOL
 
 
 def _f(x: float) -> str:
@@ -857,13 +857,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.cases < 1:
         parser.error("--cases must be >= 1")
+    if args.command == "verify" and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        parser.error("--tol must be a finite real >= 0")
     if args.command == "figure" and args.samples < 2:
         parser.error("--samples must be >= 2")
     if args.command == "dirac" and len(args.components) != 8:
         parser.error("--components needs exactly 8 reals")
     if args.command == "dirac" and not all(math.isfinite(c) for c in args.components):
         parser.error("--components must be finite reals")
-    return args.func(args)
+    # An overflow becomes a NonFiniteValue on one error line, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     GradeOutOfRange,
+    NonFiniteValue,
     NonScalarSquare,
     NotAVector,
     NullVector,
@@ -158,7 +159,7 @@ class Multivector:
         if arr.shape != (self.signature.dim,):
             raise ValueError(f"need {self.signature.dim} coefficients, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
+            raise NonFiniteValue("coefficients must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -370,6 +371,17 @@ def cayley_table(signature: Signature) -> list[list[tuple[int, int]]]:
 
 def blade_names(signature: Signature) -> list[str]:
     return [signature.blade_name(m) for m in range(signature.dim)]
+
+
+def frame(columns: Sequence[Multivector]) -> tuple[np.ndarray, np.ndarray]:
+    """Column matrix of a fixed frame and its pseudo-inverse: ``pinv @ m.coeffs``
+    are the coordinates of m in the span (a least-squares fit off it, so
+    callers check the reconstruction ``mat @ coords``)."""
+    mat = np.stack([c.coeffs for c in columns], axis=1)
+    pinv = np.linalg.pinv(mat)
+    mat.setflags(write=False)
+    pinv.setflags(write=False)
+    return mat, pinv
 
 
 def pseudoscalar(signature: Signature) -> Multivector:

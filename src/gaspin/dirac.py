@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .core import (
     SPACETIME13,
     Multivector,
@@ -39,7 +37,7 @@ from .core import (
 from .errors import NotInIdeal
 from .isomap import AlgebraTag, euclidean_to_spacetime
 from .quatrep import Quaternion
-from .quatspinor import QuatSpinor
+from .quatspinor import QuatSpinor, carrier_frame
 
 _SIG = SPACETIME13
 
@@ -197,24 +195,6 @@ def expansion_display(phi: DiracSpinor) -> ComplexMultivector:
     return (first + i13 * second) * dirac_idempotent(+1, +1)
 
 
-@lru_cache(maxsize=None)
-def _extraction_matrix() -> tuple[np.ndarray, tuple[Multivector, ...]]:
-    """Columns: basis of (q0 + q1 i) * re(u(+,+)) over the 8 quaternion dofs."""
-    quat_basis = [Quaternion.one()] + [
-        Quaternion.from_vector(tuple(1.0 if t == k else 0.0 for t in range(3)))
-        for k in range(3)
-    ]
-    i13 = pseudoscalar(_SIG)
-    re_u = dirac_idempotent(+1, +1).re
-    cols = []
-    for q in quat_basis:
-        cols.append(euclidean_to_spacetime(q.to_multivector()) * re_u)
-    for q in quat_basis:
-        cols.append(i13 * euclidean_to_spacetime(q.to_multivector()) * re_u)
-    mat = np.stack([c.coeffs for c in cols], axis=1)
-    return mat, tuple(cols)
-
-
 def geometric_to_qspinor(m: ComplexMultivector, tol: float = 1e-10) -> QuatSpinor:
     """Extract (q0, q1) with m = (q0 + q1 i) u(+,+); NotInIdeal otherwise."""
     u = dirac_idempotent(+1, +1)
@@ -223,10 +203,11 @@ def geometric_to_qspinor(m: ComplexMultivector, tol: float = 1e-10) -> QuatSpino
         raise NotInIdeal("element is not fixed by the Dirac idempotent")
     if residual(m.im, m.re * _g12()) > tol * scale:
         raise NotInIdeal("imaginary part is not re * g12")
-    mat, _ = _extraction_matrix()
-    sol, *_ = np.linalg.lstsq(mat, np.asarray(m.re.coeffs), rcond=None)
-    q0 = Quaternion(float(sol[0]), (float(sol[1]), float(sol[2]), float(sol[3])))
-    q1 = Quaternion(float(sol[4]), (float(sol[5]), float(sol[6]), float(sol[7])))
+    # re u(+,+) = v+/2, so the real part is half a quaternion-spinor carrier.
+    _, pinv = carrier_frame(AlgebraTag.SPACETIME13)
+    sol = 2.0 * (pinv @ m.re.coeffs)
+    q0 = Quaternion(sol[0], tuple(sol[1:4]))
+    q1 = Quaternion(sol[4], tuple(sol[5:8]))
     psi = QuatSpinor(q0, q1, AlgebraTag.SPACETIME13)
     if cresidual(qspinor_to_geometric(psi), m) > tol * scale:
         raise NotInIdeal("element has components outside the Dirac ideal")

@@ -5,6 +5,10 @@ class GAError(Exception):
     """Base class for all library errors."""
 
 
+class NonFiniteValue(GAError, ValueError):
+    """A coefficient is NaN or infinite, for instance after an overflow."""
+
+
 class SignatureMismatch(GAError):
     """Operands belong to different algebras."""
 

@@ -4,8 +4,8 @@ The identification sends e0 to g0 and e_k to the bivector g_k g_0; in the
 other direction g0 goes back to e0 and the spacelike g_k become e_k e_0.
 Each map is defined on generators and extended multiplicatively blade by
 blade (products sorted into canonical form by the core engine), which makes
-it an algebra homomorphism by construction; the resulting 16-entry blade
-tables are cached.  Grade is not preserved: vectors become bivectors and
+it an algebra homomorphism by construction; the blade images are stacked
+into one cached signed-permutation matrix per direction.  Grade is not preserved: vectors become bivectors and
 the two pseudoscalars swap with the grade-3 units.
 
 Mixed-signature arithmetic is refused everywhere; callers must map
@@ -73,25 +73,27 @@ def _sta_blade_images() -> tuple[Multivector, ...]:
     return _extend_on_blades(gen_images, SPACETIME13.dim)
 
 
-def _apply(g: Multivector, images: tuple[Multivector, ...], target: Signature) -> Multivector:
-    out = np.zeros(target.dim)
-    for mask in np.nonzero(g.coeffs)[0]:
-        out = out + g.coeffs[mask] * images[mask].coeffs
-    return Multivector(target, out)
+@lru_cache(maxsize=None)
+def _map_matrix(direction: str) -> np.ndarray:
+    """Signed permutation matrix: column b is the image of blade b."""
+    images = _g4_blade_images() if direction == "e4_to_sta" else _sta_blade_images()
+    mat = np.stack([img.coeffs for img in images], axis=1)
+    mat.setflags(write=False)
+    return mat
 
 
 def euclidean_to_spacetime(g: Multivector) -> Multivector:
     """Image of a Cl(4,0) element in Cl(1,3)."""
     if g.signature != EUCLIDEAN4:
         raise SignatureMismatch("expected a Cl(4,0) element")
-    return _apply(g, _g4_blade_images(), SPACETIME13)
+    return Multivector(SPACETIME13, _map_matrix("e4_to_sta") @ g.coeffs)
 
 
 def spacetime_to_euclidean(g: Multivector) -> Multivector:
     """Image of a Cl(1,3) element in Cl(4,0); inverse of the map above."""
     if g.signature != SPACETIME13:
         raise SignatureMismatch("expected a Cl(1,3) element")
-    return _apply(g, _sta_blade_images(), EUCLIDEAN4)
+    return Multivector(EUCLIDEAN4, _map_matrix("sta_to_e4") @ g.coeffs)
 
 
 def blade_image_table() -> list[tuple[int, int, int]]:

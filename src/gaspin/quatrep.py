@@ -7,10 +7,13 @@ exactly one place (:func:`Quaternion.to_multivector`).
 
 Two spectral bases turn Cl(4,0) into 2x2 matrices over the quaternions:
 one built from the vector idempotents (1 +- e0)/2, one from the
-pseudoscalar idempotents (1 +- e0123)/2.  Representations are computed by
-linearity from precomputed basis-blade images; the inverse maps expand the
-row-idempotent-matrix-column sandwich in the core algebra, which keeps the
-two directions independent of each other.
+pseudoscalar idempotents (1 +- e0123)/2.  A 2x2 quaternion matrix is one
+(2, 2, 4) array, so each map is a fixed 16x16 matrix, cached per basis and
+applied with one matmul.  The representation matrix stacks the basis-blade
+images, built as ordered products of the generator images; the inverse
+matrix stacks the row-idempotent-matrix-column sandwich of each of the 16
+matrix units, expanded in the core algebra.  The two directions are derived
+independently of each other.
 """
 from __future__ import annotations
 
@@ -117,15 +120,37 @@ def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
     return Quaternion(s, tuple(vec))
 
 
+def _coords(q: Quaternion) -> tuple[float, float, float, float]:
+    return (q.s, *q.v)
+
+
+@lru_cache(maxsize=None)
+def _structure() -> np.ndarray:
+    """T[a, b, c]: coordinate c of unit a times unit b, read off quat_mul
+    (which alone holds the product's sign convention)."""
+    units = [Quaternion(row[0], tuple(row[1:])) for row in np.eye(4)]
+    table = np.array([[_coords(quat_mul(a, b)) for b in units] for a in units])
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class QuatMatrix2:
-    """2x2 matrix over the quaternions (row-major pair of rows)."""
+    """2x2 matrix over the quaternions: ``coeffs[j, k]`` holds entry (j, k)
+    as the coordinates (s, v1, v2, v3), in one read-only (2, 2, 4) array."""
 
-    rows: tuple[tuple[Quaternion, Quaternion], tuple[Quaternion, Quaternion]]
+    coeffs: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.coeffs, dtype=float)
+        if arr.shape != (2, 2, 4):
+            raise ValueError(f"need a (2, 2, 4) array, got {arr.shape}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "coeffs", arr)
 
     @staticmethod
     def from_entries(m00, m01, m10, m11) -> "QuatMatrix2":
-        return QuatMatrix2(((m00, m01), (m10, m11)))
+        return QuatMatrix2([[_coords(m00), _coords(m01)], [_coords(m10), _coords(m11)]])
 
     @staticmethod
     def identity() -> "QuatMatrix2":
@@ -135,48 +160,33 @@ class QuatMatrix2:
 
     @staticmethod
     def zero() -> "QuatMatrix2":
-        z = Quaternion.zero()
-        return QuatMatrix2.from_entries(z, z, z, z)
+        return QuatMatrix2(np.zeros((2, 2, 4)))
 
     def entry(self, j: int, k: int) -> Quaternion:
-        return self.rows[j][k]
+        c = self.coeffs[j, k]
+        return Quaternion(c[0], tuple(c[1:]))
 
     def __add__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        return QuatMatrix2(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return QuatMatrix2(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        return QuatMatrix2(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return QuatMatrix2(self.coeffs - other.coeffs)
 
     def scale(self, a: float) -> "QuatMatrix2":
-        return QuatMatrix2(tuple(tuple(q.scale(a) for q in row) for row in self.rows))
+        return QuatMatrix2(a * self.coeffs)
 
     def __mul__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        # Row into column; quaternion factors multiply left-to-right since
-        # they do not commute.
-        def cell(j: int, k: int) -> Quaternion:
-            return quat_mul(self.rows[j][0], other.rows[0][k]) + quat_mul(
-                self.rows[j][1], other.rows[1][k]
-            )
-
-        return QuatMatrix2.from_entries(cell(0, 0), cell(0, 1), cell(1, 0), cell(1, 1))
-
-    def conjugate_transpose(self) -> "QuatMatrix2":
-        r = self.rows
-        return QuatMatrix2.from_entries(
-            r[0][0].conjugate(), r[1][0].conjugate(),
-            r[0][1].conjugate(), r[1][1].conjugate(),
+        # Row into column; quaternion factors keep their left-to-right order
+        # since they do not commute.
+        return QuatMatrix2(
+            np.einsum("jla,lkb,abc->jkc", self.coeffs, other.coeffs, _structure())
         )
 
+    def conjugate_transpose(self) -> "QuatMatrix2":
+        return QuatMatrix2(self.coeffs.transpose(1, 0, 2) * (1.0, -1.0, -1.0, -1.0))
+
     def max_abs(self) -> float:
-        return max(q.max_abs() for row in self.rows for q in row)
+        return float(np.max(np.abs(self.coeffs)))
 
 
 def matrix_residual(a: QuatMatrix2, b: QuatMatrix2) -> float:
@@ -184,59 +194,44 @@ def matrix_residual(a: QuatMatrix2, b: QuatMatrix2) -> float:
 
 
 # --------------------------------------------------------------------------
-# Generator images and blade-image tables.
+# Representations: one cached blade-image matrix per spectral basis.
 
-def _unit(k: int) -> Quaternion:
-    v = [0.0, 0.0, 0.0]
-    v[k] = 1.0
-    return Quaternion(0.0, tuple(v))
-
-
-def _generator_images_vec() -> list[QuatMatrix2]:
+def _generator_images(basis: str) -> list[QuatMatrix2]:
+    """[e0] is diag(1, -1) over (1 +- e0)/2 and [[0, 1], [1, 0]] over
+    (1 +- e0123)/2; [ek] = [[0, i ek], [-i ek, 0]] in both bases."""
     z = Quaternion.zero()
     one = Quaternion.one()
-    mats = [
-        QuatMatrix2.from_entries(one, z, z, -one)  # e0
-    ]
-    for k in range(3):
-        q = _unit(k)
-        mats.append(QuatMatrix2.from_entries(z, q, -q, z))  # ek -> [[0, i ek],[-i ek, 0]]
-    return mats
-
-
-def _generator_images_pss() -> list[QuatMatrix2]:
-    z = Quaternion.zero()
-    one = Quaternion.one()
-    mats = [
-        QuatMatrix2.from_entries(z, one, one, z)  # e0
-    ]
-    for k in range(3):
-        q = _unit(k)
+    if basis == "vec":
+        mats = [QuatMatrix2.from_entries(one, z, z, -one)]
+    else:
+        mats = [QuatMatrix2.from_entries(z, one, one, z)]
+    for unit in np.eye(3):
+        q = Quaternion.from_vector(unit)
         mats.append(QuatMatrix2.from_entries(z, q, -q, z))
     return mats
 
 
 @lru_cache(maxsize=None)
-def _blade_images(basis: str) -> tuple[QuatMatrix2, ...]:
-    gens = _generator_images_vec() if basis == "vec" else _generator_images_pss()
-    images = []
+def _rep_matrix(basis: str) -> np.ndarray:
+    """(16, 16) matrix: column b is the flattened image of blade b, the
+    ordered product of its generator images."""
+    gens = _generator_images(basis)
+    cols = []
     for mask in range(EUCLIDEAN4.dim):
         img = QuatMatrix2.identity()
         for k in range(4):
             if mask >> k & 1:
                 img = img * gens[k]
-        images.append(img)
-    return tuple(images)
+        cols.append(img.coeffs.ravel())
+    mat = np.stack(cols, axis=1)
+    mat.setflags(write=False)
+    return mat
 
 
 def _rep(g: Multivector, basis: str) -> QuatMatrix2:
     if g.signature != EUCLIDEAN4:
         raise SignatureMismatch("representation defined on Cl(4,0)")
-    images = _blade_images(basis)
-    out = QuatMatrix2.zero()
-    for mask in np.nonzero(g.coeffs)[0]:
-        out = out + images[mask].scale(float(g.coeffs[mask]))
-    return out
+    return QuatMatrix2((_rep_matrix(basis) @ g.coeffs).reshape(2, 2, 4))
 
 
 def rep_vec(g: Multivector) -> QuatMatrix2:
@@ -252,35 +247,24 @@ def rep_pss(g: Multivector) -> QuatMatrix2:
 # --------------------------------------------------------------------------
 # Inverse maps: expand the row-idempotent-matrix-column sandwich in ga-core.
 
-def _i_mv() -> Multivector:
-    return Multivector.blade(EUCLIDEAN4, 0b1110)  # e123
-
-
-def _I_mv() -> Multivector:
-    return Multivector.blade(EUCLIDEAN4, 0b1111)  # e0123
-
-
-def _e0_mv() -> Multivector:
-    return Multivector.basis(EUCLIDEAN4, 0)
-
-
-def _half(x: Multivector) -> Multivector:
-    return x * 0.5
+_E0 = Multivector.basis(EUCLIDEAN4, 0)
+_E123 = Multivector.blade(EUCLIDEAN4, 0b1110)  # i
+_E0123 = Multivector.blade(EUCLIDEAN4, 0b1111)  # I
 
 
 def idempotent_vec(sign: int) -> Multivector:
     """(1 + sign*e0)/2."""
-    return _half(Multivector.scalar(EUCLIDEAN4, 1.0) + float(sign) * _e0_mv())
+    return (1.0 + float(sign) * _E0) * 0.5
 
 
 def idempotent_pss(sign: int) -> Multivector:
     """(1 + sign*e0123)/2."""
-    return _half(Multivector.scalar(EUCLIDEAN4, 1.0) + float(sign) * _I_mv())
+    return (1.0 + float(sign) * _E0123) * 0.5
 
 
 def idempotent_i(sign: int) -> Multivector:
     """(1 + sign*e123)/2."""
-    return _half(Multivector.scalar(EUCLIDEAN4, 1.0) + float(sign) * _i_mv())
+    return (1.0 + float(sign) * _E123) * 0.5
 
 
 def _sandwich(M: QuatMatrix2, row, idem: Multivector, col) -> Multivector:
@@ -292,16 +276,29 @@ def _sandwich(M: QuatMatrix2, row, idem: Multivector, col) -> Multivector:
     return out
 
 
+@lru_cache(maxsize=None)
+def _unrep_matrix(basis: str) -> np.ndarray:
+    """(16, 16) matrix: column u is the sandwich expansion of matrix unit u
+    (entry (j, k), quaternion coordinate c, flattened)."""
+    one = Multivector.scalar(EUCLIDEAN4, 1.0)
+    if basis == "vec":
+        row, idem, col = (one, _E123), idempotent_vec(+1), (one, -_E123)
+    else:
+        row, idem, col = (one, _E0), idempotent_pss(+1), (one, _E0)
+    units = np.eye(16).reshape(16, 2, 2, 4)
+    mat = np.stack([_sandwich(QuatMatrix2(u), row, idem, col).coeffs for u in units], axis=1)
+    mat.setflags(write=False)
+    return mat
+
+
 def unrep_vec(M: QuatMatrix2) -> Multivector:
     """g = (1  i) e+ [g] (1; -i), expanded in the core algebra."""
-    one = Multivector.scalar(EUCLIDEAN4, 1.0)
-    return _sandwich(M, (one, _i_mv()), idempotent_vec(+1), (one, -_i_mv()))
+    return Multivector(EUCLIDEAN4, _unrep_matrix("vec") @ M.coeffs.ravel())
 
 
 def unrep_pss(M: QuatMatrix2) -> Multivector:
     """g = (1  e0) I+ [g] (1; e0), expanded in the core algebra."""
-    one = Multivector.scalar(EUCLIDEAN4, 1.0)
-    return _sandwich(M, (one, _e0_mv()), idempotent_pss(+1), (one, _e0_mv()))
+    return Multivector(EUCLIDEAN4, _unrep_matrix("pss") @ M.coeffs.ravel())
 
 
 # --------------------------------------------------------------------------
@@ -351,16 +348,14 @@ def _mv_star(a):
 
 def spectral_basis_vec() -> tuple[tuple[Multivector, ...], ...]:
     """[[e+, -i e-], [i e+, e-]]."""
-    i = _i_mv()
     ep, em = idempotent_vec(+1), idempotent_vec(-1)
-    return ((ep, -1.0 * (i * em)), (i * ep, em))
+    return ((ep, -1.0 * (_E123 * em)), (_E123 * ep, em))
 
 
 def spectral_basis_pss() -> tuple[tuple[Multivector, ...], ...]:
     """[[I+, e0 I-], [e0 I+, I-]]."""
-    e0 = _e0_mv()
     Ip, Im = idempotent_pss(+1), idempotent_pss(-1)
-    return ((Ip, e0 * Im), (e0 * Ip, Im))
+    return ((Ip, _E0 * Im), (_E0 * Ip, Im))
 
 
 def idempotent_identities() -> dict[str, float]:

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import (
     EUCLIDEAN4,
     SPACETIME13,
+    TOL,
     Multivector,
+    frame,
     geometric_product,
     grade_select,
     pseudoscalar,
@@ -35,8 +38,6 @@ from .errors import NonTimelike, NotInIdeal, NotOrthogonal, TagMismatch, Verific
 from .isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
 from .quatrep import Quaternion, quat_mul
 from .spinors import IdealSpinor
-
-_TOL = 1e-12
 
 _VALID_TAGS = (AlgebraTag.EUCLIDEAN4, AlgebraTag.SPACETIME13)
 
@@ -111,27 +112,29 @@ def image(psi: QuatSpinor) -> Multivector:
     return (q0m + q1m * i) * idempotent_plus(psi.tag)
 
 
+@lru_cache(maxsize=None)
+def carrier_frame(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
+    """Frame of (q0 + q1 i) v+ over the coordinates (q0.s, q0.v, q1.s, q1.v)."""
+    vp = idempotent_plus(tag)
+    i = spinor_unit(tag)
+    units = [Quaternion(row[0], tuple(row[1:])) for row in np.eye(4)]
+    if tag is AlgebraTag.SPACETIME13:
+        embeds = [embed_spacetime(q) for q in units]
+    else:
+        embeds = [q.to_multivector() for q in units]
+    return frame([e * vp for e in embeds] + [e * i * vp for e in embeds])
+
+
 def from_image(m: Multivector, tag: AlgebraTag, tol: float = 1e-10) -> QuatSpinor:
     """Extract (q0, q1) from a carrier element; NotInIdeal off the ideal."""
     if m.signature != tag.signature:
         raise TagMismatch("multivector signature does not match the tag")
-    vp = idempotent_plus(tag)
-    if residual(m * vp, m) > tol * max(1.0, m.max_abs()):
+    if residual(m * idempotent_plus(tag), m) > tol * max(1.0, m.max_abs()):
         raise NotInIdeal("element is not fixed by right multiplication with v+")
-    i = spinor_unit(tag)
-    basis_quats = [Quaternion.one()] + [
-        Quaternion.from_vector(tuple(1.0 if t == k else 0.0 for t in range(3)))
-        for k in range(3)
-    ]
-    if tag is AlgebraTag.SPACETIME13:
-        embeds = [embed_spacetime(q) for q in basis_quats]
-    else:
-        embeds = [q.to_multivector() for q in basis_quats]
-    cols = [e * vp for e in embeds] + [e * i * vp for e in embeds]
-    mat = np.stack([c.coeffs for c in cols], axis=1)
-    sol, *_ = np.linalg.lstsq(mat, np.asarray(m.coeffs), rcond=None)
-    q0 = Quaternion(float(sol[0]), (float(sol[1]), float(sol[2]), float(sol[3])))
-    q1 = Quaternion(float(sol[4]), (float(sol[5]), float(sol[6]), float(sol[7])))
+    _, pinv = carrier_frame(tag)
+    sol = pinv @ m.coeffs
+    q0 = Quaternion(sol[0], tuple(sol[1:4]))
+    q1 = Quaternion(sol[4], tuple(sol[5:8]))
     psi = QuatSpinor(q0, q1, tag)
     if residual(image(psi), m) > tol * max(1.0, m.max_abs()):
         raise NotInIdeal("element has components outside the spinor ideal")
@@ -179,7 +182,7 @@ def norm2_q(psi: QuatSpinor) -> float:
     return psi.q0.norm2() - psi.q1.norm2()
 
 
-def phase_axis(q0: Quaternion, tol: float = _TOL) -> tuple[float, tuple[float, float, float]]:
+def phase_axis(q0: Quaternion, tol: float = TOL) -> tuple[float, tuple[float, float, float]]:
     """Polar split q0 = |q0| exp(theta i xhat) with theta in [0, pi].
 
     A real-negative q0 gives theta = pi with the axis fixed at e3 by
@@ -229,7 +232,7 @@ def spacetime_m_display(q0: Quaternion, q1: Quaternion) -> Multivector:
     return g0 + vec_term / den + ((q0.s * q1.s - xdoty) / den) * i13
 
 
-def canonical_q(psi: QuatSpinor, tol: float = _TOL) -> CanonicalQ:
+def canonical_q(psi: QuatSpinor, tol: float = TOL) -> CanonicalQ:
     """Canonical polar data; ZeroQ0 / NonTimelike outside the chart."""
     n0 = psi.q0.norm2()
     if n0 <= tol:
@@ -263,7 +266,7 @@ def reconstruct(can: CanonicalQ, tag: AlgebraTag) -> Multivector:
 # ---------------------------------------------------------- orthogonal case
 
 
-def is_orthogonal(psi: QuatSpinor, tol: float = _TOL) -> bool:
+def is_orthogonal(psi: QuatSpinor, tol: float = TOL) -> bool:
     """True when the scalar part of q0* q1 vanishes."""
     scale = max(1.0, psi.q0.norm() * psi.q1.norm())
     return abs(quat_mul(psi.q0.conjugate(), psi.q1).s) <= tol * scale
@@ -278,7 +281,7 @@ def bloch_point(psi: QuatSpinor) -> tuple[float, float, float]:
 
 
 def canonical_orthogonal(
-    psi: QuatSpinor, tol: float = _TOL
+    psi: QuatSpinor, tol: float = TOL
 ) -> tuple[CanonicalQ, tuple[float, float, float]]:
     """Canonical data via the simplified M = pole + x_m; orthogonal only."""
     if not is_orthogonal(psi, tol):
@@ -343,7 +346,7 @@ def _sta_pair(psi: QuatSpinor) -> Multivector:
     return image(QuatSpinor(psi.q0, psi.q1, AlgebraTag.SPACETIME13))
 
 
-def fidelity_q(psi: QuatSpinor, chi: QuatSpinor, tol: float = _TOL) -> float:
+def fidelity_q(psi: QuatSpinor, chi: QuatSpinor, tol: float = TOL) -> float:
     """<chi|psi><psi|chi> for internally normalized quaternion spinors.
 
     Evaluated as the bra-ket chain in Cl(1,3); ZeroQ0/NonTimelike propagate
@@ -372,7 +375,7 @@ def _admissible(psi: QuatSpinor, tol: float) -> float:
     return rho2
 
 
-def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor, tol: float = _TOL) -> float:
+def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor, tol: float = TOL) -> float:
     """(1 + A' o B')/2 with A' = M'^ g0 M'^ built from phase-conjugated M'.
 
     Independent of the bra-ket chain; the two must agree to 1e-10.
@@ -399,7 +402,7 @@ def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor, tol: float = _TOL) -
 # ------------------------------------------------- reduction to 2-component
 
 
-def reduce_restricted(psi: QuatSpinor, tol: float = _TOL) -> IdealSpinor:
+def reduce_restricted(psi: QuatSpinor, tol: float = TOL) -> IdealSpinor:
     """Collapse a spinor whose quaternions lie in span{1, i e3} to G1,2.
 
     Such quaternions form a commutative complex line, and the Minkowski

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import (
+    TOL,
     Multivector,
+    frame,
     geometric_product,
     grade_select,
     pseudoscalar,
@@ -32,8 +35,6 @@ from .core import (
 )
 from .errors import DegenerateState, NonTimelike, NotInIdeal, TagMismatch
 from .isomap import AlgebraTag
-
-_TOL = 1e-12
 
 _VALID_TAGS = (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12)
 
@@ -144,7 +145,7 @@ def chart_lift(tag: AlgebraTag, chart: tuple[float, float]) -> Multivector:
     """Unit Bloch vector a^ = m^ pole m^; sphere for G3, hyperboloid for G1,2."""
     m = m_vector(tag, chart)
     msq = geometric_product(m, m).scalar_part
-    if msq <= _TOL:
+    if msq <= TOL:
         raise NonTimelike(f"chart point {chart} lies outside the hyperboloid chart")
     mhat = m / math.sqrt(msq)
     return geometric_product(geometric_product(mhat, pole_vector(tag)), mhat)
@@ -158,12 +159,14 @@ def to_multivector(psi: IdealSpinor) -> Multivector:
     return geometric_product(head, idempotent(psi.tag))
 
 
-def _ideal_basis(tag: AlgebraTag) -> list[Multivector]:
+@lru_cache(maxsize=None)
+def _ideal_frame(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
+    """Frame (u, carrier u, i u, i carrier u) of the spinor ideal."""
     u = idempotent(tag)
     carrier = Multivector.basis(tag.signature, _CARRIER[tag])
     i = pseudoscalar(tag.signature)
     cu = geometric_product(carrier, u)
-    return [u, cu, geometric_product(i, u), geometric_product(i, cu)]
+    return frame([u, cu, geometric_product(i, u), geometric_product(i, cu)])
 
 
 def from_multivector(m: Multivector, tag: AlgebraTag, tol: float = 1e-10) -> IdealSpinor:
@@ -172,15 +175,11 @@ def from_multivector(m: Multivector, tag: AlgebraTag, tol: float = 1e-10) -> Ide
         raise TagMismatch("multivector signature does not match the tag")
     if residual(geometric_product(m, idempotent(tag)), m) > tol * max(1.0, m.max_abs()):
         raise NotInIdeal("element is not fixed by right multiplication with u+")
-    basis = _ideal_basis(tag)
-    mat = np.stack([b.coeffs for b in basis], axis=1)
-    sol, res, *_ = np.linalg.lstsq(mat, np.asarray(m.coeffs), rcond=None)
-    recon = sum((float(c) * b for c, b in zip(sol, basis)), Multivector.zero(tag.signature))
-    if residual(recon, m) > tol * max(1.0, m.max_abs()):
+    mat, pinv = _ideal_frame(tag)
+    sol = pinv @ m.coeffs
+    if residual(Multivector(tag.signature, mat @ sol), m) > tol * max(1.0, m.max_abs()):
         raise NotInIdeal("element has components outside the spinor ideal")
-    return IdealSpinor(
-        tag, CenterScalar(float(sol[0]), float(sol[2])), CenterScalar(float(sol[1]), float(sol[3]))
-    )
+    return IdealSpinor(tag, CenterScalar(sol[0], sol[2]), CenterScalar(sol[1], sol[3]))
 
 
 def braket(psi: IdealSpinor) -> tuple[Multivector, Multivector]:
@@ -206,7 +205,7 @@ def norm2(psi: IdealSpinor) -> float:
     return psi.a0.abs2() - psi.a1.abs2()
 
 
-def canonical_form(psi: IdealSpinor, tol: float = _TOL) -> CanonicalIdeal:
+def canonical_form(psi: IdealSpinor, tol: float = TOL) -> CanonicalIdeal:
     """Factor out the leading component; refuses the excluded chart point."""
     n0 = psi.a0.abs2()
     if n0 <= tol:
@@ -244,7 +243,7 @@ def _admissible_norm(psi: IdealSpinor, tol: float) -> float:
     return n
 
 
-def fidelity(psi: IdealSpinor, chi: IdealSpinor, tol: float = _TOL) -> float:
+def fidelity(psi: IdealSpinor, chi: IdealSpinor, tol: float = TOL) -> float:
     """<chi|psi><psi|chi> for internally normalized states.
 
     Bloch-sphere probability in [0,1] for G3; the analogous hyperboloid
@@ -276,7 +275,7 @@ def fidelity_chart(tag: AlgebraTag, chart_a, chart_b) -> float:
     return 1.0 - d2 / (ma2 * mb2)
 
 
-def antipodal_chart(chart: tuple[float, float], tol: float = _TOL) -> tuple[float, float]:
+def antipodal_chart(chart: tuple[float, float], tol: float = TOL) -> tuple[float, float]:
     """Chart point of the zero-probability partner: -x / x^2.
 
     On the Bloch sphere this lifts to the antipode -a^; the pole's partner

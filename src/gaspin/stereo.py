@@ -24,6 +24,7 @@ import numpy as np
 from .core import (
     EUCLIDEAN4,
     SPACETIME13,
+    TOL,
     Multivector,
     Signature,
     dot,
@@ -33,8 +34,6 @@ from .core import (
     reverse,
 )
 from .errors import DomainViolation, NotAVector, PoleSingularity
-
-_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ def _check_unit_vector(a: Multivector, signature: Signature) -> None:
     if a.signature != signature:
         raise NotAVector(f"expected a vector in {signature.generator_labels}")
     rest = grade_select(a, set(range(signature.n + 1)) - {1})
-    if rest.max_abs() > _TOL:
+    if rest.max_abs() > TOL:
         raise NotAVector("non-vector parts present")
     sq = geometric_product(a, a).scalar_part
     if abs(sq - 1.0) > 1e-12:
@@ -109,7 +108,7 @@ def lift_sphere(x: PlanePoint) -> SpherePoint:
 def project_sphere(a: SpherePoint) -> PlanePoint:
     """Stereographic projection from -e0; the chart point of a_hat."""
     denom = 1.0 + dot(_pole(EUCLIDEAN4), a.a_hat)
-    if denom < _TOL:
+    if denom < TOL:
         raise PoleSingularity("projection undefined at the south pole")
     m = (a.a_hat + _pole(EUCLIDEAN4)) / denom
     return PlanePoint(tuple(m.vector_components()[1:]))

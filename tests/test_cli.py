@@ -69,6 +69,14 @@ def test_verify_rejects_zero_cases(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-12"])
+def test_verify_rejects_bad_tol(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--cases", "2", f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_table_pauli(capsys):
     code, out, _ = run_cli(capsys, ["table", "--signature", "3,0"])
     assert code == 0
@@ -157,8 +165,12 @@ def test_project_hyper_boundary_fails(capsys):
         # the lift fails inside the open ball (a known defect); the CLI must
         # report it as one line, not a traceback
         (["project", "hyper", "--point", "0.9999999999,0,0"], 1),
+        # finite inputs whose squares overflow end in a typed NonFiniteValue
+        (["project", "sphere", "--point", "1e200,0,0"], 1),
+        (["prob", "sphere", "--point-a", "1e300,0,0", "--point-b", "0,0,0"], 1),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_bad_input_exit_codes(capsys, argv, want):
     try:
         code = cli.main(argv)

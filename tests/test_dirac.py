@@ -13,7 +13,6 @@ from gaspin.dirac import (
     dirac_to_geometric,
     expansion_display,
     geometric_to_qspinor,
-    idempotent_report,
     j_action,
     j_blade,
     j_structure_report,
@@ -33,14 +32,6 @@ def rand_phi(rng, integer=False):
 
 
 # ------------------------------------------------------------ the idempotents
-
-
-def test_idempotent_structure_exact():
-    report = idempotent_report()
-    assert report["idempotency"] == 0.0
-    assert report["orthogonality"] == 0.0
-    assert report["completeness"] == 0.0
-    assert report["spectral_frame_conjugations"] == 0.0
 
 
 def test_no_real_multivector_idempotents():

@@ -78,6 +78,27 @@ def test_embedding_roundtrip(rng):
         Quaternion.from_multivector(Multivector.basis(EUCLIDEAN4, 0))
 
 
+def test_matrix_ops_match_entrywise_oracle(rng):
+    # Reference: the row-into-column cell formula over quat_mul, and the
+    # entrywise Quaternion.conjugate of the transpose; exact on integers.
+    for integer, tol in [(True, 0.0)] * 200 + [(False, 1e-14)] * 200:
+        a = QuatMatrix2.from_entries(*(rand_quat(rng, integer) for _ in range(4)))
+        b = QuatMatrix2.from_entries(*(rand_quat(rng, integer) for _ in range(4)))
+        cells = [
+            quat_mul(a.entry(j, 0), b.entry(0, k)) + quat_mul(a.entry(j, 1), b.entry(1, k))
+            for j in range(2)
+            for k in range(2)
+        ]
+        assert matrix_residual(a * b, QuatMatrix2.from_entries(*cells)) <= tol
+        conj = [a.entry(k, j).conjugate() for j in range(2) for k in range(2)]
+        assert matrix_residual(a.conjugate_transpose(), QuatMatrix2.from_entries(*conj)) == 0.0
+    # rep inverts unrep exactly on the 16 matrix units of both bases.
+    for unit in np.eye(16).reshape(16, 2, 2, 4):
+        U = QuatMatrix2(unit)
+        assert matrix_residual(rep_vec(unrep_vec(U)), U) == 0.0
+        assert matrix_residual(rep_pss(unrep_pss(U)), U) == 0.0
+
+
 # ------------------------------------------------------------ representation
 
 

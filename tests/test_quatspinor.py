@@ -33,7 +33,6 @@ from gaspin.quatspinor import (
     canonical_q,
     circ,
     fidelity_q,
-    fidelity_q_circ_route,
     from_image,
     grade_parts,
     idempotent_plus,
@@ -368,15 +367,6 @@ def test_fidelity_self_and_phase(rng):
         psi = QuatSpinor(a, Quaternion.zero())
         chi = QuatSpinor(b, Quaternion.zero())
         assert fidelity_q(psi, chi) == pytest.approx(1.0, abs=1e-11)
-
-
-def test_fidelity_dual_route(rng):
-    for _ in range(300):
-        psi = rand_admissible(rng)
-        chi = rand_admissible(rng)
-        f1 = fidelity_q(psi, chi)
-        f2 = fidelity_q_circ_route(psi, chi)
-        assert abs(f1 - f2) <= 1e-10 * max(1.0, abs(f1))
 
 
 def test_fidelity_matches_hyperbolic_example():

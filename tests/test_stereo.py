@@ -151,14 +151,6 @@ def test_sphere_one_sided_and_two_sided_rotor_forms_agree(rng):
             assert residual(via_mhat, got) <= 1e-12
 
 
-def test_sphere_trig_identities(rng):
-    for _ in range(500):
-        r2 = rand_plane(rng).norm2
-        c = (1.0 - r2) / (1.0 + r2)
-        s = 2.0 * math.sqrt(r2) / (1.0 + r2)
-        assert abs(c * c + s * s - 1.0) <= 1e-12
-
-
 def test_sphere_metric_examples():
     _, ds2 = sphere_metric(PlanePoint.of(0, 0, 0), (1, 0, 0))
     assert abs(ds2 - 4.0) <= 1e-15
