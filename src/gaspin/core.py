@@ -7,11 +7,21 @@ ascending), and a multivector is a dense float vector of length 2^(p+q)
 indexed by mask.  Blade-product signs come from transposition counting
 plus one metric sign per contracted generator, so Cayley tables are exact
 integers and every other module can use this one as its ground truth.
+
+The product of blades i and j is the blade i XOR j (the bitmap
+representation of Dorst, Fontijne & Mann, *Geometric Algebra for Computer
+Science*, 2007).  ``sign_table(p, q)`` holds every blade-product sign at
+once, computed with numpy bit operations: the reordering parity is the
+popcount of ``(i >> s) & j`` summed over shifts s, and each shared
+generator that squares to -1 flips it once more.  ``geometric_product`` is
+then one cached-table kernel, ``out[k] = sum_j S[k^j, j] a[k^j] b[j]``,
+i.e. ``(lsigns * a[perm]) @ b`` with ``perm[k, j] = k ^ j``.
+``blade_product`` stays the loop-based reference the tests compare with.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -45,6 +55,9 @@ class Signature:
     plus_count: int
     minus_count: int
     generator_labels: tuple[str, ...]
+    #: number of generators p+q and of blades 2^(p+q); derived, not compared
+    n: int = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.plus_count + self.minus_count
@@ -54,14 +67,8 @@ class Signature:
             raise ValueError(f"need 1 <= p+q <= {_MAX_GENERATORS}, got {n}")
         if len(self.generator_labels) != n:
             raise ValueError("one label per generator required")
-
-    @property
-    def n(self) -> int:
-        return self.plus_count + self.minus_count
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dim", 1 << n)
 
     def metric(self, k: int) -> int:
         """Square (+1 or -1) of generator k."""
@@ -128,23 +135,47 @@ def blade_product(mask_a: int, mask_b: int, signature: Signature) -> tuple[int, 
 
 
 @lru_cache(maxsize=None)
-def _product_tables(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(signs, targets) arrays for Cl(p,q); targets[i,j] = i XOR j."""
-    sig = Signature(p, q, tuple(f"x{k}" for k in range(p + q)))
-    dim = sig.dim
-    signs = np.zeros((dim, dim))
-    targets = np.zeros((dim, dim), dtype=np.int64)
-    for i in range(dim):
-        for j in range(dim):
-            s, m = blade_product(i, j, sig)
-            signs[i, j] = s
-            targets[i, j] = m
-    return signs, targets
+def _grades(n: int) -> np.ndarray:
+    """Grade of every blade mask of an n-generator algebra."""
+    out = np.array([grade_of(m) for m in range(1 << n)])
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def sign_table(p: int, q: int) -> np.ndarray:
+    """Integer signs ``S[i, j]`` with blade i * blade j = S[i, j] blade (i ^ j)
+    in Cl(p,q), for every pair at once (read-only)."""
+    n = p + q
+    grades = _grades(n)
+    i = np.arange(1 << n)[:, None]
+    j = np.arange(1 << n)[None, :]
+    swaps = sum(grades[(i >> s) & j] for s in range(1, n))
+    minus_mask = ((1 << n) - 1) ^ ((1 << p) - 1)
+    flips = swaps + grades[i & j & minus_mask]
+    out = 1 - 2 * (flips & 1)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _product_kernel(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, lsigns) with perm[k, j] = k ^ j and lsigns[k, j] the sign of
+    blade (k ^ j) * blade j, so that ab = (lsigns * a[perm]) @ b."""
+    dim = 1 << (p + q)
+    k = np.arange(dim)[:, None]
+    j = np.arange(dim)[None, :]
+    perm = k ^ j
+    lsigns = sign_table(p, q)[perm, j].astype(float)
+    perm.setflags(write=False)
+    lsigns.setflags(write=False)
+    return perm, lsigns
 
 
 @lru_cache(maxsize=None)
 def _reverse_signs(n: int) -> np.ndarray:
-    return np.array([(-1) ** (grade_of(m) * (grade_of(m) - 1) // 2) for m in range(1 << n)], dtype=float)
+    g = _grades(n)
+    return np.where(g * (g - 1) // 2 % 2, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -155,12 +186,13 @@ class Multivector:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=float)
+        arr = np.array(self.coeffs, dtype=float)
         if arr.shape != (self.signature.dim,):
             raise ValueError(f"need {self.signature.dim} coefficients, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # A finite sum proves every term finite (NaN and inf propagate); a
+        # sum that overflows falls back to the elementwise test.
+        if not math.isfinite(np.add.reduce(arr)) and not np.isfinite(arr).all():
             raise NonFiniteValue("coefficients must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -231,7 +263,7 @@ class Multivector:
     # -- arithmetic ------------------------------------------------------------
 
     def _check_signature(self, other: "Multivector") -> None:
-        if self.signature != other.signature:
+        if self.signature is not other.signature and self.signature != other.signature:
             raise SignatureMismatch(
                 f"{self.signature.generator_labels} vs {other.signature.generator_labels}"
             )
@@ -282,11 +314,8 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Geometric product ab; bilinear and associative."""
     a._check_signature(b)
     sig = a.signature
-    signs, targets = _product_tables(sig.plus_count, sig.minus_count)
-    out = np.zeros(sig.dim)
-    for i in np.nonzero(a.coeffs)[0]:
-        np.add.at(out, targets[i], a.coeffs[i] * signs[i] * b.coeffs)
-    return Multivector(sig, out)
+    perm, lsigns = _product_kernel(sig.plus_count, sig.minus_count)
+    return Multivector(sig, (lsigns * a.coeffs[perm]) @ b.coeffs)
 
 
 def reverse(a: Multivector) -> Multivector:
@@ -301,10 +330,8 @@ def grade_select(a: Multivector, grades: Iterable[int]) -> Multivector:
     for g in keep:
         if not 0 <= g <= n:
             raise GradeOutOfRange(f"grade {g} not in 0..{n}")
-    c = np.array(
-        [a.coeffs[m] if grade_of(m) in keep else 0.0 for m in range(a.signature.dim)]
-    )
-    return Multivector(a.signature, c)
+    keep_bits = sum(1 << g for g in keep)
+    return Multivector(a.signature, np.where(keep_bits >> _grades(n) & 1, a.coeffs, 0.0))
 
 
 def _require_vector(a: Multivector, tol: float) -> None:
@@ -363,10 +390,8 @@ def allclose(a: Multivector, b: Multivector, tol: float = TOL) -> bool:
 
 def cayley_table(signature: Signature) -> list[list[tuple[int, int]]]:
     """Full blade-by-blade product table as (sign, mask) pairs; exact."""
-    dim = signature.dim
-    return [
-        [blade_product(i, j, signature) for j in range(dim)] for i in range(dim)
-    ]
+    signs = sign_table(signature.plus_count, signature.minus_count).tolist()
+    return [[(s, i ^ j) for j, s in enumerate(row)] for i, row in enumerate(signs)]
 
 
 def blade_names(signature: Signature) -> list[str]:

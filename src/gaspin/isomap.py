@@ -40,12 +40,15 @@ class AlgebraTag(Enum):
 
     @property
     def signature(self) -> Signature:
-        return {
-            AlgebraTag.EUCLIDEAN4: EUCLIDEAN4,
-            AlgebraTag.SPACETIME13: SPACETIME13,
-            AlgebraTag.PAULI3: PAULI3,
-            AlgebraTag.MINKOWSKI12: MINKOWSKI12,
-        }[self]
+        return _TAG_SIGNATURES[self]
+
+
+_TAG_SIGNATURES = {
+    AlgebraTag.EUCLIDEAN4: EUCLIDEAN4,
+    AlgebraTag.SPACETIME13: SPACETIME13,
+    AlgebraTag.PAULI3: PAULI3,
+    AlgebraTag.MINKOWSKI12: MINKOWSKI12,
+}
 
 
 def _extend_on_blades(images: list[Multivector], dim: int) -> tuple[Multivector, ...]:

@@ -61,6 +61,19 @@ def test_verify_calls_every_suite_through_the_registry(capsys, monkeypatch):
     assert code == 0
     assert sorted(called) == list(SUITE_NAMES)
     assert [ln[len("suite="):] for ln in out.splitlines() if ln.startswith("suite=")] == list(SUITE_NAMES)
+    # suites on fixed inputs report cases=fixed; the footer echoes --cases
+    blocks = [dict(ln.split("=", 1) for ln in b.splitlines()) for b in out.split("\n\n")]
+    cases = {b["suite"]: b["cases"] for b in blocks if "suite" in b}
+    assert cases == {
+        name: "fixed" if name in cli.FIXED_INPUT_SUITES else "2" for name in SUITE_NAMES
+    }
+    assert blocks[-1]["cases"] == "2"
+
+
+def test_fixed_input_suites_ignore_the_case_count():
+    for name in cli.FIXED_INPUT_SUITES:
+        few, many = (cli.run_suite(name, 7, cases, cli.DEFAULT_TOL) for cases in (1, 50))
+        assert (few.max_residual, few.tolerance) == (many.max_residual, many.tolerance)
 
 
 def test_verify_rejects_zero_cases(capsys):

@@ -25,6 +25,7 @@ from gaspin.core import (
 )
 from gaspin.errors import (
     GradeOutOfRange,
+    NonFiniteValue,
     NonScalarSquare,
     NotAVector,
     NullVector,
@@ -138,6 +139,44 @@ def test_blade_product_against_permutation_sign_oracle():
                 for g in out:
                     mask |= 1 << g
                 assert blade_product(a, b, sig) == (sign, mask)
+
+
+def _all_signatures(max_n):
+    """Every Cl(p,q) with 1 <= p+q <= max_n."""
+    return [
+        Signature(p, n - p, tuple(f"x{k}" for k in range(n)))
+        for n in range(1, max_n + 1)
+        for p in range(n + 1)
+    ]
+
+
+def test_sign_table_matches_blade_product():
+    for sig in _all_signatures(6):
+        table = core.sign_table(sig.plus_count, sig.minus_count)
+        assert table.shape == (sig.dim, sig.dim)
+        for i in range(sig.dim):
+            for j in range(sig.dim):
+                assert (int(table[i, j]), i ^ j) == blade_product(i, j, sig)
+    for sig in ALL_SIGNATURES:
+        assert core.cayley_table(sig) == [
+            [blade_product(i, j, sig) for j in range(sig.dim)] for i in range(sig.dim)
+        ]
+
+
+def test_geometric_product_matches_blade_sum(rng):
+    """The table kernel against a direct sum of blade_product terms; integer
+    operands make both routes exact."""
+    for sig in (*ALL_SIGNATURES, *_all_signatures(5)):
+        terms = [
+            (i, j, *blade_product(i, j, sig)) for i in range(sig.dim) for j in range(sig.dim)
+        ]
+        for _ in range(4):
+            a = random_mv(rng, sig, integer=True)
+            b = random_mv(rng, sig, integer=True)
+            expected = np.zeros(sig.dim)
+            for i, j, sign, mask in terms:
+                expected[mask] += sign * a.coeffs[i] * b.coeffs[j]
+            assert np.array_equal(geometric_product(a, b).coeffs, expected)
 
 
 def test_associativity_exact_integer(rng):
@@ -347,6 +386,23 @@ def test_immutability():
     a = Multivector.scalar(EUCLIDEAN4, 1.0)
     with pytest.raises(ValueError):
         a.coeffs[0] = 2.0
+
+
+def test_finiteness_check_is_exact():
+    # Finite coefficients whose sum overflows are accepted, although a check
+    # on the sum alone would reject them.
+    big = np.zeros(EUCLIDEAN4.dim)
+    big[:2] = 1e308
+    for coeffs in (big, -big):
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(np.add.reduce(coeffs))
+            assert np.array_equal(Multivector(EUCLIDEAN4, coeffs).coeffs, coeffs)
+    for bad in (math.nan, math.inf, -math.inf):
+        for slot in range(EUCLIDEAN4.dim):
+            coeffs = np.zeros(EUCLIDEAN4.dim)
+            coeffs[slot] = bad
+            with pytest.raises(NonFiniteValue):
+                Multivector(EUCLIDEAN4, coeffs)
 
 
 def test_cayley_table_shape_and_entries():
