@@ -3,10 +3,14 @@
 An algebra Cl(p,q) is generated by p+q anticommuting units, the first p
 squaring to +1 and the rest to -1.  A basis blade is encoded as a bit mask
 over generator positions (bit k set = generator k present, canonical order
-ascending), and a multivector is a dense float vector of length 2^(p+q)
-indexed by mask.  Blade-product signs come from transposition counting
-plus one metric sign per contracted generator, so Cayley tables are exact
-integers and every other module can use this one as its ground truth.
+ascending), and a multivector is a dense vector of length 2^(p+q) indexed
+by mask.  Blade-product signs come from transposition counting plus one
+metric sign per contracted generator, so Cayley tables are exact integers
+and every other module can use this one as its ground truth.
+
+Coefficients are ``float64``, or ``complex128`` when the input is complex.
+The product is linear in both factors, so the same kernel serves the
+complexified algebra C (x) Cl(p,q), where the Dirac idempotents live.
 
 The product of blades i and j is the blade i XOR j (the bitmap
 representation of Dorst, Fontijne & Mann, *Geometric Algebra for Computer
@@ -20,6 +24,7 @@ i.e. ``(lsigns * a[perm]) @ b`` with ``perm[k, j] = k ^ j``.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -41,6 +46,9 @@ from .errors import (
 TOL = 1e-12
 
 _MAX_GENERATORS = 6
+
+#: Coefficient dtypes kept as given; anything else becomes one of them.
+_DTYPES = (np.dtype(float), np.dtype(complex))
 
 
 @dataclass(frozen=True)
@@ -180,18 +188,21 @@ def _reverse_signs(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Multivector:
-    """Immutable dense multivector: coefficient ``coeffs[b]`` on blade b."""
+    """Immutable dense multivector: coefficient ``coeffs[b]`` on blade b,
+    real (``float64``) or complex (``complex128``)."""
 
     signature: Signature
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=float)
+        arr = np.array(self.coeffs)
+        if arr.dtype not in _DTYPES:
+            arr = arr.astype(complex if arr.dtype.kind == "c" else float)
         if arr.shape != (self.signature.dim,):
             raise ValueError(f"need {self.signature.dim} coefficients, got {arr.shape}")
         # A finite sum proves every term finite (NaN and inf propagate); a
         # sum that overflows falls back to the elementwise test.
-        if not math.isfinite(np.add.reduce(arr)) and not np.isfinite(arr).all():
+        if not cmath.isfinite(np.add.reduce(arr)) and not np.isfinite(arr).all():
             raise NonFiniteValue("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -234,11 +245,22 @@ class Multivector:
     # -- basic queries ---------------------------------------------------------
 
     @property
+    def re(self) -> "Multivector":
+        """Real part of the coefficients, as a real multivector."""
+        return Multivector(self.signature, self.coeffs.real)
+
+    @property
+    def im(self) -> "Multivector":
+        """Imaginary part of the coefficients, as a real multivector."""
+        return Multivector(self.signature, self.coeffs.imag)
+
+    @property
     def scalar_part(self) -> float:
-        return float(self.coeffs[0])
+        """Coefficient of 1 (a Python complex when the coefficients are)."""
+        return self.coeffs.item(0)
 
     def coefficient(self, mask: int) -> float:
-        return float(self.coeffs[mask])
+        return self.coeffs.item(mask)
 
     def vector_components(self) -> np.ndarray:
         return np.array([self.coeffs[1 << k] for k in range(self.signature.n)])
@@ -247,7 +269,7 @@ class Multivector:
         return {grade_of(m) for m in range(self.signature.dim) if abs(self.coeffs[m]) > tol}
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+        return float(np.abs(self.coeffs).max())
 
     def is_zero(self, tol: float = TOL) -> bool:
         return self.max_abs() <= tol
@@ -257,7 +279,8 @@ class Multivector:
         for m in range(self.signature.dim):
             c = self.coeffs[m]
             if c != 0.0:
-                terms.append(f"{c:g}*{self.signature.blade_name(m)}")
+                coeff = f"({c:g})" if isinstance(c, complex) else f"{c:g}"
+                terms.append(f"{coeff}*{self.signature.blade_name(m)}")
         return " + ".join(terms) if terms else "0"
 
     # -- arithmetic ------------------------------------------------------------
@@ -291,16 +314,14 @@ class Multivector:
     def __neg__(self) -> "Multivector":
         return Multivector(self.signature, -self.coeffs)
 
-    def __mul__(self, other: "Multivector | float | int") -> "Multivector":
+    def __mul__(self, other: "Multivector | complex") -> "Multivector":
         if isinstance(other, Multivector):
             return geometric_product(self, other)
-        if isinstance(other, (int, float)):
-            return Multivector(self.signature, self.coeffs * float(other))
-        return NotImplemented
+        return self.__rmul__(other)
 
-    def __rmul__(self, other: float) -> "Multivector":
-        if isinstance(other, (int, float)):
-            return Multivector(self.signature, self.coeffs * float(other))
+    def __rmul__(self, other: complex) -> "Multivector":
+        if isinstance(other, (int, float, complex)):
+            return Multivector(self.signature, self.coeffs * other)
         return NotImplemented
 
     def __truediv__(self, other: float) -> "Multivector":
@@ -379,9 +400,9 @@ def exp_blade(B: Multivector, tol: float = TOL) -> Multivector:
 
 
 def residual(a: Multivector, b: Multivector) -> float:
-    """Max absolute coefficient difference."""
+    """Max absolute coefficient difference (a modulus for complex ones)."""
     a._check_signature(b)
-    return float(np.max(np.abs(a.coeffs - b.coeffs)))
+    return float(np.abs(a.coeffs - b.coeffs).max())
 
 
 def allclose(a: Multivector, b: Multivector, tol: float = TOL) -> bool:

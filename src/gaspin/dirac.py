@@ -6,12 +6,12 @@ Because g12 anticommutes with nothing that would save it, no real
 multivector can play j's role here: Cl(1,3) is a 2x2 quaternion matrix
 algebra, which admits at most two annihilating idempotents, while the
 spectral basis needs four.  They exist only in the complexified algebra
-C (x) Cl(1,3) ~ M4(C), so this module carries pairs (re, im) of real
-multivectors with j^2 = -1 wired into the pair product.  Everything else
-stays ga-core arithmetic.
+C (x) Cl(1,3) ~ M4(C), so here j is Python's ``1j`` on the complex
+coefficients of a ``core.Multivector``.  The engine's product is linear,
+so everything stays ga-core arithmetic.
 
 On the carrier ideal the classical j acts as right multiplication by
-g21 = -g12, exactly (j u = g21 u holds entrywise for the pair).  A column
+g21 = -g12, exactly (j u = g21 u holds coefficient by coefficient).  A column
 (phi1..phi4) maps to (phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+) with the
 Euclidean blade names standing for their spacetime images; the inverse
 extracts the quaternion pair (q0, q1) with carrier (q0 + q1 i) u(+,+),
@@ -21,16 +21,19 @@ and the component dictionary is
     phi3 = -y3 + j y0, phi4 = -y1 - j y2.
 
 Real parts determine everything: im = re * g12 on the whole ideal.
+Residuals between complex elements are moduli of coefficient differences.
 """
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
+    EUCLIDEAN4,
     SPACETIME13,
     Multivector,
+    frame,
     pseudoscalar,
     residual,
 )
@@ -40,62 +43,6 @@ from .quatrep import Quaternion
 from .quatspinor import QuatSpinor, carrier_frame
 
 _SIG = SPACETIME13
-
-
-@dataclass(frozen=True)
-class ComplexMultivector:
-    """Pair (re, im) representing re + j*im over Cl(1,3)."""
-
-    re: Multivector
-    im: Multivector
-
-    @staticmethod
-    def from_real(m: Multivector) -> "ComplexMultivector":
-        return ComplexMultivector(m, Multivector.zero(_SIG))
-
-    @staticmethod
-    def zero() -> "ComplexMultivector":
-        return ComplexMultivector(Multivector.zero(_SIG), Multivector.zero(_SIG))
-
-    def __add__(self, other: "ComplexMultivector") -> "ComplexMultivector":
-        return ComplexMultivector(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexMultivector") -> "ComplexMultivector":
-        return ComplexMultivector(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other) -> "ComplexMultivector":
-        if isinstance(other, ComplexMultivector):
-            return ComplexMultivector(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, Multivector):
-            return ComplexMultivector(self.re * other, self.im * other)
-        return self.scale(other)
-
-    def __rmul__(self, other) -> "ComplexMultivector":
-        if isinstance(other, Multivector):
-            return ComplexMultivector(other * self.re, other * self.im)
-        return self.scale(other)
-
-    def scale(self, z: complex) -> "ComplexMultivector":
-        z = complex(z)
-        return ComplexMultivector(
-            z.real * self.re - z.imag * self.im, z.real * self.im + z.imag * self.re
-        )
-
-    def conj(self) -> "ComplexMultivector":
-        return ComplexMultivector(self.re, -self.im)
-
-    def max_abs(self) -> float:
-        return max(self.re.max_abs(), self.im.max_abs())
-
-    def coeff_norm2(self) -> float:
-        return float(self.re.coeffs @ self.re.coeffs + self.im.coeffs @ self.im.coeffs)
-
-
-def cresidual(a: ComplexMultivector, b: ComplexMultivector) -> float:
-    return max(residual(a.re, b.re), residual(a.im, b.im))
 
 
 # ------------------------------------------------------------- the ideal kit
@@ -116,26 +63,31 @@ def j_blade() -> Multivector:
 
 
 @lru_cache(maxsize=None)
-def dirac_idempotent(s: int, t: int) -> ComplexMultivector:
+def dirac_idempotent(s: int, t: int) -> Multivector:
     """u(s,t) = (1 + s g0)(1 + t j g12)/4 in the complexified algebra."""
     base = (Multivector.scalar(_SIG, 1.0) + float(s) * _g(0)) * 0.25
-    return ComplexMultivector(base, float(t) * (base * _g12()))
+    return base + (t * 1j) * (base * _g12())
 
 
 @lru_cache(maxsize=None)
 def carrier_blades() -> tuple[Multivector, ...]:
     """Images of (1, e13, e3, e1) in Cl(1,3): the Dirac column frame."""
-    from .core import EUCLIDEAN4
-
     masks = (0, 0b1010, 0b1000, 0b0010)  # 1, e13, e3, e1
     return tuple(
         euclidean_to_spacetime(Multivector.blade(EUCLIDEAN4, m)) for m in masks
     )
 
 
+@lru_cache(maxsize=None)
+def _column_matrix():
+    """Carrier blades as columns: ``mat @ phi`` is sum_k phi_k blade_k."""
+    mat, _ = frame(carrier_blades())
+    return mat
+
+
 @dataclass(frozen=True)
 class DiracSpinor:
-    """Classical 4-component column; entries are (re, im) complex pairs."""
+    """Classical 4-component column of complex numbers."""
 
     components: tuple[complex, complex, complex, complex]
 
@@ -143,7 +95,7 @@ class DiracSpinor:
         comps = tuple(complex(c) for c in self.components)
         if len(comps) != 4:
             raise ValueError("a Dirac column has exactly 4 complex components")
-        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in comps):
+        if not all(cmath.isfinite(c) for c in comps):
             raise ValueError("components must be finite")
         object.__setattr__(self, "components", comps)
 
@@ -161,28 +113,23 @@ class DiracSpinor:
 # ------------------------------------------------------------------- the map
 
 
-def dirac_to_geometric(phi: DiracSpinor) -> ComplexMultivector:
+def dirac_to_geometric(phi: DiracSpinor) -> Multivector:
     """(phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+)."""
-    u = dirac_idempotent(+1, +1)
-    out = ComplexMultivector.zero()
-    for c, blade in zip(phi.components, carrier_blades()):
-        out = out + (blade * u).scale(c)
-    return out
+    blades = Multivector(_SIG, _column_matrix() @ phi.components)
+    return blades * dirac_idempotent(+1, +1)
 
 
-def j_action(m: ComplexMultivector) -> Multivector | ComplexMultivector:
+def j_action(m: Multivector) -> Multivector:
     """Right multiplication by g21; equals scaling by 1j on the ideal."""
     return m * j_blade()
 
 
-def expansion_display(phi: DiracSpinor) -> ComplexMultivector:
+def expansion_display(phi: DiracSpinor) -> Multivector:
     """The same element written over real/imag groups:
 
     ((x1 + x4 e1 + y4 e2 + x3 e3) + i (y3 + y2 e1 - x2 e2 + y1 e3)) u(+,+)
     with i = e123 = g0123; an independent route used by tests.
     """
-    from .core import EUCLIDEAN4
-
     x = [c.real for c in phi.components]
     y = [c.imag for c in phi.components]
     e = [
@@ -195,11 +142,11 @@ def expansion_display(phi: DiracSpinor) -> ComplexMultivector:
     return (first + i13 * second) * dirac_idempotent(+1, +1)
 
 
-def geometric_to_qspinor(m: ComplexMultivector, tol: float = 1e-10) -> QuatSpinor:
+def geometric_to_qspinor(m: Multivector, tol: float = 1e-10) -> QuatSpinor:
     """Extract (q0, q1) with m = (q0 + q1 i) u(+,+); NotInIdeal otherwise."""
     u = dirac_idempotent(+1, +1)
     scale = max(1.0, m.max_abs())
-    if cresidual(m * u, m) > tol * scale:
+    if residual(m * u, m) > tol * scale:
         raise NotInIdeal("element is not fixed by the Dirac idempotent")
     if residual(m.im, m.re * _g12()) > tol * scale:
         raise NotInIdeal("imaginary part is not re * g12")
@@ -209,18 +156,18 @@ def geometric_to_qspinor(m: ComplexMultivector, tol: float = 1e-10) -> QuatSpino
     q0 = Quaternion(sol[0], tuple(sol[1:4]))
     q1 = Quaternion(sol[4], tuple(sol[5:8]))
     psi = QuatSpinor(q0, q1, AlgebraTag.SPACETIME13)
-    if cresidual(qspinor_to_geometric(psi), m) > tol * scale:
+    if residual(qspinor_to_geometric(psi), m) > tol * scale:
         raise NotInIdeal("element has components outside the Dirac ideal")
     return psi
 
 
-def qspinor_to_geometric(psi: QuatSpinor) -> ComplexMultivector:
+def qspinor_to_geometric(psi: QuatSpinor) -> Multivector:
     """(q0 + q1 i) u(+,+) as a complexified carrier element."""
     i13 = pseudoscalar(_SIG)
     x = euclidean_to_spacetime(psi.q0.to_multivector()) + i13 * euclidean_to_spacetime(
         psi.q1.to_multivector()
     )
-    return ComplexMultivector.from_real(x) * dirac_idempotent(+1, +1)
+    return x * dirac_idempotent(+1, +1)
 
 
 def qspinor_to_dirac(psi: QuatSpinor) -> DiracSpinor:
@@ -228,12 +175,7 @@ def qspinor_to_dirac(psi: QuatSpinor) -> DiracSpinor:
     x0, (x1, x2, x3) = psi.q0.s, psi.q0.v
     y0, (y1, y2, y3) = psi.q1.s, psi.q1.v
     return DiracSpinor(
-        (
-            complex(x0, x3),
-            complex(-x2, x1),
-            complex(-y3, y0),
-            complex(-y1, -y2),
-        )
+        (complex(x0, x3), complex(-x2, x1), complex(-y3, y0), complex(-y1, -y2))
     )
 
 
@@ -242,7 +184,7 @@ def dirac_roundtrip_residual(phi: DiracSpinor) -> float:
     m = dirac_to_geometric(phi)
     psi = geometric_to_qspinor(m)
     back = dirac_to_geometric(qspinor_to_dirac(psi))
-    return cresidual(back, m)
+    return residual(back, m)
 
 
 # ------------------------------------------------------------- verifications
@@ -251,25 +193,18 @@ def dirac_roundtrip_residual(phi: DiracSpinor) -> float:
 def idempotent_report() -> dict[str, float]:
     """Exact structure of the four idempotents: u^2 = u, orthogonality,
     completeness, and the conjugation relations of the spectral frame."""
-    us = {
-        (s, t): dirac_idempotent(s, t) for s in (+1, -1) for t in (+1, -1)
-    }
-    r_idem = max(cresidual(u * u, u) for u in us.values())
-    r_orth = max(
-        (us[a] * us[b]).max_abs() for a in us for b in us if a != b
-    )
-    total = ComplexMultivector.zero()
-    for u in us.values():
-        total = total + u
-    one = ComplexMultivector.from_real(Multivector.scalar(_SIG, 1.0))
-    r_complete = cresidual(total, one)
+    us = {(s, t): dirac_idempotent(s, t) for s in (+1, -1) for t in (+1, -1)}
+    r_idem = max(residual(u * u, u) for u in us.values())
+    r_orth = max((us[a] * us[b]).max_abs() for a in us for b in us if a != b)
+    total = sum(us.values(), Multivector.zero(_SIG))
+    r_complete = residual(total, Multivector.scalar(_SIG, 1.0))
 
     _, e13, e3, e1 = carrier_blades()
     upp = us[(+1, +1)]
     r_frame = max(
-        cresidual((-1.0 * e13) * upp * e13, us[(+1, -1)]),
-        cresidual(e3 * upp * e3, us[(-1, +1)]),
-        cresidual(e1 * upp * e1, us[(-1, -1)]),
+        residual((-1.0 * e13) * upp * e13, us[(+1, -1)]),
+        residual(e3 * upp * e3, us[(-1, +1)]),
+        residual(e1 * upp * e1, us[(-1, -1)]),
     )
     return {
         "idempotency": r_idem,
@@ -289,16 +224,14 @@ def j_structure_report() -> dict[str, float]:
     """
     i13 = pseudoscalar(_SIG)
     _, _, e3, _ = carrier_blades()
-    v_plus = ComplexMultivector.from_real(
-        (Multivector.scalar(_SIG, 1.0) + _g(0)) * 0.5
-    )
-    one = ComplexMultivector.from_real(Multivector.scalar(_SIG, 1.0))
+    one = Multivector.scalar(_SIG, 1.0)
+    v_plus = (one + _g(0)) * 0.5
     out = {}
     for name, sign in (("J_minus_ji", -1.0), ("J_plus_ji", +1.0)):
-        J = ComplexMultivector(Multivector.zero(_SIG), sign * i13)
-        e_plus = (one + J * e3).scale(0.5)
-        out[name] = cresidual(v_plus * e_plus, dirac_idempotent(+1, +1))
+        J = (sign * 1j) * i13
+        e_plus = (one + J * e3) * 0.5
+        out[name] = residual(v_plus * e_plus, dirac_idempotent(+1, +1))
     # j realized as right-g21 matches complex scaling on the idempotent.
     upp = dirac_idempotent(+1, +1)
-    out["j_as_right_g21_on_idempotent"] = cresidual(upp * j_blade(), upp.scale(1j))
+    out["j_as_right_g21_on_idempotent"] = residual(upp * j_blade(), 1j * upp)
     return out

@@ -113,11 +113,10 @@ def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
     The embedded basis (e23, -e13, e12) is a left-handed triple, hence the
     minus sign on the cross term.
     """
-    u = np.array(a.v)
-    w = np.array(b.v)
-    s = a.s * b.s - float(u @ w)
-    vec = a.s * w + b.s * u - np.cross(u, w)
-    return Quaternion(s, tuple(vec))
+    (u1, u2, u3), (w1, w2, w3) = a.v, b.v
+    cross = (u2 * w3 - u3 * w2, u3 * w1 - u1 * w3, u1 * w2 - u2 * w1)
+    s = a.s * b.s - (u1 * w1 + u2 * w2 + u3 * w3)
+    return Quaternion(s, tuple(a.s * w + b.s * u - c for u, w, c in zip(a.v, b.v, cross)))
 
 
 def _coords(q: Quaternion) -> tuple[float, float, float, float]:
@@ -186,7 +185,7 @@ class QuatMatrix2:
         return QuatMatrix2(self.coeffs.transpose(1, 0, 2) * (1.0, -1.0, -1.0, -1.0))
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+        return float(np.abs(self.coeffs).max())
 
 
 def matrix_residual(a: QuatMatrix2, b: QuatMatrix2) -> float:

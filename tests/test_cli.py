@@ -346,6 +346,18 @@ def test_dirac_command(capsys, rng):
     assert float(record["roundtrip_residual"]) <= 1e-12
 
 
+def test_dirac_large_column_passes_relative_check(capsys):
+    # The round-trip residual grows with the column; the re-validation
+    # scales its tolerance like the extraction does.
+    comps = ["1e7", "0.3", "-0.7", "0.11", "0.5", "-0.9", "0.25", "0.6"]
+    code, out, err = run_cli(capsys, ["dirac", "--components", *comps])
+    assert (code, err) == (0, "")
+    record = dict(ln.split("=", 1) for ln in out.splitlines())
+    assert float(record["roundtrip_residual"]) <= 1e-15 * 1e7
+    q0 = [float(v) for v in record["q0"].split(",")]
+    assert q0 == pytest.approx([1e7, 0.11, 0.7, 0.3], rel=1e-15, abs=1e-9)
+
+
 def test_dirac_arity(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["dirac", "--components", "1", "2", "3"])

@@ -165,18 +165,23 @@ def test_sign_table_matches_blade_product():
 
 def test_geometric_product_matches_blade_sum(rng):
     """The table kernel against a direct sum of blade_product terms; integer
-    operands make both routes exact."""
+    and Gaussian-integer operands make both routes exact."""
     for sig in (*ALL_SIGNATURES, *_all_signatures(5)):
         terms = [
             (i, j, *blade_product(i, j, sig)) for i in range(sig.dim) for j in range(sig.dim)
         ]
-        for _ in range(4):
+        for k in range(8):
             a = random_mv(rng, sig, integer=True)
             b = random_mv(rng, sig, integer=True)
-            expected = np.zeros(sig.dim)
+            if k % 2:
+                a = a + 1j * random_mv(rng, sig, integer=True)
+                b = b + 1j * random_mv(rng, sig, integer=True)
+            expected = np.zeros(sig.dim, dtype=a.coeffs.dtype)
             for i, j, sign, mask in terms:
                 expected[mask] += sign * a.coeffs[i] * b.coeffs[j]
-            assert np.array_equal(geometric_product(a, b).coeffs, expected)
+            product = geometric_product(a, b).coeffs
+            assert product.dtype == expected.dtype
+            assert np.array_equal(product, expected)
 
 
 def test_associativity_exact_integer(rng):
@@ -399,10 +404,27 @@ def test_finiteness_check_is_exact():
             assert np.array_equal(Multivector(EUCLIDEAN4, coeffs).coeffs, coeffs)
     for bad in (math.nan, math.inf, -math.inf):
         for slot in range(EUCLIDEAN4.dim):
-            coeffs = np.zeros(EUCLIDEAN4.dim)
-            coeffs[slot] = bad
-            with pytest.raises(NonFiniteValue):
-                Multivector(EUCLIDEAN4, coeffs)
+            for value in (bad, complex(0.0, bad), complex(1.0, bad)):
+                coeffs = np.zeros(EUCLIDEAN4.dim, dtype=type(value))
+                coeffs[slot] = value
+                with pytest.raises(NonFiniteValue):
+                    Multivector(EUCLIDEAN4, coeffs)
+
+
+def test_coefficient_dtypes():
+    # Integer and float input is real; complex input stays complex.
+    for coeffs in (range(16), [0.5] * 16, np.arange(16, dtype=np.float32)):
+        assert Multivector(EUCLIDEAN4, coeffs).coeffs.dtype == np.float64
+    for coeffs in ([1j] * 16, np.arange(16) * (1 + 2j), np.ones(16, dtype=np.complex64)):
+        assert Multivector(EUCLIDEAN4, coeffs).coeffs.dtype == np.complex128
+    m = Multivector(EUCLIDEAN4, np.arange(16) + 1j * np.arange(16, 32))
+    assert np.array_equal(m.re.coeffs, np.arange(16.0))
+    assert np.array_equal(m.im.coeffs, np.arange(16.0, 32.0))
+    assert m.re.coeffs.dtype == m.im.coeffs.dtype == np.float64
+    assert residual(m.re + 1j * m.im, m) == 0.0
+    assert (2j * m).coeffs.dtype == (m * 0.5).coeffs.dtype == np.complex128
+    assert (m.scalar_part, m.coefficient(3)) == (16j, 3 + 19j)
+    assert type(m.re.scalar_part) is float
 
 
 def test_cayley_table_shape_and_entries():
