@@ -601,20 +601,25 @@ def cmd_project(args) -> int:
             angle = stereo.sphere_angle(x)
             rotor = stereo.sphere_rotor(x)
             pole = Multivector.basis(EUCLIDEAN4, 0)
-            factor = 4.0 / (1.0 + x.norm2) ** 2
+            d = 1.0 + x.norm2
+            factor = 4.0 / (d * d)  # 0.0 once d * d overflows (d ** 2 would raise)
         else:
             lifted = stereo.lift_hyper(x).a_hat
             angle = stereo.hyper_angle(x)
             rotor = stereo.hyper_boost(x)
             pole = Multivector.basis(SPACETIME13, 0)
-            factor = -4.0 / (1.0 - x.norm2) ** 2
+            d = 1.0 - x.norm2
+            factor = -4.0 / (d * d)
     except GAError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     # re-validate before printing
     sq = geometric_product(lifted, lifted).scalar_part
     sandwich = stereo.rotor_apply(rotor, pole)
-    if abs(sq - 1.0) > 1e-10 or residual(sandwich, lifted) > 1e-10:
+    if not (
+        core.close(abs(sq - 1.0), 1.0 + float(lifted.coeffs @ lifted.coeffs))
+        and core.close(residual(sandwich, lifted), lifted.abs_sum())
+    ):
         print("error: emitted point failed re-validation", file=sys.stderr)
         return 1
     print(f"geometry={args.geometry}")
@@ -693,58 +698,39 @@ def cmd_prob(args) -> int:
 
 
 def _figure_stereo_sphere(samples: int):
-    # Riemann-sphere cross-section, pole at e3 via generator permutation.
+    # Riemann-sphere cross-section: swapping e0 and e3 puts the pole at e3.
     rows = [["t", "x_m", "a_e1", "a_e2", "a_e3"]]
     for t in np.linspace(-2.0, 2.0, samples):
-        r2 = t * t
-        lifted = Multivector.vector(PAULI3, ((1 - r2) / (1 + r2), 2 * t / (1 + r2), 0.0))
-        relabeled = stereo.permute_generators(lifted, (2, 0, 1))
-        sq = geometric_product(relabeled, relabeled).scalar_part
-        if abs(sq - 1.0) > 1e-10:
-            raise VerificationFailure("figure row failed the unit-square check")
-        comps = relabeled.vector_components()
-        rows.append([_f(t), _f(t), _f(comps[0]), _f(comps[1]), _f(comps[2])])
+        lifted = stereo.lift_sphere(stereo.PlanePoint.of(t, 0.0, 0.0)).a_hat
+        comps = stereo.permute_generators(lifted, (3, 1, 2, 0)).vector_components()
+        rows.append([_f(t), _f(t), *(_f(c) for c in comps[1:])])
     return rows
 
 
 def _figure_stereo_hyper(samples: int):
     rows = [["t", "x_m", "a_g0", "a_g1", "a_g2"]]
     for t in np.linspace(-0.9, 0.9, samples):
-        x = stereo.PlanePoint.of(t, 0.0, 0.0)
-        r2 = x.norm2
-        lifted = Multivector.vector(
-            MINKOWSKI12, ((1 + r2) / (1 - r2), 2 * t / (1 - r2), 0.0)
-        )
-        sq = geometric_product(lifted, lifted).scalar_part
-        if abs(sq - 1.0) > 1e-10:
-            raise VerificationFailure("figure row failed the unit-square check")
-        comps = lifted.vector_components()
-        rows.append([_f(t), _f(t), _f(comps[0]), _f(comps[1]), _f(comps[2])])
+        comps = stereo.lift_hyper(stereo.PlanePoint.of(t, 0.0, 0.0)).a_hat.vector_components()
+        rows.append([_f(t), _f(t), *(_f(c) for c in comps[:3])])
     return rows
 
 
 def _figure_poincare_geodesic(samples: int):
     # Circular arc orthogonal to the unit circle: center (sqrt2, 0), radius 1
-    # (|c|^2 = 1 + r^2); endpoints on the unit circle carry no lift.
+    # (|c|^2 = 1 + r^2); its endpoints, the first and last samples, lie on
+    # the unit circle and carry no lift.
     rows = [["psi", "x1", "x2", "a_g0", "a_g1", "a_g2"]]
     center = math.sqrt(2.0)
     lifted_pts = []
-    for psi in np.linspace(3 * math.pi / 4, 5 * math.pi / 4, samples):
+    for k, psi in enumerate(np.linspace(3 * math.pi / 4, 5 * math.pi / 4, samples)):
         x1 = center + math.cos(psi)
         x2 = math.sin(psi)
-        r2 = x1 * x1 + x2 * x2
-        if r2 >= 1.0 - 1e-12:
+        if k in (0, samples - 1):
             rows.append([_f(psi), _f(x1), _f(x2), "", "", ""])
             continue
-        lifted = Multivector.vector(
-            MINKOWSKI12,
-            ((1 + r2) / (1 - r2), 2 * x1 / (1 - r2), 2 * x2 / (1 - r2)),
-        )
-        sq = geometric_product(lifted, lifted).scalar_part
-        if abs(sq - 1.0) > 1e-10:
-            raise VerificationFailure("figure row failed the unit-square check")
-        lifted_pts.append(lifted.vector_components())
-        rows.append([_f(psi), _f(x1), _f(x2), *(_f(c) for c in lifted.vector_components())])
+        lifted = stereo.lift_hyper(stereo.PlanePoint.of(x1, x2, 0.0)).a_hat
+        lifted_pts.append(lifted.vector_components()[:3])
+        rows.append([_f(psi), _f(x1), _f(x2), *(_f(c) for c in lifted_pts[-1])])
     # endpoints on the unit circle
     for idx in (1, len(rows) - 1):
         x1, x2 = float(rows[idx][1]), float(rows[idx][2])
@@ -766,7 +752,7 @@ def cmd_figure(args) -> int:
     }
     try:
         rows = builders[args.name](args.samples)
-    except VerificationFailure as exc:
+    except GAError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     try:

@@ -41,14 +41,15 @@ from .errors import (
     SignatureMismatch,
 )
 
-#: Default numeric tolerance for composite float computations.  Cayley-table
-#: arithmetic itself is exact.
+#: Relative rounding allowance of :func:`close`.  Cayley-table arithmetic
+#: itself is exact.
 TOL = 1e-12
 
 _MAX_GENERATORS = 6
 
 #: Coefficient dtypes kept as given; anything else becomes one of them.
 _DTYPES = (np.dtype(float), np.dtype(complex))
+_COMPLEX = (complex, np.complexfloating)
 
 
 @dataclass(frozen=True)
@@ -214,16 +215,14 @@ class Multivector:
         return Multivector(signature, np.zeros(signature.dim))
 
     @staticmethod
-    def scalar(signature: Signature, value: float) -> "Multivector":
-        c = np.zeros(signature.dim)
-        c[0] = value
-        return Multivector(signature, c)
+    def scalar(signature: Signature, value: complex) -> "Multivector":
+        return Multivector.blade(signature, 0, value)
 
     @staticmethod
-    def blade(signature: Signature, mask: int, coeff: float = 1.0) -> "Multivector":
+    def blade(signature: Signature, mask: int, coeff: complex = 1.0) -> "Multivector":
         if not 0 <= mask < signature.dim:
             raise ValueError(f"blade mask {mask} out of range")
-        c = np.zeros(signature.dim)
+        c = np.zeros(signature.dim, dtype=complex if isinstance(coeff, _COMPLEX) else float)
         c[mask] = coeff
         return Multivector(signature, c)
 
@@ -265,14 +264,12 @@ class Multivector:
     def vector_components(self) -> np.ndarray:
         return np.array([self.coeffs[1 << k] for k in range(self.signature.n)])
 
-    def grades(self, tol: float = TOL) -> set[int]:
-        return {grade_of(m) for m in range(self.signature.dim) if abs(self.coeffs[m]) > tol}
-
     def max_abs(self) -> float:
         return float(np.abs(self.coeffs).max())
 
-    def is_zero(self, tol: float = TOL) -> bool:
-        return self.max_abs() <= tol
+    def abs_sum(self) -> float:
+        """Sum of the coefficient moduli: the usual ``scale`` for :func:`close`."""
+        return float(np.abs(self.coeffs).sum())
 
     def __repr__(self) -> str:
         terms = []
@@ -291,25 +288,23 @@ class Multivector:
                 f"{self.signature.generator_labels} vs {other.signature.generator_labels}"
             )
 
-    def __add__(self, other: "Multivector | float | int") -> "Multivector":
+    def __add__(self, other: "Multivector | complex") -> "Multivector":
         if isinstance(other, Multivector):
             self._check_signature(other)
             return Multivector(self.signature, self.coeffs + other.coeffs)
-        if isinstance(other, (int, float)):
-            return self + Multivector.scalar(self.signature, float(other))
+        if isinstance(other, (int, float, complex)):
+            return self + Multivector.scalar(self.signature, other)
         return NotImplemented
 
     __radd__ = __add__
 
-    def __sub__(self, other: "Multivector | float | int") -> "Multivector":
-        if isinstance(other, Multivector):
+    def __sub__(self, other: "Multivector | complex") -> "Multivector":
+        if isinstance(other, (Multivector, int, float, complex)):
             return self + (-other)
-        if isinstance(other, (int, float)):
-            return self + (-float(other))
         return NotImplemented
 
-    def __rsub__(self, other: float) -> "Multivector":
-        return (-self) + float(other)
+    def __rsub__(self, other: complex) -> "Multivector":
+        return (-self) + other
 
     def __neg__(self) -> "Multivector":
         return Multivector(self.signature, -self.coeffs)
@@ -355,48 +350,64 @@ def grade_select(a: Multivector, grades: Iterable[int]) -> Multivector:
     return Multivector(a.signature, np.where(keep_bits >> _grades(n) & 1, a.coeffs, 0.0))
 
 
-def _require_vector(a: Multivector, tol: float) -> None:
-    other = grade_select(a, set(range(a.signature.n + 1)) - {1})
-    if other.max_abs() > tol:
-        raise NotAVector(f"non-vector parts present: {other!r}")
+def close(residual: float, scale: float) -> bool:
+    """The one tolerance rule: ``residual`` is rounding noise when it is at
+    most TOL times ``scale``, the sum of the magnitudes of the terms it was
+    computed from (a running-error bound; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002).  NaN is never close."""
+    return residual <= TOL * scale
 
 
-def vector_inverse(v: Multivector, tol: float = TOL) -> Multivector:
+def vector_square(a: Multivector) -> tuple[complex, float]:
+    """(a^2, sum of |a_k|^2) of a grade-1 element, from its coefficients; the
+    second is the scale of the first.  NotAVector when other grades hold
+    more than rounding."""
+    c = a.coeffs.tolist()
+    v = [c[1 << k] for k in range(a.signature.n)]
+    vmag = [abs(x) for x in v]
+    total = sum(map(abs, c))
+    if not close(total - sum(vmag), total):
+        raise NotAVector(f"non-vector parts present: {a!r}")
+    p = a.signature.plus_count  # the +1 generators come first
+    return sum(x * x for x in v[:p]) - sum(x * x for x in v[p:]), sum(m * m for m in vmag)
+
+
+def vector_inverse(v: Multivector) -> Multivector:
     """Inverse v / v^2 of a non-null grade-1 element."""
-    _require_vector(v, tol)
-    sq = geometric_product(v, v).scalar_part
-    if abs(sq) < tol:
-        raise NullVector("vector square is numerically zero")
+    sq, scale = vector_square(v)
+    if close(abs(sq), scale):
+        raise NullVector(f"vector square {sq!r} is zero to rounding")
     return v / sq
 
 
-def dot(a: Multivector, b: Multivector, tol: float = TOL) -> float:
+def dot(a: Multivector, b: Multivector) -> float:
     """Symmetric inner product (ab+ba)/2 of two grade-1 elements."""
-    _require_vector(a, tol)
-    _require_vector(b, tol)
+    vector_square(a)
+    vector_square(b)
     return 0.5 * (geometric_product(a, b) + geometric_product(b, a)).scalar_part
 
 
-def exp_blade(B: Multivector, tol: float = TOL) -> Multivector:
+def exp_blade(B: Multivector) -> Multivector:
     """Exponential of an element whose square is a real scalar.
 
     Square -t^2 gives the circular branch cos t + B sin(t)/t, square +f^2
-    the hyperbolic branch cosh f + B sinh(f)/f, and |B^2| < tol the
-    parabolic limit 1 + B.
+    the hyperbolic branch cosh f + B sinh(f)/f, and square 0 the parabolic
+    1 + B.  Coefficients may be complex (1j g12 squares to +1 in Cl(1,3));
+    a square that is not a real scalar raises NonScalarSquare.
     """
     sq_mv = geometric_product(B, B)
-    rest = sq_mv - Multivector.scalar(B.signature, sq_mv.scalar_part)
-    if rest.max_abs() > tol:
-        raise NonScalarSquare(f"B^2 has non-scalar residue {rest.max_abs():g}")
-    sq = sq_mv.scalar_part
-    one = Multivector.scalar(B.signature, 1.0)
-    if abs(sq) < tol:
-        return one + B
+    sq = sq_mv.scalar_part.real
+    rest = (sq_mv - sq).max_abs()
+    size = B.abs_sum()
+    if not close(rest, size * size):
+        raise NonScalarSquare(f"B^2 has non-scalar or imaginary residue {rest:g}")
+    if sq == 0.0:
+        return 1.0 + B
     if sq < 0.0:
         t = math.sqrt(-sq)
-        return math.cos(t) * one + (math.sin(t) / t) * B
+        return math.cos(t) + (math.sin(t) / t) * B
     f = math.sqrt(sq)
-    return math.cosh(f) * one + (math.sinh(f) / f) * B
+    return math.cosh(f) + (math.sinh(f) / f) * B
 
 
 def residual(a: Multivector, b: Multivector) -> float:
@@ -405,8 +416,8 @@ def residual(a: Multivector, b: Multivector) -> float:
     return float(np.abs(a.coeffs - b.coeffs).max())
 
 
-def allclose(a: Multivector, b: Multivector, tol: float = TOL) -> bool:
-    return residual(a, b) <= tol
+def allclose(a: Multivector, b: Multivector) -> bool:
+    return residual(a, b) <= TOL
 
 
 def cayley_table(signature: Signature) -> list[list[tuple[int, int]]]:

@@ -33,6 +33,7 @@ from .core import (
     EUCLIDEAN4,
     SPACETIME13,
     Multivector,
+    close,
     frame,
     pseudoscalar,
     residual,
@@ -142,13 +143,13 @@ def expansion_display(phi: DiracSpinor) -> Multivector:
     return (first + i13 * second) * dirac_idempotent(+1, +1)
 
 
-def geometric_to_qspinor(m: Multivector, tol: float = 1e-10) -> QuatSpinor:
+def geometric_to_qspinor(m: Multivector) -> QuatSpinor:
     """Extract (q0, q1) with m = (q0 + q1 i) u(+,+); NotInIdeal otherwise."""
     u = dirac_idempotent(+1, +1)
-    scale = max(1.0, m.max_abs())
-    if residual(m * u, m) > tol * scale:
+    scale = m.abs_sum()
+    if not close(residual(m * u, m), scale):
         raise NotInIdeal("element is not fixed by the Dirac idempotent")
-    if residual(m.im, m.re * _g12()) > tol * scale:
+    if not close(residual(m.im, m.re * _g12()), scale):
         raise NotInIdeal("imaginary part is not re * g12")
     # re u(+,+) = v+/2, so the real part is half a quaternion-spinor carrier.
     _, pinv = carrier_frame(AlgebraTag.SPACETIME13)
@@ -156,7 +157,7 @@ def geometric_to_qspinor(m: Multivector, tol: float = 1e-10) -> QuatSpinor:
     q0 = Quaternion(sol[0], tuple(sol[1:4]))
     q1 = Quaternion(sol[4], tuple(sol[5:8]))
     psi = QuatSpinor(q0, q1, AlgebraTag.SPACETIME13)
-    if residual(qspinor_to_geometric(psi), m) > tol * scale:
+    if not close(residual(qspinor_to_geometric(psi), m), scale):
         raise NotInIdeal("element has components outside the Dirac ideal")
     return psi
 

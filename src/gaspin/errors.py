@@ -9,6 +9,10 @@ class NonFiniteValue(GAError, ValueError):
     """A coefficient is NaN or infinite, for instance after an overflow."""
 
 
+class NotInSubalgebra(GAError, ValueError):
+    """An element has parts outside the subalgebra an operation requires."""
+
+
 class SignatureMismatch(GAError):
     """Operands belong to different algebras."""
 

@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import EUCLIDEAN4, Multivector, residual, reverse
-from .errors import SignatureMismatch
+from .core import EUCLIDEAN4, Multivector, close, residual, reverse
+from .errors import NotInSubalgebra, SignatureMismatch
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -93,7 +93,7 @@ class Quaternion:
         return Multivector(EUCLIDEAN4, c)
 
     @staticmethod
-    def from_multivector(m: Multivector, tol: float = 1e-12) -> "Quaternion":
+    def from_multivector(m: Multivector) -> "Quaternion":
         """Inverse of :meth:`to_multivector`; rejects non-quaternion parts."""
         if m.signature != EUCLIDEAN4:
             raise SignatureMismatch("quaternions live in Cl(4,0)")
@@ -101,8 +101,8 @@ class Quaternion:
             m.coefficient(0),
             (m.coefficient(0b1100), -m.coefficient(0b1010), m.coefficient(0b0110)),
         )
-        if residual(q.to_multivector(), m) > tol:
-            raise ValueError("multivector has parts outside the quaternion subalgebra")
+        if not close(residual(q.to_multivector(), m), m.abs_sum()):
+            raise NotInSubalgebra("multivector has parts outside the quaternion subalgebra")
         return q
 
 

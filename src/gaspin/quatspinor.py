@@ -25,8 +25,8 @@ import numpy as np
 from .core import (
     EUCLIDEAN4,
     SPACETIME13,
-    TOL,
     Multivector,
+    close,
     frame,
     geometric_product,
     grade_select,
@@ -34,10 +34,11 @@ from .core import (
     residual,
     reverse,
 )
-from .errors import NonTimelike, NotInIdeal, NotOrthogonal, TagMismatch, VerificationFailure, ZeroQ0
+from .errors import (NonTimelike, NotInIdeal, NotInSubalgebra, NotOrthogonal, TagMismatch,
+                     VerificationFailure, ZeroQ0)
 from .isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
 from .quatrep import Quaternion, quat_mul
-from .spinors import IdealSpinor
+from .spinors import CenterScalar, IdealSpinor
 
 _VALID_TAGS = (AlgebraTag.EUCLIDEAN4, AlgebraTag.SPACETIME13)
 
@@ -125,18 +126,19 @@ def carrier_frame(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
     return frame([e * vp for e in embeds] + [e * i * vp for e in embeds])
 
 
-def from_image(m: Multivector, tag: AlgebraTag, tol: float = 1e-10) -> QuatSpinor:
+def from_image(m: Multivector, tag: AlgebraTag) -> QuatSpinor:
     """Extract (q0, q1) from a carrier element; NotInIdeal off the ideal."""
     if m.signature != tag.signature:
         raise TagMismatch("multivector signature does not match the tag")
-    if residual(m * idempotent_plus(tag), m) > tol * max(1.0, m.max_abs()):
+    scale = m.abs_sum()
+    if not close(residual(m * idempotent_plus(tag), m), scale):
         raise NotInIdeal("element is not fixed by right multiplication with v+")
     _, pinv = carrier_frame(tag)
     sol = pinv @ m.coeffs
     q0 = Quaternion(sol[0], tuple(sol[1:4]))
     q1 = Quaternion(sol[4], tuple(sol[5:8]))
     psi = QuatSpinor(q0, q1, tag)
-    if residual(image(psi), m) > tol * max(1.0, m.max_abs()):
+    if not close(residual(image(psi), m), scale):
         raise NotInIdeal("element has components outside the spinor ideal")
     return psi
 
@@ -182,18 +184,18 @@ def norm2_q(psi: QuatSpinor) -> float:
     return psi.q0.norm2() - psi.q1.norm2()
 
 
-def phase_axis(q0: Quaternion, tol: float = TOL) -> tuple[float, tuple[float, float, float]]:
+def phase_axis(q0: Quaternion) -> tuple[float, tuple[float, float, float]]:
     """Polar split q0 = |q0| exp(theta i xhat) with theta in [0, pi].
 
     A real-negative q0 gives theta = pi with the axis fixed at e3 by
     convention (the branch is otherwise undetermined).
     """
     n = q0.norm()
-    if n <= tol:
+    if n == 0.0:
         raise ZeroQ0("zero leading quaternion has no phase")
     vlen = math.sqrt(sum(c * c for c in q0.v))
     theta = math.atan2(vlen, q0.s)
-    if vlen <= tol * n:
+    if close(vlen, n):
         return theta, (0.0, 0.0, 1.0)
     return theta, tuple(c / vlen for c in q0.v)
 
@@ -232,15 +234,10 @@ def spacetime_m_display(q0: Quaternion, q1: Quaternion) -> Multivector:
     return g0 + vec_term / den + ((q0.s * q1.s - xdoty) / den) * i13
 
 
-def canonical_q(psi: QuatSpinor, tol: float = TOL) -> CanonicalQ:
+def canonical_q(psi: QuatSpinor) -> CanonicalQ:
     """Canonical polar data; ZeroQ0 / NonTimelike outside the chart."""
-    n0 = psi.q0.norm2()
-    if n0 <= tol:
-        raise ZeroQ0("canonical form divides by q0")
-    rho2 = norm2_q(psi)
-    if rho2 <= tol:
-        raise NonTimelike(f"rho^2 = {rho2:g} must be positive")
-    theta, x_dir = phase_axis(psi.q0, tol)
+    rho2, _ = _admissible(psi)
+    theta, x_dir = phase_axis(psi.q0)
     m13 = _spacetime_m(psi.q0, psi.q1)
     msq = geometric_product(m13, m13).scalar_part
     mhat13 = m13 / math.sqrt(msq)
@@ -266,10 +263,9 @@ def reconstruct(can: CanonicalQ, tag: AlgebraTag) -> Multivector:
 # ---------------------------------------------------------- orthogonal case
 
 
-def is_orthogonal(psi: QuatSpinor, tol: float = TOL) -> bool:
-    """True when the scalar part of q0* q1 vanishes."""
-    scale = max(1.0, psi.q0.norm() * psi.q1.norm())
-    return abs(quat_mul(psi.q0.conjugate(), psi.q1).s) <= tol * scale
+def is_orthogonal(psi: QuatSpinor) -> bool:
+    """True when the scalar part of q0* q1 vanishes to rounding."""
+    return close(abs(quat_mul(psi.q0.conjugate(), psi.q1).s), psi.q0.norm() * psi.q1.norm())
 
 
 def bloch_point(psi: QuatSpinor) -> tuple[float, float, float]:
@@ -280,13 +276,11 @@ def bloch_point(psi: QuatSpinor) -> tuple[float, float, float]:
     return tuple(float(c) for c in xm)
 
 
-def canonical_orthogonal(
-    psi: QuatSpinor, tol: float = TOL
-) -> tuple[CanonicalQ, tuple[float, float, float]]:
+def canonical_orthogonal(psi: QuatSpinor) -> tuple[CanonicalQ, tuple[float, float, float]]:
     """Canonical data via the simplified M = pole + x_m; orthogonal only."""
-    if not is_orthogonal(psi, tol):
+    if not is_orthogonal(psi):
         raise NotOrthogonal("scalar part of q0* q1 is nonzero")
-    can = canonical_q(psi, tol)
+    can = canonical_q(psi)
     xm = bloch_point(psi)
     m13 = Multivector.vector(SPACETIME13, (1.0, *xm))
     m = m13 if psi.tag is AlgebraTag.SPACETIME13 else spacetime_to_euclidean(m13)
@@ -346,7 +340,7 @@ def _sta_pair(psi: QuatSpinor) -> Multivector:
     return image(QuatSpinor(psi.q0, psi.q1, AlgebraTag.SPACETIME13))
 
 
-def fidelity_q(psi: QuatSpinor, chi: QuatSpinor, tol: float = TOL) -> float:
+def fidelity_q(psi: QuatSpinor, chi: QuatSpinor) -> float:
     """<chi|psi><psi|chi> for internally normalized quaternion spinors.
 
     Evaluated as the bra-ket chain in Cl(1,3); ZeroQ0/NonTimelike propagate
@@ -354,36 +348,40 @@ def fidelity_q(psi: QuatSpinor, chi: QuatSpinor, tol: float = TOL) -> float:
     """
     if psi.tag is not chi.tag:
         raise TagMismatch(f"{psi.tag} vs {chi.tag}")
-    rho2_psi = _admissible(psi, tol)
-    rho2_chi = _admissible(chi, tol)
+    rho2_psi, size_psi = _admissible(psi)
+    rho2_chi, size_chi = _admissible(chi)
     am, bm = _sta_pair(psi), _sta_pair(chi)
     z_ab = _chain_inner(am, bm)
     z_ba = _chain_inner(bm, am)
     prod = z_ba * z_ab
-    rest = prod - Multivector.scalar(SPACETIME13, prod.scalar_part)
-    if rest.max_abs() > 1e-9 * max(1.0, prod.max_abs()):
+    # every term of the chain is a product of two components of each state
+    if not close((prod - prod.scalar_part).max_abs(), size_psi * size_chi):
         raise VerificationFailure("fidelity chain did not reduce to a scalar")
     return prod.scalar_part / (rho2_psi * rho2_chi)
 
 
-def _admissible(psi: QuatSpinor, tol: float) -> float:
-    if psi.q0.norm2() <= tol:
-        raise ZeroQ0("state has no canonical form")
+def _admissible(psi: QuatSpinor) -> tuple[float, float]:
+    """(rho^2, |q0|^2 + |q1|^2): ZeroQ0 when q0 vanishes and NonTimelike when
+    rho^2 is not positive, both relative to the size of the state."""
+    n0 = psi.q0.norm2()
+    size = n0 + psi.q1.norm2()
+    if close(n0, size):
+        raise ZeroQ0("canonical form divides by q0")
     rho2 = norm2_q(psi)
-    if rho2 <= tol:
+    if close(rho2, size):
         raise NonTimelike(f"rho^2 = {rho2:g} must be positive")
-    return rho2
+    return rho2, size
 
 
-def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor, tol: float = TOL) -> float:
+def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor) -> float:
     """(1 + A' o B')/2 with A' = M'^ g0 M'^ built from phase-conjugated M'.
 
     Independent of the bra-ket chain; the two must agree to 1e-10.
     """
     if psi.tag is not chi.tag:
         raise TagMismatch(f"{psi.tag} vs {chi.tag}")
-    _admissible(psi, tol)
-    _admissible(chi, tol)
+    _admissible(psi)
+    _admissible(chi)
     g0 = Multivector.basis(SPACETIME13, 0)
 
     def a_primed(s: QuatSpinor) -> Multivector:
@@ -402,7 +400,7 @@ def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor, tol: float = TOL) ->
 # ------------------------------------------------- reduction to 2-component
 
 
-def reduce_restricted(psi: QuatSpinor, tol: float = TOL) -> IdealSpinor:
+def reduce_restricted(psi: QuatSpinor) -> IdealSpinor:
     """Collapse a spinor whose quaternions lie in span{1, i e3} to G1,2.
 
     Such quaternions form a commutative complex line, and the Minkowski
@@ -410,10 +408,8 @@ def reduce_restricted(psi: QuatSpinor, tol: float = TOL) -> IdealSpinor:
     so fidelities agree across the two modules.
     """
     for q in (psi.q0, psi.q1):
-        if abs(q.v[0]) > tol or abs(q.v[1]) > tol:
-            raise ValueError("restricted form requires vector parts along e3")
-    from .spinors import CenterScalar
-
+        if not close(math.hypot(q.v[0], q.v[1]), q.norm()):
+            raise NotInSubalgebra("restricted form requires vector parts along e3")
     return IdealSpinor(
         AlgebraTag.MINKOWSKI12,
         CenterScalar(psi.q0.s, psi.q0.v[2]),

@@ -24,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    TOL,
     Multivector,
+    close,
     frame,
     geometric_product,
     grade_select,
@@ -143,12 +143,18 @@ def m_vector(tag: AlgebraTag, chart: tuple[float, float]) -> Multivector:
 
 def chart_lift(tag: AlgebraTag, chart: tuple[float, float]) -> Multivector:
     """Unit Bloch vector a^ = m^ pole m^; sphere for G3, hyperboloid for G1,2."""
+    mhat, _ = _unit_m(tag, chart)
+    return geometric_product(geometric_product(mhat, pole_vector(tag)), mhat)
+
+
+def _unit_m(tag: AlgebraTag, chart: tuple[float, float]) -> tuple[Multivector, float]:
+    """(m / sqrt(m^2), sqrt(m^2)); NonTimelike where m^2 is not positive."""
     m = m_vector(tag, chart)
     msq = geometric_product(m, m).scalar_part
-    if msq <= TOL:
+    if close(msq, float(m.coeffs @ m.coeffs)):
         raise NonTimelike(f"chart point {chart} lies outside the hyperboloid chart")
-    mhat = m / math.sqrt(msq)
-    return geometric_product(geometric_product(mhat, pole_vector(tag)), mhat)
+    root = math.sqrt(msq)
+    return m / root, root
 
 
 def to_multivector(psi: IdealSpinor) -> Multivector:
@@ -169,15 +175,16 @@ def _ideal_frame(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
     return frame([u, cu, geometric_product(i, u), geometric_product(i, cu)])
 
 
-def from_multivector(m: Multivector, tag: AlgebraTag, tol: float = 1e-10) -> IdealSpinor:
+def from_multivector(m: Multivector, tag: AlgebraTag) -> IdealSpinor:
     """Invert :func:`to_multivector`; raises NotInIdeal off the ideal."""
     if m.signature != tag.signature:
         raise TagMismatch("multivector signature does not match the tag")
-    if residual(geometric_product(m, idempotent(tag)), m) > tol * max(1.0, m.max_abs()):
+    scale = m.abs_sum()
+    if not close(residual(geometric_product(m, idempotent(tag)), m), scale):
         raise NotInIdeal("element is not fixed by right multiplication with u+")
     mat, pinv = _ideal_frame(tag)
     sol = pinv @ m.coeffs
-    if residual(Multivector(tag.signature, mat @ sol), m) > tol * max(1.0, m.max_abs()):
+    if not close(residual(Multivector(tag.signature, mat @ sol), m), scale):
         raise NotInIdeal("element has components outside the spinor ideal")
     return IdealSpinor(tag, CenterScalar(sol[0], sol[2]), CenterScalar(sol[1], sol[3]))
 
@@ -205,22 +212,18 @@ def norm2(psi: IdealSpinor) -> float:
     return psi.a0.abs2() - psi.a1.abs2()
 
 
-def canonical_form(psi: IdealSpinor, tol: float = TOL) -> CanonicalIdeal:
+def canonical_form(psi: IdealSpinor) -> CanonicalIdeal:
     """Factor out the leading component; refuses the excluded chart point."""
-    n0 = psi.a0.abs2()
-    if n0 <= tol:
+    if psi.a0.s == psi.a0.p == 0.0:  # any other a0 is a chart point
         raise DegenerateState("a0 = 0 is the excluded pole of the chart")
-    nsq = norm2(psi)
-    if psi.tag is AlgebraTag.MINKOWSKI12 and nsq <= tol:
-        raise NonTimelike(f"Minkowski norm squared {nsq:g} must be positive")
-    ratio = psi.a1 * psi.a0.conj().scale(1.0 / n0)
-    chart = (ratio.s, _CHART_SIGN[psi.tag] * ratio.p)
+    # a1 / a0 without |a0|^2, which underflows for |a0| below 1e-154
+    ratio = complex(psi.a1.s, psi.a1.p) / complex(psi.a0.s, psi.a0.p)
+    chart = (ratio.real, _CHART_SIGN[psi.tag] * ratio.imag)
     theta = math.atan2(psi.a0.p, psi.a0.s)
-    rho = math.sqrt(nsq)
-    m = m_vector(psi.tag, chart)
-    msq = geometric_product(m, m).scalar_part
-    m_hat = m / math.sqrt(msq)
-    return CanonicalIdeal(rho, theta, m_hat, chart)
+    m_hat, root = _unit_m(psi.tag, chart)
+    # rho = |a0| sqrt(m^2) shares the rounding of m^2 with m_hat, so rho m_hat
+    # keeps full accuracy at the edge of the Minkowski chart
+    return CanonicalIdeal(math.hypot(psi.a0.s, psi.a0.p) * root, theta, m_hat, chart)
 
 
 def inner(psi: IdealSpinor, chi: IdealSpinor) -> CenterScalar:
@@ -233,17 +236,16 @@ def inner(psi: IdealSpinor, chi: IdealSpinor) -> CenterScalar:
     return CenterScalar(2.0 * proj.coefficient(0), 2.0 * proj.coefficient(sig.dim - 1))
 
 
-def _admissible_norm(psi: IdealSpinor, tol: float) -> float:
+def _admissible_norm(psi: IdealSpinor) -> float:
     n = norm2(psi)
-    if psi.tag is AlgebraTag.MINKOWSKI12:
-        if n <= tol:
+    if close(n, psi.a0.abs2() + psi.a1.abs2()):
+        if psi.tag is AlgebraTag.MINKOWSKI12:
             raise NonTimelike(f"norm squared {n:g} not positive")
-    elif n <= tol:
         raise DegenerateState("zero state has no fidelity")
     return n
 
 
-def fidelity(psi: IdealSpinor, chi: IdealSpinor, tol: float = TOL) -> float:
+def fidelity(psi: IdealSpinor, chi: IdealSpinor) -> float:
     """<chi|psi><psi|chi> for internally normalized states.
 
     Bloch-sphere probability in [0,1] for G3; the analogous hyperboloid
@@ -251,8 +253,8 @@ def fidelity(psi: IdealSpinor, chi: IdealSpinor, tol: float = TOL) -> float:
     """
     if psi.tag is not chi.tag:
         raise TagMismatch(f"{psi.tag} vs {chi.tag}")
-    n_psi = _admissible_norm(psi, tol)
-    n_chi = _admissible_norm(chi, tol)
+    n_psi = _admissible_norm(psi)
+    n_chi = _admissible_norm(chi)
     z = inner(psi, chi)
     return z.abs2() / (n_psi * n_chi)
 
@@ -275,13 +277,13 @@ def fidelity_chart(tag: AlgebraTag, chart_a, chart_b) -> float:
     return 1.0 - d2 / (ma2 * mb2)
 
 
-def antipodal_chart(chart: tuple[float, float], tol: float = TOL) -> tuple[float, float]:
+def antipodal_chart(chart: tuple[float, float]) -> tuple[float, float]:
     """Chart point of the zero-probability partner: -x / x^2.
 
     On the Bloch sphere this lifts to the antipode -a^; the pole's partner
     would be the excluded south pole, hence the error at the origin.
     """
-    r2 = sum(c * c for c in chart)
-    if r2 <= tol:
+    r = math.hypot(*chart)  # x^2 would underflow for |x| below 1e-154
+    if r == 0.0:
         raise DegenerateState("antipode of the pole is the excluded chart point")
-    return tuple(-c / r2 for c in chart)
+    return tuple(-(c / r) / r for c in chart)

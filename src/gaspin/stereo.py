@@ -24,14 +24,12 @@ import numpy as np
 from .core import (
     EUCLIDEAN4,
     SPACETIME13,
-    TOL,
     Multivector,
     Signature,
-    dot,
-    exp_blade,
+    close,
     geometric_product,
-    grade_select,
     reverse,
+    vector_square,
 )
 from .errors import DomainViolation, NotAVector, PoleSingularity
 
@@ -76,18 +74,16 @@ class HyperPoint:
 
     def __post_init__(self) -> None:
         _check_unit_vector(self.a_hat, SPACETIME13)
-        if self.a_hat.coefficient(1) < 1.0 - 1e-9:
+        # a unit timelike vector has pole component >= 1 or <= -1
+        if self.a_hat.coefficient(1) <= 0.0:
             raise DomainViolation("hyperboloid points need pole component >= 1")
 
 
 def _check_unit_vector(a: Multivector, signature: Signature) -> None:
     if a.signature != signature:
         raise NotAVector(f"expected a vector in {signature.generator_labels}")
-    rest = grade_select(a, set(range(signature.n + 1)) - {1})
-    if rest.max_abs() > TOL:
-        raise NotAVector("non-vector parts present")
-    sq = geometric_product(a, a).scalar_part
-    if abs(sq - 1.0) > 1e-12:
+    sq, scale = vector_square(a)
+    if not close(abs(sq - 1.0), 1.0 + scale):
         raise NotAVector(f"vector square {sq!r} is not 1")
 
 
@@ -101,17 +97,22 @@ def _pole(signature: Signature) -> Multivector:
 def lift_sphere(x: PlanePoint) -> SpherePoint:
     """x in R^3 -> ((1 - x^2) e0 + 2x) / (1 + x^2) on S^3."""
     r2 = x.norm2
-    comps = (1.0 - r2, *(2.0 * c for c in x.x))
-    return SpherePoint(Multivector.vector(EUCLIDEAN4, comps) / (1.0 + r2))
+    d = 1.0 + r2
+    comps = ((1.0 - r2) / d, *(2.0 * c / d for c in x.x))
+    return SpherePoint(Multivector.vector(EUCLIDEAN4, comps))
 
 
 def project_sphere(a: SpherePoint) -> PlanePoint:
-    """Stereographic projection from -e0; the chart point of a_hat."""
-    denom = 1.0 + dot(_pole(EUCLIDEAN4), a.a_hat)
-    if denom < TOL:
+    """Stereographic projection from -e0; the chart point a / (1 + a0).
+
+    On the southern half 1 + a0 cancels, so it is taken as |a|^2 / (1 - a0),
+    which keeps full relative accuracy up to the pole, where it is 0.
+    """
+    a0, rest = a.a_hat.coefficient(1), a.a_hat.coeffs[[2, 4, 8]]
+    denom = 1.0 + a0 if a0 >= 0.0 else float(rest @ rest) / (1.0 - a0)
+    if denom == 0.0:
         raise PoleSingularity("projection undefined at the south pole")
-    m = (a.a_hat + _pole(EUCLIDEAN4)) / denom
-    return PlanePoint(tuple(m.vector_components()[1:]))
+    return PlanePoint(tuple(rest / denom))
 
 
 def sphere_angle(x: PlanePoint) -> float:
@@ -120,14 +121,17 @@ def sphere_angle(x: PlanePoint) -> float:
     return math.atan2(2.0 * math.sqrt(r2), 1.0 - r2)
 
 
+def _pole_rotor(x: PlanePoint, signature: Signature, norm: float) -> Multivector:
+    """(1 + x pole) / norm with norm = sqrt(1 + x^2) on the sphere and
+    sqrt(1 - x^2) on the hyperboloid: the closed form of exp(angle xhat pole / 2).
+    It shares the lift's denominator, so R pole R~ matches the lift to the
+    edge of the ball, where the angle route loses 1 - |x| to rounding."""
+    return (1.0 + geometric_product(x.as_vector(signature), _pole(signature))) / norm
+
+
 def sphere_rotor(x: PlanePoint) -> Multivector:
     """Rotor R with R e0 R~ = lift_sphere(x); identity at the origin."""
-    r = math.sqrt(x.norm2)
-    if r == 0.0:
-        return Multivector.scalar(EUCLIDEAN4, 1.0)
-    xhat = PlanePoint(tuple(c / r for c in x.x)).as_vector(EUCLIDEAN4)
-    plane = geometric_product(xhat, _pole(EUCLIDEAN4))
-    return exp_blade((sphere_angle(x) / 2.0) * plane)
+    return _pole_rotor(x, EUCLIDEAN4, math.hypot(1.0, *x.x))
 
 
 def sphere_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, float]:
@@ -136,13 +140,18 @@ def sphere_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, floa
     da = (2 (1+x^2) dx - 4 (x + e0) (x . dx)) / (1+x^2)^2 and
     (da)^2 = 4 dx^2 / (1+x^2)^2.
     """
-    r2 = x.norm2
+    return _lift_differential(x, dx, EUCLIDEAN4, 1.0)
+
+
+def _lift_differential(x: PlanePoint, dx: Sequence[float], signature: Signature, s: float):
+    """da = (2 d dx - 4 s (x + pole) (x . dx)) / d^2 with d = 1 + s x^2, and
+    (da)^2; s = 1 on the sphere, -1 on the hyperboloid."""
+    d = 1.0 + s * x.norm2
     xdx = sum(a * b for a, b in zip(x.x, dx))
-    dxv = PlanePoint(tuple(dx)).as_vector(EUCLIDEAN4)
-    m = x.as_vector(EUCLIDEAN4) + _pole(EUCLIDEAN4)
-    da = (2.0 * (1.0 + r2) * dxv - 4.0 * xdx * m) / (1.0 + r2) ** 2
-    ds2 = geometric_product(da, da).scalar_part
-    return da, ds2
+    dxv = PlanePoint(tuple(dx)).as_vector(signature)
+    m = x.as_vector(signature) + _pole(signature)
+    da = (2.0 * d * dxv - (4.0 * s * xdx) * m) / (d * d)  # d ** 2 raises on overflow
+    return da, geometric_product(da, da).scalar_part
 
 
 # -------------------------------------------------------------- hyperboloid
@@ -157,33 +166,27 @@ def lift_hyper(x: PlanePoint) -> HyperPoint:
     """x in the open unit ball -> ((1 + x^2) g0 + 2x) / (1 - x^2) on L^3."""
     _check_open_ball(x)
     r2 = x.norm2
-    comps = (1.0 + r2, *(2.0 * c for c in x.x))
-    return HyperPoint(Multivector.vector(SPACETIME13, comps) / (1.0 - r2))
+    d = 1.0 - r2
+    comps = ((1.0 + r2) / d, *(2.0 * c / d for c in x.x))
+    return HyperPoint(Multivector.vector(SPACETIME13, comps))
 
 
 def project_hyper(a: HyperPoint) -> PlanePoint:
-    """Chart point of a hyperboloid point; total on L^3."""
-    denom = 1.0 + dot(_pole(SPACETIME13), a.a_hat)
-    m = (a.a_hat + _pole(SPACETIME13)) / denom
-    return PlanePoint(tuple(m.vector_components()[1:]))
+    """Chart point a / (1 + a0) of a hyperboloid point; total on L^3."""
+    return PlanePoint(tuple(a.a_hat.coeffs[[2, 4, 8]] / (1.0 + a.a_hat.coefficient(1))))
 
 
 def hyper_angle(x: PlanePoint) -> float:
-    """Hyperbolic angle phi >= 0 between g0 and the lifted point."""
+    """Hyperbolic angle phi = 2 atanh|x| >= 0 between g0 and the lifted point
+    (the form atanh(2|x|/(1+x^2)) rounds its argument to 1 near the edge)."""
     _check_open_ball(x)
-    r2 = x.norm2
-    return math.atanh(2.0 * math.sqrt(r2) / (1.0 + r2))
+    return 2.0 * math.atanh(math.sqrt(x.norm2))
 
 
 def hyper_boost(x: PlanePoint) -> Multivector:
     """Boost R with R g0 R~ = lift_hyper(x); identity at the origin."""
     _check_open_ball(x)
-    r = math.sqrt(x.norm2)
-    if r == 0.0:
-        return Multivector.scalar(SPACETIME13, 1.0)
-    xhat = PlanePoint(tuple(c / r for c in x.x)).as_vector(SPACETIME13)
-    plane = geometric_product(xhat, _pole(SPACETIME13))
-    return exp_blade((hyper_angle(x) / 2.0) * plane)
+    return _pole_rotor(x, SPACETIME13, math.sqrt(1.0 - x.norm2))
 
 
 def hyper_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, float]:
@@ -193,13 +196,7 @@ def hyper_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, float
     (da)^2 = -4 dx^2 / (1-x^2)^2; the sign flip is the hyperbolic metric.
     """
     _check_open_ball(x)
-    r2 = x.norm2
-    xdx = sum(a * b for a, b in zip(x.x, dx))
-    dxv = PlanePoint(tuple(dx)).as_vector(SPACETIME13)
-    m = x.as_vector(SPACETIME13) + _pole(SPACETIME13)
-    da = (2.0 * (1.0 - r2) * dxv + 4.0 * xdx * m) / (1.0 - r2) ** 2
-    ds2 = geometric_product(da, da).scalar_part
-    return da, ds2
+    return _lift_differential(x, dx, SPACETIME13, -1.0)
 
 
 def rotor_apply(rotor: Multivector, a: Multivector) -> Multivector:

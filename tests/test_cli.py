@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaspin import cli
+from gaspin import cli, stereo
 from gaspin.core import EUCLIDEAN4, Multivector
 from gaspin.quatrep import matrix_residual, rep_vec
 
@@ -175,9 +178,9 @@ def test_project_hyper_boundary_fails(capsys):
         (["project", "sphere", "--point", "nan,0,0"], 2),
         (["prob", "sphere", "--point-a", "inf,0,0", "--point-b", "0,0,0"], 2),
         (["dirac", "--components", "nan", "0", "0", "0", "0", "0", "0", "0"], 2),
-        # the lift fails inside the open ball (a known defect); the CLI must
-        # report it as one line, not a traceback
-        (["project", "hyper", "--point", "0.9999999999,0,0"], 1),
+        # a point just outside the open ball is a domain error on one line
+        # (0.9999999999, just inside, lifts: test_project_hyper_edge_lifts)
+        (["project", "hyper", "--point", "1.0000000001,0,0"], 1),
         # finite inputs whose squares overflow end in a typed NonFiniteValue
         (["project", "sphere", "--point", "1e200,0,0"], 1),
         (["prob", "sphere", "--point-a", "1e300,0,0", "--point-b", "0,0,0"], 1),
@@ -307,7 +310,8 @@ def test_figure_unwritable_path(capsys):
     assert "cannot write" in err
 
 
-_NOT_UNIT = (cli, "geometric_product", lambda a, b: Multivector.scalar(EUCLIDEAN4, 2.0))
+# every lifted row fails the unit check of stereo.SpherePoint/HyperPoint
+_NOT_UNIT = (stereo, "vector_square", lambda a: (2.0, 1.0))
 # an arc that stops short of the unit circle
 _SHORT_ARC = (np, "linspace", lambda a, b, n, f=np.linspace: f(a + 0.1, b - 0.1, n))
 _NOT_PLANAR = (np.linalg, "svd", lambda m, compute_uv: [1.0, 1.0, 1.0])
@@ -316,9 +320,9 @@ _NOT_PLANAR = (np.linalg, "svd", lambda m, compute_uv: [1.0, 1.0, 1.0])
 @pytest.mark.parametrize(
     "name, patch, message",
     [
-        ("stereo-sphere", _NOT_UNIT, "figure row failed the unit-square check"),
-        ("stereo-hyper", _NOT_UNIT, "figure row failed the unit-square check"),
-        ("poincare-geodesic", _NOT_UNIT, "figure row failed the unit-square check"),
+        ("stereo-sphere", _NOT_UNIT, "2.0 is not 1"),
+        ("stereo-hyper", _NOT_UNIT, "2.0 is not 1"),
+        ("poincare-geodesic", _NOT_UNIT, "2.0 is not 1"),
         ("poincare-geodesic", _SHORT_ARC, "arc endpoints must lie on the unit circle"),
         ("poincare-geodesic", _NOT_PLANAR, "lifted arc is not planar through the origin"),
     ],
@@ -326,7 +330,8 @@ _NOT_PLANAR = (np.linalg, "svd", lambda m, compute_uv: [1.0, 1.0, 1.0])
 def test_figure_verification_failure_exits_1(tmp_path, capsys, monkeypatch, name, patch, message):
     monkeypatch.setattr(*patch)
     code, _, err = run_cli(capsys, ["figure", name, "--out", str(tmp_path / "f.csv")])
-    assert (code, err) == (1, f"error: VerificationFailure: {message}\n")
+    kind = "NotAVector: vector square" if patch is _NOT_UNIT else "VerificationFailure:"
+    assert (code, err) == (1, f"error: {kind} {message}\n")
 
 
 def test_dirac_command(capsys, rng):
@@ -373,3 +378,59 @@ def test_x3_extraction_example(capsys):
     record = dict(ln.split("=", 1) for ln in out.splitlines())
     q0 = [float(v) for v in record["q0"].split(",")]
     assert q0 == pytest.approx([0, 0, 0, 1], abs=1e-12)
+
+
+def test_project_hyper_edge_lifts(capsys):
+    # 1e-10 inside the open ball the lift, angle and boost all re-validate
+    code, out, err = run_cli(capsys, ["project", "hyper", "--point", "0.9999999999,0,0"])
+    assert (code, err) == (0, "")
+    record = dict(ln.split("=", 1) for ln in out.splitlines())
+    assert float(record["angle"]) == pytest.approx(2.0 * math.atanh(0.9999999999), rel=1e-15)
+    code, out, err = run_cli(capsys, ["project", "sphere", "--point", "1e8,0,0"])
+    assert (code, err) == (0, "")
+    record = dict(ln.split("=", 1) for ln in out.splitlines())
+    assert [float(v) for v in record["a_hat"].split(",")] == pytest.approx([-1.0, 2e-8, 0.0, 0.0])
+
+
+# Finite, edge, huge and non-finite reals, as argv text.
+_REALS = st.one_of(
+    st.sampled_from([
+        "0", "-0.0", "0.5", "-0.5", "0.99", "0.9999999999", "-0.9999999999", "1",
+        "1.0000000001", "-1", "3", "1e8", "1e-8", "5e-324", "1e-160", "1e154", "1e155",
+        "1e200", "-1e300", "1.7976931348623157e308", "nan", "inf", "-inf", "-nan",
+    ]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_POINTS = st.one_of(
+    st.lists(_REALS, min_size=2, max_size=4),
+    st.tuples(_REALS, _REALS, st.just("0")),  # the planar chart of 2-component states
+).map(",".join)
+_ARGV = st.one_of(
+    st.tuples(st.just("project"), st.sampled_from(["sphere", "hyper"]), _POINTS.map("--point={}".format)),
+    st.tuples(
+        st.just("prob"), st.sampled_from(["sphere", "hyper"]),
+        _POINTS.map("--point-a={}".format), _POINTS.map("--point-b={}".format),
+    ),
+    st.tuples(
+        st.just("prob"), st.just("hyper"), _POINTS.map("--point-a={}".format),
+        _POINTS.map("--point-b={}".format), st.just("--quaternion"),
+    ),
+    st.lists(_REALS, min_size=7, max_size=9).map(lambda xs: ("dirac", "--components", *xs)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARGV)
+@pytest.mark.filterwarnings("error")
+def test_cli_fuzz_exits_cleanly(argv):
+    # every argv ends in 0, a typed one-line failure (1) or a usage error (2)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

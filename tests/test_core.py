@@ -267,7 +267,7 @@ def test_grade_select_examples():
     picked = grade_select(a, {0, 3})
     assert allclose(picked, Multivector.scalar(sig, 1.0) + mv_blade(sig, 1, 2, 3))
     assert allclose(grade_select(a, range(sig.n + 1)), a)
-    assert grade_select(mv_blade(sig, 1, 2), {0, 3}).is_zero()
+    assert grade_select(mv_blade(sig, 1, 2), {0, 3}).max_abs() == 0.0
 
 
 def test_grade_select_idempotent_and_partition(rng):
@@ -425,6 +425,20 @@ def test_coefficient_dtypes():
     assert (2j * m).coeffs.dtype == (m * 0.5).coeffs.dtype == np.complex128
     assert (m.scalar_part, m.coefficient(3)) == (16j, 3 + 19j)
     assert type(m.re.scalar_part) is float
+    # complex scalars, blades and exponentials of C (x) Cl(p,q)
+    g12 = Multivector.blade(SPACETIME13, 0b0110)
+    j12 = Multivector.blade(SPACETIME13, 0b0110, 1j)
+    assert residual(j12, 1j * g12) == 0.0 and j12.coeffs.dtype == np.complex128
+    assert residual(Multivector.scalar(SPACETIME13, 2j) + g12, g12 + 2j) == 0.0
+    assert ((g12 + 1j).scalar_part, (g12 - 1j).scalar_part, (1j - g12).scalar_part) == (1j, -1j, 1j)
+    assert (1j - g12).coefficient(0b0110) == -1.0
+    assert (j12 * j12).scalar_part == 1.0  # (j g12)^2 = +1: the hyperbolic branch
+    want = math.cosh(1.0) + math.sinh(1.0) * j12
+    assert residual(exp_blade(j12), want) == 0.0
+    B = 0.5j * core.pseudoscalar(EUCLIDEAN4)  # squares to -1/4: the circular branch
+    assert residual(exp_blade(B), math.cos(0.5) + (math.sin(0.5) / 0.5) * B) == 0.0
+    with pytest.raises(NonScalarSquare):
+        exp_blade((1 + 1j) * g12)  # squares to -2j
 
 
 def test_cayley_table_shape_and_entries():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaspin.core import EUCLIDEAN4, Multivector, allclose, geometric_product, residual
-from gaspin.errors import SignatureMismatch
+from gaspin.errors import NotInSubalgebra, SignatureMismatch
 from gaspin.quatrep import (
     QuatMatrix2,
     Quaternion,
@@ -76,6 +76,14 @@ def test_embedding_roundtrip(rng):
     assert Quaternion.from_multivector(q.to_multivector()) == q
     with pytest.raises(ValueError):
         Quaternion.from_multivector(Multivector.basis(EUCLIDEAN4, 0))
+    # the check is relative: a part outside the subalgebra 1e-9 of the size
+    # is refused at every scale, and a quaternion is accepted at every scale
+    for lam in (1e-200, 1.0, 1e200):
+        q_lam = q.scale(lam)
+        assert Quaternion.from_multivector(q_lam.to_multivector()) == q_lam
+        off = q_lam.to_multivector() + (1e-9 * lam * q.max_abs()) * Multivector.basis(EUCLIDEAN4, 0)
+        with pytest.raises(NotInSubalgebra):
+            Quaternion.from_multivector(off)
 
 
 def test_matrix_ops_match_entrywise_oracle(rng):

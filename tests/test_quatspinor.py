@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaspin.core import (
     SPACETIME13,
@@ -16,8 +18,10 @@ from gaspin import quatspinor
 from gaspin.cli import _rand_admissible_q as rand_admissible
 from gaspin.cli import _rand_orthogonal_q as rand_orthogonal
 from gaspin.errors import (
+    GAError,
     NonTimelike,
     NotInIdeal,
+    NotInSubalgebra,
     NotOrthogonal,
     TagMismatch,
     VerificationFailure,
@@ -413,3 +417,43 @@ def test_restricted_reduction_fidelities_agree(rng):
         assert abs(f_quat - f_ideal) <= 1e-10 * max(1.0, abs(f_quat))
     with pytest.raises(ValueError):
         reduce_restricted(QuatSpinor(Quaternion.from_vector((1, 0, 0)), Quaternion.zero()))
+    # restricted pairs of sizes 1e-5..1e5 agree to rounding
+    def scaled_restricted():
+        lam = 10.0 ** rng.uniform(-5, 5)
+        while True:
+            q0 = Quaternion(rng.uniform(-1, 1), (0.0, 0.0, rng.uniform(-1, 1)))
+            q1 = Quaternion(rng.uniform(-1, 1), (0.0, 0.0, rng.uniform(-1, 1)))
+            if norm2_q(QuatSpinor(q0, q1)) > 0.05 * q0.norm2():
+                return QuatSpinor(q0.scale(lam), q1.scale(lam))
+
+    for _ in range(200):
+        psi, chi = scaled_restricted(), scaled_restricted()
+        f_quat = fidelity_q(psi, chi)
+        f_ideal = ideal_fidelity(reduce_restricted(psi), reduce_restricted(chi))
+        assert abs(f_quat - f_ideal) <= 1e-14 * abs(f_quat)
+    # a typed error, also a ValueError, for quaternions off span{1, i e3}
+    assert issubclass(NotInSubalgebra, GAError) and issubclass(NotInSubalgebra, ValueError)
+    for lam in (1e-9, 1.0, 1e9):
+        off_line = Quaternion(lam, (1e-9 * lam, 0.0, 0.0))
+        with pytest.raises(NotInSubalgebra):
+            reduce_restricted(QuatSpinor(Quaternion.one(), off_line))
+        with pytest.raises(NotInSubalgebra):
+            reduce_restricted(QuatSpinor(off_line, Quaternion.zero()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-100, 100),
+    st.tuples(*[st.floats(-0.55, 0.55)] * 3),
+    st.tuples(*[st.floats(-0.55, 0.55)] * 3),
+)
+def test_fidelity_q_is_scale_invariant(k, xa, xb):
+    # scaling one state by 10^k changes neither route of the fidelity
+    psi = QuatSpinor.from_bloch_point(xa)
+    chi = QuatSpinor.from_bloch_point(xb)
+    lam = 10.0 ** k
+    scaled = QuatSpinor(psi.q0.scale(lam), psi.q1.scale(lam))
+    for route in (fidelity_q, quatspinor.fidelity_q_circ_route):
+        f = route(psi, chi)
+        assert abs(route(scaled, chi) - f) <= 1e-12 * f
+        assert abs(route(chi, scaled) - f) <= 1e-12 * f

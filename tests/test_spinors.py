@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaspin.core import (
     MINKOWSKI12,
@@ -215,6 +217,33 @@ def test_canonical_rejects_nontimelike():
         canonical_form(IdealSpinor.of(AlgebraTag.MINKOWSKI12, 1.0, 2.0))
 
 
+def test_canonical_form_of_tiny_states():
+    # |a0| ~ 1e-160: |a0|^2 is subnormal, so the chart is a1 / a0 formed
+    # directly and rho is |a0| sqrt(m^2)
+    for tag in TAGS:
+        psi = IdealSpinor.of(tag, (0.6, 0.8), (0.3, -0.1))
+        tiny = IdealSpinor(tag, psi.a0.scale(1e-160), psi.a1.scale(1e-160))
+        can, small = canonical_form(psi), canonical_form(tiny)
+        assert small.chart == pytest.approx(can.chart, rel=1e-15)
+        assert small.theta == pytest.approx(can.theta, rel=1e-15)
+        assert small.rho == pytest.approx(1e-160 * can.rho, rel=1e-15)
+        assert residual(small.m_hat, can.m_hat) <= 1e-15
+
+
+def test_canonical_reconstruction_at_the_minkowski_edge():
+    # rho and m_hat share the rounding of m^2 = 1 - |chart|^2, so their
+    # product keeps full accuracy as |chart| -> 1
+    tag = AlgebraTag.MINKOWSKI12
+    z = CenterScalar(1.1 * math.cos(2.0), 1.1 * math.sin(2.0))
+    for gap in (1e-4, 1e-6, 1e-8, 1e-10):
+        base = IdealSpinor.from_chart(tag, (0.6 * (1 - gap), 0.8 * (1 - gap)))
+        psi = IdealSpinor(tag, base.a0 * z, base.a1 * z)
+        can = canonical_form(psi)
+        phase = CenterScalar(math.cos(can.theta), math.sin(can.theta)).embed(tag)
+        recon = can.rho * phase * can.m_hat * idempotent(tag)
+        assert residual(recon, to_multivector(psi)) <= 1e-15
+
+
 # -------------------------------------------------------------- inner product
 
 
@@ -350,6 +379,8 @@ def test_antipodal_examples():
     assert antipodal_chart((0.0, 2.0)) == (0.0, -0.5)
     with pytest.raises(DegenerateState):
         antipodal_chart((0.0, 0.0))
+    # |x| = 5e-160: x^2 is subnormal, the partner -x / x^2 is not
+    assert antipodal_chart((3e-160, 4e-160)) == pytest.approx((-1.2e159, -1.6e159), rel=1e-15)
 
 
 def test_antipodal_geometry(rng):
@@ -366,3 +397,21 @@ def test_antipodal_geometry(rng):
         psi = IdealSpinor.from_chart(tag, ca)
         chi = IdealSpinor.from_chart(tag, cb)
         assert fidelity(psi, chi) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-100, 100),
+    st.sampled_from((AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12)),
+    st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+    st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+)
+def test_fidelity_is_scale_invariant(k, tag, ca, cb):
+    # fidelity normalizes internally: scaling one state by 10^k changes nothing
+    psi = IdealSpinor.from_chart(tag, ca)
+    chi = IdealSpinor.from_chart(tag, cb)
+    lam = 10.0 ** k
+    scaled = IdealSpinor(tag, psi.a0.scale(lam), psi.a1.scale(lam))
+    f = fidelity(psi, chi)
+    assert abs(fidelity(scaled, chi) - f) <= 1e-12 * f
+    assert abs(fidelity(chi, scaled) - f) <= 1e-12 * f

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaspin.core import (
     EUCLIDEAN4,
@@ -38,6 +40,16 @@ def rand_ball(rng, rmax=0.95):
     n = np.linalg.norm(v)
     r = rmax * rng.uniform(0.01, 1.0)
     return PlanePoint(tuple(v / n * r))
+
+
+_DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda d: sum(c * c for c in d) > 1e-2
+)
+
+
+def on_ray(direction, r):
+    n = math.sqrt(sum(c * c for c in direction))
+    return PlanePoint(tuple(c / n * r for c in direction))
 
 
 def rand_plane(rng, scale=3.0):
@@ -302,3 +314,33 @@ def test_permute_generators_rejects_metric_change():
     g01 = Multivector.blade(SPACETIME13, 0b0011)
     with pytest.raises(ValueError):
         permute_generators(g01, (1, 0, 2, 3))  # would swap +1 and -1 squares
+
+
+# ------------------------------------------------------------- chart edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-10.0, math.log10(5e-2)), _DIRECTIONS)
+def test_hyper_roundtrip_to_the_edge(log_gap, direction):
+    # 1 - |x| from 1e-10 to 5e-2: the lift is accepted and the round trip
+    # is exact to 4 ulp of 1, although a0 = (1 + x^2)/(1 - x^2) reaches 1e10
+    x = on_ray(direction, 1.0 - 10.0 ** log_gap)
+    back = project_hyper(lift_hyper(x))
+    assert max(abs(a - b) for a, b in zip(back.x, x.x)) <= 4 * math.ulp(1.0)
+    assert hyper_angle(x) == pytest.approx(math.acosh(lift_hyper(x).a_hat.coefficient(1)), rel=1e-6)
+    # the boost shares the lift's 1 - x^2, so the sandwich is exact to rounding
+    a = lift_hyper(x).a_hat
+    assert residual(rotor_apply(hyper_boost(x), G0), a) <= 4 * math.ulp(1.0) * a.abs_sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(math.log10(5.0), 8.0), _DIRECTIONS)
+def test_sphere_roundtrip_near_the_pole(log_r, direction):
+    # |x| from 5 to 1e8 lifts next to the south pole; 1 + a0 is taken
+    # without cancellation, so the round trip is relatively exact to 4 ulp
+    x = on_ray(direction, 10.0 ** log_r)
+    back = project_sphere(lift_sphere(x))
+    r = math.sqrt(x.norm2)
+    assert max(abs(a - b) for a, b in zip(back.x, x.x)) <= 4 * math.ulp(1.0) * r
+    a = lift_sphere(x).a_hat
+    assert residual(rotor_apply(sphere_rotor(x), E0), a) <= 4 * math.ulp(1.0) * a.abs_sum()
