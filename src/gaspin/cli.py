@@ -51,10 +51,10 @@ from .quatrep import (
 from .quatspinor import (
     QuatSpinor,
     canonical_q,
+    from_carrier_coords,
     fidelity_q,
     fidelity_q_circ_route,
     image,
-    norm2_q,
     projector,
     projector_closed_orthogonal,
     reconstruct,
@@ -86,11 +86,13 @@ def _vec(xs) -> str:
     return ",".join(_f(x) for x in xs)
 
 
-def _mv_terms(m: Multivector, tol: float = 1e-14) -> str:
+def _mv_terms(m: Multivector) -> str:
+    """Nonzero terms of m; a term within rounding of m's size counts as zero."""
+    scale = m.abs_sum()
     parts = []
     for mask in range(m.signature.dim):
         c = m.coeffs[mask]
-        if abs(c) > tol:
+        if not core.close(abs(c), scale):
             parts.append(f"{m.signature.blade_name(mask)}:{_f(c)}")
     return ";".join(parts) if parts else "0"
 
@@ -112,34 +114,64 @@ class SuiteResult:
         return self.max_residual <= self.tolerance
 
 
-def _rand_mv(rng, sig: Signature, scale=1.0) -> Multivector:
-    return Multivector(sig, rng.uniform(-scale, scale, size=sig.dim))
+def _rand_mvs(rng, sig: Signature, n: int, k: int = 1) -> list[Multivector]:
+    """k batches of n multivectors with coefficients uniform in [-1, 1], drawn
+    case by case (all k of case 0 first), as a loop of single draws would."""
+    coeffs = rng.uniform(-1.0, 1.0, size=(n, k, sig.dim))
+    return [Multivector(sig, coeffs[:, j]) for j in range(k)]
 
 
-def _rand_quat(rng) -> Quaternion:
-    v = rng.uniform(-1, 1, size=4)
-    return Quaternion(v[0], tuple(v[1:]))
+def _worst(*residuals) -> float:
+    """Largest residual over every case of every batch; NaN if any is NaN."""
+    return float(np.max(np.concatenate([np.ravel(r) for r in residuals])))
 
 
-def _rand_admissible_q(rng, tag: AlgebraTag = AlgebraTag.SPACETIME13) -> QuatSpinor:
-    while True:
-        q0 = _rand_quat(rng)
-        q1 = _rand_quat(rng)
-        if q0.norm2() < 0.3:
-            continue
-        if q1.norm2() >= 0.8 * q0.norm2():
-            q1 = q1.scale(0.6 * q0.norm() / q1.norm())
-        psi = QuatSpinor(q0, q1, tag)
-        if norm2_q(psi) > 0.05:
-            return psi
+def _accepted(rng, n: int | None, width: int, keep: Callable, low=-1.0, high=1.0) -> np.ndarray:
+    """Rows of ``width`` uniform draws that ``keep(rows) -> kept rows`` accepts,
+    in draw order: the same rows as one-at-a-time rejection sampling.  ``n``
+    rows (over-drawing the stream), or one row, drawn singly, when n is None."""
+    want = 1 if n is None else n
+    got: list[np.ndarray] = []
+    have = 0
+    while have < want:
+        size = 1 if n is None else want - have + want // 4 + 8
+        rows = keep(rng.uniform(low, high, size=(size, width)))
+        got.append(rows)
+        have += len(rows)
+    rows = np.concatenate(got)[:want]
+    return rows[0] if n is None else rows
 
 
-def _rand_orthogonal_q(rng, tag: AlgebraTag = AlgebraTag.SPACETIME13) -> QuatSpinor:
-    psi = _rand_admissible_q(rng, tag)
-    c = quat_mul(psi.q0.conjugate(), psi.q1).s
-    q1 = psi.q1 - psi.q0.scale(c / psi.q0.norm2())
-    out = QuatSpinor(psi.q0, q1, tag)
-    return out if norm2_q(out) > 0.05 else _rand_orthogonal_q(rng, tag)
+def _admissible_rows(rows: np.ndarray) -> np.ndarray:
+    """Timelike rows of coordinates (q0, q1): |q0|^2 >= 0.3, q1 shrunk to
+    0.6 |q0| when |q1|^2 >= 0.8 |q0|^2, and then rho^2 > 0.05."""
+    q0, q1 = Quaternion.from_coords(rows[:, :4]), Quaternion.from_coords(rows[:, 4:])
+    n0, n1 = q0.norm2(), q1.norm2()
+    shrink = n1 >= 0.8 * n0
+    q1 = q1.scale(np.where(shrink, 0.6 * q0.norm() / np.sqrt(np.where(shrink, n1, 1.0)), 1.0))
+    keep = (n0 >= 0.3) & (n0 - q1.norm2() > 0.05)
+    return np.concatenate([rows[:, :4], q1.coords()], axis=1)[keep]
+
+
+def _orthogonal_rows(rows: np.ndarray) -> np.ndarray:
+    """Admissible rows with the scalar part of q0* q1 removed from q1, kept
+    when then rho^2 > 0.05."""
+    rows = _admissible_rows(rows)
+    q0, q1 = Quaternion.from_coords(rows[:, :4]), Quaternion.from_coords(rows[:, 4:])
+    q1 = q1 - q0.scale(quat_mul(q0.conjugate(), q1).s / q0.norm2())
+    return np.concatenate([rows[:, :4], q1.coords()], axis=1)[q0.norm2() - q1.norm2() > 0.05]
+
+
+def _rand_admissible_q(rng, tag: AlgebraTag = AlgebraTag.SPACETIME13,
+                       n: int | None = None) -> QuatSpinor:
+    """Timelike quaternion spinors: a batch of n, or one when n is None."""
+    return from_carrier_coords(_accepted(rng, n, 8, _admissible_rows), tag)
+
+
+def _rand_orthogonal_q(rng, tag: AlgebraTag = AlgebraTag.SPACETIME13,
+                       n: int | None = None) -> QuatSpinor:
+    """Orthogonal timelike quaternion spinors: a batch of n, or one."""
+    return from_carrier_coords(_accepted(rng, n, 8, _orthogonal_rows), tag)
 
 
 def _rand_plane(rng, scale: float) -> stereo.PlanePoint:
@@ -151,31 +183,31 @@ def _rand_ball(rng, rmax: float) -> stereo.PlanePoint:
     return stereo.PlanePoint(tuple(v / np.linalg.norm(v) * rng.uniform(0.01, rmax)))
 
 
-def _rand_chart(rng, tag: AlgebraTag):
+def _rand_chart(rng, tag: AlgebraTag, n: int | None = None):
+    """Chart points (a, b): a pair of arrays of n, or of floats when n is None.
+    Pauli charts fill [-2.5, 2.5]^2; Minkowski charts have a^2 + b^2 < 0.9."""
     if tag is AlgebraTag.PAULI3:
-        return tuple(rng.uniform(-2.5, 2.5, size=2))
-    while True:
-        c = rng.uniform(-0.95, 0.95, size=2)
-        if float(c @ c) < 0.9:
-            return tuple(c)
+        c = rng.uniform(-2.5, 2.5, size=2 if n is None else (n, 2))
+    else:
+        c = _accepted(rng, n, 2, lambda rows: rows[np.sum(rows * rows, axis=1) < 0.9],
+                      -0.95, 0.95)
+    return tuple(c.T)
 
 
 def _suite_core_associativity(rng, cases, tol):
-    worst = 0.0
+    residuals = []
     for sig in (EUCLIDEAN4, SPACETIME13, PAULI3, MINKOWSKI12):
-        for _ in range(max(1, cases // 4)):
-            a, b, c = (_rand_mv(rng, sig) for _ in range(3))
-            worst = max(worst, residual((a * b) * c, a * (b * c)))
-    return worst, tol
+        a, b, c = _rand_mvs(rng, sig, max(1, cases // 4), 3)
+        residuals.append(residual((a * b) * c, a * (b * c)))
+    return _worst(*residuals), tol
 
 
 def _suite_core_reverse(rng, cases, tol):
-    worst = 0.0
+    residuals = []
     for sig in (EUCLIDEAN4, SPACETIME13):
-        for _ in range(max(1, cases // 2)):
-            a, b = _rand_mv(rng, sig), _rand_mv(rng, sig)
-            worst = max(worst, residual(reverse(a * b), reverse(b) * reverse(a)))
-    return worst, tol
+        a, b = _rand_mvs(rng, sig, max(1, cases // 2), 2)
+        residuals.append(residual(reverse(a * b), reverse(b) * reverse(a)))
+    return _worst(*residuals), tol
 
 
 def _suite_core_generators(rng, cases, tol):
@@ -191,50 +223,41 @@ def _suite_core_generators(rng, cases, tol):
 
 
 def _suite_core_exp(rng, cases, tol):
-    worst = 0.0
+    # per case: theta in [-3, 3], then an axis in [-1, 1]^3
+    draws = rng.uniform((-3.0, -1.0, -1.0, -1.0), (3.0, 1.0, 1.0, 1.0), size=(cases, 4))
+    n = np.linalg.norm(draws[:, 1:], axis=1)
+    draws, n = draws[n >= 1e-6], n[n >= 1e-6]
+    xhat = draws[:, 1:] / n[:, None]
+    xhat = Multivector.vector(EUCLIDEAN4, (0.0, *xhat.T))
+    B = draws[:, 0] * (xhat * Multivector.basis(EUCLIDEAN4, 0))
     one = Multivector.scalar(EUCLIDEAN4, 1.0)
-    for _ in range(cases):
-        theta = rng.uniform(-3, 3)
-        x = rng.uniform(-1, 1, size=3)
-        n = np.linalg.norm(x)
-        if n < 1e-6:
-            continue
-        xhat = Multivector.vector(EUCLIDEAN4, (0.0, *(x / n)))
-        B = theta * (xhat * Multivector.basis(EUCLIDEAN4, 0))
-        worst = max(worst, residual(core.exp_blade(B) * core.exp_blade(-B), one))
-    return worst, tol
+    return _worst(0.0, residual(core.exp_blade(B) * core.exp_blade(-B), one)), tol
 
 
 def _suite_core_grade_partition(rng, cases, tol):
-    worst = 0.0
+    residuals = []
     for sig in (EUCLIDEAN4, MINKOWSKI12):
-        for _ in range(max(1, cases // 2)):
-            a = _rand_mv(rng, sig)
-            total = Multivector.zero(sig)
-            for g in range(sig.n + 1):
-                total = total + core.grade_select(a, {g})
-            worst = max(worst, residual(total, a))
-    return worst, tol
+        (a,) = _rand_mvs(rng, sig, max(1, cases // 2))
+        total = Multivector.zero(sig)
+        for g in range(sig.n + 1):
+            total = total + core.grade_select(a, {g})
+        residuals.append(residual(total, a))
+    return _worst(*residuals), tol
 
 
 def _suite_quatrep_embedding(rng, cases, tol):
-    worst = 0.0
-    for _ in range(cases):
-        a, b = _rand_quat(rng), _rand_quat(rng)
-        lhs = quat_mul(a, b).to_multivector()
-        rhs = a.to_multivector() * b.to_multivector()
-        worst = max(worst, residual(lhs, rhs))
-    return worst, tol
+    coords = rng.uniform(-1.0, 1.0, size=(cases, 2, 4))
+    a, b = Quaternion.from_coords(coords[:, 0]), Quaternion.from_coords(coords[:, 1])
+    lhs = quat_mul(a, b).to_multivector()
+    rhs = a.to_multivector() * b.to_multivector()
+    return _worst(residual(lhs, rhs)), tol
 
 
 def _suite_quatrep_homomorphism(rng, cases, tol):
-    worst = 0.0
-    for _ in range(cases):
-        a, b = _rand_mv(rng, EUCLIDEAN4), _rand_mv(rng, EUCLIDEAN4)
-        ab = a * b
-        worst = max(worst, matrix_residual(rep_vec(ab), rep_vec(a) * rep_vec(b)))
-        worst = max(worst, matrix_residual(rep_pss(ab), rep_pss(a) * rep_pss(b)))
-    return worst, tol
+    a, b = _rand_mvs(rng, EUCLIDEAN4, cases, 2)
+    ab = a * b
+    return _worst(matrix_residual(rep_vec(ab), rep_vec(a) * rep_vec(b)),
+                  matrix_residual(rep_pss(ab), rep_pss(a) * rep_pss(b))), tol
 
 
 def _suite_quatrep_faithfulness(rng, cases, tol):
@@ -247,11 +270,8 @@ def _suite_quatrep_faithfulness(rng, cases, tol):
 
 
 def _suite_quatrep_change_basis(rng, cases, tol):
-    worst = 0.0
-    for _ in range(cases):
-        g = _rand_mv(rng, EUCLIDEAN4)
-        worst = max(worst, matrix_residual(change_of_basis(rep_pss(g)), rep_vec(g)))
-    return worst, tol
+    (g,) = _rand_mvs(rng, EUCLIDEAN4, cases)
+    return _worst(matrix_residual(change_of_basis(rep_pss(g)), rep_vec(g))), tol
 
 
 def _suite_quatrep_idempotents(rng, cases, tol):
@@ -268,26 +288,28 @@ def _suite_quatrep_idempotents(rng, cases, tol):
 
 
 def _suite_isomap_homomorphism(rng, cases, tol):
-    worst = 0.0
-    for _ in range(max(1, cases // 2)):
-        for sig, f in ((EUCLIDEAN4, euclidean_to_spacetime), (SPACETIME13, spacetime_to_euclidean)):
-            a, b = _rand_mv(rng, sig), _rand_mv(rng, sig)
-            worst = max(worst, residual(f(a * b), f(a) * f(b)))
-    return worst, tol
+    # per case: a, b in Cl(4,0), then a, b in Cl(1,3)
+    n = max(1, cases // 2)
+    coeffs = rng.uniform(-1.0, 1.0, size=(n, 2, 2, EUCLIDEAN4.dim))
+    residuals = []
+    for k, (sig, f) in enumerate(((EUCLIDEAN4, euclidean_to_spacetime),
+                                  (SPACETIME13, spacetime_to_euclidean))):
+        a, b = Multivector(sig, coeffs[:, k, 0]), Multivector(sig, coeffs[:, k, 1])
+        residuals.append(residual(f(a * b), f(a) * f(b)))
+    return _worst(*residuals), tol
 
 
 def _suite_isomap_inverse(rng, cases, tol):
     # the 16 blades of each algebra, then cases // 2 random elements of each
-    worst = 0.0
+    residuals = []
     for sig, there, back in (
         (EUCLIDEAN4, euclidean_to_spacetime, spacetime_to_euclidean),
         (SPACETIME13, spacetime_to_euclidean, euclidean_to_spacetime),
     ):
-        elements = [Multivector.blade(sig, mask) for mask in range(16)]
-        elements += [_rand_mv(rng, sig) for _ in range(max(1, cases // 2))]
-        for g in elements:
-            worst = max(worst, residual(back(there(g)), g))
-    return worst, tol
+        (g,) = _rand_mvs(rng, sig, max(1, cases // 2))
+        g = Multivector(sig, np.concatenate([np.eye(sig.dim), g.coeffs]))
+        residuals.append(residual(back(there(g)), g))
+    return _worst(*residuals), tol
 
 
 def _suite_stereo_roundtrip(rng, cases, tol):
@@ -348,94 +370,85 @@ def _suite_stereo_metric(rng, cases, tol):
 
 
 def _suite_gspinor_fidelity(rng, cases, tol):
-    worst = 0.0
-    bound_violation = 0.0
+    worst = []
+    bound_violation = []
     for tag in (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12):
-        for _ in range(max(1, cases // 2)):
-            ca, cb = _rand_chart(rng, tag), _rand_chart(rng, tag)
-            psi = IdealSpinor.from_chart(tag, ca)
-            chi = IdealSpinor.from_chart(tag, cb)
-            f1 = fidelity(psi, chi)
-            f2 = fidelity_bloch(tag, ca, cb)
-            f3 = fidelity_chart(tag, ca, cb)
-            scale = max(1.0, abs(f1))
-            worst = max(worst, abs(f1 - f2) / scale, abs(f2 - f3) / scale)
-            if tag is AlgebraTag.PAULI3:
-                bound_violation = max(bound_violation, -f1, f1 - 1.0)
-            else:
-                bound_violation = max(bound_violation, 1.0 - f1)
+        # charts in draw order: a of case 0, b of case 0, a of case 1, ...
+        x, y = _rand_chart(rng, tag, 2 * max(1, cases // 2))
+        ca, cb = (x[0::2], y[0::2]), (x[1::2], y[1::2])
+        psi = IdealSpinor.from_chart(tag, ca)
+        chi = IdealSpinor.from_chart(tag, cb)
+        f1 = fidelity(psi, chi)
+        f2 = fidelity_bloch(tag, ca, cb)
+        f3 = fidelity_chart(tag, ca, cb)
+        scale = np.maximum(1.0, np.abs(f1))
+        worst += [np.abs(f1 - f2) / scale, np.abs(f2 - f3) / scale]
+        if tag is AlgebraTag.PAULI3:
+            bound_violation += [-f1, f1 - 1.0]
+        else:
+            bound_violation.append(1.0 - f1)
     # the bounds hold to tol itself, not to the 100x route tolerance
-    return max(worst, 100.0 * bound_violation), 100.0 * tol
+    return max(_worst(*worst), 100.0 * _worst(0.0, *bound_violation)), 100.0 * tol
 
 
 def _suite_gspinor_antipode(rng, cases, tol):
-    worst = 0.0
-    for _ in range(cases):
-        ca = tuple(rng.uniform(-2, 2, size=2))
-        if sum(c * c for c in ca) < 1e-3:
-            continue
-        cb = antipodal_chart(ca)
-        psi = IdealSpinor.from_chart(AlgebraTag.PAULI3, ca)
-        chi = IdealSpinor.from_chart(AlgebraTag.PAULI3, cb)
-        worst = max(worst, fidelity(psi, chi))
-        worst = max(worst, abs(core.dot(m_vector(AlgebraTag.PAULI3, ca), m_vector(AlgebraTag.PAULI3, cb))))
-    return worst, tol
+    ca = rng.uniform(-2.0, 2.0, size=(cases, 2))
+    ca = tuple(ca[np.sum(ca * ca, axis=1) >= 1e-3].T)
+    cb = antipodal_chart(ca)
+    psi = IdealSpinor.from_chart(AlgebraTag.PAULI3, ca)
+    chi = IdealSpinor.from_chart(AlgebraTag.PAULI3, cb)
+    dot = core.dot(m_vector(AlgebraTag.PAULI3, ca), m_vector(AlgebraTag.PAULI3, cb))
+    return _worst(0.0, fidelity(psi, chi), np.abs(dot)), tol
 
 
 def _suite_gspinor_canonical(rng, cases, tol):
-    worst = 0.0
+    residuals = []
     for tag in (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12):
-        for _ in range(max(1, cases // 2)):
-            ca = _rand_chart(rng, tag)
-            phase = rng.uniform(0, 2 * math.pi)
-            s = rng.uniform(0.3, 1.5)
-            z = CenterScalar(s * math.cos(phase), s * math.sin(phase))
-            base = IdealSpinor.from_chart(tag, ca)
-            psi = IdealSpinor(tag, base.a0 * z, base.a1 * z)
-            can = canonical_form(psi)
-            ph = CenterScalar(math.cos(can.theta), math.sin(can.theta)).embed(tag)
-            recon = can.rho * ph * can.m_hat * idempotent(tag)
-            worst = max(worst, residual(recon, to_multivector(psi)))
-    return worst, tol
+        n = max(1, cases // 2)
+        if tag is AlgebraTag.PAULI3:  # per case: chart, phase, scale
+            draws = rng.uniform((-2.5, -2.5, 0.0, 0.3), (2.5, 2.5, 2 * math.pi, 1.5), size=(n, 4))
+            ca, (phase, s) = tuple(draws[:, :2].T), draws[:, 2:].T
+        else:  # the charts by rejection, then the phases and scales
+            ca = _rand_chart(rng, tag, n)
+            phase, s = rng.uniform((0.0, 0.3), (2 * math.pi, 1.5), size=(n, 2)).T
+        z = CenterScalar(s * np.cos(phase), s * np.sin(phase))
+        base = IdealSpinor.from_chart(tag, ca)
+        psi = IdealSpinor(tag, base.a0 * z, base.a1 * z)
+        can = canonical_form(psi)
+        ph = CenterScalar(np.cos(can.theta), np.sin(can.theta)).embed(tag)
+        recon = can.rho * ph * can.m_hat * idempotent(tag)
+        residuals.append(residual(recon, to_multivector(psi)))
+    return _worst(*residuals), tol
 
 
 def _suite_qspinor_canonical(rng, cases, tol):
-    worst = 0.0
-    for _ in range(max(1, cases // 2)):
-        psi = _rand_admissible_q(rng)
-        can = canonical_q(psi)
-        worst = max(worst, residual(reconstruct(can, psi.tag), image(psi)))
-        msq = geometric_product(can.M, can.M)
-        want = 1.0 - psi.q1.norm2() / psi.q0.norm2()
-        worst = max(worst, abs(msq.scalar_part - want))
-    return worst, tol
+    psi = _rand_admissible_q(rng, n=max(1, cases // 2))
+    can = canonical_q(psi)
+    msq = geometric_product(can.M, can.M)
+    want = 1.0 - psi.q1.norm2() / psi.q0.norm2()
+    return _worst(residual(reconstruct(can, psi.tag), image(psi)),
+                  np.abs(msq.scalar_part - want)), tol
 
 
 def _suite_qspinor_projector(rng, cases, tol):
-    worst = 0.0
-    for _ in range(max(1, cases // 2)):
-        psi = _rand_orthogonal_q(rng)
-        worst = max(worst, residual(projector(psi), projector_closed_orthogonal(psi)))
-        worst = max(worst, residual(reconstruct(canonical_q(psi), psi.tag), image(psi)))
-    return worst, tol
+    psi = _rand_orthogonal_q(rng, n=max(1, cases // 2))
+    return _worst(residual(projector(psi), projector_closed_orthogonal(psi)),
+                  residual(reconstruct(canonical_q(psi), psi.tag), image(psi))), tol
 
 
 def _suite_qspinor_fidelity(rng, cases, tol):
-    worst = 0.0
-    for _ in range(max(1, cases // 2)):
-        psi, chi = _rand_admissible_q(rng), _rand_admissible_q(rng)
-        f1 = fidelity_q(psi, chi)
-        f2 = fidelity_q_circ_route(psi, chi)
-        worst = max(worst, abs(f1 - f2) / max(1.0, abs(f1)))
-    return worst, 100.0 * tol
+    # per case: psi, then chi
+    coords = _accepted(rng, 2 * max(1, cases // 2), 8, _admissible_rows)
+    psi = from_carrier_coords(coords[0::2], AlgebraTag.SPACETIME13)
+    chi = from_carrier_coords(coords[1::2], AlgebraTag.SPACETIME13)
+    f1 = fidelity_q(psi, chi)
+    f2 = fidelity_q_circ_route(psi, chi)
+    return _worst(np.abs(f1 - f2) / np.maximum(1.0, np.abs(f1))), 100.0 * tol
 
 
 def _suite_dirac_roundtrip(rng, cases, tol):
-    worst = 0.0
-    for _ in range(cases):
-        phi = dirac_mod.DiracSpinor.from_reals(rng.uniform(-1, 1, size=8))
-        worst = max(worst, dirac_mod.dirac_roundtrip_residual(phi))
-    return worst, tol
+    phi = dirac_mod.DiracSpinor.from_reals(rng.uniform(-1.0, 1.0, size=(cases, 8)))
+    return _worst(dirac_mod.dirac_roundtrip_residual(phi)), tol
 
 
 def _suite_dirac_idempotents(rng, cases, tol):

@@ -21,11 +21,23 @@ generator that squares to -1 flips it once more.  ``geometric_product`` is
 then one cached-table kernel, ``out[k] = sum_j S[k^j, j] a[k^j] b[j]``,
 i.e. ``(lsigns * a[perm]) @ b`` with ``perm[k, j] = k ^ j``.
 ``blade_product`` stays the loop-based reference the tests compare with.
+
+Every operation takes batches: ``coeffs`` has shape ``(..., dim)``, the
+leading axes index cases, and a single case is a batch with no leading
+axes.  Scalars may be batches too (arrays of the leading shape), and
+reductions (``residual``, ``max_abs``, ``abs_sum``, ``scalar_part``,
+``vector_square``) act on the last axis, so a single case still gets Python
+numbers.  The product of two single cases keeps the kernel above.  A single
+factor against a batch is one fixed (dim, dim) matrix applied to the batch.
+Two batches are contracted in blocks against the (dim^2, dim) sign tensor
+``T[i*dim + j, i ^ j] = S[i, j]``, at most ``_BLOCK_BYTES`` (128 KB) of
+outer products at a time, so memory stays flat in the batch size.
+Domain checks go through :func:`require`, which raises on the first failing
+case of a batch and names its index.
 """
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -50,6 +62,55 @@ _MAX_GENERATORS = 6
 #: Coefficient dtypes kept as given; anything else becomes one of them.
 _DTYPES = (np.dtype(float), np.dtype(complex))
 _COMPLEX = (complex, np.complexfloating)
+#: Scalar operands of the arithmetic: numbers, or arrays with one per case.
+_SCALARS = (int, float, complex, np.ndarray)
+
+#: Size bound of the outer-product block formed by a batch-by-batch product.
+_BLOCK_BYTES = 128 * 1024
+
+
+def require(ok, error: type[Exception], message) -> None:
+    """Raise ``error`` unless ``ok`` holds in every case.
+
+    ``ok`` is a bool or a boolean array over the cases of a batch.  For a
+    batch the message ends with the index of the first failing case.
+    ``message`` is a string, or a function of that index (``()`` for a single
+    case) for messages that quote the failing value.
+    """
+    if ok is True or ok is np.True_:
+        return
+    bad = np.logical_not(ok)
+    if not bad.any():
+        return
+    k = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+    text = message(k) if callable(message) else message
+    if bad.ndim:
+        text += f" (case {k[0] if len(k) == 1 else k})"
+    raise error(text)
+
+
+def batch_shape(*values) -> tuple[int, ...]:
+    """Broadcast leading shape of scalars and per-case arrays; () for scalars."""
+    shape: tuple[int, ...] = ()
+    for v in values:
+        if isinstance(v, np.ndarray) and v.ndim and v.shape != shape:
+            shape = np.broadcast_shapes(shape, v.shape)
+    return shape
+
+
+def as_cases(values: Sequence, kind: type = float) -> tuple:
+    """``values`` as Python numbers of ``kind``, or, when any of them is an
+    array, as arrays of ``kind`` broadcast to one batch shape."""
+    for v in values:
+        if isinstance(v, np.ndarray) and v.ndim:
+            shape = batch_shape(*values)
+            return tuple(np.broadcast_to(np.asarray(x, dtype=kind), shape) for x in values)
+    return tuple(map(kind, values))
+
+
+def unstack(x: np.ndarray) -> tuple:
+    """The entries of the last axis, one array per entry (numbers for one case)."""
+    return tuple(x.transpose(-1, *range(x.ndim - 1)))
 
 
 @dataclass(frozen=True)
@@ -182,29 +243,61 @@ def _product_kernel(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def _right_signs(p: int, q: int) -> np.ndarray:
+    """rsigns[k, i], the sign of blade i * blade (k ^ i), so that
+    ab = (rsigns * b[perm]) @ a."""
+    dim = 1 << (p + q)
+    perm, _ = _product_kernel(p, q)
+    out = sign_table(p, q)[np.arange(dim)[None, :], perm].astype(float)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _outer_table(p: int, q: int) -> np.ndarray:
+    """(dim^2, dim) sign tensor: ``outer(a, b).ravel() @ T`` is ab."""
+    dim = 1 << (p + q)
+    i, j = np.divmod(np.arange(dim * dim), dim)
+    out = np.zeros((dim * dim, dim))
+    out[np.arange(dim * dim), i ^ j] = sign_table(p, q)[i, j]
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
 def _reverse_signs(n: int) -> np.ndarray:
     g = _grades(n)
     return np.where(g * (g - 1) // 2 % 2, -1.0, 1.0)
 
 
+@lru_cache(maxsize=None)
+def _vector_masks(n: int) -> np.ndarray:
+    """Blade masks of the n generators, in order."""
+    return 1 << np.arange(n)
+
+
 @dataclass(frozen=True)
 class Multivector:
-    """Immutable dense multivector: coefficient ``coeffs[b]`` on blade b,
-    real (``float64``) or complex (``complex128``)."""
+    """Immutable dense multivector, or a batch of them: ``coeffs[..., b]`` is
+    the coefficient on blade b, real (``float64``) or complex
+    (``complex128``); leading axes index the cases of a batch."""
 
     signature: Signature
     coeffs: np.ndarray
+    #: numpy defers to the reflected operators, so arrays of per-case
+    #: scalars combine with a multivector as scalars do.
+    __array_ufunc__ = None
 
     def __post_init__(self) -> None:
         arr = np.array(self.coeffs)
         if arr.dtype not in _DTYPES:
             arr = arr.astype(complex if arr.dtype.kind == "c" else float)
-        if arr.shape != (self.signature.dim,):
+        if arr.shape != (self.signature.dim,) and arr.shape[-1:] != (self.signature.dim,):
             raise ValueError(f"need {self.signature.dim} coefficients, got {arr.shape}")
         # A finite sum proves every term finite (NaN and inf propagate); a
         # sum that overflows falls back to the elementwise test.
-        if not cmath.isfinite(np.add.reduce(arr)) and not np.isfinite(arr).all():
-            raise NonFiniteValue("coefficients must be finite")
+        if not cmath.isfinite(np.add.reduce(arr, axis=None)):
+            require(np.isfinite(arr).all(axis=-1), NonFiniteValue, "coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -220,10 +313,16 @@ class Multivector:
 
     @staticmethod
     def blade(signature: Signature, mask: int, coeff: complex = 1.0) -> "Multivector":
+        """``coeff`` times one basis blade; an array ``coeff`` gives a batch."""
         if not 0 <= mask < signature.dim:
             raise ValueError(f"blade mask {mask} out of range")
-        c = np.zeros(signature.dim, dtype=complex if isinstance(coeff, _COMPLEX) else float)
-        c[mask] = coeff
+        if isinstance(coeff, np.ndarray):
+            c = np.zeros((*coeff.shape, signature.dim),
+                         dtype=complex if coeff.dtype.kind == "c" else float)
+            c[..., mask] = coeff
+        else:
+            c = np.zeros(signature.dim, dtype=complex if isinstance(coeff, _COMPLEX) else float)
+            c[mask] = coeff
         return Multivector(signature, c)
 
     @staticmethod
@@ -233,12 +332,17 @@ class Multivector:
 
     @staticmethod
     def vector(signature: Signature, components: Sequence[float]) -> "Multivector":
-        """Grade-1 element with the given component per generator."""
+        """Grade-1 element with the given component per generator; array
+        components give a batch."""
         if len(components) != signature.n:
             raise ValueError("one component per generator required")
-        c = np.zeros(signature.dim)
+        shape = batch_shape(*components)
+        c = np.zeros((*shape, signature.dim))
         for k, x in enumerate(components):
-            c[1 << k] = x
+            if shape:
+                c[..., 1 << k] = x
+            else:
+                c[1 << k] = x
         return Multivector(signature, c)
 
     # -- basic queries ---------------------------------------------------------
@@ -256,22 +360,28 @@ class Multivector:
     @property
     def scalar_part(self) -> float:
         """Coefficient of 1 (a Python complex when the coefficients are)."""
-        return self.coeffs.item(0)
+        c = self.coeffs
+        return c.item(0) if c.ndim == 1 else c[..., 0]
 
     def coefficient(self, mask: int) -> float:
-        return self.coeffs.item(mask)
+        c = self.coeffs
+        return c.item(mask) if c.ndim == 1 else c[..., mask]
 
     def vector_components(self) -> np.ndarray:
-        return np.array([self.coeffs[1 << k] for k in range(self.signature.n)])
+        return self.coeffs[..., _vector_masks(self.signature.n)]
 
     def max_abs(self) -> float:
-        return float(np.abs(self.coeffs).max())
+        r = np.maximum.reduce(np.abs(self.coeffs), axis=-1)
+        return r if r.ndim else float(r)
 
     def abs_sum(self) -> float:
         """Sum of the coefficient moduli: the usual ``scale`` for :func:`close`."""
-        return float(np.abs(self.coeffs).sum())
+        r = np.add.reduce(np.abs(self.coeffs), axis=-1)
+        return r if r.ndim else float(r)
 
     def __repr__(self) -> str:
+        if self.coeffs.ndim > 1:
+            return f"<batch {self.coeffs.shape[:-1]} of {self.signature.generator_labels}>"
         terms = []
         for m in range(self.signature.dim):
             c = self.coeffs[m]
@@ -292,14 +402,14 @@ class Multivector:
         if isinstance(other, Multivector):
             self._check_signature(other)
             return Multivector(self.signature, self.coeffs + other.coeffs)
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, _SCALARS):
             return self + Multivector.scalar(self.signature, other)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other: "Multivector | complex") -> "Multivector":
-        if isinstance(other, (Multivector, int, float, complex)):
+        if isinstance(other, (Multivector, *_SCALARS)):
             return self + (-other)
         return NotImplemented
 
@@ -315,23 +425,51 @@ class Multivector:
         return self.__rmul__(other)
 
     def __rmul__(self, other: complex) -> "Multivector":
+        if isinstance(other, np.ndarray):  # one scalar per case
+            return Multivector(self.signature, self.coeffs * other[..., None])
         if isinstance(other, (int, float, complex)):
             return Multivector(self.signature, self.coeffs * other)
         return NotImplemented
 
     def __truediv__(self, other: float) -> "Multivector":
-        return Multivector(self.signature, self.coeffs / float(other))
+        if isinstance(other, np.ndarray):
+            other = other[..., None]
+        return Multivector(self.signature, self.coeffs / other)
 
     def __invert__(self) -> "Multivector":
         return reverse(self)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """Geometric product ab; bilinear and associative."""
+    """Geometric product ab; bilinear and associative.  Leading (batch) axes
+    of the two factors broadcast against each other."""
     a._check_signature(b)
     sig = a.signature
     perm, lsigns = _product_kernel(sig.plus_count, sig.minus_count)
-    return Multivector(sig, (lsigns * a.coeffs[perm]) @ b.coeffs)
+    ac, bc = a.coeffs, b.coeffs
+    if ac.ndim == 1 and bc.ndim == 1:
+        return Multivector(sig, (lsigns * ac[perm]) @ bc)
+    return Multivector(sig, _batch_product(ac, bc, sig.plus_count, sig.minus_count))
+
+
+def _batch_product(ac: np.ndarray, bc: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Coefficients of ab when at least one factor is a batch."""
+    perm, lsigns = _product_kernel(p, q)
+    if ac.ndim == 1:  # one left factor for every case: a fixed linear map
+        return bc @ (lsigns * ac[perm]).T
+    if bc.ndim == 1:
+        return ac @ (_right_signs(p, q) * bc[perm]).T
+    dim = ac.shape[-1]
+    shape = np.broadcast_shapes(ac.shape[:-1], bc.shape[:-1])
+    a2 = np.broadcast_to(ac, (*shape, dim)).reshape(-1, dim)
+    b2 = np.broadcast_to(bc, (*shape, dim)).reshape(-1, dim)
+    out = np.empty((len(a2), dim), dtype=np.result_type(ac, bc))
+    step = max(1, _BLOCK_BYTES // (dim * dim * out.itemsize))
+    table = _outer_table(p, q)
+    for s in range(0, len(out), step):
+        outer = a2[s:s + step, :, None] * b2[s:s + step, None, :]
+        np.matmul(outer.reshape(-1, dim * dim), table, out=out[s:s + step])
+    return out.reshape(*shape, dim)
 
 
 def reverse(a: Multivector) -> Multivector:
@@ -362,21 +500,30 @@ def vector_square(a: Multivector) -> tuple[complex, float]:
     """(a^2, sum of |a_k|^2) of a grade-1 element, from its coefficients; the
     second is the scale of the first.  NotAVector when other grades hold
     more than rounding."""
+    p = a.signature.plus_count  # the +1 generators come first
+    if a.coeffs.ndim > 1:
+        v = a.vector_components()
+        vmag = np.abs(v)
+        total = a.abs_sum()
+        require(close(total - np.add.reduce(vmag, axis=-1), total), NotAVector,
+                "non-vector parts present")
+        sq = np.add.reduce(v[..., :p] ** 2, axis=-1) - np.add.reduce(v[..., p:] ** 2, axis=-1)
+        return sq, np.add.reduce(vmag * vmag, axis=-1)
+    # One case in Python numbers: three times faster than the array form.
     c = a.coeffs.tolist()
     v = [c[1 << k] for k in range(a.signature.n)]
     vmag = [abs(x) for x in v]
     total = sum(map(abs, c))
     if not close(total - sum(vmag), total):
         raise NotAVector(f"non-vector parts present: {a!r}")
-    p = a.signature.plus_count  # the +1 generators come first
     return sum(x * x for x in v[:p]) - sum(x * x for x in v[p:]), sum(m * m for m in vmag)
 
 
 def vector_inverse(v: Multivector) -> Multivector:
     """Inverse v / v^2 of a non-null grade-1 element."""
     sq, scale = vector_square(v)
-    if close(abs(sq), scale):
-        raise NullVector(f"vector square {sq!r} is zero to rounding")
+    require(np.logical_not(close(abs(sq), scale)), NullVector,
+            lambda k: f"vector square {np.asarray(sq)[k]!r} is zero to rounding")
     return v / sq
 
 
@@ -392,28 +539,32 @@ def exp_blade(B: Multivector) -> Multivector:
 
     Square -t^2 gives the circular branch cos t + B sin(t)/t, square +f^2
     the hyperbolic branch cosh f + B sinh(f)/f, and square 0 the parabolic
-    1 + B.  Coefficients may be complex (1j g12 squares to +1 in Cl(1,3));
-    a square that is not a real scalar raises NonScalarSquare.
+    1 + B; a batch picks the branch per case.  Coefficients may be complex
+    (1j g12 squares to +1 in Cl(1,3)); a square that is not a real scalar
+    raises NonScalarSquare.
     """
     sq_mv = geometric_product(B, B)
-    sq = sq_mv.scalar_part.real
+    sq = np.real(sq_mv.scalar_part)
     rest = (sq_mv - sq).max_abs()
     size = B.abs_sum()
-    if not close(rest, size * size):
-        raise NonScalarSquare(f"B^2 has non-scalar or imaginary residue {rest:g}")
-    if sq == 0.0:
-        return 1.0 + B
-    if sq < 0.0:
-        t = math.sqrt(-sq)
-        return math.cos(t) + (math.sin(t) / t) * B
-    f = math.sqrt(sq)
-    return math.cosh(f) + (math.sinh(f) / f) * B
+    require(close(rest, size * size), NonScalarSquare,
+            lambda k: f"B^2 has non-scalar or imaginary residue {np.asarray(rest)[k]:g}")
+    t = np.sqrt(np.abs(sq))
+    circular, hyperbolic = sq < 0.0, sq > 0.0
+    # both branches are evaluated for every case; an overflow in the branch a
+    # case does not take is discarded, and in the one it takes the result's
+    # finiteness check raises NonFiniteValue
+    with np.errstate(over="ignore", invalid="ignore"):
+        even = np.where(circular, np.cos(t), np.where(hyperbolic, np.cosh(t), 1.0))
+        odd = np.where(circular, np.sin(t), np.where(hyperbolic, np.sinh(t), 1.0))
+        return even + (odd / np.where(t == 0.0, 1.0, t)) * B
 
 
 def residual(a: Multivector, b: Multivector) -> float:
-    """Max absolute coefficient difference (a modulus for complex ones)."""
+    """Max absolute coefficient difference (a modulus for complex ones), per case."""
     a._check_signature(b)
-    return float(np.abs(a.coeffs - b.coeffs).max())
+    r = np.maximum.reduce(np.abs(a.coeffs - b.coeffs), axis=-1)
+    return r if r.ndim else float(r)
 
 
 def allclose(a: Multivector, b: Multivector) -> bool:
@@ -441,5 +592,6 @@ def frame(columns: Sequence[Multivector]) -> tuple[np.ndarray, np.ndarray]:
     return mat, pinv
 
 
+@lru_cache(maxsize=None)
 def pseudoscalar(signature: Signature) -> Multivector:
     return Multivector.blade(signature, signature.dim - 1)

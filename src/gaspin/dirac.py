@@ -22,26 +22,31 @@ and the component dictionary is
 
 Real parts determine everything: im = re * g12 on the whole ideal.
 Residuals between complex elements are moduli of coefficient differences.
+A column may hold arrays of one shape, a batch of columns mapped case by
+case.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .core import (
     EUCLIDEAN4,
     SPACETIME13,
     Multivector,
+    as_cases,
     close,
     frame,
     pseudoscalar,
+    require,
     residual,
+    unstack,
 )
-from .errors import NotInIdeal
+from .errors import NonFiniteValue, NotInIdeal
 from .isomap import AlgebraTag, euclidean_to_spacetime
-from .quatrep import Quaternion
-from .quatspinor import QuatSpinor, carrier_frame
+from .quatspinor import QuatSpinor, carrier_frame, from_carrier_coords
 
 _SIG = SPACETIME13
 
@@ -49,6 +54,7 @@ _SIG = SPACETIME13
 # ------------------------------------------------------------- the ideal kit
 
 
+@lru_cache(maxsize=None)
 def _g(k: int) -> Multivector:
     return Multivector.basis(_SIG, k)
 
@@ -58,6 +64,7 @@ def _g12() -> Multivector:
     return Multivector.blade(_SIG, 0b0110)
 
 
+@lru_cache(maxsize=None)
 def j_blade() -> Multivector:
     """g21 = -g12: right multiplication by it realizes j on the ideal."""
     return Multivector.blade(_SIG, 0b0110, -1.0)
@@ -88,24 +95,30 @@ def _column_matrix():
 
 @dataclass(frozen=True)
 class DiracSpinor:
-    """Classical 4-component column of complex numbers."""
+    """Classical 4-component column of complex numbers (or of arrays of one
+    shape, a batch of columns)."""
 
     components: tuple[complex, complex, complex, complex]
 
     def __post_init__(self) -> None:
-        comps = tuple(complex(c) for c in self.components)
+        comps = as_cases(self.components, complex)
         if len(comps) != 4:
             raise ValueError("a Dirac column has exactly 4 complex components")
-        if not all(cmath.isfinite(c) for c in comps):
-            raise ValueError("components must be finite")
+        # a finite sum proves every component finite; an overflowing one
+        # falls back to the componentwise test
+        if not np.isfinite(sum(comps)).all():
+            require(np.isfinite(comps).all(axis=0), NonFiniteValue, "components must be finite")
         object.__setattr__(self, "components", comps)
 
     @staticmethod
     def from_reals(vals) -> "DiracSpinor":
-        vals = [float(v) for v in vals]
-        if len(vals) != 8:
+        """Column of 8 reals (re, im per component) on the last axis."""
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape[-1:] != (8,):
             raise ValueError("need 8 reals: (re, im) per component")
-        return DiracSpinor(tuple(complex(vals[2 * k], vals[2 * k + 1]) for k in range(4)))
+        comps = np.empty((*vals.shape[:-1], 4), dtype=complex)
+        comps.real, comps.imag = vals[..., 0::2], vals[..., 1::2]
+        return DiracSpinor(unstack(comps))
 
     def norm2(self) -> float:
         return sum(abs(c) ** 2 for c in self.components)
@@ -116,7 +129,8 @@ class DiracSpinor:
 
 def dirac_to_geometric(phi: DiracSpinor) -> Multivector:
     """(phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+)."""
-    blades = Multivector(_SIG, _column_matrix() @ phi.components)
+    column = np.array(phi.components)  # components first; move them last
+    blades = Multivector(_SIG, column.transpose(*range(1, column.ndim), 0) @ _column_matrix().T)
     return blades * dirac_idempotent(+1, +1)
 
 
@@ -147,18 +161,15 @@ def geometric_to_qspinor(m: Multivector) -> QuatSpinor:
     """Extract (q0, q1) with m = (q0 + q1 i) u(+,+); NotInIdeal otherwise."""
     u = dirac_idempotent(+1, +1)
     scale = m.abs_sum()
-    if not close(residual(m * u, m), scale):
-        raise NotInIdeal("element is not fixed by the Dirac idempotent")
-    if not close(residual(m.im, m.re * _g12()), scale):
-        raise NotInIdeal("imaginary part is not re * g12")
+    require(close(residual(m * u, m), scale), NotInIdeal,
+            "element is not fixed by the Dirac idempotent")
+    require(close(residual(m.im, m.re * _g12()), scale), NotInIdeal,
+            "imaginary part is not re * g12")
     # re u(+,+) = v+/2, so the real part is half a quaternion-spinor carrier.
     _, pinv = carrier_frame(AlgebraTag.SPACETIME13)
-    sol = 2.0 * (pinv @ m.re.coeffs)
-    q0 = Quaternion(sol[0], tuple(sol[1:4]))
-    q1 = Quaternion(sol[4], tuple(sol[5:8]))
-    psi = QuatSpinor(q0, q1, AlgebraTag.SPACETIME13)
-    if not close(residual(qspinor_to_geometric(psi), m), scale):
-        raise NotInIdeal("element has components outside the Dirac ideal")
+    psi = from_carrier_coords(2.0 * (m.re.coeffs @ pinv.T), AlgebraTag.SPACETIME13)
+    require(close(residual(qspinor_to_geometric(psi), m), scale), NotInIdeal,
+            "element has components outside the Dirac ideal")
     return psi
 
 
@@ -176,7 +187,7 @@ def qspinor_to_dirac(psi: QuatSpinor) -> DiracSpinor:
     x0, (x1, x2, x3) = psi.q0.s, psi.q0.v
     y0, (y1, y2, y3) = psi.q1.s, psi.q1.v
     return DiracSpinor(
-        (complex(x0, x3), complex(-x2, x1), complex(-y3, y0), complex(-y1, -y2))
+        (x0 + 1j * x3, -x2 + 1j * x1, -y3 + 1j * y0, -y1 - 1j * y2)
     )
 
 

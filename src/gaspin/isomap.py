@@ -5,8 +5,9 @@ other direction g0 goes back to e0 and the spacelike g_k become e_k e_0.
 Each map is defined on generators and extended multiplicatively blade by
 blade (products sorted into canonical form by the core engine), which makes
 it an algebra homomorphism by construction; the blade images are stacked
-into one cached signed-permutation matrix per direction.  Grade is not preserved: vectors become bivectors and
-the two pseudoscalars swap with the grade-3 units.
+into one cached signed-permutation matrix per direction, applied to the last
+axis so batches map case by case.  Grade is not preserved: vectors become
+bivectors and the two pseudoscalars swap with the grade-3 units.
 
 Mixed-signature arithmetic is refused everywhere; callers must map
 explicitly, so sign conventions stay visible.
@@ -89,14 +90,14 @@ def euclidean_to_spacetime(g: Multivector) -> Multivector:
     """Image of a Cl(4,0) element in Cl(1,3)."""
     if g.signature != EUCLIDEAN4:
         raise SignatureMismatch("expected a Cl(4,0) element")
-    return Multivector(SPACETIME13, _map_matrix("e4_to_sta") @ g.coeffs)
+    return Multivector(SPACETIME13, g.coeffs @ _map_matrix("e4_to_sta").T)
 
 
 def spacetime_to_euclidean(g: Multivector) -> Multivector:
     """Image of a Cl(1,3) element in Cl(4,0); inverse of the map above."""
     if g.signature != SPACETIME13:
         raise SignatureMismatch("expected a Cl(1,3) element")
-    return Multivector(EUCLIDEAN4, _map_matrix("sta_to_e4") @ g.coeffs)
+    return Multivector(EUCLIDEAN4, g.coeffs @ _map_matrix("sta_to_e4").T)
 
 
 def blade_image_table() -> list[tuple[int, int, int]]:

@@ -8,12 +8,12 @@ exactly one place (:func:`Quaternion.to_multivector`).
 Two spectral bases turn Cl(4,0) into 2x2 matrices over the quaternions:
 one built from the vector idempotents (1 +- e0)/2, one from the
 pseudoscalar idempotents (1 +- e0123)/2.  A 2x2 quaternion matrix is one
-(2, 2, 4) array, so each map is a fixed 16x16 matrix, cached per basis and
-applied with one matmul.  The representation matrix stacks the basis-blade
-images, built as ordered products of the generator images; the inverse
-matrix stacks the row-idempotent-matrix-column sandwich of each of the 16
-matrix units, expanded in the core algebra.  The two directions are derived
-independently of each other.
+(..., 2, 2, 4) array, so each map is a fixed 16x16 matrix, cached per basis
+and applied to a whole batch with one matmul.  The representation matrix
+stacks the basis-blade images, built as ordered products of the generator
+images; the inverse matrix stacks the row-idempotent-matrix-column sandwich
+of each of the 16 matrix units, expanded in the core algebra.  The two
+directions are derived independently of each other.
 """
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import EUCLIDEAN4, Multivector, close, residual, reverse
+from .core import (EUCLIDEAN4, Multivector, as_cases, batch_shape, close, require, residual,
+                   reverse, unstack)
 from .errors import NotInSubalgebra, SignatureMismatch
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -31,14 +32,18 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Quaternion:
-    """q = s + i*v with i the unit pseudoscalar of the Pauli subalgebra."""
+    """q = s + i*v with i the unit pseudoscalar of the Pauli subalgebra.
+
+    ``s`` and the three entries of ``v`` are Python floats, or arrays of one
+    shape for a batch of quaternions."""
 
     s: float
     v: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "v", tuple(float(x) for x in self.v))
+        s, *v = as_cases((self.s, *self.v))
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "v", tuple(v))
 
     @staticmethod
     def zero() -> "Quaternion":
@@ -56,6 +61,16 @@ class Quaternion:
     def from_vector(v) -> "Quaternion":
         return Quaternion(0.0, tuple(v))
 
+    @staticmethod
+    def from_coords(c) -> "Quaternion":
+        """Quaternion from coordinates (s, v1, v2, v3) on the last axis."""
+        s, *v = unstack(np.asarray(c, dtype=float))
+        return Quaternion(s, v)
+
+    def coords(self) -> np.ndarray:
+        """(s, v1, v2, v3) on the last axis."""
+        return np.stack((self.s, *self.v), axis=-1)
+
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.s, tuple(-x for x in self.v))
 
@@ -63,7 +78,7 @@ class Quaternion:
         return self.s * self.s + sum(x * x for x in self.v)
 
     def norm(self) -> float:
-        return math.sqrt(self.norm2())
+        return np.sqrt(self.norm2())
 
     def scale(self, a: float) -> "Quaternion":
         return Quaternion(a * self.s, tuple(a * x for x in self.v))
@@ -81,15 +96,16 @@ class Quaternion:
         return quat_mul(self, other)
 
     def max_abs(self) -> float:
-        return max(abs(self.s), *(abs(x) for x in self.v))
+        r = np.maximum.reduce(np.abs(self.coords()), axis=-1)
+        return r if r.ndim else float(r)
 
     def to_multivector(self) -> Multivector:
         """Embed into Cl(4,0) as x0 + x1*e23 - x2*e13 + x3*e12."""
-        c = np.zeros(EUCLIDEAN4.dim)
-        c[0] = self.s
-        c[0b1100] = self.v[0]   # e23
-        c[0b1010] = -self.v[1]  # e13
-        c[0b0110] = self.v[2]   # e12
+        c = np.zeros((*batch_shape(self.s), EUCLIDEAN4.dim))
+        c[..., 0] = self.s
+        c[..., 0b1100] = self.v[0]   # e23
+        c[..., 0b1010] = -self.v[1]  # e13
+        c[..., 0b0110] = self.v[2]   # e12
         return Multivector(EUCLIDEAN4, c)
 
     @staticmethod
@@ -101,9 +117,15 @@ class Quaternion:
             m.coefficient(0),
             (m.coefficient(0b1100), -m.coefficient(0b1010), m.coefficient(0b0110)),
         )
-        if not close(residual(q.to_multivector(), m), m.abs_sum()):
-            raise NotInSubalgebra("multivector has parts outside the quaternion subalgebra")
+        require(close(residual(q.to_multivector(), m), m.abs_sum()), NotInSubalgebra,
+                "multivector has parts outside the quaternion subalgebra")
         return q
+
+
+def cross(u, w) -> tuple:
+    """Cross product of two 3-vectors given as component triples."""
+    (u1, u2, u3), (w1, w2, w3) = u, w
+    return (u2 * w3 - u3 * w2, u3 * w1 - u1 * w3, u1 * w2 - u2 * w1)
 
 
 def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
@@ -113,43 +135,39 @@ def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
     The embedded basis (e23, -e13, e12) is a left-handed triple, hence the
     minus sign on the cross term.
     """
-    (u1, u2, u3), (w1, w2, w3) = a.v, b.v
-    cross = (u2 * w3 - u3 * w2, u3 * w1 - u1 * w3, u1 * w2 - u2 * w1)
-    s = a.s * b.s - (u1 * w1 + u2 * w2 + u3 * w3)
-    return Quaternion(s, tuple(a.s * w + b.s * u - c for u, w, c in zip(a.v, b.v, cross)))
-
-
-def _coords(q: Quaternion) -> tuple[float, float, float, float]:
-    return (q.s, *q.v)
+    s = a.s * b.s - sum(u * w for u, w in zip(a.v, b.v))
+    return Quaternion(s, tuple(a.s * w + b.s * u - c
+                               for u, w, c in zip(a.v, b.v, cross(a.v, b.v))))
 
 
 @lru_cache(maxsize=None)
 def _structure() -> np.ndarray:
     """T[a, b, c]: coordinate c of unit a times unit b, read off quat_mul
     (which alone holds the product's sign convention)."""
-    units = [Quaternion(row[0], tuple(row[1:])) for row in np.eye(4)]
-    table = np.array([[_coords(quat_mul(a, b)) for b in units] for a in units])
+    units = np.eye(4)
+    table = quat_mul(Quaternion.from_coords(units[:, None]), Quaternion.from_coords(units)).coords()
     table.setflags(write=False)
     return table
 
 
 @dataclass(frozen=True)
 class QuatMatrix2:
-    """2x2 matrix over the quaternions: ``coeffs[j, k]`` holds entry (j, k)
-    as the coordinates (s, v1, v2, v3), in one read-only (2, 2, 4) array."""
+    """2x2 matrix over the quaternions: ``coeffs[..., j, k, :]`` holds entry
+    (j, k) as the coordinates (s, v1, v2, v3), in one read-only (..., 2, 2, 4)
+    array; leading axes index the cases of a batch."""
 
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.array(self.coeffs, dtype=float)
-        if arr.shape != (2, 2, 4):
-            raise ValueError(f"need a (2, 2, 4) array, got {arr.shape}")
+        if arr.shape[-3:] != (2, 2, 4):
+            raise ValueError(f"need a (..., 2, 2, 4) array, got {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
     @staticmethod
     def from_entries(m00, m01, m10, m11) -> "QuatMatrix2":
-        return QuatMatrix2([[_coords(m00), _coords(m01)], [_coords(m10), _coords(m11)]])
+        return QuatMatrix2([[m00.coords(), m01.coords()], [m10.coords(), m11.coords()]])
 
     @staticmethod
     def identity() -> "QuatMatrix2":
@@ -162,8 +180,7 @@ class QuatMatrix2:
         return QuatMatrix2(np.zeros((2, 2, 4)))
 
     def entry(self, j: int, k: int) -> Quaternion:
-        c = self.coeffs[j, k]
-        return Quaternion(c[0], tuple(c[1:]))
+        return Quaternion.from_coords(self.coeffs[..., j, k, :])
 
     def __add__(self, other: "QuatMatrix2") -> "QuatMatrix2":
         return QuatMatrix2(self.coeffs + other.coeffs)
@@ -178,14 +195,16 @@ class QuatMatrix2:
         # Row into column; quaternion factors keep their left-to-right order
         # since they do not commute.
         return QuatMatrix2(
-            np.einsum("jla,lkb,abc->jkc", self.coeffs, other.coeffs, _structure())
+            np.einsum("...jla,...lkb,abc->...jkc", self.coeffs, other.coeffs, _structure())
         )
 
     def conjugate_transpose(self) -> "QuatMatrix2":
-        return QuatMatrix2(self.coeffs.transpose(1, 0, 2) * (1.0, -1.0, -1.0, -1.0))
+        return QuatMatrix2(np.swapaxes(self.coeffs, -3, -2) * (1.0, -1.0, -1.0, -1.0))
 
     def max_abs(self) -> float:
-        return float(np.abs(self.coeffs).max())
+        """Largest coordinate modulus, per case."""
+        r = np.maximum.reduce(np.abs(_flat(self)), axis=-1)
+        return r if r.ndim else float(r)
 
 
 def matrix_residual(a: QuatMatrix2, b: QuatMatrix2) -> float:
@@ -230,7 +249,8 @@ def _rep_matrix(basis: str) -> np.ndarray:
 def _rep(g: Multivector, basis: str) -> QuatMatrix2:
     if g.signature != EUCLIDEAN4:
         raise SignatureMismatch("representation defined on Cl(4,0)")
-    return QuatMatrix2((_rep_matrix(basis) @ g.coeffs).reshape(2, 2, 4))
+    c = g.coeffs @ _rep_matrix(basis).T
+    return QuatMatrix2(c.reshape(*c.shape[:-1], 2, 2, 4))
 
 
 def rep_vec(g: Multivector) -> QuatMatrix2:
@@ -290,14 +310,18 @@ def _unrep_matrix(basis: str) -> np.ndarray:
     return mat
 
 
+def _flat(M: QuatMatrix2) -> np.ndarray:
+    return M.coeffs.reshape(*M.coeffs.shape[:-3], 16)
+
+
 def unrep_vec(M: QuatMatrix2) -> Multivector:
     """g = (1  i) e+ [g] (1; -i), expanded in the core algebra."""
-    return Multivector(EUCLIDEAN4, _unrep_matrix("vec") @ M.coeffs.ravel())
+    return Multivector(EUCLIDEAN4, _flat(M) @ _unrep_matrix("vec").T)
 
 
 def unrep_pss(M: QuatMatrix2) -> Multivector:
     """g = (1  e0) I+ [g] (1; e0), expanded in the core algebra."""
-    return Multivector(EUCLIDEAN4, _unrep_matrix("pss") @ M.coeffs.ravel())
+    return Multivector(EUCLIDEAN4, _flat(M) @ _unrep_matrix("pss").T)
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,9 @@ squares to the real scalar 1 - |q1|^2/|q0|^2, and rho^2 = |q0|^2 - |q1|^2
 must be positive (timelike states only).  When the scalar part of q0* q1
 vanishes the spinor is orthogonal and M collapses to pole + x_m with x_m a
 plain spacelike vector: the Bloch-point chart of the state.
+
+Quaternions and spinors may hold arrays of one shape: a batch of states, on
+which every function acts case by case.
 """
 from __future__ import annotations
 
@@ -31,13 +34,15 @@ from .core import (
     geometric_product,
     grade_select,
     pseudoscalar,
+    require,
     residual,
     reverse,
+    unstack,
 )
 from .errors import (NonTimelike, NotInIdeal, NotInSubalgebra, NotOrthogonal, TagMismatch,
                      VerificationFailure, ZeroQ0)
 from .isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
-from .quatrep import Quaternion, quat_mul
+from .quatrep import Quaternion, cross, quat_mul
 from .spinors import CenterScalar, IdealSpinor
 
 _VALID_TAGS = (AlgebraTag.EUCLIDEAN4, AlgebraTag.SPACETIME13)
@@ -57,8 +62,10 @@ class QuatSpinor:
 
     @staticmethod
     def from_bloch_point(x, tag: AlgebraTag = AlgebraTag.SPACETIME13) -> "QuatSpinor":
-        """Orthogonal unit-leading spinor whose Bloch point is x (3 reals)."""
-        return QuatSpinor(Quaternion.one(), Quaternion.from_vector(tuple(-c for c in x)), tag)
+        """Orthogonal unit-leading spinor whose Bloch point is x (3 reals, or
+        an array with them on the last axis)."""
+        x = np.asarray(x, dtype=float)
+        return QuatSpinor(Quaternion.one(), Quaternion(0.0, unstack(-x)), tag)
 
 
 # ------------------------------------------------------------ small helpers
@@ -69,10 +76,12 @@ def embed_spacetime(q: Quaternion) -> Multivector:
     return euclidean_to_spacetime(q.to_multivector())
 
 
+@lru_cache(maxsize=None)
 def _pole(tag: AlgebraTag) -> Multivector:
     return Multivector.basis(tag.signature, 0)
 
 
+@lru_cache(maxsize=None)
 def spinor_unit(tag: AlgebraTag) -> Multivector:
     """The central-on-quaternions unit i = e123 = g0123 in the tag's algebra.
 
@@ -84,6 +93,7 @@ def spinor_unit(tag: AlgebraTag) -> Multivector:
     return Multivector.blade(EUCLIDEAN4, 0b1110)
 
 
+@lru_cache(maxsize=None)
 def idempotent_plus(tag: AlgebraTag) -> Multivector:
     """v+ = (1 + pole)/2 in the tag's algebra."""
     sig = tag.signature
@@ -118,7 +128,7 @@ def carrier_frame(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
     """Frame of (q0 + q1 i) v+ over the coordinates (q0.s, q0.v, q1.s, q1.v)."""
     vp = idempotent_plus(tag)
     i = spinor_unit(tag)
-    units = [Quaternion(row[0], tuple(row[1:])) for row in np.eye(4)]
+    units = [Quaternion.from_coords(row) for row in np.eye(4)]
     if tag is AlgebraTag.SPACETIME13:
         embeds = [embed_spacetime(q) for q in units]
     else:
@@ -131,16 +141,19 @@ def from_image(m: Multivector, tag: AlgebraTag) -> QuatSpinor:
     if m.signature != tag.signature:
         raise TagMismatch("multivector signature does not match the tag")
     scale = m.abs_sum()
-    if not close(residual(m * idempotent_plus(tag), m), scale):
-        raise NotInIdeal("element is not fixed by right multiplication with v+")
+    require(close(residual(m * idempotent_plus(tag), m), scale), NotInIdeal,
+            "element is not fixed by right multiplication with v+")
     _, pinv = carrier_frame(tag)
-    sol = pinv @ m.coeffs
-    q0 = Quaternion(sol[0], tuple(sol[1:4]))
-    q1 = Quaternion(sol[4], tuple(sol[5:8]))
-    psi = QuatSpinor(q0, q1, tag)
-    if not close(residual(image(psi), m), scale):
-        raise NotInIdeal("element has components outside the spinor ideal")
+    psi = from_carrier_coords(m.coeffs @ pinv.T, tag)
+    require(close(residual(image(psi), m), scale), NotInIdeal,
+            "element has components outside the spinor ideal")
     return psi
+
+
+def from_carrier_coords(sol: np.ndarray, tag: AlgebraTag) -> QuatSpinor:
+    """Spinor of the coordinates (q0.s, q0.v, q1.s, q1.v) on the last axis."""
+    return QuatSpinor(Quaternion.from_coords(sol[..., :4]), Quaternion.from_coords(sol[..., 4:]),
+                      tag)
 
 
 # -------------------------------------------------- product decompositions
@@ -191,13 +204,13 @@ def phase_axis(q0: Quaternion) -> tuple[float, tuple[float, float, float]]:
     convention (the branch is otherwise undetermined).
     """
     n = q0.norm()
-    if n == 0.0:
-        raise ZeroQ0("zero leading quaternion has no phase")
-    vlen = math.sqrt(sum(c * c for c in q0.v))
-    theta = math.atan2(vlen, q0.s)
-    if close(vlen, n):
-        return theta, (0.0, 0.0, 1.0)
-    return theta, tuple(c / vlen for c in q0.v)
+    require(n != 0.0, ZeroQ0, "zero leading quaternion has no phase")
+    vlen = np.sqrt(sum(c * c for c in q0.v))
+    theta = np.arctan2(vlen, q0.s)
+    real = close(vlen, n)  # no axis: e3 by convention
+    safe = np.where(real, 1.0, vlen)
+    axis = (np.where(real, fixed, c / safe)[()] for fixed, c in zip((0.0, 0.0, 1.0), q0.v))
+    return theta, tuple(axis)
 
 
 def _spacetime_m(q0: Quaternion, q1: Quaternion) -> Multivector:
@@ -236,23 +249,23 @@ def spacetime_m_display(q0: Quaternion, q1: Quaternion) -> Multivector:
 
 def canonical_q(psi: QuatSpinor) -> CanonicalQ:
     """Canonical polar data; ZeroQ0 / NonTimelike outside the chart."""
-    rho2, _ = _admissible(psi)
+    _admissible(psi)
     theta, x_dir = phase_axis(psi.q0)
     m13 = _spacetime_m(psi.q0, psi.q1)
-    msq = geometric_product(m13, m13).scalar_part
-    mhat13 = m13 / math.sqrt(msq)
+    root = np.sqrt(geometric_product(m13, m13).scalar_part)
+    mhat13 = m13 / root
     if psi.tag is AlgebraTag.SPACETIME13:
         m, mhat = m13, mhat13
     else:
         m, mhat = spacetime_to_euclidean(m13), spacetime_to_euclidean(mhat13)
-    return CanonicalQ(math.sqrt(rho2), theta, x_dir, m, mhat)
+    # rho = |q0| sqrt(M^2) shares the rounding of M^2 with Mhat, so rho Mhat
+    # keeps full accuracy near the light cone (|q1| -> |q0|)
+    return CanonicalQ(psi.q0.norm() * root, theta, x_dir, m, mhat)
 
 
 def reconstruct(can: CanonicalQ, tag: AlgebraTag) -> Multivector:
     """rho * exp(theta i xhat) * Mhat * v+ assembled in the tag's algebra."""
-    phase_quat = Quaternion(
-        math.cos(can.theta), tuple(math.sin(can.theta) * c for c in can.x_dir)
-    )
+    phase_quat = Quaternion(np.cos(can.theta), tuple(np.sin(can.theta) * c for c in can.x_dir))
     if tag is AlgebraTag.SPACETIME13:
         phase = embed_spacetime(phase_quat)
     else:
@@ -270,22 +283,20 @@ def is_orthogonal(psi: QuatSpinor) -> bool:
 
 def bloch_point(psi: QuatSpinor) -> tuple[float, float, float]:
     """x_m = (y0 x - x0 y - x cross y) / |q0|^2 for an orthogonal spinor."""
-    x0, x = psi.q0.s, np.array(psi.q0.v)
-    y0, y = psi.q1.s, np.array(psi.q1.v)
-    xm = (y0 * x - x0 * y - np.cross(x, y)) / psi.q0.norm2()
-    return tuple(float(c) for c in xm)
+    (x0, x), (y0, y) = (psi.q0.s, psi.q0.v), (psi.q1.s, psi.q1.v)
+    n0 = psi.q0.norm2()
+    return tuple((y0 * xk - x0 * yk - ck) / n0 for xk, yk, ck in zip(x, y, cross(x, y)))
 
 
 def canonical_orthogonal(psi: QuatSpinor) -> tuple[CanonicalQ, tuple[float, float, float]]:
     """Canonical data via the simplified M = pole + x_m; orthogonal only."""
-    if not is_orthogonal(psi):
-        raise NotOrthogonal("scalar part of q0* q1 is nonzero")
+    require(is_orthogonal(psi), NotOrthogonal, "scalar part of q0* q1 is nonzero")
     can = canonical_q(psi)
     xm = bloch_point(psi)
     m13 = Multivector.vector(SPACETIME13, (1.0, *xm))
     m = m13 if psi.tag is AlgebraTag.SPACETIME13 else spacetime_to_euclidean(m13)
-    if residual(m, can.M) > 1e-10 * max(1.0, m.max_abs()):
-        raise NotOrthogonal("simplified M disagrees with the canonical form")
+    require(residual(m, can.M) <= 1e-10 * np.maximum(1.0, m.max_abs()), NotOrthogonal,
+            "simplified M disagrees with the canonical form")
     return can, xm
 
 
@@ -311,11 +322,9 @@ def projector_closed_orthogonal(psi: QuatSpinor) -> Multivector:
     last term a spacelike vector; the coefficients follow from
     2 a a~ = rho^2 (1 + A').
     """
-    if not is_orthogonal(psi):
-        raise NotOrthogonal("closed form asserted only for orthogonal spinors")
-    x0, x = psi.q0.s, np.array(psi.q0.v)
-    y0, y = psi.q1.s, np.array(psi.q1.v)
-    z = x0 * y - y0 * x - np.cross(x, y)
+    require(is_orthogonal(psi), NotOrthogonal, "closed form asserted only for orthogonal spinors")
+    (x0, x), (y0, y) = (psi.q0.s, psi.q0.v), (psi.q1.s, psi.q1.v)
+    z = tuple(x0 * yk - y0 * xk - ck for xk, yk, ck in zip(x, y, cross(x, y)))
     rho2 = norm2_q(psi)
     total = psi.q0.norm2() + psi.q1.norm2()
     out13 = (
@@ -355,8 +364,8 @@ def fidelity_q(psi: QuatSpinor, chi: QuatSpinor) -> float:
     z_ba = _chain_inner(bm, am)
     prod = z_ba * z_ab
     # every term of the chain is a product of two components of each state
-    if not close((prod - prod.scalar_part).max_abs(), size_psi * size_chi):
-        raise VerificationFailure("fidelity chain did not reduce to a scalar")
+    require(close((prod - prod.scalar_part).max_abs(), size_psi * size_chi), VerificationFailure,
+            "fidelity chain did not reduce to a scalar")
     return prod.scalar_part / (rho2_psi * rho2_chi)
 
 
@@ -365,11 +374,10 @@ def _admissible(psi: QuatSpinor) -> tuple[float, float]:
     rho^2 is not positive, both relative to the size of the state."""
     n0 = psi.q0.norm2()
     size = n0 + psi.q1.norm2()
-    if close(n0, size):
-        raise ZeroQ0("canonical form divides by q0")
+    require(np.logical_not(close(n0, size)), ZeroQ0, "canonical form divides by q0")
     rho2 = norm2_q(psi)
-    if close(rho2, size):
-        raise NonTimelike(f"rho^2 = {rho2:g} must be positive")
+    require(np.logical_not(close(rho2, size)), NonTimelike,
+            lambda k: f"rho^2 = {np.asarray(rho2)[k]:g} must be positive")
     return rho2, size
 
 
@@ -386,8 +394,7 @@ def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor) -> float:
 
     def a_primed(s: QuatSpinor) -> Multivector:
         m13 = _spacetime_m(s.q0, s.q1)
-        msq = geometric_product(m13, m13).scalar_part
-        mhat = m13 / math.sqrt(msq)
+        mhat = m13 / np.sqrt(geometric_product(m13, m13).scalar_part)
         u = embed_spacetime(s.q0.scale(1.0 / s.q0.norm()))
         m_primed = u * mhat * reverse(u)
         return m_primed * g0 * m_primed
@@ -408,8 +415,8 @@ def reduce_restricted(psi: QuatSpinor) -> IdealSpinor:
     so fidelities agree across the two modules.
     """
     for q in (psi.q0, psi.q1):
-        if not close(math.hypot(q.v[0], q.v[1]), q.norm()):
-            raise NotInSubalgebra("restricted form requires vector parts along e3")
+        require(close(np.hypot(q.v[0], q.v[1]), q.norm()), NotInSubalgebra,
+                "restricted form requires vector parts along e3")
     return IdealSpinor(
         AlgebraTag.MINKOWSKI12,
         CenterScalar(psi.q0.s, psi.q0.v[2]),

@@ -14,6 +14,9 @@ reproduce the carrier (i*g1*v+ = -g2*v+).
 Fidelities normalize internally, so callers pass raw states.  The Pauli
 fidelity is a probability in [0,1]; the Minkowski analogue is >= 1 and is
 reported as the Bloch-hyperboloid quantity.
+
+Center scalars, spinors and chart points may hold arrays of one shape: a
+batch of states, on which every function acts case by case.
 """
 from __future__ import annotations
 
@@ -25,11 +28,13 @@ import numpy as np
 
 from .core import (
     Multivector,
+    as_cases,
     close,
     frame,
     geometric_product,
     grade_select,
     pseudoscalar,
+    require,
     residual,
     reverse,
 )
@@ -52,8 +57,9 @@ class CenterScalar:
     p: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "p", float(self.p))
+        s, p = as_cases((self.s, self.p))
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "p", p)
 
     def conj(self) -> "CenterScalar":
         return CenterScalar(self.s, -self.p)
@@ -109,18 +115,20 @@ class IdealSpinor:
     @staticmethod
     def from_chart(tag: AlgebraTag, chart: tuple[float, float]) -> "IdealSpinor":
         """Unit-leading spinor whose Bloch chart point is ``chart``."""
-        a, b = float(chart[0]), float(chart[1])
+        a, b = as_cases(chart)
         return IdealSpinor(
             tag, CenterScalar(1.0, 0.0), CenterScalar(a, _CHART_SIGN[tag] * b)
         )
 
 
+@lru_cache(maxsize=None)
 def idempotent(tag: AlgebraTag) -> Multivector:
     """(1 + pole)/2 for the algebra's pole generator."""
     sig = tag.signature
     return (Multivector.scalar(sig, 1.0) + Multivector.basis(sig, _POLE[tag])) * 0.5
 
 
+@lru_cache(maxsize=None)
 def pole_vector(tag: AlgebraTag) -> Multivector:
     return Multivector.basis(tag.signature, _POLE[tag])
 
@@ -151,9 +159,10 @@ def _unit_m(tag: AlgebraTag, chart: tuple[float, float]) -> tuple[Multivector, f
     """(m / sqrt(m^2), sqrt(m^2)); NonTimelike where m^2 is not positive."""
     m = m_vector(tag, chart)
     msq = geometric_product(m, m).scalar_part
-    if close(msq, float(m.coeffs @ m.coeffs)):
-        raise NonTimelike(f"chart point {chart} lies outside the hyperboloid chart")
-    root = math.sqrt(msq)
+    require(np.logical_not(close(msq, np.add.reduce(m.coeffs * m.coeffs, axis=-1))), NonTimelike,
+            lambda k: f"chart point {tuple(np.asarray(c)[k].item() for c in chart)} "
+                      "lies outside the hyperboloid chart")
+    root = np.sqrt(msq)
     return m / root, root
 
 
@@ -180,13 +189,14 @@ def from_multivector(m: Multivector, tag: AlgebraTag) -> IdealSpinor:
     if m.signature != tag.signature:
         raise TagMismatch("multivector signature does not match the tag")
     scale = m.abs_sum()
-    if not close(residual(geometric_product(m, idempotent(tag)), m), scale):
-        raise NotInIdeal("element is not fixed by right multiplication with u+")
+    require(close(residual(geometric_product(m, idempotent(tag)), m), scale), NotInIdeal,
+            "element is not fixed by right multiplication with u+")
     mat, pinv = _ideal_frame(tag)
-    sol = pinv @ m.coeffs
-    if not close(residual(Multivector(tag.signature, mat @ sol), m), scale):
-        raise NotInIdeal("element has components outside the spinor ideal")
-    return IdealSpinor(tag, CenterScalar(sol[0], sol[2]), CenterScalar(sol[1], sol[3]))
+    sol = m.coeffs @ pinv.T
+    require(close(residual(Multivector(tag.signature, sol @ mat.T), m), scale), NotInIdeal,
+            "element has components outside the spinor ideal")
+    return IdealSpinor(tag, CenterScalar(sol[..., 0], sol[..., 2]),
+                       CenterScalar(sol[..., 1], sol[..., 3]))
 
 
 def braket(psi: IdealSpinor) -> tuple[Multivector, Multivector]:
@@ -214,16 +224,17 @@ def norm2(psi: IdealSpinor) -> float:
 
 def canonical_form(psi: IdealSpinor) -> CanonicalIdeal:
     """Factor out the leading component; refuses the excluded chart point."""
-    if psi.a0.s == psi.a0.p == 0.0:  # any other a0 is a chart point
-        raise DegenerateState("a0 = 0 is the excluded pole of the chart")
+    # any other a0 is a chart point
+    require((psi.a0.s != 0.0) | (psi.a0.p != 0.0), DegenerateState,
+            "a0 = 0 is the excluded pole of the chart")
     # a1 / a0 without |a0|^2, which underflows for |a0| below 1e-154
-    ratio = complex(psi.a1.s, psi.a1.p) / complex(psi.a0.s, psi.a0.p)
+    ratio = (psi.a1.s + 1j * psi.a1.p) / (psi.a0.s + 1j * psi.a0.p)
     chart = (ratio.real, _CHART_SIGN[psi.tag] * ratio.imag)
-    theta = math.atan2(psi.a0.p, psi.a0.s)
+    theta = np.arctan2(psi.a0.p, psi.a0.s)
     m_hat, root = _unit_m(psi.tag, chart)
     # rho = |a0| sqrt(m^2) shares the rounding of m^2 with m_hat, so rho m_hat
     # keeps full accuracy at the edge of the Minkowski chart
-    return CanonicalIdeal(math.hypot(psi.a0.s, psi.a0.p) * root, theta, m_hat, chart)
+    return CanonicalIdeal(np.hypot(psi.a0.s, psi.a0.p) * root, theta, m_hat, chart)
 
 
 def inner(psi: IdealSpinor, chi: IdealSpinor) -> CenterScalar:
@@ -238,10 +249,10 @@ def inner(psi: IdealSpinor, chi: IdealSpinor) -> CenterScalar:
 
 def _admissible_norm(psi: IdealSpinor) -> float:
     n = norm2(psi)
-    if close(n, psi.a0.abs2() + psi.a1.abs2()):
-        if psi.tag is AlgebraTag.MINKOWSKI12:
-            raise NonTimelike(f"norm squared {n:g} not positive")
-        raise DegenerateState("zero state has no fidelity")
+    ok = np.logical_not(close(n, psi.a0.abs2() + psi.a1.abs2()))
+    if psi.tag is AlgebraTag.MINKOWSKI12:
+        require(ok, NonTimelike, lambda k: f"norm squared {np.asarray(n)[k]:g} not positive")
+    require(ok, DegenerateState, "zero state has no fidelity")
     return n
 
 
@@ -283,7 +294,6 @@ def antipodal_chart(chart: tuple[float, float]) -> tuple[float, float]:
     On the Bloch sphere this lifts to the antipode -a^; the pole's partner
     would be the excluded south pole, hence the error at the origin.
     """
-    r = math.hypot(*chart)  # x^2 would underflow for |x| below 1e-154
-    if r == 0.0:
-        raise DegenerateState("antipode of the pole is the excluded chart point")
+    r = np.hypot(*chart)  # x^2 would underflow for |x| below 1e-154
+    require(r != 0.0, DegenerateState, "antipode of the pole is the excluded chart point")
     return tuple(-(c / r) / r for c in chart)

@@ -1,0 +1,302 @@
+"""Batch semantics: a batch of N cases equals N single calls, at every layer.
+
+Exact where the arithmetic is exact (integer and Gaussian-integer operands,
+elementwise maps); within 4 ulp of the operand scale where a batch sums in
+another order than a single call.  The blade-product sums stay the
+independent route for the batched product.  A batch with one out-of-domain
+case raises what the single call on that case raises, and names the case.
+"""
+import numpy as np
+import pytest
+
+from conftest import ALL_SIGNATURES
+from gaspin import dirac, quatspinor, spinors
+from gaspin.core import (
+    EUCLIDEAN4,
+    PAULI3,
+    SPACETIME13,
+    Multivector,
+    blade_product,
+    exp_blade,
+    geometric_product,
+    grade_select,
+    reverse,
+    vector_inverse,
+    vector_square,
+)
+from gaspin.errors import (
+    DegenerateState,
+    NonFiniteValue,
+    NonScalarSquare,
+    NonTimelike,
+    NotAVector,
+    NotInIdeal,
+    NotInSubalgebra,
+    NotOrthogonal,
+    NullVector,
+    ZeroQ0,
+)
+from gaspin.isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
+from gaspin.quatrep import (QuatMatrix2, Quaternion, quat_mul, rep_pss, rep_vec, unrep_pss,
+                            unrep_vec)
+
+EPS = np.finfo(float).eps
+SHAPES = ((7,), (3, 4))
+KINDS = ("integer", "gaussian", "float")
+
+
+def operands(rng, shape, width, kind):
+    size = (*shape, width)
+    if kind == "integer":
+        return rng.integers(-3, 4, size).astype(float)
+    if kind == "gaussian":
+        return rng.integers(-3, 4, size) + 1j * rng.integers(-3, 4, size)
+    return rng.uniform(-1.0, 1.0, size)
+
+
+def per_case(fn, shape, *batches):
+    """fn applied to each case on its own; an operand with one axis fewer
+    than the batch is the same single case for every case."""
+    out = None
+    for k in np.ndindex(*shape):
+        value = np.asarray(fn(*(b[k] if b.ndim > 1 else b for b in batches)))
+        if out is None:
+            out = np.empty((*shape, *value.shape), dtype=value.dtype)
+        out[k] = value
+    return out
+
+
+def assert_matches(got, want, kind, scale):
+    if kind == "float":
+        assert np.all(np.abs(got - want) <= 4 * EPS * scale)
+    else:
+        assert np.array_equal(got, want)
+
+
+def scale_of(*batches):
+    """Operand scale per case: the product of the coefficient sums."""
+    out = 1.0
+    for b in batches:
+        out = out * np.sum(np.abs(b), axis=-1)
+    return np.asarray(out)[..., None]
+
+
+@pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: "".join(s.generator_labels))
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_product_batch_equals_single_calls(rng, sig, shape, kind):
+    a, b = operands(rng, shape, sig.dim, kind), operands(rng, shape, sig.dim, kind)
+    single_a, single_b = a[(0,) * len(shape)], b[(0,) * len(shape)]
+    for x, y in ((a, b), (a, single_b), (single_a, b)):
+        got = geometric_product(Multivector(sig, x), Multivector(sig, y)).coeffs
+        want = per_case(lambda u, v: (Multivector(sig, u) * Multivector(sig, v)).coeffs,
+                        shape, x, y)
+        assert got.shape == (*shape, sig.dim)
+        assert_matches(got, want, kind, scale_of(x, y))
+
+
+@pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: "".join(s.generator_labels))
+@pytest.mark.parametrize("kind", ("integer", "gaussian"))
+def test_batch_product_matches_blade_sums(rng, sig, kind):
+    a, b = operands(rng, (5,), sig.dim, kind), operands(rng, (5,), sig.dim, kind)
+    got = geometric_product(Multivector(sig, a), Multivector(sig, b)).coeffs
+    for n in range(5):
+        want = np.zeros(sig.dim, dtype=got.dtype)
+        for i in range(sig.dim):
+            for j in range(sig.dim):
+                sign, mask = blade_product(i, j, sig)
+                want[mask] += sign * a[n, i] * b[n, j]
+        assert np.array_equal(got[n], want)
+
+
+def test_product_blocks_cover_large_batches(rng):
+    # more cases than one 128 KB block holds, complex and real
+    for kind in ("integer", "gaussian"):
+        a, b = operands(rng, (300,), 16, kind), operands(rng, (300,), 16, kind)
+        got = geometric_product(Multivector(SPACETIME13, a), Multivector(SPACETIME13, b)).coeffs
+        want = per_case(lambda u, v: geometric_product(Multivector(SPACETIME13, u),
+                                                       Multivector(SPACETIME13, v)).coeffs,
+                        (300,), a, b)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: "".join(s.generator_labels))
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_reverse_and_grade_select_batch_equals_single_calls(rng, sig, shape, kind):
+    a = operands(rng, shape, sig.dim, kind)
+    assert np.array_equal(reverse(Multivector(sig, a)).coeffs,
+                          per_case(lambda u: reverse(Multivector(sig, u)).coeffs, shape, a))
+    for grades in ({0}, {1, 2}, set(range(sig.n + 1))):
+        got = grade_select(Multivector(sig, a), grades).coeffs
+        want = per_case(lambda u: grade_select(Multivector(sig, u), grades).coeffs, shape, a)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_fixed_maps_batch_equal_single_calls(rng, shape, kind):
+    maps = (
+        (EUCLIDEAN4, euclidean_to_spacetime),
+        (SPACETIME13, spacetime_to_euclidean),
+    )
+    for sig, f in maps:
+        g = operands(rng, shape, sig.dim, kind)
+        got = f(Multivector(sig, g)).coeffs
+        assert_matches(got, per_case(lambda u: f(Multivector(sig, u)).coeffs, shape, g), kind,
+                       scale_of(g))
+    if kind == "gaussian":  # the quaternion matrices are real
+        return
+    g = operands(rng, shape, 16, kind)
+    for rep, unrep in ((rep_vec, unrep_vec), (rep_pss, unrep_pss)):
+        got = rep(Multivector(EUCLIDEAN4, g)).coeffs
+        want = per_case(lambda u: rep(Multivector(EUCLIDEAN4, u)).coeffs, shape, g)
+        assert got.shape == (*shape, 2, 2, 4)
+        assert_matches(got, want, kind, scale_of(g)[..., None, None])
+        m = operands(rng, shape, 16, kind).reshape(*shape, 2, 2, 4)
+        got = unrep(QuatMatrix2(m)).coeffs
+        want = per_case(lambda u: unrep(QuatMatrix2(u.reshape(2, 2, 4))).coeffs, shape,
+                        m.reshape(*shape, 16))
+        assert_matches(got, want, kind, scale_of(m.reshape(*shape, 16)))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("kind", ("integer", "float"))
+def test_quaternions_batch_equal_single_calls(rng, shape, kind):
+    a, b = operands(rng, shape, 4, kind), operands(rng, shape, 4, kind)
+    single_a = a[(0,) * len(shape)]
+
+    def mul(u, v):
+        return quat_mul(Quaternion.from_coords(u), Quaternion.from_coords(v)).coords()
+
+    for x, y in ((a, b), (single_a, b)):
+        got = quat_mul(Quaternion.from_coords(x), Quaternion.from_coords(y)).coords()
+        assert np.array_equal(got, per_case(mul, shape, x, y))
+    got = Quaternion.from_coords(a).to_multivector().coeffs
+    want = per_case(lambda u: Quaternion.from_coords(u).to_multivector().coeffs, shape, a)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("kind", ("integer", "float"))
+def test_spinor_carriers_batch_equal_single_calls(rng, shape, kind):
+    for tag in (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12):
+        c = operands(rng, shape, 4, kind)
+
+        def carrier(u):
+            a0 = spinors.CenterScalar(u[..., 0], u[..., 1])
+            a1 = spinors.CenterScalar(u[..., 2], u[..., 3])
+            return spinors.to_multivector(spinors.IdealSpinor(tag, a0, a1)).coeffs
+
+        assert_matches(carrier(c), per_case(carrier, shape, c), kind, scale_of(c))
+    for tag in (AlgebraTag.SPACETIME13, AlgebraTag.EUCLIDEAN4):
+        c = operands(rng, shape, 8, kind)
+
+        def image(u):
+            return quatspinor.image(quatspinor.from_carrier_coords(u, tag)).coeffs
+
+        assert_matches(image(c), per_case(image, shape, c), kind, scale_of(c))
+    c = operands(rng, shape, 8, kind)
+
+    def column(u):
+        return dirac.dirac_to_geometric(dirac.DiracSpinor.from_reals(u)).coeffs
+
+    assert_matches(column(c), per_case(column, shape, c), kind, scale_of(c))
+
+
+# ----------------------------------------------------- one bad case in a batch
+
+def _vector(sig, comps):
+    return Multivector.vector(sig, comps).coeffs
+
+
+def _pauli_carrier(chart):
+    return spinors.to_multivector(spinors.IdealSpinor.from_chart(AlgebraTag.PAULI3, chart)).coeffs
+
+
+def _dirac_carrier(k):
+    return dirac.dirac_to_geometric(dirac.DiracSpinor.from_reals(np.eye(8)[k])).coeffs
+
+
+def _center_pair(c):
+    return spinors.IdealSpinor(AlgebraTag.PAULI3, spinors.CenterScalar(c[..., 0], c[..., 1]),
+                               spinors.CenterScalar(c[..., 2], c[..., 3]))
+
+
+def _qspinor(c):
+    return quatspinor.from_carrier_coords(np.asarray(c, dtype=float), AlgebraTag.SPACETIME13)
+
+
+_TIMELIKE = [[1, 0, 0, 0, 0.1, 0, 0, 0], [0.5, 0.2, 0, 0, 0, 0.1, 0, 0],
+             [1, 0, 0.3, 0, 0, 0, 0.2, 0], [0.8, 0, 0, 0.1, 0, 0, 0, 0.3]]
+# name: (error, call on one case or a batch, four cases in the domain, one outside)
+_BAD_CASES = {
+    "non-finite coefficients": (
+        NonFiniteValue, lambda c: Multivector(EUCLIDEAN4, c),
+        np.ones((4, 16)), np.where(np.arange(16) == 5, np.nan, 1.0)),
+    "null vector": (
+        NullVector, lambda c: vector_inverse(Multivector(SPACETIME13, c)),
+        [_vector(SPACETIME13, v)
+         for v in ([1, 0, 0, 0], [2, 0.5, 0, 0], [1, 0.2, 0.3, 0], [3, 0, 0, 1])],
+        _vector(SPACETIME13, [1, 1, 0, 0])),
+    "not a vector": (
+        NotAVector, lambda c: vector_square(Multivector(EUCLIDEAN4, c)),
+        [_vector(EUCLIDEAN4, [1, k, 0, 2]) for k in range(4)],
+        _vector(EUCLIDEAN4, [1, 1, 1, 1]) + np.eye(16)[0]),
+    "non-scalar square": (
+        NonScalarSquare, lambda c: exp_blade(Multivector(EUCLIDEAN4, c)),
+        np.eye(16)[[3, 5, 6, 12]], np.eye(16)[1] + np.eye(16)[6]),
+    "quaternion off the subalgebra": (
+        NotInSubalgebra, lambda c: Quaternion.from_multivector(Multivector(EUCLIDEAN4, c)),
+        np.eye(16)[[0, 12, 10, 6]], np.eye(16)[1]),
+    "spinor a0 = 0": (
+        DegenerateState, lambda c: spinors.canonical_form(_center_pair(c)),
+        [[1, 0, 0.5, 0], [0, 1, 0, 0], [2, 1, 1, 1], [1, 1, 0, 0]], [0, 0, 1, 0]),
+    "spacelike Minkowski state": (
+        NonTimelike,
+        lambda c: spinors.fidelity(
+            spinors.IdealSpinor.from_chart(AlgebraTag.MINKOWSKI12, (c[..., 0], c[..., 1])),
+            spinors.IdealSpinor.from_chart(AlgebraTag.MINKOWSKI12, (0.1, 0.2))),
+        [[0.1, 0.1], [0.5, 0], [0, 0.9], [-0.3, 0.3]], [1.5, 0]),
+    "antipode of the pole": (
+        DegenerateState, lambda c: spinors.antipodal_chart((c[..., 0], c[..., 1])),
+        [[1, 0], [0.5, 0.5], [0, 2], [1, 1]], [0, 0]),
+    "off the Pauli ideal": (
+        NotInIdeal, lambda c: spinors.from_multivector(Multivector(PAULI3, c), AlgebraTag.PAULI3),
+        [_pauli_carrier(x) for x in ((0.1, 0.2), (1, 0), (0, 0), (0.5, 0.5))], np.eye(8)[1]),
+    "zero leading quaternion": (
+        ZeroQ0, lambda c: quatspinor.canonical_q(_qspinor(c)),
+        _TIMELIKE, [0, 0, 0, 0, 0.5, 0, 0, 0]),
+    "spacelike quaternion spinor": (
+        NonTimelike, lambda c: quatspinor.canonical_q(_qspinor(c)),
+        _TIMELIKE, [1, 0, 0, 0, 2, 0, 0, 0]),
+    "non-orthogonal spinor": (
+        NotOrthogonal, lambda c: quatspinor.projector_closed_orthogonal(_qspinor(c)),
+        [[1, 0, 0, 0, 0, x, 0.1, 0] for x in (0.1, 0.2, 0.3, 0.4)], [1, 0, 0, 0, 0.3, 0.1, 0.1, 0]),
+    "restricted reduction off span{1, i e3}": (
+        NotInSubalgebra, lambda c: quatspinor.reduce_restricted(_qspinor(c)),
+        [[1, 0, 0, x, 0.1, 0, 0, 0] for x in (0.1, 0.2, 0.3, 0.4)], [1, 0.3, 0, 0.1, 0.1, 0, 0, 0]),
+    "off the Dirac ideal": (
+        NotInIdeal, lambda c: dirac.geometric_to_qspinor(Multivector(SPACETIME13, c)),
+        [_dirac_carrier(k) for k in (0, 3, 5, 6)], np.eye(16)[0] + 0j),
+    "non-finite Dirac column": (
+        NonFiniteValue, dirac.DiracSpinor.from_reals,
+        np.full((4, 8), 0.5), np.where(np.arange(8) == 3, np.inf, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CASES))
+def test_one_bad_case_in_a_batch_raises_like_the_single_call(name):
+    error, call, good, bad = _BAD_CASES[name]
+    good, bad = np.asarray(good), np.asarray(bad)
+    for case in good:
+        call(case)
+    with pytest.raises(error) as single:
+        call(bad)
+    rows = np.concatenate([good[:3], bad[None], good[3:]])
+    with pytest.raises(error, match=r"\(case 3\)$") as batch:
+        call(rows)
+    assert type(batch.value) is type(single.value)
+    # with more leading axes the message names the case by its index tuple
+    with pytest.raises(error, match=r"\(case \(1, 1\)\)$"):
+        call(rows[:4].reshape(2, 2, *rows.shape[1:]))

@@ -363,6 +363,22 @@ def test_dirac_large_column_passes_relative_check(capsys):
     assert q0 == pytest.approx([1e7, 0.11, 0.7, 0.3], rel=1e-15, abs=1e-9)
 
 
+@pytest.mark.parametrize("size", [1e-20, 1e-300, 1e20])
+def test_dirac_carrier_terms_scale_with_the_column(capsys, size):
+    # the printed terms are those of the unit column, times its size: a term
+    # is dropped only when it is rounding relative to the carrier
+    def terms(first):
+        code, out, _ = run_cli(capsys, ["dirac", "--components", first, *["0"] * 7])
+        assert code == 0
+        record = dict(ln.split("=", 1) for ln in out.splitlines())
+        return [dict(t.split(":") for t in record[key].split(";")) for key in ("carrier_re", "carrier_im")]
+
+    for unit, scaled in zip(terms("1"), terms(repr(size))):
+        assert scaled.keys() == unit.keys() and unit
+        for blade, value in unit.items():
+            assert float(scaled[blade]) == pytest.approx(size * float(value), rel=1e-15)
+
+
 def test_dirac_arity(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["dirac", "--components", "1", "2", "3"])

@@ -457,3 +457,25 @@ def test_fidelity_q_is_scale_invariant(k, xa, xb):
         f = route(psi, chi)
         assert abs(route(scaled, chi) - f) <= 1e-12 * f
         assert abs(route(chi, scaled) - f) <= 1e-12 * f
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-10.0, -1.0),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda d: sum(c * c for c in d) > 1e-2),
+    st.tuples(*[st.floats(-0.55, 0.55)] * 3),
+    st.sampled_from(TAGS),
+)
+def test_canonical_q_and_fidelity_up_to_the_light_cone(log_gap, direction, xb, tag):
+    # Bloch points with 1 - |x| from 1e-1 down to 1e-10 (rho^2 -> 0+): rho and
+    # Mhat share the rounding of M^2, so the reconstruction keeps full
+    # accuracy; the two fidelity routes agree to the conditioning
+    # eps / (1 - x^2) of 1 - x^2, by which both are off the exact value.
+    d = np.array(direction)
+    x = d / np.linalg.norm(d) * (1.0 - 10.0 ** log_gap)
+    psi = QuatSpinor.from_bloch_point(x, tag)
+    carrier = image(psi)
+    assert residual(reconstruct(canonical_q(psi), tag), carrier) <= 1e-12 * carrier.abs_sum()
+    chi = QuatSpinor.from_bloch_point(xb, tag)
+    f1, f2 = fidelity_q(psi, chi), quatspinor.fidelity_q_circ_route(psi, chi)
+    assert abs(f1 - f2) <= 8 * np.finfo(float).eps / (1.0 - x @ x) * abs(f1)
