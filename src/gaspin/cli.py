@@ -30,6 +30,7 @@ from .core import (
     geometric_product,
     residual,
     reverse,
+    unstack,
 )
 from .errors import GAError, VerificationFailure
 from .isomap import (
@@ -174,13 +175,28 @@ def _rand_orthogonal_q(rng, tag: AlgebraTag = AlgebraTag.SPACETIME13,
     return from_carrier_coords(_accepted(rng, n, 8, _orthogonal_rows), tag)
 
 
-def _rand_plane(rng, scale: float) -> stereo.PlanePoint:
-    return stereo.PlanePoint(tuple(rng.uniform(-scale, scale, size=3)))
+def _uniform_rows(rng, n: int, *ranges: tuple[float, float]) -> np.ndarray:
+    """n rows with column k uniform over ranges[k] = (low, high), in one
+    call: the same values and generator state as n loops of single draws."""
+    low, high = zip(*ranges)
+    return rng.uniform(low, high, size=(n, len(ranges)))
 
 
-def _rand_ball(rng, rmax: float) -> stereo.PlanePoint:
-    v = rng.uniform(-1, 1, size=3)
-    return stereo.PlanePoint(tuple(v / np.linalg.norm(v) * rng.uniform(0.01, rmax)))
+def _plane(rows: np.ndarray) -> stereo.PlanePoint:
+    """A batch of chart points, one per row of three components."""
+    return stereo.PlanePoint(unstack(rows))
+
+
+def _ball(rows: np.ndarray) -> stereo.PlanePoint:
+    """Points v / |v| * r of the open ball from rows (v, r) with v uniform
+    in [-1, 1]^3; each (1, 3) @ (3, 1) product sums |v|^2 as one case's
+    np.linalg.norm does."""
+    v, r = rows[:, :3], rows[:, 3:]
+    return _plane(v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0] * r)
+
+
+#: Column ranges of the cube [-1, 1]^3.
+_BOX = ((-1.0, 1.0),) * 3
 
 
 def _rand_chart(rng, tag: AlgebraTag, n: int | None = None):
@@ -313,60 +329,51 @@ def _suite_isomap_inverse(rng, cases, tol):
 
 
 def _suite_stereo_roundtrip(rng, cases, tol):
-    worst = 0.0
-    for _ in range(max(1, cases // 2)):
-        x, xh = _rand_plane(rng, 3.0), _rand_ball(rng, 0.95)
-        for p, back in ((x, stereo.project_sphere(stereo.lift_sphere(x))),
-                        (xh, stereo.project_hyper(stereo.lift_hyper(xh)))):
-            worst = max(worst, max(abs(a - b) for a, b in zip(back.x, p.x)))
-    return worst, 100.0 * tol
+    rows = _uniform_rows(rng, max(1, cases // 2), *((-3.0, 3.0),) * 3, *_BOX, (0.01, 0.95))
+    x, xh = _plane(rows[:, :3]), _ball(rows[:, 3:])
+    back = stereo.project_sphere(stereo.lift_sphere(x)), stereo.project_hyper(stereo.lift_hyper(xh))
+    return _worst(*(np.abs(b - p) for b, p in zip(back[0].x + back[1].x, x.x + xh.x))), 100.0 * tol
 
 
 def _suite_stereo_rotor(rng, cases, tol):
-    worst = 0.0
+    rows = _uniform_rows(rng, max(1, cases // 2), *((-3.0, 3.0),) * 3, *_BOX, (0.01, 0.95))
+    x, xh = _plane(rows[:, :3]), _ball(rows[:, 3:])
     e0 = Multivector.basis(EUCLIDEAN4, 0)
     g0 = Multivector.basis(SPACETIME13, 0)
-    for _ in range(max(1, cases // 2)):
-        x, xh = _rand_plane(rng, 3.0), _rand_ball(rng, 0.95)
-        r, rh = stereo.sphere_rotor(x), stereo.hyper_boost(xh)
-        worst = max(worst, residual(stereo.rotor_apply(r, e0), stereo.lift_sphere(x).a_hat))
-        worst = max(worst, residual(stereo.rotor_apply(rh, g0), stereo.lift_hyper(xh).a_hat))
-    return worst, 100.0 * tol
+    return _worst(
+        residual(stereo.rotor_apply(stereo.sphere_rotor(x), e0), stereo.lift_sphere(x).a_hat),
+        residual(stereo.rotor_apply(stereo.hyper_boost(xh), g0), stereo.lift_hyper(xh).a_hat),
+    ), 100.0 * tol
 
 
 def _suite_stereo_trig(rng, cases, tol):
-    worst = 0.0
-    for _ in range(cases):
-        r2 = float(rng.uniform(0, 27))  # |x|^2 over the chart box [-3, 3]^3
-        c = (1.0 - r2) / (1.0 + r2)
-        s = 2.0 * math.sqrt(r2) / (1.0 + r2)
-        worst = max(worst, abs(c * c + s * s - 1.0))
-        r2 = float(rng.uniform(0, 0.9))
-        ch = (1.0 + r2) / (1.0 - r2)
-        sh = 2.0 * math.sqrt(r2) / (1.0 - r2)
-        worst = max(worst, abs(ch * ch - sh * sh - 1.0) / max(1.0, ch * ch))
-    return worst, tol
+    # |x|^2 over the chart box [-3, 3]^3 on the sphere, below 0.9 in the ball
+    r2, r2h = _uniform_rows(rng, cases, (0.0, 27.0), (0.0, 0.9)).T
+    c = (1.0 - r2) / (1.0 + r2)
+    s = 2.0 * np.sqrt(r2) / (1.0 + r2)
+    ch = (1.0 + r2h) / (1.0 - r2h)
+    sh = 2.0 * np.sqrt(r2h) / (1.0 - r2h)
+    return _worst(np.abs(c * c + s * s - 1.0),
+                  np.abs(ch * ch - sh * sh - 1.0) / np.maximum(1.0, ch * ch)), tol
 
 
 def _suite_stereo_metric(rng, cases, tol):
-    worst = 0.0
     h = 1e-5
-    for _ in range(max(1, cases // 2)):
-        x, dx = _rand_plane(rng, 2.0), rng.uniform(-1, 1, size=3)
-        xh = _rand_ball(rng, 0.8)
-        # (point, metric, lift, sign of the metric: positive on the sphere,
-        # negative on the hyperboloid)
-        for p, metric, lift, sign in ((x, stereo.sphere_metric, stereo.lift_sphere, 1.0),
-                                      (xh, stereo.hyper_metric, stereo.lift_hyper, -1.0)):
-            _, ds2 = metric(p, dx)
-            if not sign * ds2 > 0.0:
-                worst = math.inf
-            xp = stereo.PlanePoint(tuple(np.array(p.x) + h * dx))
-            xm = stereo.PlanePoint(tuple(np.array(p.x) - h * dx))
-            da_fd = (lift(xp).a_hat - lift(xm).a_hat) / (2 * h)
-            ds2_fd = geometric_product(da_fd, da_fd).scalar_part
-            worst = max(worst, abs(ds2_fd - ds2) / max(1e-30, abs(ds2)))
-    return worst, 1e-6
+    rows = _uniform_rows(rng, max(1, cases // 2), *((-2.0, 2.0),) * 3, *_BOX, *_BOX, (0.01, 0.8))
+    x, dx, xh = _plane(rows[:, :3]), unstack(rows[:, 3:6]), _ball(rows[:, 6:])
+    errors = []
+    # (point, metric, lift, sign of the metric: positive on the sphere,
+    # negative on the hyperboloid)
+    for p, metric, lift, sign in ((x, stereo.sphere_metric, stereo.lift_sphere, 1.0),
+                                  (xh, stereo.hyper_metric, stereo.lift_hyper, -1.0)):
+        _, ds2 = metric(p, dx)
+        xp = stereo.PlanePoint(tuple(c + h * d for c, d in zip(p.x, dx)))
+        xm = stereo.PlanePoint(tuple(c - h * d for c, d in zip(p.x, dx)))
+        da_fd = (lift(xp).a_hat - lift(xm).a_hat) / (2 * h)
+        ds2_fd = geometric_product(da_fd, da_fd).scalar_part
+        errors.append(np.where(sign * ds2 > 0.0,
+                               np.abs(ds2_fd - ds2) / np.maximum(1e-30, np.abs(ds2)), math.inf))
+    return _worst(*errors), 1e-6
 
 
 def _suite_gspinor_fidelity(rng, cases, tol):
@@ -710,51 +717,46 @@ def cmd_prob(args) -> int:
 # =====================================================================
 
 
+def _axis_points(t: np.ndarray) -> stereo.PlanePoint:
+    """The chart points (t, 0, 0)."""
+    return stereo.PlanePoint((t, 0.0, 0.0))
+
+
 def _figure_stereo_sphere(samples: int):
     # Riemann-sphere cross-section: swapping e0 and e3 puts the pole at e3.
-    rows = [["t", "x_m", "a_e1", "a_e2", "a_e3"]]
-    for t in np.linspace(-2.0, 2.0, samples):
-        lifted = stereo.lift_sphere(stereo.PlanePoint.of(t, 0.0, 0.0)).a_hat
-        comps = stereo.permute_generators(lifted, (3, 1, 2, 0)).vector_components()
-        rows.append([_f(t), _f(t), *(_f(c) for c in comps[1:])])
-    return rows
+    t = np.linspace(-2.0, 2.0, samples)
+    lifted = stereo.lift_sphere(_axis_points(t)).a_hat
+    comps = stereo.permute_generators(lifted, (3, 1, 2, 0)).vector_components()[:, 1:]
+    return [["t", "x_m", "a_e1", "a_e2", "a_e3"],
+            *([_f(tk), _f(tk), *map(_f, ck)] for tk, ck in zip(t, comps))]
 
 
 def _figure_stereo_hyper(samples: int):
-    rows = [["t", "x_m", "a_g0", "a_g1", "a_g2"]]
-    for t in np.linspace(-0.9, 0.9, samples):
-        comps = stereo.lift_hyper(stereo.PlanePoint.of(t, 0.0, 0.0)).a_hat.vector_components()
-        rows.append([_f(t), _f(t), *(_f(c) for c in comps[:3])])
-    return rows
+    t = np.linspace(-0.9, 0.9, samples)
+    comps = stereo.lift_hyper(_axis_points(t)).a_hat.vector_components()[:, :3]
+    return [["t", "x_m", "a_g0", "a_g1", "a_g2"],
+            *([_f(tk), _f(tk), *map(_f, ck)] for tk, ck in zip(t, comps))]
 
 
 def _figure_poincare_geodesic(samples: int):
     # Circular arc orthogonal to the unit circle: center (sqrt2, 0), radius 1
     # (|c|^2 = 1 + r^2); its endpoints, the first and last samples, lie on
     # the unit circle and carry no lift.
-    rows = [["psi", "x1", "x2", "a_g0", "a_g1", "a_g2"]]
-    center = math.sqrt(2.0)
-    lifted_pts = []
-    for k, psi in enumerate(np.linspace(3 * math.pi / 4, 5 * math.pi / 4, samples)):
-        x1 = center + math.cos(psi)
-        x2 = math.sin(psi)
-        if k in (0, samples - 1):
-            rows.append([_f(psi), _f(x1), _f(x2), "", "", ""])
-            continue
-        lifted = stereo.lift_hyper(stereo.PlanePoint.of(x1, x2, 0.0)).a_hat
-        lifted_pts.append(lifted.vector_components()[:3])
-        rows.append([_f(psi), _f(x1), _f(x2), *(_f(c) for c in lifted_pts[-1])])
-    # endpoints on the unit circle
-    for idx in (1, len(rows) - 1):
-        x1, x2 = float(rows[idx][1]), float(rows[idx][2])
-        if abs(x1 * x1 + x2 * x2 - 1.0) > 1e-10:
-            raise VerificationFailure("arc endpoints must lie on the unit circle")
+    psi = np.linspace(3 * math.pi / 4, 5 * math.pi / 4, samples)
+    x1, x2 = math.sqrt(2.0) + np.cos(psi), np.sin(psi)
+    if np.any(np.abs(x1[[0, -1]] ** 2 + x2[[0, -1]] ** 2 - 1.0) > 1e-10):
+        raise VerificationFailure("arc endpoints must lie on the unit circle")
+    inner = slice(1, samples - 1)
+    lifted = stereo.lift_hyper(stereo.PlanePoint((x1[inner], x2[inner], 0.0)))
+    comps = lifted.a_hat.vector_components()[:, :3]
     # geodesic = hyperboloid cut by a plane through the origin
-    if len(lifted_pts) >= 3:
-        sv = np.linalg.svd(np.stack(lifted_pts), compute_uv=False)
+    if len(comps) >= 3:
+        sv = np.linalg.svd(comps, compute_uv=False)
         if sv[-1] > 1e-8 * sv[0]:
             raise VerificationFailure("lifted arc is not planar through the origin")
-    return rows
+    lifts = [["", "", ""], *([_f(c) for c in ck] for ck in comps), ["", "", ""]]
+    return [["psi", "x1", "x2", "a_g0", "a_g1", "a_g2"],
+            *([_f(p), _f(a), _f(b), *ck] for p, a, b, ck in zip(psi, x1, x2, lifts))]
 
 
 def cmd_figure(args) -> int:

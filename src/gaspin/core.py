@@ -110,7 +110,7 @@ def as_cases(values: Sequence, kind: type = float) -> tuple:
 
 def unstack(x: np.ndarray) -> tuple:
     """The entries of the last axis, one array per entry (numbers for one case)."""
-    return tuple(x.transpose(-1, *range(x.ndim - 1)))
+    return tuple(x) if x.ndim == 1 else tuple(x.transpose(-1, *range(x.ndim - 1)))
 
 
 @dataclass(frozen=True)
@@ -276,11 +276,12 @@ def _vector_masks(n: int) -> np.ndarray:
     return 1 << np.arange(n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Multivector:
     """Immutable dense multivector, or a batch of them: ``coeffs[..., b]`` is
     the coefficient on blade b, real (``float64``) or complex
-    (``complex128``); leading axes index the cases of a batch."""
+    (``complex128``); leading axes index the cases of a batch.  ``==`` is
+    exact (one bool for a whole batch), and multivectors are unhashable."""
 
     signature: Signature
     coeffs: np.ndarray
@@ -368,7 +369,7 @@ class Multivector:
         return c.item(mask) if c.ndim == 1 else c[..., mask]
 
     def vector_components(self) -> np.ndarray:
-        return self.coeffs[..., _vector_masks(self.signature.n)]
+        return self.coeffs.take(_vector_masks(self.signature.n), -1)
 
     def max_abs(self) -> float:
         r = np.maximum.reduce(np.abs(self.coeffs), axis=-1)
@@ -389,6 +390,12 @@ class Multivector:
                 coeff = f"({c:g})" if isinstance(c, complex) else f"{c:g}"
                 terms.append(f"{coeff}*{self.signature.blade_name(m)}")
         return " + ".join(terms) if terms else "0"
+
+    def __eq__(self, other: object) -> bool:
+        """The same signature and exactly the same coefficients (and shape)."""
+        if not isinstance(other, Multivector):
+            return NotImplemented
+        return self.signature == other.signature and np.array_equal(self.coeffs, other.coeffs)
 
     # -- arithmetic ------------------------------------------------------------
 

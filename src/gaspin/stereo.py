@@ -12,11 +12,21 @@ out of this module so tests can compare two independent routes.
 The pole is always generator 0 of the active signature.  Other pole
 conventions (e.g. the Riemann sphere with pole e3) are reached through
 :func:`permute_generators` rather than a second code path.
+
+Every function takes batches, as the core does: the fields of
+``PlanePoint.x`` (and of a metric's ``dx``) are Python floats for one case
+or arrays of one shape for a batch, and a lifted point or rotor is then a
+batch of multivectors with those leading axes.  A single case keeps Python
+numbers throughout.  Domain checks (the open ball, the south pole, the
+unit square, a0 > 0 on the hyperboloid) go through :func:`core.require`, so
+a batch raises what the single call raises and names the first failing
+case.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -26,9 +36,12 @@ from .core import (
     SPACETIME13,
     Multivector,
     Signature,
+    as_cases,
     close,
     geometric_product,
+    require,
     reverse,
+    unstack,
     vector_square,
 )
 from .errors import DomainViolation, NotAVector, PoleSingularity
@@ -36,16 +49,17 @@ from .errors import DomainViolation, NotAVector, PoleSingularity
 
 @dataclass(frozen=True)
 class PlanePoint:
-    """Chart point: components on the non-pole generators."""
+    """Chart point: components on the non-pole generators, Python floats
+    for one case or arrays of one shape for a batch."""
 
-    x: tuple[float, ...]
+    x: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(float(c) for c in self.x))
+        object.__setattr__(self, "x", as_cases(self.x))
 
     @staticmethod
     def of(*components: float) -> "PlanePoint":
-        return PlanePoint(tuple(components))
+        return PlanePoint(components)
 
     @property
     def norm2(self) -> float:
@@ -75,16 +89,20 @@ class HyperPoint:
     def __post_init__(self) -> None:
         _check_unit_vector(self.a_hat, SPACETIME13)
         # a unit timelike vector has pole component >= 1 or <= -1
-        if self.a_hat.coefficient(1) <= 0.0:
-            raise DomainViolation("hyperboloid points need pole component >= 1")
+        require(self.a_hat.coefficient(1) > 0.0, DomainViolation,
+                "hyperboloid points need pole component >= 1")
 
 
 def _check_unit_vector(a: Multivector, signature: Signature) -> None:
-    if a.signature != signature:
+    if a.signature is not signature and a.signature != signature:
         raise NotAVector(f"expected a vector in {signature.generator_labels}")
     sq, scale = vector_square(a)
-    if not close(abs(sq - 1.0), 1.0 + scale):
-        raise NotAVector(f"vector square {sq!r} is not 1")
+    require(close(abs(sq - 1.0), 1.0 + scale), NotAVector,
+            lambda k: f"vector square {np.asarray(sq)[k].item()!r} is not 1")
+
+
+#: Blade masks of the three chart generators (all but the pole, generator 0).
+_CHART_MASKS = np.array([2, 4, 8])
 
 
 def _pole(signature: Signature) -> Multivector:
@@ -108,16 +126,24 @@ def project_sphere(a: SpherePoint) -> PlanePoint:
     On the southern half 1 + a0 cancels, so it is taken as |a|^2 / (1 - a0),
     which keeps full relative accuracy up to the pole, where it is 0.
     """
-    a0, rest = a.a_hat.coefficient(1), a.a_hat.coeffs[[2, 4, 8]]
-    denom = 1.0 + a0 if a0 >= 0.0 else float(rest @ rest) / (1.0 - a0)
-    if denom == 0.0:
-        raise PoleSingularity("projection undefined at the south pole")
-    return PlanePoint(tuple(rest / denom))
+    c = a.a_hat.coeffs
+    rest = c.take(_CHART_MASKS, -1)
+    if c.ndim == 1:  # one case in Python numbers
+        a0 = c.item(1)
+        denom = 1.0 + a0 if a0 >= 0.0 else float(rest @ rest) / (1.0 - a0)
+    else:  # each (1, 3) @ (3, 1) product sums as one case's rest @ rest does
+        a0 = c[..., 1]
+        r2 = (rest[..., None, :] @ rest[..., :, None])[..., 0, 0]
+        denom = np.where(a0 >= 0.0, 1.0 + a0, r2 / (1.0 + np.abs(a0)))
+    require(denom != 0.0, PoleSingularity, "projection undefined at the south pole")
+    return PlanePoint(tuple(r / denom for r in unstack(rest)))
 
 
 def sphere_angle(x: PlanePoint) -> float:
     """Angle 0 <= theta < pi from the pole to the lifted point."""
     r2 = x.norm2
+    if isinstance(r2, np.ndarray):
+        return np.arctan2(2.0 * np.sqrt(r2), 1.0 - r2)
     return math.atan2(2.0 * math.sqrt(r2), 1.0 - r2)
 
 
@@ -131,6 +157,8 @@ def _pole_rotor(x: PlanePoint, signature: Signature, norm: float) -> Multivector
 
 def sphere_rotor(x: PlanePoint) -> Multivector:
     """Rotor R with R e0 R~ = lift_sphere(x); identity at the origin."""
+    if isinstance(x.x[0], np.ndarray):  # nested hypot: no overflow for huge |x|
+        return _pole_rotor(x, EUCLIDEAN4, reduce(np.hypot, x.x, 1.0))
     return _pole_rotor(x, EUCLIDEAN4, math.hypot(1.0, *x.x))
 
 
@@ -145,11 +173,13 @@ def sphere_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, floa
 
 def _lift_differential(x: PlanePoint, dx: Sequence[float], signature: Signature, s: float):
     """da = (2 d dx - 4 s (x + pole) (x . dx)) / d^2 with d = 1 + s x^2, and
-    (da)^2; s = 1 on the sphere, -1 on the hyperboloid."""
+    (da)^2; s = 1 on the sphere, -1 on the hyperboloid.  The components of
+    dx are numbers or per-case arrays, as those of x."""
     d = 1.0 + s * x.norm2
-    xdx = sum(a * b for a, b in zip(x.x, dx))
-    dxv = PlanePoint(tuple(dx)).as_vector(signature)
+    dxp = PlanePoint(tuple(dx))
+    xdx = sum(a * b for a, b in zip(x.x, dxp.x))
     m = x.as_vector(signature) + _pole(signature)
+    dxv = dxp.as_vector(signature)
     da = (2.0 * d * dxv - (4.0 * s * xdx) * m) / (d * d)  # d ** 2 raises on overflow
     return da, geometric_product(da, da).scalar_part
 
@@ -158,8 +188,8 @@ def _lift_differential(x: PlanePoint, dx: Sequence[float], signature: Signature,
 
 
 def _check_open_ball(x: PlanePoint) -> None:
-    if x.norm2 >= 1.0:
-        raise DomainViolation("hyperbolic chart requires |x| < 1 strictly")
+    require(np.logical_not(x.norm2 >= 1.0), DomainViolation,
+            "hyperbolic chart requires |x| < 1 strictly")
 
 
 def lift_hyper(x: PlanePoint) -> HyperPoint:
@@ -173,20 +203,24 @@ def lift_hyper(x: PlanePoint) -> HyperPoint:
 
 def project_hyper(a: HyperPoint) -> PlanePoint:
     """Chart point a / (1 + a0) of a hyperboloid point; total on L^3."""
-    return PlanePoint(tuple(a.a_hat.coeffs[[2, 4, 8]] / (1.0 + a.a_hat.coefficient(1))))
+    d = 1.0 + a.a_hat.coefficient(1)
+    return PlanePoint(tuple(r / d for r in unstack(a.a_hat.coeffs.take(_CHART_MASKS, -1))))
 
 
 def hyper_angle(x: PlanePoint) -> float:
     """Hyperbolic angle phi = 2 atanh|x| >= 0 between g0 and the lifted point
     (the form atanh(2|x|/(1+x^2)) rounds its argument to 1 near the edge)."""
     _check_open_ball(x)
-    return 2.0 * math.atanh(math.sqrt(x.norm2))
+    r2 = x.norm2
+    if isinstance(r2, np.ndarray):
+        return 2.0 * np.arctanh(np.sqrt(r2))
+    return 2.0 * math.atanh(math.sqrt(r2))
 
 
 def hyper_boost(x: PlanePoint) -> Multivector:
     """Boost R with R g0 R~ = lift_hyper(x); identity at the origin."""
     _check_open_ball(x)
-    return _pole_rotor(x, SPACETIME13, math.sqrt(1.0 - x.norm2))
+    return _pole_rotor(x, SPACETIME13, np.sqrt(1.0 - x.norm2))
 
 
 def hyper_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, float]:
@@ -207,32 +241,36 @@ def rotor_apply(rotor: Multivector, a: Multivector) -> Multivector:
 # ----------------------------------------------------- generator permutation
 
 
+@lru_cache(maxsize=None)
+def _relabeling(sig: Signature, perm: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(source, signs) such that relabeling generator k as perm[k] sends
+    coefficients c to signs * c[..., source].
+
+    Blade m goes to the blade of the relabeled generators, with the parity
+    of the permutation restricted to m: the pairs k < l in m with
+    perm[k] > perm[l].
+    """
+    if sorted(perm) != list(range(sig.n)):
+        raise ValueError("perm must be a permutation of the generator indices")
+    if any(sig.metric(perm[k]) != sig.metric(k) for k in range(sig.n)):
+        raise ValueError("permutation must preserve generator squares")
+    p = np.array(perm)
+    bits = np.arange(sig.dim)[:, None] >> np.arange(sig.n) & 1  # (blade, generator)
+    inverted = np.triu(p[:, None] > p[None, :], 1)  # k < l with perm[k] > perm[l]
+    flips = np.einsum("mk,kl,ml->m", bits, inverted, bits)
+    source = np.argsort(bits @ (1 << p))
+    signs = (1.0 - 2.0 * (flips & 1))[source]
+    source.setflags(write=False)
+    signs.setflags(write=False)
+    return source, signs
+
+
 def permute_generators(a: Multivector, perm: Sequence[int]) -> Multivector:
     """Relabel generator k as perm[k], with the blade reordering sign.
 
     Only metric-preserving permutations are allowed (perm[k] must square
-    like k), so the result lives in the same algebra.
+    like k), so the result lives in the same algebra.  One cached signed
+    permutation of the blades per (signature, perm), applied to every case.
     """
-    sig = a.signature
-    if sorted(perm) != list(range(sig.n)):
-        raise ValueError("perm must be a permutation of the generator indices")
-    for k in range(sig.n):
-        if sig.metric(perm[k]) != sig.metric(k):
-            raise ValueError("permutation must preserve generator squares")
-    out = np.zeros(sig.dim)
-    for mask in range(sig.dim):
-        if a.coeffs[mask] == 0.0:
-            continue
-        gens = sorted(perm[k] for k in range(sig.n) if mask >> k & 1)
-        # Sign = parity of the permutation restricted to this blade.
-        raw = [perm[k] for k in range(sig.n) if mask >> k & 1]
-        sign = 1
-        for i in range(len(raw)):
-            for j in range(i + 1, len(raw)):
-                if raw[i] > raw[j]:
-                    sign = -sign
-        new_mask = 0
-        for g in gens:
-            new_mask |= 1 << g
-        out[new_mask] += sign * a.coeffs[mask]
-    return Multivector(sig, out)
+    source, signs = _relabeling(a.signature, tuple(perm))
+    return Multivector(a.signature, signs * a.coeffs.take(source, -1))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_SIGNATURES
-from gaspin import dirac, quatspinor, spinors
+from gaspin import dirac, quatspinor, spinors, stereo
 from gaspin.core import (
     EUCLIDEAN4,
     PAULI3,
@@ -21,11 +21,13 @@ from gaspin.core import (
     geometric_product,
     grade_select,
     reverse,
+    unstack,
     vector_inverse,
     vector_square,
 )
 from gaspin.errors import (
     DegenerateState,
+    DomainViolation,
     NonFiniteValue,
     NonScalarSquare,
     NonTimelike,
@@ -34,6 +36,7 @@ from gaspin.errors import (
     NotInSubalgebra,
     NotOrthogonal,
     NullVector,
+    PoleSingularity,
     ZeroQ0,
 )
 from gaspin.isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
@@ -204,6 +207,73 @@ def test_spinor_carriers_batch_equal_single_calls(rng, shape, kind):
     assert_matches(column(c), per_case(column, shape, c), kind, scale_of(c))
 
 
+def _chart(c):
+    """Chart points from rows of three components (one row: one case)."""
+    return stereo.PlanePoint(unstack(np.asarray(c, dtype=float)))
+
+
+def _ball(rng, shape, rmax):
+    v = rng.uniform(-1.0, 1.0, (*shape, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True) * rng.uniform(0.0, rmax, (*shape, 1))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_stereo_batch_equals_single_calls(rng, shape):
+    # the sphere chart box reaches the southern half (|x| > 1); the ball
+    # reaches 1 - |x| = 1e-3
+    x, xh = rng.uniform(-3.0, 3.0, (*shape, 3)), _ball(rng, shape, 0.999)
+    dx = rng.uniform(-1.0, 1.0, (*shape, 3))
+    charts = (
+        (x, EUCLIDEAN4, stereo.lift_sphere, stereo.SpherePoint, stereo.project_sphere,
+         stereo.sphere_rotor, stereo.sphere_angle, stereo.sphere_metric),
+        (xh, SPACETIME13, stereo.lift_hyper, stereo.HyperPoint, stereo.project_hyper,
+         stereo.hyper_boost, stereo.hyper_angle, stereo.hyper_metric),
+    )
+    for u, sig, lift, point, project, rotor, angle, metric in charts:
+        def lifted(v):
+            return lift(_chart(v)).a_hat.coeffs
+
+        def back(c):
+            return np.stack(project(point(Multivector(sig, c))).x, axis=-1)
+
+        def rotor_of(v):
+            return rotor(_chart(v)).coeffs
+
+        def metric_of(v, w):
+            da, ds2 = metric(_chart(v), unstack(w))
+            return np.concatenate([da.coeffs, np.asarray(ds2)[..., None]], axis=-1)
+
+        def sandwich(rc, ac):
+            return stereo.rotor_apply(Multivector(sig, rc), Multivector(sig, ac)).coeffs
+
+        a = lifted(u)
+        assert np.array_equal(a, per_case(lifted, shape, u))
+        assert_matches(back(a), per_case(back, shape, a), "float", scale_of(u))
+        r = rotor_of(u)
+        assert_matches(r, per_case(rotor_of, shape, u), "float", scale_of(r))
+        want = per_case(lambda v: angle(_chart(v)), shape, u)
+        assert_matches(angle(_chart(u)), want, "float", 1.0 + np.abs(want))
+        got, want = metric_of(u, dx), per_case(metric_of, shape, u, dx)
+        assert np.array_equal(got[..., :-1], want[..., :-1])  # da is elementwise
+        assert_matches(got[..., -1:], want[..., -1:], "float", scale_of(got[..., :-1]) ** 2)
+        # the pole against the batch, and two batches
+        for b in (Multivector.basis(sig, 0).coeffs, a):
+            assert_matches(sandwich(r, b), per_case(sandwich, shape, r, b), "float",
+                           scale_of(r, b, r))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: "".join(s.generator_labels))
+def test_permute_generators_batch_equals_single_calls(rng, shape, sig):
+    perm = tuple(range(sig.plus_count))[::-1] + tuple(range(sig.plus_count, sig.n))[::-1]
+    a = operands(rng, shape, sig.dim, "float")
+
+    def permute(c):
+        return stereo.permute_generators(Multivector(sig, c), perm).coeffs
+
+    assert np.array_equal(permute(a), per_case(permute, shape, a))
+
+
 # ----------------------------------------------------- one bad case in a batch
 
 def _vector(sig, comps):
@@ -229,6 +299,10 @@ def _qspinor(c):
 
 _TIMELIKE = [[1, 0, 0, 0, 0.1, 0, 0, 0], [0.5, 0.2, 0, 0, 0, 0.1, 0, 0],
              [1, 0, 0.3, 0, 0, 0, 0.2, 0], [0.8, 0, 0, 0.1, 0, 0, 0, 0.3]]
+_BALL = [[0.1, 0.2, 0.3], [0.5, 0, 0], [0, 0, 0.99], [-0.3, 0.3, 0.3]]
+# unit vectors on S^3, two of them on the southern half (a0 < 0)
+_SPHERE = [stereo.lift_sphere(_chart(u)).a_hat.coeffs
+           for u in ([0, 0, 0], [1, 0, 0], [3, 1, 0], [0.2, -5, 1])]
 # name: (error, call on one case or a batch, four cases in the domain, one outside)
 _BAD_CASES = {
     "non-finite coefficients": (
@@ -282,6 +356,24 @@ _BAD_CASES = {
     "non-finite Dirac column": (
         NonFiniteValue, dirac.DiracSpinor.from_reals,
         np.full((4, 8), 0.5), np.where(np.arange(8) == 3, np.inf, 0.5)),
+    "chart point outside the ball (lift)": (
+        DomainViolation, lambda c: stereo.lift_hyper(_chart(c)), _BALL, [1.0, 0.0, 0.0]),
+    "chart point outside the ball (boost)": (
+        DomainViolation, lambda c: stereo.hyper_boost(_chart(c)), _BALL, [0.6, 0.6, 0.6]),
+    "chart point outside the ball (metric)": (
+        DomainViolation, lambda c: stereo.hyper_metric(_chart(c), (0.1, 0.2, 0.3)), _BALL,
+        [0.0, -2.0, 0.0]),
+    "projection from the south pole": (
+        PoleSingularity,
+        lambda c: stereo.project_sphere(stereo.SpherePoint(Multivector(EUCLIDEAN4, c))),
+        _SPHERE, _vector(EUCLIDEAN4, [-1, 0, 0, 0])),
+    "non-unit sphere vector": (
+        NotAVector, lambda c: stereo.SpherePoint(Multivector(EUCLIDEAN4, c)),
+        _SPHERE, _vector(EUCLIDEAN4, [0, 2, 0, 0])),
+    "lower hyperboloid sheet": (
+        DomainViolation, lambda c: stereo.HyperPoint(Multivector(SPACETIME13, c)),
+        [stereo.lift_hyper(_chart(u)).a_hat.coeffs for u in _BALL],
+        _vector(SPACETIME13, [-1, 0, 0, 0])),
 }
 
 

@@ -393,6 +393,24 @@ def test_immutability():
         a.coeffs[0] = 2.0
 
 
+def test_equality_is_exact_and_multivectors_are_unhashable():
+    from gaspin.stereo import PlanePoint, lift_hyper, lift_sphere
+
+    one = Multivector.scalar(EUCLIDEAN4, 1.0)
+    assert (one == Multivector.scalar(EUCLIDEAN4, 1.0)) is True  # distinct objects
+    assert one != Multivector.scalar(EUCLIDEAN4, np.nextafter(1.0, 2.0))
+    assert one != Multivector.scalar(SPACETIME13, 1.0)  # same dim, other signature
+    assert one != Multivector.scalar(PAULI3, 1.0)
+    batch = Multivector(EUCLIDEAN4, np.ones((3, 16)))
+    assert (batch == Multivector(EUCLIDEAN4, np.ones((3, 16)))) is True
+    assert batch != Multivector(EUCLIDEAN4, np.ones(16))  # other shape
+    x = PlanePoint.of(0.5, -0.25, 0.5)
+    assert lift_sphere(x) == lift_sphere(x)
+    assert lift_hyper(x) == lift_hyper(x)
+    with pytest.raises(TypeError):
+        hash(one)
+
+
 def test_finiteness_check_is_exact():
     # Finite coefficients whose sum overflows are accepted, although a check
     # on the sum alone would reject them.
