@@ -38,7 +38,7 @@ case of a batch and names its index.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -111,6 +111,24 @@ def as_cases(values: Sequence, kind: type = float) -> tuple:
 def unstack(x: np.ndarray) -> tuple:
     """The entries of the last axis, one array per entry (numbers for one case)."""
     return tuple(x) if x.ndim == 1 else tuple(x.transpose(-1, *range(x.ndim - 1)))
+
+
+def fields_equal(a, b) -> bool:
+    """Exact ``==`` for the frozen dataclasses whose fields may hold per-case
+    arrays: the same type and ``np.array_equal`` on every field (same shape,
+    same entries), one bool for a whole batch."""
+    if type(b) is not type(a):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+def stack_cases(values: Sequence) -> np.ndarray:
+    """Inverse of :func:`unstack`: ``values`` on a new last axis, numbers
+    broadcast against the per-case arrays among them."""
+    for v in values:
+        if isinstance(v, np.ndarray) and v.ndim:
+            return np.stack(as_cases(values), axis=-1)
+    return np.array(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -391,11 +409,7 @@ class Multivector:
                 terms.append(f"{coeff}*{self.signature.blade_name(m)}")
         return " + ".join(terms) if terms else "0"
 
-    def __eq__(self, other: object) -> bool:
-        """The same signature and exactly the same coefficients (and shape)."""
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.signature == other.signature and np.array_equal(self.coeffs, other.coeffs)
+    __eq__ = fields_equal
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -588,13 +602,20 @@ def blade_names(signature: Signature) -> list[str]:
     return [signature.blade_name(m) for m in range(signature.dim)]
 
 
+def column_matrix(columns: Sequence[Multivector]) -> np.ndarray:
+    """Read-only matrix with the coefficients of ``columns`` as its columns:
+    ``mat @ coords`` is the combination of the columns with those weights."""
+    mat = np.stack([c.coeffs for c in columns], axis=1)
+    mat.setflags(write=False)
+    return mat
+
+
 def frame(columns: Sequence[Multivector]) -> tuple[np.ndarray, np.ndarray]:
     """Column matrix of a fixed frame and its pseudo-inverse: ``pinv @ m.coeffs``
     are the coordinates of m in the span (a least-squares fit off it, so
     callers check the reconstruction ``mat @ coords``)."""
-    mat = np.stack([c.coeffs for c in columns], axis=1)
+    mat = column_matrix(columns)
     pinv = np.linalg.pinv(mat)
-    mat.setflags(write=False)
     pinv.setflags(write=False)
     return mat, pinv
 

@@ -38,10 +38,12 @@ from .core import (
     Multivector,
     as_cases,
     close,
-    frame,
+    column_matrix,
+    fields_equal,
     pseudoscalar,
     require,
     residual,
+    stack_cases,
     unstack,
 )
 from .errors import NonFiniteValue, NotInIdeal
@@ -87,10 +89,10 @@ def carrier_blades() -> tuple[Multivector, ...]:
 
 
 @lru_cache(maxsize=None)
-def _column_matrix():
-    """Carrier blades as columns: ``mat @ phi`` is sum_k phi_k blade_k."""
-    mat, _ = frame(carrier_blades())
-    return mat
+def _column_frame() -> np.ndarray:
+    """Complex columns blade_k u(+,+) of the carrier blades, from the products:
+    ``mat @ phi`` is (sum_k phi_k blade_k) u(+,+)."""
+    return column_matrix([b * dirac_idempotent(+1, +1) for b in carrier_blades()])
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,7 @@ class DiracSpinor:
     shape, a batch of columns)."""
 
     components: tuple[complex, complex, complex, complex]
+    __eq__ = fields_equal
 
     def __post_init__(self) -> None:
         comps = as_cases(self.components, complex)
@@ -130,8 +133,7 @@ class DiracSpinor:
 def dirac_to_geometric(phi: DiracSpinor) -> Multivector:
     """(phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+)."""
     column = np.array(phi.components)  # components first; move them last
-    blades = Multivector(_SIG, column.transpose(*range(1, column.ndim), 0) @ _column_matrix().T)
-    return blades * dirac_idempotent(+1, +1)
+    return Multivector(_SIG, column.transpose(*range(1, column.ndim), 0).dot(_column_frame().T))
 
 
 def j_action(m: Multivector) -> Multivector:
@@ -175,11 +177,16 @@ def geometric_to_qspinor(m: Multivector) -> QuatSpinor:
 
 def qspinor_to_geometric(psi: QuatSpinor) -> Multivector:
     """(q0 + q1 i) u(+,+) as a complexified carrier element."""
-    i13 = pseudoscalar(_SIG)
-    x = euclidean_to_spacetime(psi.q0.to_multivector()) + i13 * euclidean_to_spacetime(
-        psi.q1.to_multivector()
-    )
-    return x * dirac_idempotent(+1, +1)
+    q0, q1 = psi.q0, psi.q1
+    return Multivector(_SIG, stack_cases((q0.s, *q0.v, q1.s, *q1.v)).dot(_quaternion_frame().T))
+
+
+@lru_cache(maxsize=None)
+def _quaternion_frame() -> np.ndarray:
+    """Complex frame of (q0 + q1 i) u(+,+) = (q0 + q1 i) v+ u(+,+) over the
+    coordinates (q0.s, q0.v, q1.s, q1.v), from the products."""
+    mat, _ = carrier_frame(AlgebraTag.SPACETIME13)
+    return column_matrix([Multivector(_SIG, c) * dirac_idempotent(+1, +1) for c in mat.T])
 
 
 def qspinor_to_dirac(psi: QuatSpinor) -> DiracSpinor:

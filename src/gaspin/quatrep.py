@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (EUCLIDEAN4, Multivector, as_cases, batch_shape, close, require, residual,
-                   reverse, unstack)
+from .core import (EUCLIDEAN4, Multivector, as_cases, batch_shape, close, fields_equal, require,
+                   residual, reverse, stack_cases, unstack)
 from .errors import NotInSubalgebra, SignatureMismatch
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -39,6 +39,7 @@ class Quaternion:
 
     s: float
     v: tuple[float, float, float]
+    __eq__ = fields_equal
 
     def __post_init__(self) -> None:
         s, *v = as_cases((self.s, *self.v))
@@ -69,7 +70,7 @@ class Quaternion:
 
     def coords(self) -> np.ndarray:
         """(s, v1, v2, v3) on the last axis."""
-        return np.stack((self.s, *self.v), axis=-1)
+        return stack_cases((self.s, *self.v))
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.s, tuple(-x for x in self.v))
@@ -157,6 +158,7 @@ class QuatMatrix2:
     array; leading axes index the cases of a batch."""
 
     coeffs: np.ndarray
+    __eq__ = fields_equal
 
     def __post_init__(self) -> None:
         arr = np.array(self.coeffs, dtype=float)

@@ -14,6 +14,10 @@ must be positive (timelike states only).  When the scalar part of q0* q1
 vanishes the spinor is orthogonal and M collapses to pole + x_m with x_m a
 plain spacelike vector: the Bloch-point chart of the state.
 
+The carrier (over q0.s, q0.v, q1.s, q1.v), the embedding of a quaternion in
+Cl(1,3) and M are linear in quaternion coordinates, so each is one product
+with a cached frame, derived once from the geometric products it replaces.
+
 Quaternions and spinors may hold arrays of one shape: a batch of states, on
 which every function acts case by case.
 """
@@ -30,6 +34,8 @@ from .core import (
     SPACETIME13,
     Multivector,
     close,
+    column_matrix,
+    fields_equal,
     frame,
     geometric_product,
     grade_select,
@@ -37,6 +43,7 @@ from .core import (
     require,
     residual,
     reverse,
+    stack_cases,
     unstack,
 )
 from .errors import (NonTimelike, NotInIdeal, NotInSubalgebra, NotOrthogonal, TagMismatch,
@@ -73,7 +80,14 @@ class QuatSpinor:
 
 def embed_spacetime(q: Quaternion) -> Multivector:
     """Quaternion as a Cl(1,3) element (through the algebra isomorphism)."""
-    return euclidean_to_spacetime(q.to_multivector())
+    return Multivector(SPACETIME13, q.coords().dot(_spacetime_units().T))
+
+
+@lru_cache(maxsize=None)
+def _spacetime_units() -> np.ndarray:
+    """Columns: the images of 1, i e1, i e2, i e3 under the algebra isomorphism."""
+    units = map(Quaternion.from_coords, np.eye(4))
+    return column_matrix([euclidean_to_spacetime(q.to_multivector()) for q in units])
 
 
 @lru_cache(maxsize=None)
@@ -115,12 +129,9 @@ def spinor_reverse(m: Multivector, tag: AlgebraTag) -> Multivector:
 
 def image(psi: QuatSpinor) -> Multivector:
     """Carrier multivector (q0 + q1 i) v+ in the tag's algebra."""
-    i = spinor_unit(psi.tag)
-    if psi.tag is AlgebraTag.SPACETIME13:
-        q0m, q1m = embed_spacetime(psi.q0), embed_spacetime(psi.q1)
-    else:
-        q0m, q1m = psi.q0.to_multivector(), psi.q1.to_multivector()
-    return (q0m + q1m * i) * idempotent_plus(psi.tag)
+    q0, q1 = psi.q0, psi.q1
+    mat, _ = carrier_frame(psi.tag)
+    return Multivector(psi.tag.signature, stack_cases((q0.s, *q0.v, q1.s, *q1.v)).dot(mat.T))
 
 
 @lru_cache(maxsize=None)
@@ -190,6 +201,7 @@ class CanonicalQ:
     x_dir: tuple[float, float, float]
     M: Multivector
     M_hat: Multivector
+    __eq__ = fields_equal
 
 
 def norm2_q(psi: QuatSpinor) -> float:
@@ -214,14 +226,22 @@ def phase_axis(q0: Quaternion) -> tuple[float, tuple[float, float, float]]:
 
 
 def _spacetime_m(q0: Quaternion, q1: Quaternion) -> Multivector:
-    """M in Cl(1,3), built from the canonical-form pieces of q0* q1."""
+    """M = g0 + (c i + w~ i g0) / |q0|^2 in Cl(1,3), with w = q0* q1, c its
+    scalar part and w~ the embedding of its vector part."""
     n0 = q0.norm2()
     w = quat_mul(q0.conjugate(), q1)
-    c = w.s
-    i13 = pseudoscalar(SPACETIME13)
-    g0 = Multivector.basis(SPACETIME13, 0)
-    bivec = embed_spacetime(Quaternion.from_vector(w.v))
-    return g0 + (c / n0) * i13 + (1.0 / n0) * (bivec * i13 * g0)
+    inv = 1.0 / n0  # c / n0 and (1 / n0) w_k round as the products did
+    coords = stack_cases((1.0, w.s / n0, *(inv * x for x in w.v)))
+    return Multivector(SPACETIME13, coords.dot(_m_frame().T))
+
+
+@lru_cache(maxsize=None)
+def _m_frame() -> np.ndarray:
+    """Frame of M over (1, c / |q0|^2, w_k / |q0|^2): the columns g0, i and
+    the embedded i e_k times i g0, from the products."""
+    i13, g0 = pseudoscalar(SPACETIME13), _pole(AlgebraTag.SPACETIME13)
+    units = map(Quaternion.from_vector, np.eye(3))
+    return column_matrix([g0, i13, *(embed_spacetime(q) * i13 * g0 for q in units)])
 
 
 def spacetime_m_display(q0: Quaternion, q1: Quaternion) -> Multivector:
@@ -241,7 +261,7 @@ def spacetime_m_display(q0: Quaternion, q1: Quaternion) -> Multivector:
     wedge = grade_select(xv * yv, {2})
     xdoty = 0.5 * (xv * yv + yv * xv).scalar_part
     g123 = Multivector.blade(SPACETIME13, 0b1110)
-    g0 = Multivector.basis(SPACETIME13, 0)
+    g0 = _pole(AlgebraTag.SPACETIME13)
     i13 = pseudoscalar(SPACETIME13)
     vec_term = q1.s * xv - q0.s * yv + g123 * wedge
     return g0 + vec_term / den + ((q0.s * q1.s - xdoty) / den) * i13
@@ -329,7 +349,7 @@ def projector_closed_orthogonal(psi: QuatSpinor) -> Multivector:
     total = psi.q0.norm2() + psi.q1.norm2()
     out13 = (
         Multivector.scalar(SPACETIME13, rho2)
-        + total * Multivector.basis(SPACETIME13, 0)
+        + total * _pole(AlgebraTag.SPACETIME13)
         - 2.0 * Multivector.vector(SPACETIME13, (0.0, *z))
     )
     if psi.tag is AlgebraTag.SPACETIME13:
@@ -390,7 +410,7 @@ def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor) -> float:
         raise TagMismatch(f"{psi.tag} vs {chi.tag}")
     _admissible(psi)
     _admissible(chi)
-    g0 = Multivector.basis(SPACETIME13, 0)
+    g0 = _pole(AlgebraTag.SPACETIME13)
 
     def a_primed(s: QuatSpinor) -> Multivector:
         m13 = _spacetime_m(s.q0, s.q1)

@@ -15,6 +15,10 @@ Fidelities normalize internally, so callers pass raw states.  The Pauli
 fidelity is a probability in [0,1]; the Minkowski analogue is >= 1 and is
 reported as the Bloch-hyperboloid quantity.
 
+The carrier is linear in (a0.s, a1.s, a0.p, a1.p): one product with the
+cached frame of the ideal, derived once from the geometric products it
+replaces, whose pseudo-inverse :func:`from_multivector` applies.
+
 Center scalars, spinors and chart points may hold arrays of one shape: a
 batch of states, on which every function acts case by case.
 """
@@ -30,6 +34,7 @@ from .core import (
     Multivector,
     as_cases,
     close,
+    fields_equal,
     frame,
     geometric_product,
     grade_select,
@@ -37,6 +42,7 @@ from .core import (
     require,
     residual,
     reverse,
+    stack_cases,
 )
 from .errors import DegenerateState, NonTimelike, NotInIdeal, TagMismatch
 from .isomap import AlgebraTag
@@ -55,6 +61,7 @@ class CenterScalar:
 
     s: float
     p: float
+    __eq__ = fields_equal
 
     def __post_init__(self) -> None:
         s, p = as_cases((self.s, self.p))
@@ -85,8 +92,9 @@ class CenterScalar:
         return self.scale(-1.0)
 
     def embed(self, tag: AlgebraTag) -> Multivector:
-        sig = tag.signature
-        return Multivector.scalar(sig, self.s) + self.p * pseudoscalar(sig)
+        """s + p*i in the tag's algebra: s on the blade 1, p on the last one."""
+        zeros = (0.0,) * (tag.signature.dim - 2)
+        return Multivector(tag.signature, stack_cases((self.s, *zeros, self.p)))
 
 
 @dataclass(frozen=True)
@@ -133,20 +141,11 @@ def pole_vector(tag: AlgebraTag) -> Multivector:
     return Multivector.basis(tag.signature, _POLE[tag])
 
 
-def chart_vector(tag: AlgebraTag, chart: tuple[float, float]) -> Multivector:
-    """Chart point (a,b) as the grade-1 element x_m of the algebra."""
-    sig = tag.signature
-    comps = [0.0] * 3
-    if tag is AlgebraTag.PAULI3:
-        comps[0], comps[1] = chart
-    else:
-        comps[1], comps[2] = chart
-    return Multivector.vector(sig, comps)
-
-
 def m_vector(tag: AlgebraTag, chart: tuple[float, float]) -> Multivector:
-    """m = x_m + pole, the unnormalized chart lift."""
-    return chart_vector(tag, chart) + pole_vector(tag)
+    """m = x_m + pole, the unnormalized chart lift (x_m on e1, e2 or g1, g2)."""
+    a, b = chart
+    return Multivector.vector(tag.signature,
+                              (a, b, 1.0) if tag is AlgebraTag.PAULI3 else (1.0, a, b))
 
 
 def chart_lift(tag: AlgebraTag, chart: tuple[float, float]) -> Multivector:
@@ -168,10 +167,9 @@ def _unit_m(tag: AlgebraTag, chart: tuple[float, float]) -> tuple[Multivector, f
 
 def to_multivector(psi: IdealSpinor) -> Multivector:
     """Carrier element (a0 + a1 * carrier) * idempotent."""
-    sig = psi.tag.signature
-    carrier = Multivector.basis(sig, _CARRIER[psi.tag])
-    head = psi.a0.embed(psi.tag) + geometric_product(psi.a1.embed(psi.tag), carrier)
-    return geometric_product(head, idempotent(psi.tag))
+    a0, a1 = psi.a0, psi.a1
+    mat, _ = _ideal_frame(psi.tag)
+    return Multivector(psi.tag.signature, stack_cases((a0.s, a1.s, a0.p, a1.p)).dot(mat.T))
 
 
 @lru_cache(maxsize=None)
@@ -213,6 +211,7 @@ class CanonicalIdeal:
     theta: float
     m_hat: Multivector
     chart: tuple[float, float]
+    __eq__ = fields_equal
 
 
 def norm2(psi: IdealSpinor) -> float:

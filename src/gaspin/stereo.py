@@ -38,6 +38,7 @@ from .core import (
     Signature,
     as_cases,
     close,
+    fields_equal,
     geometric_product,
     require,
     reverse,
@@ -53,6 +54,7 @@ class PlanePoint:
     for one case or arrays of one shape for a batch."""
 
     x: tuple
+    __eq__ = fields_equal
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", as_cases(self.x))
@@ -113,10 +115,18 @@ def _pole(signature: Signature) -> Multivector:
 
 
 def lift_sphere(x: PlanePoint) -> SpherePoint:
-    """x in R^3 -> ((1 - x^2) e0 + 2x) / (1 + x^2) on S^3."""
-    r2 = x.norm2
-    d = 1.0 + r2
-    comps = ((1.0 - r2) / d, *(2.0 * c / d for c in x.x))
+    """x in R^3 -> ((1 - x^2) e0 + 2x) / (1 + x^2) on S^3, as ((s^2 - y^2) e0 +
+    2 s y) / (s^2 + y^2) on y = s x, with s <= 1 the power of two that brings the
+    largest |x_k| below 1: every rounding is the unscaled form's, but y^2 cannot
+    overflow (|x| = 1e200 lifts to -e0 + 2e-200 e1)."""
+    if isinstance(x.x[0], np.ndarray):
+        s = np.ldexp(1.0, -np.maximum(np.frexp(reduce(np.maximum, map(np.abs, x.x)))[1], 0))
+    else:
+        s = math.ldexp(1.0, -max(math.frexp(max(map(abs, x.x)))[1], 0))
+    y = tuple(s * c for c in x.x)
+    s2, r2 = s * s, sum(c * c for c in y)
+    d = s2 + r2
+    comps = ((s2 - r2) / d, *(2.0 * c * s / d for c in y))
     return SpherePoint(Multivector.vector(EUCLIDEAN4, comps))
 
 
@@ -140,11 +150,11 @@ def project_sphere(a: SpherePoint) -> PlanePoint:
 
 
 def sphere_angle(x: PlanePoint) -> float:
-    """Angle 0 <= theta < pi from the pole to the lifted point."""
-    r2 = x.norm2
-    if isinstance(r2, np.ndarray):
-        return np.arctan2(2.0 * np.sqrt(r2), 1.0 - r2)
-    return math.atan2(2.0 * math.sqrt(r2), 1.0 - r2)
+    """Angle theta = 2 atan|x| in [0, pi] from the pole to the lifted point
+    (atan2(2|x|, 1 - x^2) gives 3 pi/4 once x^2 overflows)."""
+    if isinstance(x.x[0], np.ndarray):
+        return 2.0 * np.arctan(reduce(np.hypot, x.x))
+    return 2.0 * math.atan(math.hypot(*x.x))
 
 
 def _pole_rotor(x: PlanePoint, signature: Signature, norm: float) -> Multivector:

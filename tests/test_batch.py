@@ -183,28 +183,32 @@ def test_quaternions_batch_equal_single_calls(rng, shape, kind):
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("kind", ("integer", "float"))
 def test_spinor_carriers_batch_equal_single_calls(rng, shape, kind):
-    for tag in (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12):
-        c = operands(rng, shape, 4, kind)
+    # the fixed maps on batches; from_chart (a0 = 1), from_bloch_point (q0 = 1)
+    # and the rows with a literal leave a field one number for every case
+    def check(fn, width):
+        c = operands(rng, shape, width, kind)
+        assert_matches(fn(c), per_case(fn, shape, c), kind, scale_of(c))
 
-        def carrier(u):
-            a0 = spinors.CenterScalar(u[..., 0], u[..., 1])
-            a1 = spinors.CenterScalar(u[..., 2], u[..., 3])
+    for tag in (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12):
+        def carrier(a0, a1):
             return spinors.to_multivector(spinors.IdealSpinor(tag, a0, a1)).coeffs
 
-        assert_matches(carrier(c), per_case(carrier, shape, c), kind, scale_of(c))
+        check(lambda u: carrier(spinors.CenterScalar(u[..., 0], u[..., 1]),
+                                spinors.CenterScalar(u[..., 2], u[..., 3])), 4)
+        check(lambda u: carrier(spinors.CenterScalar(0.5, u[..., 0]),
+                                spinors.CenterScalar(u[..., 1], u[..., 2])), 3)
+        check(lambda u: spinors.to_multivector(
+            spinors.IdealSpinor.from_chart(tag, unstack(u))).coeffs, 2)
+        check(lambda u: spinors.CenterScalar(*unstack(u)).embed(tag).coeffs, 2)
+        check(lambda u: spinors.CenterScalar(u[..., 0], -0.5).embed(tag).coeffs, 1)
     for tag in (AlgebraTag.SPACETIME13, AlgebraTag.EUCLIDEAN4):
-        c = operands(rng, shape, 8, kind)
-
-        def image(u):
-            return quatspinor.image(quatspinor.from_carrier_coords(u, tag)).coeffs
-
-        assert_matches(image(c), per_case(image, shape, c), kind, scale_of(c))
-    c = operands(rng, shape, 8, kind)
-
-    def column(u):
-        return dirac.dirac_to_geometric(dirac.DiracSpinor.from_reals(u)).coeffs
-
-    assert_matches(column(c), per_case(column, shape, c), kind, scale_of(c))
+        check(lambda u: quatspinor.image(quatspinor.from_carrier_coords(u, tag)).coeffs, 8)
+        check(lambda u: quatspinor.image(quatspinor.QuatSpinor.from_bloch_point(u, tag)).coeffs, 3)
+    check(lambda u: quatspinor.embed_spacetime(Quaternion.from_coords(u)).coeffs, 4)
+    check(lambda u: quatspinor.embed_spacetime(Quaternion(0.5, (u[..., 0], 0.0, u[..., 1]))).coeffs,
+          2)
+    check(lambda u: dirac.dirac_to_geometric(dirac.DiracSpinor.from_reals(u)).coeffs, 8)
+    check(lambda u: dirac.qspinor_to_geometric(quatspinor.QuatSpinor.from_bloch_point(u)).coeffs, 3)
 
 
 def _chart(c):
@@ -392,3 +396,41 @@ def test_one_bad_case_in_a_batch_raises_like_the_single_call(name):
     # with more leading axes the message names the case by its index tuple
     with pytest.raises(error, match=r"\(case \(1, 1\)\)$"):
         call(rows[:4].reshape(2, 2, *rows.shape[1:]))
+
+
+# ------------------------------------------------------------- exact equality
+
+def _canonical_q(c):
+    return quatspinor.CanonicalQ(c[..., 0], c[..., 1], unstack(c[..., 2:5]),
+                                 Multivector(SPACETIME13, c[..., 5:21]),
+                                 Multivector(SPACETIME13, c[..., 21:37]))
+
+
+# name: (coordinates per case, the value built from them on the last axis)
+_EQUAL_CASES = {
+    "Multivector": (16, lambda c: Multivector(EUCLIDEAN4, c)),
+    "PlanePoint": (3, _chart),
+    "Quaternion": (4, Quaternion.from_coords),
+    "QuatMatrix2": (16, lambda c: QuatMatrix2(c.reshape(*c.shape[:-1], 2, 2, 4))),
+    "CenterScalar": (2, lambda c: spinors.CenterScalar(*unstack(c))),
+    "IdealSpinor": (4, _center_pair),
+    "CanonicalIdeal": (12, lambda c: spinors.CanonicalIdeal(
+        c[..., 0], c[..., 1], Multivector(PAULI3, c[..., 2:10]), (c[..., 10], c[..., 11]))),
+    "QuatSpinor": (8, _qspinor),
+    "CanonicalQ": (37, _canonical_q),
+    "DiracSpinor": (8, dirac.DiracSpinor.from_reals),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EQUAL_CASES))
+def test_equality_of_batches_is_exact(rng, name):
+    width, build = _EQUAL_CASES[name]
+    c = rng.uniform(-1.0, 1.0, (3, 4, width))
+    a = build(c)
+    assert (a == build(c.copy())) is True
+    one_ulp = c.copy()
+    one_ulp[2, 1, -1] = np.nextafter(one_ulp[2, 1, -1], 2.0)
+    assert (a == build(one_ulp)) is False
+    assert (a == build(c[:2])) is False  # other batch shape
+    assert (a == build(c[0, 0])) is False  # one case
+    assert (build(c[0, 0]) == build(c[0, 0].copy())) is True

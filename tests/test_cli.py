@@ -156,6 +156,16 @@ def test_project_sphere_origin(capsys):
     assert float(record["angle"]) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_project_sphere_far_from_the_origin(capsys):
+    # x^2 overflows, the lift does not: a_hat = -e0 + 2x / x^2 and the angle is pi
+    code, out, _ = run_cli(capsys, ["project", "sphere", "--point", "1e200,0,0"])
+    assert code == 0
+    record = dict(ln.split("=", 1) for ln in out.splitlines())
+    assert record["a_hat"] == "-1,2e-200,0,0"
+    assert record["angle"] == "3.1415926535897931"
+
+
 def test_project_hyper_values(capsys):
     code, out, _ = run_cli(capsys, ["project", "hyper", "--point", "0.5,0,0"])
     assert code == 0
@@ -181,8 +191,11 @@ def test_project_hyper_boundary_fails(capsys):
         # a point just outside the open ball is a domain error on one line
         # (0.9999999999, just inside, lifts: test_project_hyper_edge_lifts)
         (["project", "hyper", "--point", "1.0000000001,0,0"], 1),
-        # finite inputs whose squares overflow end in a typed NonFiniteValue
-        (["project", "sphere", "--point", "1e200,0,0"], 1),
+        # a point far outside the ball, whose square overflows, is a domain
+        # error on one line (the sphere chart lifts it:
+        # test_project_sphere_far_from_the_origin)
+        (["project", "hyper", "--point", "1e200,0,0"], 1),
+        # a finite input whose squares overflow ends in a typed error
         (["prob", "sphere", "--point-a", "1e300,0,0", "--point-b", "0,0,0"], 1),
     ],
 )

@@ -429,6 +429,35 @@ def test_finiteness_check_is_exact():
                     Multivector(EUCLIDEAN4, coeffs)
 
 
+# Leading coefficients of one case and whether the constructor accepts them.
+_FINITENESS_ROWS = {
+    "nan": ([math.nan], False),
+    "inf": ([math.inf], False),
+    "-inf": ([-math.inf], False),
+    "inf and -inf": ([math.inf, -math.inf], False),  # they sum to nan
+    "finite, sum overflows": ([1e308, 1e308], True),
+}
+
+
+@pytest.mark.parametrize("shape", ((), (5,), (3, 4)), ids=str)
+@pytest.mark.parametrize("name", sorted(_FINITENESS_ROWS))
+def test_finiteness_semantics_for_single_cases_and_batches(name, shape):
+    # the row sits in the last case of a batch, the other cases are zero; the
+    # sum over the coefficients overflows or is nan, hence the errstate
+    head, accepted = _FINITENESS_ROWS[name]
+    coeffs = np.zeros((*shape, EUCLIDEAN4.dim))
+    coeffs[(*(n - 1 for n in shape), slice(len(head)))] = head
+    with np.errstate(over="ignore", invalid="ignore"):
+        if accepted:
+            assert np.array_equal(Multivector(EUCLIDEAN4, coeffs).coeffs, coeffs)
+            return
+        with pytest.raises(NonFiniteValue) as info:
+            Multivector(EUCLIDEAN4, coeffs)
+    if shape:
+        last = shape[0] - 1 if len(shape) == 1 else tuple(n - 1 for n in shape)
+        assert str(info.value).endswith(f"(case {last})")
+
+
 def test_coefficient_dtypes():
     # Integer and float input is real; complex input stays complex.
     for coeffs in (range(16), [0.5] * 16, np.arange(16, dtype=np.float32)):

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from gaspin.core import SPACETIME13, Multivector, pseudoscalar, residual
+from gaspin.core import (EUCLIDEAN4, SPACETIME13, Multivector, geometric_product, pseudoscalar,
+                         residual)
 from gaspin.errors import NotInIdeal
 from gaspin.dirac import (
     DiracSpinor,
@@ -18,6 +19,7 @@ from gaspin.dirac import (
     qspinor_to_dirac,
     qspinor_to_geometric,
 )
+from gaspin.isomap import euclidean_to_spacetime
 from gaspin.quatrep import Quaternion
 from gaspin.quatspinor import QuatSpinor
 
@@ -176,6 +178,32 @@ def test_roundtrip_from_qspinor_side(rng):
         back = geometric_to_qspinor(m)
         assert (back.q0 - psi.q0).max_abs() <= 1e-12
         assert (back.q1 - psi.q1).max_abs() <= 1e-12
+
+
+def _u_plus_plus():
+    """u(+,+) = (1 + g0)(1 + j g12)/4 written out as products."""
+    u = (Multivector.scalar(SPACETIME13, 1.0) + Multivector.basis(SPACETIME13, 0)) * 0.25
+    return u + 1j * geometric_product(u, Multivector.blade(SPACETIME13, 0b0110))
+
+
+def test_carriers_match_the_product_route(rng):
+    # the cached frames against (phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+)
+    # and (q0 + q1 i) u(+,+) written out as products; each blade carries one
+    # coordinate, so exactly
+    u = _u_plus_plus()
+    assert residual(u, dirac_idempotent(+1, +1)) == 0.0
+    blades = [euclidean_to_spacetime(Multivector.blade(EUCLIDEAN4, m))
+              for m in (0, 0b1010, 0b1000, 0b0010)]  # 1, e13, e3, e1
+    i13 = Multivector.blade(SPACETIME13, 0b1111)
+    for _ in range(100):
+        vals = rng.uniform(-1, 1, size=8) * 10.0 ** rng.uniform(-100, 100)
+        phi = DiracSpinor.from_reals(vals)
+        column = sum((c * b for c, b in zip(phi.components, blades)),
+                     Multivector.zero(SPACETIME13))
+        assert dirac_to_geometric(phi) == geometric_product(column, u)
+        psi = QuatSpinor(Quaternion.from_coords(vals[:4]), Quaternion.from_coords(vals[4:]))
+        q0m, q1m = (euclidean_to_spacetime(q.to_multivector()) for q in (psi.q0, psi.q1))
+        assert qspinor_to_geometric(psi) == geometric_product(q0m + geometric_product(i13, q1m), u)
 
 
 def test_not_in_ideal_rejected():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaspin.core import (
+    EUCLIDEAN4,
     SPACETIME13,
     Multivector,
     allclose,
@@ -36,6 +37,7 @@ from gaspin.quatspinor import (
     canonical_orthogonal,
     canonical_q,
     circ,
+    embed_spacetime,
     fidelity_q,
     from_image,
     grade_parts,
@@ -149,6 +151,24 @@ def test_image_examples_and_ideal_closure(rng):
             assert residual(m * vp, m) <= 1e-13
 
 
+def test_image_matches_the_product_route(rng):
+    # the cached frames against (q0 + q1 i) v+ and the quaternion embeddings
+    # written out as products; each blade carries one coordinate, so exactly
+    units = {AlgebraTag.SPACETIME13: Multivector.blade(SPACETIME13, 0b1111),  # g0123
+             AlgebraTag.EUCLIDEAN4: Multivector.blade(EUCLIDEAN4, 0b1110)}  # e123
+    for tag in TAGS:
+        sig = tag.signature
+        vp = (Multivector.scalar(sig, 1.0) + Multivector.basis(sig, 0)) * 0.5
+        for _ in range(100):
+            psi = QuatSpinor(rand_quat(rng, 10.0 ** rng.uniform(-100, 100)), rand_quat(rng), tag)
+            q0m, q1m = psi.q0.to_multivector(), psi.q1.to_multivector()
+            if tag is AlgebraTag.SPACETIME13:
+                q0m, q1m = euclidean_to_spacetime(q0m), euclidean_to_spacetime(q1m)
+                assert embed_spacetime(psi.q0) == q0m
+            want = geometric_product(q0m + geometric_product(q1m, units[tag]), vp)
+            assert image(psi) == want
+
+
 def test_image_consistent_across_iso(rng):
     psi4 = QuatSpinor(rand_quat(rng), rand_quat(rng), AlgebraTag.EUCLIDEAN4)
     psi13 = QuatSpinor(psi4.q0, psi4.q1, AlgebraTag.SPACETIME13)
@@ -192,6 +212,20 @@ def test_canonical_reconstruction(rng):
             psi = rand_admissible(rng, tag)
             can = canonical_q(psi)
             assert residual(reconstruct(can, tag), image(psi)) <= 1e-12
+
+
+def test_canonical_m_matches_the_product_route(rng):
+    # M = g0 + (c i + w~ i g0) / |q0|^2 with w = q0* q1 and w~ its embedded
+    # vector part, as products; the cached frame agrees exactly
+    i13, g0 = Multivector.blade(SPACETIME13, 0b1111), Multivector.basis(SPACETIME13, 0)
+    for _ in range(200):
+        psi = rand_admissible(rng)
+        n0 = psi.q0.norm2()
+        w = quat_mul(psi.q0.conjugate(), psi.q1)
+        bivec = euclidean_to_spacetime(Quaternion.from_vector(w.v).to_multivector())
+        want = g0 + (w.s / n0) * i13 + (1.0 / n0) * geometric_product(
+            geometric_product(bivec, i13), g0)
+        assert canonical_q(psi).M == want
 
 
 def test_m_squared_identity(rng):

@@ -100,6 +100,27 @@ def test_to_multivector_examples():
     assert allclose(to_multivector(psi), v)
 
 
+def test_to_multivector_matches_the_product_route(rng):
+    # the cached frame against (a0 + a1 carrier) u with a = s + p i, written
+    # out as products; each blade carries one coordinate, so exactly
+    roles = {AlgebraTag.PAULI3: (0, 2), AlgebraTag.MINKOWSKI12: (1, 0)}  # (carrier, pole)
+    for tag in TAGS:
+        sig = tag.signature
+        carrier_index, pole_index = roles[tag]
+        carrier = Multivector.basis(sig, carrier_index)
+        u = (Multivector.scalar(sig, 1.0) + Multivector.basis(sig, pole_index)) * 0.5
+
+        def embed(z):
+            return Multivector.scalar(sig, z.s) + z.p * pseudoscalar(sig)
+
+        for _ in range(100):
+            psi = IdealSpinor(tag, rand_center(rng, 10.0 ** rng.uniform(-100, 100)),
+                              rand_center(rng))
+            assert psi.a0.embed(tag) == embed(psi.a0)
+            head = embed(psi.a0) + geometric_product(embed(psi.a1), carrier)
+            assert to_multivector(psi) == geometric_product(head, u)
+
+
 def test_ideal_closure_and_roundtrip(rng):
     for tag in TAGS:
         u = idempotent(tag)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -343,4 +344,21 @@ def test_sphere_roundtrip_near_the_pole(log_r, direction):
     r = math.sqrt(x.norm2)
     assert max(abs(a - b) for a, b in zip(back.x, x.x)) <= 4 * math.ulp(1.0) * r
     a = lift_sphere(x).a_hat
+    assert residual(rotor_apply(sphere_rotor(x), E0), a) <= 4 * math.ulp(1.0) * a.abs_sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(150.0, 300.0), _DIRECTIONS)
+def test_sphere_lift_where_x_squared_overflows(log_r, direction):
+    # |x| from 1e150 to 1e300, where x^2 overflows above 1.3e154: the lift
+    # matches ((1 - x^2) e0 + 2x) / (1 + x^2) in exact rationals to 4 ulp, and
+    # the angle from the pole is pi
+    x = on_ray(direction, 10.0 ** log_r)
+    d = 1 + sum(Fraction(c) ** 2 for c in x.x)
+    want = [float((2 - d) / d)] + [float(2 * Fraction(c) / d) for c in x.x]
+    a = lift_sphere(x).a_hat
+    got = a.vector_components()
+    assert got[0] == want[0] == -1.0
+    assert all(abs(g - w) <= 4 * math.ulp(w) for g, w in zip(got[1:], want[1:]))
+    assert sphere_angle(x) == math.pi
     assert residual(rotor_apply(sphere_rotor(x), E0), a) <= 4 * math.ulp(1.0) * a.abs_sum()
