@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,13 +91,9 @@ def _vec(xs) -> str:
 
 def _mv_terms(m: Multivector) -> str:
     """Nonzero terms of m; a term within rounding of m's size counts as zero."""
-    scale = m.abs_sum()
-    parts = []
-    for mask in range(m.signature.dim):
-        c = m.coeffs[mask]
-        if not core.close(abs(c), scale):
-            parts.append(f"{m.signature.blade_name(mask)}:{_f(c)}")
-    return ";".join(parts) if parts else "0"
+    names = core.blade_names(m.signature)
+    keep = np.flatnonzero(~core.close(np.abs(m.coeffs), m.abs_sum()))
+    return ";".join(f"{names[mask]}:{_f(m.coeffs[mask])}" for mask in keep) or "0"
 
 
 # =====================================================================
@@ -561,23 +559,29 @@ def _signature_for(p: int, q: int) -> Signature:
     return Signature(p, q, tuple(f"{prefix}{k}" for k in range(p + q)))
 
 
+@lru_cache(maxsize=None)
+def table_cells(p: int, q: int) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
+    """(blade names, signed cells such as ``-g01``) of the Cl(p,q) table, row
+    i column j holding blade i times blade j; derived once per signature from
+    :func:`core.cayley_table`, as immutable tuples."""
+    sig = _signature_for(p, q)
+    names = core.blade_names(sig)
+    cells = tuple(
+        tuple(("+" if sign > 0 else "-") + names[mask] for sign, mask in row)
+        for row in core.cayley_table(sig)
+    )
+    return names, cells
+
+
 def cmd_table(args) -> int:
     try:
         p_str, q_str = args.signature.split(",")
         p, q = int(p_str), int(q_str)
-        sig = _signature_for(p, q)
+        names, cells = table_cells(p, q)
     except ValueError as exc:
         print(f"error: bad signature {args.signature!r}: {exc}", file=sys.stderr)
         return 2
-    names = core.blade_names(sig)
-    table = core.cayley_table(sig)
-    cells = [
-        [("+" if sign > 0 else "-") + names[mask] for sign, mask in row]
-        for row in table
-    ]
     if args.format == "json":
-        import json
-
         print(
             json.dumps(
                 {"signature": [p, q], "blades": names, "table": cells},
@@ -759,14 +763,17 @@ def _figure_poincare_geodesic(samples: int):
             *([_f(p), _f(a), _f(b), *ck] for p, a, b, ck in zip(psi, x1, x2, lifts))]
 
 
+#: Figure name -> builder of its CSV rows (header row first).
+FIGURES: dict[str, Callable] = {
+    "stereo-sphere": _figure_stereo_sphere,
+    "stereo-hyper": _figure_stereo_hyper,
+    "poincare-geodesic": _figure_poincare_geodesic,
+}
+
+
 def cmd_figure(args) -> int:
-    builders = {
-        "stereo-sphere": _figure_stereo_sphere,
-        "stereo-hyper": _figure_stereo_hyper,
-        "poincare-geodesic": _figure_poincare_geodesic,
-    }
     try:
-        rows = builders[args.name](args.samples)
+        rows = FIGURES[args.name](args.samples)
     except GAError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -814,7 +821,11 @@ def cmd_dirac(args) -> int:
 # =====================================================================
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built by the first :func:`main` call;
+    every parse starts from a fresh namespace, so no call sees another's
+    options."""
     parser = argparse.ArgumentParser(
         prog="gaspin",
         description="Verified geometric-algebra toolkit: Cl(4,0)/Cl(1,3), "
@@ -846,9 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prob.set_defaults(func=cmd_prob)
 
     p_fig = sub.add_parser("figure", help="emit curve data as CSV")
-    p_fig.add_argument(
-        "name", choices=("stereo-sphere", "stereo-hyper", "poincare-geodesic")
-    )
+    p_fig.add_argument("name", choices=tuple(FIGURES))
     p_fig.add_argument("--samples", type=int, default=101)
     p_fig.add_argument("--out", required=True)
     p_fig.set_defaults(func=cmd_figure)

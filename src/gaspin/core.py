@@ -598,8 +598,11 @@ def cayley_table(signature: Signature) -> list[list[tuple[int, int]]]:
     return [[(s, i ^ j) for j, s in enumerate(row)] for i, row in enumerate(signs)]
 
 
-def blade_names(signature: Signature) -> list[str]:
-    return [signature.blade_name(m) for m in range(signature.dim)]
+@lru_cache(maxsize=None)
+def blade_names(signature: Signature) -> tuple[str, ...]:
+    """Name of every blade of ``signature``, indexed by mask (one immutable
+    tuple per signature)."""
+    return tuple(signature.blade_name(m) for m in range(signature.dim))
 
 
 def column_matrix(columns: Sequence[Multivector]) -> np.ndarray:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaspin import cli, stereo
+from gaspin import cli, core, stereo
 from gaspin.core import EUCLIDEAN4, Multivector
 from gaspin.quatrep import matrix_residual, rep_vec
 
@@ -139,13 +140,44 @@ def test_table_bad_signature(capsys):
 
 
 def test_table_json(capsys):
-    import json
-
     code, out, _ = run_cli(capsys, ["table", "--signature", "1,2", "--format", "json"])
     assert code == 0
     data = json.loads(out)
     assert data["signature"] == [1, 2]
     assert len(data["table"]) == 8
+
+
+# Every signature the table command accepts: 1 <= p + q <= 6.
+ALL_PQ = [(p, n - p) for n in range(1, 7) for p in range(n + 1)]
+
+
+@pytest.mark.parametrize("p, q", ALL_PQ)
+def test_table_cells_are_cached_exact_and_immutable(capsys, p, q):
+    cli.table_cells.cache_clear()
+    first = [run_cli(capsys, ["table", "--signature", f"{p},{q}", "--format", fmt])
+             for fmt in ("csv", "json")]
+    second = [run_cli(capsys, ["table", "--signature", f"{p},{q}", "--format", fmt])
+              for fmt in ("csv", "json")]
+    assert first == second and all(code == 0 for code, _, _ in first)
+    # the cells of the blade_product loop, blade i times blade j at (i, j)
+    sig = cli._signature_for(p, q)
+    names = [sig.blade_name(m) for m in range(sig.dim)]
+    want = []
+    for i in range(sig.dim):
+        row = []
+        for j in range(sig.dim):
+            sign, mask = core.blade_product(i, j, sig)
+            row.append(("+" if sign > 0 else "-") + names[mask])
+        want.append(row)
+    rows = list(csv.reader(io.StringIO(first[0][1])))
+    assert rows == [["blade", *names], *([n, *row] for n, row in zip(names, want))]
+    assert json.loads(first[1][1]) == {"signature": [p, q], "blades": names, "table": want}
+    cached_names, cells = cli.table_cells(p, q)
+    assert cached_names == tuple(names)
+    assert cells == tuple(map(tuple, want))
+    assert isinstance(cells, tuple) and all(isinstance(row, tuple) for row in cells)
+    with pytest.raises(TypeError):
+        cells[0][0] = "-1"  # type: ignore[index]
 
 
 def test_project_sphere_origin(capsys):
@@ -463,3 +495,43 @@ def test_cli_fuzz_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    prob = ["prob", "hyper", "--point-a", "0,0,0", "--point-b", "0.5,0,0"]
+    code, out, _ = run_cli(capsys, [*prob, "--quaternion"])
+    assert code == 0 and "quaternion=yes" in out.splitlines()
+    code, out, _ = run_cli(capsys, prob)
+    assert code == 0 and "quaternion=no" in out.splitlines()
+
+    code, out, _ = run_cli(capsys, ["verify", "--seed", "3", "--cases", "1"])
+    assert code == 0 and "seed=3" in out.splitlines()
+    code, out, _ = run_cli(capsys, ["verify", "--cases", "1"])
+    assert code == 0 and "seed=0" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv, prog, message", [
+    (["project", "sphere"], "gaspin project", "the following arguments are required: --point"),
+    (["figure", "stereo-disk", "--out", "f.csv"], "gaspin figure",
+     "argument name: invalid choice: 'stereo-disk'"),
+    (["dirac", "--components", "1", "2", "3"], "gaspin", "--components needs exactly 8 reals"),
+])
+def test_usage_error_after_a_successful_call(capsys, monkeypatch, argv, prog, message):
+    def usage_error():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr()
+
+    assert run_cli(capsys, ["project", "sphere", "--point", "0.5,0,0"])[0] == 0
+    captured = usage_error()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: {prog} ")
+    assert f"{prog}: error: {message}" in captured.err
+    # the same bytes as from a parser built for this call alone
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert usage_error() == captured

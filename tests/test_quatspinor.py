@@ -16,6 +16,9 @@ from gaspin.core import (
     reverse,
 )
 from gaspin import quatspinor
+from gaspin.cli import _accepted as accepted
+from gaspin.cli import _admissible_rows as admissible_rows
+from gaspin.cli import _orthogonal_rows as orthogonal_rows
 from gaspin.cli import _rand_admissible_q as rand_admissible
 from gaspin.cli import _rand_orthogonal_q as rand_orthogonal
 from gaspin.errors import (
@@ -39,6 +42,7 @@ from gaspin.quatspinor import (
     circ,
     embed_spacetime,
     fidelity_q,
+    from_carrier_coords,
     from_image,
     grade_parts,
     idempotent_plus,
@@ -56,6 +60,13 @@ from gaspin.quatspinor import (
 from gaspin.spinors import fidelity as ideal_fidelity
 
 TAGS = (AlgebraTag.SPACETIME13, AlgebraTag.EUCLIDEAN4)
+
+
+def per_tag(rows):
+    """Spinors of TAGS[k] from the k-th equal share of ``rows``: split from one
+    draw of both tags' rows, the rows a loop over TAGS drawing one spinor at
+    a time would take."""
+    return zip(TAGS, (from_carrier_coords(r, tag) for r, tag in zip(np.split(rows, len(TAGS)), TAGS)))
 
 
 def rand_quat(rng, scale=1.0, integer=False):
@@ -207,11 +218,9 @@ def test_canonical_boundary_rejected():
 
 
 def test_canonical_reconstruction(rng):
-    for tag in TAGS:
-        for _ in range(500):
-            psi = rand_admissible(rng, tag)
-            can = canonical_q(psi)
-            assert residual(reconstruct(can, tag), image(psi)) <= 1e-12
+    for tag, psi in per_tag(accepted(rng, 500 * len(TAGS), 8, admissible_rows)):
+        can = canonical_q(psi)
+        assert np.all(residual(reconstruct(can, tag), image(psi)) <= 1e-12)
 
 
 def test_canonical_m_matches_the_product_route(rng):
@@ -254,11 +263,9 @@ def test_m_display_agrees_with_canonical(rng):
 def test_m_display_iso_route(rng):
     # The Cl(4,0) canonical M maps onto the spacetime display through the
     # isomorphism: the two expressions of M agree across algebras.
-    for _ in range(500):
-        psi = rand_admissible(rng, AlgebraTag.EUCLIDEAN4)
-        can = canonical_q(psi)
-        mapped = euclidean_to_spacetime(can.M)
-        assert residual(mapped, spacetime_m_display(psi.q0, psi.q1)) <= 1e-10
+    psi = rand_admissible(rng, AlgebraTag.EUCLIDEAN4, n=500)
+    mapped = euclidean_to_spacetime(canonical_q(psi).M)
+    assert np.all(residual(mapped, spacetime_m_display(psi.q0, psi.q1)) <= 1e-10)
 
 
 def test_m_display_literal_minus_sign_fails(rng):
@@ -345,10 +352,8 @@ def test_projector_trivial():
 
 
 def test_projector_closed_form_orthogonal(rng):
-    for tag in TAGS:
-        for _ in range(300):
-            psi = rand_orthogonal(rng, tag)
-            assert residual(projector(psi), projector_closed_orthogonal(psi)) <= 1e-12
+    for _, psi in per_tag(accepted(rng, 300 * len(TAGS), 8, orthogonal_rows)):
+        assert np.all(residual(projector(psi), projector_closed_orthogonal(psi)) <= 1e-12)
 
 
 def test_bra_ket_contraction_norm(rng):
