@@ -53,6 +53,7 @@ from .quatrep import (
 )
 from .quatspinor import (
     QuatSpinor,
+    bloch_point,
     canonical_q,
     from_carrier_coords,
     fidelity_q,
@@ -78,7 +79,6 @@ from . import dirac as dirac_mod
 from . import stereo
 
 FMT = "%.17g"
-DEFAULT_TOL = core.TOL
 
 
 def _f(x: float) -> str:
@@ -208,23 +208,23 @@ def _rand_chart(rng, tag: AlgebraTag, n: int | None = None):
     return tuple(c.T)
 
 
-def _suite_core_associativity(rng, cases, tol):
+def _suite_core_associativity(rng, cases):
     residuals = []
     for sig in (EUCLIDEAN4, SPACETIME13, PAULI3, MINKOWSKI12):
         a, b, c = _rand_mvs(rng, sig, max(1, cases // 4), 3)
         residuals.append(residual((a * b) * c, a * (b * c)))
-    return _worst(*residuals), tol
+    return _worst(*residuals), core.TOL
 
 
-def _suite_core_reverse(rng, cases, tol):
+def _suite_core_reverse(rng, cases):
     residuals = []
     for sig in (EUCLIDEAN4, SPACETIME13):
         a, b = _rand_mvs(rng, sig, max(1, cases // 2), 2)
         residuals.append(residual(reverse(a * b), reverse(b) * reverse(a)))
-    return _worst(*residuals), tol
+    return _worst(*residuals), core.TOL
 
 
-def _suite_core_generators(rng, cases, tol):
+def _suite_core_generators(rng, cases):
     worst = 0.0
     for sig in (EUCLIDEAN4, SPACETIME13, PAULI3, MINKOWSKI12):
         for i in range(sig.n):
@@ -233,10 +233,10 @@ def _suite_core_generators(rng, cases, tol):
             for j in range(i + 1, sig.n):
                 gj = Multivector.basis(sig, j)
                 worst = max(worst, residual(gi * gj, -(gj * gi)))
-    return worst, tol
+    return worst, core.TOL
 
 
-def _suite_core_exp(rng, cases, tol):
+def _suite_core_exp(rng, cases):
     # per case: theta in [-3, 3], then an axis in [-1, 1]^3
     draws = rng.uniform((-3.0, -1.0, -1.0, -1.0), (3.0, 1.0, 1.0, 1.0), size=(cases, 4))
     n = np.linalg.norm(draws[:, 1:], axis=1)
@@ -245,10 +245,10 @@ def _suite_core_exp(rng, cases, tol):
     xhat = Multivector.vector(EUCLIDEAN4, (0.0, *xhat.T))
     B = draws[:, 0] * (xhat * Multivector.basis(EUCLIDEAN4, 0))
     one = Multivector.scalar(EUCLIDEAN4, 1.0)
-    return _worst(0.0, residual(core.exp_blade(B) * core.exp_blade(-B), one)), tol
+    return _worst(0.0, residual(core.exp_blade(B) * core.exp_blade(-B), one)), core.TOL
 
 
-def _suite_core_grade_partition(rng, cases, tol):
+def _suite_core_grade_partition(rng, cases):
     residuals = []
     for sig in (EUCLIDEAN4, MINKOWSKI12):
         (a,) = _rand_mvs(rng, sig, max(1, cases // 2))
@@ -256,39 +256,39 @@ def _suite_core_grade_partition(rng, cases, tol):
         for g in range(sig.n + 1):
             total = total + core.grade_select(a, {g})
         residuals.append(residual(total, a))
-    return _worst(*residuals), tol
+    return _worst(*residuals), core.TOL
 
 
-def _suite_quatrep_embedding(rng, cases, tol):
+def _suite_quatrep_embedding(rng, cases):
     coords = rng.uniform(-1.0, 1.0, size=(cases, 2, 4))
     a, b = Quaternion.from_coords(coords[:, 0]), Quaternion.from_coords(coords[:, 1])
     lhs = quat_mul(a, b).to_multivector()
     rhs = a.to_multivector() * b.to_multivector()
-    return _worst(residual(lhs, rhs)), tol
+    return _worst(residual(lhs, rhs)), core.TOL
 
 
-def _suite_quatrep_homomorphism(rng, cases, tol):
+def _suite_quatrep_homomorphism(rng, cases):
     a, b = _rand_mvs(rng, EUCLIDEAN4, cases, 2)
     ab = a * b
     return _worst(matrix_residual(rep_vec(ab), rep_vec(a) * rep_vec(b)),
-                  matrix_residual(rep_pss(ab), rep_pss(a) * rep_pss(b))), tol
+                  matrix_residual(rep_pss(ab), rep_pss(a) * rep_pss(b))), core.TOL
 
 
-def _suite_quatrep_faithfulness(rng, cases, tol):
+def _suite_quatrep_faithfulness(rng, cases):
     worst = 0.0
     for mask in range(16):
         blade = Multivector.blade(EUCLIDEAN4, mask)
         worst = max(worst, residual(unrep_vec(rep_vec(blade)), blade))
         worst = max(worst, residual(unrep_pss(rep_pss(blade)), blade))
-    return worst, tol
+    return worst, core.TOL
 
 
-def _suite_quatrep_change_basis(rng, cases, tol):
+def _suite_quatrep_change_basis(rng, cases):
     (g,) = _rand_mvs(rng, EUCLIDEAN4, cases)
-    return _worst(matrix_residual(change_of_basis(rep_pss(g)), rep_vec(g))), tol
+    return _worst(matrix_residual(change_of_basis(rep_pss(g)), rep_vec(g))), core.TOL
 
 
-def _suite_quatrep_idempotents(rng, cases, tol):
+def _suite_quatrep_idempotents(rng, cases):
     rep = idempotent_identities()
     worst = max(
         rep["pseudoscalar_idempotent_from_vec"],
@@ -298,10 +298,10 @@ def _suite_quatrep_idempotents(rng, cases, tol):
     )
     # singularity of B: deviation must stay >= 0.5
     worst = max(worst, max(0.0, 0.5 - rep["b_times_b_star_max_deviation"]))
-    return worst, tol
+    return worst, core.TOL
 
 
-def _suite_isomap_homomorphism(rng, cases, tol):
+def _suite_isomap_homomorphism(rng, cases):
     # per case: a, b in Cl(4,0), then a, b in Cl(1,3)
     n = max(1, cases // 2)
     coeffs = rng.uniform(-1.0, 1.0, size=(n, 2, 2, EUCLIDEAN4.dim))
@@ -310,10 +310,10 @@ def _suite_isomap_homomorphism(rng, cases, tol):
                                   (SPACETIME13, spacetime_to_euclidean))):
         a, b = Multivector(sig, coeffs[:, k, 0]), Multivector(sig, coeffs[:, k, 1])
         residuals.append(residual(f(a * b), f(a) * f(b)))
-    return _worst(*residuals), tol
+    return _worst(*residuals), core.TOL
 
 
-def _suite_isomap_inverse(rng, cases, tol):
+def _suite_isomap_inverse(rng, cases):
     # the 16 blades of each algebra, then cases // 2 random elements of each
     residuals = []
     for sig, there, back in (
@@ -323,17 +323,18 @@ def _suite_isomap_inverse(rng, cases, tol):
         (g,) = _rand_mvs(rng, sig, max(1, cases // 2))
         g = Multivector(sig, np.concatenate([np.eye(sig.dim), g.coeffs]))
         residuals.append(residual(back(there(g)), g))
-    return _worst(*residuals), tol
+    return _worst(*residuals), core.TOL
 
 
-def _suite_stereo_roundtrip(rng, cases, tol):
+def _suite_stereo_roundtrip(rng, cases):
     rows = _uniform_rows(rng, max(1, cases // 2), *((-3.0, 3.0),) * 3, *_BOX, (0.01, 0.95))
     x, xh = _plane(rows[:, :3]), _ball(rows[:, 3:])
     back = stereo.project_sphere(stereo.lift_sphere(x)), stereo.project_hyper(stereo.lift_hyper(xh))
-    return _worst(*(np.abs(b - p) for b, p in zip(back[0].x + back[1].x, x.x + xh.x))), 100.0 * tol
+    worst = _worst(*(np.abs(b - p) for b, p in zip(back[0].x + back[1].x, x.x + xh.x)))
+    return worst, 100.0 * core.TOL
 
 
-def _suite_stereo_rotor(rng, cases, tol):
+def _suite_stereo_rotor(rng, cases):
     rows = _uniform_rows(rng, max(1, cases // 2), *((-3.0, 3.0),) * 3, *_BOX, (0.01, 0.95))
     x, xh = _plane(rows[:, :3]), _ball(rows[:, 3:])
     e0 = Multivector.basis(EUCLIDEAN4, 0)
@@ -341,10 +342,10 @@ def _suite_stereo_rotor(rng, cases, tol):
     return _worst(
         residual(stereo.rotor_apply(stereo.sphere_rotor(x), e0), stereo.lift_sphere(x).a_hat),
         residual(stereo.rotor_apply(stereo.hyper_boost(xh), g0), stereo.lift_hyper(xh).a_hat),
-    ), 100.0 * tol
+    ), 100.0 * core.TOL
 
 
-def _suite_stereo_trig(rng, cases, tol):
+def _suite_stereo_trig(rng, cases):
     # |x|^2 over the chart box [-3, 3]^3 on the sphere, below 0.9 in the ball
     r2, r2h = _uniform_rows(rng, cases, (0.0, 27.0), (0.0, 0.9)).T
     c = (1.0 - r2) / (1.0 + r2)
@@ -352,10 +353,10 @@ def _suite_stereo_trig(rng, cases, tol):
     ch = (1.0 + r2h) / (1.0 - r2h)
     sh = 2.0 * np.sqrt(r2h) / (1.0 - r2h)
     return _worst(np.abs(c * c + s * s - 1.0),
-                  np.abs(ch * ch - sh * sh - 1.0) / np.maximum(1.0, ch * ch)), tol
+                  np.abs(ch * ch - sh * sh - 1.0) / np.maximum(1.0, ch * ch)), core.TOL
 
 
-def _suite_stereo_metric(rng, cases, tol):
+def _suite_stereo_metric(rng, cases):
     h = 1e-5
     rows = _uniform_rows(rng, max(1, cases // 2), *((-2.0, 2.0),) * 3, *_BOX, *_BOX, (0.01, 0.8))
     x, dx, xh = _plane(rows[:, :3]), unstack(rows[:, 3:6]), _ball(rows[:, 6:])
@@ -374,7 +375,7 @@ def _suite_stereo_metric(rng, cases, tol):
     return _worst(*errors), 1e-6
 
 
-def _suite_gspinor_fidelity(rng, cases, tol):
+def _suite_gspinor_fidelity(rng, cases):
     worst = []
     bound_violation = []
     for tag in (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12):
@@ -392,21 +393,21 @@ def _suite_gspinor_fidelity(rng, cases, tol):
             bound_violation += [-f1, f1 - 1.0]
         else:
             bound_violation.append(1.0 - f1)
-    # the bounds hold to tol itself, not to the 100x route tolerance
-    return max(_worst(*worst), 100.0 * _worst(0.0, *bound_violation)), 100.0 * tol
+    # the bounds hold to core.TOL itself, not to the 100x route tolerance
+    return max(_worst(*worst), 100.0 * _worst(0.0, *bound_violation)), 100.0 * core.TOL
 
 
-def _suite_gspinor_antipode(rng, cases, tol):
+def _suite_gspinor_antipode(rng, cases):
     ca = rng.uniform(-2.0, 2.0, size=(cases, 2))
     ca = tuple(ca[np.sum(ca * ca, axis=1) >= 1e-3].T)
     cb = antipodal_chart(ca)
     psi = IdealSpinor.from_chart(AlgebraTag.PAULI3, ca)
     chi = IdealSpinor.from_chart(AlgebraTag.PAULI3, cb)
     dot = core.dot(m_vector(AlgebraTag.PAULI3, ca), m_vector(AlgebraTag.PAULI3, cb))
-    return _worst(0.0, fidelity(psi, chi), np.abs(dot)), tol
+    return _worst(0.0, fidelity(psi, chi), np.abs(dot)), core.TOL
 
 
-def _suite_gspinor_canonical(rng, cases, tol):
+def _suite_gspinor_canonical(rng, cases):
     residuals = []
     for tag in (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12):
         n = max(1, cases // 2)
@@ -423,53 +424,57 @@ def _suite_gspinor_canonical(rng, cases, tol):
         ph = CenterScalar(np.cos(can.theta), np.sin(can.theta)).embed(tag)
         recon = can.rho * ph * can.m_hat * idempotent(tag)
         residuals.append(residual(recon, to_multivector(psi)))
-    return _worst(*residuals), tol
+    return _worst(*residuals), core.TOL
 
 
-def _suite_qspinor_canonical(rng, cases, tol):
+def _suite_qspinor_canonical(rng, cases):
     psi = _rand_admissible_q(rng, n=max(1, cases // 2))
     can = canonical_q(psi)
     msq = geometric_product(can.M, can.M)
     want = 1.0 - psi.q1.norm2() / psi.q0.norm2()
     return _worst(residual(reconstruct(can, psi.tag), image(psi)),
-                  np.abs(msq.scalar_part - want)), tol
+                  np.abs(msq.scalar_part - want)), core.TOL
 
 
-def _suite_qspinor_projector(rng, cases, tol):
+def _suite_qspinor_projector(rng, cases):
     psi = _rand_orthogonal_q(rng, n=max(1, cases // 2))
+    can = canonical_q(psi)
+    # an orthogonal spinor's M is the plain vector g0 + x_m of its Bloch point
+    m = Multivector.vector(SPACETIME13, (1.0, *bloch_point(psi)))
     return _worst(residual(projector(psi), projector_closed_orthogonal(psi)),
-                  residual(reconstruct(canonical_q(psi), psi.tag), image(psi))), tol
+                  residual(reconstruct(can, psi.tag), image(psi)),
+                  residual(m, can.M)), core.TOL
 
 
-def _suite_qspinor_fidelity(rng, cases, tol):
+def _suite_qspinor_fidelity(rng, cases):
     # per case: psi, then chi
     coords = _accepted(rng, 2 * max(1, cases // 2), 8, _admissible_rows)
     psi = from_carrier_coords(coords[0::2], AlgebraTag.SPACETIME13)
     chi = from_carrier_coords(coords[1::2], AlgebraTag.SPACETIME13)
     f1 = fidelity_q(psi, chi)
     f2 = fidelity_q_circ_route(psi, chi)
-    return _worst(np.abs(f1 - f2) / np.maximum(1.0, np.abs(f1))), 100.0 * tol
+    return _worst(np.abs(f1 - f2) / np.maximum(1.0, np.abs(f1))), 100.0 * core.TOL
 
 
-def _suite_dirac_roundtrip(rng, cases, tol):
+def _suite_dirac_roundtrip(rng, cases):
     phi = dirac_mod.DiracSpinor.from_reals(rng.uniform(-1.0, 1.0, size=(cases, 8)))
-    return _worst(dirac_mod.dirac_roundtrip_residual(phi)), tol
+    return _worst(dirac_mod.dirac_roundtrip_residual(phi)), core.TOL
 
 
-def _suite_dirac_idempotents(rng, cases, tol):
+def _suite_dirac_idempotents(rng, cases):
     rep = dirac_mod.idempotent_report()
-    return max(rep.values()), tol
+    return max(rep.values()), core.TOL
 
 
-def _suite_dirac_j_action(rng, cases, tol):
+def _suite_dirac_j_action(rng, cases):
     worst = 0.0
     for k in range(4):
         for val in (1.0, 1j):
             comps = [0.0] * 4
             comps[k] = val
             m = dirac_mod.dirac_to_geometric(dirac_mod.DiracSpinor(tuple(comps)))
-            worst = max(worst, residual(m * dirac_mod.j_blade(), 1j * m))
-    return worst, tol
+            worst = max(worst, residual(dirac_mod.j_action(m), 1j * m))
+    return worst, core.TOL
 
 
 SUITES: dict[str, Callable] = {
@@ -512,16 +517,16 @@ FIXED_INPUT_SUITES = frozenset({
 })
 
 
-def run_suite(name: str, seed: int, cases: int, tol: float) -> SuiteResult:
+def run_suite(name: str, seed: int, cases: int) -> SuiteResult:
     """Run the registered suite ``name`` on its own stream, seeded by
     (seed, name), so its result does not depend on which suites run."""
     rng = np.random.default_rng((seed, name.encode()))
-    worst, bound = SUITES[name](rng, cases, tol)
+    worst, bound = SUITES[name](rng, cases)
     return SuiteResult(name, cases, worst, bound)
 
 
 def cmd_verify(args) -> int:
-    results = [run_suite(name, args.seed, args.cases, args.tol) for name in sorted(SUITES)]
+    results = [run_suite(name, args.seed, args.cases) for name in sorted(SUITES)]
     failures = 0
     for r in results:
         print(f"suite={r.name}")
@@ -836,7 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run every property suite")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--cases", type=int, default=200)
-    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit the exact blade product table")
@@ -876,8 +880,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.cases < 1:
         parser.error("--cases must be >= 1")
-    if args.command == "verify" and not (math.isfinite(args.tol) and args.tol >= 0.0):
-        parser.error("--tol must be a finite real >= 0")
     if args.command == "figure" and args.samples < 2:
         parser.error("--samples must be >= 2")
     if args.command == "dirac" and len(args.components) != 8:

@@ -19,8 +19,8 @@ once, computed with numpy bit operations: the reordering parity is the
 popcount of ``(i >> s) & j`` summed over shifts s, and each shared
 generator that squares to -1 flips it once more.  ``geometric_product`` is
 then one cached-table kernel, ``out[k] = sum_j S[k^j, j] a[k^j] b[j]``,
-i.e. ``(lsigns * a[perm]) @ b`` with ``perm[k, j] = k ^ j``.
-``blade_product`` stays the loop-based reference the tests compare with.
+i.e. ``(lsigns * a[perm]) @ b`` with ``perm[k, j] = k ^ j``.  The tests
+keep a loop over the sorted generator lists as the independent reference.
 
 Every operation takes batches: ``coeffs`` has shape ``(..., dim)``, the
 leading axes index cases, and a single case is a batch with no leading
@@ -197,29 +197,6 @@ def _mask_to_indices(mask: int) -> list[int]:
 def grade_of(mask: int) -> int:
     """Grade of a blade = number of generators in it."""
     return bin(mask).count("1")
-
-
-def blade_product(mask_a: int, mask_b: int, signature: Signature) -> tuple[int, int]:
-    """Product of two basis blades -> (sign, result mask).
-
-    Sign counts the transpositions needed to sort the concatenated
-    generator lists, then applies one metric sign per repeated generator.
-    """
-    factors = _mask_to_indices(mask_a)
-    sign = 1
-    for gen in _mask_to_indices(mask_b):
-        swaps = sum(1 for g in factors if g > gen)
-        if swaps % 2:
-            sign = -sign
-        if gen in factors:
-            factors.remove(gen)
-            sign *= signature.metric(gen)
-        else:
-            factors.append(gen)
-    mask = 0
-    for g in factors:
-        mask |= 1 << g
-    return sign, mask
 
 
 @lru_cache(maxsize=None)
@@ -588,10 +565,6 @@ def residual(a: Multivector, b: Multivector) -> float:
     return r if r.ndim else float(r)
 
 
-def allclose(a: Multivector, b: Multivector) -> bool:
-    return residual(a, b) <= TOL
-
-
 def cayley_table(signature: Signature) -> list[list[tuple[int, int]]]:
     """Full blade-by-blade product table as (sign, mask) pairs; exact."""
     signs = sign_table(signature.plus_count, signature.minus_count).tolist()
@@ -611,16 +584,6 @@ def column_matrix(columns: Sequence[Multivector]) -> np.ndarray:
     mat = np.stack([c.coeffs for c in columns], axis=1)
     mat.setflags(write=False)
     return mat
-
-
-def frame(columns: Sequence[Multivector]) -> tuple[np.ndarray, np.ndarray]:
-    """Column matrix of a fixed frame and its pseudo-inverse: ``pinv @ m.coeffs``
-    are the coordinates of m in the span (a least-squares fit off it, so
-    callers check the reconstruction ``mat @ coords``)."""
-    mat = column_matrix(columns)
-    pinv = np.linalg.pinv(mat)
-    pinv.setflags(write=False)
-    return mat, pinv
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,10 @@ coefficients of a ``core.Multivector``.  The engine's product is linear,
 so everything stays ga-core arithmetic.
 
 On the carrier ideal the classical j acts as right multiplication by
-g21 = -g12, exactly (j u = g21 u holds coefficient by coefficient).  A column
+g21 = -g12, exactly (j u = g21 u holds coefficient by coefficient).  The
+operative sign convention is J = -j i with i = g0123: then
+v+ (1 + J e3)/2 = u(+,+) with e3 the image of the Euclidean e3, while
+J = +j i would land on u(+,-).  A column
 (phi1..phi4) maps to (phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+) with the
 Euclidean blade names standing for their spacetime images; the inverse
 extracts the quaternion pair (q0, q1) with carrier (q0 + q1 i) u(+,+),
@@ -40,7 +43,6 @@ from .core import (
     close,
     column_matrix,
     fields_equal,
-    pseudoscalar,
     require,
     residual,
     stack_cases,
@@ -141,24 +143,6 @@ def j_action(m: Multivector) -> Multivector:
     return m * j_blade()
 
 
-def expansion_display(phi: DiracSpinor) -> Multivector:
-    """The same element written over real/imag groups:
-
-    ((x1 + x4 e1 + y4 e2 + x3 e3) + i (y3 + y2 e1 - x2 e2 + y1 e3)) u(+,+)
-    with i = e123 = g0123; an independent route used by tests.
-    """
-    x = [c.real for c in phi.components]
-    y = [c.imag for c in phi.components]
-    e = [
-        euclidean_to_spacetime(Multivector.blade(EUCLIDEAN4, 1 << k)) for k in range(4)
-    ]
-    i13 = pseudoscalar(_SIG)
-    one = Multivector.scalar(_SIG, 1.0)
-    first = x[0] * one + x[3] * e[1] + y[3] * e[2] + x[2] * e[3]
-    second = y[2] * one + y[1] * e[1] - x[1] * e[2] + y[0] * e[3]
-    return (first + i13 * second) * dirac_idempotent(+1, +1)
-
-
 def geometric_to_qspinor(m: Multivector) -> QuatSpinor:
     """Extract (q0, q1) with m = (q0 + q1 i) u(+,+); NotInIdeal otherwise."""
     u = dirac_idempotent(+1, +1)
@@ -232,25 +216,3 @@ def idempotent_report() -> dict[str, float]:
         "spectral_frame_conjugations": r_frame,
     }
 
-
-def j_structure_report() -> dict[str, float]:
-    """How the two sign conventions for J = -+ji behave on the carrier ideal.
-
-    With J = -ji (the operative convention), (1 + J e3)/2 reproduces the
-    idempotent u(+,+) = v+ E+; with J = +ji the same expression lands on
-    u(+,-) instead.  Both residuals are reported; the discrepancy is a
-    sign flip, not reconciled here.
-    """
-    i13 = pseudoscalar(_SIG)
-    _, _, e3, _ = carrier_blades()
-    one = Multivector.scalar(_SIG, 1.0)
-    v_plus = (one + _g(0)) * 0.5
-    out = {}
-    for name, sign in (("J_minus_ji", -1.0), ("J_plus_ji", +1.0)):
-        J = (sign * 1j) * i13
-        e_plus = (one + J * e3) * 0.5
-        out[name] = residual(v_plus * e_plus, dirac_idempotent(+1, +1))
-    # j realized as right-g21 matches complex scaling on the idempotent.
-    upp = dirac_idempotent(+1, +1)
-    out["j_as_right_g21_on_idempotent"] = residual(upp * j_blade(), 1j * upp)
-    return out

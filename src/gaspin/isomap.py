@@ -28,7 +28,7 @@ from .core import (
     Signature,
     geometric_product,
 )
-from .errors import SignatureMismatch, VerificationFailure
+from .errors import SignatureMismatch
 
 
 class AlgebraTag(Enum):
@@ -99,19 +99,3 @@ def spacetime_to_euclidean(g: Multivector) -> Multivector:
         raise SignatureMismatch("expected a Cl(1,3) element")
     return Multivector(EUCLIDEAN4, g.coeffs @ _map_matrix("sta_to_e4").T)
 
-
-def blade_image_table() -> list[tuple[int, int, int]]:
-    """(mask, sign, image_mask) for each Cl(4,0) blade; derived, not assumed.
-
-    Every blade maps to a single signed blade, so the isomorphism is fully
-    described by this table.  The grade-changing entries (vectors to
-    bivectors, pseudoscalar to the grade-3 unit) are the interesting ones.
-    """
-    rows = []
-    for mask, img in enumerate(_g4_blade_images()):
-        nz = np.nonzero(img.coeffs)[0]
-        if len(nz) != 1:
-            raise VerificationFailure(f"image of blade {mask} is not a single blade")
-        target = int(nz[0])
-        rows.append((mask, int(round(img.coeffs[target])), target))
-    return rows

@@ -36,21 +36,17 @@ from .core import (
     close,
     column_matrix,
     fields_equal,
-    frame,
     geometric_product,
     grade_select,
     pseudoscalar,
     require,
-    residual,
     reverse,
     stack_cases,
     unstack,
 )
-from .errors import (NonTimelike, NotInIdeal, NotInSubalgebra, NotOrthogonal, TagMismatch,
-                     VerificationFailure, ZeroQ0)
+from .errors import NonTimelike, NotOrthogonal, TagMismatch, VerificationFailure, ZeroQ0
 from .isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
 from .quatrep import Quaternion, cross, quat_mul
-from .spinors import CenterScalar, IdealSpinor
 
 _VALID_TAGS = (AlgebraTag.EUCLIDEAN4, AlgebraTag.SPACETIME13)
 
@@ -136,7 +132,10 @@ def image(psi: QuatSpinor) -> Multivector:
 
 @lru_cache(maxsize=None)
 def carrier_frame(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
-    """Frame of (q0 + q1 i) v+ over the coordinates (q0.s, q0.v, q1.s, q1.v)."""
+    """Frame of (q0 + q1 i) v+ over the coordinates (q0.s, q0.v, q1.s, q1.v),
+    and its pseudo-inverse: ``pinv @ m.coeffs`` are the coordinates of m in
+    the span (a least-squares fit off it, so callers check the
+    reconstruction)."""
     vp = idempotent_plus(tag)
     i = spinor_unit(tag)
     units = [Quaternion.from_coords(row) for row in np.eye(4)]
@@ -144,49 +143,16 @@ def carrier_frame(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
         embeds = [embed_spacetime(q) for q in units]
     else:
         embeds = [q.to_multivector() for q in units]
-    return frame([e * vp for e in embeds] + [e * i * vp for e in embeds])
-
-
-def from_image(m: Multivector, tag: AlgebraTag) -> QuatSpinor:
-    """Extract (q0, q1) from a carrier element; NotInIdeal off the ideal."""
-    if m.signature != tag.signature:
-        raise TagMismatch("multivector signature does not match the tag")
-    scale = m.abs_sum()
-    require(close(residual(m * idempotent_plus(tag), m), scale), NotInIdeal,
-            "element is not fixed by right multiplication with v+")
-    _, pinv = carrier_frame(tag)
-    psi = from_carrier_coords(m.coeffs @ pinv.T, tag)
-    require(close(residual(image(psi), m), scale), NotInIdeal,
-            "element has components outside the spinor ideal")
-    return psi
+    mat = column_matrix([e * vp for e in embeds] + [e * i * vp for e in embeds])
+    pinv = np.linalg.pinv(mat)
+    pinv.setflags(write=False)
+    return mat, pinv
 
 
 def from_carrier_coords(sol: np.ndarray, tag: AlgebraTag) -> QuatSpinor:
     """Spinor of the coordinates (q0.s, q0.v, q1.s, q1.v) on the last axis."""
     return QuatSpinor(Quaternion.from_coords(sol[..., :4]), Quaternion.from_coords(sol[..., 4:]),
                       tag)
-
-
-# -------------------------------------------------- product decompositions
-
-
-def circ(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Symmetric half (ab + ba)/2 of the quaternion product."""
-    return (quat_mul(a, b) + quat_mul(b, a)).scale(0.5)
-
-
-def otimes(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Antisymmetric half (ab - ba)/2; circ + otimes = ab."""
-    return (quat_mul(a, b) - quat_mul(b, a)).scale(0.5)
-
-
-def grade_parts(a: Quaternion, b: Quaternion) -> tuple[float, Quaternion]:
-    """Scalar and vector parts of b a*: ((ba* + ab*)/2, (ba* - ab*)/2)."""
-    ba = quat_mul(b, a.conjugate())
-    ab = quat_mul(a, b.conjugate())
-    g0 = (ba + ab).scale(0.5)
-    g1 = (ba - ab).scale(0.5)
-    return g0.s, g1
 
 
 # ------------------------------------------------------------ canonical form
@@ -244,29 +210,6 @@ def _m_frame() -> np.ndarray:
     return column_matrix([g0, i13, *(embed_spacetime(q) * i13 * g0 for q in units)])
 
 
-def spacetime_m_display(q0: Quaternion, q1: Quaternion) -> Multivector:
-    """M written out over spacetime components: an independent route.
-
-    With q0 = x0 + i x and q1 = y0 + i y (x, y the spacelike vectors),
-
-        M = g0 + (y0 x - x0 y + g123 (x wedge y)) / (x0^2 - x^2)
-               + g0123 (x0 y0 - x . y) / (x0^2 - x^2).
-
-    The sign on the g123 term is fixed by requiring agreement with the
-    canonical construction (reconstruction holds for +, not -).
-    """
-    den = q0.norm2()  # x0^2 - x^2 with the spacetime square
-    xv = Multivector.vector(SPACETIME13, (0.0, *q0.v))
-    yv = Multivector.vector(SPACETIME13, (0.0, *q1.v))
-    wedge = grade_select(xv * yv, {2})
-    xdoty = 0.5 * (xv * yv + yv * xv).scalar_part
-    g123 = Multivector.blade(SPACETIME13, 0b1110)
-    g0 = _pole(AlgebraTag.SPACETIME13)
-    i13 = pseudoscalar(SPACETIME13)
-    vec_term = q1.s * xv - q0.s * yv + g123 * wedge
-    return g0 + vec_term / den + ((q0.s * q1.s - xdoty) / den) * i13
-
-
 def canonical_q(psi: QuatSpinor) -> CanonicalQ:
     """Canonical polar data; ZeroQ0 / NonTimelike outside the chart."""
     _admissible(psi)
@@ -306,18 +249,6 @@ def bloch_point(psi: QuatSpinor) -> tuple[float, float, float]:
     (x0, x), (y0, y) = (psi.q0.s, psi.q0.v), (psi.q1.s, psi.q1.v)
     n0 = psi.q0.norm2()
     return tuple((y0 * xk - x0 * yk - ck) / n0 for xk, yk, ck in zip(x, y, cross(x, y)))
-
-
-def canonical_orthogonal(psi: QuatSpinor) -> tuple[CanonicalQ, tuple[float, float, float]]:
-    """Canonical data via the simplified M = pole + x_m; orthogonal only."""
-    require(is_orthogonal(psi), NotOrthogonal, "scalar part of q0* q1 is nonzero")
-    can = canonical_q(psi)
-    xm = bloch_point(psi)
-    m13 = Multivector.vector(SPACETIME13, (1.0, *xm))
-    m = m13 if psi.tag is AlgebraTag.SPACETIME13 else spacetime_to_euclidean(m13)
-    require(residual(m, can.M) <= 1e-10 * np.maximum(1.0, m.max_abs()), NotOrthogonal,
-            "simplified M disagrees with the canonical form")
-    return can, xm
 
 
 # ------------------------------------------------------- brakets, projector
@@ -423,22 +354,3 @@ def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor) -> float:
     b = a_primed(chi)
     return 0.5 * (1.0 + 0.5 * (a * b + b * a).scalar_part)
 
-
-# ------------------------------------------------- reduction to 2-component
-
-
-def reduce_restricted(psi: QuatSpinor) -> IdealSpinor:
-    """Collapse a spinor whose quaternions lie in span{1, i e3} to G1,2.
-
-    Such quaternions form a commutative complex line, and the Minkowski
-    norm and inner products match the G1,2 spinor formulas term for term,
-    so fidelities agree across the two modules.
-    """
-    for q in (psi.q0, psi.q1):
-        require(close(np.hypot(q.v[0], q.v[1]), q.norm()), NotInSubalgebra,
-                "restricted form requires vector parts along e3")
-    return IdealSpinor(
-        AlgebraTag.MINKOWSKI12,
-        CenterScalar(psi.q0.s, psi.q0.v[2]),
-        CenterScalar(psi.q1.s, psi.q1.v[2]),
-    )

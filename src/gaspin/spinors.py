@@ -17,14 +17,13 @@ reported as the Bloch-hyperboloid quantity.
 
 The carrier is linear in (a0.s, a1.s, a0.p, a1.p): one product with the
 cached frame of the ideal, derived once from the geometric products it
-replaces, whose pseudo-inverse :func:`from_multivector` applies.
+replaces.
 
 Center scalars, spinors and chart points may hold arrays of one shape: a
 batch of states, on which every function acts case by case.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,17 +33,16 @@ from .core import (
     Multivector,
     as_cases,
     close,
+    column_matrix,
     fields_equal,
-    frame,
     geometric_product,
     grade_select,
     pseudoscalar,
     require,
-    residual,
     reverse,
     stack_cases,
 )
-from .errors import DegenerateState, NonTimelike, NotInIdeal, TagMismatch
+from .errors import DegenerateState, NonTimelike, TagMismatch
 from .isomap import AlgebraTag
 
 _VALID_TAGS = (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12)
@@ -168,39 +166,18 @@ def _unit_m(tag: AlgebraTag, chart: tuple[float, float]) -> tuple[Multivector, f
 def to_multivector(psi: IdealSpinor) -> Multivector:
     """Carrier element (a0 + a1 * carrier) * idempotent."""
     a0, a1 = psi.a0, psi.a1
-    mat, _ = _ideal_frame(psi.tag)
+    mat = _ideal_frame(psi.tag)
     return Multivector(psi.tag.signature, stack_cases((a0.s, a1.s, a0.p, a1.p)).dot(mat.T))
 
 
 @lru_cache(maxsize=None)
-def _ideal_frame(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
+def _ideal_frame(tag: AlgebraTag) -> np.ndarray:
     """Frame (u, carrier u, i u, i carrier u) of the spinor ideal."""
     u = idempotent(tag)
     carrier = Multivector.basis(tag.signature, _CARRIER[tag])
     i = pseudoscalar(tag.signature)
     cu = geometric_product(carrier, u)
-    return frame([u, cu, geometric_product(i, u), geometric_product(i, cu)])
-
-
-def from_multivector(m: Multivector, tag: AlgebraTag) -> IdealSpinor:
-    """Invert :func:`to_multivector`; raises NotInIdeal off the ideal."""
-    if m.signature != tag.signature:
-        raise TagMismatch("multivector signature does not match the tag")
-    scale = m.abs_sum()
-    require(close(residual(geometric_product(m, idempotent(tag)), m), scale), NotInIdeal,
-            "element is not fixed by right multiplication with u+")
-    mat, pinv = _ideal_frame(tag)
-    sol = m.coeffs @ pinv.T
-    require(close(residual(Multivector(tag.signature, sol @ mat.T), m), scale), NotInIdeal,
-            "element has components outside the spinor ideal")
-    return IdealSpinor(tag, CenterScalar(sol[..., 0], sol[..., 2]),
-                       CenterScalar(sol[..., 1], sol[..., 3]))
-
-
-def braket(psi: IdealSpinor) -> tuple[Multivector, Multivector]:
-    """(ket, bra) = (sqrt2 * carrier, sqrt2 * reversed carrier)."""
-    ket = math.sqrt(2.0) * to_multivector(psi)
-    return ket, reverse(ket)
+    return column_matrix([u, cu, geometric_product(i, u), geometric_product(i, cu)])
 
 
 @dataclass(frozen=True)

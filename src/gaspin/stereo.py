@@ -134,19 +134,31 @@ def project_sphere(a: SpherePoint) -> PlanePoint:
     """Stereographic projection from -e0; the chart point a / (1 + a0).
 
     On the southern half 1 + a0 cancels, so it is taken as |a|^2 / (1 - a0),
-    which keeps full relative accuracy up to the pole, where it is 0.
+    which keeps full relative accuracy up to the pole, where it is 0.  There
+    the chart point is (y s) / (y^2 / (1 - a0)) on y = s a, with s the power
+    of two that brings the largest |a_k| into [1/2, 1), as in
+    :func:`lift_sphere`: the roundings are the unscaled form's, but y^2 does
+    not underflow for lifts of |x| beyond 1e154.
     """
     c = a.a_hat.coeffs
     rest = c.take(_CHART_MASKS, -1)
     if c.ndim == 1:  # one case in Python numbers
         a0 = c.item(1)
-        denom = 1.0 + a0 if a0 >= 0.0 else float(rest @ rest) / (1.0 - a0)
+        if a0 >= 0.0:
+            s, denom = 1.0, 1.0 + a0
+        else:
+            s = math.ldexp(1.0, -math.frexp(max(map(abs, rest.tolist())))[1])
+            rest = s * rest
+            denom = float(rest @ rest) / (1.0 - a0)
     else:  # each (1, 3) @ (3, 1) product sums as one case's rest @ rest does
         a0 = c[..., 1]
+        north = a0 >= 0.0
+        s = np.where(north, 1.0, np.ldexp(1.0, -np.frexp(np.abs(rest).max(axis=-1))[1]))
+        rest = s[..., None] * rest
         r2 = (rest[..., None, :] @ rest[..., :, None])[..., 0, 0]
-        denom = np.where(a0 >= 0.0, 1.0 + a0, r2 / (1.0 + np.abs(a0)))
+        denom = np.where(north, 1.0 + a0, r2 / (1.0 + np.abs(a0)))
     require(denom != 0.0, PoleSingularity, "projection undefined at the south pole")
-    return PlanePoint(tuple(r / denom for r in unstack(rest)))
+    return PlanePoint(tuple(s * r / denom for r in unstack(rest)))
 
 
 def sphere_angle(x: PlanePoint) -> float:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gaspin.core import EUCLIDEAN4, MINKOWSKI12, PAULI3, SPACETIME13, Multivector
+from gaspin.core import (EUCLIDEAN4, MINKOWSKI12, PAULI3, SPACETIME13, TOL, Multivector,
+                         column_matrix, residual)
 
 ALL_SIGNATURES = (EUCLIDEAN4, SPACETIME13, PAULI3, MINKOWSKI12)
 
@@ -12,6 +13,49 @@ def random_mv(rng, signature, integer=False, scale=1.0):
     else:
         coeffs = rng.uniform(-scale, scale, size=signature.dim)
     return Multivector(signature, coeffs)
+
+
+def allclose(a, b):
+    return residual(a, b) <= TOL
+
+
+def _indices(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def blade_product(mask_a, mask_b, signature):
+    """Product of two basis blades -> (sign, result mask): the loop reference
+    for ``core.sign_table``.
+
+    Sign counts the transpositions needed to sort the concatenated
+    generator lists, then applies one metric sign per repeated generator.
+    """
+    factors = _indices(mask_a)
+    sign = 1
+    for gen in _indices(mask_b):
+        swaps = sum(1 for g in factors if g > gen)
+        if swaps % 2:
+            sign = -sign
+        if gen in factors:
+            factors.remove(gen)
+            sign *= signature.metric(gen)
+        else:
+            factors.append(gen)
+    mask = 0
+    for g in factors:
+        mask |= 1 << g
+    return sign, mask
+
+
+def frame_coords(m, columns):
+    """Coordinates of ``m`` (one case or a batch) over the frame ``columns``:
+    the least-squares solution, which must rebuild ``m`` to rounding, so that
+    ``m`` lies in the span.  The one ideal-coordinate extraction of the tests."""
+    mat = column_matrix(columns)
+    sol = m.coeffs @ np.linalg.pinv(mat).T
+    rebuilt = Multivector(m.signature, sol @ mat.T)
+    assert np.all(residual(rebuilt, m) <= TOL * m.abs_sum()), "m is not in the frame's span"
+    return sol
 
 
 @pytest.fixture

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaspin import cli, core, stereo
+from gaspin import cli, stereo
 from gaspin.core import EUCLIDEAN4, Multivector
 from gaspin.quatrep import matrix_residual, rep_vec
+
+from conftest import blade_product
 
 
 def run_cli(capsys, argv):
@@ -76,7 +78,7 @@ def test_verify_calls_every_suite_through_the_registry(capsys, monkeypatch):
 
 def test_fixed_input_suites_ignore_the_case_count():
     for name in cli.FIXED_INPUT_SUITES:
-        few, many = (cli.run_suite(name, 7, cases, cli.DEFAULT_TOL) for cases in (1, 50))
+        few, many = (cli.run_suite(name, 7, cases) for cases in (1, 50))
         assert (few.max_residual, few.tolerance) == (many.max_residual, many.tolerance)
 
 
@@ -86,8 +88,10 @@ def test_verify_rejects_zero_cases(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-12"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-12", "1e-9"])
 def test_verify_rejects_bad_tol(capsys, tol):
+    # verify has no --tol: every suite writes its bound from core.TOL, so
+    # any --tol is a usage error
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--cases", "2", f"--tol={tol}"])
     assert exc.value.code == 2
@@ -166,7 +170,7 @@ def test_table_cells_are_cached_exact_and_immutable(capsys, p, q):
     for i in range(sig.dim):
         row = []
         for j in range(sig.dim):
-            sign, mask = core.blade_product(i, j, sig)
+            sign, mask = blade_product(i, j, sig)
             row.append(("+" if sign > 0 else "-") + names[mask])
         want.append(row)
     rows = list(csv.reader(io.StringIO(first[0][1])))

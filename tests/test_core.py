@@ -13,8 +13,6 @@ from gaspin.core import (
     SPACETIME13,
     Multivector,
     Signature,
-    allclose,
-    blade_product,
     dot,
     exp_blade,
     geometric_product,
@@ -32,7 +30,7 @@ from gaspin.errors import (
     SignatureMismatch,
 )
 
-from conftest import ALL_SIGNATURES, random_mv
+from conftest import ALL_SIGNATURES, allclose, blade_product, random_mv
 
 
 def mv_blade(sig, *gens):

@@ -11,11 +11,9 @@ from gaspin.dirac import (
     dirac_idempotent,
     dirac_roundtrip_residual,
     dirac_to_geometric,
-    expansion_display,
     geometric_to_qspinor,
     j_action,
     j_blade,
-    j_structure_report,
     qspinor_to_dirac,
     qspinor_to_geometric,
 )
@@ -36,6 +34,24 @@ _GAMMA = (
     *(np.block([[np.zeros((2, 2)), -s], [s, np.zeros((2, 2))]]) for s in _SIGMA),
 )
 _ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+
+
+def expansion_display(phi):
+    """The same element written over real/imag groups:
+
+    ((x1 + x4 e1 + y4 e2 + x3 e3) + i (y3 + y2 e1 - x2 e2 + y1 e3)) u(+,+)
+    with i = e123 = g0123; an independent route to ``dirac_to_geometric``.
+    """
+    x = [c.real for c in phi.components]
+    y = [c.imag for c in phi.components]
+    e = [
+        euclidean_to_spacetime(Multivector.blade(EUCLIDEAN4, 1 << k)) for k in range(4)
+    ]
+    i13 = pseudoscalar(SPACETIME13)
+    one = Multivector.scalar(SPACETIME13, 1.0)
+    first = x[0] * one + x[3] * e[1] + y[3] * e[2] + x[2] * e[3]
+    second = y[2] * one + y[1] * e[1] - x[1] * e[2] + y[0] * e[3]
+    return (first + i13 * second) * dirac_idempotent(+1, +1)
 
 
 def _parts(m):
@@ -79,11 +95,18 @@ def test_j_is_right_g21_everywhere(rng):
 
 
 def test_j_structure_report():
-    report = j_structure_report()
-    assert report["J_minus_ji"] == 0.0
-    # the opposite sign lands on the neighbouring idempotent instead
-    assert report["J_plus_ji"] >= 0.25
-    assert report["j_as_right_g21_on_idempotent"] == 0.0
+    # J = -j i (the operative convention) gives v+ (1 + J e3)/2 = u(+,+)
+    # exactly; J = +j i lands on the neighbouring idempotent instead
+    i13 = pseudoscalar(SPACETIME13)
+    _, _, e3, _ = carrier_blades()
+    one = Multivector.scalar(SPACETIME13, 1.0)
+    v_plus = (one + Multivector.basis(SPACETIME13, 0)) * 0.5
+
+    def e_plus(sign):  # (1 + J e3)/2 with J = sign * j i
+        return (one + ((sign * 1j) * i13) * e3) * 0.5
+
+    assert residual(v_plus * e_plus(-1.0), dirac_idempotent(+1, +1)) == 0.0
+    assert residual(v_plus * e_plus(+1.0), dirac_idempotent(+1, +1)) >= 0.25
 
 
 # -------------------------------------------------------------------- the map

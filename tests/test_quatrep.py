@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gaspin.core import EUCLIDEAN4, Multivector, allclose, geometric_product, residual
-from gaspin.errors import NotInSubalgebra, SignatureMismatch
+from gaspin.core import EUCLIDEAN4, Multivector, geometric_product, residual
+from gaspin.errors import GAError, NotInSubalgebra, SignatureMismatch
 from gaspin.quatrep import (
     QuatMatrix2,
     Quaternion,
@@ -17,7 +17,7 @@ from gaspin.quatrep import (
     unrep_vec,
 )
 
-from conftest import random_mv
+from conftest import allclose, random_mv
 
 
 def rand_quat(rng, integer=False):
@@ -74,6 +74,8 @@ def test_quat_norm_positive(rng):
 def test_embedding_roundtrip(rng):
     q = rand_quat(rng)
     assert Quaternion.from_multivector(q.to_multivector()) == q
+    # a typed error, also a ValueError, for elements off the subalgebra
+    assert issubclass(NotInSubalgebra, GAError) and issubclass(NotInSubalgebra, ValueError)
     with pytest.raises(ValueError):
         Quaternion.from_multivector(Multivector.basis(EUCLIDEAN4, 0))
     # the check is relative: a part outside the subalgebra 1e-9 of the size

@@ -9,9 +9,11 @@ from gaspin.core import (
     EUCLIDEAN4,
     SPACETIME13,
     Multivector,
-    allclose,
+    close,
     geometric_product,
     grade_select,
+    pseudoscalar,
+    require,
     residual,
     reverse,
 )
@@ -20,44 +22,37 @@ from gaspin.cli import _accepted as accepted
 from gaspin.cli import _admissible_rows as admissible_rows
 from gaspin.cli import _orthogonal_rows as orthogonal_rows
 from gaspin.cli import _rand_admissible_q as rand_admissible
-from gaspin.cli import _rand_orthogonal_q as rand_orthogonal
 from gaspin.errors import (
-    GAError,
     NonTimelike,
-    NotInIdeal,
     NotInSubalgebra,
     NotOrthogonal,
     TagMismatch,
     VerificationFailure,
     ZeroQ0,
 )
-from gaspin.isomap import AlgebraTag, euclidean_to_spacetime
+from gaspin.isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
 from gaspin.quatrep import Quaternion, quat_mul
 from gaspin.quatspinor import (
     QuatSpinor,
     bloch_point,
     braket_q,
-    canonical_orthogonal,
     canonical_q,
-    circ,
     embed_spacetime,
     fidelity_q,
     from_carrier_coords,
-    from_image,
-    grade_parts,
     idempotent_plus,
     image,
     is_orthogonal,
     norm2_q,
-    otimes,
     projector,
     projector_closed_orthogonal,
     reconstruct,
-    reduce_restricted,
-    spacetime_m_display,
     spinor_reverse,
 )
+from gaspin.spinors import CenterScalar, IdealSpinor
 from gaspin.spinors import fidelity as ideal_fidelity
+
+from conftest import allclose, frame_coords
 
 TAGS = (AlgebraTag.SPACETIME13, AlgebraTag.EUCLIDEAN4)
 
@@ -69,83 +64,52 @@ def per_tag(rows):
     return zip(TAGS, (from_carrier_coords(r, tag) for r, tag in zip(np.split(rows, len(TAGS)), TAGS)))
 
 
+def spacetime_m_display(q0, q1):
+    """M written out over spacetime components: an independent route.
+
+    With q0 = x0 + i x and q1 = y0 + i y (x, y the spacelike vectors),
+
+        M = g0 + (y0 x - x0 y + g123 (x wedge y)) / (x0^2 - x^2)
+               + g0123 (x0 y0 - x . y) / (x0^2 - x^2).
+
+    The sign on the g123 term is fixed by requiring agreement with the
+    canonical construction (reconstruction holds for +, not -).
+    """
+    den = q0.norm2()  # x0^2 - x^2 with the spacetime square
+    xv = Multivector.vector(SPACETIME13, (0.0, *q0.v))
+    yv = Multivector.vector(SPACETIME13, (0.0, *q1.v))
+    wedge = grade_select(xv * yv, {2})
+    xdoty = 0.5 * (xv * yv + yv * xv).scalar_part
+    g123 = Multivector.blade(SPACETIME13, 0b1110)
+    g0 = Multivector.basis(SPACETIME13, 0)
+    i13 = pseudoscalar(SPACETIME13)
+    vec_term = q1.s * xv - q0.s * yv + g123 * wedge
+    return g0 + vec_term / den + ((q0.s * q1.s - xdoty) / den) * i13
+
+
+def reduce_restricted(psi):
+    """Collapse a spinor whose quaternions lie in span{1, i e3} to G1,2.
+
+    Such quaternions form a commutative complex line, and the Minkowski
+    norm and inner products match the G1,2 spinor formulas term for term,
+    so fidelities agree across the two modules.
+    """
+    for q in (psi.q0, psi.q1):
+        require(close(np.hypot(q.v[0], q.v[1]), q.norm()), NotInSubalgebra,
+                "restricted form requires vector parts along e3")
+    return IdealSpinor(
+        AlgebraTag.MINKOWSKI12,
+        CenterScalar(psi.q0.s, psi.q0.v[2]),
+        CenterScalar(psi.q1.s, psi.q1.v[2]),
+    )
+
+
 def rand_quat(rng, scale=1.0, integer=False):
     if integer:
         vals = rng.integers(-4, 5, size=4).astype(float)
     else:
         vals = rng.uniform(-scale, scale, size=4)
     return Quaternion(vals[0], tuple(vals[1:]))
-
-
-# ----------------------------------------------------- product decomposition
-
-
-def test_circ_otimes_example():
-    # q0 = i e1, q1 = -i e2: circ(q0*, q1) = 0 and otimes(q0*, q1) = -k.
-    q0 = Quaternion.from_vector((1, 0, 0))
-    q1 = Quaternion.from_vector((0, -1, 0))
-    a = q0.conjugate()
-    got_circ = circ(a, q1)
-    got_otimes = otimes(a, q1)
-    assert got_circ == Quaternion.zero()
-    assert got_otimes == Quaternion.from_vector((0, 0, -1))  # -k = -i e3
-
-
-def test_circ_otimes_decomposition(rng):
-    for _ in range(1000):
-        a = rand_quat(rng, integer=True)
-        b = rand_quat(rng, integer=True)
-        assert circ(a, b) + otimes(a, b) == quat_mul(a, b)
-        assert circ(a, b) == circ(b, a)
-        assert otimes(a, b) == -otimes(b, a)
-    a = rand_quat(rng)
-    assert otimes(a, a) == Quaternion.zero()
-    assert circ(a, a) == quat_mul(a, a)
-
-
-def test_circ_otimes_bilinear_integer_exact(rng):
-    for _ in range(200):
-        a, b, c = (rand_quat(rng, integer=True) for _ in range(3))
-        lam = int(rng.integers(-3, 4))
-        for op in (circ, otimes):
-            assert op(a + b.scale(lam), c) == op(a, c) + op(b, c).scale(lam)
-            assert op(c, a + b.scale(lam)) == op(c, a) + op(c, b).scale(lam)
-
-
-def test_circ_component_formula(rng):
-    # For a = q0*, b = q1: circ = x0 y0 + x.y + (x0 y - y0 x) i and
-    # otimes = (x cross y) i.
-    for _ in range(200):
-        q0 = rand_quat(rng)
-        q1 = rand_quat(rng)
-        x0, x = q0.s, np.array(q0.v)
-        y0, y = q1.s, np.array(q1.v)
-        c = circ(q0.conjugate(), q1)
-        assert c.s == pytest.approx(x0 * y0 + float(x @ y), abs=1e-12)
-        assert np.allclose(c.v, x0 * y - y0 * x, atol=1e-12)
-        o = otimes(q0.conjugate(), q1)
-        assert o.s == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(o.v, np.cross(x, y), atol=1e-12)
-
-
-def test_grade_parts(rng):
-    a = rand_quat(rng)
-    g0, g1 = grade_parts(a, a)
-    assert g0 == pytest.approx(a.norm2(), abs=1e-12)
-    assert g1.max_abs() <= 1e-12
-    b = Quaternion.from_vector(rng.uniform(-1, 1, size=3))
-    g0, _ = grade_parts(Quaternion.one(), b)
-    assert g0 == pytest.approx(0.0, abs=1e-15)
-    for _ in range(200):
-        a, b = rand_quat(rng), rand_quat(rng)
-        g0, g1 = grade_parts(a, b)
-        x0, x = a.s, np.array(a.v)
-        y0, y = b.s, np.array(b.v)
-        assert g0 == pytest.approx(x0 * y0 + float(x @ y), abs=1e-12)
-        assert np.allclose(g1.v, x0 * y - y0 * x - np.cross(x, y), atol=1e-12)
-        assert abs(g1.s) <= 1e-12
-        reassembled = Quaternion.from_scalar(g0) + g1
-        assert (reassembled - quat_mul(b, a.conjugate())).max_abs() <= 1e-12
 
 
 # ------------------------------------------------------------------- carrier
@@ -187,14 +151,13 @@ def test_image_consistent_across_iso(rng):
 
 
 def test_from_image_roundtrip(rng):
+    # 200 spinors per tag as one batch, the draws of 200 rand_quat pairs; the
+    # coordinates come back over the carriers of the eight unit coordinates
     for tag in TAGS:
-        for _ in range(200):
-            psi = QuatSpinor(rand_quat(rng), rand_quat(rng), tag)
-            back = from_image(image(psi), tag)
-            assert (back.q0 - psi.q0).max_abs() <= 1e-12
-            assert (back.q1 - psi.q1).max_abs() <= 1e-12
-    with pytest.raises(NotInIdeal):
-        from_image(Multivector.basis(SPACETIME13, 1), AlgebraTag.SPACETIME13)
+        coords = rng.uniform(-1, 1, size=(200, 8))
+        units = [image(from_carrier_coords(row, tag)) for row in np.eye(8)]
+        back = frame_coords(image(from_carrier_coords(coords, tag)), units)
+        assert np.all(np.abs(back - coords) <= 1e-12)
 
 
 # ------------------------------------------------------------ canonical form
@@ -300,7 +263,7 @@ def test_phase_axis_convention():
 def test_orthogonal_example():
     psi = QuatSpinor(Quaternion.one(), Quaternion.from_vector((0.5, 0, 0)))
     assert is_orthogonal(psi)
-    can, xm = canonical_orthogonal(psi)
+    can, xm = canonical_q(psi), bloch_point(psi)
     assert np.allclose(xm, (-0.5, 0.0, 0.0), atol=1e-15)
     want = Multivector.vector(SPACETIME13, (1.0, -0.5, 0.0, 0.0))
     assert residual(can.M, want) <= 1e-12
@@ -314,23 +277,28 @@ def test_orthogonal_example():
 def test_orthogonal_trivial_and_rejection():
     psi = QuatSpinor(Quaternion.one(), Quaternion.zero())
     assert is_orthogonal(psi)
-    _, xm = canonical_orthogonal(psi)
-    assert xm == (0.0, 0.0, 0.0)
+    assert bloch_point(psi) == (0.0, 0.0, 0.0)
+    scalar_q1 = QuatSpinor(Quaternion.one(), Quaternion.from_scalar(0.5))
+    assert not is_orthogonal(scalar_q1)
     with pytest.raises(NotOrthogonal):
-        canonical_orthogonal(QuatSpinor(Quaternion.one(), Quaternion.from_scalar(0.5)))
+        projector_closed_orthogonal(scalar_q1)
 
 
 def test_orthogonal_random_reconstruction(rng):
-    for tag in TAGS:
-        for _ in range(200):
-            psi = rand_orthogonal(rng, tag)
-            can, xm = canonical_orthogonal(psi)
-            assert residual(reconstruct(can, tag), image(psi)) <= 1e-11
-            # |M| = sqrt(1 - x_m^2) = sqrt(1 - |q1|^2/|q0|^2)
-            r2 = sum(c * c for c in xm)
-            assert math.sqrt(1.0 - r2) == pytest.approx(
-                math.sqrt(1.0 - psi.q1.norm2() / psi.q0.norm2()), abs=1e-10
-            )
+    # 200 orthogonal spinors per tag as one batch, the rows of 200 single
+    # rand_orthogonal draws: M is the plain vector g0 + x_m of the Bloch
+    # point, and rho Mhat v+ rebuilds the carrier
+    for tag, psi in per_tag(accepted(rng, 200 * len(TAGS), 8, orthogonal_rows)):
+        can, xm = canonical_q(psi), bloch_point(psi)
+        m = Multivector.vector(SPACETIME13, (1.0, *xm))
+        if tag is AlgebraTag.EUCLIDEAN4:
+            m = spacetime_to_euclidean(m)
+        assert np.all(residual(m, can.M) <= 1e-10 * np.maximum(1.0, m.max_abs()))
+        assert np.all(residual(reconstruct(can, tag), image(psi)) <= 1e-11)
+        # |M| = sqrt(1 - x_m^2) = sqrt(1 - |q1|^2/|q0|^2)
+        r2 = sum(c * c for c in xm)
+        want = np.sqrt(1.0 - psi.q1.norm2() / psi.q0.norm2())
+        assert np.all(np.abs(np.sqrt(1.0 - r2) - want) <= 1e-10)
 
 
 def test_bloch_point_roundtrip(rng):
@@ -454,8 +422,6 @@ def test_restricted_reduction_fidelities_agree(rng):
         f_quat = fidelity_q(psi, chi)
         f_ideal = ideal_fidelity(reduce_restricted(psi), reduce_restricted(chi))
         assert abs(f_quat - f_ideal) <= 1e-10 * max(1.0, abs(f_quat))
-    with pytest.raises(ValueError):
-        reduce_restricted(QuatSpinor(Quaternion.from_vector((1, 0, 0)), Quaternion.zero()))
     # restricted pairs of sizes 1e-5..1e5 agree to rounding
     def scaled_restricted():
         lam = 10.0 ** rng.uniform(-5, 5)
@@ -470,14 +436,6 @@ def test_restricted_reduction_fidelities_agree(rng):
         f_quat = fidelity_q(psi, chi)
         f_ideal = ideal_fidelity(reduce_restricted(psi), reduce_restricted(chi))
         assert abs(f_quat - f_ideal) <= 1e-14 * abs(f_quat)
-    # a typed error, also a ValueError, for quaternions off span{1, i e3}
-    assert issubclass(NotInSubalgebra, GAError) and issubclass(NotInSubalgebra, ValueError)
-    for lam in (1e-9, 1.0, 1e9):
-        off_line = Quaternion(lam, (1e-9 * lam, 0.0, 0.0))
-        with pytest.raises(NotInSubalgebra):
-            reduce_restricted(QuatSpinor(Quaternion.one(), off_line))
-        with pytest.raises(NotInSubalgebra):
-            reduce_restricted(QuatSpinor(off_line, Quaternion.zero()))
 
 
 @settings(max_examples=100, deadline=None)

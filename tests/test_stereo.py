@@ -10,7 +10,6 @@ from gaspin.core import (
     EUCLIDEAN4,
     SPACETIME13,
     Multivector,
-    allclose,
     dot,
     exp_blade,
     geometric_product,
@@ -34,6 +33,8 @@ from gaspin.stereo import (
     sphere_metric,
     sphere_rotor,
 )
+
+from conftest import allclose
 
 
 def rand_ball(rng, rmax=0.95):
@@ -362,3 +363,19 @@ def test_sphere_lift_where_x_squared_overflows(log_r, direction):
     assert all(abs(g - w) <= 4 * math.ulp(w) for g, w in zip(got[1:], want[1:]))
     assert sphere_angle(x) == math.pi
     assert residual(rotor_apply(sphere_rotor(x), E0), a) <= 4 * math.ulp(1.0) * a.abs_sum()
+
+
+def test_sphere_roundtrip_where_the_lift_underflows():
+    # the lift of |x| beyond about 1.3e154 has |a - a0 e0|^2 below the
+    # smallest double; the projection scales those components by a power of
+    # two first, so the round trip holds to 1e-15 relative, case by case and
+    # as one batch
+    radii = np.array([1e150, 1e155, 1e160, 1e200, 1e300])
+    directions = np.array([[1.0, 0.0, 0.0], [0.6, -0.8, 0.0], [0.0, 0.28, 0.96]])
+    points = (radii[:, None, None] * directions).reshape(-1, 3)
+    bound = 1e-15 * np.repeat(radii, len(directions))
+    for p, b in zip(points, bound):
+        back = project_sphere(lift_sphere(PlanePoint(tuple(p)))).x
+        assert np.max(np.abs(np.array(back) - p)) <= b
+    back = project_sphere(lift_sphere(PlanePoint(tuple(points.T)))).x
+    assert np.all(np.max(np.abs(np.array(back).T - points), axis=1) <= bound)
