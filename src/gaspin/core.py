@@ -31,7 +31,10 @@ numbers.  The product of two single cases keeps the kernel above.  A single
 factor against a batch is one fixed (dim, dim) matrix applied to the batch.
 Two batches are contracted in blocks against the (dim^2, dim) sign tensor
 ``T[i*dim + j, i ^ j] = S[i, j]``, at most ``_BLOCK_BYTES`` (128 KB) of
-outer products at a time, so memory stays flat in the batch size.
+outer products at a time, so memory stays flat in the batch size.  That
+kernel, :func:`contract`, takes any bilinear map given by its table:
+``quatrep.QuatMatrix2`` products use it with a (256, 16) table derived from
+``quat_mul``.
 Domain checks go through :func:`require`, which raises on the first failing
 case of a batch and names its index.
 """
@@ -100,12 +103,22 @@ def batch_shape(*values) -> tuple[int, ...]:
 
 def as_cases(values: Sequence, kind: type = float) -> tuple:
     """``values`` as Python numbers of ``kind``, or, when any of them is an
-    array, as arrays of ``kind`` broadcast to one batch shape."""
+    array, as read-only arrays of ``kind`` broadcast to one batch shape."""
     for v in values:
         if isinstance(v, np.ndarray) and v.ndim:
             shape = batch_shape(*values)
-            return tuple(np.broadcast_to(np.asarray(x, dtype=kind), shape) for x in values)
+            return tuple(_case_view(np.asarray(x, dtype=kind), shape) for x in values)
     return tuple(map(kind, values))
+
+
+def _case_view(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``x`` broadcast to ``shape``, read-only; a plain view, several times
+    cheaper than ``np.broadcast_to``, when it already has that shape."""
+    if x.shape != shape:
+        return np.broadcast_to(x, shape)
+    x = x.view()
+    x.setflags(write=False)
+    return x
 
 
 def unstack(x: np.ndarray) -> tuple:
@@ -290,9 +303,11 @@ class Multivector:
             arr = arr.astype(complex if arr.dtype.kind == "c" else float)
         if arr.shape != (self.signature.dim,) and arr.shape[-1:] != (self.signature.dim,):
             raise ValueError(f"need {self.signature.dim} coefficients, got {arr.shape}")
-        # A finite sum proves every term finite (NaN and inf propagate); a
-        # sum that overflows falls back to the elementwise test.
-        if not cmath.isfinite(np.add.reduce(arr, axis=None)):
+        # One case: a finite sum of Python numbers proves every term finite
+        # (NaN and inf propagate, overflow gives inf without a warning).  A
+        # batch takes the elementwise test.  Either failing falls back to the
+        # per-case test, which names the failing case or passes an overflow.
+        if not (cmath.isfinite(sum(arr.tolist())) if arr.ndim == 1 else np.isfinite(arr).all()):
             require(np.isfinite(arr).all(axis=-1), NonFiniteValue, "coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -457,17 +472,25 @@ def _batch_product(ac: np.ndarray, bc: np.ndarray, p: int, q: int) -> np.ndarray
         return bc @ (lsigns * ac[perm]).T
     if bc.ndim == 1:
         return ac @ (_right_signs(p, q) * bc[perm]).T
-    dim = ac.shape[-1]
+    return contract(ac, bc, _outer_table(p, q))
+
+
+def contract(ac: np.ndarray, bc: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The bilinear map with (na * nb, m) table ``table``, case by case:
+    ``outer(a, b).ravel() @ table`` for a = ``ac[..., :]`` and b =
+    ``bc[..., :]``, the leading axes of the two broadcast against each other.
+    The outer products are formed at most ``_BLOCK_BYTES`` at a time, so
+    memory stays flat in the batch size."""
+    na, nb = ac.shape[-1], bc.shape[-1]
     shape = np.broadcast_shapes(ac.shape[:-1], bc.shape[:-1])
-    a2 = np.broadcast_to(ac, (*shape, dim)).reshape(-1, dim)
-    b2 = np.broadcast_to(bc, (*shape, dim)).reshape(-1, dim)
-    out = np.empty((len(a2), dim), dtype=np.result_type(ac, bc))
-    step = max(1, _BLOCK_BYTES // (dim * dim * out.itemsize))
-    table = _outer_table(p, q)
+    a2 = np.broadcast_to(ac, (*shape, na)).reshape(-1, na)
+    b2 = np.broadcast_to(bc, (*shape, nb)).reshape(-1, nb)
+    out = np.empty((len(a2), table.shape[1]), dtype=np.result_type(ac, bc))
+    step = max(1, _BLOCK_BYTES // (na * nb * out.itemsize))
     for s in range(0, len(out), step):
         outer = a2[s:s + step, :, None] * b2[s:s + step, None, :]
-        np.matmul(outer.reshape(-1, dim * dim), table, out=out[s:s + step])
-    return out.reshape(*shape, dim)
+        np.matmul(outer.reshape(-1, na * nb), table, out=out[s:s + step])
+    return out.reshape(*shape, table.shape[1])
 
 
 def reverse(a: Multivector) -> Multivector:

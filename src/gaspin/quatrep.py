@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (EUCLIDEAN4, Multivector, as_cases, batch_shape, close, fields_equal, require,
-                   residual, reverse, stack_cases, unstack)
+from .core import (EUCLIDEAN4, Multivector, as_cases, batch_shape, close, contract, fields_equal,
+                   require, residual, reverse, stack_cases, unstack)
 from .errors import NotInSubalgebra, SignatureMismatch
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -151,11 +151,28 @@ def _structure() -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _product_table() -> np.ndarray:
+    """(256, 16) table of the 2x2 quaternion-matrix product over flattened
+    entries: row (j, l, a, l, k, b) holds ``_structure()[a, b]`` in column
+    (j, k), so that row into column sums quat_mul(A[j, l], B[l, k]) over l,
+    each factor in its left-to-right order since quaternions do not commute."""
+    table = np.zeros((2, 2, 4, 2, 2, 4, 2, 2, 4))
+    for j, l, k in np.ndindex(2, 2, 2):
+        table[j, l, :, l, k, :, j, k, :] = _structure()
+    table = table.reshape(256, 16)
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class QuatMatrix2:
     """2x2 matrix over the quaternions: ``coeffs[..., j, k, :]`` holds entry
     (j, k) as the coordinates (s, v1, v2, v3), in one read-only (..., 2, 2, 4)
-    array; leading axes index the cases of a batch."""
+    array; leading axes index the cases of a batch.  Products are
+    ``core.contract`` of the flattened entries against ``_product_table()``,
+    the (256, 16) table read off :func:`quat_mul`, blocked as the batched
+    geometric product is."""
 
     coeffs: np.ndarray
     __eq__ = fields_equal
@@ -194,11 +211,8 @@ class QuatMatrix2:
         return QuatMatrix2(a * self.coeffs)
 
     def __mul__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        # Row into column; quaternion factors keep their left-to-right order
-        # since they do not commute.
-        return QuatMatrix2(
-            np.einsum("...jla,...lkb,abc->...jkc", self.coeffs, other.coeffs, _structure())
-        )
+        c = contract(_flat(self), _flat(other), _product_table())
+        return QuatMatrix2(c.reshape(*c.shape[:-1], 2, 2, 4))
 
     def conjugate_transpose(self) -> "QuatMatrix2":
         return QuatMatrix2(np.swapaxes(self.coeffs, -3, -2) * (1.0, -1.0, -1.0, -1.0))

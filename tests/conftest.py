@@ -3,6 +3,7 @@ import pytest
 
 from gaspin.core import (EUCLIDEAN4, MINKOWSKI12, PAULI3, SPACETIME13, TOL, Multivector,
                          column_matrix, residual)
+from gaspin.quatrep import Quaternion, quat_mul
 
 ALL_SIGNATURES = (EUCLIDEAN4, SPACETIME13, PAULI3, MINKOWSKI12)
 
@@ -45,6 +46,24 @@ def blade_product(mask_a, mask_b, signature):
     for g in factors:
         mask |= 1 << g
     return sign, mask
+
+
+def stack_entries(rows):
+    """(..., 2, 2, 4) coordinates of a 2x2 quaternion matrix given as two rows
+    of (batched) Quaternions."""
+    return np.stack([np.stack([q.coords() for q in row], axis=-2) for row in rows], axis=-3)
+
+
+def quat_cells(a, b):
+    """Row into column over quat_mul, cell by cell, for (..., 2, 2, 4)
+    coordinate arrays whose leading axes broadcast: the independent route
+    for the QuatMatrix2 product, which contracts against a table."""
+    def entry(x, j, k):
+        return Quaternion.from_coords(x[..., j, k, :])
+
+    return stack_entries([[quat_mul(entry(a, j, 0), entry(b, 0, k))
+                           + quat_mul(entry(a, j, 1), entry(b, 1, k)) for k in range(2)]
+                          for j in range(2)])
 
 
 def frame_coords(m, columns):

@@ -9,7 +9,7 @@ case raises what the single call on that case raises, and names the case.
 import numpy as np
 import pytest
 
-from conftest import ALL_SIGNATURES, blade_product
+from conftest import ALL_SIGNATURES, blade_product, quat_cells
 from gaspin import dirac, quatspinor, spinors, stereo
 from gaspin.core import (
     EUCLIDEAN4,
@@ -177,6 +177,31 @@ def test_quaternions_batch_equal_single_calls(rng, shape, kind):
     got = Quaternion.from_coords(a).to_multivector().coeffs
     want = per_case(lambda u: Quaternion.from_coords(u).to_multivector().coeffs, shape, a)
     assert np.array_equal(got, want)
+
+
+def test_batch_fields_are_read_only_views_of_their_inputs(rng):
+    # a field of the batch shape is viewed, one of another shape broadcast;
+    # either way it shares the caller's memory and cannot write to it
+    s, v1 = rng.uniform(-1.0, 1.0, (3, 4)), rng.uniform(-1.0, 1.0, 4)
+    q = Quaternion(s, (v1, 0.0, 0.0))
+    for field, source in ((q.s, s), (q.v[0], v1)):
+        assert field.shape == (3, 4) and np.shares_memory(field, source)
+        with pytest.raises(ValueError):
+            field[0, 0] = 1.0
+    assert s.flags.writeable and v1.flags.writeable
+
+
+@pytest.mark.parametrize("shapes", (((200,), (200,)), ((), (7,)), ((7,), ()), ((3, 4), (4,))),
+                         ids=str)
+@pytest.mark.parametrize("kind", ("integer", "float"))
+def test_quat_matrix_product_matches_the_cell_formula(rng, shapes, kind):
+    # 200 cases cross the 64-case block of the table contraction; a single
+    # factor and a (4,) factor broadcast against the other's batch
+    a, b = (operands(rng, shape, 16, kind) for shape in shapes)
+    ma, mb = (x.reshape(*x.shape[:-1], 2, 2, 4) for x in (a, b))
+    got = (QuatMatrix2(ma) * QuatMatrix2(mb)).coeffs
+    assert got.shape == (*np.broadcast_shapes(*shapes), 2, 2, 4)
+    assert_matches(got, quat_cells(ma, mb), kind, scale_of(a, b)[..., None, None])
 
 
 @pytest.mark.parametrize("shape", SHAPES)

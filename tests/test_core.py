@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -415,8 +416,9 @@ def test_finiteness_check_is_exact():
     big = np.zeros(EUCLIDEAN4.dim)
     big[:2] = 1e308
     for coeffs in (big, -big):
-        with np.errstate(over="ignore"):
-            assert not math.isfinite(np.add.reduce(coeffs))
+        assert not math.isfinite(sum(coeffs.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and without a RuntimeWarning
             assert np.array_equal(Multivector(EUCLIDEAN4, coeffs).coeffs, coeffs)
     for bad in (math.nan, math.inf, -math.inf):
         for slot in range(EUCLIDEAN4.dim):
@@ -441,11 +443,12 @@ _FINITENESS_ROWS = {
 @pytest.mark.parametrize("name", sorted(_FINITENESS_ROWS))
 def test_finiteness_semantics_for_single_cases_and_batches(name, shape):
     # the row sits in the last case of a batch, the other cases are zero; the
-    # sum over the coefficients overflows or is nan, hence the errstate
+    # sum over the coefficients overflows or is nan, and no warning is raised
     head, accepted = _FINITENESS_ROWS[name]
     coeffs = np.zeros((*shape, EUCLIDEAN4.dim))
     coeffs[(*(n - 1 for n in shape), slice(len(head)))] = head
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         if accepted:
             assert np.array_equal(Multivector(EUCLIDEAN4, coeffs).coeffs, coeffs)
             return

@@ -17,7 +17,7 @@ from gaspin.quatrep import (
     unrep_vec,
 )
 
-from conftest import allclose, random_mv
+from conftest import allclose, quat_cells, random_mv, stack_entries
 
 
 def rand_quat(rng, integer=False):
@@ -91,17 +91,14 @@ def test_embedding_roundtrip(rng):
 def test_matrix_ops_match_entrywise_oracle(rng):
     # Reference: the row-into-column cell formula over quat_mul, and the
     # entrywise Quaternion.conjugate of the transpose; exact on integers.
-    for integer, tol in [(True, 0.0)] * 200 + [(False, 1e-14)] * 200:
-        a = QuatMatrix2.from_entries(*(rand_quat(rng, integer) for _ in range(4)))
-        b = QuatMatrix2.from_entries(*(rand_quat(rng, integer) for _ in range(4)))
-        cells = [
-            quat_mul(a.entry(j, 0), b.entry(0, k)) + quat_mul(a.entry(j, 1), b.entry(1, k))
-            for j in range(2)
-            for k in range(2)
-        ]
-        assert matrix_residual(a * b, QuatMatrix2.from_entries(*cells)) <= tol
-        conj = [a.entry(k, j).conjugate() for j in range(2) for k in range(2)]
-        assert matrix_residual(a.conjugate_transpose(), QuatMatrix2.from_entries(*conj)) == 0.0
+    # 200 integer and 200 float cases, each set as one batch.
+    size = (200, 2, 2, 4)
+    for integer, tol in ((True, 0.0), (False, 1e-14)):
+        a, b = (QuatMatrix2(rng.integers(-4, 5, size).astype(float) if integer
+                            else rng.uniform(-1, 1, size)) for _ in range(2))
+        assert np.all(matrix_residual(a * b, QuatMatrix2(quat_cells(a.coeffs, b.coeffs))) <= tol)
+        conj = stack_entries([[a.entry(k, j).conjugate() for k in range(2)] for j in range(2)])
+        assert np.all(matrix_residual(a.conjugate_transpose(), QuatMatrix2(conj)) == 0.0)
     # rep inverts unrep exactly on the 16 matrix units of both bases.
     for unit in np.eye(16).reshape(16, 2, 2, 4):
         U = QuatMatrix2(unit)
