@@ -32,7 +32,6 @@ from .core import (
     geometric_product,
     residual,
     reverse,
-    unstack,
 )
 from .errors import GAError, VerificationFailure
 from .isomap import (
@@ -144,21 +143,21 @@ def _accepted(rng, n: int | None, width: int, keep: Callable, low=-1.0, high=1.0
 def _admissible_rows(rows: np.ndarray) -> np.ndarray:
     """Timelike rows of coordinates (q0, q1): |q0|^2 >= 0.3, q1 shrunk to
     0.6 |q0| when |q1|^2 >= 0.8 |q0|^2, and then rho^2 > 0.05."""
-    q0, q1 = Quaternion.from_coords(rows[:, :4]), Quaternion.from_coords(rows[:, 4:])
+    q0, q1 = Quaternion(rows[:, :4]), Quaternion(rows[:, 4:])
     n0, n1 = q0.norm2(), q1.norm2()
     shrink = n1 >= 0.8 * n0
     q1 = q1.scale(np.where(shrink, 0.6 * q0.norm() / np.sqrt(np.where(shrink, n1, 1.0)), 1.0))
     keep = (n0 >= 0.3) & (n0 - q1.norm2() > 0.05)
-    return np.concatenate([rows[:, :4], q1.coords()], axis=1)[keep]
+    return np.concatenate([rows[:, :4], q1.coeffs], axis=1)[keep]
 
 
 def _orthogonal_rows(rows: np.ndarray) -> np.ndarray:
     """Admissible rows with the scalar part of q0* q1 removed from q1, kept
     when then rho^2 > 0.05."""
     rows = _admissible_rows(rows)
-    q0, q1 = Quaternion.from_coords(rows[:, :4]), Quaternion.from_coords(rows[:, 4:])
+    q0, q1 = Quaternion(rows[:, :4]), Quaternion(rows[:, 4:])
     q1 = q1 - q0.scale(quat_mul(q0.conjugate(), q1).s / q0.norm2())
-    return np.concatenate([rows[:, :4], q1.coords()], axis=1)[q0.norm2() - q1.norm2() > 0.05]
+    return np.concatenate([rows[:, :4], q1.coeffs], axis=1)[q0.norm2() - q1.norm2() > 0.05]
 
 
 def _rand_admissible_q(rng, tag: AlgebraTag = AlgebraTag.SPACETIME13,
@@ -180,17 +179,12 @@ def _uniform_rows(rng, n: int, *ranges: tuple[float, float]) -> np.ndarray:
     return rng.uniform(low, high, size=(n, len(ranges)))
 
 
-def _plane(rows: np.ndarray) -> stereo.PlanePoint:
-    """A batch of chart points, one per row of three components."""
-    return stereo.PlanePoint(unstack(rows))
-
-
 def _ball(rows: np.ndarray) -> stereo.PlanePoint:
     """Points v / |v| * r of the open ball from rows (v, r) with v uniform
     in [-1, 1]^3; each (1, 3) @ (3, 1) product sums |v|^2 as one case's
     np.linalg.norm does."""
     v, r = rows[:, :3], rows[:, 3:]
-    return _plane(v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0] * r)
+    return stereo.PlanePoint(v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0] * r)
 
 
 #: Column ranges of the cube [-1, 1]^3.
@@ -261,7 +255,7 @@ def _suite_core_grade_partition(rng, cases):
 
 def _suite_quatrep_embedding(rng, cases):
     coords = rng.uniform(-1.0, 1.0, size=(cases, 2, 4))
-    a, b = Quaternion.from_coords(coords[:, 0]), Quaternion.from_coords(coords[:, 1])
+    a, b = Quaternion(coords[:, 0]), Quaternion(coords[:, 1])
     lhs = quat_mul(a, b).to_multivector()
     rhs = a.to_multivector() * b.to_multivector()
     return _worst(residual(lhs, rhs)), core.TOL
@@ -328,15 +322,15 @@ def _suite_isomap_inverse(rng, cases):
 
 def _suite_stereo_roundtrip(rng, cases):
     rows = _uniform_rows(rng, max(1, cases // 2), *((-3.0, 3.0),) * 3, *_BOX, (0.01, 0.95))
-    x, xh = _plane(rows[:, :3]), _ball(rows[:, 3:])
-    back = stereo.project_sphere(stereo.lift_sphere(x)), stereo.project_hyper(stereo.lift_hyper(xh))
-    worst = _worst(*(np.abs(b - p) for b, p in zip(back[0].x + back[1].x, x.x + xh.x)))
-    return worst, 100.0 * core.TOL
+    x, xh = stereo.PlanePoint(rows[:, :3]), _ball(rows[:, 3:])
+    back = stereo.project_sphere(stereo.lift_sphere(x))
+    back_h = stereo.project_hyper(stereo.lift_hyper(xh))
+    return _worst(np.abs(back.x - x.x), np.abs(back_h.x - xh.x)), 100.0 * core.TOL
 
 
 def _suite_stereo_rotor(rng, cases):
     rows = _uniform_rows(rng, max(1, cases // 2), *((-3.0, 3.0),) * 3, *_BOX, (0.01, 0.95))
-    x, xh = _plane(rows[:, :3]), _ball(rows[:, 3:])
+    x, xh = stereo.PlanePoint(rows[:, :3]), _ball(rows[:, 3:])
     e0 = Multivector.basis(EUCLIDEAN4, 0)
     g0 = Multivector.basis(SPACETIME13, 0)
     return _worst(
@@ -359,15 +353,14 @@ def _suite_stereo_trig(rng, cases):
 def _suite_stereo_metric(rng, cases):
     h = 1e-5
     rows = _uniform_rows(rng, max(1, cases // 2), *((-2.0, 2.0),) * 3, *_BOX, *_BOX, (0.01, 0.8))
-    x, dx, xh = _plane(rows[:, :3]), unstack(rows[:, 3:6]), _ball(rows[:, 6:])
+    x, dx, xh = stereo.PlanePoint(rows[:, :3]), rows[:, 3:6], _ball(rows[:, 6:])
     errors = []
     # (point, metric, lift, sign of the metric: positive on the sphere,
     # negative on the hyperboloid)
     for p, metric, lift, sign in ((x, stereo.sphere_metric, stereo.lift_sphere, 1.0),
                                   (xh, stereo.hyper_metric, stereo.lift_hyper, -1.0)):
         _, ds2 = metric(p, dx)
-        xp = stereo.PlanePoint(tuple(c + h * d for c, d in zip(p.x, dx)))
-        xm = stereo.PlanePoint(tuple(c - h * d for c, d in zip(p.x, dx)))
+        xp, xm = stereo.PlanePoint(p.x + h * dx), stereo.PlanePoint(p.x - h * dx)
         da_fd = (lift(xp).a_hat - lift(xm).a_hat) / (2 * h)
         ds2_fd = geometric_product(da_fd, da_fd).scalar_part
         errors.append(np.where(sign * ds2 > 0.0,
@@ -440,7 +433,7 @@ def _suite_qspinor_projector(rng, cases):
     psi = _rand_orthogonal_q(rng, n=max(1, cases // 2))
     can = canonical_q(psi)
     # an orthogonal spinor's M is the plain vector g0 + x_m of its Bloch point
-    m = Multivector.vector(SPACETIME13, (1.0, *bloch_point(psi)))
+    m = Multivector.vector(SPACETIME13, (1.0, *bloch_point(psi).T))
     return _worst(residual(projector(psi), projector_closed_orthogonal(psi)),
                   residual(reconstruct(can, psi.tag), image(psi)),
                   residual(m, can.M)), core.TOL
@@ -470,9 +463,7 @@ def _suite_dirac_j_action(rng, cases):
     worst = 0.0
     for k in range(4):
         for val in (1.0, 1j):
-            comps = [0.0] * 4
-            comps[k] = val
-            m = dirac_mod.dirac_to_geometric(dirac_mod.DiracSpinor(tuple(comps)))
+            m = dirac_mod.dirac_to_geometric(dirac_mod.DiracSpinor(val * np.eye(4)[k]))
             worst = max(worst, residual(dirac_mod.j_action(m), 1j * m))
     return worst, core.TOL
 
@@ -728,7 +719,7 @@ def cmd_prob(args) -> int:
 
 def _axis_points(t: np.ndarray) -> stereo.PlanePoint:
     """The chart points (t, 0, 0)."""
-    return stereo.PlanePoint((t, 0.0, 0.0))
+    return stereo.PlanePoint.of(t, 0.0, 0.0)
 
 
 def _figure_stereo_sphere(samples: int):
@@ -756,7 +747,7 @@ def _figure_poincare_geodesic(samples: int):
     if np.any(np.abs(x1[[0, -1]] ** 2 + x2[[0, -1]] ** 2 - 1.0) > 1e-10):
         raise VerificationFailure("arc endpoints must lie on the unit circle")
     inner = slice(1, samples - 1)
-    lifted = stereo.lift_hyper(stereo.PlanePoint((x1[inner], x2[inner], 0.0)))
+    lifted = stereo.lift_hyper(stereo.PlanePoint.of(x1[inner], x2[inner], 0.0))
     comps = lifted.a_hat.vector_components()[:, :3]
     # geodesic = hyperboloid cut by a plane through the origin
     if len(comps) >= 3:

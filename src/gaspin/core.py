@@ -26,15 +26,18 @@ Every operation takes batches: ``coeffs`` has shape ``(..., dim)``, the
 leading axes index cases, and a single case is a batch with no leading
 axes.  Scalars may be batches too (arrays of the leading shape), and
 reductions (``residual``, ``max_abs``, ``abs_sum``, ``scalar_part``,
-``vector_square``) act on the last axis, so a single case still gets Python
-numbers.  The product of two single cases keeps the kernel above.  A single
+``vector_square``) act on the last axis, so a single case gets numbers.  The
+value types of the other modules hold one array each in the same layout:
+quaternions, chart points and Dirac columns their components on the last
+axis, a center scalar one complex value per case.  The product of two single
+cases keeps the kernel above.  A single
 factor against a batch is one fixed (dim, dim) matrix applied to the batch.
 Two batches are contracted in blocks against the (dim^2, dim) sign tensor
 ``T[i*dim + j, i ^ j] = S[i, j]``, at most ``_BLOCK_BYTES`` (128 KB) of
 outer products at a time, so memory stays flat in the batch size.  That
 kernel, :func:`contract`, takes any bilinear map given by its table:
-``quatrep.QuatMatrix2`` products use it with a (256, 16) table derived from
-``quat_mul``.
+``quatrep.QuatMatrix2`` products use it with a (256, 16) table built from
+the quaternion product's (16, 4) table.
 Domain checks go through :func:`require`, which raises on the first failing
 case of a batch and names its index.
 """
@@ -92,40 +95,6 @@ def require(ok, error: type[Exception], message) -> None:
     raise error(text)
 
 
-def batch_shape(*values) -> tuple[int, ...]:
-    """Broadcast leading shape of scalars and per-case arrays; () for scalars."""
-    shape: tuple[int, ...] = ()
-    for v in values:
-        if isinstance(v, np.ndarray) and v.ndim and v.shape != shape:
-            shape = np.broadcast_shapes(shape, v.shape)
-    return shape
-
-
-def as_cases(values: Sequence, kind: type = float) -> tuple:
-    """``values`` as Python numbers of ``kind``, or, when any of them is an
-    array, as read-only arrays of ``kind`` broadcast to one batch shape."""
-    for v in values:
-        if isinstance(v, np.ndarray) and v.ndim:
-            shape = batch_shape(*values)
-            return tuple(_case_view(np.asarray(x, dtype=kind), shape) for x in values)
-    return tuple(map(kind, values))
-
-
-def _case_view(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """``x`` broadcast to ``shape``, read-only; a plain view, several times
-    cheaper than ``np.broadcast_to``, when it already has that shape."""
-    if x.shape != shape:
-        return np.broadcast_to(x, shape)
-    x = x.view()
-    x.setflags(write=False)
-    return x
-
-
-def unstack(x: np.ndarray) -> tuple:
-    """The entries of the last axis, one array per entry (numbers for one case)."""
-    return tuple(x) if x.ndim == 1 else tuple(x.transpose(-1, *range(x.ndim - 1)))
-
-
 def fields_equal(a, b) -> bool:
     """Exact ``==`` for the frozen dataclasses whose fields may hold per-case
     arrays: the same type and ``np.array_equal`` on every field (same shape,
@@ -133,15 +102,6 @@ def fields_equal(a, b) -> bool:
     if type(b) is not type(a):
         return NotImplemented
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-
-
-def stack_cases(values: Sequence) -> np.ndarray:
-    """Inverse of :func:`unstack`: ``values`` on a new last axis, numbers
-    broadcast against the per-case arrays among them."""
-    for v in values:
-        if isinstance(v, np.ndarray) and v.ndim:
-            return np.stack(as_cases(values), axis=-1)
-    return np.array(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -347,13 +307,13 @@ class Multivector:
         components give a batch."""
         if len(components) != signature.n:
             raise ValueError("one component per generator required")
-        shape = batch_shape(*components)
+        shape = ()  # the broadcast shape of the per-case arrays among them
+        for x in components:
+            if isinstance(x, np.ndarray) and x.shape != shape:
+                shape = np.broadcast_shapes(shape, x.shape)
         c = np.zeros((*shape, signature.dim))
         for k, x in enumerate(components):
-            if shape:
-                c[..., 1 << k] = x
-            else:
-                c[1 << k] = x
+            c[..., 1 << k] = x
         return Multivector(signature, c)
 
     # -- basic queries ---------------------------------------------------------

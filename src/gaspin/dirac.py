@@ -25,8 +25,8 @@ and the component dictionary is
 
 Real parts determine everything: im = re * g12 on the whole ideal.
 Residuals between complex elements are moduli of coefficient differences.
-A column may hold arrays of one shape, a batch of columns mapped case by
-case.
+A column holds its four complex components on the last axis of one array;
+leading axes index a batch of columns, mapped case by case.
 """
 from __future__ import annotations
 
@@ -39,18 +39,15 @@ from .core import (
     EUCLIDEAN4,
     SPACETIME13,
     Multivector,
-    as_cases,
     close,
     column_matrix,
     fields_equal,
     require,
     residual,
-    stack_cases,
-    unstack,
 )
 from .errors import NonFiniteValue, NotInIdeal
 from .isomap import AlgebraTag, euclidean_to_spacetime
-from .quatspinor import QuatSpinor, carrier_frame, from_carrier_coords
+from .quatspinor import QuatSpinor, carrier_frame, frame_product, from_carrier_coords
 
 _SIG = SPACETIME13
 
@@ -99,20 +96,19 @@ def _column_frame() -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiracSpinor:
-    """Classical 4-component column of complex numbers (or of arrays of one
-    shape, a batch of columns)."""
+    """Classical 4-component column: ``components[..., :]`` holds the four
+    complex numbers in one read-only array, a view of the array it is given;
+    leading axes index a batch of columns."""
 
-    components: tuple[complex, complex, complex, complex]
+    components: np.ndarray
     __eq__ = fields_equal
 
     def __post_init__(self) -> None:
-        comps = as_cases(self.components, complex)
-        if len(comps) != 4:
+        comps = np.asarray(self.components, dtype=complex).view()
+        if comps.shape[-1:] != (4,):
             raise ValueError("a Dirac column has exactly 4 complex components")
-        # a finite sum proves every component finite; an overflowing one
-        # falls back to the componentwise test
-        if not np.isfinite(sum(comps)).all():
-            require(np.isfinite(comps).all(axis=0), NonFiniteValue, "components must be finite")
+        require(np.isfinite(comps).all(axis=-1), NonFiniteValue, "components must be finite")
+        comps.setflags(write=False)
         object.__setattr__(self, "components", comps)
 
     @staticmethod
@@ -123,10 +119,7 @@ class DiracSpinor:
             raise ValueError("need 8 reals: (re, im) per component")
         comps = np.empty((*vals.shape[:-1], 4), dtype=complex)
         comps.real, comps.imag = vals[..., 0::2], vals[..., 1::2]
-        return DiracSpinor(unstack(comps))
-
-    def norm2(self) -> float:
-        return sum(abs(c) ** 2 for c in self.components)
+        return DiracSpinor(comps)
 
 
 # ------------------------------------------------------------------- the map
@@ -134,8 +127,7 @@ class DiracSpinor:
 
 def dirac_to_geometric(phi: DiracSpinor) -> Multivector:
     """(phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+)."""
-    column = np.array(phi.components)  # components first; move them last
-    return Multivector(_SIG, column.transpose(*range(1, column.ndim), 0).dot(_column_frame().T))
+    return Multivector(_SIG, phi.components @ _column_frame().T)
 
 
 def j_action(m: Multivector) -> Multivector:
@@ -161,8 +153,7 @@ def geometric_to_qspinor(m: Multivector) -> QuatSpinor:
 
 def qspinor_to_geometric(psi: QuatSpinor) -> Multivector:
     """(q0 + q1 i) u(+,+) as a complexified carrier element."""
-    q0, q1 = psi.q0, psi.q1
-    return Multivector(_SIG, stack_cases((q0.s, *q0.v, q1.s, *q1.v)).dot(_quaternion_frame().T))
+    return Multivector(_SIG, frame_product(psi, _quaternion_frame()))
 
 
 @lru_cache(maxsize=None)
@@ -173,13 +164,16 @@ def _quaternion_frame() -> np.ndarray:
     return column_matrix([Multivector(_SIG, c) * dirac_idempotent(+1, +1) for c in mat.T])
 
 
+#: The component dictionary over (x0..x3, y0..y3), one row per component.
+_DICTIONARY = np.array([[1, 0, 0, 1j, 0, 0, 0, 0],     # phi1 = x0 + j x3
+                        [0, 1j, -1, 0, 0, 0, 0, 0],    # phi2 = -x2 + j x1
+                        [0, 0, 0, 0, 1j, 0, 0, -1],    # phi3 = -y3 + j y0
+                        [0, 0, 0, 0, 0, -1, -1j, 0]])  # phi4 = -y1 - j y2
+
+
 def qspinor_to_dirac(psi: QuatSpinor) -> DiracSpinor:
     """Component dictionary tying the column to the quaternion pair."""
-    x0, (x1, x2, x3) = psi.q0.s, psi.q0.v
-    y0, (y1, y2, y3) = psi.q1.s, psi.q1.v
-    return DiracSpinor(
-        (x0 + 1j * x3, -x2 + 1j * x1, -y3 + 1j * y0, -y1 - 1j * y2)
-    )
+    return DiracSpinor(frame_product(psi, _DICTIONARY))
 
 
 def dirac_roundtrip_residual(phi: DiracSpinor) -> float:

@@ -1,9 +1,12 @@
 """Quaternions and the 2x2 quaternion-matrix representations of Cl(4,0).
 
-Quaternions are stored as scalar + 3-vector, matching the bivector
-embedding q = x0 + x1*e23 - x2*e13 + x3*e12 into Cl(4,0); the minus sign
-on the e13 term is what makes q = x0 + i*x with i = e123, and it lives in
-exactly one place (:func:`Quaternion.to_multivector`).
+A quaternion holds its coordinates (s, v1, v2, v3) on the last axis of one
+array, matching the bivector embedding q = x0 + x1*e23 - x2*e13 + x3*e12
+into Cl(4,0); the minus sign on the e13 term is what makes q = x0 + i*x
+with i = e123, and it lives in exactly one place (:func:`_embedding`).  The
+product is a (16, 4) table read off the Cl(4,0) products of the embedded
+units, so it agrees with the geometric product by construction; the tests
+keep the Hamilton product written out as the independent reference.
 
 Two spectral bases turn Cl(4,0) into 2x2 matrices over the quaternions:
 one built from the vector idempotents (1 +- e0)/2, one from the
@@ -23,143 +26,130 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (EUCLIDEAN4, Multivector, as_cases, batch_shape, close, contract, fields_equal,
-                   require, residual, reverse, stack_cases, unstack)
+from .core import (EUCLIDEAN4, Multivector, close, contract, fields_equal, require, residual,
+                   reverse)
 from .errors import NotInSubalgebra, SignatureMismatch
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+#: Sign flip of the vector part: the conjugate.
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+@lru_cache(maxsize=None)
+def _embedding() -> np.ndarray:
+    """(4, 16) matrix of q = x0 + x1*e23 - x2*e13 + x3*e12: ``coeffs @ E``
+    are the Cl(4,0) coefficients of a quaternion, and ``E.T`` reads them
+    back off the subalgebra."""
+    out = np.zeros((4, EUCLIDEAN4.dim))
+    out[range(4), (0, 0b1100, 0b1010, 0b0110)] = (1.0, 1.0, -1.0, 1.0)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
 class Quaternion:
     """q = s + i*v with i the unit pseudoscalar of the Pauli subalgebra.
 
-    ``s`` and the three entries of ``v`` are Python floats, or arrays of one
-    shape for a batch of quaternions."""
+    ``coeffs[..., :]`` holds (s, v1, v2, v3) in one read-only array, a view
+    of the array it is given; leading axes index the cases of a batch."""
 
-    s: float
-    v: tuple[float, float, float]
+    coeffs: np.ndarray
     __eq__ = fields_equal
 
     def __post_init__(self) -> None:
-        s, *v = as_cases((self.s, *self.v))
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "v", tuple(v))
+        arr = np.asarray(self.coeffs, dtype=float).view()
+        if arr.shape[-1:] != (4,):
+            raise ValueError(f"need (..., 4) coordinates, got {arr.shape}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "coeffs", arr)
+
+    @property
+    def s(self) -> float:
+        return self.coeffs[..., 0]
+
+    @property
+    def v(self) -> np.ndarray:
+        """The vector part, its three components on the last axis."""
+        return self.coeffs[..., 1:]
 
     @staticmethod
     def zero() -> "Quaternion":
-        return Quaternion(0.0, (0.0, 0.0, 0.0))
+        return Quaternion(np.zeros(4))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def one() -> "Quaternion":
-        return Quaternion(1.0, (0.0, 0.0, 0.0))
-
-    @staticmethod
-    def from_scalar(x: float) -> "Quaternion":
-        return Quaternion(x, (0.0, 0.0, 0.0))
-
-    @staticmethod
-    def from_vector(v) -> "Quaternion":
-        return Quaternion(0.0, tuple(v))
-
-    @staticmethod
-    def from_coords(c) -> "Quaternion":
-        """Quaternion from coordinates (s, v1, v2, v3) on the last axis."""
-        s, *v = unstack(np.asarray(c, dtype=float))
-        return Quaternion(s, v)
-
-    def coords(self) -> np.ndarray:
-        """(s, v1, v2, v3) on the last axis."""
-        return stack_cases((self.s, *self.v))
+        return Quaternion(np.eye(4)[0])
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.s, tuple(-x for x in self.v))
+        return Quaternion(self.coeffs * _CONJ)
 
     def norm2(self) -> float:
-        return self.s * self.s + sum(x * x for x in self.v)
+        return np.vecdot(self.coeffs, self.coeffs)
 
     def norm(self) -> float:
         return np.sqrt(self.norm2())
 
     def scale(self, a: float) -> "Quaternion":
-        return Quaternion(a * self.s, tuple(a * x for x in self.v))
+        """a * q, with a a number or one number per case."""
+        return Quaternion(np.asarray(a)[..., None] * self.coeffs)
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.s + other.s, tuple(a + b for a, b in zip(self.v, other.v)))
+        return Quaternion(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.s - other.s, tuple(a - b for a, b in zip(self.v, other.v)))
+        return Quaternion(self.coeffs - other.coeffs)
 
     def __neg__(self) -> "Quaternion":
-        return self.scale(-1.0)
+        return Quaternion(-self.coeffs)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         return quat_mul(self, other)
 
-    def max_abs(self) -> float:
-        r = np.maximum.reduce(np.abs(self.coords()), axis=-1)
-        return r if r.ndim else float(r)
-
     def to_multivector(self) -> Multivector:
         """Embed into Cl(4,0) as x0 + x1*e23 - x2*e13 + x3*e12."""
-        c = np.zeros((*batch_shape(self.s), EUCLIDEAN4.dim))
-        c[..., 0] = self.s
-        c[..., 0b1100] = self.v[0]   # e23
-        c[..., 0b1010] = -self.v[1]  # e13
-        c[..., 0b0110] = self.v[2]   # e12
-        return Multivector(EUCLIDEAN4, c)
+        return Multivector(EUCLIDEAN4, self.coeffs @ _embedding())
 
     @staticmethod
     def from_multivector(m: Multivector) -> "Quaternion":
         """Inverse of :meth:`to_multivector`; rejects non-quaternion parts."""
         if m.signature != EUCLIDEAN4:
             raise SignatureMismatch("quaternions live in Cl(4,0)")
-        q = Quaternion(
-            m.coefficient(0),
-            (m.coefficient(0b1100), -m.coefficient(0b1010), m.coefficient(0b0110)),
-        )
+        q = Quaternion(m.coeffs @ _embedding().T)
         require(close(residual(q.to_multivector(), m), m.abs_sum()), NotInSubalgebra,
                 "multivector has parts outside the quaternion subalgebra")
         return q
 
 
-def cross(u, w) -> tuple:
-    """Cross product of two 3-vectors given as component triples."""
-    (u1, u2, u3), (w1, w2, w3) = u, w
-    return (u2 * w3 - u3 * w2, u3 * w1 - u1 * w3, u1 * w2 - u2 * w1)
+@lru_cache(maxsize=None)
+def _structure() -> np.ndarray:
+    """(16, 4) table: row 4a + b holds the coordinates of unit a times unit
+    b, read off the Cl(4,0) product of their embeddings."""
+    units = np.eye(4)
+    prod = Quaternion(units[:, None]).to_multivector() * Quaternion(units).to_multivector()
+    table = Quaternion.from_multivector(prod).coeffs.reshape(16, 4)
+    table.setflags(write=False)
+    return table
 
 
 def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Quaternion product, agreeing with the Cl(4,0) geometric product of
-    the embeddings.
-
-    The embedded basis (e23, -e13, e12) is a left-handed triple, hence the
-    minus sign on the cross term.
-    """
-    s = a.s * b.s - sum(u * w for u, w in zip(a.v, b.v))
-    return Quaternion(s, tuple(a.s * w + b.s * u - c
-                               for u, w, c in zip(a.v, b.v, cross(a.v, b.v))))
-
-
-@lru_cache(maxsize=None)
-def _structure() -> np.ndarray:
-    """T[a, b, c]: coordinate c of unit a times unit b, read off quat_mul
-    (which alone holds the product's sign convention)."""
-    units = np.eye(4)
-    table = quat_mul(Quaternion.from_coords(units[:, None]), Quaternion.from_coords(units)).coords()
-    table.setflags(write=False)
-    return table
+    """Quaternion product: the outer product of the coordinates against the
+    table of :func:`_structure`.  ``np.vecdot`` sums each case in one fixed
+    order, so a batch gives exactly what its single calls give."""
+    outer = np.matmul(a.coeffs[..., :, None], b.coeffs[..., None, :])
+    return Quaternion(np.vecdot(outer.reshape(*outer.shape[:-2], 1, 16), _structure().T))
 
 
 @lru_cache(maxsize=None)
 def _product_table() -> np.ndarray:
     """(256, 16) table of the 2x2 quaternion-matrix product over flattened
-    entries: row (j, l, a, l, k, b) holds ``_structure()[a, b]`` in column
-    (j, k), so that row into column sums quat_mul(A[j, l], B[l, k]) over l,
-    each factor in its left-to-right order since quaternions do not commute."""
+    entries: row (j, l, a, l, k, b) holds the product coordinates of units a
+    and b in column (j, k), so that row into column sums A[j, l] B[l, k]
+    over l, each factor in its left-to-right order since quaternions do not
+    commute."""
     table = np.zeros((2, 2, 4, 2, 2, 4, 2, 2, 4))
     for j, l, k in np.ndindex(2, 2, 2):
-        table[j, l, :, l, k, :, j, k, :] = _structure()
+        table[j, l, :, l, k, :, j, k, :] = _structure().reshape(4, 4, 4)
     table = table.reshape(256, 16)
     table.setflags(write=False)
     return table
@@ -171,8 +161,8 @@ class QuatMatrix2:
     (j, k) as the coordinates (s, v1, v2, v3), in one read-only (..., 2, 2, 4)
     array; leading axes index the cases of a batch.  Products are
     ``core.contract`` of the flattened entries against ``_product_table()``,
-    the (256, 16) table read off :func:`quat_mul`, blocked as the batched
-    geometric product is."""
+    the (256, 16) table built from the quaternion product's, blocked as the
+    batched geometric product is."""
 
     coeffs: np.ndarray
     __eq__ = fields_equal
@@ -186,20 +176,15 @@ class QuatMatrix2:
 
     @staticmethod
     def from_entries(m00, m01, m10, m11) -> "QuatMatrix2":
-        return QuatMatrix2([[m00.coords(), m01.coords()], [m10.coords(), m11.coords()]])
+        return QuatMatrix2([[m00.coeffs, m01.coeffs], [m10.coeffs, m11.coeffs]])
 
     @staticmethod
     def identity() -> "QuatMatrix2":
-        return QuatMatrix2.from_entries(
-            Quaternion.one(), Quaternion.zero(), Quaternion.zero(), Quaternion.one()
-        )
-
-    @staticmethod
-    def zero() -> "QuatMatrix2":
-        return QuatMatrix2(np.zeros((2, 2, 4)))
+        one, z = Quaternion.one(), Quaternion.zero()
+        return QuatMatrix2.from_entries(one, z, z, one)
 
     def entry(self, j: int, k: int) -> Quaternion:
-        return Quaternion.from_coords(self.coeffs[..., j, k, :])
+        return Quaternion(self.coeffs[..., j, k, :])
 
     def __add__(self, other: "QuatMatrix2") -> "QuatMatrix2":
         return QuatMatrix2(self.coeffs + other.coeffs)
@@ -207,15 +192,12 @@ class QuatMatrix2:
     def __sub__(self, other: "QuatMatrix2") -> "QuatMatrix2":
         return QuatMatrix2(self.coeffs - other.coeffs)
 
-    def scale(self, a: float) -> "QuatMatrix2":
-        return QuatMatrix2(a * self.coeffs)
-
     def __mul__(self, other: "QuatMatrix2") -> "QuatMatrix2":
         c = contract(_flat(self), _flat(other), _product_table())
         return QuatMatrix2(c.reshape(*c.shape[:-1], 2, 2, 4))
 
     def conjugate_transpose(self) -> "QuatMatrix2":
-        return QuatMatrix2(np.swapaxes(self.coeffs, -3, -2) * (1.0, -1.0, -1.0, -1.0))
+        return QuatMatrix2(np.swapaxes(self.coeffs, -3, -2) * _CONJ)
 
     def max_abs(self) -> float:
         """Largest coordinate modulus, per case."""
@@ -233,16 +215,10 @@ def matrix_residual(a: QuatMatrix2, b: QuatMatrix2) -> float:
 def _generator_images(basis: str) -> list[QuatMatrix2]:
     """[e0] is diag(1, -1) over (1 +- e0)/2 and [[0, 1], [1, 0]] over
     (1 +- e0123)/2; [ek] = [[0, i ek], [-i ek, 0]] in both bases."""
-    z = Quaternion.zero()
-    one = Quaternion.one()
-    if basis == "vec":
-        mats = [QuatMatrix2.from_entries(one, z, z, -one)]
-    else:
-        mats = [QuatMatrix2.from_entries(z, one, one, z)]
-    for unit in np.eye(3):
-        q = Quaternion.from_vector(unit)
-        mats.append(QuatMatrix2.from_entries(z, q, -q, z))
-    return mats
+    z, one = Quaternion.zero(), Quaternion.one()
+    e0 = (one, z, z, -one) if basis == "vec" else (z, one, one, z)
+    ek = ((z, q, -q, z) for q in map(Quaternion, np.eye(4)[1:]))
+    return [QuatMatrix2.from_entries(*entries) for entries in (e0, *ek)]
 
 
 @lru_cache(maxsize=None)
@@ -345,7 +321,7 @@ def unrep_pss(M: QuatMatrix2) -> Multivector:
 
 def basis_change_matrix() -> QuatMatrix2:
     """A = (1/sqrt2) [[1, 1], [-1, 1]]; unitary, A Astar = 1."""
-    a = Quaternion.from_scalar(_SQRT1_2)
+    a = Quaternion.one().scale(_SQRT1_2)
     return QuatMatrix2.from_entries(a, a, -a, a)
 
 

@@ -18,8 +18,8 @@ The carrier (over q0.s, q0.v, q1.s, q1.v), the embedding of a quaternion in
 Cl(1,3) and M are linear in quaternion coordinates, so each is one product
 with a cached frame, derived once from the geometric products it replaces.
 
-Quaternions and spinors may hold arrays of one shape: a batch of states, on
-which every function acts case by case.
+A quaternion holds its coordinates on the last axis of one array; leading
+axes index a batch of states, on which every function acts case by case.
 """
 from __future__ import annotations
 
@@ -41,12 +41,10 @@ from .core import (
     pseudoscalar,
     require,
     reverse,
-    stack_cases,
-    unstack,
 )
 from .errors import NonTimelike, NotOrthogonal, TagMismatch, VerificationFailure, ZeroQ0
 from .isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
-from .quatrep import Quaternion, cross, quat_mul
+from .quatrep import Quaternion, quat_mul
 
 _VALID_TAGS = (AlgebraTag.EUCLIDEAN4, AlgebraTag.SPACETIME13)
 
@@ -68,7 +66,8 @@ class QuatSpinor:
         """Orthogonal unit-leading spinor whose Bloch point is x (3 reals, or
         an array with them on the last axis)."""
         x = np.asarray(x, dtype=float)
-        return QuatSpinor(Quaternion.one(), Quaternion(0.0, unstack(-x)), tag)
+        q1 = np.concatenate([np.zeros_like(x[..., :1]), -x], axis=-1)
+        return QuatSpinor(Quaternion.one(), Quaternion(q1), tag)
 
 
 # ------------------------------------------------------------ small helpers
@@ -76,13 +75,13 @@ class QuatSpinor:
 
 def embed_spacetime(q: Quaternion) -> Multivector:
     """Quaternion as a Cl(1,3) element (through the algebra isomorphism)."""
-    return Multivector(SPACETIME13, q.coords().dot(_spacetime_units().T))
+    return Multivector(SPACETIME13, q.coeffs @ _spacetime_units().T)
 
 
 @lru_cache(maxsize=None)
 def _spacetime_units() -> np.ndarray:
     """Columns: the images of 1, i e1, i e2, i e3 under the algebra isomorphism."""
-    units = map(Quaternion.from_coords, np.eye(4))
+    units = map(Quaternion, np.eye(4))
     return column_matrix([euclidean_to_spacetime(q.to_multivector()) for q in units])
 
 
@@ -125,9 +124,14 @@ def spinor_reverse(m: Multivector, tag: AlgebraTag) -> Multivector:
 
 def image(psi: QuatSpinor) -> Multivector:
     """Carrier multivector (q0 + q1 i) v+ in the tag's algebra."""
-    q0, q1 = psi.q0, psi.q1
     mat, _ = carrier_frame(psi.tag)
-    return Multivector(psi.tag.signature, stack_cases((q0.s, *q0.v, q1.s, *q1.v)).dot(mat.T))
+    return Multivector(psi.tag.signature, frame_product(psi, mat))
+
+
+def frame_product(psi: QuatSpinor, mat: np.ndarray) -> np.ndarray:
+    """``mat`` over the coordinates (q0.s, q0.v, q1.s, q1.v) of each case,
+    the batch axes of q0 and q1 broadcast against each other."""
+    return psi.q0.coeffs @ mat[:, :4].T + psi.q1.coeffs @ mat[:, 4:].T
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +142,7 @@ def carrier_frame(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
     reconstruction)."""
     vp = idempotent_plus(tag)
     i = spinor_unit(tag)
-    units = [Quaternion.from_coords(row) for row in np.eye(4)]
+    units = list(map(Quaternion, np.eye(4)))
     if tag is AlgebraTag.SPACETIME13:
         embeds = [embed_spacetime(q) for q in units]
     else:
@@ -151,8 +155,7 @@ def carrier_frame(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
 
 def from_carrier_coords(sol: np.ndarray, tag: AlgebraTag) -> QuatSpinor:
     """Spinor of the coordinates (q0.s, q0.v, q1.s, q1.v) on the last axis."""
-    return QuatSpinor(Quaternion.from_coords(sol[..., :4]), Quaternion.from_coords(sol[..., 4:]),
-                      tag)
+    return QuatSpinor(Quaternion(sol[..., :4]), Quaternion(sol[..., 4:]), tag)
 
 
 # ------------------------------------------------------------ canonical form
@@ -164,7 +167,7 @@ class CanonicalQ:
 
     rho: float
     theta: float
-    x_dir: tuple[float, float, float]
+    x_dir: np.ndarray  # (..., 3)
     M: Multivector
     M_hat: Multivector
     __eq__ = fields_equal
@@ -175,7 +178,7 @@ def norm2_q(psi: QuatSpinor) -> float:
     return psi.q0.norm2() - psi.q1.norm2()
 
 
-def phase_axis(q0: Quaternion) -> tuple[float, tuple[float, float, float]]:
+def phase_axis(q0: Quaternion) -> tuple[float, np.ndarray]:
     """Polar split q0 = |q0| exp(theta i xhat) with theta in [0, pi].
 
     A real-negative q0 gives theta = pi with the axis fixed at e3 by
@@ -183,31 +186,27 @@ def phase_axis(q0: Quaternion) -> tuple[float, tuple[float, float, float]]:
     """
     n = q0.norm()
     require(n != 0.0, ZeroQ0, "zero leading quaternion has no phase")
-    vlen = np.sqrt(sum(c * c for c in q0.v))
+    vlen = np.sqrt(np.vecdot(q0.v, q0.v))
     theta = np.arctan2(vlen, q0.s)
-    real = close(vlen, n)  # no axis: e3 by convention
-    safe = np.where(real, 1.0, vlen)
-    axis = (np.where(real, fixed, c / safe)[()] for fixed, c in zip((0.0, 0.0, 1.0), q0.v))
-    return theta, tuple(axis)
+    real = close(vlen, n)[..., None]  # no axis: e3 by convention
+    return theta, np.where(real, (0.0, 0.0, 1.0), q0.v / np.where(real, 1.0, vlen[..., None]))
 
 
 def _spacetime_m(q0: Quaternion, q1: Quaternion) -> Multivector:
     """M = g0 + (c i + w~ i g0) / |q0|^2 in Cl(1,3), with w = q0* q1, c its
     scalar part and w~ the embedding of its vector part."""
-    n0 = q0.norm2()
-    w = quat_mul(q0.conjugate(), q1)
-    inv = 1.0 / n0  # c / n0 and (1 / n0) w_k round as the products did
-    coords = stack_cases((1.0, w.s / n0, *(inv * x for x in w.v)))
-    return Multivector(SPACETIME13, coords.dot(_m_frame().T))
+    w = quat_mul(q0.conjugate(), q1).coeffs / q0.norm2()[..., None]
+    frame, g0 = _m_frame()
+    return Multivector(SPACETIME13, w @ frame.T + g0)
 
 
 @lru_cache(maxsize=None)
-def _m_frame() -> np.ndarray:
-    """Frame of M over (1, c / |q0|^2, w_k / |q0|^2): the columns g0, i and
-    the embedded i e_k times i g0, from the products."""
+def _m_frame() -> tuple[np.ndarray, np.ndarray]:
+    """Frame of M - g0 over (c, w_k) / |q0|^2: the columns i and the embedded
+    i e_k times i g0, from the products; and the coefficients of g0."""
     i13, g0 = pseudoscalar(SPACETIME13), _pole(AlgebraTag.SPACETIME13)
-    units = map(Quaternion.from_vector, np.eye(3))
-    return column_matrix([g0, i13, *(embed_spacetime(q) * i13 * g0 for q in units)])
+    units = map(Quaternion, np.eye(4)[1:])
+    return column_matrix([i13, *(embed_spacetime(q) * i13 * g0 for q in units)]), g0.coeffs
 
 
 def canonical_q(psi: QuatSpinor) -> CanonicalQ:
@@ -228,7 +227,8 @@ def canonical_q(psi: QuatSpinor) -> CanonicalQ:
 
 def reconstruct(can: CanonicalQ, tag: AlgebraTag) -> Multivector:
     """rho * exp(theta i xhat) * Mhat * v+ assembled in the tag's algebra."""
-    phase_quat = Quaternion(np.cos(can.theta), tuple(np.sin(can.theta) * c for c in can.x_dir))
+    theta = np.asarray(can.theta)[..., None]
+    phase_quat = Quaternion(np.concatenate([np.cos(theta), np.sin(theta) * can.x_dir], axis=-1))
     if tag is AlgebraTag.SPACETIME13:
         phase = embed_spacetime(phase_quat)
     else:
@@ -244,11 +244,10 @@ def is_orthogonal(psi: QuatSpinor) -> bool:
     return close(abs(quat_mul(psi.q0.conjugate(), psi.q1).s), psi.q0.norm() * psi.q1.norm())
 
 
-def bloch_point(psi: QuatSpinor) -> tuple[float, float, float]:
-    """x_m = (y0 x - x0 y - x cross y) / |q0|^2 for an orthogonal spinor."""
-    (x0, x), (y0, y) = (psi.q0.s, psi.q0.v), (psi.q1.s, psi.q1.v)
-    n0 = psi.q0.norm2()
-    return tuple((y0 * xk - x0 * yk - ck) / n0 for xk, yk, ck in zip(x, y, cross(x, y)))
+def bloch_point(psi: QuatSpinor) -> np.ndarray:
+    """x_m = (y0 x - x0 y - x cross y) / |q0|^2 for an orthogonal spinor,
+    on the last axis: the vector part of q1* q0 over |q0|^2."""
+    return quat_mul(psi.q1.conjugate(), psi.q0).v / psi.q0.norm2()[..., None]
 
 
 # ------------------------------------------------------- brakets, projector
@@ -274,14 +273,13 @@ def projector_closed_orthogonal(psi: QuatSpinor) -> Multivector:
     2 a a~ = rho^2 (1 + A').
     """
     require(is_orthogonal(psi), NotOrthogonal, "closed form asserted only for orthogonal spinors")
-    (x0, x), (y0, y) = (psi.q0.s, psi.q0.v), (psi.q1.s, psi.q1.v)
-    z = tuple(x0 * yk - y0 * xk - ck for xk, yk, ck in zip(x, y, cross(x, y)))
+    z = quat_mul(psi.q1, psi.q0.conjugate()).v  # x0 y - y0 x - x cross y
     rho2 = norm2_q(psi)
     total = psi.q0.norm2() + psi.q1.norm2()
     out13 = (
         Multivector.scalar(SPACETIME13, rho2)
         + total * _pole(AlgebraTag.SPACETIME13)
-        - 2.0 * Multivector.vector(SPACETIME13, (0.0, *z))
+        - 2.0 * Multivector.vector(SPACETIME13, (0.0, *np.moveaxis(z, -1, 0)))
     )
     if psi.tag is AlgebraTag.SPACETIME13:
         return out13
@@ -323,10 +321,10 @@ def fidelity_q(psi: QuatSpinor, chi: QuatSpinor) -> float:
 def _admissible(psi: QuatSpinor) -> tuple[float, float]:
     """(rho^2, |q0|^2 + |q1|^2): ZeroQ0 when q0 vanishes and NonTimelike when
     rho^2 is not positive, both relative to the size of the state."""
-    n0 = psi.q0.norm2()
-    size = n0 + psi.q1.norm2()
+    n0, n1 = psi.q0.norm2(), psi.q1.norm2()
+    size = n0 + n1
     require(np.logical_not(close(n0, size)), ZeroQ0, "canonical form divides by q0")
-    rho2 = norm2_q(psi)
+    rho2 = n0 - n1  # norm2_q(psi)
     require(np.logical_not(close(rho2, size)), NonTimelike,
             lambda k: f"rho^2 = {np.asarray(rho2)[k]:g} must be positive")
     return rho2, size

@@ -15,12 +15,13 @@ Fidelities normalize internally, so callers pass raw states.  The Pauli
 fidelity is a probability in [0,1]; the Minkowski analogue is >= 1 and is
 reported as the Bloch-hyperboloid quantity.
 
-The carrier is linear in (a0.s, a1.s, a0.p, a1.p): one product with the
-cached frame of the ideal, derived once from the geometric products it
+A center scalar holds s + p*i as one complex value, and the carrier is
+linear over it: the real part of a0 w0 + a1 w1, with (w0, w1) the cached
+complex frame of the ideal, derived once from the geometric products it
 replaces.
 
-Center scalars, spinors and chart points may hold arrays of one shape: a
-batch of states, on which every function acts case by case.
+Center scalars hold one complex array for a batch of states, and chart
+points (a, b) a pair of arrays; every function acts on them case by case.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ import numpy as np
 
 from .core import (
     Multivector,
-    as_cases,
     close,
     column_matrix,
     fields_equal,
@@ -40,7 +40,6 @@ from .core import (
     pseudoscalar,
     require,
     reverse,
-    stack_cases,
 )
 from .errors import DegenerateState, NonTimelike, TagMismatch
 from .isomap import AlgebraTag
@@ -53,24 +52,34 @@ _POLE = {AlgebraTag.PAULI3: 2, AlgebraTag.MINKOWSKI12: 0}
 _CHART_SIGN = {AlgebraTag.PAULI3: 1.0, AlgebraTag.MINKOWSKI12: -1.0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CenterScalar:
-    """s + p*i with i the grade-3 pseudoscalar; the 'complex' coefficients."""
+    """s + p*i with i the grade-3 pseudoscalar; the 'complex' coefficients,
+    held as one complex value z: a numpy complex for one case, a read-only
+    complex array for a batch."""
 
-    s: float
-    p: float
+    z: complex
     __eq__ = fields_equal
 
-    def __post_init__(self) -> None:
-        s, p = as_cases((self.s, self.p))
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "p", p)
+    def __init__(self, s: float, p: float) -> None:
+        """From the parts, numbers or per-case arrays that broadcast; exact,
+        signed zeros and infinities included."""
+        z = np.empty(np.broadcast(s, p).shape, dtype=complex)
+        z.real, z.imag = s, p
+        z.setflags(write=False)
+        object.__setattr__(self, "z", z[()])
 
-    def conj(self) -> "CenterScalar":
-        return CenterScalar(self.s, -self.p)
+    @property
+    def s(self) -> float:
+        return self.z.real
+
+    @property
+    def p(self) -> float:
+        return self.z.imag
 
     def abs2(self) -> float:
-        return self.s * self.s + self.p * self.p
+        z = self.z
+        return z.real * z.real + z.imag * z.imag
 
     def scale(self, a: float) -> "CenterScalar":
         return CenterScalar(a * self.s, a * self.p)
@@ -82,17 +91,20 @@ class CenterScalar:
         return CenterScalar(self.s - other.s, self.p - other.p)
 
     def __mul__(self, other: "CenterScalar") -> "CenterScalar":
-        return CenterScalar(
-            self.s * other.s - self.p * other.p, self.s * other.p + self.p * other.s
-        )
+        (s, p), (t, q) = (self.z.real, self.z.imag), (other.z.real, other.z.imag)
+        return CenterScalar(s * t - p * q, s * q + p * t)
 
     def __neg__(self) -> "CenterScalar":
         return self.scale(-1.0)
 
     def embed(self, tag: AlgebraTag) -> Multivector:
         """s + p*i in the tag's algebra: s on the blade 1, p on the last one."""
-        zeros = (0.0,) * (tag.signature.dim - 2)
-        return Multivector(tag.signature, stack_cases((self.s, *zeros, self.p)))
+        c = np.zeros((*np.shape(self.z), tag.signature.dim))
+        c[..., 0], c[..., -1] = self.s, self.p
+        return Multivector(tag.signature, c)
+
+
+_ONE = CenterScalar(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -108,23 +120,10 @@ class IdealSpinor:
             raise TagMismatch(f"ideal spinors live in G3 or G1,2, not {self.tag}")
 
     @staticmethod
-    def of(tag: AlgebraTag, a0, a1) -> "IdealSpinor":
-        def coerce(v):
-            if isinstance(v, CenterScalar):
-                return v
-            if isinstance(v, tuple):
-                return CenterScalar(*v)
-            return CenterScalar(float(v), 0.0)
-
-        return IdealSpinor(tag, coerce(a0), coerce(a1))
-
-    @staticmethod
     def from_chart(tag: AlgebraTag, chart: tuple[float, float]) -> "IdealSpinor":
         """Unit-leading spinor whose Bloch chart point is ``chart``."""
-        a, b = as_cases(chart)
-        return IdealSpinor(
-            tag, CenterScalar(1.0, 0.0), CenterScalar(a, _CHART_SIGN[tag] * b)
-        )
+        a, b = chart
+        return IdealSpinor(tag, _ONE, CenterScalar(a, _CHART_SIGN[tag] * b))
 
 
 @lru_cache(maxsize=None)
@@ -165,19 +164,24 @@ def _unit_m(tag: AlgebraTag, chart: tuple[float, float]) -> tuple[Multivector, f
 
 def to_multivector(psi: IdealSpinor) -> Multivector:
     """Carrier element (a0 + a1 * carrier) * idempotent."""
-    a0, a1 = psi.a0, psi.a1
-    mat = _ideal_frame(psi.tag)
-    return Multivector(psi.tag.signature, stack_cases((a0.s, a1.s, a0.p, a1.p)).dot(mat.T))
+    w0, w1 = _ideal_frame(psi.tag)
+    carrier = psi.a0.z[..., None] * w0 + psi.a1.z[..., None] * w1
+    return Multivector(psi.tag.signature, carrier.real)
 
 
 @lru_cache(maxsize=None)
-def _ideal_frame(tag: AlgebraTag) -> np.ndarray:
-    """Frame (u, carrier u, i u, i carrier u) of the spinor ideal."""
+def _ideal_frame(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
+    """Complex frame (w0, w1) = (u - j i u, cu - j i cu) of the spinor ideal,
+    with u the idempotent, c the carrier generator and j Python's 1j:
+    Re((s + j p) w0) = s u + p i u, so the real part of a0 w0 + a1 w1 is
+    the carrier."""
     u = idempotent(tag)
     carrier = Multivector.basis(tag.signature, _CARRIER[tag])
     i = pseudoscalar(tag.signature)
     cu = geometric_product(carrier, u)
-    return column_matrix([u, cu, geometric_product(i, u), geometric_product(i, cu)])
+    frame = column_matrix([u, cu]) - 1j * column_matrix([i * u, i * cu])
+    frame.setflags(write=False)
+    return frame[:, 0], frame[:, 1]
 
 
 @dataclass(frozen=True)
@@ -201,10 +205,9 @@ def norm2(psi: IdealSpinor) -> float:
 def canonical_form(psi: IdealSpinor) -> CanonicalIdeal:
     """Factor out the leading component; refuses the excluded chart point."""
     # any other a0 is a chart point
-    require((psi.a0.s != 0.0) | (psi.a0.p != 0.0), DegenerateState,
-            "a0 = 0 is the excluded pole of the chart")
+    require(psi.a0.z != 0.0, DegenerateState, "a0 = 0 is the excluded pole of the chart")
     # a1 / a0 without |a0|^2, which underflows for |a0| below 1e-154
-    ratio = (psi.a1.s + 1j * psi.a1.p) / (psi.a0.s + 1j * psi.a0.p)
+    ratio = psi.a1.z / psi.a0.z
     chart = (ratio.real, _CHART_SIGN[psi.tag] * ratio.imag)
     theta = np.arctan2(psi.a0.p, psi.a0.s)
     m_hat, root = _unit_m(psi.tag, chart)

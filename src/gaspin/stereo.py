@@ -13,20 +13,20 @@ The pole is always generator 0 of the active signature.  Other pole
 conventions (e.g. the Riemann sphere with pole e3) are reached through
 :func:`permute_generators` rather than a second code path.
 
-Every function takes batches, as the core does: the fields of
-``PlanePoint.x`` (and of a metric's ``dx``) are Python floats for one case
-or arrays of one shape for a batch, and a lifted point or rotor is then a
-batch of multivectors with those leading axes.  A single case keeps Python
-numbers throughout.  Domain checks (the open ball, the south pole, the
-unit square, a0 > 0 on the hyperboloid) go through :func:`core.require`, so
-a batch raises what the single call raises and names the first failing
-case.
+Every function takes batches, as the core does: ``PlanePoint.x`` (and a
+metric's ``dx``) holds the three chart components on the last axis of one
+array, leading axes index the cases, and a lifted point or rotor is then a
+batch of multivectors with those leading axes; one case is a (3,) array and
+goes through the same code.  Domain checks (the open ball, the south pole,
+the unit square, a0 > 0 on the hyperboloid) go through
+:func:`core.require`, so a batch raises what the single call raises and
+names the first failing case.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -36,13 +36,11 @@ from .core import (
     SPACETIME13,
     Multivector,
     Signature,
-    as_cases,
     close,
     fields_equal,
     geometric_product,
     require,
     reverse,
-    unstack,
     vector_square,
 )
 from .errors import DomainViolation, NotAVector, PoleSingularity
@@ -50,26 +48,32 @@ from .errors import DomainViolation, NotAVector, PoleSingularity
 
 @dataclass(frozen=True)
 class PlanePoint:
-    """Chart point: components on the non-pole generators, Python floats
-    for one case or arrays of one shape for a batch."""
+    """Chart point: ``x[..., :]`` holds the components on the three non-pole
+    generators in one read-only array, a view of the array it is given;
+    leading axes index the cases of a batch."""
 
-    x: tuple
+    x: np.ndarray
     __eq__ = fields_equal
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", as_cases(self.x))
+        x = np.asarray(self.x, dtype=float).view()
+        if x.shape[-1:] != (3,):
+            raise ValueError(f"need (..., 3) chart components, got {x.shape}")
+        x.setflags(write=False)
+        object.__setattr__(self, "x", x)
 
     @staticmethod
     def of(*components: float) -> "PlanePoint":
-        return PlanePoint(components)
+        """From three components, numbers or per-case arrays that broadcast."""
+        return PlanePoint(np.stack(np.broadcast_arrays(*components), axis=-1))
 
     @property
     def norm2(self) -> float:
-        return sum(c * c for c in self.x)
+        return np.vecdot(self.x, self.x)
 
     def as_vector(self, signature: Signature) -> Multivector:
         """Grade-1 element with zero pole component."""
-        return Multivector.vector(signature, (0.0, *self.x))
+        return Multivector(signature, self.x @ _VECTOR[1:])
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,10 @@ def _check_unit_vector(a: Multivector, signature: Signature) -> None:
 
 #: Blade masks of the three chart generators (all but the pole, generator 0).
 _CHART_MASKS = np.array([2, 4, 8])
+#: Row k is the blade of generator k: ``comps @ _VECTOR`` is the vector with
+#: components ``comps`` (pole first) in either 16-blade algebra.
+_VECTOR = np.eye(16)[[1, 2, 4, 8]]
+_VECTOR.setflags(write=False)
 
 
 def _pole(signature: Signature) -> Multivector:
@@ -119,15 +127,13 @@ def lift_sphere(x: PlanePoint) -> SpherePoint:
     2 s y) / (s^2 + y^2) on y = s x, with s <= 1 the power of two that brings the
     largest |x_k| below 1: every rounding is the unscaled form's, but y^2 cannot
     overflow (|x| = 1e200 lifts to -e0 + 2e-200 e1)."""
-    if isinstance(x.x[0], np.ndarray):
-        s = np.ldexp(1.0, -np.maximum(np.frexp(reduce(np.maximum, map(np.abs, x.x)))[1], 0))
-    else:
-        s = math.ldexp(1.0, -max(math.frexp(max(map(abs, x.x)))[1], 0))
-    y = tuple(s * c for c in x.x)
-    s2, r2 = s * s, sum(c * c for c in y)
+    big = np.maximum.reduce(np.abs(x.x), axis=-1, keepdims=True, initial=0.5)
+    s = np.ldexp(1.0, -np.frexp(big)[1])
+    y = s * x.x
+    s2, r2 = s * s, np.vecdot(y, y, keepdims=True)
     d = s2 + r2
-    comps = ((s2 - r2) / d, *(2.0 * c * s / d for c in y))
-    return SpherePoint(Multivector.vector(EUCLIDEAN4, comps))
+    comps = np.concatenate([s2 - r2, 2.0 * y * s], axis=-1) / d
+    return SpherePoint(Multivector(EUCLIDEAN4, comps @ _VECTOR))
 
 
 def project_sphere(a: SpherePoint) -> PlanePoint:
@@ -150,23 +156,23 @@ def project_sphere(a: SpherePoint) -> PlanePoint:
             s = math.ldexp(1.0, -math.frexp(max(map(abs, rest.tolist())))[1])
             rest = s * rest
             denom = float(rest @ rest) / (1.0 - a0)
-    else:  # each (1, 3) @ (3, 1) product sums as one case's rest @ rest does
-        a0 = c[..., 1]
+        ok = denom != 0.0
+    else:  # each vecdot sums as one case's rest @ rest does
+        a0 = c[..., 1:2]
         north = a0 >= 0.0
-        s = np.where(north, 1.0, np.ldexp(1.0, -np.frexp(np.abs(rest).max(axis=-1))[1]))
-        rest = s[..., None] * rest
-        r2 = (rest[..., None, :] @ rest[..., :, None])[..., 0, 0]
-        denom = np.where(north, 1.0 + a0, r2 / (1.0 + np.abs(a0)))
-    require(denom != 0.0, PoleSingularity, "projection undefined at the south pole")
-    return PlanePoint(tuple(s * r / denom for r in unstack(rest)))
+        big = np.maximum.reduce(np.abs(rest), axis=-1, keepdims=True)
+        s = np.where(north, 1.0, np.ldexp(1.0, -np.frexp(big)[1]))
+        rest = s * rest
+        denom = np.where(north, 1.0 + a0, np.vecdot(rest, rest, keepdims=True) / (1.0 + np.abs(a0)))
+        ok = denom[..., 0] != 0.0
+    require(ok, PoleSingularity, "projection undefined at the south pole")
+    return PlanePoint(s * rest / denom)
 
 
 def sphere_angle(x: PlanePoint) -> float:
     """Angle theta = 2 atan|x| in [0, pi] from the pole to the lifted point
     (atan2(2|x|, 1 - x^2) gives 3 pi/4 once x^2 overflows)."""
-    if isinstance(x.x[0], np.ndarray):
-        return 2.0 * np.arctan(reduce(np.hypot, x.x))
-    return 2.0 * math.atan(math.hypot(*x.x))
+    return 2.0 * np.arctan(np.hypot.reduce(x.x, axis=-1))
 
 
 def _pole_rotor(x: PlanePoint, signature: Signature, norm: float) -> Multivector:
@@ -179,9 +185,8 @@ def _pole_rotor(x: PlanePoint, signature: Signature, norm: float) -> Multivector
 
 def sphere_rotor(x: PlanePoint) -> Multivector:
     """Rotor R with R e0 R~ = lift_sphere(x); identity at the origin."""
-    if isinstance(x.x[0], np.ndarray):  # nested hypot: no overflow for huge |x|
-        return _pole_rotor(x, EUCLIDEAN4, reduce(np.hypot, x.x, 1.0))
-    return _pole_rotor(x, EUCLIDEAN4, math.hypot(1.0, *x.x))
+    # nested hypot: no overflow for huge |x|
+    return _pole_rotor(x, EUCLIDEAN4, np.hypot.reduce(x.x, axis=-1, initial=1.0))
 
 
 def sphere_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, float]:
@@ -195,14 +200,13 @@ def sphere_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, floa
 
 def _lift_differential(x: PlanePoint, dx: Sequence[float], signature: Signature, s: float):
     """da = (2 d dx - 4 s (x + pole) (x . dx)) / d^2 with d = 1 + s x^2, and
-    (da)^2; s = 1 on the sphere, -1 on the hyperboloid.  The components of
-    dx are numbers or per-case arrays, as those of x."""
+    (da)^2; s = 1 on the sphere, -1 on the hyperboloid.  ``dx`` holds its
+    components on the last axis, as ``x.x`` does."""
     d = 1.0 + s * x.norm2
-    dxp = PlanePoint(tuple(dx))
-    xdx = sum(a * b for a, b in zip(x.x, dxp.x))
+    dx = PlanePoint(dx)
     m = x.as_vector(signature) + _pole(signature)
-    dxv = dxp.as_vector(signature)
-    da = (2.0 * d * dxv - (4.0 * s * xdx) * m) / (d * d)  # d ** 2 raises on overflow
+    num = 2.0 * d * dx.as_vector(signature) - (4.0 * s * np.vecdot(x.x, dx.x)) * m
+    da = num / (d * d)  # d ** 2 raises on overflow
     return da, geometric_product(da, da).scalar_part
 
 
@@ -217,26 +221,23 @@ def _check_open_ball(x: PlanePoint) -> None:
 def lift_hyper(x: PlanePoint) -> HyperPoint:
     """x in the open unit ball -> ((1 + x^2) g0 + 2x) / (1 - x^2) on L^3."""
     _check_open_ball(x)
-    r2 = x.norm2
+    r2 = np.vecdot(x.x, x.x, keepdims=True)
     d = 1.0 - r2
-    comps = ((1.0 + r2) / d, *(2.0 * c / d for c in x.x))
-    return HyperPoint(Multivector.vector(SPACETIME13, comps))
+    comps = np.concatenate([1.0 + r2, 2.0 * x.x], axis=-1) / d
+    return HyperPoint(Multivector(SPACETIME13, comps @ _VECTOR))
 
 
 def project_hyper(a: HyperPoint) -> PlanePoint:
     """Chart point a / (1 + a0) of a hyperboloid point; total on L^3."""
-    d = 1.0 + a.a_hat.coefficient(1)
-    return PlanePoint(tuple(r / d for r in unstack(a.a_hat.coeffs.take(_CHART_MASKS, -1))))
+    c = a.a_hat.coeffs
+    return PlanePoint(c.take(_CHART_MASKS, -1) / (1.0 + c[..., 1:2]))
 
 
 def hyper_angle(x: PlanePoint) -> float:
     """Hyperbolic angle phi = 2 atanh|x| >= 0 between g0 and the lifted point
     (the form atanh(2|x|/(1+x^2)) rounds its argument to 1 near the edge)."""
     _check_open_ball(x)
-    r2 = x.norm2
-    if isinstance(r2, np.ndarray):
-        return 2.0 * np.arctanh(np.sqrt(r2))
-    return 2.0 * math.atanh(math.sqrt(r2))
+    return 2.0 * np.arctanh(np.sqrt(x.norm2))
 
 
 def hyper_boost(x: PlanePoint) -> Multivector:

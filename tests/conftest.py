@@ -3,7 +3,8 @@ import pytest
 
 from gaspin.core import (EUCLIDEAN4, MINKOWSKI12, PAULI3, SPACETIME13, TOL, Multivector,
                          column_matrix, residual)
-from gaspin.quatrep import Quaternion, quat_mul
+from gaspin.quatrep import Quaternion
+from gaspin.spinors import CenterScalar, IdealSpinor
 
 ALL_SIGNATURES = (EUCLIDEAN4, SPACETIME13, PAULI3, MINKOWSKI12)
 
@@ -48,22 +49,45 @@ def blade_product(mask_a, mask_b, signature):
     return sign, mask
 
 
+def hamilton(a, b):
+    """The Hamilton product written out: s1 s2 - v1 . v2 and
+    s1 v2 + s2 v1 - v1 x v2, the minus on the cross product because the
+    embedded triple (e23, -e13, e12) is left-handed.  The independent route
+    for ``quat_mul``, which contracts against a table read off Cl(4,0);
+    leading axes of the two Quaternions broadcast."""
+    (s1, v1), (s2, v2) = (a.s, a.v), (b.s, b.v)
+    s = s1 * s2 - np.sum(v1 * v2, axis=-1)
+    v = s1[..., None] * v2 + s2[..., None] * v1 - np.cross(v1, v2)
+    return Quaternion(np.concatenate([s[..., None], v], axis=-1))
+
+
 def stack_entries(rows):
     """(..., 2, 2, 4) coordinates of a 2x2 quaternion matrix given as two rows
     of (batched) Quaternions."""
-    return np.stack([np.stack([q.coords() for q in row], axis=-2) for row in rows], axis=-3)
+    return np.stack([np.stack([q.coeffs for q in row], axis=-2) for row in rows], axis=-3)
 
 
 def quat_cells(a, b):
-    """Row into column over quat_mul, cell by cell, for (..., 2, 2, 4)
-    coordinate arrays whose leading axes broadcast: the independent route
-    for the QuatMatrix2 product, which contracts against a table."""
+    """Row into column over the Hamilton product, cell by cell, for
+    (..., 2, 2, 4) coordinate arrays whose leading axes broadcast: the
+    independent route for the QuatMatrix2 product, which contracts against
+    a table."""
     def entry(x, j, k):
-        return Quaternion.from_coords(x[..., j, k, :])
+        return Quaternion(x[..., j, k, :])
 
-    return stack_entries([[quat_mul(entry(a, j, 0), entry(b, 0, k))
-                           + quat_mul(entry(a, j, 1), entry(b, 1, k)) for k in range(2)]
+    return stack_entries([[hamilton(entry(a, j, 0), entry(b, 0, k))
+                           + hamilton(entry(a, j, 1), entry(b, 1, k)) for k in range(2)]
                           for j in range(2)])
+
+
+def conj(z):
+    """Complex conjugate s - p i of a CenterScalar."""
+    return CenterScalar(z.s, -z.p)
+
+
+def ideal(tag, a0, a1):
+    """The IdealSpinor of two complex numbers."""
+    return IdealSpinor(tag, *(CenterScalar(complex(a).real, complex(a).imag) for a in (a0, a1)))
 
 
 def frame_coords(m, columns):

@@ -9,7 +9,7 @@ case raises what the single call on that case raises, and names the case.
 import numpy as np
 import pytest
 
-from conftest import ALL_SIGNATURES, blade_product, quat_cells
+from conftest import ALL_SIGNATURES, blade_product, hamilton, quat_cells
 from gaspin import dirac, quatspinor, spinors, stereo
 from gaspin.core import (
     EUCLIDEAN4,
@@ -20,7 +20,6 @@ from gaspin.core import (
     geometric_product,
     grade_select,
     reverse,
-    unstack,
     vector_inverse,
     vector_square,
 )
@@ -44,6 +43,10 @@ from gaspin.quatrep import (QuatMatrix2, Quaternion, quat_mul, rep_pss, rep_vec,
 
 EPS = np.finfo(float).eps
 SHAPES = ((7,), (3, 4))
+#: Operand shapes of a product: 200 cases cross the 64-case block of the
+#: table contraction; a single factor and a (4,) factor broadcast against
+#: the other's batch.
+PAIR_SHAPES = (((200,), (200,)), ((), (7,)), ((7,), ()), ((3, 4), (4,)))
 KINDS = ("integer", "gaussian", "float")
 
 
@@ -169,34 +172,41 @@ def test_quaternions_batch_equal_single_calls(rng, shape, kind):
     single_a = a[(0,) * len(shape)]
 
     def mul(u, v):
-        return quat_mul(Quaternion.from_coords(u), Quaternion.from_coords(v)).coords()
+        return quat_mul(Quaternion(u), Quaternion(v)).coeffs
 
     for x, y in ((a, b), (single_a, b)):
-        got = quat_mul(Quaternion.from_coords(x), Quaternion.from_coords(y)).coords()
+        got = quat_mul(Quaternion(x), Quaternion(y)).coeffs
         assert np.array_equal(got, per_case(mul, shape, x, y))
-    got = Quaternion.from_coords(a).to_multivector().coeffs
-    want = per_case(lambda u: Quaternion.from_coords(u).to_multivector().coeffs, shape, a)
+    got = Quaternion(a).to_multivector().coeffs
+    want = per_case(lambda u: Quaternion(u).to_multivector().coeffs, shape, a)
     assert np.array_equal(got, want)
 
 
 def test_batch_fields_are_read_only_views_of_their_inputs(rng):
-    # a field of the batch shape is viewed, one of another shape broadcast;
-    # either way it shares the caller's memory and cannot write to it
-    s, v1 = rng.uniform(-1.0, 1.0, (3, 4)), rng.uniform(-1.0, 1.0, 4)
-    q = Quaternion(s, (v1, 0.0, 0.0))
-    for field, source in ((q.s, s), (q.v[0], v1)):
-        assert field.shape == (3, 4) and np.shares_memory(field, source)
+    # a value views the array it is given, and its parts view that array;
+    # each shares the caller's memory and cannot write to it
+    c = rng.uniform(-1.0, 1.0, (3, 4, 4))
+    z = c + 1j * c
+    q, x, phi = Quaternion(c), stereo.PlanePoint(c[..., :3]), dirac.DiracSpinor(z)
+    for field, source in ((q.coeffs, c), (q.s, c), (q.v, c), (x.x, c), (phi.components, z)):
+        assert field.shape[:2] == (3, 4) and np.shares_memory(field, source)
         with pytest.raises(ValueError):
             field[0, 0] = 1.0
-    assert s.flags.writeable and v1.flags.writeable
+    assert c.flags.writeable and z.flags.writeable
 
 
-@pytest.mark.parametrize("shapes", (((200,), (200,)), ((), (7,)), ((7,), ()), ((3, 4), (4,))),
-                         ids=str)
+@pytest.mark.parametrize("shapes", PAIR_SHAPES, ids=str)
+@pytest.mark.parametrize("kind", ("integer", "float"))
+def test_quat_mul_matches_the_hamilton_product(rng, shapes, kind):
+    a, b = (operands(rng, shape, 4, kind) for shape in shapes)
+    got = quat_mul(Quaternion(a), Quaternion(b)).coeffs
+    assert got.shape == (*np.broadcast_shapes(*shapes), 4)
+    assert_matches(got, hamilton(Quaternion(a), Quaternion(b)).coeffs, kind, scale_of(a, b))
+
+
+@pytest.mark.parametrize("shapes", PAIR_SHAPES, ids=str)
 @pytest.mark.parametrize("kind", ("integer", "float"))
 def test_quat_matrix_product_matches_the_cell_formula(rng, shapes, kind):
-    # 200 cases cross the 64-case block of the table contraction; a single
-    # factor and a (4,) factor broadcast against the other's batch
     a, b = (operands(rng, shape, 16, kind) for shape in shapes)
     ma, mb = (x.reshape(*x.shape[:-1], 2, 2, 4) for x in (a, b))
     got = (QuatMatrix2(ma) * QuatMatrix2(mb)).coeffs
@@ -208,7 +218,7 @@ def test_quat_matrix_product_matches_the_cell_formula(rng, shapes, kind):
 @pytest.mark.parametrize("kind", ("integer", "float"))
 def test_spinor_carriers_batch_equal_single_calls(rng, shape, kind):
     # the fixed maps on batches; from_chart (a0 = 1), from_bloch_point (q0 = 1)
-    # and the rows with a literal leave a field one number for every case
+    # and the center scalars with a literal part leave one number for every case
     def check(fn, width):
         c = operands(rng, shape, width, kind)
         assert_matches(fn(c), per_case(fn, shape, c), kind, scale_of(c))
@@ -222,22 +232,22 @@ def test_spinor_carriers_batch_equal_single_calls(rng, shape, kind):
         check(lambda u: carrier(spinors.CenterScalar(0.5, u[..., 0]),
                                 spinors.CenterScalar(u[..., 1], u[..., 2])), 3)
         check(lambda u: spinors.to_multivector(
-            spinors.IdealSpinor.from_chart(tag, unstack(u))).coeffs, 2)
-        check(lambda u: spinors.CenterScalar(*unstack(u)).embed(tag).coeffs, 2)
+            spinors.IdealSpinor.from_chart(tag, (u[..., 0], u[..., 1]))).coeffs, 2)
+        check(lambda u: spinors.CenterScalar(u[..., 0], u[..., 1]).embed(tag).coeffs, 2)
         check(lambda u: spinors.CenterScalar(u[..., 0], -0.5).embed(tag).coeffs, 1)
     for tag in (AlgebraTag.SPACETIME13, AlgebraTag.EUCLIDEAN4):
         check(lambda u: quatspinor.image(quatspinor.from_carrier_coords(u, tag)).coeffs, 8)
         check(lambda u: quatspinor.image(quatspinor.QuatSpinor.from_bloch_point(u, tag)).coeffs, 3)
-    check(lambda u: quatspinor.embed_spacetime(Quaternion.from_coords(u)).coeffs, 4)
-    check(lambda u: quatspinor.embed_spacetime(Quaternion(0.5, (u[..., 0], 0.0, u[..., 1]))).coeffs,
-          2)
+    check(lambda u: quatspinor.embed_spacetime(Quaternion(u)).coeffs, 4)
+    check(lambda u: quatspinor.embed_spacetime(
+        Quaternion(np.insert(u, [0, 1], (0.5, 0.0), axis=-1))).coeffs, 2)
     check(lambda u: dirac.dirac_to_geometric(dirac.DiracSpinor.from_reals(u)).coeffs, 8)
     check(lambda u: dirac.qspinor_to_geometric(quatspinor.QuatSpinor.from_bloch_point(u)).coeffs, 3)
 
 
 def _chart(c):
     """Chart points from rows of three components (one row: one case)."""
-    return stereo.PlanePoint(unstack(np.asarray(c, dtype=float)))
+    return stereo.PlanePoint(c)
 
 
 def _ball(rng, shape, rmax):
@@ -262,13 +272,13 @@ def test_stereo_batch_equals_single_calls(rng, shape):
             return lift(_chart(v)).a_hat.coeffs
 
         def back(c):
-            return np.stack(project(point(Multivector(sig, c))).x, axis=-1)
+            return project(point(Multivector(sig, c))).x
 
         def rotor_of(v):
             return rotor(_chart(v)).coeffs
 
         def metric_of(v, w):
-            da, ds2 = metric(_chart(v), unstack(w))
+            da, ds2 = metric(_chart(v), w)
             return np.concatenate([da.coeffs, np.asarray(ds2)[..., None]], axis=-1)
 
         def sandwich(rc, ac):
@@ -415,7 +425,7 @@ def test_one_bad_case_in_a_batch_raises_like_the_single_call(name):
 # ------------------------------------------------------------- exact equality
 
 def _canonical_q(c):
-    return quatspinor.CanonicalQ(c[..., 0], c[..., 1], unstack(c[..., 2:5]),
+    return quatspinor.CanonicalQ(c[..., 0], c[..., 1], c[..., 2:5],
                                  Multivector(SPACETIME13, c[..., 5:21]),
                                  Multivector(SPACETIME13, c[..., 21:37]))
 
@@ -424,9 +434,9 @@ def _canonical_q(c):
 _EQUAL_CASES = {
     "Multivector": (16, lambda c: Multivector(EUCLIDEAN4, c)),
     "PlanePoint": (3, _chart),
-    "Quaternion": (4, Quaternion.from_coords),
+    "Quaternion": (4, Quaternion),
     "QuatMatrix2": (16, lambda c: QuatMatrix2(c.reshape(*c.shape[:-1], 2, 2, 4))),
-    "CenterScalar": (2, lambda c: spinors.CenterScalar(*unstack(c))),
+    "CenterScalar": (2, lambda c: spinors.CenterScalar(c[..., 0], c[..., 1])),
     "IdealSpinor": (4, _center_pair),
     "CanonicalIdeal": (12, lambda c: spinors.CanonicalIdeal(
         c[..., 0], c[..., 1], Multivector(PAULI3, c[..., 2:10]), (c[..., 10], c[..., 11]))),

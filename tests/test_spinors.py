@@ -35,7 +35,7 @@ from gaspin.spinors import (
     to_multivector,
 )
 
-from conftest import allclose, frame_coords
+from conftest import allclose, conj, frame_coords, ideal
 
 TAGS = (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12)
 
@@ -80,8 +80,8 @@ def test_center_scalar_ring(rng):
         lhs = (a * b).embed(tag)
         rhs = geometric_product(a.embed(tag), b.embed(tag))
         assert residual(lhs, rhs) <= 1e-14
-        assert residual(a.conj().embed(tag), reverse(a.embed(tag))) == 0.0
-    assert (a * a.conj()).s == pytest.approx(a.abs2(), abs=1e-15)
+        assert residual(conj(a).embed(tag), reverse(a.embed(tag))) == 0.0
+    assert (a * conj(a)).s == pytest.approx(a.abs2(), abs=1e-15)
 
 
 # -------------------------------------------------------------- ideal carrier
@@ -89,13 +89,13 @@ def test_center_scalar_ring(rng):
 
 def test_to_multivector_examples():
     u = idempotent(AlgebraTag.PAULI3)
-    psi = IdealSpinor.of(AlgebraTag.PAULI3, 1.0, 0.0)
+    psi = ideal(AlgebraTag.PAULI3, 1.0, 0.0)
     assert allclose(to_multivector(psi), u)
     e1 = Multivector.basis(PAULI3, 0)
-    psi = IdealSpinor.of(AlgebraTag.PAULI3, 0.0, 1.0)
+    psi = ideal(AlgebraTag.PAULI3, 0.0, 1.0)
     assert allclose(to_multivector(psi), geometric_product(e1, u))
     v = idempotent(AlgebraTag.MINKOWSKI12)
-    psi = IdealSpinor.of(AlgebraTag.MINKOWSKI12, 1.0, 0.0)
+    psi = ideal(AlgebraTag.MINKOWSKI12, 1.0, 0.0)
     assert allclose(to_multivector(psi), v)
 
 
@@ -180,13 +180,13 @@ def test_ket_bra_is_twice_projector(rng):
 
 
 def test_canonical_form_pauli_examples():
-    can = canonical_form(IdealSpinor.of(AlgebraTag.PAULI3, 1.0, 0.0))
+    can = canonical_form(ideal(AlgebraTag.PAULI3, 1.0, 0.0))
     assert can.rho == pytest.approx(1.0)
     assert can.theta == 0.0
     assert allclose(can.m_hat, pole_vector(AlgebraTag.PAULI3))
     assert can.chart == (0.0, 0.0)
 
-    can = canonical_form(IdealSpinor.of(AlgebraTag.PAULI3, 1.0, 1.0))
+    can = canonical_form(ideal(AlgebraTag.PAULI3, 1.0, 1.0))
     assert can.rho == pytest.approx(math.sqrt(2.0))
     assert can.theta == 0.0
     assert can.chart == (1.0, 0.0)
@@ -194,7 +194,7 @@ def test_canonical_form_pauli_examples():
     assert residual(can.m_hat, want) <= 1e-15
 
     with pytest.raises(DegenerateState):
-        canonical_form(IdealSpinor.of(AlgebraTag.PAULI3, 0.0, 1.0))
+        canonical_form(ideal(AlgebraTag.PAULI3, 0.0, 1.0))
 
 
 def test_canonical_form_minkowski_chart_sign():
@@ -206,7 +206,7 @@ def test_canonical_form_minkowski_chart_sign():
     g2 = Multivector.basis(sig, 2)
     v = idempotent(AlgebraTag.MINKOWSKI12)
     assert allclose(i * g1 * v, -1.0 * (g2 * v))
-    psi = IdealSpinor.of(AlgebraTag.MINKOWSKI12, 1.0, (0.0, 0.5))  # a1 = 0.5 i
+    psi = ideal(AlgebraTag.MINKOWSKI12, 1.0, 0.5j)  # a1 = 0.5 i
     can = canonical_form(psi)
     assert can.chart == (0.0, -0.5)
 
@@ -223,14 +223,14 @@ def test_canonical_reconstruction(rng):
 
 def test_canonical_rejects_nontimelike():
     with pytest.raises(NonTimelike):
-        canonical_form(IdealSpinor.of(AlgebraTag.MINKOWSKI12, 1.0, 2.0))
+        canonical_form(ideal(AlgebraTag.MINKOWSKI12, 1.0, 2.0))
 
 
 def test_canonical_form_of_tiny_states():
     # |a0| ~ 1e-160: |a0|^2 is subnormal, so the chart is a1 / a0 formed
     # directly and rho is |a0| sqrt(m^2)
     for tag in TAGS:
-        psi = IdealSpinor.of(tag, (0.6, 0.8), (0.3, -0.1))
+        psi = ideal(tag, 0.6 + 0.8j, 0.3 - 0.1j)
         tiny = IdealSpinor(tag, psi.a0.scale(1e-160), psi.a1.scale(1e-160))
         can, small = canonical_form(psi), canonical_form(tiny)
         assert small.chart == pytest.approx(can.chart, rel=1e-15)
@@ -257,8 +257,8 @@ def test_canonical_reconstruction_at_the_minkowski_edge():
 
 
 def test_inner_examples():
-    one = IdealSpinor.of(AlgebraTag.PAULI3, 1.0, 0.0)
-    other = IdealSpinor.of(AlgebraTag.PAULI3, 0.0, 1.0)
+    one = ideal(AlgebraTag.PAULI3, 1.0, 0.0)
+    other = ideal(AlgebraTag.PAULI3, 0.0, 1.0)
     z = inner(one, one)
     assert (z.s, z.p) == (1.0, 0.0)
     z = inner(one, other)
@@ -273,7 +273,7 @@ def test_inner_componentwise_vs_algebra(rng):
             psi = rand_spinor(rng, tag, admissible=False)
             chi = rand_spinor(rng, tag, admissible=False)
             z = inner(psi, chi)
-            want = psi.a0.conj() * chi.a0 + (psi.a1.conj() * chi.a1).scale(sign)
+            want = conj(psi.a0) * chi.a0 + (conj(psi.a1) * chi.a1).scale(sign)
             assert abs(z.s - want.s) <= 1e-13
             assert abs(z.p - want.p) <= 1e-13
 
@@ -293,8 +293,8 @@ def test_inner_conjugate_symmetry_and_norm(rng):
 def test_inner_tag_mismatch():
     with pytest.raises(TagMismatch):
         inner(
-            IdealSpinor.of(AlgebraTag.PAULI3, 1.0, 0.0),
-            IdealSpinor.of(AlgebraTag.MINKOWSKI12, 1.0, 0.0),
+            ideal(AlgebraTag.PAULI3, 1.0, 0.0),
+            ideal(AlgebraTag.MINKOWSKI12, 1.0, 0.0),
         )
 
 
@@ -360,18 +360,18 @@ def test_fidelity_triple_equality(rng):
 def test_fidelity_errors():
     with pytest.raises(TagMismatch):
         fidelity(
-            IdealSpinor.of(AlgebraTag.PAULI3, 1.0, 0.0),
-            IdealSpinor.of(AlgebraTag.MINKOWSKI12, 1.0, 0.0),
+            ideal(AlgebraTag.PAULI3, 1.0, 0.0),
+            ideal(AlgebraTag.MINKOWSKI12, 1.0, 0.0),
         )
     with pytest.raises(DegenerateState):
         fidelity(
-            IdealSpinor.of(AlgebraTag.PAULI3, 0.0, 0.0),
-            IdealSpinor.of(AlgebraTag.PAULI3, 1.0, 0.0),
+            ideal(AlgebraTag.PAULI3, 0.0, 0.0),
+            ideal(AlgebraTag.PAULI3, 1.0, 0.0),
         )
     with pytest.raises(NonTimelike):
         fidelity(
-            IdealSpinor.of(AlgebraTag.MINKOWSKI12, 1.0, 2.0),
-            IdealSpinor.of(AlgebraTag.MINKOWSKI12, 1.0, 0.0),
+            ideal(AlgebraTag.MINKOWSKI12, 1.0, 2.0),
+            ideal(AlgebraTag.MINKOWSKI12, 1.0, 0.0),
         )
 
 

@@ -41,7 +41,7 @@ def rand_ball(rng, rmax=0.95):
     v = rng.uniform(-1, 1, size=3)
     n = np.linalg.norm(v)
     r = rmax * rng.uniform(0.01, 1.0)
-    return PlanePoint(tuple(v / n * r))
+    return PlanePoint(v / n * r)
 
 
 _DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
@@ -55,7 +55,7 @@ def on_ray(direction, r):
 
 
 def rand_plane(rng, scale=3.0):
-    return PlanePoint(tuple(rng.uniform(-scale, scale, size=3)))
+    return PlanePoint(rng.uniform(-scale, scale, size=3))
 
 
 E0 = Multivector.basis(EUCLIDEAN4, 0)
@@ -155,7 +155,7 @@ def test_sphere_one_sided_and_two_sided_rotor_forms_agree(rng):
         mhat = m / math.sqrt(geometric_product(m, m).scalar_part)
         via_mhat = geometric_product(geometric_product(mhat, E0), mhat)
         r = math.sqrt(x.norm2)
-        xhat = PlanePoint(tuple(c / r for c in x.x)).as_vector(EUCLIDEAN4)
+        xhat = PlanePoint(x.x / r).as_vector(EUCLIDEAN4)
         B = geometric_product(xhat, E0)
         via_exp = geometric_product(exp_blade(sphere_angle(x) * B), E0)
         me0 = geometric_product(mhat, E0)
@@ -184,8 +184,7 @@ def test_sphere_metric_tangency_and_fd(rng):
         want = 4.0 * float(dx @ dx) / (1.0 + x.norm2) ** 2
         assert abs(ds2 - want) <= 1e-12 * max(1.0, abs(want))
         # central finite differences of the lift
-        xp = PlanePoint(tuple(np.array(x.x) + h * dx))
-        xm = PlanePoint(tuple(np.array(x.x) - h * dx))
+        xp, xm = PlanePoint(x.x + h * dx), PlanePoint(x.x - h * dx)
         da_fd = (lift_sphere(xp).a_hat - lift_sphere(xm).a_hat) / (2.0 * h)
         ds2_fd = geometric_product(da_fd, da_fd).scalar_part
         assert abs(ds2_fd - ds2) <= 1e-6 * max(1.0, abs(ds2))
@@ -271,8 +270,7 @@ def test_hyper_metric_tangency_and_fd(rng):
         assert abs(dot(da, a)) <= 1e-10 * max(1.0, da.max_abs()) ** 2
         want = -4.0 * float(dx @ dx) / (1.0 - x.norm2) ** 2
         assert abs(ds2 - want) <= 1e-12 * max(1.0, abs(want))
-        xp = PlanePoint(tuple(np.array(x.x) + h * dx))
-        xm = PlanePoint(tuple(np.array(x.x) - h * dx))
+        xp, xm = PlanePoint(x.x + h * dx), PlanePoint(x.x - h * dx)
         da_fd = (lift_hyper(xp).a_hat - lift_hyper(xm).a_hat) / (2.0 * h)
         ds2_fd = geometric_product(da_fd, da_fd).scalar_part
         assert abs(ds2_fd - ds2) <= 1e-6 * max(1.0, abs(ds2))
@@ -375,7 +373,7 @@ def test_sphere_roundtrip_where_the_lift_underflows():
     points = (radii[:, None, None] * directions).reshape(-1, 3)
     bound = 1e-15 * np.repeat(radii, len(directions))
     for p, b in zip(points, bound):
-        back = project_sphere(lift_sphere(PlanePoint(tuple(p)))).x
-        assert np.max(np.abs(np.array(back) - p)) <= b
-    back = project_sphere(lift_sphere(PlanePoint(tuple(points.T)))).x
-    assert np.all(np.max(np.abs(np.array(back).T - points), axis=1) <= bound)
+        back = project_sphere(lift_sphere(PlanePoint(p))).x
+        assert np.max(np.abs(back - p)) <= b
+    back = project_sphere(lift_sphere(PlanePoint(points))).x
+    assert np.all(np.max(np.abs(back - points), axis=1) <= bound)
