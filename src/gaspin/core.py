@@ -38,13 +38,16 @@ outer products at a time, so memory stays flat in the batch size.  That
 kernel, :func:`contract`, takes any bilinear map given by its table:
 ``quatrep.QuatMatrix2`` products use it with a (256, 16) table built from
 the quaternion product's (16, 4) table.
+A map given on the generators extends to every blade mask through
+:func:`blade_images`, n batched products over all 2^n masks at once;
+``isomap`` and ``quatrep`` read their fixed matrices off that one batch.
 Domain checks go through :func:`require`, which raises on the first failing
 case of a batch and names its index.
 """
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -561,12 +564,28 @@ def blade_names(signature: Signature) -> tuple[str, ...]:
     return tuple(signature.blade_name(m) for m in range(signature.dim))
 
 
-def column_matrix(columns: Sequence[Multivector]) -> np.ndarray:
-    """Read-only matrix with the coefficients of ``columns`` as its columns:
+def column_matrix(columns) -> np.ndarray:
+    """Read-only matrix with the coefficients of ``columns`` as its columns,
+    ``columns`` a sequence of single cases or one batch (its cases flattened):
     ``mat @ coords`` is the combination of the columns with those weights."""
-    mat = np.stack([c.coeffs for c in columns], axis=1)
+    rows = columns.coeffs if hasattr(columns, "coeffs") else np.stack([c.coeffs for c in columns])
+    mat = np.ascontiguousarray(rows.reshape(len(rows), -1).T)
     mat.setflags(write=False)
     return mat
+
+
+def blade_images(gens, one):
+    """Images of all 2^n blade masks, as one batch indexed by mask, under the
+    multiplicative map sending generator k to case k of the batch ``gens``:
+    n batched products, the k-th by the image of generator k where the mask
+    has bit k and by ``one`` elsewhere, in ascending k.  ``gens`` and ``one``
+    are frozen dataclasses with a ``coeffs`` array and a product ``*``
+    (a :class:`Multivector` or a ``quatrep.QuatMatrix2``)."""
+    masks = np.arange(1 << len(gens.coeffs)).reshape(-1, *(1,) * one.coeffs.ndim)
+    out = one
+    for k, g in enumerate(gens.coeffs):
+        out = out * replace(one, coeffs=np.where(masks >> k & 1, g, one.coeffs))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -2,12 +2,13 @@
 
 The identification sends e0 to g0 and e_k to the bivector g_k g_0; in the
 other direction g0 goes back to e0 and the spacelike g_k become e_k e_0.
-Each map is defined on generators and extended multiplicatively blade by
-blade (products sorted into canonical form by the core engine), which makes
-it an algebra homomorphism by construction; the blade images are stacked
-into one cached signed-permutation matrix per direction, applied to the last
-axis so batches map case by case.  Grade is not preserved: vectors become
-bivectors and the two pseudoscalars swap with the grade-3 units.
+Each map is defined on generators and extended multiplicatively over the
+blades: its matrix is read off one ``core.blade_images`` batch, the images of
+all 16 blade masks as ordered products of generator images, which makes it
+an algebra homomorphism by construction.  The result is one cached
+signed-permutation matrix per direction, applied to the last axis so batches
+map case by case.  Grade is not preserved: vectors become bivectors and the
+two pseudoscalars swap with the grade-3 units.
 
 Mixed-signature arithmetic is refused everywhere; callers must map
 explicitly, so sign conventions stay visible.
@@ -26,7 +27,8 @@ from .core import (
     SPACETIME13,
     Multivector,
     Signature,
-    geometric_product,
+    blade_images,
+    column_matrix,
 )
 from .errors import SignatureMismatch
 
@@ -52,38 +54,16 @@ _TAG_SIGNATURES = {
 }
 
 
-def _extend_on_blades(images: list[Multivector], dim: int) -> tuple[Multivector, ...]:
-    out = []
-    for mask in range(dim):
-        acc = Multivector.scalar(images[0].signature, 1.0)
-        for k in range(dim.bit_length()):
-            if mask >> k & 1:
-                acc = geometric_product(acc, images[k])
-        out.append(acc)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _g4_blade_images() -> tuple[Multivector, ...]:
-    g = [Multivector.basis(SPACETIME13, k) for k in range(4)]
-    gen_images = [g[0]] + [geometric_product(g[k], g[0]) for k in (1, 2, 3)]
-    return _extend_on_blades(gen_images, EUCLIDEAN4.dim)
-
-
-@lru_cache(maxsize=None)
-def _sta_blade_images() -> tuple[Multivector, ...]:
-    e = [Multivector.basis(EUCLIDEAN4, k) for k in range(4)]
-    gen_images = [e[0]] + [geometric_product(e[k], e[0]) for k in (1, 2, 3)]
-    return _extend_on_blades(gen_images, SPACETIME13.dim)
-
-
 @lru_cache(maxsize=None)
 def _map_matrix(direction: str) -> np.ndarray:
-    """Signed permutation matrix: column b is the image of blade b."""
-    images = _g4_blade_images() if direction == "e4_to_sta" else _sta_blade_images()
-    mat = np.stack([img.coeffs for img in images], axis=1)
-    mat.setflags(write=False)
-    return mat
+    """Signed permutation matrix: column b is the image of blade b, read off
+    one :func:`core.blade_images` batch of the generator images t0 and
+    t_k t0 in the target algebra."""
+    target = SPACETIME13 if direction == "e4_to_sta" else EUCLIDEAN4
+    unit = np.eye(target.dim)
+    # t0, t1 t0, t2 t0, t3 t0: the four generators times (1, t0, t0, t0)
+    gens = Multivector(target, unit[[1, 2, 4, 8]]) * Multivector(target, unit[[0, 1, 1, 1]])
+    return column_matrix(blade_images(gens, Multivector.scalar(target, 1.0)))
 
 
 def euclidean_to_spacetime(g: Multivector) -> Multivector:

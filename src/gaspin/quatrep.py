@@ -12,11 +12,12 @@ Two spectral bases turn Cl(4,0) into 2x2 matrices over the quaternions:
 one built from the vector idempotents (1 +- e0)/2, one from the
 pseudoscalar idempotents (1 +- e0123)/2.  A 2x2 quaternion matrix is one
 (..., 2, 2, 4) array, so each map is a fixed 16x16 matrix, cached per basis
-and applied to a whole batch with one matmul.  The representation matrix
-stacks the basis-blade images, built as ordered products of the generator
-images; the inverse matrix stacks the row-idempotent-matrix-column sandwich
-of each of the 16 matrix units, expanded in the core algebra.  The two
-directions are derived independently of each other.
+and applied to a whole batch with one matmul.  The representation matrix is
+read off one ``core.blade_images`` batch: the images of all 16 blades as
+ordered products of the generator images.  The inverse matrix is one batched
+row-idempotent-matrix-column sandwich over the 16 matrix units, expanded in
+the core algebra.  The two directions are derived independently of each
+other.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (EUCLIDEAN4, Multivector, close, contract, fields_equal, require, residual,
-                   reverse)
+from .core import (EUCLIDEAN4, Multivector, blade_images, close, column_matrix, contract,
+                   fields_equal, require, residual, reverse)
 from .errors import NotInSubalgebra, SignatureMismatch
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -183,9 +184,6 @@ class QuatMatrix2:
         one, z = Quaternion.one(), Quaternion.zero()
         return QuatMatrix2.from_entries(one, z, z, one)
 
-    def entry(self, j: int, k: int) -> Quaternion:
-        return Quaternion(self.coeffs[..., j, k, :])
-
     def __add__(self, other: "QuatMatrix2") -> "QuatMatrix2":
         return QuatMatrix2(self.coeffs + other.coeffs)
 
@@ -212,30 +210,22 @@ def matrix_residual(a: QuatMatrix2, b: QuatMatrix2) -> float:
 # --------------------------------------------------------------------------
 # Representations: one cached blade-image matrix per spectral basis.
 
-def _generator_images(basis: str) -> list[QuatMatrix2]:
-    """[e0] is diag(1, -1) over (1 +- e0)/2 and [[0, 1], [1, 0]] over
-    (1 +- e0123)/2; [ek] = [[0, i ek], [-i ek, 0]] in both bases."""
-    z, one = Quaternion.zero(), Quaternion.one()
-    e0 = (one, z, z, -one) if basis == "vec" else (z, one, one, z)
-    ek = ((z, q, -q, z) for q in map(Quaternion, np.eye(4)[1:]))
-    return [QuatMatrix2.from_entries(*entries) for entries in (e0, *ek)]
+def _generator_images(basis: str) -> QuatMatrix2:
+    """[e0], ..., [e3] as one batch: [e0] is diag(1, -1) over (1 +- e0)/2 and
+    [[0, 1], [1, 0]] over (1 +- e0123)/2; [ek] = [[0, i ek], [-i ek, 0]] in
+    both bases."""
+    out = np.zeros((4, 2, 2, 4))
+    out[0, :, :, 0] = [[1.0, 0.0], [0.0, -1.0]] if basis == "vec" else [[0.0, 1.0], [1.0, 0.0]]
+    out[1:, 0, 1, 1:] = np.eye(3)
+    out[1:, 1, 0, 1:] = -np.eye(3)
+    return QuatMatrix2(out)
 
 
 @lru_cache(maxsize=None)
 def _rep_matrix(basis: str) -> np.ndarray:
     """(16, 16) matrix: column b is the flattened image of blade b, the
-    ordered product of its generator images."""
-    gens = _generator_images(basis)
-    cols = []
-    for mask in range(EUCLIDEAN4.dim):
-        img = QuatMatrix2.identity()
-        for k in range(4):
-            if mask >> k & 1:
-                img = img * gens[k]
-        cols.append(img.coeffs.ravel())
-    mat = np.stack(cols, axis=1)
-    mat.setflags(write=False)
-    return mat
+    ordered product of its generator images (one ``blade_images`` batch)."""
+    return column_matrix(blade_images(_generator_images(basis), QuatMatrix2.identity()))
 
 
 def _rep(g: Multivector, basis: str) -> QuatMatrix2:
@@ -278,28 +268,21 @@ def idempotent_i(sign: int) -> Multivector:
     return (1.0 + float(sign) * _E123) * 0.5
 
 
-def _sandwich(M: QuatMatrix2, row, idem: Multivector, col) -> Multivector:
-    out = Multivector.zero(EUCLIDEAN4)
-    for j in range(2):
-        for k in range(2):
-            term = row[j] * idem * M.entry(j, k).to_multivector() * col[k]
-            out = out + term
-    return out
-
-
 @lru_cache(maxsize=None)
 def _unrep_matrix(basis: str) -> np.ndarray:
-    """(16, 16) matrix: column u is the sandwich expansion of matrix unit u
-    (entry (j, k), quaternion coordinate c, flattened)."""
+    """(16, 16) matrix: column u is the sandwich, summed over (j, k), of
+    row[j] idem M[j, k] col[k] for matrix unit u (entry (j, k), quaternion
+    coordinate c, flattened); one batched product over the 16 units."""
     one = Multivector.scalar(EUCLIDEAN4, 1.0)
     if basis == "vec":
         row, idem, col = (one, _E123), idempotent_vec(+1), (one, -_E123)
     else:
         row, idem, col = (one, _E0), idempotent_pss(+1), (one, _E0)
-    units = np.eye(16).reshape(16, 2, 2, 4)
-    mat = np.stack([_sandwich(QuatMatrix2(u), row, idem, col).coeffs for u in units], axis=1)
-    mat.setflags(write=False)
-    return mat
+    row = Multivector(EUCLIDEAN4, [[m.coeffs] for m in row])  # along the j axis
+    col = Multivector(EUCLIDEAN4, [m.coeffs for m in col])  # along the k axis
+    units = Quaternion(np.eye(16).reshape(16, 2, 2, 4)).to_multivector()
+    terms = row * idem * units * col
+    return column_matrix(Multivector(EUCLIDEAN4, terms.coeffs.sum(axis=(1, 2))))
 
 
 def _flat(M: QuatMatrix2) -> np.ndarray:
@@ -332,84 +315,47 @@ def change_of_basis(M_pss: QuatMatrix2) -> QuatMatrix2:
     return A * M_pss * A_inv
 
 
-def singular_change_matrix() -> tuple[tuple[Multivector, ...], ...]:
-    """B = (sqrt2/2) [[i+, i-], [-i-, i+]] with multivector entries.
-
-    The entries are idempotent halves of 1 +- e123, which are not
-    quaternions, so B is kept at the multivector level.
-    """
-    s = _SQRT1_2
-    ip = idempotent_i(+1)
-    im = idempotent_i(-1)
-    return (
-        (ip * s, im * s),
-        ((-1.0 * im) * s, ip * s),
-    )
-
-
-def _mv_matmul(a, b):
-    return tuple(
-        tuple(
-            a[j][0] * b[0][k] + a[j][1] * b[1][k] for k in range(2)
-        )
-        for j in range(2)
-    )
-
-
-def _mv_star(a):
-    """Reverse-conjugate transpose of a 2x2 multivector matrix."""
-    return tuple(tuple(reverse(a[k][j]) for k in range(2)) for j in range(2))
-
-
-def spectral_basis_vec() -> tuple[tuple[Multivector, ...], ...]:
-    """[[e+, -i e-], [i e+, e-]]."""
-    ep, em = idempotent_vec(+1), idempotent_vec(-1)
-    return ((ep, -1.0 * (_E123 * em)), (_E123 * ep, em))
-
-
-def spectral_basis_pss() -> tuple[tuple[Multivector, ...], ...]:
-    """[[I+, e0 I-], [e0 I+, I-]]."""
-    Ip, Im = idempotent_pss(+1), idempotent_pss(-1)
-    return ((Ip, _E0 * Im), (_E0 * Ip, Im))
-
-
 def idempotent_identities() -> dict[str, float]:
     """Residuals of the closed relations tying the two spectral bases.
 
-    All products are evaluated in the core algebra; every residual should
-    vanish (coefficients are dyadic rationals, so floats are exact).
+    All products are evaluated in the core algebra, a 2x2 matrix with
+    multivector entries held as one (2, 2) batch.  B = (sqrt2/2)
+    [[i+, i-], [-i-, i+]] has the idempotent halves of 1 +- e123 as entries,
+    which are not quaternions.  Every residual should vanish: coefficients
+    are dyadic rationals, so floats are exact, except for the (sqrt2/2)^2
+    rounding of the B-form.
     """
+    def mat(rows):
+        return Multivector(EUCLIDEAN4, [[m.coeffs for m in row] for row in rows])
+
+    def rowcol(a, b):  # sum over l of a[j, l] b[l, k], each product in its order
+        terms = Multivector(EUCLIDEAN4, a.coeffs[:, :, None]) * Multivector(EUCLIDEAN4, b.coeffs)
+        return Multivector(EUCLIDEAN4, terms.coeffs.sum(axis=1))
+
     ip, im = idempotent_i(+1), idempotent_i(-1)
-    ep = idempotent_vec(+1)
-    Ip = idempotent_pss(+1)
+    ep, em = idempotent_vec(+1), idempotent_vec(-1)
+    Ip, Im = idempotent_pss(+1), idempotent_pss(-1)
+    one = Multivector.scalar(EUCLIDEAN4, 1.0)
 
     r_pss = residual(Ip, 2.0 * (im * ep * ip))
     r_vec = residual(ep, 2.0 * (ip * Ip * im))
 
-    lhs = spectral_basis_vec()
-    B = singular_change_matrix()
-    rhs = _mv_matmul(_mv_matmul(B, spectral_basis_pss()), _mv_star(B))
-    r_eq = max(residual(lhs[j][k], rhs[j][k]) for j in range(2) for k in range(2))
+    lhs = mat([(one, -_E123), (_E123, one)]) * mat([(ep, em)] * 2)  # [[e+, -i e-], [i e+, e-]]
+    pss = mat([(one, _E0), (_E0, one)]) * mat([(Ip, Im)] * 2)  # [[I+, e0 I-], [e0 I+, I-]]
+    B = mat([(ip, im), (-im, ip)]) * _SQRT1_2
+    B_star = reverse(Multivector(EUCLIDEAN4, np.swapaxes(B.coeffs, 0, 1)))  # reverse, transposed
+    r_eq = residual(lhs, rowcol(rowcol(B, pss), B_star))
 
     # Outer-product form 2 (i+; -i-) I+ (i-, -i+) of the same relation.
-    col = (ip, -1.0 * im)
-    row = (im, -1.0 * ip)
-    outer = tuple(
-        tuple(2.0 * (col[j] * Ip * row[k]) for k in range(2)) for j in range(2)
-    )
-    r_outer = max(residual(lhs[j][k], outer[j][k]) for j in range(2) for k in range(2))
+    r_outer = residual(lhs, 2.0 * (mat([(ip,), (-im,)]) * Ip * mat([(im, -ip)])))
 
     # B has no two-sided inverse: B Bstar stays away from the identity.
-    bbstar = _mv_matmul(B, _mv_star(B))
-    one = Multivector.scalar(EUCLIDEAN4, 1.0)
-    zero = Multivector.zero(EUCLIDEAN4)
-    ident = ((one, zero), (zero, one))
-    b_dev = max(residual(bbstar[j][k], ident[j][k]) for j in range(2) for k in range(2))
+    b_dev = residual(rowcol(B, B_star), Multivector(EUCLIDEAN4, np.eye(2)[..., None] * one.coeffs))
 
     return {
         "pseudoscalar_idempotent_from_vec": r_pss,
         "vec_idempotent_from_pseudoscalar": r_vec,
-        "spectral_basis_relation": r_eq,
-        "spectral_basis_outer_form": r_outer,
-        "b_times_b_star_max_deviation": b_dev,
+        "spectral_basis_relation": float(r_eq.max()),
+        "spectral_basis_outer_form": float(r_outer.max()),
+        "b_times_b_star_max_deviation": float(b_dev.max()),
     }

@@ -49,6 +49,21 @@ def blade_product(mask_a, mask_b, signature):
     return sign, mask
 
 
+def blade_loop(gens, one):
+    """Images of the blade masks, indexed by mask, under the multiplicative
+    map sending generator k to ``gens[k]``: each the ordered product of its
+    generator images, one single product at a time.  The loop reference for
+    ``core.blade_images``; serves Multivector and QuatMatrix2 alike."""
+    out = []
+    for mask in range(1 << len(gens)):
+        acc = one
+        for k, g in enumerate(gens):
+            if mask >> k & 1:
+                acc = acc * g
+        out.append(acc)
+    return out
+
+
 def hamilton(a, b):
     """The Hamilton product written out: s1 s2 - v1 . v2 and
     s1 v2 + s2 v1 - v1 x v2, the minus on the cross product because the

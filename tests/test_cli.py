@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gaspin import cli, stereo
 from gaspin.core import EUCLIDEAN4, Multivector
+from gaspin.errors import NotAVector
 from gaspin.quatrep import matrix_residual, rep_vec
 
 from conftest import blade_product
@@ -74,6 +75,16 @@ def test_verify_calls_every_suite_through_the_registry(capsys, monkeypatch):
         name: "fixed" if name in cli.FIXED_INPUT_SUITES else "2" for name in SUITE_NAMES
     }
     assert blocks[-1]["cases"] == "2"
+
+
+def test_verify_reports_a_domain_error_on_one_line(capsys, monkeypatch):
+    # a GAError escaping a suite ends verify on one error line with exit 1
+    def failing(rng, cases):
+        raise NotAVector("non-vector parts present")
+
+    monkeypatch.setitem(cli.SUITES, "dirac.roundtrip", failing)
+    assert run_cli(capsys, ["verify", "--cases", "2"]) == (
+        1, "", "error: NotAVector: non-vector parts present\n")
 
 
 def test_fixed_input_suites_ignore_the_case_count():
@@ -426,6 +437,21 @@ def test_dirac_carrier_terms_scale_with_the_column(capsys, size):
         assert scaled.keys() == unit.keys() and unit
         for blade, value in unit.items():
             assert float(scaled[blade]) == pytest.approx(size * float(value), rel=1e-15)
+
+
+def test_dirac_carrier_terms_when_their_sum_overflows(capsys):
+    # every carrier coefficient is 2.5e307, so their sum overflows; the terms
+    # are still those of the column of ones, times 1e308
+    def terms(value):
+        code, out, err = run_cli(capsys, ["dirac", "--components", *[value] * 8])
+        assert (code, err) == (0, "")
+        record = dict(ln.split("=", 1) for ln in out.splitlines())
+        return [dict(t.split(":") for t in record[key].split(";")) for key in ("carrier_re", "carrier_im")]
+
+    for unit, scaled in zip(terms("1"), terms("1e308")):
+        assert len(unit) == 16 and scaled.keys() == unit.keys()
+        for blade, value in unit.items():
+            assert float(scaled[blade]) == 1e308 * float(value)
 
 
 def test_dirac_arity(capsys):

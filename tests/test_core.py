@@ -102,6 +102,15 @@ def test_generator_contract_all_signatures():
                 assert residual(gi * gj, -(gj * gi)) == 0.0
 
 
+def test_blade_images_of_the_generators_are_the_blades():
+    # the identity map on generators extends to every blade with sign +1,
+    # since each mask's generators multiply in ascending order
+    for sig in ALL_SIGNATURES:
+        gens = Multivector(sig, np.eye(sig.dim)[1 << np.arange(sig.n)])
+        images = core.blade_images(gens, Multivector.scalar(sig, 1.0))
+        assert np.array_equal(images.coeffs, np.eye(sig.dim))
+
+
 def test_signature_mismatch_raises():
     with pytest.raises(SignatureMismatch):
         geometric_product(

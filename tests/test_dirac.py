@@ -12,6 +12,7 @@ from gaspin.dirac import (
     dirac_roundtrip_residual,
     dirac_to_geometric,
     geometric_to_qspinor,
+    idempotent_report,
     j_action,
     j_blade,
     qspinor_to_dirac,
@@ -105,6 +106,34 @@ def test_j_structure_report():
 
     assert residual(v_plus * e_plus(-1.0), dirac_idempotent(+1, +1)) == 0.0
     assert residual(v_plus * e_plus(+1.0), dirac_idempotent(+1, +1)) >= 0.25
+
+
+def test_idempotent_report_matches_the_tuple_route():
+    # u(s,t) = (1 + s g0)(1 + t j g12)/4 written out one at a time, and the
+    # report's relations over them one single product at a time
+    g0, g12 = Multivector.basis(SPACETIME13, 0), Multivector.blade(SPACETIME13, 0b0110)
+    one = Multivector.scalar(SPACETIME13, 1.0)
+    us = {}
+    for s in (+1, -1):
+        for t in (+1, -1):
+            base = (one + float(s) * g0) * 0.25
+            us[(s, t)] = base + (t * 1j) * (base * g12)
+            assert dirac_idempotent(s, t) == us[(s, t)]
+    _, e13, e3, e1 = carrier_blades()
+    upp = us[(+1, +1)]
+    want = {
+        "idempotency": max(residual(u * u, u) for u in us.values()),
+        "orthogonality": max((us[a] * us[b]).max_abs() for a in us for b in us if a != b),
+        "completeness": residual(sum(us.values(), Multivector.zero(SPACETIME13)), one),
+        "spectral_frame_conjugations": max(
+            residual((-1.0 * e13) * upp * e13, us[(+1, -1)]),
+            residual(e3 * upp * e3, us[(-1, +1)]),
+            residual(e1 * upp * e1, us[(-1, -1)]),
+        ),
+    }
+    report = idempotent_report()
+    assert report == want == dict.fromkeys(want, 0.0)
+    assert all(type(v) is float for v in report.values())
 
 
 # -------------------------------------------------------------------- the map

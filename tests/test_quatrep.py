@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from gaspin.core import EUCLIDEAN4, Multivector, geometric_product, residual
+from gaspin import isomap, quatrep
+from gaspin.core import EUCLIDEAN4, SPACETIME13, Multivector, geometric_product, residual, reverse
 from gaspin.errors import GAError, NotInSubalgebra, SignatureMismatch
 from gaspin.quatrep import (
     QuatMatrix2,
     Quaternion,
     basis_change_matrix,
     change_of_basis,
+    idempotent_i,
     idempotent_identities,
+    idempotent_pss,
+    idempotent_vec,
     matrix_residual,
     quat_mul,
     rep_pss,
@@ -17,7 +21,7 @@ from gaspin.quatrep import (
     unrep_vec,
 )
 
-from conftest import allclose, quat_cells, random_mv, stack_entries
+from conftest import allclose, blade_loop, quat_cells, random_mv, stack_entries
 
 
 def rand_quat(rng, integer=False):
@@ -93,13 +97,70 @@ def test_matrix_ops_match_entrywise_oracle(rng):
         a, b = (QuatMatrix2(rng.integers(-4, 5, size).astype(float) if integer
                             else rng.uniform(-1, 1, size)) for _ in range(2))
         assert np.all(matrix_residual(a * b, QuatMatrix2(quat_cells(a.coeffs, b.coeffs))) <= tol)
-        conj = stack_entries([[a.entry(k, j).conjugate() for k in range(2)] for j in range(2)])
+        conj = stack_entries([[Quaternion(a.coeffs[..., k, j, :]).conjugate() for k in range(2)]
+                              for j in range(2)])
         assert np.all(matrix_residual(a.conjugate_transpose(), QuatMatrix2(conj)) == 0.0)
     # rep inverts unrep exactly on the 16 matrix units of both bases.
     for unit in np.eye(16).reshape(16, 2, 2, 4):
         U = QuatMatrix2(unit)
         assert matrix_residual(rep_vec(unrep_vec(U)), U) == 0.0
         assert matrix_residual(rep_pss(unrep_pss(U)), U) == 0.0
+
+
+# --------------------------------------------------- the cached fixed maps
+
+
+def _columns(values):
+    return np.stack([v.coeffs.ravel() for v in values], axis=1)
+
+
+def _isomap_reference(target):
+    """Generator images t0 and t_k t0, extended blade by blade."""
+    t = [Multivector.basis(target, k) for k in range(4)]
+    gens = [t[0]] + [geometric_product(t[k], t[0]) for k in (1, 2, 3)]
+    return _columns(blade_loop(gens, Multivector.scalar(target, 1.0)))
+
+
+def _rep_reference(basis):
+    """[e0] = diag(1, -1) over (1 +- e0)/2, [[0, 1], [1, 0]] over
+    (1 +- e0123)/2; [ek] = [[0, i ek], [-i ek, 0]]; extended blade by blade."""
+    z, one = Quaternion.zero(), Quaternion.one()
+    e0 = (one, z, z, -one) if basis == "vec" else (z, one, one, z)
+    ek = ((z, q, -q, z) for q in map(Quaternion, np.eye(4)[1:]))
+    gens = [QuatMatrix2.from_entries(*entries) for entries in (e0, *ek)]
+    return _columns(blade_loop(gens, QuatMatrix2.identity()))
+
+
+def _unrep_reference(basis):
+    """The sandwich sum over (j, k) of row[j] idem M[j, k] col[k], one matrix
+    unit M and one single product at a time."""
+    one = Multivector.scalar(EUCLIDEAN4, 1.0)
+    e0, i = Multivector.basis(EUCLIDEAN4, 0), Multivector.blade(EUCLIDEAN4, 0b1110)
+    if basis == "vec":
+        row, idem, col = (one, i), idempotent_vec(+1), (one, -i)
+    else:
+        row, idem, col = (one, e0), idempotent_pss(+1), (one, e0)
+    images = []
+    for unit in np.eye(16).reshape(16, 2, 2, 4):
+        out = Multivector.zero(EUCLIDEAN4)
+        for j in range(2):
+            for k in range(2):
+                out = out + row[j] * idem * Quaternion(unit[j, k]).to_multivector() * col[k]
+        images.append(out)
+    return _columns(images)
+
+
+def test_cached_maps_equal_their_loop_references():
+    # every cached matrix, read off one batch, against the loop of single
+    # products it replaced: exactly, entry by entry
+    pairs = [(isomap._map_matrix("e4_to_sta"), _isomap_reference(SPACETIME13)),
+             (isomap._map_matrix("sta_to_e4"), _isomap_reference(EUCLIDEAN4))]
+    for basis in ("vec", "pss"):
+        pairs.append((quatrep._rep_matrix(basis), _rep_reference(basis)))
+        pairs.append((quatrep._unrep_matrix(basis), _unrep_reference(basis)))
+    for cached, reference in pairs:
+        assert np.array_equal(cached, reference)
+        assert not cached.flags.writeable
 
 
 # ------------------------------------------------------------ representation
@@ -207,11 +268,47 @@ def test_basis_change_matrix_unitary():
     assert matrix_residual(A.conjugate_transpose() * A, QuatMatrix2.identity()) <= 1e-15
 
 
+def _tuple_route_identities():
+    """The relations of ``idempotent_identities`` on 2x2 matrices held as
+    tuples of tuples of multivectors, one single product at a time."""
+    def matmul(a, b):
+        return tuple(tuple(a[j][0] * b[0][k] + a[j][1] * b[1][k] for k in range(2))
+                     for j in range(2))
+
+    def star(a):
+        return tuple(tuple(reverse(a[k][j]) for k in range(2)) for j in range(2))
+
+    def worst(a, b):
+        return max(residual(a[j][k], b[j][k]) for j in range(2) for k in range(2))
+
+    e0, i, big_i = (Multivector.blade(EUCLIDEAN4, m) for m in (0b0001, 0b1110, 0b1111))
+    ip, im = idempotent_i(+1), idempotent_i(-1)
+    ep, em = idempotent_vec(+1), idempotent_vec(-1)
+    Ip, Im = idempotent_pss(+1), idempotent_pss(-1)
+    s = 1.0 / np.sqrt(2.0)
+    lhs = ((ep, -1.0 * (i * em)), (i * ep, em))
+    B = ((ip * s, im * s), ((-1.0 * im) * s, ip * s))
+    pss = ((Ip, e0 * Im), (e0 * Ip, Im))
+    col, row = (ip, -1.0 * im), (im, -1.0 * ip)
+    outer = tuple(tuple(2.0 * (col[j] * Ip * row[k]) for k in range(2)) for j in range(2))
+    one, zero = Multivector.scalar(EUCLIDEAN4, 1.0), Multivector.zero(EUCLIDEAN4)
+    return {
+        "pseudoscalar_idempotent_from_vec": residual(Ip, 2.0 * (im * ep * ip)),
+        "vec_idempotent_from_pseudoscalar": residual(ep, 2.0 * (ip * Ip * im)),
+        "spectral_basis_relation": worst(lhs, matmul(matmul(B, pss), star(B))),
+        "spectral_basis_outer_form": worst(lhs, outer),
+        "b_times_b_star_max_deviation": worst(matmul(B, star(B)), ((one, zero), (zero, one))),
+    }
+
+
 def test_idempotent_identities_exact_and_b_singular():
+    # the batched report equals the tuple route key by key, to the bit
     report = idempotent_identities()
+    assert report == _tuple_route_identities()
+    assert all(type(v) is float for v in report.values())
     assert report["pseudoscalar_idempotent_from_vec"] == 0.0
     assert report["vec_idempotent_from_pseudoscalar"] == 0.0
     # the B-form picks up (sqrt2/2)^2 rounding; the outer form is dyadic
-    assert report["spectral_basis_relation"] <= 1e-15
+    assert report["spectral_basis_relation"] == 1.1102230246251565e-16
     assert report["spectral_basis_outer_form"] == 0.0
     assert report["b_times_b_star_max_deviation"] >= 0.5
