@@ -128,20 +128,17 @@ def _worst(*residuals) -> float:
     return float(np.max(np.concatenate([np.ravel(r) for r in residuals])))
 
 
-def _accepted(rng, n: int | None, width: int, keep: Callable, low=-1.0, high=1.0) -> np.ndarray:
-    """Rows of ``width`` uniform draws that ``keep(rows) -> kept rows`` accepts,
-    in draw order: the same rows as one-at-a-time rejection sampling.  ``n``
-    rows (over-drawing the stream), or one row, drawn singly, when n is None."""
-    want = 1 if n is None else n
+def _accepted(rng, n: int, width: int, keep: Callable, low=-1.0, high=1.0) -> np.ndarray:
+    """n rows of ``width`` uniform draws that ``keep(rows) -> kept rows``
+    accepts, in draw order: the same rows as one-at-a-time rejection sampling
+    (over-drawing the stream)."""
     got: list[np.ndarray] = []
     have = 0
-    while have < want:
-        size = 1 if n is None else want - have + want // 4 + 8
-        rows = keep(rng.uniform(low, high, size=(size, width)))
+    while have < n:
+        rows = keep(rng.uniform(low, high, size=(n - have + n // 4 + 8, width)))
         got.append(rows)
         have += len(rows)
-    rows = np.concatenate(got)[:want]
-    return rows[0] if n is None else rows
+    return np.concatenate(got)[:n]
 
 
 def _admissible_rows(rows: np.ndarray) -> np.ndarray:
@@ -164,16 +161,14 @@ def _orthogonal_rows(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([rows[:, :4], q1.coeffs], axis=1)[q0.norm2() - q1.norm2() > 0.05]
 
 
-def _rand_admissible_q(rng, tag: AlgebraTag = AlgebraTag.SPACETIME13,
-                       n: int | None = None) -> QuatSpinor:
-    """Timelike quaternion spinors: a batch of n, or one when n is None."""
+def _rand_admissible_q(rng, n: int, tag: AlgebraTag = AlgebraTag.SPACETIME13) -> QuatSpinor:
+    """A batch of n timelike quaternion spinors."""
     return from_carrier_coords(_accepted(rng, n, 8, _admissible_rows), tag)
 
 
-def _rand_orthogonal_q(rng, tag: AlgebraTag = AlgebraTag.SPACETIME13,
-                       n: int | None = None) -> QuatSpinor:
-    """Orthogonal timelike quaternion spinors: a batch of n, or one."""
-    return from_carrier_coords(_accepted(rng, n, 8, _orthogonal_rows), tag)
+def _rand_orthogonal_q(rng, n: int) -> QuatSpinor:
+    """A batch of n orthogonal timelike quaternion spinors."""
+    return from_carrier_coords(_accepted(rng, n, 8, _orthogonal_rows), AlgebraTag.SPACETIME13)
 
 
 def _uniform_rows(rng, n: int, *ranges: tuple[float, float]) -> np.ndarray:
@@ -195,11 +190,11 @@ def _ball(rows: np.ndarray) -> stereo.PlanePoint:
 _BOX = ((-1.0, 1.0),) * 3
 
 
-def _rand_chart(rng, tag: AlgebraTag, n: int | None = None):
-    """Chart points (a, b): a pair of arrays of n, or of floats when n is None.
-    Pauli charts fill [-2.5, 2.5]^2; Minkowski charts have a^2 + b^2 < 0.9."""
+def _rand_chart(rng, tag: AlgebraTag, n: int):
+    """Chart points (a, b): a pair of arrays of n.  Pauli charts fill
+    [-2.5, 2.5]^2; Minkowski charts have a^2 + b^2 < 0.9."""
     if tag is AlgebraTag.PAULI3:
-        c = rng.uniform(-2.5, 2.5, size=2 if n is None else (n, 2))
+        c = rng.uniform(-2.5, 2.5, size=(n, 2))
     else:
         c = _accepted(rng, n, 2, lambda rows: rows[np.sum(rows * rows, axis=1) < 0.9],
                       -0.95, 0.95)
@@ -422,7 +417,7 @@ def _suite_gspinor_canonical(rng, cases):
 
 
 def _suite_qspinor_canonical(rng, cases):
-    psi = _rand_admissible_q(rng, n=max(1, cases // 2))
+    psi = _rand_admissible_q(rng, max(1, cases // 2))
     can = canonical_q(psi)
     msq = geometric_product(can.M, can.M)
     want = 1.0 - psi.q1.norm2() / psi.q0.norm2()
@@ -431,7 +426,7 @@ def _suite_qspinor_canonical(rng, cases):
 
 
 def _suite_qspinor_projector(rng, cases):
-    psi = _rand_orthogonal_q(rng, n=max(1, cases // 2))
+    psi = _rand_orthogonal_q(rng, max(1, cases // 2))
     can = canonical_q(psi)
     # an orthogonal spinor's M is the plain vector g0 + x_m of its Bloch point
     m = Multivector.vector(SPACETIME13, (1.0, *bloch_point(psi).T))

@@ -200,7 +200,7 @@ class QuatMatrix2:
     def max_abs(self) -> float:
         """Largest coordinate modulus, per case."""
         r = np.maximum.reduce(np.abs(_flat(self)), axis=-1)
-        return r if r.ndim else float(r)
+        return r if r.ndim else float(r)  # one case gets a Python float: the contract, not speed
 
 
 def matrix_residual(a: QuatMatrix2, b: QuatMatrix2) -> float:

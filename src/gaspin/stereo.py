@@ -24,7 +24,6 @@ names the first failing case.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -148,24 +147,13 @@ def project_sphere(a: SpherePoint) -> PlanePoint:
     """
     c = a.a_hat.coeffs
     rest = c.take(_CHART_MASKS, -1)
-    if c.ndim == 1:  # one case in Python numbers
-        a0 = c.item(1)
-        if a0 >= 0.0:
-            s, denom = 1.0, 1.0 + a0
-        else:
-            s = math.ldexp(1.0, -math.frexp(max(map(abs, rest.tolist())))[1])
-            rest = s * rest
-            denom = float(rest @ rest) / (1.0 - a0)
-        ok = denom != 0.0
-    else:  # each vecdot sums as one case's rest @ rest does
-        a0 = c[..., 1:2]
-        north = a0 >= 0.0
-        big = np.maximum.reduce(np.abs(rest), axis=-1, keepdims=True)
-        s = np.where(north, 1.0, np.ldexp(1.0, -np.frexp(big)[1]))
-        rest = s * rest
-        denom = np.where(north, 1.0 + a0, np.vecdot(rest, rest, keepdims=True) / (1.0 + np.abs(a0)))
-        ok = denom[..., 0] != 0.0
-    require(ok, PoleSingularity, "projection undefined at the south pole")
+    a0 = c[..., 1:2]
+    north = a0 >= 0.0
+    big = np.maximum.reduce(np.abs(rest), axis=-1, keepdims=True)
+    s = np.where(north, 1.0, np.ldexp(1.0, -np.frexp(big)[1]))
+    rest = s * rest
+    denom = np.where(north, 1.0 + a0, np.vecdot(rest, rest, keepdims=True) / (1.0 + np.abs(a0)))
+    require(denom[..., 0] != 0.0, PoleSingularity, "projection undefined at the south pole")
     return PlanePoint(s * rest / denom)
 
 

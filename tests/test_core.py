@@ -307,8 +307,15 @@ def test_vector_inverse_examples():
     null = Multivector.vector(SPACETIME13, [1, 1, 0, 0])
     with pytest.raises(NullVector):
         vector_inverse(null)
+    mixed = Multivector.scalar(EUCLIDEAN4, 1.0) + v
     with pytest.raises(NotAVector):
-        vector_inverse(Multivector.scalar(EUCLIDEAN4, 1.0) + v)
+        vector_inverse(mixed)
+    # the message quotes the failing case, alone or in a batch
+    text = r"^non-vector parts present: 1\*1 \+ 1\*e0 \+ 1\*e1"
+    with pytest.raises(NotAVector, match=text + "$"):
+        core.vector_square(mixed)
+    with pytest.raises(NotAVector, match=text + r" \(case 1\)$"):
+        core.vector_square(Multivector(EUCLIDEAN4, np.stack([v.coeffs, mixed.coeffs])))
 
 
 # ----------------------------------------------------------------------- exp

@@ -64,6 +64,12 @@ def per_tag(rows):
     return zip(TAGS, (from_carrier_coords(r, tag) for r, tag in zip(np.split(rows, len(TAGS)), TAGS)))
 
 
+def cases(psi):
+    """The single spinors of a batch, in order."""
+    return [QuatSpinor(Quaternion(q0), Quaternion(q1), psi.tag)
+            for q0, q1 in zip(psi.q0.coeffs, psi.q1.coeffs)]
+
+
 def spacetime_m_display(q0, q1):
     """M written out over spacetime components: an independent route.
 
@@ -190,8 +196,7 @@ def test_canonical_m_matches_the_product_route(rng):
     # M = g0 + (c i + w~ i g0) / |q0|^2 with w = q0* q1 and w~ its embedded
     # vector part, as products; the cached frame agrees exactly
     i13, g0 = Multivector.blade(SPACETIME13, 0b1111), Multivector.basis(SPACETIME13, 0)
-    for _ in range(200):
-        psi = rand_admissible(rng)
+    for psi in cases(rand_admissible(rng, 200)):
         n0 = psi.q0.norm2()
         w = quat_mul(psi.q0.conjugate(), psi.q1)
         bivec = euclidean_to_spacetime(Quaternion([0.0, *w.v]).to_multivector())
@@ -200,32 +205,30 @@ def test_canonical_m_matches_the_product_route(rng):
 
 
 def test_m_squared_identity(rng):
-    for _ in range(500):
-        psi = rand_admissible(rng)
-        can = canonical_q(psi)
-        msq = geometric_product(can.M, can.M)
-        want = 1.0 - psi.q1.norm2() / psi.q0.norm2()
-        assert abs(msq.scalar_part - want) <= 1e-12
-        rest = msq - Multivector.scalar(SPACETIME13, msq.scalar_part)
-        assert rest.max_abs() <= 1e-12
-        mhat_sq = geometric_product(can.M_hat, can.M_hat)
-        assert abs(mhat_sq.scalar_part - 1.0) <= 1e-12
+    psi = rand_admissible(rng, 500)
+    can = canonical_q(psi)
+    msq = geometric_product(can.M, can.M)
+    want = 1.0 - psi.q1.norm2() / psi.q0.norm2()
+    assert np.all(np.abs(msq.scalar_part - want) <= 1e-12)
+    rest = msq - Multivector.scalar(SPACETIME13, msq.scalar_part)
+    assert np.all(rest.max_abs() <= 1e-12)
+    mhat_sq = geometric_product(can.M_hat, can.M_hat)
+    assert np.all(np.abs(mhat_sq.scalar_part - 1.0) <= 1e-12)
 
 
 def test_m_display_agrees_with_canonical(rng):
     from gaspin.quatspinor import _spacetime_m
 
-    for _ in range(500):
-        psi = rand_admissible(rng)
-        lhs = _spacetime_m(psi.q0, psi.q1)
-        rhs = spacetime_m_display(psi.q0, psi.q1)
-        assert residual(lhs, rhs) <= 1e-12
+    psi = rand_admissible(rng, 500)
+    lhs = _spacetime_m(psi.q0, psi.q1)
+    rhs = spacetime_m_display(psi.q0, psi.q1)
+    assert np.all(residual(lhs, rhs) <= 1e-12)
 
 
 def test_m_display_iso_route(rng):
     # The Cl(4,0) canonical M maps onto the spacetime display through the
     # isomorphism: the two expressions of M agree across algebras.
-    psi = rand_admissible(rng, AlgebraTag.EUCLIDEAN4, n=500)
+    psi = rand_admissible(rng, 500, AlgebraTag.EUCLIDEAN4)
     mapped = euclidean_to_spacetime(canonical_q(psi).M)
     assert np.all(residual(mapped, spacetime_m_display(psi.q0, psi.q1)) <= 1e-10)
 
@@ -327,11 +330,10 @@ def test_bra_ket_contraction_norm(rng):
     # <a| |a> = 2 rho^2 v+ for all admissible spinors.
     for tag in TAGS:
         vp = idempotent_plus(tag)
-        for _ in range(300):
-            psi = rand_admissible(rng, tag)
-            ket, bra = braket_q(psi)
-            got = bra * ket
-            assert residual(got, 2.0 * norm2_q(psi) * vp) <= 1e-12
+        psi = rand_admissible(rng, 300, tag)
+        ket, bra = braket_q(psi)
+        got = bra * ket
+        assert np.all(residual(got, 2.0 * norm2_q(psi) * vp) <= 1e-12)
 
 
 def test_native_g4_reverse_would_break_norm(rng):
@@ -348,26 +350,24 @@ def test_native_g4_reverse_would_break_norm(rng):
 
 
 def test_phase_invariance_of_rho_and_projector(rng):
-    for _ in range(200):
-        psi = rand_admissible(rng)
-        theta = rng.uniform(0, 2 * math.pi)
-        axis = rng.uniform(-1, 1, size=3)
-        axis /= np.linalg.norm(axis)
-        u = Quaternion([math.cos(theta), *(math.sin(theta) * axis)])
-        shifted = QuatSpinor(quat_mul(u, psi.q0), quat_mul(u, psi.q1), psi.tag)
-        assert norm2_q(shifted) == pytest.approx(norm2_q(psi), abs=1e-12)
-        p0 = projector(psi).coefficient(0b0001)
-        p1 = projector(shifted).coefficient(0b0001)
-        assert p0 == pytest.approx(p1, abs=1e-12)
+    psi = rand_admissible(rng, 200)
+    theta = rng.uniform(0, 2 * math.pi, size=(200, 1))
+    axis = rng.uniform(-1, 1, size=(200, 3))
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+    u = Quaternion(np.concatenate([np.cos(theta), np.sin(theta) * axis], axis=-1))
+    shifted = QuatSpinor(quat_mul(u, psi.q0), quat_mul(u, psi.q1), psi.tag)
+    assert np.all(np.abs(norm2_q(shifted) - norm2_q(psi)) <= 1e-12)
+    p0 = projector(psi).coefficient(0b0001)
+    p1 = projector(shifted).coefficient(0b0001)
+    assert np.all(np.abs(p0 - p1) <= 1e-12)
 
 
 # ------------------------------------------------------------------ fidelity
 
 
 def test_fidelity_self_and_phase(rng):
-    for _ in range(100):
-        psi = rand_admissible(rng)
-        assert fidelity_q(psi, psi) == pytest.approx(1.0, abs=1e-11)
+    psi = rand_admissible(rng, 100)
+    assert np.all(np.abs(fidelity_q(psi, psi) - 1.0) <= 1e-11)
     # pure phases with q1 = 0 always have fidelity 1
     for _ in range(50):
         a = rand_quat(rng)
