@@ -61,10 +61,12 @@ CRITERIA = {
 }
 
 
-def _report(criterion: str, worst: float, tol: float) -> bool:
+def _report(criterion: str, worst: float, tol: float, witness=None) -> bool:
+    """One PASS/FAIL line; a suite row names its witness (part label, case)."""
     ok = worst <= tol
+    at = f", witness {witness[0]}:{witness[1]}" if witness else ""
     print(f"{'PASS' if ok else 'FAIL'} criterion {criterion}: max residual {worst:.3e} "
-          f"(tolerance {tol:.0e})")
+          f"(tolerance {tol:.0e}{at})")
     return ok
 
 
@@ -72,7 +74,7 @@ def _run_criterion(criterion: str) -> None:
     failed = []
     for label, suite, cases, pinned in CRITERIA[criterion]:
         r = cli.run_suite(suite, SEED, cases)
-        if not _report(f"{label} ({suite}, {cases} cases)", r.max_residual, pinned):
+        if not _report(f"{label} ({suite}, {cases} cases)", r.max_residual, pinned, r.witness):
             failed.append(suite)
     assert not failed, f"criterion {criterion} failed: {failed}"
 

@@ -48,6 +48,17 @@ SUITE_NAMES = (
     "stereo.metric_finite_difference", "stereo.rotor_sandwich", "stereo.roundtrip",
     "stereo.trig_identities",
 )
+# The suites that draw nothing from their stream: verify reports them as cases=fixed.
+FIXED_INPUT_SUITES = (
+    "core.generator_contract", "dirac.idempotents", "dirac.j_action",
+    "quatrep.faithfulness", "quatrep.idempotent_relations",
+)
+
+
+def _blocks(out):
+    """The key=value blocks of a verify report, keyed by suite name."""
+    blocks = [dict(ln.split("=", 1) for ln in b.splitlines()) for b in out.split("\n\n")]
+    return {b["suite"]: b for b in blocks if "suite" in b}
 
 
 def test_verify_calls_every_suite_through_the_registry(capsys, monkeypatch):
@@ -68,13 +79,10 @@ def test_verify_calls_every_suite_through_the_registry(capsys, monkeypatch):
     assert code == 0
     assert sorted(called) == list(SUITE_NAMES)
     assert [ln[len("suite="):] for ln in out.splitlines() if ln.startswith("suite=")] == list(SUITE_NAMES)
-    # suites on fixed inputs report cases=fixed; the footer echoes --cases
-    blocks = [dict(ln.split("=", 1) for ln in b.splitlines()) for b in out.split("\n\n")]
-    cases = {b["suite"]: b["cases"] for b in blocks if "suite" in b}
-    assert cases == {
-        name: "fixed" if name in cli.FIXED_INPUT_SUITES else "2" for name in SUITE_NAMES
-    }
-    assert blocks[-1]["cases"] == "2"
+    # suites that draw nothing report cases=fixed; the footer echoes --cases
+    cases = {name: b["cases"] for name, b in _blocks(out).items()}
+    assert cases == {name: "fixed" if name in FIXED_INPUT_SUITES else "2" for name in SUITE_NAMES}
+    assert "cases=2" in out.split("\n\n")[-1].splitlines()
 
 
 def test_verify_reports_a_domain_error_on_one_line(capsys, monkeypatch):
@@ -88,9 +96,76 @@ def test_verify_reports_a_domain_error_on_one_line(capsys, monkeypatch):
 
 
 def test_fixed_input_suites_ignore_the_case_count():
-    for name in cli.FIXED_INPUT_SUITES:
+    for name in FIXED_INPUT_SUITES:
         few, many = (cli.run_suite(name, 7, cases) for cases in (1, 50))
-        assert (few.max_residual, few.tolerance) == (many.max_residual, many.tolerance)
+        assert few == many and few.cases is None
+
+
+def _with_nan(fn, key):
+    def patched():
+        report = fn()
+        report[key] = math.nan
+        return report
+
+    return patched
+
+
+@pytest.mark.parametrize("module, fn, suite, key", [
+    (cli, "idempotent_identities", "quatrep.idempotent_relations",
+     "vec_idempotent_from_pseudoscalar"),
+    (cli, "idempotent_identities", "quatrep.idempotent_relations",
+     "b_times_b_star_max_deviation"),
+    (cli.dirac_mod, "idempotent_report", "dirac.idempotents", "completeness"),
+])
+def test_a_nan_residual_fails_its_suite(capsys, monkeypatch, module, fn, suite, key):
+    # a NaN in any part, wherever it sits, is the result and the witness
+    monkeypatch.setattr(module, fn, _with_nan(getattr(module, fn), key))
+    code, out, _ = run_cli(capsys, ["verify", "--cases", "2"])
+    block = _blocks(out)[suite]
+    assert (code, block["status"], block["max_residual"]) == (1, "fail", "nan")
+    assert block["witness"] == f"{key}:0"
+
+
+def test_empty_parts_contribute_nothing(monkeypatch):
+    parts = {"none": np.zeros(0), "some": np.array([2e-13, 5e-13]), "more": np.zeros((0, 4))}
+    monkeypatch.setitem(cli.SUITES, "stub.empty", lambda rng, cases: (parts, 1e-12))
+    r = cli.run_suite("stub.empty", 0, 2)
+    assert (r.max_residual, r.witness, r.cases) == (5e-13, ("some", 1), None)
+    del parts["some"]
+    r = cli.run_suite("stub.empty", 0, 2)
+    assert (r.max_residual, r.witness, r.passed) == (0.0, None, True)
+
+
+def test_verify_names_the_witness_and_headroom(capsys, monkeypatch):
+    # the largest residual sits at case 3 of the second part; the third part
+    # ties it at case 0, and a tie goes to the first part
+    def stub(rng, cases):
+        second = rng.uniform(0.0, 1e-13, size=(cases, 2))
+        second[3, 1] = 7e-13
+        return {"first": np.full(cases, 1e-13), "second": second,
+                "third": np.array([7e-13, 0.0])}, 1e-12
+
+    monkeypatch.setitem(cli.SUITES, "zz.stub", stub)
+    code, out, _ = run_cli(capsys, ["verify", "--cases", "5"])
+    assert code == 0
+    block = _blocks(out)["zz.stub"]
+    assert (block["cases"], block["witness"], block["max_residual"]) == ("5", "second:3", cli._f(7e-13))
+    assert float(block["headroom"]) == float(block["max_residual"]) / float(block["tolerance"])
+    assert list(block) == ["suite", "cases", "max_residual", "tolerance", "headroom", "witness",
+                           "status"]
+
+
+def test_every_verify_block_has_one_witness_and_headroom(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--cases", "2"])
+    blocks = out.split("\n\n")[:-1]
+    assert code == 0 and len(blocks) == len(SUITE_NAMES)
+    for block in blocks:
+        keys = [ln.split("=", 1)[0] for ln in block.splitlines()]
+        assert keys.count("witness") == 1 and keys.count("headroom") == 1
+        kv = dict(ln.split("=", 1) for ln in block.splitlines())
+        assert float(kv["headroom"]) == float(kv["max_residual"]) / float(kv["tolerance"])
+        label, case = kv["witness"].rsplit(":", 1)
+        assert label and int(case) >= 0
 
 
 def test_verify_rejects_zero_cases(capsys):
