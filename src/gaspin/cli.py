@@ -29,9 +29,9 @@ from .core import (
     SPACETIME13,
     Multivector,
     Signature,
-    geometric_product,
     residual,
     reverse,
+    scalar_product,
 )
 from .errors import GAError, VerificationFailure
 from .isomap import (
@@ -127,7 +127,7 @@ def _rand_mvs(rng, sig: Signature, n: int, k: int = 1) -> list[Multivector]:
 def _accepted(rng, n: int, width: int, keep: Callable, low=-1.0, high=1.0) -> np.ndarray:
     """n rows of ``width`` uniform draws that ``keep(rows) -> kept rows``
     accepts, in draw order: the same rows as one-at-a-time rejection sampling
-    (over-drawing the stream)."""
+    (over-drawing the stream); ``low`` and ``high`` may be per column."""
     got: list[np.ndarray] = []
     have = 0
     while have < n:
@@ -227,11 +227,11 @@ def _suite_core_generators(rng, cases):
 
 
 def _suite_core_exp(rng, cases):
-    # per case: theta in [-3, 3], then an axis in [-1, 1]^3
-    draws = rng.uniform((-3.0, -1.0, -1.0, -1.0), (3.0, 1.0, 1.0, 1.0), size=(cases, 4))
-    n = np.linalg.norm(draws[:, 1:], axis=1)
-    draws, n = draws[n >= 1e-6], n[n >= 1e-6]
-    xhat = draws[:, 1:] / n[:, None]
+    # per case: theta in [-3, 3], then an axis in [-1, 1]^3, redrawn if shorter than 1e-6
+    draws = _accepted(rng, cases, 4,
+                      lambda rows: rows[np.linalg.norm(rows[:, 1:], axis=1) >= 1e-6],
+                      (-3.0, -1.0, -1.0, -1.0), (3.0, 1.0, 1.0, 1.0))
+    xhat = draws[:, 1:] / np.linalg.norm(draws[:, 1:], axis=1)[:, None]
     xhat = Multivector.vector(EUCLIDEAN4, (0.0, *xhat.T))
     B = draws[:, 0] * (xhat * Multivector.basis(EUCLIDEAN4, 0))
     one = Multivector.scalar(EUCLIDEAN4, 1.0)
@@ -346,7 +346,7 @@ def _suite_stereo_metric(rng, cases):
         _, ds2 = metric(p, dx)
         xp, xm = stereo.PlanePoint(p.x + h * dx), stereo.PlanePoint(p.x - h * dx)
         da_fd = (lift(xp).a_hat - lift(xm).a_hat) / (2 * h)
-        ds2_fd = geometric_product(da_fd, da_fd).scalar_part
+        ds2_fd = scalar_product(da_fd, da_fd)
         errors.append(np.where(sign * ds2 > 0.0,
                                np.abs(ds2_fd - ds2) / np.maximum(1e-30, np.abs(ds2)), math.inf))
     return dict(zip(("sphere", "hyper"), errors)), 1e-6
@@ -373,8 +373,8 @@ def _suite_gspinor_fidelity(rng, cases):
 
 
 def _suite_gspinor_antipode(rng, cases):
-    ca = rng.uniform(-2.0, 2.0, size=(cases, 2))
-    ca = tuple(ca[np.sum(ca * ca, axis=1) >= 1e-3].T)
+    ca = tuple(_accepted(rng, cases, 2, lambda rows: rows[np.sum(rows * rows, axis=1) >= 1e-3],
+                         -2.0, 2.0).T)
     cb = antipodal_chart(ca)
     psi = IdealSpinor.from_chart(AlgebraTag.PAULI3, ca)
     chi = IdealSpinor.from_chart(AlgebraTag.PAULI3, cb)
@@ -405,10 +405,9 @@ def _suite_gspinor_canonical(rng, cases):
 def _suite_qspinor_canonical(rng, cases):
     psi = _rand_admissible_q(rng, max(1, cases // 2))
     can = canonical_q(psi)
-    msq = geometric_product(can.M, can.M)
     want = 1.0 - psi.q1.norm2() / psi.q0.norm2()
     return {"reconstruction": residual(reconstruct(can, psi.tag), image(psi)),
-            "m_square": np.abs(msq.scalar_part - want)}, core.TOL
+            "m_square": np.abs(scalar_product(can.M, can.M) - want)}, core.TOL
 
 
 def _suite_qspinor_projector(rng, cases):
@@ -622,7 +621,7 @@ def cmd_project(args) -> int:
         d = 1.0 - x.norm2
         factor = -4.0 / (d * d)
     # re-validate before printing
-    sq = geometric_product(lifted, lifted).scalar_part
+    sq = scalar_product(lifted, lifted)
     sandwich = stereo.rotor_apply(rotor, pole)
     if not (
         core.close(abs(sq - 1.0), 1.0 + float(lifted.coeffs @ lifted.coeffs))

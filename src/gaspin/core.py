@@ -31,18 +31,21 @@ value types of the other modules hold one array each in the same layout:
 quaternions, chart points and Dirac columns their components on the last
 axis, a center scalar one complex value per case.  Each function has one
 path, and a single case runs the batch code.  Two forks remain: the
-constructor's finiteness test sums one case in Python numbers (0.4 us
-against 1.4 us for ``np.isfinite``; a ``states`` round makes about 5,000
+finiteness test of one case sums it in Python numbers (0.4 us against
+1.4 us for ``np.isfinite``; a ``states`` round makes about 5,000
 constructions and is 16 % slower without it), and the accessors and
 reductions return Python numbers for one case, as documented above.  A
 single factor is one fixed (dim, dim) matrix applied to the other factor;
-of two single cases, the left one is.  Two batches are contracted in
-blocks against the (dim^2, dim) sign tensor ``T[i*dim + j, i ^ j] =
-S[i, j]``, at most ``_BLOCK_BYTES`` (128 KB) of outer products at a time,
-so memory stays flat in the batch size.  That
-kernel, :func:`contract`, takes any bilinear map given by its table:
-``quatrep.QuatMatrix2`` products use it with a (256, 16) table built from
-the quaternion product's (16, 4) table.
+of two single cases, the left one is.  Two batches are contracted against
+the (dim^2, dim) sign tensor ``T[i*dim + j, i ^ j] = S[i, j]``, with only
+the blades nonzero in some case of each factor and the matching rows of T:
+a rotor times a vector in Cl(1,3) is 8 * 4 outer terms a case, not 256.
+At most ``_BLOCK_BYTES`` (128 KB) of outer terms are formed at a time, so
+memory stays flat in the batch size.  That kernel, :func:`contract`, takes
+any bilinear map given by its table: ``quatrep.QuatMatrix2`` products use
+it with a (256, 16) table built from the quaternion product's (16, 4) table.
+Where a product is read only on some blades, :func:`product_part` forms
+those coefficients alone (:func:`scalar_product` is its <ab>).
 A map given on the generators extends to every blade mask through
 :func:`blade_images`, n batched products over all 2^n masks at once;
 ``isomap`` and ``quatrep`` read their fixed matrices off that one batch.
@@ -101,6 +104,14 @@ def require(ok, error: type[Exception], message) -> None:
     if bad.ndim:
         text += f" (case {k[0] if len(k) == 1 else k})"
     raise error(text)
+
+
+def _require_finite(arr: np.ndarray) -> None:
+    """NonFiniteValue unless every coefficient is finite.  A finite Python sum
+    proves it for one case (0.4 us against 1.4 us, 16 % of a states round);
+    else the elementwise test names the failing case or passes an overflow."""
+    if not (cmath.isfinite(sum(arr.tolist())) if arr.ndim == 1 else np.isfinite(arr).all()):
+        require(np.isfinite(arr).all(axis=-1), NonFiniteValue, "coefficients must be finite")
 
 
 def fields_equal(a, b) -> bool:
@@ -271,13 +282,7 @@ class Multivector:
             arr = arr.astype(complex if arr.dtype.kind == "c" else float)
         if arr.shape != (self.signature.dim,) and arr.shape[-1:] != (self.signature.dim,):
             raise ValueError(f"need {self.signature.dim} coefficients, got {arr.shape}")
-        # One case: a finite sum of Python numbers proves every term finite
-        # (NaN and inf propagate, overflow gives inf without a warning).  A
-        # batch takes the elementwise test.  Either failing falls back to the
-        # per-case test, which names the failing case or passes an overflow.
-        # Kept for speed: 0.4 us against 1.4 us, 16 % of a states round.
-        if not (cmath.isfinite(sum(arr.tolist())) if arr.ndim == 1 else np.isfinite(arr).all()):
-            require(np.isfinite(arr).all(axis=-1), NonFiniteValue, "coefficients must be finite")
+        _require_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -442,18 +447,49 @@ def contract(ac: np.ndarray, bc: np.ndarray, table: np.ndarray) -> np.ndarray:
     """The bilinear map with (na * nb, m) table ``table``, case by case:
     ``outer(a, b).ravel() @ table`` for a = ``ac[..., :]`` and b =
     ``bc[..., :]``, the leading axes of the two broadcast against each other.
-    The outer products are formed at most ``_BLOCK_BYTES`` at a time, so
-    memory stays flat in the batch size."""
+    Only the |A| and |B| entries nonzero in some case of each operand enter,
+    against the matching table rows: |A| * |B| outer terms a case, formed at
+    most ``_BLOCK_BYTES`` at a time, so memory stays flat in the batch size."""
     na, nb = ac.shape[-1], bc.shape[-1]
     shape = np.broadcast_shapes(ac.shape[:-1], bc.shape[:-1])
+    ia, ib = (x.reshape(-1, x.shape[-1]).any(axis=0).nonzero()[0] for x in (ac, bc))
+    rows = table.take((ia[:, None] * nb + ib).ravel(), axis=0)
     a2 = np.broadcast_to(ac, (*shape, na)).reshape(-1, na)
     b2 = np.broadcast_to(bc, (*shape, nb)).reshape(-1, nb)
     out = np.empty((len(a2), table.shape[1]), dtype=np.result_type(ac, bc))
-    step = max(1, _BLOCK_BYTES // (na * nb * out.itemsize))
+    step = max(1, _BLOCK_BYTES // max(1, len(rows) * out.itemsize))
     for s in range(0, len(out), step):
-        outer = a2[s:s + step, :, None] * b2[s:s + step, None, :]
-        np.matmul(outer.reshape(-1, na * nb), table, out=out[s:s + step])
+        outer = a2[s:s + step].take(ia, 1)[:, :, None] * b2[s:s + step].take(ib, 1)[:, None, :]
+        np.matmul(outer.reshape(len(outer), len(rows)), rows, out=out[s:s + step])
     return out.reshape(*shape, table.shape[1])
+
+
+@lru_cache(maxsize=256)
+def _part_rows(p: int, q: int, masks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, signs) of :func:`product_part`: i ^ masks[k] and S[i, i ^ masks[k]]."""
+    i = np.arange(1 << (p + q))
+    rows = np.array(masks)[:, None] ^ i
+    signs = sign_table(p, q)[i, rows].astype(float)
+    rows.setflags(write=False)
+    signs.setflags(write=False)
+    return rows, signs
+
+
+def product_part(a: Multivector, b: Multivector, masks: Sequence[int]) -> np.ndarray:
+    """Coefficients of ab on the blades ``masks`` (last axis) without forming
+    ab: ``sum_i S[i, i ^ m] a[i] b[i ^ m]`` for blade m, one ``np.vecdot``;
+    leading axes broadcast, and an overflowing coefficient is NonFiniteValue."""
+    a._check_signature(b)
+    rows, signs = _part_rows(a.signature.plus_count, a.signature.minus_count, tuple(masks))
+    out = np.vecdot(signs, a.coeffs[..., None, :] * b.coeffs.take(rows, -1))
+    _require_finite(out)
+    return out
+
+
+def scalar_product(a: Multivector, b: Multivector) -> float:
+    """<ab> by :func:`product_part`: a Python number for one case, as ``scalar_part``."""
+    out = product_part(a, b, (0,))[..., 0]
+    return out if out.ndim else out.item()
 
 
 def reverse(a: Multivector) -> Multivector:
@@ -503,10 +539,10 @@ def vector_inverse(v: Multivector) -> Multivector:
 
 
 def dot(a: Multivector, b: Multivector) -> float:
-    """Symmetric inner product (ab+ba)/2 of two grade-1 elements."""
+    """Symmetric inner product (ab+ba)/2 = <ab> of two grade-1 elements."""
     vector_square(a)
     vector_square(b)
-    return 0.5 * (geometric_product(a, b) + geometric_product(b, a)).scalar_part
+    return scalar_product(a, b)
 
 
 def exp_blade(B: Multivector) -> Multivector:

@@ -36,11 +36,11 @@ from .core import (
     close,
     column_matrix,
     fields_equal,
-    geometric_product,
-    grade_select,
+    product_part,
     pseudoscalar,
     require,
     reverse,
+    scalar_product,
 )
 from .errors import NonTimelike, NotOrthogonal, TagMismatch, VerificationFailure, ZeroQ0
 from .isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
@@ -214,7 +214,7 @@ def canonical_q(psi: QuatSpinor) -> CanonicalQ:
     _admissible(psi)
     theta, x_dir = phase_axis(psi.q0)
     m13 = _spacetime_m(psi.q0, psi.q1)
-    root = np.sqrt(geometric_product(m13, m13).scalar_part)
+    root = np.sqrt(scalar_product(m13, m13))
     mhat13 = m13 / root
     if psi.tag is AlgebraTag.SPACETIME13:
         m, mhat = m13, mhat13
@@ -289,9 +289,16 @@ def projector_closed_orthogonal(psi: QuatSpinor) -> Multivector:
 # ------------------------------------------------------------------ fidelity
 
 
+#: The blades of grades 0 and 3 in Cl(1,3): the scalar and the four trivectors.
+_CHAIN_MASKS = (0, 0b0111, 0b1011, 0b1101, 0b1110)
+
+
 def _chain_inner(am: Multivector, bm: Multivector) -> Multivector:
-    """2 <rev(a) b>_{0+3} in Cl(1,3)."""
-    return 2.0 * grade_select(reverse(am) * bm, {0, 3})
+    """2 <rev(a) b>_{0+3} in Cl(1,3), from those coefficients alone."""
+    part = 2.0 * product_part(reverse(am), bm, _CHAIN_MASKS)
+    out = np.zeros((*part.shape[:-1], SPACETIME13.dim))
+    out[..., _CHAIN_MASKS] = part
+    return Multivector(SPACETIME13, out)
 
 
 def _sta_pair(psi: QuatSpinor) -> Multivector:
@@ -343,12 +350,12 @@ def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor) -> float:
 
     def a_primed(s: QuatSpinor) -> Multivector:
         m13 = _spacetime_m(s.q0, s.q1)
-        mhat = m13 / np.sqrt(geometric_product(m13, m13).scalar_part)
+        mhat = m13 / np.sqrt(scalar_product(m13, m13))
         u = embed_spacetime(s.q0.scale(1.0 / s.q0.norm()))
         m_primed = u * mhat * reverse(u)
         return m_primed * g0 * m_primed
 
     a = a_primed(psi)
     b = a_primed(chi)
-    return 0.5 * (1.0 + 0.5 * (a * b + b * a).scalar_part)
+    return 0.5 * (1.0 + scalar_product(a, b))
 

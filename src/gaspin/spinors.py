@@ -36,10 +36,11 @@ from .core import (
     column_matrix,
     fields_equal,
     geometric_product,
-    grade_select,
+    product_part,
     pseudoscalar,
     require,
     reverse,
+    scalar_product,
 )
 from .errors import DegenerateState, NonTimelike, TagMismatch
 from .isomap import AlgebraTag
@@ -154,7 +155,7 @@ def chart_lift(tag: AlgebraTag, chart: tuple[float, float]) -> Multivector:
 def _unit_m(tag: AlgebraTag, chart: tuple[float, float]) -> tuple[Multivector, float]:
     """(m / sqrt(m^2), sqrt(m^2)); NonTimelike where m^2 is not positive."""
     m = m_vector(tag, chart)
-    msq = geometric_product(m, m).scalar_part
+    msq = scalar_product(m, m)
     require(np.logical_not(close(msq, np.add.reduce(m.coeffs * m.coeffs, axis=-1))), NonTimelike,
             lambda k: f"chart point {tuple(np.asarray(c)[k].item() for c in chart)} "
                       "lies outside the hyperboloid chart")
@@ -220,10 +221,9 @@ def inner(psi: IdealSpinor, chi: IdealSpinor) -> CenterScalar:
     """2 <rev(psi) chi>_{0+3} as a center scalar; conjugate-symmetric."""
     if psi.tag is not chi.tag:
         raise TagMismatch(f"{psi.tag} vs {chi.tag}")
-    prod = geometric_product(reverse(to_multivector(psi)), to_multivector(chi))
-    proj = grade_select(prod, {0, 3})
-    sig = psi.tag.signature
-    return CenterScalar(2.0 * proj.coefficient(0), 2.0 * proj.coefficient(sig.dim - 1))
+    z = 2.0 * product_part(reverse(to_multivector(psi)), to_multivector(chi),
+                           (0, psi.tag.signature.dim - 1))
+    return CenterScalar(z[..., 0], z[..., 1])
 
 
 def _admissible_norm(psi: IdealSpinor) -> float:
@@ -253,7 +253,7 @@ def fidelity_bloch(tag: AlgebraTag, chart_a, chart_b) -> float:
     """Closed form (1 + a^ . b^)/2 computed from the chart lifts."""
     a = chart_lift(tag, chart_a)
     b = chart_lift(tag, chart_b)
-    return 0.5 * (1.0 + 0.5 * (a * b + b * a).scalar_part)
+    return 0.5 * (1.0 + scalar_product(a, b))
 
 
 def fidelity_chart(tag: AlgebraTag, chart_a, chart_b) -> float:
@@ -261,10 +261,7 @@ def fidelity_chart(tag: AlgebraTag, chart_a, chart_b) -> float:
     ma = m_vector(tag, chart_a)
     mb = m_vector(tag, chart_b)
     d = ma - mb
-    d2 = geometric_product(d, d).scalar_part
-    ma2 = geometric_product(ma, ma).scalar_part
-    mb2 = geometric_product(mb, mb).scalar_part
-    return 1.0 - d2 / (ma2 * mb2)
+    return 1.0 - scalar_product(d, d) / (scalar_product(ma, ma) * scalar_product(mb, mb))
 
 
 def antipodal_chart(chart: tuple[float, float]) -> tuple[float, float]:

@@ -40,6 +40,7 @@ from .core import (
     geometric_product,
     require,
     reverse,
+    scalar_product,
     vector_square,
 )
 from .errors import DomainViolation, NotAVector, PoleSingularity
@@ -195,7 +196,7 @@ def _lift_differential(x: PlanePoint, dx: Sequence[float], signature: Signature,
     m = x.as_vector(signature) + _pole(signature)
     num = 2.0 * d * dx.as_vector(signature) - (4.0 * s * np.vecdot(x.x, dx.x)) * m
     da = num / (d * d)  # d ** 2 raises on overflow
-    return da, geometric_product(da, da).scalar_part
+    return da, scalar_product(da, da)
 
 
 # -------------------------------------------------------------- hyperboloid

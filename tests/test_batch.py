@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_SIGNATURES, blade_product, hamilton, quat_cells
-from gaspin import dirac, quatspinor, spinors, stereo
+from gaspin import core, dirac, quatspinor, spinors, stereo
 from gaspin.core import (
     EUCLIDEAN4,
     PAULI3,
@@ -18,8 +18,11 @@ from gaspin.core import (
     Multivector,
     exp_blade,
     geometric_product,
+    grade_of,
     grade_select,
+    product_part,
     reverse,
+    scalar_product,
     vector_inverse,
     vector_square,
 )
@@ -38,8 +41,8 @@ from gaspin.errors import (
     ZeroQ0,
 )
 from gaspin.isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
-from gaspin.quatrep import (QuatMatrix2, Quaternion, quat_mul, rep_pss, rep_vec, unrep_pss,
-                            unrep_vec)
+from gaspin.quatrep import (QuatMatrix2, Quaternion, basis_change_matrix, quat_mul, rep_pss,
+                            rep_vec, unrep_pss, unrep_vec)
 
 EPS = np.finfo(float).eps
 SHAPES = ((7,), (3, 4))
@@ -123,6 +126,112 @@ def test_product_blocks_cover_large_batches(rng):
                                                        Multivector(SPACETIME13, v)).coeffs,
                         (300,), a, b)
         assert np.array_equal(got, want)
+
+
+def blade_sums(sig, a, b, masks):
+    """Coefficients of ab on ``masks`` for one case, summed blade pair by
+    blade pair over ``blade_product``."""
+    out = dict.fromkeys(masks, 0)
+    for i in range(sig.dim):
+        for j in range(sig.dim):
+            sign, mask = blade_product(i, j, sig)
+            if mask in out:
+                out[mask] += sign * a[i] * b[j]
+    return np.array([out[m] for m in masks])
+
+
+#: Operand shapes of a part product: single cases, a batch, a single case
+#: against a batch, and (3, 4) against (4,).
+PART_SHAPES = (((), ()), ((5,), (5,)), ((), (5,)), ((3, 4), (4,)))
+
+
+@pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: "".join(s.generator_labels))
+@pytest.mark.parametrize("shapes", PART_SHAPES, ids=str)
+@pytest.mark.parametrize("kind", ("integer", "gaussian"))
+def test_product_part_is_the_full_products_coefficients(rng, sig, shapes, kind):
+    a, b = (operands(rng, shape, sig.dim, kind) for shape in shapes)
+    ma, mb = Multivector(sig, a), Multivector(sig, b)
+    full = geometric_product(ma, mb).coeffs
+    for masks in ((0,), (0, sig.dim - 1), tuple(range(sig.dim)),
+                  tuple(m for m in range(sig.dim) if grade_of(m) in (0, 3)), (5, 2)):
+        got = product_part(ma, mb, masks)
+        assert got.shape == (*np.broadcast_shapes(*shapes), len(masks))
+        assert np.array_equal(got, full[..., list(masks)])
+        want = per_case(lambda u, v: blade_sums(sig, u, v, masks), full.shape[:-1],
+                        *(np.broadcast_to(x, full.shape) for x in (a, b)))
+        assert np.array_equal(got, want)
+    assert np.array_equal(scalar_product(ma, mb), geometric_product(ma, mb).scalar_part)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scalar_product_gives_numbers_as_scalar_part_does(rng, kind):
+    a, b = operands(rng, (2,), SPACETIME13.dim, kind)
+    one = scalar_product(Multivector(SPACETIME13, a), Multivector(SPACETIME13, b))
+    want = (Multivector(SPACETIME13, a) * Multivector(SPACETIME13, b)).scalar_part
+    assert type(one) is type(want) is (complex if kind == "gaussian" else float)
+    assert one == want or kind == "float" and abs(one - want) <= 4 * EPS * scale_of(a, b)[0]
+    batch = scalar_product(Multivector(SPACETIME13, operands(rng, (3, 4), 16, kind)),
+                           Multivector(SPACETIME13, b))
+    assert isinstance(batch, np.ndarray) and batch.shape == (3, 4)
+
+
+def test_part_products_raise_on_overflow_as_the_product_does():
+    m = Multivector.vector(PAULI3, (1e200, 0.0, 1.0))
+    batch = Multivector.vector(PAULI3, (np.array([1.0, 1e200]), 0.0, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (geometric_product, scalar_product,
+                   lambda x, y: product_part(x, y, (0, 7))):
+            with pytest.raises(NonFiniteValue):
+                fn(m, m)
+            with pytest.raises(NonFiniteValue, match=r"\(case 1\)$"):
+                fn(batch, batch)
+        # the overflowing m^2 is not taken for a chart point off the hyperboloid
+        with pytest.raises(NonFiniteValue):
+            spinors.chart_lift(AlgebraTag.PAULI3, (1e200, 0.0))
+
+
+def _structured(rng, sig, n, grades, kind):
+    """n cases with coefficients only on the blades of ``grades``."""
+    keep = np.array([grade_of(m) in grades for m in range(sig.dim)])
+    return np.where(keep, operands(rng, (n,), sig.dim, kind), 0)
+
+
+@pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: "".join(s.generator_labels))
+@pytest.mark.parametrize("kind", ("integer", "gaussian"))
+def test_structured_batch_products_equal_the_dense_contraction(rng, sig, kind):
+    # vectors times vectors, an even element (a rotor's blades) times a
+    # vector, and an even element times a general one; 600 cases cross the
+    # block of the widest of them in every signature
+    even = set(range(0, sig.n + 1, 2))
+    table = core._outer_table(sig.plus_count, sig.minus_count)
+    widest = 0
+    for left, right in (({1}, {1}), (even, {1}), (even, set(range(sig.n + 1)))):
+        a, b = _structured(rng, sig, 600, left, kind), _structured(rng, sig, 600, right, kind)
+        got = geometric_product(Multivector(sig, a), Multivector(sig, b)).coeffs
+        dense = (a[:, :, None] * b[:, None, :]).reshape(600, -1) @ table
+        assert np.array_equal(got, dense)
+        terms = np.count_nonzero(a.any(axis=0)) * np.count_nonzero(b.any(axis=0))
+        widest = max(widest, terms * got.itemsize)
+    assert core._BLOCK_BYTES // widest < 600
+
+
+def test_an_all_zero_batch_factor_gives_zeros(rng):
+    zero = Multivector(SPACETIME13, np.zeros((6, SPACETIME13.dim)))
+    other = Multivector(SPACETIME13, operands(rng, (6,), SPACETIME13.dim, "float"))
+    for x, y in ((zero, other), (other, zero), (zero, zero)):
+        assert np.array_equal(geometric_product(x, y).coeffs, np.zeros((6, 16)))
+    m = QuatMatrix2(operands(rng, (6,), 16, "float").reshape(6, 2, 2, 4))
+    assert np.array_equal((QuatMatrix2(np.zeros((6, 2, 2, 4))) * m).coeffs, np.zeros((6, 2, 2, 4)))
+
+
+@pytest.mark.parametrize("kind", ("integer", "float"))
+def test_quat_matrix_product_with_a_sparse_factor(rng, kind):
+    # A = [[1, 1], [-1, 1]] / sqrt2 has one nonzero coordinate per entry
+    A = basis_change_matrix()
+    m = operands(rng, (300,), 16, kind).reshape(300, 2, 2, 4)
+    for x, y in ((A.coeffs, m), (m, A.conjugate_transpose().coeffs),
+                 (np.broadcast_to(A.coeffs, m.shape), m)):
+        assert np.array_equal((QuatMatrix2(x) * QuatMatrix2(y)).coeffs, quat_cells(x, y))
 
 
 @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: "".join(s.generator_labels))

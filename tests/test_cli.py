@@ -101,6 +101,33 @@ def test_fixed_input_suites_ignore_the_case_count():
         assert few == many and few.cases is None
 
 
+class _FirstRowZero:
+    """A stream whose first uniform draw has a zero first row: a draw that
+    the filtering suites must reject and replace."""
+
+    def __init__(self):
+        self.rng, self.first = np.random.default_rng(0), True
+
+    def uniform(self, low, high, size):
+        rows = self.rng.uniform(low, high, size)
+        if self.first:
+            rows[0] = 0.0
+        self.first = False
+        return rows
+
+
+@pytest.mark.parametrize("suite, part", [("core.exp_unitarity", "euclidean4"),
+                                         ("gspinor.antipode", "fidelity")])
+def test_filtering_suites_replace_the_draws_they_reject(suite, part):
+    # an axis shorter than 1e-6 and a chart with |c|^2 < 1e-3 are redrawn, so
+    # the suite checks exactly as many cases as asked
+    for cases in (1, 3):
+        parts, _ = cli.SUITES[suite](_FirstRowZero(), cases)
+        assert len(parts[part]) == cases
+    # seed 283 draws the rejected chart as its only case
+    assert cli.run_suite("gspinor.antipode", 283, 1).witness == ("fidelity", 0)
+
+
 def _with_nan(fn, key):
     def patched():
         report = fn()
