@@ -103,18 +103,25 @@ def test_product_batch_equals_single_calls(rng, sig, shape, kind):
         assert_matches(got, want, kind, scale_of(x, y))
 
 
+def blade_sums(sig, a, b, masks):
+    """Coefficients of ab on ``masks`` for one case, summed blade pair by
+    blade pair over ``blade_product``."""
+    out = dict.fromkeys(masks, 0)
+    for i in range(sig.dim):
+        for j in range(sig.dim):
+            sign, mask = blade_product(i, j, sig)
+            if mask in out:
+                out[mask] += sign * a[i] * b[j]
+    return np.array([out[m] for m in masks])
+
+
 @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: "".join(s.generator_labels))
 @pytest.mark.parametrize("kind", ("integer", "gaussian"))
 def test_batch_product_matches_blade_sums(rng, sig, kind):
     a, b = operands(rng, (5,), sig.dim, kind), operands(rng, (5,), sig.dim, kind)
     got = geometric_product(Multivector(sig, a), Multivector(sig, b)).coeffs
     for n in range(5):
-        want = np.zeros(sig.dim, dtype=got.dtype)
-        for i in range(sig.dim):
-            for j in range(sig.dim):
-                sign, mask = blade_product(i, j, sig)
-                want[mask] += sign * a[n, i] * b[n, j]
-        assert np.array_equal(got[n], want)
+        assert np.array_equal(got[n], blade_sums(sig, a[n], b[n], range(sig.dim)))
 
 
 def test_product_blocks_cover_large_batches(rng):
@@ -126,18 +133,6 @@ def test_product_blocks_cover_large_batches(rng):
                                                        Multivector(SPACETIME13, v)).coeffs,
                         (300,), a, b)
         assert np.array_equal(got, want)
-
-
-def blade_sums(sig, a, b, masks):
-    """Coefficients of ab on ``masks`` for one case, summed blade pair by
-    blade pair over ``blade_product``."""
-    out = dict.fromkeys(masks, 0)
-    for i in range(sig.dim):
-        for j in range(sig.dim):
-            sign, mask = blade_product(i, j, sig)
-            if mask in out:
-                out[mask] += sign * a[i] * b[j]
-    return np.array([out[m] for m in masks])
 
 
 #: Operand shapes of a part product: single cases, a batch, a single case
