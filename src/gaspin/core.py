@@ -311,8 +311,9 @@ class Multivector:
         return Multivector(signature, c)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def basis(signature: Signature, k: int) -> "Multivector":
-        """Generator number k as a multivector."""
+        """Generator number k as a multivector (cached: it is immutable)."""
         return Multivector.blade(signature, 1 << k)
 
     @staticmethod
@@ -618,3 +619,12 @@ def blade_images(gens, one):
 @lru_cache(maxsize=None)
 def pseudoscalar(signature: Signature) -> Multivector:
     return Multivector.blade(signature, signature.dim - 1)
+
+
+@lru_cache(maxsize=None)
+def idempotent(signature: Signature, mask: int, sign: int = 1) -> Multivector:
+    """(1 + sign * blade)/2 for the blade ``mask``: the spinor-ideal
+    idempotents (1 +- e0)/2, (1 +- g0)/2, (1 +- e3)/2 and the spectral ones
+    (1 +- e123)/2, (1 +- e0123)/2 of Cl(4,0)."""
+    blade = Multivector.blade(signature, mask, float(sign))
+    return (Multivector.scalar(signature, 1.0) + blade) * 0.5

@@ -17,8 +17,10 @@ v+ (1 + J e3)/2 = u(+,+) with e3 the image of the Euclidean e3, while
 J = +j i would land on u(+,-).  A column
 (phi1..phi4) maps to (phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+) with the
 Euclidean blade names standing for their spacetime images; the inverse
-extracts the quaternion pair (q0, q1) with carrier (q0 + q1 i) u(+,+),
-and the component dictionary is
+extracts the quaternion pair (q0, q1) with carrier (q0 + q1 i) u(+,+) by
+the transpose of the carrier frame, whose columns are orthogonal with
+squared norm exactly 1/2 (no least-squares fit: integer columns give their
+quaternions exactly), and the component dictionary is
 
     phi1 = x0 + j x3,  phi2 = -x2 + j x1,
     phi3 = -y3 + j y0, phi4 = -y1 - j y2.
@@ -56,11 +58,6 @@ _SIG = SPACETIME13
 
 
 @lru_cache(maxsize=None)
-def _g(k: int) -> Multivector:
-    return Multivector.basis(_SIG, k)
-
-
-@lru_cache(maxsize=None)
 def _g12() -> Multivector:
     return Multivector.blade(_SIG, 0b0110)
 
@@ -76,7 +73,7 @@ def _idempotents() -> Multivector:
     """u(s,t) = (1 + s g0)(1 + t j g12)/4 in the complexified algebra, one
     batch over (s, t) = (+,+), (+,-), (-,+), (-,-)."""
     s, t = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]).T
-    base = (Multivector.scalar(_SIG, 1.0) + s * _g(0)) * 0.25
+    base = (Multivector.scalar(_SIG, 1.0) + s * Multivector.basis(_SIG, 0)) * 0.25
     return base + (t * 1j) * (base * _g12())
 
 
@@ -151,9 +148,9 @@ def geometric_to_qspinor(m: Multivector) -> QuatSpinor:
             "element is not fixed by the Dirac idempotent")
     require(close(residual(m.im, m.re * _g12()), scale), NotInIdeal,
             "imaginary part is not re * g12")
-    # re u(+,+) = v+/2, so the real part is half a quaternion-spinor carrier.
-    _, pinv = carrier_frame(AlgebraTag.SPACETIME13)
-    psi = from_carrier_coords(2.0 * (m.re.coeffs @ pinv.T), AlgebraTag.SPACETIME13)
+    # re u(+,+) = v+/2, so the real part is half a quaternion-spinor carrier,
+    # whose coordinates are twice its products with the frame's columns
+    psi = from_carrier_coords(4.0 * (m.re.coeffs @ carrier_frame()), AlgebraTag.SPACETIME13)
     require(close(residual(qspinor_to_geometric(psi), m), scale), NotInIdeal,
             "element has components outside the Dirac ideal")
     return psi
@@ -168,8 +165,8 @@ def qspinor_to_geometric(psi: QuatSpinor) -> Multivector:
 def _quaternion_frame() -> np.ndarray:
     """Complex frame of (q0 + q1 i) u(+,+) = (q0 + q1 i) v+ u(+,+) over the
     coordinates (q0.s, q0.v, q1.s, q1.v), from the products."""
-    mat, _ = carrier_frame(AlgebraTag.SPACETIME13)
-    return column_matrix([Multivector(_SIG, c) * dirac_idempotent(+1, +1) for c in mat.T])
+    return column_matrix([Multivector(_SIG, c) * dirac_idempotent(+1, +1)
+                          for c in carrier_frame().T])
 
 
 #: The component dictionary over (x0..x3, y0..y3), one row per component.

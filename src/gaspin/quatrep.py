@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (EUCLIDEAN4, Multivector, blade_images, close, column_matrix, contract,
-                   fields_equal, require, residual, reverse)
+                   fields_equal, idempotent, require, residual, reverse)
 from .errors import NotInSubalgebra, SignatureMismatch
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -250,22 +250,6 @@ def rep_pss(g: Multivector) -> QuatMatrix2:
 
 _E0 = Multivector.basis(EUCLIDEAN4, 0)
 _E123 = Multivector.blade(EUCLIDEAN4, 0b1110)  # i
-_E0123 = Multivector.blade(EUCLIDEAN4, 0b1111)  # I
-
-
-def idempotent_vec(sign: int) -> Multivector:
-    """(1 + sign*e0)/2."""
-    return (1.0 + float(sign) * _E0) * 0.5
-
-
-def idempotent_pss(sign: int) -> Multivector:
-    """(1 + sign*e0123)/2."""
-    return (1.0 + float(sign) * _E0123) * 0.5
-
-
-def idempotent_i(sign: int) -> Multivector:
-    """(1 + sign*e123)/2."""
-    return (1.0 + float(sign) * _E123) * 0.5
 
 
 @lru_cache(maxsize=None)
@@ -275,9 +259,9 @@ def _unrep_matrix(basis: str) -> np.ndarray:
     coordinate c, flattened); one batched product over the 16 units."""
     one = Multivector.scalar(EUCLIDEAN4, 1.0)
     if basis == "vec":
-        row, idem, col = (one, _E123), idempotent_vec(+1), (one, -_E123)
+        row, idem, col = (one, _E123), idempotent(EUCLIDEAN4, 0b0001), (one, -_E123)
     else:
-        row, idem, col = (one, _E0), idempotent_pss(+1), (one, _E0)
+        row, idem, col = (one, _E0), idempotent(EUCLIDEAN4, 0b1111), (one, _E0)
     row = Multivector(EUCLIDEAN4, [[m.coeffs] for m in row])  # along the j axis
     col = Multivector(EUCLIDEAN4, [m.coeffs for m in col])  # along the k axis
     units = Quaternion(np.eye(16).reshape(16, 2, 2, 4)).to_multivector()
@@ -332,9 +316,9 @@ def idempotent_identities() -> dict[str, float]:
         terms = Multivector(EUCLIDEAN4, a.coeffs[:, :, None]) * Multivector(EUCLIDEAN4, b.coeffs)
         return Multivector(EUCLIDEAN4, terms.coeffs.sum(axis=1))
 
-    ip, im = idempotent_i(+1), idempotent_i(-1)
-    ep, em = idempotent_vec(+1), idempotent_vec(-1)
-    Ip, Im = idempotent_pss(+1), idempotent_pss(-1)
+    ip, im = (idempotent(EUCLIDEAN4, 0b1110, s) for s in (1, -1))  # (1 +- e123)/2
+    ep, em = (idempotent(EUCLIDEAN4, 0b0001, s) for s in (1, -1))  # (1 +- e0)/2
+    Ip, Im = (idempotent(EUCLIDEAN4, 0b1111, s) for s in (1, -1))  # (1 +- e0123)/2
     one = Multivector.scalar(EUCLIDEAN4, 1.0)
 
     r_pss = residual(Ip, 2.0 * (im * ep * ip))

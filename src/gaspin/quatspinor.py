@@ -1,11 +1,12 @@
 """Quaternion-valued 2-component spinors in Cl(4,0) and Cl(1,3).
 
 The carrier is (q0 + q1*i) v+ with i = e123 = g0123 and v+ = (1 + pole)/2.
-All identities are asserted in Cl(1,3), where the natural involution is the
+Everything is computed in Cl(1,3), where the natural involution is the
 spacetime reverse (it fixes i and v+ and conjugates quaternions, which is
-what makes the Minkowski norm q0 q0* - q1 q1* come out of <a~ a>); the
-Cl(4,0) versions are obtained through the algebra isomorphism, never
-re-derived, because no native Cl(4,0) involution reproduces that norm.
+what makes the Minkowski norm q0 q0* - q1 q1* come out of <a~ a>).  A
+Cl(4,0)-tagged result is the image of the Cl(1,3) one under the algebra
+isomorphism (:func:`_in_tag`), never re-derived, because no native Cl(4,0)
+involution reproduces that norm.
 
 The canonical form is rho * exp(theta i xhat) * Mhat * v+, where M is
 pole + center and mixed terms built from the quaternion q0* q1; M
@@ -17,6 +18,8 @@ plain spacelike vector: the Bloch-point chart of the state.
 The carrier (over q0.s, q0.v, q1.s, q1.v), the embedding of a quaternion in
 Cl(1,3) and M are linear in quaternion coordinates, so each is one product
 with a cached frame, derived once from the geometric products it replaces.
+The carrier frame's columns are orthogonal with squared norm exactly 1/2, so
+its transpose reads the coordinates back, exactly, with no least-squares fit.
 
 A quaternion holds its coordinates on the last axis of one array; leading
 axes index a batch of states, on which every function acts case by case.
@@ -30,12 +33,12 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    EUCLIDEAN4,
     SPACETIME13,
     Multivector,
     close,
     column_matrix,
     fields_equal,
+    idempotent,
     product_part,
     pseudoscalar,
     require,
@@ -85,28 +88,9 @@ def _spacetime_units() -> np.ndarray:
     return column_matrix([euclidean_to_spacetime(q.to_multivector()) for q in units])
 
 
-@lru_cache(maxsize=None)
-def _pole(tag: AlgebraTag) -> Multivector:
-    return Multivector.basis(tag.signature, 0)
-
-
-@lru_cache(maxsize=None)
-def spinor_unit(tag: AlgebraTag) -> Multivector:
-    """The central-on-quaternions unit i = e123 = g0123 in the tag's algebra.
-
-    In Cl(1,3) this is the pseudoscalar; in Cl(4,0) it is the grade-3
-    element e123 (the Cl(4,0) pseudoscalar e0123 maps to g123 instead).
-    """
-    if tag is AlgebraTag.SPACETIME13:
-        return pseudoscalar(SPACETIME13)
-    return Multivector.blade(EUCLIDEAN4, 0b1110)
-
-
-@lru_cache(maxsize=None)
-def idempotent_plus(tag: AlgebraTag) -> Multivector:
-    """v+ = (1 + pole)/2 in the tag's algebra."""
-    sig = tag.signature
-    return (Multivector.scalar(sig, 1.0) + _pole(tag)) * 0.5
+def _in_tag(m13: Multivector, tag: AlgebraTag) -> Multivector:
+    """A Cl(1,3) result in the tag's algebra: itself, or its Cl(4,0) image."""
+    return m13 if tag is AlgebraTag.SPACETIME13 else spacetime_to_euclidean(m13)
 
 
 def spinor_reverse(m: Multivector, tag: AlgebraTag) -> Multivector:
@@ -124,8 +108,12 @@ def spinor_reverse(m: Multivector, tag: AlgebraTag) -> Multivector:
 
 def image(psi: QuatSpinor) -> Multivector:
     """Carrier multivector (q0 + q1 i) v+ in the tag's algebra."""
-    mat, _ = carrier_frame(psi.tag)
-    return Multivector(psi.tag.signature, frame_product(psi, mat))
+    return _in_tag(_carrier(psi), psi.tag)
+
+
+def _carrier(psi: QuatSpinor) -> Multivector:
+    """(q0 + q1 i) v+ in Cl(1,3), whatever the tag."""
+    return Multivector(SPACETIME13, frame_product(psi, carrier_frame()))
 
 
 def frame_product(psi: QuatSpinor, mat: np.ndarray) -> np.ndarray:
@@ -135,22 +123,15 @@ def frame_product(psi: QuatSpinor, mat: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def carrier_frame(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
-    """Frame of (q0 + q1 i) v+ over the coordinates (q0.s, q0.v, q1.s, q1.v),
-    and its pseudo-inverse: ``pinv @ m.coeffs`` are the coordinates of m in
-    the span (a least-squares fit off it, so callers check the
-    reconstruction)."""
-    vp = idempotent_plus(tag)
-    i = spinor_unit(tag)
-    units = list(map(Quaternion, np.eye(4)))
-    if tag is AlgebraTag.SPACETIME13:
-        embeds = [embed_spacetime(q) for q in units]
-    else:
-        embeds = [q.to_multivector() for q in units]
-    mat = column_matrix([e * vp for e in embeds] + [e * i * vp for e in embeds])
-    pinv = np.linalg.pinv(mat)
-    pinv.setflags(write=False)
-    return mat, pinv
+def carrier_frame() -> np.ndarray:
+    """Frame of (q0 + q1 i) v+ in Cl(1,3) over the coordinates (q0.s, q0.v,
+    q1.s, q1.v), from the products.  Its columns are orthogonal with squared
+    norm exactly 1/2, so ``2 * (m.coeffs @ frame)`` are the coordinates of
+    the orthogonal projection of m onto the span (callers that take them
+    from an arbitrary m check the reconstruction)."""
+    vp, i = idempotent(SPACETIME13, 0b0001), pseudoscalar(SPACETIME13)
+    embeds = [embed_spacetime(q) for q in map(Quaternion, np.eye(4))]
+    return column_matrix([e * vp for e in embeds] + [e * i * vp for e in embeds])
 
 
 def from_carrier_coords(sol: np.ndarray, tag: AlgebraTag) -> QuatSpinor:
@@ -204,7 +185,7 @@ def _spacetime_m(q0: Quaternion, q1: Quaternion) -> Multivector:
 def _m_frame() -> tuple[np.ndarray, np.ndarray]:
     """Frame of M - g0 over (c, w_k) / |q0|^2: the columns i and the embedded
     i e_k times i g0, from the products; and the coefficients of g0."""
-    i13, g0 = pseudoscalar(SPACETIME13), _pole(AlgebraTag.SPACETIME13)
+    i13, g0 = pseudoscalar(SPACETIME13), Multivector.basis(SPACETIME13, 0)
     units = map(Quaternion, np.eye(4)[1:])
     return column_matrix([i13, *(embed_spacetime(q) * i13 * g0 for q in units)]), g0.coeffs
 
@@ -216,24 +197,19 @@ def canonical_q(psi: QuatSpinor) -> CanonicalQ:
     m13 = _spacetime_m(psi.q0, psi.q1)
     root = np.sqrt(scalar_product(m13, m13))
     mhat13 = m13 / root
-    if psi.tag is AlgebraTag.SPACETIME13:
-        m, mhat = m13, mhat13
-    else:
-        m, mhat = spacetime_to_euclidean(m13), spacetime_to_euclidean(mhat13)
     # rho = |q0| sqrt(M^2) shares the rounding of M^2 with Mhat, so rho Mhat
     # keeps full accuracy near the light cone (|q1| -> |q0|)
-    return CanonicalQ(psi.q0.norm() * root, theta, x_dir, m, mhat)
+    return CanonicalQ(psi.q0.norm() * root, theta, x_dir, _in_tag(m13, psi.tag),
+                      _in_tag(mhat13, psi.tag))
 
 
 def reconstruct(can: CanonicalQ, tag: AlgebraTag) -> Multivector:
-    """rho * exp(theta i xhat) * Mhat * v+ assembled in the tag's algebra."""
+    """rho * exp(theta i xhat) * Mhat * v+ assembled in the tag's algebra
+    (v+ = (1 + pole)/2 there, the pole being generator 0 in both)."""
     theta = np.asarray(can.theta)[..., None]
     phase_quat = Quaternion(np.concatenate([np.cos(theta), np.sin(theta) * can.x_dir], axis=-1))
-    if tag is AlgebraTag.SPACETIME13:
-        phase = embed_spacetime(phase_quat)
-    else:
-        phase = phase_quat.to_multivector()
-    return can.rho * (phase * can.M_hat * idempotent_plus(tag))
+    phase = _in_tag(embed_spacetime(phase_quat), tag)
+    return can.rho * (phase * can.M_hat * idempotent(tag.signature, 0b0001))
 
 
 # ---------------------------------------------------------- orthogonal case
@@ -278,12 +254,10 @@ def projector_closed_orthogonal(psi: QuatSpinor) -> Multivector:
     total = psi.q0.norm2() + psi.q1.norm2()
     out13 = (
         Multivector.scalar(SPACETIME13, rho2)
-        + total * _pole(AlgebraTag.SPACETIME13)
+        + total * Multivector.basis(SPACETIME13, 0)
         - 2.0 * Multivector.vector(SPACETIME13, (0.0, *np.moveaxis(z, -1, 0)))
     )
-    if psi.tag is AlgebraTag.SPACETIME13:
-        return out13
-    return spacetime_to_euclidean(out13)
+    return _in_tag(out13, psi.tag)
 
 
 # ------------------------------------------------------------------ fidelity
@@ -301,10 +275,6 @@ def _chain_inner(am: Multivector, bm: Multivector) -> Multivector:
     return Multivector(SPACETIME13, out)
 
 
-def _sta_pair(psi: QuatSpinor) -> Multivector:
-    return image(QuatSpinor(psi.q0, psi.q1, AlgebraTag.SPACETIME13))
-
-
 def fidelity_q(psi: QuatSpinor, chi: QuatSpinor) -> float:
     """<chi|psi><psi|chi> for internally normalized quaternion spinors.
 
@@ -315,7 +285,7 @@ def fidelity_q(psi: QuatSpinor, chi: QuatSpinor) -> float:
         raise TagMismatch(f"{psi.tag} vs {chi.tag}")
     rho2_psi, size_psi = _admissible(psi)
     rho2_chi, size_chi = _admissible(chi)
-    am, bm = _sta_pair(psi), _sta_pair(chi)
+    am, bm = _carrier(psi), _carrier(chi)
     z_ab = _chain_inner(am, bm)
     z_ba = _chain_inner(bm, am)
     prod = z_ba * z_ab
@@ -326,11 +296,12 @@ def fidelity_q(psi: QuatSpinor, chi: QuatSpinor) -> float:
 
 
 def _admissible(psi: QuatSpinor) -> tuple[float, float]:
-    """(rho^2, |q0|^2 + |q1|^2): ZeroQ0 when q0 vanishes and NonTimelike when
-    rho^2 is not positive, both relative to the size of the state."""
+    """(rho^2, |q0|^2 + |q1|^2): ZeroQ0 when |q0|^2 is zero, as in
+    :func:`phase_axis`, and NonTimelike when rho^2 is not positive relative
+    to the size of the state."""
     n0, n1 = psi.q0.norm2(), psi.q1.norm2()
     size = n0 + n1
-    require(np.logical_not(close(n0, size)), ZeroQ0, "canonical form divides by q0")
+    require(n0 != 0.0, ZeroQ0, "canonical form divides by q0")
     rho2 = n0 - n1  # norm2_q(psi)
     require(np.logical_not(close(rho2, size)), NonTimelike,
             lambda k: f"rho^2 = {np.asarray(rho2)[k]:g} must be positive")
@@ -346,7 +317,7 @@ def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor) -> float:
         raise TagMismatch(f"{psi.tag} vs {chi.tag}")
     _admissible(psi)
     _admissible(chi)
-    g0 = _pole(AlgebraTag.SPACETIME13)
+    g0 = Multivector.basis(SPACETIME13, 0)
 
     def a_primed(s: QuatSpinor) -> Multivector:
         m13 = _spacetime_m(s.q0, s.q1)

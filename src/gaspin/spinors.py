@@ -30,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import core
 from .core import (
     Multivector,
     close,
@@ -127,16 +128,9 @@ class IdealSpinor:
         return IdealSpinor(tag, _ONE, CenterScalar(a, _CHART_SIGN[tag] * b))
 
 
-@lru_cache(maxsize=None)
 def idempotent(tag: AlgebraTag) -> Multivector:
     """(1 + pole)/2 for the algebra's pole generator."""
-    sig = tag.signature
-    return (Multivector.scalar(sig, 1.0) + Multivector.basis(sig, _POLE[tag])) * 0.5
-
-
-@lru_cache(maxsize=None)
-def pole_vector(tag: AlgebraTag) -> Multivector:
-    return Multivector.basis(tag.signature, _POLE[tag])
+    return core.idempotent(tag.signature, 1 << _POLE[tag])
 
 
 def m_vector(tag: AlgebraTag, chart: tuple[float, float]) -> Multivector:
@@ -149,7 +143,8 @@ def m_vector(tag: AlgebraTag, chart: tuple[float, float]) -> Multivector:
 def chart_lift(tag: AlgebraTag, chart: tuple[float, float]) -> Multivector:
     """Unit Bloch vector a^ = m^ pole m^; sphere for G3, hyperboloid for G1,2."""
     mhat, _ = _unit_m(tag, chart)
-    return geometric_product(geometric_product(mhat, pole_vector(tag)), mhat)
+    pole = Multivector.basis(tag.signature, _POLE[tag])
+    return geometric_product(geometric_product(mhat, pole), mhat)
 
 
 def _unit_m(tag: AlgebraTag, chart: tuple[float, float]) -> tuple[Multivector, float]:

@@ -115,10 +115,6 @@ _VECTOR = np.eye(16)[[1, 2, 4, 8]]
 _VECTOR.setflags(write=False)
 
 
-def _pole(signature: Signature) -> Multivector:
-    return Multivector.basis(signature, 0)
-
-
 # ------------------------------------------------------------------ sphere
 
 
@@ -169,7 +165,7 @@ def _pole_rotor(x: PlanePoint, signature: Signature, norm: float) -> Multivector
     sqrt(1 - x^2) on the hyperboloid: the closed form of exp(angle xhat pole / 2).
     It shares the lift's denominator, so R pole R~ matches the lift to the
     edge of the ball, where the angle route loses 1 - |x| to rounding."""
-    return (1.0 + geometric_product(x.as_vector(signature), _pole(signature))) / norm
+    return (1.0 + geometric_product(x.as_vector(signature), Multivector.basis(signature, 0))) / norm
 
 
 def sphere_rotor(x: PlanePoint) -> Multivector:
@@ -193,7 +189,7 @@ def _lift_differential(x: PlanePoint, dx: Sequence[float], signature: Signature,
     components on the last axis, as ``x.x`` does."""
     d = 1.0 + s * x.norm2
     dx = PlanePoint(dx)
-    m = x.as_vector(signature) + _pole(signature)
+    m = x.as_vector(signature) + Multivector.basis(signature, 0)
     num = 2.0 * d * dx.as_vector(signature) - (4.0 * s * np.vecdot(x.x, dx.x)) * m
     da = num / (d * d)  # d ** 2 raises on overflow
     return da, scalar_product(da, da)

@@ -479,6 +479,10 @@ _BAD_CASES = {
     "spacelike quaternion spinor": (
         NonTimelike, lambda c: quatspinor.canonical_q(_qspinor(c)),
         _TIMELIKE, [1, 0, 0, 0, 2, 0, 0, 0]),
+    # q0 = 1 is no zero quaternion, however large q1 is
+    "spacelike quaternion spinor far from the cone": (
+        NonTimelike, lambda c: quatspinor.canonical_q(_qspinor(c)),
+        _TIMELIKE, [1, 0, 0, 0, 1e7, 0, 0, 0]),
     "non-orthogonal spinor": (
         NotOrthogonal, lambda c: quatspinor.projector_closed_orthogonal(_qspinor(c)),
         [[1, 0, 0, 0, 0, x, 0.1, 0] for x in (0.1, 0.2, 0.3, 0.4)], [1, 0, 0, 0, 0.3, 0.1, 0.1, 0]),

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from gaspin import isomap, quatrep
-from gaspin.core import EUCLIDEAN4, SPACETIME13, Multivector, geometric_product, residual, reverse
+from gaspin.core import (EUCLIDEAN4, SPACETIME13, Multivector, geometric_product, idempotent,
+                         residual, reverse)
 from gaspin.errors import GAError, NotInSubalgebra, SignatureMismatch
 from gaspin.quatrep import (
     QuatMatrix2,
     Quaternion,
     basis_change_matrix,
     change_of_basis,
-    idempotent_i,
     idempotent_identities,
-    idempotent_pss,
-    idempotent_vec,
     matrix_residual,
     quat_mul,
     rep_pss,
@@ -137,9 +135,9 @@ def _unrep_reference(basis):
     one = Multivector.scalar(EUCLIDEAN4, 1.0)
     e0, i = Multivector.basis(EUCLIDEAN4, 0), Multivector.blade(EUCLIDEAN4, 0b1110)
     if basis == "vec":
-        row, idem, col = (one, i), idempotent_vec(+1), (one, -i)
+        row, idem, col = (one, i), idempotent(EUCLIDEAN4, 0b0001), (one, -i)
     else:
-        row, idem, col = (one, e0), idempotent_pss(+1), (one, e0)
+        row, idem, col = (one, e0), idempotent(EUCLIDEAN4, 0b1111), (one, e0)
     images = []
     for unit in np.eye(16).reshape(16, 2, 2, 4):
         out = Multivector.zero(EUCLIDEAN4)
@@ -282,9 +280,9 @@ def _tuple_route_identities():
         return max(residual(a[j][k], b[j][k]) for j in range(2) for k in range(2))
 
     e0, i, big_i = (Multivector.blade(EUCLIDEAN4, m) for m in (0b0001, 0b1110, 0b1111))
-    ip, im = idempotent_i(+1), idempotent_i(-1)
-    ep, em = idempotent_vec(+1), idempotent_vec(-1)
-    Ip, Im = idempotent_pss(+1), idempotent_pss(-1)
+    ip, im = idempotent(EUCLIDEAN4, 0b1110, +1), idempotent(EUCLIDEAN4, 0b1110, -1)
+    ep, em = idempotent(EUCLIDEAN4, 0b0001, +1), idempotent(EUCLIDEAN4, 0b0001, -1)
+    Ip, Im = idempotent(EUCLIDEAN4, 0b1111, +1), idempotent(EUCLIDEAN4, 0b1111, -1)
     s = 1.0 / np.sqrt(2.0)
     lhs = ((ep, -1.0 * (i * em)), (i * ep, em))
     B = ((ip * s, im * s), ((-1.0 * im) * s, ip * s))

@@ -12,6 +12,7 @@ from gaspin.core import (
     close,
     geometric_product,
     grade_select,
+    idempotent,
     pseudoscalar,
     require,
     residual,
@@ -40,7 +41,6 @@ from gaspin.quatspinor import (
     embed_spacetime,
     fidelity_q,
     from_carrier_coords,
-    idempotent_plus,
     image,
     is_orthogonal,
     norm2_q,
@@ -123,7 +123,7 @@ def rand_quat(rng, scale=1.0, integer=False):
 
 def test_image_examples_and_ideal_closure(rng):
     for tag in TAGS:
-        vp = idempotent_plus(tag)
+        vp = idempotent(tag.signature, 0b0001)
         psi = QuatSpinor(Quaternion.one(), Quaternion.zero(), tag)
         assert allclose(image(psi), vp)
         for _ in range(300):
@@ -151,9 +151,25 @@ def test_image_matches_the_product_route(rng):
 
 
 def test_image_consistent_across_iso(rng):
-    psi4 = QuatSpinor(rand_quat(rng), rand_quat(rng), AlgebraTag.EUCLIDEAN4)
-    psi13 = QuatSpinor(psi4.q0, psi4.q1, AlgebraTag.SPACETIME13)
-    assert residual(euclidean_to_spacetime(image(psi4)), image(psi13)) <= 1e-13
+    # a Cl(4,0)-tagged result is the isomorphic image of the Cl(1,3) one, to
+    # the bit; the products formed in Cl(4,0) agree to rounding
+    coords = accepted(rng, 200, 8, orthogonal_rows)
+    psi13, psi4 = (from_carrier_coords(coords, tag) for tag in TAGS)
+    can13, can4 = canonical_q(psi13), canonical_q(psi4)
+    pairs = [(image(psi4), image(psi13)), (can4.M, can13.M), (can4.M_hat, can13.M_hat),
+             (projector_closed_orthogonal(psi4), projector_closed_orthogonal(psi13))]
+    for m4, m13 in pairs:
+        assert np.array_equal(euclidean_to_spacetime(m4).coeffs, m13.coeffs)
+    assert np.array_equal(can4.rho, can13.rho) and np.array_equal(can4.theta, can13.theta)
+    for m4, m13 in [(reconstruct(can4, psi4.tag), reconstruct(can13, psi13.tag)),
+                    (projector(psi4), projector(psi13))]:
+        assert np.all(residual(euclidean_to_spacetime(m4), m13) <= 1e-13)
+
+
+def test_carrier_frame_is_orthogonal_with_squared_norm_one_half():
+    # the condition under which the frame's transpose extracts coordinates
+    frame = quatspinor.carrier_frame()
+    assert np.array_equal(frame.T @ frame, 0.5 * np.eye(8))
 
 
 def test_from_image_roundtrip(rng):
@@ -175,7 +191,7 @@ def test_canonical_trivial():
     assert can.rho == pytest.approx(1.0)
     assert can.theta == 0.0
     assert allclose(can.M, Multivector.basis(SPACETIME13, 0))
-    assert allclose(image(psi), idempotent_plus(AlgebraTag.SPACETIME13))
+    assert allclose(image(psi), idempotent(SPACETIME13, 0b0001))
 
 
 def test_canonical_boundary_rejected():
@@ -329,7 +345,7 @@ def test_projector_closed_form_orthogonal(rng):
 def test_bra_ket_contraction_norm(rng):
     # <a| |a> = 2 rho^2 v+ for all admissible spinors.
     for tag in TAGS:
-        vp = idempotent_plus(tag)
+        vp = idempotent(tag.signature, 0b0001)
         psi = rand_admissible(rng, 300, tag)
         ket, bra = braket_q(psi)
         got = bra * ket
@@ -344,7 +360,7 @@ def test_native_g4_reverse_would_break_norm(rng):
     m = image(psi)
     wrong = 2.0 * reverse(m) * m
     right = 2.0 * spinor_reverse(m, psi.tag) * m
-    vp = idempotent_plus(psi.tag)
+    vp = idempotent(psi.tag.signature, 0b0001)
     assert residual(right, 2.0 * norm2_q(psi) * vp) <= 1e-12
     assert residual(wrong, 2.0 * norm2_q(psi) * vp) > 0.1
 

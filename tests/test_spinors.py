@@ -31,7 +31,6 @@ from gaspin.spinors import (
     inner,
     m_vector,
     norm2,
-    pole_vector,
     to_multivector,
 )
 
@@ -183,7 +182,7 @@ def test_canonical_form_pauli_examples():
     can = canonical_form(ideal(AlgebraTag.PAULI3, 1.0, 0.0))
     assert can.rho == pytest.approx(1.0)
     assert can.theta == 0.0
-    assert allclose(can.m_hat, pole_vector(AlgebraTag.PAULI3))
+    assert allclose(can.m_hat, Multivector.basis(PAULI3, 2))  # e3, the Pauli pole
     assert can.chart == (0.0, 0.0)
 
     can = canonical_form(ideal(AlgebraTag.PAULI3, 1.0, 1.0))
