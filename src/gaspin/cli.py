@@ -846,6 +846,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.cases < 1:
         parser.error("--cases must be >= 1")
+    if args.command == "verify" and args.seed < 0:
+        parser.error("--seed must be >= 0")
     if args.command == "figure" and args.samples < 2:
         parser.error("--samples must be >= 2")
     if args.command == "dirac" and len(args.components) != 8:

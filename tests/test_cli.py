@@ -609,6 +609,8 @@ _ARGV = st.one_of(
         _POINTS.map("--point-b={}".format), st.just("--quaternion"),
     ),
     st.lists(_REALS, min_size=7, max_size=9).map(lambda xs: ("dirac", "--components", *xs)),
+    st.tuples(st.just("verify"), st.integers().map("--seed={}".format), st.just("--cases=1")),
+    st.tuples(st.just("table"), st.text().map("--signature={}".format)),
 )
 
 
