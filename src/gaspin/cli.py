@@ -6,7 +6,9 @@ floats rendered with %.17g and no locale dependence.  Every numeric
 emission is re-validated against the owning module's invariants before it
 is printed.  All randomness flows from one --seed flag (default 0).
 
-Exit codes: 0 success, 1 domain or verification failure, 2 usage error.
+Exit codes: 0 success; 1 a GAError (or figure's unwritable --out), reported
+on one ``error:`` line; 2 a usage error, reported by argparse (the parser's
+types or main's parser.error) before any command runs.
 """
 from __future__ import annotations
 
@@ -24,12 +26,11 @@ import numpy as np
 from . import core
 from .core import (
     EUCLIDEAN4,
-    MINKOWSKI12,
-    PAULI3,
     SPACETIME13,
     Multivector,
     Signature,
     residual,
+    require,
     reverse,
     scalar_product,
 )
@@ -531,17 +532,12 @@ def cmd_verify(args) -> int:
 # table
 # =====================================================================
 
-_KNOWN_LABELS = {
-    (4, 0): EUCLIDEAN4,
-    (1, 3): SPACETIME13,
-    (3, 0): PAULI3,
-    (1, 2): MINKOWSKI12,
-}
-
 
 def _signature_for(p: int, q: int) -> Signature:
-    if (p, q) in _KNOWN_LABELS:
-        return _KNOWN_LABELS[(p, q)]
+    """The signature of one of the four algebras, else generators e0.. or g0.."""
+    for tag in AlgebraTag:
+        if (tag.signature.plus_count, tag.signature.minus_count) == (p, q):
+            return tag.signature
     prefix = "e" if q == 0 else "g"
     return Signature(p, q, tuple(f"{prefix}{k}" for k in range(p + q)))
 
@@ -560,18 +556,23 @@ def table_cells(p: int, q: int) -> tuple[tuple[str, ...], tuple[tuple[str, ...],
     return names, cells
 
 
-def cmd_table(args) -> int:
+def _parse_signature(text: str) -> tuple[int, int]:
+    """The ``type=`` of --signature: (p, q) once :func:`table_cells` accepts it."""
     try:
-        p_str, q_str = args.signature.split(",")
+        p_str, q_str = text.split(",")
         p, q = int(p_str), int(q_str)
-        names, cells = table_cells(p, q)
+        table_cells(p, q)
     except ValueError as exc:
-        print(f"error: bad signature {args.signature!r}: {exc}", file=sys.stderr)
-        return 2
+        raise argparse.ArgumentTypeError(f"bad signature {text!r}: {exc}") from None
+    return p, q
+
+
+def cmd_table(args) -> int:
+    names, cells = table_cells(*args.signature)
     if args.format == "json":
         print(
             json.dumps(
-                {"signature": [p, q], "blades": names, "table": cells},
+                {"signature": args.signature, "blades": names, "table": cells},
                 indent=None,
                 separators=(",", ":"),
             )
@@ -590,22 +591,21 @@ def cmd_table(args) -> int:
 
 
 def _parse_point(text: str) -> tuple[float, float, float]:
+    """The ``type=`` of the point options: three finite comma-separated reals."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError("point needs exactly 3 comma-separated reals")
-    point = tuple(float(t) for t in parts)
+        raise argparse.ArgumentTypeError("point needs exactly 3 comma-separated reals")
+    try:
+        point = tuple(float(t) for t in parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not all(math.isfinite(c) for c in point):
-        raise ValueError(f"point {text!r} has a non-finite coordinate")
+        raise argparse.ArgumentTypeError(f"point {text!r} has a non-finite coordinate")
     return point
 
 
 def cmd_project(args) -> int:
-    try:
-        point = _parse_point(args.point)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    x = stereo.PlanePoint(point)
+    x = stereo.PlanePoint(args.point)
     if args.geometry == "sphere":
         lifted = stereo.lift_sphere(x).a_hat
         angle = stereo.sphere_angle(x)
@@ -623,14 +623,11 @@ def cmd_project(args) -> int:
     # re-validate before printing
     sq = scalar_product(lifted, lifted)
     sandwich = stereo.rotor_apply(rotor, pole)
-    if not (
-        core.close(abs(sq - 1.0), 1.0 + float(lifted.coeffs @ lifted.coeffs))
-        and core.close(residual(sandwich, lifted), lifted.abs_sum())
-    ):
-        print("error: emitted point failed re-validation", file=sys.stderr)
-        return 1
+    require(core.close(abs(sq - 1.0), 1.0 + float(lifted.coeffs @ lifted.coeffs))
+            and core.close(residual(sandwich, lifted), lifted.abs_sum()),
+            VerificationFailure, "emitted point failed re-validation")
     print(f"geometry={args.geometry}")
-    print(f"x_m={_vec(point)}")
+    print(f"x_m={_vec(args.point)}")
     print(f"a_hat={_vec(lifted.vector_components())}")
     print(f"a_hat_square={_f(sq)}")
     print(f"angle={_f(angle)}")
@@ -645,32 +642,13 @@ def cmd_project(args) -> int:
 
 
 def cmd_prob(args) -> int:
-    try:
-        pa = _parse_point(args.point_a)
-        pb = _parse_point(args.point_b)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pa, pb = args.point_a, args.point_b
     if args.quaternion:
-        if args.geometry != "hyper":
-            print(
-                "error: --quaternion states live on the g0 hyperboloid; "
-                "use geometry 'hyper'",
-                file=sys.stderr,
-            )
-            return 2
         psi = QuatSpinor.from_bloch_point(pa)
         chi = QuatSpinor.from_bloch_point(pb)
         f_braket = fidelity_q(psi, chi)
         f_closed = fidelity_q_circ_route(psi, chi)
     else:
-        if abs(pa[2]) > 0 or abs(pb[2]) > 0:
-            print(
-                "error: 2-component states use a planar chart; the third "
-                "component must be 0",
-                file=sys.stderr,
-            )
-            return 2
         tag = AlgebraTag.PAULI3 if args.geometry == "sphere" else AlgebraTag.MINKOWSKI12
         ca, cb = (pa[0], pa[1]), (pb[0], pb[1])
         psi = IdealSpinor.from_chart(tag, ca)
@@ -678,9 +656,8 @@ def cmd_prob(args) -> int:
         f_braket = fidelity(psi, chi)
         f_closed = fidelity_chart(tag, ca, cb)
     resid = abs(f_braket - f_closed)
-    if resid > 1e-10 * max(1.0, abs(f_braket)):
-        print("error: fidelity routes disagree beyond tolerance", file=sys.stderr)
-        return 1
+    require(resid <= 1e-10 * max(1.0, abs(f_braket)), VerificationFailure,
+            "fidelity routes disagree beyond tolerance")
     label = (
         "Bloch sphere probability"
         if args.geometry == "sphere" and not args.quaternion
@@ -774,10 +751,9 @@ def cmd_dirac(args) -> int:
     phi = dirac_mod.DiracSpinor.from_reals(args.components)
     m = dirac_mod.dirac_to_geometric(phi)
     psi = dirac_mod.geometric_to_qspinor(m)
-    resid = dirac_mod.dirac_roundtrip_residual(phi)
-    if resid > 1e-10 * max(1.0, m.max_abs()):
-        print("error: round trip failed re-validation", file=sys.stderr)
-        return 1
+    resid = residual(dirac_mod.dirac_to_geometric(dirac_mod.qspinor_to_dirac(psi)), m)
+    require(resid <= 1e-10 * max(1.0, m.max_abs()), VerificationFailure,
+            "round trip failed re-validation")
     print(f"components={_vec(args.components)}")
     print(f"q0={_f(psi.q0.s)},{_vec(psi.q0.v)}")
     print(f"q1={_f(psi.q1.s)},{_vec(psi.q1.v)}")
@@ -810,19 +786,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit the exact blade product table")
-    p_table.add_argument("--signature", required=True, metavar="P,Q")
+    p_table.add_argument("--signature", type=_parse_signature, required=True, metavar="P,Q")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.set_defaults(func=cmd_table)
 
     p_project = sub.add_parser("project", help="stereographic lift of a chart point")
     p_project.add_argument("geometry", choices=("sphere", "hyper"))
-    p_project.add_argument("--point", required=True, metavar="X,Y,Z")
+    p_project.add_argument("--point", type=_parse_point, required=True, metavar="X,Y,Z")
     p_project.set_defaults(func=cmd_project)
 
     p_prob = sub.add_parser("prob", help="state fidelity between two chart points")
     p_prob.add_argument("geometry", choices=("sphere", "hyper"))
-    p_prob.add_argument("--point-a", required=True, metavar="X,Y,Z")
-    p_prob.add_argument("--point-b", required=True, metavar="X,Y,Z")
+    p_prob.add_argument("--point-a", type=_parse_point, required=True, metavar="X,Y,Z")
+    p_prob.add_argument("--point-b", type=_parse_point, required=True, metavar="X,Y,Z")
     p_prob.add_argument("--quaternion", action="store_true")
     p_prob.set_defaults(func=cmd_prob)
 
@@ -854,6 +830,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--components needs exactly 8 reals")
     if args.command == "dirac" and not all(math.isfinite(c) for c in args.components):
         parser.error("--components must be finite reals")
+    if args.command == "prob" and args.quaternion and args.geometry != "hyper":
+        parser.error("--quaternion states live on the g0 hyperboloid; use geometry 'hyper'")
+    if args.command == "prob" and not args.quaternion and (args.point_a[2] or args.point_b[2]):
+        parser.error("2-component states use a planar chart; the third component must be 0")
     # A domain error is one error line and exit 1; an overflow becomes a
     # NonFiniteValue on that line, not a warning.
     try:

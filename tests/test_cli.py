@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,9 +19,25 @@ from conftest import blade_product
 
 
 def run_cli(capsys, argv):
-    code = cli.main(argv)
+    """(exit code, stdout, stderr) of one call; argparse's SystemExit is its code."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_error_format(code, err):
+    """One stderr format per exit code: a usage error is the usage block and a
+    last ``gaspin [command]: error:`` line (argparse); a failure is one
+    ``error: <type>: <message>`` line (main's GAError handler)."""
+    lines = err.splitlines()
+    if code == 2:
+        assert err.startswith("usage: gaspin"), err
+        assert re.match(r"gaspin( [a-z]+)?: error: ", lines[-1]), err
+    elif code == 1:
+        assert len(lines) == 1 and re.match(r"error: [A-Za-z]+: ", lines[0]), err
 
 
 def test_verify_passes_and_is_deterministic(capsys):
@@ -346,19 +363,19 @@ def test_project_hyper_boundary_fails(capsys):
         (["project", "hyper", "--point", "1e200,0,0"], 1),
         # a finite input whose squares overflow ends in a typed error
         (["prob", "sphere", "--point-a", "1e300,0,0", "--point-b", "0,0,0"], 1),
+        # checks of one argument (the parser's types) and across arguments
+        # (main's parser.error) are usage errors
+        (["table", "--signature", "7,0"], 2),
+        (["project", "sphere", "--point=1,2"], 2),
+        (["prob", "sphere", "--point-a=0,0,1", "--point-b=0,0,0"], 2),
+        (["prob", "sphere", "--point-a=0,0,0", "--point-b=0.5,0,0", "--quaternion"], 2),
     ],
 )
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exit_codes(capsys, argv, want):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    err = capsys.readouterr().err
-    assert code == want
-    assert err.splitlines()[-1].startswith(("error: ", "gaspin: error: "))
-    if want == 1:
-        assert len(err.splitlines()) == 1
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (want, "")
+    assert_error_format(code, err)
 
 
 def test_prob_examples(capsys):
@@ -496,6 +513,30 @@ def test_figure_verification_failure_exits_1(tmp_path, capsys, monkeypatch, name
     assert (code, err) == (1, f"error: {kind} {message}\n")
 
 
+def _two(*args):
+    """Stands in for a residual, a square or a fidelity route: 2 fails each re-validation."""
+    return 2.0
+
+
+@pytest.mark.parametrize(
+    "argv, patched, message",
+    [
+        (["project", "sphere", "--point", "0.5,0,0"], "residual", "emitted point failed re-validation"),
+        (["project", "hyper", "--point", "0.5,0,0"], "scalar_product", "emitted point failed re-validation"),
+        (["prob", "sphere", "--point-a", "1,0,0", "--point-b=-1,0,0"], "fidelity_chart",
+         "fidelity routes disagree beyond tolerance"),
+        (["prob", "hyper", "--point-a", "0,0,0", "--point-b", "0.5,0,0", "--quaternion"],
+         "fidelity_q_circ_route", "fidelity routes disagree beyond tolerance"),
+        (["dirac", "--components", "1", "0", "0", "0", "0", "0", "0", "0"], "residual",
+         "round trip failed re-validation"),
+    ],
+)
+def test_command_verification_failure_exits_1(capsys, monkeypatch, argv, patched, message):
+    # a value that fails its re-validation is not printed: one error line, exit 1
+    monkeypatch.setattr(cli, patched, _two)
+    assert run_cli(capsys, argv) == (1, "", f"error: VerificationFailure: {message}\n")
+
+
 def test_dirac_command(capsys, rng):
     code, out, _ = run_cli(
         capsys, ["dirac", "--components", "1", "0", "0", "0", "0", "0", "0", "0"]
@@ -627,8 +668,7 @@ def test_cli_fuzz_exits_cleanly(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    if code == 1:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert_error_format(code, err.getvalue())
 
 
 def test_parser_is_built_once():
