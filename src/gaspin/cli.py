@@ -2,9 +2,10 @@
 
 Output is deliberately diff-able: line-oriented key=value blocks for
 reports, CSV with a mandatory header row for tables and figure data, all
-floats rendered with %.17g and no locale dependence.  Every numeric
-emission is re-validated against the owning module's invariants before it
-is printed.  All randomness flows from one --seed flag (default 0).
+floats rendered with %.17g and no locale dependence, each output written in
+one pass.  Every numeric emission is re-validated against the owning
+module's invariants before it is printed.  All randomness flows from one
+--seed flag (default 0).
 
 Exit codes: 0 success; 1 a GAError (or figure's unwritable --out), reported
 on one ``error:`` line; 2 a usage error, reported by argparse (the parser's
@@ -13,7 +14,6 @@ types or main's parser.error) before any command runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -539,7 +539,8 @@ def _signature_for(p: int, q: int) -> Signature:
         if (tag.signature.plus_count, tag.signature.minus_count) == (p, q):
             return tag.signature
     prefix = "e" if q == 0 else "g"
-    return Signature(p, q, tuple(f"{prefix}{k}" for k in range(p + q)))
+    # no more labels than Signature allows, so it rejects a huge p + q unbuilt
+    return Signature(p, q, tuple(f"{prefix}{k}" for k in range(min(p + q, core._MAX_GENERATORS))))
 
 
 @lru_cache(maxsize=None)
@@ -570,18 +571,12 @@ def _parse_signature(text: str) -> tuple[int, int]:
 def cmd_table(args) -> int:
     names, cells = table_cells(*args.signature)
     if args.format == "json":
-        print(
-            json.dumps(
-                {"signature": args.signature, "blades": names, "table": cells},
-                indent=None,
-                separators=(",", ":"),
-            )
-        )
+        print(json.dumps({"signature": args.signature, "blades": names, "table": cells},
+                         separators=(",", ":")))
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["blade", *names])
-        for name, row in zip(names, cells):
-            writer.writerow([name, *row])
+        # no cell needs quoting: each is a sign and a blade name of e/g and digits
+        sys.stdout.write("".join(f"{name},{','.join(row)}\n"
+                                 for name, row in zip(("blade", *names), (names, *cells))))
     return 0
 
 
@@ -682,20 +677,24 @@ def _axis_points(t: np.ndarray) -> stereo.PlanePoint:
     return stereo.PlanePoint.of(t, 0.0, 0.0)
 
 
+def _lines(rows: np.ndarray) -> list[str]:
+    """Each row of floats as one CSV line of %.17g values: one format per row."""
+    line = ",".join([FMT] * rows.shape[1])
+    return [line % tuple(row) for row in rows.tolist()]
+
+
 def _figure_stereo_sphere(samples: int):
     # Riemann-sphere cross-section: swapping e0 and e3 puts the pole at e3.
     t = np.linspace(-2.0, 2.0, samples)
     lifted = stereo.lift_sphere(_axis_points(t)).a_hat
     comps = stereo.permute_generators(lifted, (3, 1, 2, 0)).vector_components()[:, 1:]
-    return [["t", "x_m", "a_e1", "a_e2", "a_e3"],
-            *([_f(tk), _f(tk), *map(_f, ck)] for tk, ck in zip(t, comps))]
+    return ["t,x_m,a_e1,a_e2,a_e3", *_lines(np.column_stack([t, t, comps]))]
 
 
 def _figure_stereo_hyper(samples: int):
     t = np.linspace(-0.9, 0.9, samples)
     comps = stereo.lift_hyper(_axis_points(t)).a_hat.vector_components()[:, :3]
-    return [["t", "x_m", "a_g0", "a_g1", "a_g2"],
-            *([_f(tk), _f(tk), *map(_f, ck)] for tk, ck in zip(t, comps))]
+    return ["t,x_m,a_g0,a_g1,a_g2", *_lines(np.column_stack([t, t, comps]))]
 
 
 def _figure_poincare_geodesic(samples: int):
@@ -714,12 +713,12 @@ def _figure_poincare_geodesic(samples: int):
         sv = np.linalg.svd(comps, compute_uv=False)
         if sv[-1] > 1e-8 * sv[0]:
             raise VerificationFailure("lifted arc is not planar through the origin")
-    lifts = [["", "", ""], *([_f(c) for c in ck] for ck in comps), ["", "", ""]]
-    return [["psi", "x1", "x2", "a_g0", "a_g1", "a_g2"],
-            *([_f(p), _f(a), _f(b), *ck] for p, a, b, ck in zip(psi, x1, x2, lifts))]
+    arc = np.column_stack([psi, x1, x2])
+    first, last = (line + ",,," for line in _lines(arc[[0, -1]]))  # three empty lift cells
+    return ["psi,x1,x2,a_g0,a_g1,a_g2", first, *_lines(np.column_stack([arc[inner], comps])), last]
 
 
-#: Figure name -> builder of its CSV rows (header row first).
+#: Figure name -> builder of its CSV lines (header line first).
 FIGURES: dict[str, Callable] = {
     "stereo-sphere": _figure_stereo_sphere,
     "stereo-hyper": _figure_stereo_hyper,
@@ -728,16 +727,15 @@ FIGURES: dict[str, Callable] = {
 
 
 def cmd_figure(args) -> int:
-    rows = FIGURES[args.name](args.samples)
+    lines = FIGURES[args.name](args.samples)
     try:
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(rows)
+            fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
     print(f"figure={args.name}")
-    print(f"rows={len(rows) - 1}")
+    print(f"rows={len(lines) - 1}")
     print(f"out={args.out}")
     return 0
 

@@ -268,9 +268,10 @@ def test_table_consistent_with_representation(capsys):
 
 
 def test_table_bad_signature(capsys):
-    code, _, err = run_cli(capsys, ["table", "--signature", "nope"])
-    assert code == 2
-    assert "bad signature" in err
+    for text in ("nope", "100000000,0"):
+        code, _, err = run_cli(capsys, ["table", "--signature", text])
+        assert code == 2
+        assert "bad signature" in err
 
 
 def test_table_json(capsys):
@@ -307,6 +308,11 @@ def test_table_cells_are_cached_exact_and_immutable(capsys, p, q):
     assert rows == [["blade", *names], *([n, *row] for n, row in zip(names, want))]
     assert json.loads(first[1][1]) == {"signature": [p, q], "blades": names, "table": want}
     cached_names, cells = cli.table_cells(p, q)
+    # the csv bytes are those of csv.writer on the cached cells
+    rendered = io.StringIO()
+    csv.writer(rendered, lineterminator="\n").writerows(
+        [["blade", *cached_names], *([n, *row] for n, row in zip(cached_names, cells))])
+    assert first[0][1] == rendered.getvalue()
     assert cached_names == tuple(names)
     assert cells == tuple(map(tuple, want))
     assert isinstance(cells, tuple) and all(isinstance(row, tuple) for row in cells)
@@ -369,6 +375,8 @@ def test_project_hyper_boundary_fails(capsys):
         (["project", "sphere", "--point=1,2"], 2),
         (["prob", "sphere", "--point-a=0,0,1", "--point-b=0,0,0"], 2),
         (["prob", "sphere", "--point-a=0,0,0", "--point-b=0.5,0,0", "--quaternion"], 2),
+        # rejected before a label is built for each of its 10^8 generators
+        (["table", "--signature", "100000000,0"], 2),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -478,6 +486,41 @@ def test_figure_poincare_geodesic(tmp_path, capsys):
     for row in rows[2:-1]:
         a0, a1, a2 = (float(v) for v in row[3:])
         assert abs((a0 * a0 - a1 * a1 - a2 * a2) - 1.0) <= 1e-10
+
+
+def _cell_by_cell_rows(name, samples):
+    """The figure's rows from the same library calls, each float a cli._f
+    cell, the endpoints of the arc with three empty lift cells."""
+    f = cli._f
+    if name == "poincare-geodesic":
+        psi = np.linspace(3 * math.pi / 4, 5 * math.pi / 4, samples)
+        x1, x2 = math.sqrt(2.0) + np.cos(psi), np.sin(psi)
+        lifted = stereo.lift_hyper(stereo.PlanePoint.of(x1[1:-1], x2[1:-1], 0.0))
+        lifts = [["", "", ""], *([f(c) for c in ck] for ck in
+                                 lifted.a_hat.vector_components()[:, :3]), ["", "", ""]]
+        return [["psi", "x1", "x2", "a_g0", "a_g1", "a_g2"],
+                *([f(p), f(a), f(b), *ck] for p, a, b, ck in zip(psi, x1, x2, lifts))]
+    if name == "stereo-sphere":
+        t = np.linspace(-2.0, 2.0, samples)
+        lifted = stereo.lift_sphere(stereo.PlanePoint.of(t, 0.0, 0.0)).a_hat
+        comps = stereo.permute_generators(lifted, (3, 1, 2, 0)).vector_components()[:, 1:]
+        header = ["t", "x_m", "a_e1", "a_e2", "a_e3"]
+    else:
+        t = np.linspace(-0.9, 0.9, samples)
+        comps = stereo.lift_hyper(stereo.PlanePoint.of(t, 0.0, 0.0)).a_hat.vector_components()[:, :3]
+        header = ["t", "x_m", "a_g0", "a_g1", "a_g2"]
+    return [header, *([f(tk), f(tk), *map(f, ck)] for tk, ck in zip(t, comps))]
+
+
+@pytest.mark.parametrize("samples", [2, 3, 21, 101])
+@pytest.mark.parametrize("name", tuple(cli.FIGURES))
+def test_figure_file_is_the_cell_by_cell_csv(tmp_path, capsys, name, samples):
+    path = tmp_path / "f.csv"
+    code, out, _ = run_cli(capsys, ["figure", name, "--samples", str(samples), "--out", str(path)])
+    assert code == 0 and f"\nrows={samples}\n" in out
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows(_cell_by_cell_rows(name, samples))
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_figure_unwritable_path(capsys):
