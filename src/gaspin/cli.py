@@ -684,10 +684,9 @@ def _lines(rows: np.ndarray) -> list[str]:
 
 
 def _figure_stereo_sphere(samples: int):
-    # Riemann-sphere cross-section: swapping e0 and e3 puts the pole at e3.
+    # Riemann-sphere cross-section, pole at e3: e1, e2, then e0 read as e3.
     t = np.linspace(-2.0, 2.0, samples)
-    lifted = stereo.lift_sphere(_axis_points(t)).a_hat
-    comps = stereo.permute_generators(lifted, (3, 1, 2, 0)).vector_components()[:, 1:]
+    comps = stereo.lift_sphere(_axis_points(t)).a_hat.vector_components()[:, [1, 2, 0]]
     return ["t,x_m,a_e1,a_e2,a_e3", *_lines(np.column_stack([t, t, comps]))]
 
 

@@ -405,9 +405,6 @@ class Multivector:
             other = other[..., None]
         return Multivector(self.signature, self.coeffs / other)
 
-    def __invert__(self) -> "Multivector":
-        return reverse(self)
-
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Geometric product ab; bilinear and associative.  Leading (batch) axes

@@ -25,7 +25,7 @@ quaternions exactly), and the component dictionary is
     phi1 = x0 + j x3,  phi2 = -x2 + j x1,
     phi3 = -y3 + j y0, phi4 = -y1 - j y2.
 
-Real parts determine everything: im = re * g12 on the whole ideal.
+Real parts determine everything: im = re g12 (re = im g21) on the ideal.
 Residuals between complex elements are moduli of coefficient differences.
 A column holds its four complex components on the last axis of one array;
 leading axes index a batch of columns, mapped case by case.
@@ -58,11 +58,6 @@ _SIG = SPACETIME13
 
 
 @lru_cache(maxsize=None)
-def _g12() -> Multivector:
-    return Multivector.blade(_SIG, 0b0110)
-
-
-@lru_cache(maxsize=None)
 def j_blade() -> Multivector:
     """g21 = -g12: right multiplication by it realizes j on the ideal."""
     return Multivector.blade(_SIG, 0b0110, -1.0)
@@ -74,7 +69,7 @@ def _idempotents() -> Multivector:
     batch over (s, t) = (+,+), (+,-), (-,+), (-,-)."""
     s, t = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]).T
     base = (Multivector.scalar(_SIG, 1.0) + s * Multivector.basis(_SIG, 0)) * 0.25
-    return base + (t * 1j) * (base * _g12())
+    return base - (t * 1j) * (base * j_blade())
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +141,7 @@ def geometric_to_qspinor(m: Multivector) -> QuatSpinor:
     scale = m.abs_sum()
     require(close(residual(m * u, m), scale), NotInIdeal,
             "element is not fixed by the Dirac idempotent")
-    require(close(residual(m.im, m.re * _g12()), scale), NotInIdeal,
+    require(close(residual(m.re, m.im * j_blade()), scale), NotInIdeal,
             "imaginary part is not re * g12")
     # re u(+,+) = v+/2, so the real part is half a quaternion-spinor carrier,
     # whose coordinates are twice its products with the frame's columns

@@ -104,9 +104,6 @@ class Quaternion:
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.coeffs)
 
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return quat_mul(self, other)
-
     def to_multivector(self) -> Multivector:
         """Embed into Cl(4,0) as x0 + x1*e23 - x2*e13 + x3*e12."""
         return Multivector(EUCLIDEAN4, self.coeffs @ _embedding())
@@ -183,9 +180,6 @@ class QuatMatrix2:
     def identity() -> "QuatMatrix2":
         one, z = Quaternion.one(), Quaternion.zero()
         return QuatMatrix2.from_entries(one, z, z, one)
-
-    def __add__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        return QuatMatrix2(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "QuatMatrix2") -> "QuatMatrix2":
         return QuatMatrix2(self.coeffs - other.coeffs)

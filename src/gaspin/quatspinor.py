@@ -93,19 +93,6 @@ def _in_tag(m13: Multivector, tag: AlgebraTag) -> Multivector:
     return m13 if tag is AlgebraTag.SPACETIME13 else spacetime_to_euclidean(m13)
 
 
-def spinor_reverse(m: Multivector, tag: AlgebraTag) -> Multivector:
-    """The involution of the spinor formalism: the Cl(1,3) reverse.
-
-    For Cl(4,0) elements this is the transported map through the
-    isomorphism, which differs from the native Cl(4,0) reverse (it fixes
-    e123 and flips e.g. e1); the native reverse would produce |q0|^2+|q1|^2
-    instead of the Minkowski norm.
-    """
-    if tag is AlgebraTag.SPACETIME13:
-        return reverse(m)
-    return spacetime_to_euclidean(reverse(euclidean_to_spacetime(m)))
-
-
 def image(psi: QuatSpinor) -> Multivector:
     """Carrier multivector (q0 + q1 i) v+ in the tag's algebra."""
     return _in_tag(_carrier(psi), psi.tag)
@@ -230,9 +217,10 @@ def bloch_point(psi: QuatSpinor) -> np.ndarray:
 
 
 def braket_q(psi: QuatSpinor) -> tuple[Multivector, Multivector]:
-    """(ket, bra) = (sqrt2 * image, sqrt2 * reversed image)."""
-    ket = math.sqrt(2.0) * image(psi)
-    return ket, spinor_reverse(ket, psi.tag)
+    """(ket, bra) = (sqrt2 * image, sqrt2 * reversed image), the bra reversed
+    in Cl(1,3) and then mapped like the ket."""
+    ket = math.sqrt(2.0) * _carrier(psi)
+    return _in_tag(ket, psi.tag), _in_tag(reverse(ket), psi.tag)
 
 
 def projector(psi: QuatSpinor) -> Multivector:

@@ -83,21 +83,12 @@ class CenterScalar:
         z = self.z
         return z.real * z.real + z.imag * z.imag
 
-    def scale(self, a: float) -> "CenterScalar":
-        return CenterScalar(a * self.s, a * self.p)
-
     def __add__(self, other: "CenterScalar") -> "CenterScalar":
         return CenterScalar(self.s + other.s, self.p + other.p)
-
-    def __sub__(self, other: "CenterScalar") -> "CenterScalar":
-        return CenterScalar(self.s - other.s, self.p - other.p)
 
     def __mul__(self, other: "CenterScalar") -> "CenterScalar":
         (s, p), (t, q) = (self.z.real, self.z.imag), (other.z.real, other.z.imag)
         return CenterScalar(s * t - p * q, s * q + p * t)
-
-    def __neg__(self) -> "CenterScalar":
-        return self.scale(-1.0)
 
     def embed(self, tag: AlgebraTag) -> Multivector:
         """s + p*i in the tag's algebra: s on the blade 1, p on the last one."""

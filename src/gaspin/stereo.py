@@ -9,9 +9,10 @@ boost exp(phi xhat / 2) does the same hyperbolically.  Induced metrics come
 from the closed-form differential of the lift; finite differences are kept
 out of this module so tests can compare two independent routes.
 
-The pole is always generator 0 of the active signature.  Other pole
-conventions (e.g. the Riemann sphere with pole e3) are reached through
-:func:`permute_generators` rather than a second code path.
+The pole is always generator 0 of the active signature.  A chart with its
+pole elsewhere reads the same components in another order: the Riemann
+sphere, pole e3, takes ``vector_components()[..., [1, 2, 0]]`` of a lift
+(e1, e2, then e0 read as e3), with no second code path.
 
 Every function takes batches, as the core does: ``PlanePoint.x`` (and a
 metric's ``dx``) holds the three chart components on the last axis of one
@@ -25,7 +26,6 @@ names the first failing case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -244,41 +244,3 @@ def hyper_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, float
 def rotor_apply(rotor: Multivector, a: Multivector) -> Multivector:
     """Two-sided sandwich R a R~."""
     return geometric_product(geometric_product(rotor, a), reverse(rotor))
-
-
-# ----------------------------------------------------- generator permutation
-
-
-@lru_cache(maxsize=None)
-def _relabeling(sig: Signature, perm: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(source, signs) such that relabeling generator k as perm[k] sends
-    coefficients c to signs * c[..., source].
-
-    Blade m goes to the blade of the relabeled generators, with the parity
-    of the permutation restricted to m: the pairs k < l in m with
-    perm[k] > perm[l].
-    """
-    if sorted(perm) != list(range(sig.n)):
-        raise ValueError("perm must be a permutation of the generator indices")
-    if any(sig.metric(perm[k]) != sig.metric(k) for k in range(sig.n)):
-        raise ValueError("permutation must preserve generator squares")
-    p = np.array(perm)
-    bits = np.arange(sig.dim)[:, None] >> np.arange(sig.n) & 1  # (blade, generator)
-    inverted = np.triu(p[:, None] > p[None, :], 1)  # k < l with perm[k] > perm[l]
-    flips = np.einsum("mk,kl,ml->m", bits, inverted, bits)
-    source = np.argsort(bits @ (1 << p))
-    signs = (1.0 - 2.0 * (flips & 1))[source]
-    source.setflags(write=False)
-    signs.setflags(write=False)
-    return source, signs
-
-
-def permute_generators(a: Multivector, perm: Sequence[int]) -> Multivector:
-    """Relabel generator k as perm[k], with the blade reordering sign.
-
-    Only metric-preserving permutations are allowed (perm[k] must square
-    like k), so the result lives in the same algebra.  One cached signed
-    permutation of the blades per (signature, perm), applied to every case.
-    """
-    source, signs = _relabeling(a.signature, tuple(perm))
-    return Multivector(a.signature, signs * a.coeffs.take(source, -1))

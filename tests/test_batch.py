@@ -426,18 +426,6 @@ def test_stereo_batch_equals_single_calls(rng, shape):
                            scale_of(r, b, r))
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: "".join(s.generator_labels))
-def test_permute_generators_batch_equals_single_calls(rng, shape, sig):
-    perm = tuple(range(sig.plus_count))[::-1] + tuple(range(sig.plus_count, sig.n))[::-1]
-    a = operands(rng, shape, sig.dim, "float")
-
-    def permute(c):
-        return stereo.permute_generators(Multivector(sig, c), perm).coeffs
-
-    assert np.array_equal(permute(a), per_case(permute, shape, a))
-
-
 # ----------------------------------------------------- one bad case in a batch
 
 def _vector(sig, comps):

@@ -268,10 +268,12 @@ def test_table_consistent_with_representation(capsys):
 
 
 def test_table_bad_signature(capsys):
-    for text in ("nope", "100000000,0"):
-        code, _, err = run_cli(capsys, ["table", "--signature", text])
+    for argv, message in ((["--signature", "nope"], "bad signature"),
+                          (["--signature", "100000000,0"], "bad signature"),
+                          (["--signature=-1,3"], "signature counts must be non-negative")):
+        code, _, err = run_cli(capsys, ["table", *argv])
         assert code == 2
-        assert "bad signature" in err
+        assert message in err
 
 
 def test_table_json(capsys):
@@ -377,6 +379,11 @@ def test_project_hyper_boundary_fails(capsys):
         (["prob", "sphere", "--point-a=0,0,0", "--point-b=0.5,0,0", "--quaternion"], 2),
         # rejected before a label is built for each of its 10^8 generators
         (["table", "--signature", "100000000,0"], 2),
+        # --samples is checked in main, an unparsable coordinate by the type,
+        # and a value starting with "-" needs the = form to reach the type
+        (["figure", "stereo-sphere", "--samples", "1", "--out", "x.csv"], 2),
+        (["project", "sphere", "--point=a,0,0"], 2),
+        (["table", "--signature=-1,3"], 2),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -489,8 +496,9 @@ def test_figure_poincare_geodesic(tmp_path, capsys):
 
 
 def _cell_by_cell_rows(name, samples):
-    """The figure's rows from the same library calls, each float a cli._f
-    cell, the endpoints of the arc with three empty lift cells."""
+    """The figure's rows from the same library calls (the sphere's lift in
+    closed form), each float a cli._f cell, the endpoints of the arc with
+    three empty lift cells."""
     f = cli._f
     if name == "poincare-geodesic":
         psi = np.linspace(3 * math.pi / 4, 5 * math.pi / 4, samples)
@@ -501,9 +509,10 @@ def _cell_by_cell_rows(name, samples):
         return [["psi", "x1", "x2", "a_g0", "a_g1", "a_g2"],
                 *([f(p), f(a), f(b), *ck] for p, a, b, ck in zip(psi, x1, x2, lifts))]
     if name == "stereo-sphere":
+        # the Riemann sphere, pole e3, in closed form: no second library call
         t = np.linspace(-2.0, 2.0, samples)
-        lifted = stereo.lift_sphere(stereo.PlanePoint.of(t, 0.0, 0.0)).a_hat
-        comps = stereo.permute_generators(lifted, (3, 1, 2, 0)).vector_components()[:, 1:]
+        d = 1.0 + t * t
+        comps = np.column_stack([2.0 * t / d, np.zeros_like(t), (1.0 - t * t) / d])
         header = ["t", "x_m", "a_e1", "a_e2", "a_e3"]
     else:
         t = np.linspace(-0.9, 0.9, samples)

@@ -47,7 +47,6 @@ from gaspin.quatspinor import (
     projector,
     projector_closed_orthogonal,
     reconstruct,
-    spinor_reverse,
 )
 from gaspin.spinors import CenterScalar, IdealSpinor
 from gaspin.spinors import fidelity as ideal_fidelity
@@ -359,7 +358,7 @@ def test_native_g4_reverse_would_break_norm(rng):
     psi = QuatSpinor(Quaternion.one(), Quaternion([0, 0.5, 0, 0]), AlgebraTag.EUCLIDEAN4)
     m = image(psi)
     wrong = 2.0 * reverse(m) * m
-    right = 2.0 * spinor_reverse(m, psi.tag) * m
+    right = 2.0 * spacetime_to_euclidean(reverse(euclidean_to_spacetime(m))) * m
     vp = idempotent(psi.tag.signature, 0b0001)
     assert residual(right, 2.0 * norm2_q(psi) * vp) <= 1e-12
     assert residual(wrong, 2.0 * norm2_q(psi) * vp) > 0.1

@@ -230,7 +230,8 @@ def test_canonical_form_of_tiny_states():
     # directly and rho is |a0| sqrt(m^2)
     for tag in TAGS:
         psi = ideal(tag, 0.6 + 0.8j, 0.3 - 0.1j)
-        tiny = IdealSpinor(tag, psi.a0.scale(1e-160), psi.a1.scale(1e-160))
+        lam = CenterScalar(1e-160, 0.0)
+        tiny = IdealSpinor(tag, psi.a0 * lam, psi.a1 * lam)
         can, small = canonical_form(psi), canonical_form(tiny)
         assert small.chart == pytest.approx(can.chart, rel=1e-15)
         assert small.theta == pytest.approx(can.theta, rel=1e-15)
@@ -272,7 +273,7 @@ def test_inner_componentwise_vs_algebra(rng):
             psi = rand_spinor(rng, tag, admissible=False)
             chi = rand_spinor(rng, tag, admissible=False)
             z = inner(psi, chi)
-            want = conj(psi.a0) * chi.a0 + (conj(psi.a1) * chi.a1).scale(sign)
+            want = conj(psi.a0) * chi.a0 + conj(psi.a1) * chi.a1 * CenterScalar(sign, 0.0)
             assert abs(z.s - want.s) <= 1e-13
             assert abs(z.p - want.p) <= 1e-13
 
@@ -413,8 +414,8 @@ def test_fidelity_is_scale_invariant(k, tag, ca, cb):
     # fidelity normalizes internally: scaling one state by 10^k changes nothing
     psi = IdealSpinor.from_chart(tag, ca)
     chi = IdealSpinor.from_chart(tag, cb)
-    lam = 10.0 ** k
-    scaled = IdealSpinor(tag, psi.a0.scale(lam), psi.a1.scale(lam))
+    lam = CenterScalar(10.0 ** k, 0.0)
+    scaled = IdealSpinor(tag, psi.a0 * lam, psi.a1 * lam)
     f = fidelity(psi, chi)
     assert abs(fidelity(scaled, chi) - f) <= 1e-12 * f
     assert abs(fidelity(chi, scaled) - f) <= 1e-12 * f

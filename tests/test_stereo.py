@@ -25,7 +25,6 @@ from gaspin.stereo import (
     hyper_metric,
     lift_hyper,
     lift_sphere,
-    permute_generators,
     project_hyper,
     project_sphere,
     rotor_apply,
@@ -274,46 +273,6 @@ def test_hyper_metric_tangency_and_fd(rng):
         da_fd = (lift_hyper(xp).a_hat - lift_hyper(xm).a_hat) / (2.0 * h)
         ds2_fd = geometric_product(da_fd, da_fd).scalar_part
         assert abs(ds2_fd - ds2) <= 1e-6 * max(1.0, abs(ds2))
-
-
-# -------------------------------------------------------- generator shuffles
-
-
-def test_permute_generators_signs():
-    e01 = Multivector.blade(EUCLIDEAN4, 0b0011)
-    swapped = permute_generators(e01, (1, 0, 2, 3))
-    assert residual(swapped, -e01) == 0.0  # e0e1 -> e1e0 = -e0e1
-
-
-def test_permute_generators_homomorphism(rng):
-    perm = (2, 0, 3, 1)
-    for _ in range(100):
-        a = Multivector(EUCLIDEAN4, rng.uniform(-1, 1, size=16))
-        b = Multivector(EUCLIDEAN4, rng.uniform(-1, 1, size=16))
-        lhs = permute_generators(a * b, perm)
-        rhs = permute_generators(a, perm) * permute_generators(b, perm)
-        assert residual(lhs, rhs) <= 1e-12
-
-
-def test_permute_generators_riemann_pole():
-    # Figure-1 convention: pole e3 on the Riemann sphere via permutation.
-    from gaspin.core import PAULI3
-
-    x = PlanePoint.of(0.5, 0.25, 0.0)
-    # lift computed in the pole-first frame of Cl(3,0), then relabeled so
-    # the pole becomes e3 and the chart plane (e1, e2).
-    r2 = x.norm2
-    lifted = Multivector.vector(PAULI3, ((1 - r2), 2 * 0.5, 2 * 0.25)) / (1 + r2)
-    relabeled = permute_generators(lifted, (2, 0, 1))
-    assert abs(relabeled.coefficient(0b100) - (1 - r2) / (1 + r2)) <= 1e-15
-    assert abs(relabeled.coefficient(0b001) - 1.0 / (1 + r2)) <= 1e-15
-    assert abs(geometric_product(relabeled, relabeled).scalar_part - 1.0) <= 1e-15
-
-
-def test_permute_generators_rejects_metric_change():
-    g01 = Multivector.blade(SPACETIME13, 0b0011)
-    with pytest.raises(ValueError):
-        permute_generators(g01, (1, 0, 2, 3))  # would swap +1 and -1 squares
 
 
 # ------------------------------------------------------------- chart edges
