@@ -7,9 +7,9 @@ one pass.  Every numeric emission is re-validated against the owning
 module's invariants before it is printed.  All randomness flows from one
 --seed flag (default 0).
 
-Exit codes: 0 success; 1 a GAError (or figure's unwritable --out), reported
-on one ``error:`` line; 2 a usage error, reported by argparse (the parser's
-types or main's parser.error) before any command runs.
+Exit codes: 0 success; 1 a GAError or OSError, reported by main on one
+``error: <Type>: <message>`` line; 2 a usage error, reported by argparse
+(the parser's types or main's parser.error) before any command runs.
 """
 from __future__ import annotations
 
@@ -547,12 +547,11 @@ def _signature_for(p: int, q: int) -> Signature:
 def table_cells(p: int, q: int) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
     """(blade names, signed cells such as ``-g01``) of the Cl(p,q) table, row
     i column j holding blade i times blade j; derived once per signature from
-    :func:`core.cayley_table`, as immutable tuples."""
-    sig = _signature_for(p, q)
-    names = core.blade_names(sig)
+    :func:`core.sign_table`, as immutable tuples."""
+    names = core.blade_names(_signature_for(p, q))
     cells = tuple(
-        tuple(("+" if sign > 0 else "-") + names[mask] for sign, mask in row)
-        for row in core.cayley_table(sig)
+        tuple(("+" if s > 0 else "-") + names[i ^ j] for j, s in enumerate(row))
+        for i, row in enumerate(core.sign_table(p, q).tolist())
     )
     return names, cells
 
@@ -727,12 +726,8 @@ FIGURES: dict[str, Callable] = {
 
 def cmd_figure(args) -> int:
     lines = FIGURES[args.name](args.samples)
-    try:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+    with open(args.out, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"figure={args.name}")
     print(f"rows={len(lines) - 1}")
     print(f"out={args.out}")
@@ -831,12 +826,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--quaternion states live on the g0 hyperboloid; use geometry 'hyper'")
     if args.command == "prob" and not args.quaternion and (args.point_a[2] or args.point_b[2]):
         parser.error("2-component states use a planar chart; the third component must be 0")
-    # A domain error is one error line and exit 1; an overflow becomes a
-    # NonFiniteValue on that line, not a warning.
+    # A domain error or an unwritable file is one error line and exit 1; an
+    # overflow becomes a NonFiniteValue on that line, not a warning.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except GAError as exc:
+    except (GAError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

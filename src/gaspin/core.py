@@ -32,29 +32,31 @@ reductions (``residual``, ``max_abs``, ``abs_sum``, ``scalar_part``,
 value types of the other modules hold one array each in the same layout:
 quaternions, chart points and Dirac columns their components on the last
 axis, a center scalar one complex value per case.  Each function has one
-path, and a single case runs the batch code.  Two forks remain: the
-finiteness test of one case sums it in Python numbers (0.4 us against
-1.4 us for ``np.isfinite``; a ``states`` round makes about 5,000
-constructions and is 16 % slower without it), and the accessors and
-reductions return Python numbers for one case, as documented above.  The
-gather serves the geometric product of a single factor (one fixed matrix
-applied to the other factor; of two single cases, the left one is) and
-:func:`product_part`, which forms only the blades read (one ``np.vecdot``
-for two batches; :func:`scalar_product` is its <ab>).  The full product of
-two batches is the one fork, :func:`contract`: it is contracted against the
-(dim^2, dim) sign tensor ``T[i*dim + j, i ^ j] = S[i, j]``, with only the
-blades nonzero in some case of each factor and the matching rows of T (a
-rotor times a vector in Cl(1,3) is 8 * 4 outer terms a case, not 256), at
-most ``_BLOCK_BYTES`` (128 KB) of outer terms at a time and one matmul a
-block: on 500 dense cases 3x faster than the gather, on vectors 13x.
+path, and a single case runs the batch code.  Outside the product kernel
+three forks remain: the finiteness test of one case sums it in Python
+numbers (0.4 us against 1.4 us for ``np.isfinite``; a ``states`` round is
+16 % slower without it); the accessors and reductions return Python
+numbers for one case, as documented above; ``Multivector.vector`` reads
+the shape of its array components only (four numbers take 3.7 us, not 9.5
+with ``np.shape`` on each; a ``states`` round is 10 % slower without it).
+The gather serves the geometric product of a single factor (one fixed
+matrix applied to the other factor; of two single cases, the left one is)
+and :func:`product_part`, which forms only the blades read (one
+``np.vecdot`` for two batches; :func:`scalar_product` is its <ab>).  The
+full product of two batches is the product's one fork, :func:`contract`:
+it is contracted against the (dim^2, dim) sign tensor
+``T[i*dim + j, i ^ j] = S[i, j]``, with only the blades nonzero in some
+case of each factor and the matching rows of T (a rotor times a vector in
+Cl(1,3) is 8 * 4 outer terms a case, not 256), at most ``_BLOCK_BYTES``
+(128 KB) of outer terms at a time and one matmul a block: on 500 dense
+cases 3x faster than the gather, on vectors 13x.
 Factors with the same leading shape are reshaped, others broadcast; real
 outer terms come from one ``np.einsum``, complex ones from a broadcast
 multiply (einsum is slower on them and rounds them differently).  It takes
 any bilinear map given by its table: ``quatrep.QuatMatrix2`` products use it
-with a (256, 16) table.
-A map given on the generators extends to every blade mask through
-:func:`blade_images`, n batched products over all 2^n masks at once;
-``isomap`` and ``quatrep`` read their fixed matrices off that one batch.
+with a (256, 16) table.  A map given on the generators extends to every
+blade mask through :func:`blade_images`, n batched products over all 2^n
+masks at once; ``isomap`` and ``quatrep`` read their fixed matrices off it.
 Domain checks go through :func:`require`, which raises on the first failing
 case of a batch and names its index.
 """
@@ -84,7 +86,6 @@ _MAX_GENERATORS = 6
 
 #: Coefficient dtypes kept as given; anything else becomes one of them.
 _DTYPES = (np.dtype(float), np.dtype(complex))
-_COMPLEX = (complex, np.complexfloating)
 #: Scalar operands of the arithmetic: numbers, or arrays with one per case.
 _SCALARS = (int, float, complex, np.ndarray)
 
@@ -282,13 +283,10 @@ class Multivector:
         """``coeff`` times one basis blade; an array ``coeff`` gives a batch."""
         if not 0 <= mask < signature.dim:
             raise ValueError(f"blade mask {mask} out of range")
-        if isinstance(coeff, np.ndarray):
-            c = np.zeros((*coeff.shape, signature.dim),
-                         dtype=complex if coeff.dtype.kind == "c" else float)
-            c[..., mask] = coeff
-        else:
-            c = np.zeros(signature.dim, dtype=complex if isinstance(coeff, _COMPLEX) else float)
-            c[mask] = coeff
+        coeff = np.asarray(coeff)
+        c = np.zeros((*coeff.shape, signature.dim),
+                     dtype=complex if coeff.dtype.kind == "c" else float)
+        c[..., mask] = coeff
         return Multivector(signature, c)
 
     @staticmethod
@@ -303,7 +301,7 @@ class Multivector:
         components give a batch."""
         if len(components) != signature.n:
             raise ValueError("one component per generator required")
-        shape = ()  # the broadcast shape of the per-case arrays among them
+        shape = ()  # of the array components; numbers skip np.shape: 3.7 us, not 9.5
         for x in components:
             if isinstance(x, np.ndarray) and x.shape != shape:
                 shape = np.broadcast_shapes(shape, x.shape)
@@ -382,9 +380,6 @@ class Multivector:
             return self + (-other)
         return NotImplemented
 
-    def __rsub__(self, other: complex) -> "Multivector":
-        return (-self) + other
-
     def __neg__(self) -> "Multivector":
         return Multivector(self.signature, -self.coeffs)
 
@@ -394,16 +389,12 @@ class Multivector:
         return self.__rmul__(other)
 
     def __rmul__(self, other: complex) -> "Multivector":
-        if isinstance(other, np.ndarray):  # one scalar per case
-            return Multivector(self.signature, self.coeffs * other[..., None])
-        if isinstance(other, (int, float, complex)):
-            return Multivector(self.signature, self.coeffs * other)
+        if isinstance(other, _SCALARS):
+            return Multivector(self.signature, self.coeffs * np.asarray(other)[..., None])
         return NotImplemented
 
     def __truediv__(self, other: float) -> "Multivector":
-        if isinstance(other, np.ndarray):
-            other = other[..., None]
-        return Multivector(self.signature, self.coeffs / other)
+        return Multivector(self.signature, self.coeffs / np.asarray(other)[..., None])
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -570,12 +561,6 @@ def residual(a: Multivector, b: Multivector) -> float:
     a._check_signature(b)
     r = np.maximum.reduce(np.abs(a.coeffs - b.coeffs), axis=-1)
     return r if r.ndim else float(r)  # one case gets a Python float: the contract, not speed
-
-
-def cayley_table(signature: Signature) -> list[list[tuple[int, int]]]:
-    """Full blade-by-blade product table as (sign, mask) pairs; exact."""
-    signs = sign_table(signature.plus_count, signature.minus_count).tolist()
-    return [[(s, i ^ j) for j, s in enumerate(row)] for i, row in enumerate(signs)]
 
 
 @lru_cache(maxsize=None)

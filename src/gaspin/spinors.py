@@ -83,9 +83,6 @@ class CenterScalar:
         z = self.z
         return z.real * z.real + z.imag * z.imag
 
-    def __add__(self, other: "CenterScalar") -> "CenterScalar":
-        return CenterScalar(self.s + other.s, self.p + other.p)
-
     def __mul__(self, other: "CenterScalar") -> "CenterScalar":
         (s, p), (t, q) = (self.z.real, self.z.imag), (other.z.real, other.z.imag)
         return CenterScalar(s * t - p * q, s * q + p * t)

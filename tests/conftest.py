@@ -90,9 +90,9 @@ def quat_cells(a, b):
     def entry(x, j, k):
         return Quaternion(x[..., j, k, :])
 
-    return stack_entries([[hamilton(entry(a, j, 0), entry(b, 0, k))
-                           + hamilton(entry(a, j, 1), entry(b, 1, k)) for k in range(2)]
-                          for j in range(2)])
+    return stack_entries([[Quaternion(hamilton(entry(a, j, 0), entry(b, 0, k)).coeffs
+                                      + hamilton(entry(a, j, 1), entry(b, 1, k)).coeffs)
+                           for k in range(2)] for j in range(2)])
 
 
 def conj(z):

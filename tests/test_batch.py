@@ -6,6 +6,8 @@ another order than a single call.  The blade-product sums stay the
 independent route for the batched product.  A batch with one out-of-domain
 case raises what the single call on that case raises, and names the case.
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,8 @@ from gaspin.errors import (
     NotOrthogonal,
     NullVector,
     PoleSingularity,
+    SignatureMismatch,
+    TagMismatch,
     ZeroQ0,
 )
 from gaspin.isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
@@ -540,6 +544,55 @@ def test_one_bad_case_in_a_batch_raises_like_the_single_call(name):
         call(rows[:4].reshape(2, 2, *rows.shape[1:]))
 
 
+# name: (error, start of its message, call) for input that no case of any
+# batch could make valid: the wrong shape, signature or tag, raised before
+# any case is read
+_MALFORMED = {
+    "Multivector of 8 coefficients in Cl(4,0)": (
+        ValueError, "need 16 coefficients", lambda: Multivector(EUCLIDEAN4, np.ones((3, 8)))),
+    "Quaternion of 3 coordinates": (
+        ValueError, "need (..., 4) coordinates", lambda: Quaternion(np.ones((3, 3)))),
+    "QuatMatrix2 of 2 x 4 coordinates": (
+        ValueError, "need a (..., 2, 2, 4) array", lambda: QuatMatrix2(np.ones((3, 2, 4)))),
+    "PlanePoint of 2 components": (
+        ValueError, "need (..., 3) chart components", lambda: stereo.PlanePoint(np.ones((3, 2)))),
+    "DiracSpinor of 3 components": (
+        ValueError, "a Dirac column has exactly 4", lambda: dirac.DiracSpinor(np.ones((3, 3)))),
+    "blade mask past the last blade": (
+        ValueError, "blade mask 16 out of range", lambda: Multivector.blade(EUCLIDEAN4, 16)),
+    "negative blade mask": (
+        ValueError, "blade mask -1 out of range", lambda: Multivector.blade(EUCLIDEAN4, -1)),
+    "vector of 3 components in Cl(4,0)": (
+        ValueError, "one component per generator",
+        lambda: Multivector.vector(EUCLIDEAN4, [np.ones(3)] * 3)),
+    "quaternion read off a Cl(1,3) element": (
+        SignatureMismatch, "quaternions live in Cl(4,0)",
+        lambda: Quaternion.from_multivector(Multivector.scalar(SPACETIME13, 1.0))),
+    "quaternion spinor tagged Cl(3,0)": (
+        TagMismatch, "quaternion spinors live in",
+        lambda: quatspinor.QuatSpinor(Quaternion.one(), Quaternion.zero(), AlgebraTag.PAULI3)),
+    "ideal spinor tagged Cl(1,3)": (
+        TagMismatch, "ideal spinors live in",
+        lambda: spinors.IdealSpinor(AlgebraTag.SPACETIME13,
+                                    *[spinors.CenterScalar(1.0, 0.0)] * 2)),
+    "circle-route fidelity of mixed tags": (
+        TagMismatch, f"{AlgebraTag.SPACETIME13} vs {AlgebraTag.EUCLIDEAN4}",
+        lambda: quatspinor.fidelity_q_circ_route(*(
+            quatspinor.QuatSpinor(Quaternion.one(), Quaternion.zero(), tag)
+            for tag in (AlgebraTag.SPACETIME13, AlgebraTag.EUCLIDEAN4)))),
+    "sphere point from a Cl(1,3) vector": (
+        NotAVector, "expected a vector in",
+        lambda: stereo.SpherePoint(Multivector.basis(SPACETIME13, 0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_input_raises_its_error(name):
+    error, message, call = _MALFORMED[name]
+    with pytest.raises(error, match="^" + re.escape(message)):
+        call()
+
+
 # ------------------------------------------------------------- exact equality
 
 def _canonical_q(c):
@@ -575,4 +628,5 @@ def test_equality_of_batches_is_exact(rng, name):
     assert (a == build(one_ulp)) is False
     assert (a == build(c[:2])) is False  # other batch shape
     assert (a == build(c[0, 0])) is False  # one case
+    assert (a == 3) is False  # another type
     assert (build(c[0, 0]) == build(c[0, 0].copy())) is True

@@ -31,7 +31,7 @@ def run_cli(capsys, argv):
 def assert_error_format(code, err):
     """One stderr format per exit code: a usage error is the usage block and a
     last ``gaspin [command]: error:`` line (argparse); a failure is one
-    ``error: <type>: <message>`` line (main's GAError handler)."""
+    ``error: <type>: <message>`` line (main's GAError and OSError handler)."""
     lines = err.splitlines()
     if code == 2:
         assert err.startswith("usage: gaspin"), err
@@ -538,7 +538,8 @@ def test_figure_unwritable_path(capsys):
         ["figure", "stereo-sphere", "--samples", "3", "--out", "/nonexistent/x.csv"],
     )
     assert code == 1
-    assert "cannot write" in err
+    assert_error_format(code, err)
+    assert err == "error: FileNotFoundError: [Errno 2] No such file or directory: '/nonexistent/x.csv'\n"
 
 
 # every lifted row fails the unit check of stereo.SpherePoint/HyperPoint

@@ -1,7 +1,9 @@
 """Every function under ``src/gaspin`` has a caller there.
 
 The functions are the module-level ones and the methods and properties of
-module-level classes, dunders excluded (Python calls those).  A function is
+module-level classes.  Dunders are not found by name, since Python calls
+them; the arithmetic operators among them must instead run when the CLI's
+own flows run (``test_every_operator_runs_under_the_cli``).  A function is
 kept when a name node in the package refers to it (bare or as a module
 attribute), when it is exported in ``gaspin.__all__``, or when it is the CLI
 entry point ``cli.main``.  AST nodes are counted, so a mention in a
@@ -19,9 +21,13 @@ defined on more than one class and met on an unknown receiver fails the
 test unless it is in ``AMBIGUOUS``.
 """
 import ast
+import importlib
 import pathlib
+import pkgutil
+import re
 
 import gaspin
+from gaspin import cli
 
 PACKAGE = pathlib.Path(gaspin.__file__).parent
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -297,3 +303,70 @@ def test_no_method_name_is_ambiguous_on_an_unknown_receiver():
     # an entry that no longer needs its place leaves the allowlist
     stale = AMBIGUOUS - (shared.keys() & unknown.keys())
     assert not stale, f"allowlisted names no longer matched by name alone: {stale}"
+
+
+#: The arithmetic operators a package class may define.  ``__eq__`` is not
+#: among them: README documents exact ``==`` on every value type.
+OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+             "__truediv__", "__neg__")
+
+README = PACKAGE.parents[1] / "README.md"
+
+
+def _readme_cli_lines():
+    """The argv of each ``gaspin`` line in README's CLI usage block."""
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert block, "README.md has no CLI usage block"
+    return [line.split("#")[0].split()[1:] for line in block.group(1).splitlines()
+            if line.startswith("gaspin ")]
+
+
+def _cli_flows():
+    """The CLI flows every operator must serve: ``verify`` on one case, the
+    README's CLI lines (``verify`` aside) and the three figures."""
+    readme = [argv for argv in _readme_cli_lines() if argv[0] != "verify"]
+    assert readme, "README.md's CLI block has no gaspin line"
+    figures = [["figure", name, "--samples", "101", "--out", f"{name}.csv"]
+               for name in cli.FIGURES]
+    return [["verify", "--seed", "0", "--cases", "1"], *readme, *figures]
+
+
+def _counting(fn, key, ran):
+    def operator(*args):
+        ran.add(key)
+        return fn(*args)
+    return operator
+
+
+def _caches(namespace):
+    """The ``lru_cache`` functions among a namespace's values, static
+    methods unwrapped."""
+    for value in namespace.values():
+        value = getattr(value, "__func__", value)
+        if hasattr(value, "cache_clear"):
+            yield value
+
+
+def test_every_operator_runs_under_the_cli(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)  # the figures write their files here
+    ran, defined = set(), []
+    for info in pkgutil.iter_modules(gaspin.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"gaspin.{info.name}")
+        classes = [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and obj.__module__ == module.__name__]
+        # a cached builder that already ran would hide the operators it calls
+        for namespace in (vars(module), *map(vars, classes)):
+            for fn in _caches(namespace):
+                fn.cache_clear()
+        for cls in classes:
+            for name in OPERATORS:
+                if name in vars(cls):
+                    defined.append(f"{cls.__name__}.{name}")
+                    monkeypatch.setattr(cls, name, _counting(vars(cls)[name], defined[-1], ran))
+    for argv in _cli_flows():
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    unrun = sorted(set(defined) - ran)
+    assert not unrun, f"operators that no CLI flow calls: {unrun}"
