@@ -49,7 +49,7 @@ from .core import (
 )
 from .errors import NonFiniteValue, NotInIdeal
 from .isomap import AlgebraTag, euclidean_to_spacetime
-from .quatspinor import QuatSpinor, carrier_frame, frame_product, from_carrier_coords
+from .quatspinor import QuatSpinor, carrier_coords, carrier_frame, from_carrier_coords
 
 _SIG = SPACETIME13
 
@@ -153,7 +153,7 @@ def geometric_to_qspinor(m: Multivector) -> QuatSpinor:
 
 def qspinor_to_geometric(psi: QuatSpinor) -> Multivector:
     """(q0 + q1 i) u(+,+) as a complexified carrier element."""
-    return Multivector(_SIG, frame_product(psi, _quaternion_frame()))
+    return Multivector(_SIG, carrier_coords(psi) @ _quaternion_frame().T)
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +173,7 @@ _DICTIONARY = np.array([[1, 0, 0, 1j, 0, 0, 0, 0],     # phi1 = x0 + j x3
 
 def qspinor_to_dirac(psi: QuatSpinor) -> DiracSpinor:
     """Component dictionary tying the column to the quaternion pair."""
-    return DiracSpinor(frame_product(psi, _DICTIONARY))
+    return DiracSpinor(carrier_coords(psi) @ _DICTIONARY.T)
 
 
 def dirac_roundtrip_residual(phi: DiracSpinor) -> float:

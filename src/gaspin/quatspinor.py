@@ -17,16 +17,19 @@ plain spacelike vector: the Bloch-point chart of the state.
 
 The carrier (over q0.s, q0.v, q1.s, q1.v), the embedding of a quaternion in
 Cl(1,3) and M are linear in quaternion coordinates, so each is one product
-with a cached frame, derived once from the geometric products it replaces.
-The carrier frame's columns are orthogonal with squared norm exactly 1/2, so
-its transpose reads the coordinates back, exactly, with no least-squares fit.
+with a cached frame, and the fidelity's bracket z = 2 <rev(a) b>_{0+3} and
+the projector 2 a rev(a) are bilinear in them, so each is a cached table
+(:func:`core.bilinear`); all are read once off the geometric products they
+replace.  The carrier frame's columns are orthogonal with squared norm
+exactly 1/2, so its transpose reads the coordinates back, exactly.
+:func:`fidelity_q_circ_route` and :func:`projector_closed_orthogonal` stay
+independent second routes.
 
 A quaternion holds its coordinates on the last axis of one array; leading
 axes index a batch of states, on which every function acts case by case.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,15 +38,18 @@ import numpy as np
 from .core import (
     SPACETIME13,
     Multivector,
+    bilinear,
+    bilinear_table,
+    bracket_ratio,
     close,
     column_matrix,
     fields_equal,
     idempotent,
-    product_part,
     pseudoscalar,
     require,
     reverse,
     scalar_product,
+    side_by_side,
 )
 from .errors import NonTimelike, NotOrthogonal, TagMismatch, VerificationFailure, ZeroQ0
 from .isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
@@ -95,18 +101,13 @@ def _in_tag(m13: Multivector, tag: AlgebraTag) -> Multivector:
 
 def image(psi: QuatSpinor) -> Multivector:
     """Carrier multivector (q0 + q1 i) v+ in the tag's algebra."""
-    return _in_tag(_carrier(psi), psi.tag)
+    return _in_tag(Multivector(SPACETIME13, carrier_coords(psi) @ carrier_frame().T), psi.tag)
 
 
-def _carrier(psi: QuatSpinor) -> Multivector:
-    """(q0 + q1 i) v+ in Cl(1,3), whatever the tag."""
-    return Multivector(SPACETIME13, frame_product(psi, carrier_frame()))
-
-
-def frame_product(psi: QuatSpinor, mat: np.ndarray) -> np.ndarray:
-    """``mat`` over the coordinates (q0.s, q0.v, q1.s, q1.v) of each case,
-    the batch axes of q0 and q1 broadcast against each other."""
-    return psi.q0.coeffs @ mat[:, :4].T + psi.q1.coeffs @ mat[:, 4:].T
+def carrier_coords(psi: QuatSpinor) -> np.ndarray:
+    """The coordinates (q0.s, q0.v, q1.s, q1.v) on the last axis, the batch
+    axes of q0 and q1 broadcast against each other."""
+    return side_by_side(psi.q0.coeffs, psi.q1.coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -216,17 +217,24 @@ def bloch_point(psi: QuatSpinor) -> np.ndarray:
 # ------------------------------------------------------- brakets, projector
 
 
-def braket_q(psi: QuatSpinor) -> tuple[Multivector, Multivector]:
-    """(ket, bra) = (sqrt2 * image, sqrt2 * reversed image), the bra reversed
-    in Cl(1,3) and then mapped like the ket."""
-    ket = math.sqrt(2.0) * _carrier(psi)
-    return _in_tag(ket, psi.tag), _in_tag(reverse(ket), psi.tag)
+@lru_cache(maxsize=None)
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """Bracket tables over the carrier coordinates, from the products: of the
+    projector 2 a rev(a), (8, 16, 8), and of z = 2 <rev(a) b>_{0+3}, (8, 4, 8)
+    on the scalar and the trivectors g012, g013, g023.  The fourth trivector
+    g123 must vanish: it is what makes rev(z) z the scalar sum of z_k^2."""
+    cols = Multivector(SPACETIME13, carrier_frame().T)
+    g123 = bilinear_table(reverse(cols), cols, (0b1110,))
+    require(not g123.any(), VerificationFailure, "bra-ket chain has a g123 part")
+    return (bilinear_table(2.0 * cols, reverse(cols), range(SPACETIME13.dim)),
+            bilinear_table(2.0 * reverse(cols), cols, (0, 0b0111, 0b1011, 0b1101)))
 
 
 def projector(psi: QuatSpinor) -> Multivector:
-    """|psi><psi| = 2 * image * reversed image."""
-    ket, bra = braket_q(psi)
-    return ket * bra
+    """|psi><psi| = 2 * image * reversed image, reversed in Cl(1,3) and then
+    mapped like the ket: x^T T x over the carrier coordinates x."""
+    x = carrier_coords(psi)
+    return _in_tag(Multivector(SPACETIME13, bilinear(x, _tables()[0], x)), psi.tag)
 
 
 def projector_closed_orthogonal(psi: QuatSpinor) -> Multivector:
@@ -251,49 +259,27 @@ def projector_closed_orthogonal(psi: QuatSpinor) -> Multivector:
 # ------------------------------------------------------------------ fidelity
 
 
-#: The blades of grades 0 and 3 in Cl(1,3): the scalar and the four trivectors.
-_CHAIN_MASKS = (0, 0b0111, 0b1011, 0b1101, 0b1110)
-
-
-def _chain_inner(am: Multivector, bm: Multivector) -> Multivector:
-    """2 <rev(a) b>_{0+3} in Cl(1,3), from those coefficients alone."""
-    part = 2.0 * product_part(reverse(am), bm, _CHAIN_MASKS)
-    out = np.zeros((*part.shape[:-1], SPACETIME13.dim))
-    out[..., _CHAIN_MASKS] = part
-    return Multivector(SPACETIME13, out)
-
-
 def fidelity_q(psi: QuatSpinor, chi: QuatSpinor) -> float:
     """<chi|psi><psi|chi> for internally normalized quaternion spinors.
 
-    Evaluated as the bra-ket chain in Cl(1,3); ZeroQ0/NonTimelike propagate
-    from the admissibility check.
+    The bra-ket chain rev(z) z in Cl(1,3), the sum of z_k^2 over the cached
+    table; ZeroQ0/NonTimelike propagate from the admissibility check.
     """
     if psi.tag is not chi.tag:
         raise TagMismatch(f"{psi.tag} vs {chi.tag}")
-    rho2_psi, size_psi = _admissible(psi)
-    rho2_chi, size_chi = _admissible(chi)
-    am, bm = _carrier(psi), _carrier(chi)
-    z_ab = _chain_inner(am, bm)
-    z_ba = _chain_inner(bm, am)
-    prod = z_ba * z_ab
-    # every term of the chain is a product of two components of each state
-    require(close((prod - prod.scalar_part).max_abs(), size_psi * size_chi), VerificationFailure,
-            "fidelity chain did not reduce to a scalar")
-    return prod.scalar_part / (rho2_psi * rho2_chi)
+    return bracket_ratio(carrier_coords(psi), _tables()[1], carrier_coords(chi),
+                         _admissible(psi), _admissible(chi))
 
 
-def _admissible(psi: QuatSpinor) -> tuple[float, float]:
-    """(rho^2, |q0|^2 + |q1|^2): ZeroQ0 when |q0|^2 is zero, as in
-    :func:`phase_axis`, and NonTimelike when rho^2 is not positive relative
-    to the size of the state."""
+def _admissible(psi: QuatSpinor) -> float:
+    """rho^2: ZeroQ0 when |q0|^2 is zero, as in :func:`phase_axis`, and
+    NonTimelike when rho^2 is not positive relative to |q0|^2 + |q1|^2."""
     n0, n1 = psi.q0.norm2(), psi.q1.norm2()
-    size = n0 + n1
     require(n0 != 0.0, ZeroQ0, "canonical form divides by q0")
     rho2 = n0 - n1  # norm2_q(psi)
-    require(np.logical_not(close(rho2, size)), NonTimelike,
+    require(np.logical_not(close(rho2, n0 + n1)), NonTimelike,
             lambda k: f"rho^2 = {np.asarray(rho2)[k]:g} must be positive")
-    return rho2, size
+    return rho2
 
 
 def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor) -> float:

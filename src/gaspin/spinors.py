@@ -15,10 +15,12 @@ Fidelities normalize internally, so callers pass raw states.  The Pauli
 fidelity is a probability in [0,1]; the Minkowski analogue is >= 1 and is
 reported as the Bloch-hyperboloid quantity.
 
-A center scalar holds s + p*i as one complex value, and the carrier is
-linear over it: the real part of a0 w0 + a1 w1, with (w0, w1) the cached
-complex frame of the ideal, derived once from the geometric products it
-replaces.
+A center scalar holds s + p*i as one complex value.  The carrier is linear
+over it, the real part of a0 w0 + a1 w1 with (w0, w1) a cached complex
+frame, and the bracket 2 <rev(a) b>_{0+3} sesquilinear, conj(a)^T G b with
+G a cached 2x2 Gram matrix; both are read once off the geometric products
+they replace.  :func:`fidelity_bloch` and :func:`fidelity_chart` stay
+independent second routes.
 
 Center scalars hold one complex array for a batch of states, and chart
 points (a, b) a pair of arrays; every function acts on them case by case.
@@ -33,15 +35,18 @@ import numpy as np
 from . import core
 from .core import (
     Multivector,
+    bilinear,
+    bilinear_table,
+    bracket_ratio,
     close,
     column_matrix,
     fields_equal,
     geometric_product,
-    product_part,
     pseudoscalar,
     require,
     reverse,
     scalar_product,
+    side_by_side,
 )
 from .errors import DegenerateState, NonTimelike, TagMismatch
 from .isomap import AlgebraTag
@@ -202,11 +207,29 @@ def canonical_form(psi: IdealSpinor) -> CanonicalIdeal:
 
 def inner(psi: IdealSpinor, chi: IdealSpinor) -> CenterScalar:
     """2 <rev(psi) chi>_{0+3} as a center scalar; conjugate-symmetric."""
+    z = bilinear(*_bracket(psi, chi))[..., 0]
+    return CenterScalar(z.real, z.imag)
+
+
+def _bracket(psi: IdealSpinor, chi: IdealSpinor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(conj(a), G, b) for the components a of psi and b of chi: the bracket is
+    sesquilinear over the center scalars (rev(i) = -i), conj(a)^T G b."""
     if psi.tag is not chi.tag:
         raise TagMismatch(f"{psi.tag} vs {chi.tag}")
-    z = 2.0 * product_part(reverse(to_multivector(psi)), to_multivector(chi),
-                           (0, psi.tag.signature.dim - 1))
-    return CenterScalar(z[..., 0], z[..., 1])
+    a, b = (side_by_side(s.a0.z[..., None], s.a1.z[..., None]) for s in (psi, chi))
+    return a.conj(), _gram(psi.tag), b
+
+
+@lru_cache(maxsize=None)
+def _gram(tag: AlgebraTag) -> np.ndarray:
+    """Complex Gram matrix G of the unit spinors (1, 0) and (0, 1) as a (2, 1,
+    2) table: the scalar blade of 2 <rev(a) b> is its real part, the
+    pseudoscalar the imaginary one."""
+    units = Multivector(tag.signature, np.stack(_ideal_frame(tag)).real)
+    part = bilinear_table(2.0 * reverse(units), units, (0, tag.signature.dim - 1))
+    gram = part[:, :1] + 1j * part[:, 1:]
+    gram.setflags(write=False)
+    return gram
 
 
 def _admissible_norm(psi: IdealSpinor) -> float:
@@ -224,12 +247,7 @@ def fidelity(psi: IdealSpinor, chi: IdealSpinor) -> float:
     Bloch-sphere probability in [0,1] for G3; the analogous hyperboloid
     quantity (>= 1, not a probability) for G1,2.
     """
-    if psi.tag is not chi.tag:
-        raise TagMismatch(f"{psi.tag} vs {chi.tag}")
-    n_psi = _admissible_norm(psi)
-    n_chi = _admissible_norm(chi)
-    z = inner(psi, chi)
-    return z.abs2() / (n_psi * n_chi)
+    return bracket_ratio(*_bracket(psi, chi), _admissible_norm(psi), _admissible_norm(chi))
 
 
 def fidelity_bloch(tag: AlgebraTag, chart_a, chart_b) -> float:

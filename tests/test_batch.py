@@ -375,6 +375,39 @@ def test_spinor_carriers_batch_equal_single_calls(rng, shape, kind):
     check(lambda u: dirac.qspinor_to_geometric(quatspinor.QuatSpinor.from_bloch_point(u)).coeffs, 3)
 
 
+@pytest.mark.parametrize("shape", SHAPES)
+def test_spinor_brackets_batch_equal_single_calls_bit_for_bit(rng, shape):
+    # the bracket tables run one path, so a case keeps its bits in a batch;
+    # from_chart (a0 = 1) and from_bloch_point (q0 = 1) broadcast one number
+    def check(fn, low, high, width):
+        u, v = (rng.uniform(low, high, (*shape, width)) for _ in "uv")
+        assert np.array_equal(fn(u, v), per_case(fn, shape, u, v))
+
+    lead = np.eye(8)[0]  # |q0|^2 >= 1 > |q1|^2 and |a0|^2 >= 1 > |a1|^2
+    for tag in (AlgebraTag.SPACETIME13, AlgebraTag.EUCLIDEAN4):
+        def coords(a):
+            return quatspinor.from_carrier_coords(a + lead, tag)
+
+        def bloch(a):
+            return quatspinor.QuatSpinor.from_bloch_point(a, tag)
+
+        for make, low, high, width in ((coords, -0.3, 0.3, 8), (bloch, -0.5, 0.5, 3)):
+            check(lambda a, b: quatspinor.fidelity_q(make(a), make(b)), low, high, width)
+            check(lambda a, b: quatspinor.projector(make(a)).coeffs, low, high, width)
+    for tag in (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12):
+        def components(a):
+            a = a + lead[:4]
+            return spinors.IdealSpinor(tag, spinors.CenterScalar(a[..., 0], a[..., 1]),
+                                       spinors.CenterScalar(a[..., 2], a[..., 3]))
+
+        def chart(a):
+            return spinors.IdealSpinor.from_chart(tag, (a[..., 0], a[..., 1]))
+
+        for make, low, high, width in ((components, -0.3, 0.3, 4), (chart, -0.6, 0.6, 2)):
+            check(lambda a, b: spinors.fidelity(make(a), make(b)), low, high, width)
+            check(lambda a, b: spinors.inner(make(a), make(b)).z, low, high, width)
+
+
 def _chart(c):
     """Chart points from rows of three components (one row: one case)."""
     return stereo.PlanePoint(c)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from gaspin.core import (
     EUCLIDEAN4,
     SPACETIME13,
     Multivector,
+    bilinear,
     close,
     geometric_product,
     grade_select,
     idempotent,
+    product_part,
     pseudoscalar,
     require,
     residual,
@@ -24,6 +27,7 @@ from gaspin.cli import _admissible_rows as admissible_rows
 from gaspin.cli import _orthogonal_rows as orthogonal_rows
 from gaspin.cli import _rand_admissible_q as rand_admissible
 from gaspin.errors import (
+    NonFiniteValue,
     NonTimelike,
     NotInSubalgebra,
     NotOrthogonal,
@@ -36,8 +40,8 @@ from gaspin.quatrep import Quaternion, quat_mul
 from gaspin.quatspinor import (
     QuatSpinor,
     bloch_point,
-    braket_q,
     canonical_q,
+    carrier_coords,
     embed_spacetime,
     fidelity_q,
     from_carrier_coords,
@@ -346,7 +350,12 @@ def test_bra_ket_contraction_norm(rng):
     for tag in TAGS:
         vp = idempotent(tag.signature, 0b0001)
         psi = rand_admissible(rng, 300, tag)
-        ket, bra = braket_q(psi)
+        # the bra is the ket reversed in Cl(1,3), then mapped like the ket
+        ket = math.sqrt(2.0) * image(psi)
+        if tag is AlgebraTag.SPACETIME13:
+            bra = reverse(ket)
+        else:
+            bra = spacetime_to_euclidean(reverse(euclidean_to_spacetime(ket)))
         got = bra * ket
         assert np.all(residual(got, 2.0 * norm2_q(psi) * vp) <= 1e-12)
 
@@ -410,13 +419,51 @@ def test_fidelity_errors():
         fidelity_q(psi, QuatSpinor(Quaternion.zero(), Quaternion.one()))
 
 
-def test_fidelity_chain_must_reduce_to_a_scalar(monkeypatch):
-    # (1 + g1)^2 = 2 g1 is not a scalar
-    one_plus_g1 = Multivector.scalar(SPACETIME13, 1.0) + Multivector.basis(SPACETIME13, 1)
-    monkeypatch.setattr(quatspinor, "_chain_inner", lambda am, bm: one_plus_g1)
-    psi = QuatSpinor(Quaternion.one(), Quaternion.zero())
-    with pytest.raises(VerificationFailure):
-        fidelity_q(psi, psi)
+def test_fidelity_table_is_the_bra_ket_chain(rng):
+    # the chain rev(z) z with z = 2 <rev(a) b>_{0+3}, formed as products: its
+    # non-scalar part vanishes and its scalar is the table's sum of z_k^2
+    masks = (0, 0b0111, 0b1011, 0b1101, 0b1110)
+
+    def chain_inner(am, bm):
+        out = np.zeros((*am.coeffs.shape[:-1], SPACETIME13.dim))
+        out[..., masks] = 2.0 * product_part(reverse(am), bm, masks)
+        return Multivector(SPACETIME13, out)
+
+    psi, chi = rand_admissible(rng, 300), rand_admissible(rng, 300)
+    am, bm = image(psi), image(chi)
+    prod = chain_inner(bm, am) * chain_inner(am, bm)
+    size = (psi.q0.norm2() + psi.q1.norm2()) * (chi.q0.norm2() + chi.q1.norm2())
+    assert np.all(close((prod - prod.scalar_part).max_abs(), size))
+    z = bilinear(carrier_coords(psi), quatspinor._tables()[1], carrier_coords(chi))
+    assert np.all(close(np.abs(np.vecdot(z, z) - prod.scalar_part), size))
+
+
+def test_fidelity_table_refuses_a_g123_part(monkeypatch):
+    # a chain with a g123 part would not reduce to the sum of z_k^2
+    real = quatspinor.bilinear_table
+    monkeypatch.setattr(quatspinor, "bilinear_table", lambda a, b, masks: real(a, b, masks)
+                        + (np.array(masks) == 0b1110)[:, None])
+    quatspinor._tables.cache_clear()
+    try:
+        with pytest.raises(VerificationFailure):
+            quatspinor._tables()
+    finally:
+        quatspinor._tables.cache_clear()
+
+
+@pytest.mark.parametrize("k", (300, 500, -300))
+def test_fidelity_outside_the_float_range_is_nonfinite(k):
+    # z^2 and rho^2 rho^2 overflow (or underflow to 0/0) together: a typed
+    # error, with no RuntimeWarning on the way
+    psi = QuatSpinor.from_bloch_point((0.1, 0.2, 0.0))
+    lam = 2.0 ** k
+    scaled = QuatSpinor(psi.q0.scale(lam), psi.q1.scale(lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue):
+            fidelity_q(scaled, scaled)
+        with pytest.raises(NonFiniteValue):
+            fidelity_q(scaled, QuatSpinor(scaled.q0, scaled.q1.scale(0.5)))
 
 
 # ------------------------------------------------------------- G1,2 reduction

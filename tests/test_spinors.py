@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from gaspin.core import (
     Multivector,
     dot,
     geometric_product,
+    product_part,
     pseudoscalar,
     residual,
     reverse,
 )
 from gaspin.cli import _rand_chart as rand_chart
-from gaspin.errors import DegenerateState, NonTimelike, TagMismatch
+from gaspin.errors import DegenerateState, NonFiniteValue, NonTimelike, TagMismatch
 from gaspin.isomap import AlgebraTag
 from gaspin.spinors import (
     CenterScalar,
@@ -278,6 +280,20 @@ def test_inner_componentwise_vs_algebra(rng):
             assert abs(z.p - want.imag) <= 1e-13
 
 
+def test_inner_is_the_product_bracket(rng):
+    # the Gram-matrix route against 2 <rev(a) b>_{0+3} formed as a product
+    for tag in TAGS:
+        sig = tag.signature
+        u = rng.uniform(-1.0, 1.0, (2, 200, 4))
+        psi, chi = (IdealSpinor(tag, CenterScalar(c[:, 0], c[:, 1]), CenterScalar(c[:, 2], c[:, 3]))
+                    for c in u)
+        want = 2.0 * product_part(reverse(to_multivector(psi)), to_multivector(chi),
+                                  (0, sig.dim - 1))
+        z = inner(psi, chi)
+        assert np.all(np.abs(z.s - want[:, 0]) <= 1e-14)
+        assert np.all(np.abs(z.p - want[:, 1]) <= 1e-14)
+
+
 def test_inner_conjugate_symmetry_and_norm(rng):
     for tag in TAGS:
         psi = rand_spinor(rng, tag)
@@ -373,6 +389,20 @@ def test_fidelity_errors():
             ideal(AlgebraTag.MINKOWSKI12, 1.0, 2.0),
             ideal(AlgebraTag.MINKOWSKI12, 1.0, 0.0),
         )
+
+
+@pytest.mark.parametrize("k", (300, 500, -300))
+@pytest.mark.parametrize("tag", TAGS)
+def test_fidelity_outside_the_float_range_is_nonfinite(k, tag):
+    # |z|^2 and the product of the norms overflow (or underflow to 0/0)
+    # together: a typed error, with no RuntimeWarning on the way
+    base = IdealSpinor.from_chart(tag, (0.3, 0.2))
+    lam = CenterScalar(2.0 ** k, 0.0)
+    scaled = IdealSpinor(tag, base.a0 * lam, base.a1 * lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue):
+            fidelity(scaled, scaled)
 
 
 # ------------------------------------------------------------------ antipode
