@@ -163,11 +163,6 @@ def _rand_admissible_q(rng, n: int, tag: AlgebraTag = AlgebraTag.SPACETIME13) ->
     return from_carrier_coords(_accepted(rng, n, 8, _admissible_rows), tag)
 
 
-def _rand_orthogonal_q(rng, n: int) -> QuatSpinor:
-    """A batch of n orthogonal timelike quaternion spinors."""
-    return from_carrier_coords(_accepted(rng, n, 8, _orthogonal_rows), AlgebraTag.SPACETIME13)
-
-
 def _uniform_rows(rng, n: int, *ranges: tuple[float, float]) -> np.ndarray:
     """n rows with column k uniform over ranges[k] = (low, high), in one
     call: the same values and generator state as n loops of single draws."""
@@ -412,7 +407,8 @@ def _suite_qspinor_canonical(rng, cases):
 
 
 def _suite_qspinor_projector(rng, cases):
-    psi = _rand_orthogonal_q(rng, max(1, cases // 2))
+    psi = from_carrier_coords(_accepted(rng, max(1, cases // 2), 8, _orthogonal_rows),
+                              AlgebraTag.SPACETIME13)
     can = canonical_q(psi)
     # an orthogonal spinor's M is the plain vector g0 + x_m of its Bloch point
     m = Multivector.vector(SPACETIME13, (1.0, *bloch_point(psi).T))
@@ -508,7 +504,6 @@ def run_suite(name: str, seed: int, cases: int) -> SuiteResult:
 
 def cmd_verify(args) -> int:
     results = [run_suite(name, args.seed, args.cases) for name in sorted(SUITES)]
-    failures = 0
     for r in results:
         print(f"suite={r.name}")
         print(f"cases={'fixed' if r.cases is None else r.cases}")
@@ -518,8 +513,7 @@ def cmd_verify(args) -> int:
         print(f"witness={':'.join(map(str, r.witness)) if r.witness else 'none'}")
         print(f"status={'pass' if r.passed else 'fail'}")
         print()
-        if not r.passed:
-            failures += 1
+    failures = sum(not r.passed for r in results)
     print(f"seed={args.seed}")
     print(f"cases={args.cases}")
     print(f"total_suites={len(results)}")
@@ -652,11 +646,8 @@ def cmd_prob(args) -> int:
     resid = abs(f_braket - f_closed)
     require(resid <= 1e-10 * max(1.0, abs(f_braket)), VerificationFailure,
             "fidelity routes disagree beyond tolerance")
-    label = (
-        "Bloch sphere probability"
-        if args.geometry == "sphere" and not args.quaternion
-        else "Bloch hyperboloid quantity (>=1)"
-    )
+    sphere = args.geometry == "sphere"  # main admits --quaternion only on the hyperboloid
+    label = "Bloch sphere probability" if sphere else "Bloch hyperboloid quantity (>=1)"
     print(f"geometry={args.geometry}")
     print(f"quaternion={'yes' if args.quaternion else 'no'}")
     print(f"label={label}")

@@ -33,14 +33,10 @@ value types of the other modules hold one array each in the same layout:
 quaternions, chart points and Dirac columns their components on the last
 axis, a center scalar one complex value per case.  Each function has one
 path, and a single case runs the batch code.  Outside the product kernel
-four forks remain: the finiteness test of one case sums it in Python
-numbers (0.4 us against 1.4 us for ``np.isfinite``; a ``states`` round is
-16 % slower without it); the accessors and reductions return Python
-numbers for one case, as documented above; ``Multivector.vector`` reads
-the shape of its array components only (four numbers take 3.7 us, not 9.5
-with ``np.shape`` on each; a ``states`` round is 10 % slower without it);
-:func:`side_by_side` broadcasts only parts of unequal shapes (nine calls a
-``states`` operation, 0.9 us against 3.2 us each).
+three forks remain, each with its measured worth at the function: the
+finiteness test of one case, the Python numbers that accessors and
+reductions return for one case, and the shape reading of
+``Multivector.vector`` (a ``states`` round is 10 % slower without it).
 The gather serves the geometric product of a single factor (one fixed
 matrix applied to the other factor; of two single cases, the left one is)
 and :func:`product_part`, which forms only the blades read (one
@@ -170,13 +166,11 @@ class Signature:
         """Human-readable name of a basis blade, e.g. ``e12`` or ``1``."""
         if mask == 0:
             return "1"
-        labels = [self.generator_labels[k] for k in _mask_to_indices(mask)]
-        head = labels[0]
-        prefix = head.rstrip("0123456789")
-        if prefix and all(
-            lab.startswith(prefix) and lab[len(prefix):].isdigit() for lab in labels
-        ):
-            return prefix + "".join(lab[len(prefix):] for lab in labels)
+        labels = [lab for k, lab in enumerate(self.generator_labels) if mask >> k & 1]
+        prefix = labels[0].rstrip("0123456789")
+        digits = [lab[len(prefix):] for lab in labels]
+        if prefix and all(lab.startswith(prefix) and d.isdigit() for lab, d in zip(labels, digits)):
+            return prefix + "".join(digits)
         return "".join(labels)
 
 
@@ -185,17 +179,6 @@ EUCLIDEAN4 = Signature(4, 0, ("e0", "e1", "e2", "e3"))
 SPACETIME13 = Signature(1, 3, ("g0", "g1", "g2", "g3"))
 PAULI3 = Signature(3, 0, ("e1", "e2", "e3"))
 MINKOWSKI12 = Signature(1, 2, ("g0", "g1", "g2"))
-
-
-def _mask_to_indices(mask: int) -> list[int]:
-    out = []
-    k = 0
-    while mask:
-        if mask & 1:
-            out.append(k)
-        mask >>= 1
-        k += 1
-    return out
 
 
 def grade_of(mask: int) -> int:
@@ -330,8 +313,7 @@ class Multivector:
     @property
     def scalar_part(self) -> float:
         """Coefficient of 1 (a Python complex when the coefficients are)."""
-        c = self.coeffs  # .item: one case gets a Python number, not a 0-d array
-        return c.item(0) if c.ndim == 1 else c[..., 0]
+        return self.coefficient(0)
 
     def coefficient(self, mask: int) -> float:
         c = self.coeffs  # .item: one case gets a Python number, not a 0-d array
@@ -488,8 +470,7 @@ def bilinear(x: np.ndarray, table: np.ndarray, y: np.ndarray) -> np.ndarray:
 def bilinear_table(a: Multivector, b: Multivector, masks: Sequence[int]) -> np.ndarray:
     """Read-only table T[i, k, j] = (a_i b_j)[masks[k]] of :func:`bilinear`
     over the cases a_i of the batch a and b_j of b."""
-    part = product_part(replace(a, coeffs=a.coeffs[:, None]), replace(b, coeffs=b.coeffs[None]),
-                        masks)
+    part = product_part(replace(a, coeffs=a.coeffs[:, None]), b, masks)
     table = np.ascontiguousarray(part.transpose(0, 2, 1))
     table.setflags(write=False)
     return table
@@ -503,14 +484,6 @@ def bracket_ratio(x: np.ndarray, table: np.ndarray, y: np.ndarray, n_x, n_y) -> 
         f = np.vecdot(z, z).real / (n_x * n_y)
     require(np.isfinite(f), NonFiniteValue, "fidelity leaves the float range")
     return f
-
-
-def side_by_side(*parts: np.ndarray) -> np.ndarray:
-    """``parts`` joined on the last axis, leading axes broadcast (only unequal
-    shapes are: 0.9 us, not 3.2)."""
-    if len({p.shape for p in parts}) > 1:
-        parts = np.broadcast_arrays(*parts)
-    return np.concatenate(parts, axis=-1)
 
 
 def scalar_product(a: Multivector, b: Multivector) -> float:

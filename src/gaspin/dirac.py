@@ -114,12 +114,10 @@ class DiracSpinor:
     @staticmethod
     def from_reals(vals) -> "DiracSpinor":
         """Column of 8 reals (re, im per component) on the last axis."""
-        vals = np.asarray(vals, dtype=float)
+        vals = np.array(vals, dtype=float, order="C")  # a copy, viewed as complex pairs
         if vals.shape[-1:] != (8,):
             raise ValueError("need 8 reals: (re, im) per component")
-        comps = np.empty((*vals.shape[:-1], 4), dtype=complex)
-        comps.real, comps.imag = vals[..., 0::2], vals[..., 1::2]
-        return DiracSpinor(comps)
+        return DiracSpinor(vals.view(complex))
 
 
 # ------------------------------------------------------------------- the map
@@ -160,8 +158,7 @@ def qspinor_to_geometric(psi: QuatSpinor) -> Multivector:
 def _quaternion_frame() -> np.ndarray:
     """Complex frame of (q0 + q1 i) u(+,+) = (q0 + q1 i) v+ u(+,+) over the
     coordinates (q0.s, q0.v, q1.s, q1.v), from the products."""
-    return column_matrix([Multivector(_SIG, c) * dirac_idempotent(+1, +1)
-                          for c in carrier_frame().T])
+    return column_matrix(Multivector(_SIG, carrier_frame().T) * dirac_idempotent(+1, +1))
 
 
 #: The component dictionary over (x0..x3, y0..y3), one row per component.

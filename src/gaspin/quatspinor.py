@@ -16,14 +16,13 @@ vanishes the spinor is orthogonal and M collapses to pole + x_m with x_m a
 plain spacelike vector: the Bloch-point chart of the state.
 
 The carrier (over q0.s, q0.v, q1.s, q1.v), the embedding of a quaternion in
-Cl(1,3) and M are linear in quaternion coordinates, so each is one product
-with a cached frame, and the fidelity's bracket z = 2 <rev(a) b>_{0+3} and
-the projector 2 a rev(a) are bilinear in them, so each is a cached table
-(:func:`core.bilinear`); all are read once off the geometric products they
-replace.  The carrier frame's columns are orthogonal with squared norm
-exactly 1/2, so its transpose reads the coordinates back, exactly.
-:func:`fidelity_q_circ_route` and :func:`projector_closed_orthogonal` stay
-independent second routes.
+Cl(1,3) and M are linear in quaternion coordinates, each one product with a
+cached frame; the fidelity's bracket z = 2 <rev(a) b>_{0+3} and the
+projector 2 a rev(a) are bilinear in them, each a cached table; all are read
+once off the geometric products they replace.  The carrier frame's columns
+are orthogonal with squared norm exactly 1/2, so its transpose reads the
+coordinates back, exactly.  :func:`fidelity_q_circ_route` and
+:func:`projector_closed_orthogonal` stay independent second routes.
 
 A quaternion holds its coordinates on the last axis of one array; leading
 axes index a batch of states, on which every function acts case by case.
@@ -49,7 +48,6 @@ from .core import (
     require,
     reverse,
     scalar_product,
-    side_by_side,
 )
 from .errors import NonTimelike, NotOrthogonal, TagMismatch, VerificationFailure, ZeroQ0
 from .isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
@@ -90,8 +88,7 @@ def embed_spacetime(q: Quaternion) -> Multivector:
 @lru_cache(maxsize=None)
 def _spacetime_units() -> np.ndarray:
     """Columns: the images of 1, i e1, i e2, i e3 under the algebra isomorphism."""
-    units = map(Quaternion, np.eye(4))
-    return column_matrix([euclidean_to_spacetime(q.to_multivector()) for q in units])
+    return column_matrix(euclidean_to_spacetime(Quaternion(np.eye(4)).to_multivector()))
 
 
 def _in_tag(m13: Multivector, tag: AlgebraTag) -> Multivector:
@@ -107,7 +104,10 @@ def image(psi: QuatSpinor) -> Multivector:
 def carrier_coords(psi: QuatSpinor) -> np.ndarray:
     """The coordinates (q0.s, q0.v, q1.s, q1.v) on the last axis, the batch
     axes of q0 and q1 broadcast against each other."""
-    return side_by_side(psi.q0.coeffs, psi.q1.coeffs)
+    q0, q1 = psi.q0.coeffs, psi.q1.coeffs
+    out = np.empty((*np.broadcast(q0, q1).shape[:-1], 8))
+    out[..., :4], out[..., 4:] = q0, q1
+    return out
 
 
 @lru_cache(maxsize=None)

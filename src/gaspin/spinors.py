@@ -16,11 +16,10 @@ fidelity is a probability in [0,1]; the Minkowski analogue is >= 1 and is
 reported as the Bloch-hyperboloid quantity.
 
 A center scalar holds s + p*i as one complex value.  The carrier is linear
-over it, the real part of a0 w0 + a1 w1 with (w0, w1) a cached complex
-frame, and the bracket 2 <rev(a) b>_{0+3} sesquilinear, conj(a)^T G b with
-G a cached 2x2 Gram matrix; both are read once off the geometric products
-they replace.  :func:`fidelity_bloch` and :func:`fidelity_chart` stay
-independent second routes.
+in the coordinates (a0.s, a0.p, a1.s, a1.p), one cached frame, and the
+bracket 2 <rev(a) b>_{0+3} bilinear, one cached table read once off the
+products of the frame's columns (the Gram matrix of the unit spinors).
+:func:`fidelity_bloch` and :func:`fidelity_chart` stay independent routes.
 
 Center scalars hold one complex array for a batch of states, and chart
 points (a, b) a pair of arrays; every function acts on them case by case.
@@ -46,7 +45,6 @@ from .core import (
     require,
     reverse,
     scalar_product,
-    side_by_side,
 )
 from .errors import DegenerateState, NonTimelike, TagMismatch
 from .isomap import AlgebraTag
@@ -153,24 +151,26 @@ def _unit_m(tag: AlgebraTag, chart: tuple[float, float]) -> tuple[Multivector, f
 
 def to_multivector(psi: IdealSpinor) -> Multivector:
     """Carrier element (a0 + a1 * carrier) * idempotent."""
-    w0, w1 = _ideal_frame(psi.tag)
-    carrier = psi.a0.z[..., None] * w0 + psi.a1.z[..., None] * w1
-    return Multivector(psi.tag.signature, carrier.real)
+    return Multivector(psi.tag.signature, _coords(psi) @ _ideal_frame(psi.tag).T)
+
+
+def _coords(psi: IdealSpinor) -> np.ndarray:
+    """The coordinates (a0.s, a0.p, a1.s, a1.p) on the last axis, the batch
+    axes of a0 and a1 broadcast against each other."""
+    a = np.empty((*np.broadcast(psi.a0.z, psi.a1.z).shape, 2), complex)
+    a[..., 0], a[..., 1] = psi.a0.z, psi.a1.z
+    return a.view(float)
 
 
 @lru_cache(maxsize=None)
-def _ideal_frame(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
-    """Complex frame (w0, w1) = (u - j i u, cu - j i cu) of the spinor ideal,
-    with u the idempotent, c the carrier generator and j Python's 1j:
-    Re((s + j p) w0) = s u + p i u, so the real part of a0 w0 + a1 w1 is
-    the carrier."""
+def _ideal_frame(tag: AlgebraTag) -> np.ndarray:
+    """Frame (u, i u, c u, i c u) of the spinor ideal over the coordinates,
+    with u the idempotent, c the carrier generator and i the pseudoscalar:
+    (s + p i) u = s u + p i u."""
     u = idempotent(tag)
-    carrier = Multivector.basis(tag.signature, _CARRIER[tag])
+    cu = geometric_product(Multivector.basis(tag.signature, _CARRIER[tag]), u)
     i = pseudoscalar(tag.signature)
-    cu = geometric_product(carrier, u)
-    frame = column_matrix([u, cu]) - 1j * column_matrix([i * u, i * cu])
-    frame.setflags(write=False)
-    return frame[:, 0], frame[:, 1]
+    return column_matrix([u, i * u, cu, i * cu])
 
 
 @dataclass(frozen=True)
@@ -185,10 +185,9 @@ class CanonicalIdeal:
 
 
 def norm2(psi: IdealSpinor) -> float:
-    """Squared norm: |a0|^2 + |a1|^2 in G3, |a0|^2 - |a1|^2 in G1,2."""
-    if psi.tag is AlgebraTag.PAULI3:
-        return psi.a0.abs2() + psi.a1.abs2()
-    return psi.a0.abs2() - psi.a1.abs2()
+    """Squared norm |a0|^2 + c^2 |a1|^2 with c the carrier generator:
+    |a0|^2 + |a1|^2 in G3, |a0|^2 - |a1|^2 in G1,2."""
+    return psi.a0.abs2() + psi.tag.signature.metric(_CARRIER[psi.tag]) * psi.a1.abs2()
 
 
 def canonical_form(psi: IdealSpinor) -> CanonicalIdeal:
@@ -207,29 +206,23 @@ def canonical_form(psi: IdealSpinor) -> CanonicalIdeal:
 
 def inner(psi: IdealSpinor, chi: IdealSpinor) -> CenterScalar:
     """2 <rev(psi) chi>_{0+3} as a center scalar; conjugate-symmetric."""
-    z = bilinear(*_bracket(psi, chi))[..., 0]
-    return CenterScalar(z.real, z.imag)
+    z = bilinear(*_bracket(psi, chi))
+    return CenterScalar(z[..., 0], z[..., 1])
 
 
 def _bracket(psi: IdealSpinor, chi: IdealSpinor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(conj(a), G, b) for the components a of psi and b of chi: the bracket is
-    sesquilinear over the center scalars (rev(i) = -i), conj(a)^T G b."""
+    """(x, T, y): the coordinates of psi and chi and the bracket's table."""
     if psi.tag is not chi.tag:
         raise TagMismatch(f"{psi.tag} vs {chi.tag}")
-    a, b = (side_by_side(s.a0.z[..., None], s.a1.z[..., None]) for s in (psi, chi))
-    return a.conj(), _gram(psi.tag), b
+    return _coords(psi), _bracket_table(psi.tag), _coords(chi)
 
 
 @lru_cache(maxsize=None)
-def _gram(tag: AlgebraTag) -> np.ndarray:
-    """Complex Gram matrix G of the unit spinors (1, 0) and (0, 1) as a (2, 1,
-    2) table: the scalar blade of 2 <rev(a) b> is its real part, the
-    pseudoscalar the imaginary one."""
-    units = Multivector(tag.signature, np.stack(_ideal_frame(tag)).real)
-    part = bilinear_table(2.0 * reverse(units), units, (0, tag.signature.dim - 1))
-    gram = part[:, :1] + 1j * part[:, 1:]
-    gram.setflags(write=False)
-    return gram
+def _bracket_table(tag: AlgebraTag) -> np.ndarray:
+    """(4, 2, 4) table of 2 <rev(a) b> on the blade 1 and the pseudoscalar
+    over the coordinates, read off the frame's columns."""
+    units = Multivector(tag.signature, _ideal_frame(tag).T)
+    return bilinear_table(2.0 * reverse(units), units, (0, tag.signature.dim - 1))
 
 
 def _admissible_norm(psi: IdealSpinor) -> float:

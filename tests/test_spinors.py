@@ -281,7 +281,7 @@ def test_inner_componentwise_vs_algebra(rng):
 
 
 def test_inner_is_the_product_bracket(rng):
-    # the Gram-matrix route against 2 <rev(a) b>_{0+3} formed as a product
+    # the table route against 2 <rev(a) b>_{0+3} formed as a product
     for tag in TAGS:
         sig = tag.signature
         u = rng.uniform(-1.0, 1.0, (2, 200, 4))
