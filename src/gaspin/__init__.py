@@ -19,13 +19,15 @@ from .core import (
 from .errors import GAError
 from .isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
 from .quatrep import QuatMatrix2, Quaternion, quat_mul, rep_pss, rep_vec, unrep_pss, unrep_vec
-from .spinors import CenterScalar, IdealSpinor, fidelity
+from .spinors import CenterScalar, IdealSpinor, fidelity, inner
 from .quatspinor import QuatSpinor, canonical_q, fidelity_q
-from .dirac import DiracSpinor, dirac_to_geometric, geometric_to_qspinor, qspinor_to_dirac
+from .dirac import (DiracCarrier, DiracSpinor, dirac_to_geometric, geometric_to_qspinor,
+                    qspinor_to_dirac)
 
 __all__ = [
     "AlgebraTag",
     "CenterScalar",
+    "DiracCarrier",
     "DiracSpinor",
     "EUCLIDEAN4",
     "GAError",
@@ -48,6 +50,7 @@ __all__ = [
     "geometric_product",
     "geometric_to_qspinor",
     "grade_select",
+    "inner",
     "qspinor_to_dirac",
     "quat_mul",
     "rep_pss",

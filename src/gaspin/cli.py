@@ -437,10 +437,14 @@ def _suite_dirac_idempotents(rng, cases):
 
 
 def _suite_dirac_j_action(rng, cases):
-    # the eight basis columns, 1 and j in each component, as one batch
+    # Cl(4,1), j = I: c g21 = I c for c = b_k u(+,+), I b_k u(+,+); j_action lifts to I c
+    i5, cl41 = core.pseudoscalar(dirac_mod.CL41), dirac_mod.to_cl41
+    bu = cl41(dirac_mod.carrier_blades()) * dirac_mod.dirac_idempotent(+1, +1)
+    c = Multivector(dirac_mod.CL41, np.concatenate([bu.coeffs, (i5 * bu).coeffs]))
     columns = dirac_mod.DiracSpinor(np.concatenate([np.eye(4), 1j * np.eye(4)]))
-    m = dirac_mod.dirac_to_geometric(columns)
-    return {"spacetime13": residual(dirac_mod.j_action(m), 1j * m)}, core.TOL
+    jm = dirac_mod.j_action(dirac_mod.dirac_to_geometric(columns))
+    return {"spacetime13": residual(c * cl41(dirac_mod.j_blade()), i5 * c),
+            "carrier": residual(cl41(jm.re) + i5 * cl41(jm.im), i5 * c)}, core.TOL
 
 
 SUITES: dict[str, Callable] = {
@@ -734,8 +738,8 @@ def cmd_dirac(args) -> int:
     phi = dirac_mod.DiracSpinor.from_reals(args.components)
     m = dirac_mod.dirac_to_geometric(phi)
     psi = dirac_mod.geometric_to_qspinor(m)
-    resid = residual(dirac_mod.dirac_to_geometric(dirac_mod.qspinor_to_dirac(psi)), m)
-    require(resid <= 1e-10 * max(1.0, m.max_abs()), VerificationFailure,
+    resid = residual(dirac_mod.dirac_to_geometric(dirac_mod.qspinor_to_dirac(psi)).re, m.re)
+    require(resid <= 1e-10 * max(1.0, m.re.max_abs()), VerificationFailure,
             "round trip failed re-validation")
     print(f"components={_vec(args.components)}")
     print(f"q0={_f(psi.q0.s)},{_vec(psi.q0.v)}")

@@ -3,26 +3,25 @@
 An algebra Cl(p,q) is generated by p+q anticommuting units, the first p
 squaring to +1 and the rest to -1.  A basis blade is encoded as a bit mask
 over generator positions (bit k set = generator k present, canonical order
-ascending), and a multivector is a dense vector of length 2^(p+q) indexed
-by mask.  Blade-product signs come from transposition counting plus one
-metric sign per contracted generator, so Cayley tables are exact integers
-and every other module can use this one as its ground truth.
-
-Coefficients are ``float64``, or ``complex128`` when the input is complex.
-The product is linear in both factors, so the same kernel serves the
-complexified algebra C (x) Cl(p,q), where the Dirac idempotents live.
+ascending), and a multivector is a dense vector of length 2^(p+q) indexed by
+mask.  Blade-product signs come from transposition counting plus one metric
+sign per contracted generator, so Cayley tables are exact integers and every
+other module can use this one as its ground truth.  Coefficients are
+``float64``; complex input raises ``TypeError``.  The complexified algebra
+C (x) Cl(1,3) of the Dirac idempotents is the real algebra Cl(4,1), whose
+central pseudoscalar plays the imaginary unit.
 
 The product of blades i and j is the blade i XOR j (the bitmap
 representation of Dorst, Fontijne & Mann, *Geometric Algebra for Computer
 Science*, 2007).  ``sign_table(p, q)`` holds every blade-product sign at
 once, computed with numpy bit operations: the reordering parity is the
-popcount of ``(i >> s) & j`` summed over shifts s, and each shared
-generator that squares to -1 flips it once more.  Products read it through
-one cached gather: for output blades m_k, ``rows[k, i] = i ^ m_k``,
-``left[k, j] = S[rows[k, j], j]`` and ``right[k, i] = S[i, rows[k, i]]``,
-so (ab)[m_k] = sum_j left[k, j] a[rows[k, j]] b[j] = sum_i right[k, i] a[i]
-b[rows[k, i]].  The tests keep a loop over the sorted generator lists as
-the independent reference.
+popcount of ``(i >> s) & j`` summed over shifts s, and each shared generator
+that squares to -1 flips it once more.  Products read it through one cached
+gather: for output blades m_k, ``rows[k, i] = i ^ m_k``,
+``left[k, j] = S[rows[k, j], j]`` and ``right[k, i] = S[i, rows[k, i]]``, so
+(ab)[m_k] = sum_j left[k, j] a[rows[k, j]] b[j] = sum_i right[k, i] a[i]
+b[rows[k, i]].  The tests keep a loop over the sorted generator lists as the
+independent reference.
 
 Every operation takes batches: ``coeffs`` has shape ``(..., dim)``, the
 leading axes index cases, and a single case is a batch with no leading
@@ -36,34 +35,32 @@ path, and a single case runs the batch code.  Outside the product kernel
 three forks remain, each with its measured worth at the function: the
 finiteness test of one case, the Python numbers that accessors and
 reductions return for one case, and the shape reading of
-``Multivector.vector`` (a ``states`` round is 10 % slower without it).
-The gather serves the geometric product of a single factor (one fixed
-matrix applied to the other factor; of two single cases, the left one is)
-and :func:`product_part`, which forms only the blades read (one
-``np.vecdot`` for two batches; :func:`scalar_product` is its <ab>).  The
-full product of two batches is the product's one fork, :func:`contract`:
-it is contracted against the (dim^2, dim) sign tensor
-``T[i*dim + j, i ^ j] = S[i, j]``, with only the blades nonzero in some
-case of each factor and the matching rows of T (a rotor times a vector in
-Cl(1,3) is 8 * 4 outer terms a case, not 256), at most ``_BLOCK_BYTES``
-(128 KB) of outer terms at a time and one matmul a block: on 500 dense
-cases 3x faster than the gather, on vectors 13x.
-Factors with the same leading shape are reshaped, others broadcast; real
-outer terms come from one ``np.einsum``, complex ones from a broadcast
-multiply (einsum is slower on them and rounds them differently).  It takes
-any bilinear map given by its table: ``quatrep.QuatMatrix2`` products use it
-with a (256, 16) table.  A fixed bilinear form of coordinates, such as a
-spinor bracket, is an (n, K, m) table read once off :func:`product_part` by
-:func:`bilinear_table` and applied by :func:`bilinear` in two matmuls.  A
-map given on the generators extends to every blade mask through
+``Multivector.vector`` (a ``states`` round is 10 % slower without it).  The
+gather serves the geometric product of a single factor (one fixed matrix
+applied to the other factor; of two single cases, the left one is) and
+:func:`product_part`, which forms only the blades read (one ``np.vecdot``
+for two batches; :func:`scalar_product` is its <ab>).  The full product of
+two batches is the product's one fork, :func:`contract`: it is contracted
+against the (dim^2, dim) sign tensor ``T[i*dim + j, i ^ j] = S[i, j]``, with
+only the blades nonzero in some case of each factor and the matching rows of
+T (a rotor times a vector in Cl(1,3) is 8 * 4 outer terms a case, not 256),
+at most ``_BLOCK_BYTES`` (128 KB) of outer terms at a time, one
+``np.einsum`` and one matmul a block: on 500 dense cases 3x faster than the
+gather, on vectors 13x.  Factors with the same leading shape are reshaped,
+others broadcast.  It takes any bilinear map given by its table:
+``quatrep.QuatMatrix2`` products use it with a (256, 16) table.  A fixed
+bilinear form of coordinates, such as a spinor bracket or the quaternion
+product, is an (n, K, m) table (read once off :func:`product_part` by
+:func:`bilinear_table`) applied by :func:`bilinear` in two matmuls.  A map
+given on the generators extends to every blade mask through
 :func:`blade_images`, n batched products over all 2^n masks at once;
-``isomap`` and ``quatrep`` read their fixed matrices off it.
+``isomap``, ``quatrep`` and ``dirac`` read their fixed matrices off it.
 Domain checks go through :func:`require`, which raises on the first failing
 case of a batch and names its index.
 """
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -85,10 +82,8 @@ TOL = 1e-12
 
 _MAX_GENERATORS = 6
 
-#: Coefficient dtypes kept as given; anything else becomes one of them.
-_DTYPES = (np.dtype(float), np.dtype(complex))
 #: Scalar operands of the arithmetic: numbers, or arrays with one per case.
-_SCALARS = (int, float, complex, np.ndarray)
+_SCALARS = (int, float, np.ndarray)
 
 #: Size bound of the outer-product block formed by a batch-by-batch product.
 _BLOCK_BYTES = 128 * 1024
@@ -118,7 +113,7 @@ def _require_finite(arr: np.ndarray) -> None:
     """NonFiniteValue unless every coefficient is finite.  A finite Python sum
     proves it for one case (0.4 us against 1.4 us, 16 % of a states round);
     else the elementwise test names the failing case or passes an overflow."""
-    if not (cmath.isfinite(sum(arr.tolist())) if arr.ndim == 1 else np.isfinite(arr).all()):
+    if not (math.isfinite(sum(arr.tolist())) if arr.ndim == 1 else np.isfinite(arr).all()):
         require(np.isfinite(arr).all(axis=-1), NonFiniteValue, "coefficients must be finite")
 
 
@@ -236,8 +231,8 @@ def _vector_masks(n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Multivector:
     """Immutable dense multivector, or a batch of them: ``coeffs[..., b]`` is
-    the coefficient on blade b, real (``float64``) or complex
-    (``complex128``); leading axes index the cases of a batch.  ``==`` is
+    the coefficient on blade b (``float64``; a complex input is a
+    ``TypeError``); leading axes index the cases of a batch.  ``==`` is
     exact (one bool for a whole batch), and multivectors are unhashable."""
 
     signature: Signature
@@ -247,9 +242,8 @@ class Multivector:
     __array_ufunc__ = None
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coeffs)
-        if arr.dtype not in _DTYPES:
-            arr = arr.astype(complex if arr.dtype.kind == "c" else float)
+        # a copy; the cast raises on complex input before numpy could warn
+        arr = np.asarray(self.coeffs).astype(float, casting="same_kind")
         if arr.shape != (self.signature.dim,) and arr.shape[-1:] != (self.signature.dim,):
             raise ValueError(f"need {self.signature.dim} coefficients, got {arr.shape}")
         _require_finite(arr)
@@ -263,17 +257,16 @@ class Multivector:
         return Multivector(signature, np.zeros(signature.dim))
 
     @staticmethod
-    def scalar(signature: Signature, value: complex) -> "Multivector":
+    def scalar(signature: Signature, value: float) -> "Multivector":
         return Multivector.blade(signature, 0, value)
 
     @staticmethod
-    def blade(signature: Signature, mask: int, coeff: complex = 1.0) -> "Multivector":
+    def blade(signature: Signature, mask: int, coeff: float = 1.0) -> "Multivector":
         """``coeff`` times one basis blade; an array ``coeff`` gives a batch."""
         if not 0 <= mask < signature.dim:
             raise ValueError(f"blade mask {mask} out of range")
-        coeff = np.asarray(coeff)
-        c = np.zeros((*coeff.shape, signature.dim),
-                     dtype=complex if coeff.dtype.kind == "c" else float)
+        coeff = np.asarray(coeff)  # of its own dtype, so the constructor refuses a complex one
+        c = np.zeros((*coeff.shape, signature.dim), dtype=coeff.dtype)
         c[..., mask] = coeff
         return Multivector(signature, c)
 
@@ -301,18 +294,8 @@ class Multivector:
     # -- basic queries ---------------------------------------------------------
 
     @property
-    def re(self) -> "Multivector":
-        """Real part of the coefficients, as a real multivector."""
-        return Multivector(self.signature, self.coeffs.real)
-
-    @property
-    def im(self) -> "Multivector":
-        """Imaginary part of the coefficients, as a real multivector."""
-        return Multivector(self.signature, self.coeffs.imag)
-
-    @property
     def scalar_part(self) -> float:
-        """Coefficient of 1 (a Python complex when the coefficients are)."""
+        """Coefficient of 1."""
         return self.coefficient(0)
 
     def coefficient(self, mask: int) -> float:
@@ -338,8 +321,7 @@ class Multivector:
         for m in range(self.signature.dim):
             c = self.coeffs[m]
             if c != 0.0:
-                coeff = f"({c:g})" if isinstance(c, complex) else f"{c:g}"
-                terms.append(f"{coeff}*{self.signature.blade_name(m)}")
+                terms.append(f"{c:g}*{self.signature.blade_name(m)}")
         return " + ".join(terms) if terms else "0"
 
     __eq__ = fields_equal
@@ -352,7 +334,7 @@ class Multivector:
                 f"{self.signature.generator_labels} vs {other.signature.generator_labels}"
             )
 
-    def __add__(self, other: "Multivector | complex") -> "Multivector":
+    def __add__(self, other: "Multivector | float") -> "Multivector":
         if isinstance(other, Multivector):
             self._check_signature(other)
             return Multivector(self.signature, self.coeffs + other.coeffs)
@@ -362,7 +344,7 @@ class Multivector:
 
     __radd__ = __add__
 
-    def __sub__(self, other: "Multivector | complex") -> "Multivector":
+    def __sub__(self, other: "Multivector | float") -> "Multivector":
         if isinstance(other, (Multivector, *_SCALARS)):
             return self + (-other)
         return NotImplemented
@@ -370,12 +352,12 @@ class Multivector:
     def __neg__(self) -> "Multivector":
         return Multivector(self.signature, -self.coeffs)
 
-    def __mul__(self, other: "Multivector | complex") -> "Multivector":
+    def __mul__(self, other: "Multivector | float") -> "Multivector":
         if isinstance(other, Multivector):
             return geometric_product(self, other)
         return self.__rmul__(other)
 
-    def __rmul__(self, other: complex) -> "Multivector":
+    def __rmul__(self, other: float) -> "Multivector":
         if isinstance(other, _SCALARS):
             return Multivector(self.signature, self.coeffs * np.asarray(other)[..., None])
         return NotImplemented
@@ -410,13 +392,11 @@ def contract(ac: np.ndarray, bc: np.ndarray, table: np.ndarray) -> np.ndarray:
         shape = np.broadcast_shapes(shape, bc.shape[:-1])
         ac, bc = np.broadcast_to(ac, (*shape, na)), np.broadcast_to(bc, (*shape, nb))
     a2, b2 = ac.reshape(-1, na), bc.reshape(-1, nb)
-    out = np.empty((len(a2), table.shape[1]), dtype=np.result_type(ac, bc))
-    # real outer terms by einsum (0.9 ms of the 4.9 ms); on complex ones it is slower, other bits
-    real = out.dtype.kind == "f"
+    out = np.empty((len(a2), table.shape[1]))
     step = max(1, _BLOCK_BYTES // max(1, len(rows) * out.itemsize))
-    for s in range(0, len(out), step):
+    for s in range(0, len(out), step):  # outer terms by einsum: 0.9 ms of the 4.9 ms
         x, y = a2[s:s + step, ia], b2[s:s + step, ib]
-        outer = np.einsum("ci,cj->cij", x, y) if real else x[:, :, None] * y[:, None, :]
+        outer = np.einsum("ci,cj->cij", x, y)
         np.matmul(outer.reshape(len(x), len(rows)), rows, out=out[s:s + step])
     return out.reshape(*shape, table.shape[1])
 
@@ -477,11 +457,11 @@ def bilinear_table(a: Multivector, b: Multivector, masks: Sequence[int]) -> np.n
 
 
 def bracket_ratio(x: np.ndarray, table: np.ndarray, y: np.ndarray, n_x, n_y) -> float:
-    """sum_k |z_k|^2 / (n_x n_y) with z = bilinear(x, table, y): the fidelity
+    """sum_k z_k^2 / (n_x n_y) with z = bilinear(x, table, y): the fidelity
     of two spinors; NonFiniteValue, with no warning, where it is not finite."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         z = bilinear(x, table, y)
-        f = np.vecdot(z, z).real / (n_x * n_y)
+        f = np.vecdot(z, z) / (n_x * n_y)
     require(np.isfinite(f), NonFiniteValue, "fidelity leaves the float range")
     return f
 
@@ -516,7 +496,7 @@ def close(residual: float, scale: float) -> bool:
     return residual <= TOL * scale
 
 
-def vector_square(a: Multivector) -> tuple[complex, float]:
+def vector_square(a: Multivector) -> tuple[float, float]:
     """(a^2, sum of |a_k|^2) of a grade-1 element, from its coefficients; the
     second is the scale of the first.  NotAVector when other grades hold
     more than rounding."""
@@ -550,16 +530,15 @@ def exp_blade(B: Multivector) -> Multivector:
 
     Square -t^2 gives the circular branch cos t + B sin(t)/t, square +f^2
     the hyperbolic branch cosh f + B sinh(f)/f, and square 0 the parabolic
-    1 + B; a batch picks the branch per case.  Coefficients may be complex
-    (1j g12 squares to +1 in Cl(1,3)); a square that is not a real scalar
-    raises NonScalarSquare.
+    1 + B; a batch picks the branch per case.  A square that is not a
+    scalar raises NonScalarSquare.
     """
     sq_mv = geometric_product(B, B)
-    sq = np.real(sq_mv.scalar_part)
+    sq = sq_mv.scalar_part
     rest = (sq_mv - sq).max_abs()
     size = B.abs_sum()
     require(close(rest, size * size), NonScalarSquare,
-            lambda k: f"B^2 has non-scalar or imaginary residue {np.asarray(rest)[k]:g}")
+            lambda k: f"B^2 has non-scalar residue {np.asarray(rest)[k]:g}")
     t = np.sqrt(np.abs(sq))
     circular, hyperbolic = sq < 0.0, sq > 0.0
     # both branches are evaluated for every case; an overflow in the branch a
@@ -572,7 +551,7 @@ def exp_blade(B: Multivector) -> Multivector:
 
 
 def residual(a: Multivector, b: Multivector) -> float:
-    """Max absolute coefficient difference (a modulus for complex ones), per case."""
+    """Max absolute coefficient difference, per case."""
     a._check_signature(b)
     r = np.maximum.reduce(np.abs(a.coeffs - b.coeffs), axis=-1)
     return r if r.ndim else float(r)  # one case gets a Python float: the contract, not speed

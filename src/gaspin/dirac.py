@@ -1,32 +1,27 @@
-"""Classical 4-component Dirac columns and their spinor-ideal images.
+"""Classical 4-component Dirac columns and their real spinor images.
 
-The spectral basis behind Dirac columns uses the four idempotents
-u(s,t) = (1 + s g0)(1 + t j g12)/4 with j the classical imaginary unit.
-Because g12 anticommutes with nothing that would save it, no real
-multivector can play j's role here: Cl(1,3) is a 2x2 quaternion matrix
-algebra, which admits at most two annihilating idempotents, while the
-spectral basis needs four.  They exist only in the complexified algebra
-C (x) Cl(1,3) ~ M4(C), so here j is Python's ``1j`` on the complex
-coefficients of a ``core.Multivector``.  The engine's product is linear,
-so everything stays ga-core arithmetic.
+The spectral idempotents u(s,t) = (1 + s g0)(1 + t j g12)/4, j the
+classical imaginary unit, are four annihilating idempotents, which Cl(1,3),
+2x2 over the quaternions, cannot hold.  Its complexification is a real
+algebra, C (x) Cl(1,3) ~ Cl(4,1), whose pseudoscalar I = e12345 is central
+with I^2 = -1: under g0 -> e1, g_k -> I e(k+1) (one ``core.blade_images``
+matrix, as in ``isomap``) and j -> I the u(s,t) are real multivectors.
 
-On the carrier ideal the classical j acts as right multiplication by
-g21 = -g12, exactly (j u = g21 u holds coefficient by coefficient).  The
-operative sign convention is J = -j i with i = g0123: then
-v+ (1 + J e3)/2 = u(+,+) with e3 the image of the Euclidean e3, while
-J = +j i would land on u(+,-).  A column
-(phi1..phi4) maps to (phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+) with the
-Euclidean blade names standing for their spacetime images; the inverse
-extracts the quaternion pair (q0, q1) with carrier (q0 + q1 i) u(+,+) by
-the transpose of the carrier frame, whose columns are orthogonal with
-squared norm exactly 1/2 (no least-squares fit: integer columns give their
-quaternions exactly), and the component dictionary is
+On the ideal j is right multiplication by g21 = -g12, so a column's image
+(phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+) is re + j re g12 with re in
+the left ideal Cl(1,3) v+, Hestenes' real Dirac spinor (J. Math. Phys. 8,
+1967): one real (16, 8) frame over the column's 8 reals.  A
+:class:`DiracCarrier` holds re and derives im = re g12 for the two readers
+of both parts, the CLI's carrier lines and the benchmark's round-trip check.
+The sign convention is J = -j i with i = g0123: v+ (1 + J e3)/2 = u(+,+)
+with e3 the image of the Euclidean e3 (J = +j i gives u(+,-)).  Then
+re = (q0 + q1 i) v+/2 with the quaternion pair read off by the transpose of
+the carrier frame, whose columns are orthogonal with squared norm exactly
+1/2 (integer columns give their quaternions exactly), and
 
     phi1 = x0 + j x3,  phi2 = -x2 + j x1,
     phi3 = -y3 + j y0, phi4 = -y1 - j y2.
 
-Real parts determine everything: im = re g12 (re = im g21) on the ideal.
-Residuals between complex elements are moduli of coefficient differences.
 A column holds its four complex components on the last axis of one array;
 leading axes index a batch of columns, mapped case by case.
 """
@@ -41,9 +36,13 @@ from .core import (
     EUCLIDEAN4,
     SPACETIME13,
     Multivector,
+    Signature,
+    blade_images,
     close,
     column_matrix,
     fields_equal,
+    idempotent,
+    pseudoscalar,
     require,
     residual,
 )
@@ -52,6 +51,8 @@ from .isomap import AlgebraTag, euclidean_to_spacetime
 from .quatspinor import QuatSpinor, carrier_coords, carrier_frame, from_carrier_coords
 
 _SIG = SPACETIME13
+#: C (x) Cl(1,3) as a real algebra; its pseudoscalar e12345 plays j.
+CL41 = Signature(4, 1, ("e1", "e2", "e3", "e4", "e5"))
 
 
 # ------------------------------------------------------------- the ideal kit
@@ -64,34 +65,38 @@ def j_blade() -> Multivector:
 
 
 @lru_cache(maxsize=None)
-def _idempotents() -> Multivector:
-    """u(s,t) = (1 + s g0)(1 + t j g12)/4 in the complexified algebra, one
-    batch over (s, t) = (+,+), (+,-), (-,+), (-,-)."""
-    s, t = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]).T
-    base = (Multivector.scalar(_SIG, 1.0) + s * Multivector.basis(_SIG, 0)) * 0.25
-    return base - (t * 1j) * (base * j_blade())
+def _cl41_matrix() -> np.ndarray:
+    """(32, 16) matrix of g0 -> e1, g_k -> I e(k+1), read off :func:`core.blade_images`."""
+    unit, i5 = np.eye(CL41.dim), pseudoscalar(CL41).coeffs
+    gens = Multivector(CL41, unit[[1, 2, 4, 8]]) * Multivector(CL41, [unit[0], i5, i5, i5])
+    return column_matrix(blade_images(gens, Multivector.scalar(CL41, 1.0)))
+
+
+def to_cl41(m: Multivector) -> Multivector:
+    """Image of a Cl(1,3) element in Cl(4,1)."""
+    return Multivector(CL41, m.coeffs @ _cl41_matrix().T)
+
+
+def dirac_idempotent(s, t) -> Multivector:
+    """u(s,t) = (1 + s g0)(1 + t j g12)/4 in Cl(4,1), with j = I; arrays of
+    signs give a batch."""
+    base = to_cl41((Multivector.scalar(_SIG, 1.0) + s * Multivector.basis(_SIG, 0)) * 0.25)
+    return base - t * (base * to_cl41(j_blade()) * pseudoscalar(CL41))
 
 
 @lru_cache(maxsize=None)
-def dirac_idempotent(s: int, t: int) -> Multivector:
-    """u(s,t), one case of :func:`_idempotents`."""
-    return Multivector(_SIG, _idempotents().coeffs[(1 - s) + (1 - t) // 2])
-
-
-@lru_cache(maxsize=None)
-def carrier_blades() -> tuple[Multivector, ...]:
-    """Images of (1, e13, e3, e1) in Cl(1,3): the Dirac column frame."""
-    masks = (0, 0b1010, 0b1000, 0b0010)  # 1, e13, e3, e1
-    return tuple(
-        euclidean_to_spacetime(Multivector.blade(EUCLIDEAN4, m)) for m in masks
-    )
+def carrier_blades() -> Multivector:
+    """Images b_k of (1, e13, e3, e1) in Cl(1,3), one batch: the Dirac column frame."""
+    return euclidean_to_spacetime(Multivector(EUCLIDEAN4, np.eye(16)[[0, 0b1010, 0b1000, 0b0010]]))
 
 
 @lru_cache(maxsize=None)
 def _column_frame() -> np.ndarray:
-    """Complex columns blade_k u(+,+) of the carrier blades, from the products:
-    ``mat @ phi`` is (sum_k phi_k blade_k) u(+,+)."""
-    return column_matrix([b * dirac_idempotent(+1, +1) for b in carrier_blades()])
+    """Real (16, 8) frame b_k v+/2, b_k v+ g21/2 from the products: ``frame @ reals``
+    is the real part of (sum_k phi_k b_k) u(+,+) for a column's (re, im) pairs."""
+    half = carrier_blades() * idempotent(_SIG, 0b0001) * 0.5
+    pairs = np.stack([half.coeffs, (half * j_blade()).coeffs], axis=1)
+    return column_matrix(Multivector(_SIG, pairs.reshape(8, _SIG.dim)))
 
 
 @dataclass(frozen=True)
@@ -120,45 +125,45 @@ class DiracSpinor:
         return DiracSpinor(vals.view(complex))
 
 
+@dataclass(frozen=True)
+class DiracCarrier:
+    """Image of a Dirac column: ``re`` is an element (a batch for a batch of
+    columns) of the ideal Cl(1,3) v+, and the imaginary part is re g12."""
+
+    re: Multivector
+    __eq__ = fields_equal
+
+    @property
+    def im(self) -> Multivector:
+        return -(self.re * j_blade())
+
+
 # ------------------------------------------------------------------- the map
 
 
-def dirac_to_geometric(phi: DiracSpinor) -> Multivector:
-    """(phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+)."""
-    return Multivector(_SIG, phi.components @ _column_frame().T)
+def dirac_to_geometric(phi: DiracSpinor) -> DiracCarrier:
+    """(phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+), by one real frame."""
+    reals = np.ascontiguousarray(phi.components).view(float)
+    return DiracCarrier(Multivector(_SIG, reals @ _column_frame().T))
 
 
-def j_action(m: Multivector) -> Multivector:
-    """Right multiplication by g21; equals scaling by 1j on the ideal."""
-    return m * j_blade()
+def j_action(c: DiracCarrier) -> DiracCarrier:
+    """j on the image: right multiplication of re by g21."""
+    return DiracCarrier(c.re * j_blade())
 
 
-def geometric_to_qspinor(m: Multivector) -> QuatSpinor:
-    """Extract (q0, q1) with m = (q0 + q1 i) u(+,+); NotInIdeal otherwise."""
-    u = dirac_idempotent(+1, +1)
-    scale = m.abs_sum()
-    require(close(residual(m * u, m), scale), NotInIdeal,
-            "element is not fixed by the Dirac idempotent")
-    require(close(residual(m.re, m.im * j_blade()), scale), NotInIdeal,
-            "imaginary part is not re * g12")
-    # re u(+,+) = v+/2, so the real part is half a quaternion-spinor carrier,
-    # whose coordinates are twice its products with the frame's columns
-    psi = from_carrier_coords(4.0 * (m.re.coeffs @ carrier_frame()), AlgebraTag.SPACETIME13)
-    require(close(residual(qspinor_to_geometric(psi), m), scale), NotInIdeal,
+def geometric_to_qspinor(c: DiracCarrier) -> QuatSpinor:
+    """Extract (q0, q1) with re = (q0 + q1 i) v+/2; NotInIdeal otherwise."""
+    # re is half a carrier, whose coordinates are twice its products with the frame
+    psi = from_carrier_coords(4.0 * (c.re.coeffs @ carrier_frame()), AlgebraTag.SPACETIME13)
+    require(close(residual(qspinor_to_geometric(psi).re, c.re), c.re.abs_sum()), NotInIdeal,
             "element has components outside the Dirac ideal")
     return psi
 
 
-def qspinor_to_geometric(psi: QuatSpinor) -> Multivector:
-    """(q0 + q1 i) u(+,+) as a complexified carrier element."""
-    return Multivector(_SIG, carrier_coords(psi) @ _quaternion_frame().T)
-
-
-@lru_cache(maxsize=None)
-def _quaternion_frame() -> np.ndarray:
-    """Complex frame of (q0 + q1 i) u(+,+) = (q0 + q1 i) v+ u(+,+) over the
-    coordinates (q0.s, q0.v, q1.s, q1.v), from the products."""
-    return column_matrix(Multivector(_SIG, carrier_frame().T) * dirac_idempotent(+1, +1))
+def qspinor_to_geometric(psi: QuatSpinor) -> DiracCarrier:
+    """(q0 + q1 i) u(+,+): re is the quaternion-spinor carrier halved."""
+    return DiracCarrier(Multivector(_SIG, carrier_coords(psi) @ carrier_frame().T * 0.5))
 
 
 #: The component dictionary over (x0..x3, y0..y3), one row per component.
@@ -176,27 +181,27 @@ def qspinor_to_dirac(psi: QuatSpinor) -> DiracSpinor:
 def dirac_roundtrip_residual(phi: DiracSpinor) -> float:
     """Residual of dirac -> geometric -> quaternion -> dirac -> geometric."""
     m = dirac_to_geometric(phi)
-    psi = geometric_to_qspinor(m)
-    back = dirac_to_geometric(qspinor_to_dirac(psi))
-    return residual(back, m)
+    back = dirac_to_geometric(qspinor_to_dirac(geometric_to_qspinor(m)))
+    return residual(back.re, m.re)
 
 
 # ------------------------------------------------------------- verifications
 
 
 def idempotent_report() -> dict[str, float]:
-    """Exact structure of the four idempotents: u^2 = u, orthogonality,
-    completeness, and the conjugation relations of the spectral frame."""
-    us = _idempotents()
+    """Exact structure of the four idempotents in Cl(4,1): u^2 = u,
+    orthogonality, completeness, and the conjugation relations of the
+    spectral frame."""
+    us = dirac_idempotent(np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1]))
     r_idem = residual(us * us, us).max()
-    pairs = (Multivector(_SIG, us.coeffs[:, None]) * us).max_abs()
+    pairs = (Multivector(CL41, us.coeffs[:, None]) * us).max_abs()
     r_orth = pairs[~np.eye(4, dtype=bool)].max()
-    r_complete = residual(Multivector(_SIG, us.coeffs.sum(axis=0)), Multivector.scalar(_SIG, 1.0))
+    r_complete = residual(Multivector(CL41, us.coeffs.sum(axis=0)), Multivector.scalar(CL41, 1.0))
 
     # -e13 u(+,+) e13, e3 u(+,+) e3 and e1 u(+,+) e1 are u(+,-), u(-,+), u(-,-)
-    conj = Multivector(_SIG, np.stack([b.coeffs for b in carrier_blades()[1:]]))
+    conj = to_cl41(Multivector(_SIG, carrier_blades().coeffs[1:]))
     sandwiches = (np.array([-1.0, 1.0, 1.0]) * conj) * dirac_idempotent(+1, +1) * conj
-    r_frame = residual(sandwiches, Multivector(_SIG, us.coeffs[1:])).max()
+    r_frame = residual(sandwiches, Multivector(CL41, us.coeffs[1:])).max()
     return {
         "idempotency": float(r_idem),
         "orthogonality": float(r_orth),

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (EUCLIDEAN4, Multivector, blade_images, close, column_matrix, contract,
+from .core import (EUCLIDEAN4, Multivector, bilinear, blade_images, close, column_matrix, contract,
                    fields_equal, idempotent, require, residual, reverse)
 from .errors import NotInSubalgebra, SignatureMismatch
 
@@ -118,21 +118,19 @@ class Quaternion:
 
 @lru_cache(maxsize=None)
 def _structure() -> np.ndarray:
-    """(16, 4) table: row 4a + b holds the coordinates of unit a times unit
-    b, read off the Cl(4,0) product of their embeddings."""
+    """(4, 4, 4) table of :func:`core.bilinear`: T[a, k, b] is coordinate k of
+    unit a times unit b, read off the Cl(4,0) product of their embeddings."""
     units = np.eye(4)
     prod = Quaternion(units[:, None]).to_multivector() * Quaternion(units).to_multivector()
-    table = Quaternion.from_multivector(prod).coeffs.reshape(16, 4)
+    table = np.ascontiguousarray(Quaternion.from_multivector(prod).coeffs.transpose(0, 2, 1))
     table.setflags(write=False)
     return table
 
 
 def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Quaternion product: the outer product of the coordinates against the
-    table of :func:`_structure`.  ``np.vecdot`` sums each case in one fixed
-    order, so a batch gives exactly what its single calls give."""
-    outer = np.matmul(a.coeffs[..., :, None], b.coeffs[..., None, :])
-    return Quaternion(np.vecdot(outer.reshape(*outer.shape[:-2], 1, 16), _structure().T))
+    """Quaternion product: :func:`core.bilinear` over the table of :func:`_structure`,
+    one path, so a batch gives exactly what its single calls give."""
+    return Quaternion(bilinear(a.coeffs, _structure(), b.coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +142,7 @@ def _product_table() -> np.ndarray:
     commute."""
     table = np.zeros((2, 2, 4, 2, 2, 4, 2, 2, 4))
     for j, l, k in np.ndindex(2, 2, 2):
-        table[j, l, :, l, k, :, j, k, :] = _structure().reshape(4, 4, 4)
+        table[j, l, :, l, k, :, j, k, :] = _structure().transpose(0, 2, 1)
     table = table.reshape(256, 16)
     table.setflags(write=False)
     return table

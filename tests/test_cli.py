@@ -656,6 +656,52 @@ def test_dirac_arity(capsys):
     assert exc.value.code == 2
 
 
+#: ``gaspin dirac`` stdout for the README column, a column of 1e308 (whose
+#: carrier sum overflows) and a generic one, as printed before the Dirac
+#: carrier became a real spinor; the real frame must print the same bytes.
+_DIRAC_GOLDEN = [
+    ("1 0 0 0 0 0 0 0",
+        "components=1,0,0,0,0,0,0,0\n"
+        "q0=1,0,0,0\n"
+        "q1=0,0,0,0\n"
+        "carrier_re=1:0.25;g0:0.25\n"
+        "carrier_im=g12:0.25;g012:0.25\n"
+        "roundtrip_residual=0\n"),
+    ("1e308 1e308 1e308 1e308 1e308 1e308 1e308 1e308",
+        "components=1e+308,1e+308,1e+308,1e+308,1e+308,1e+308,1e+308,1e+308\n"
+        "q0=1e+308,1e+308,-1e+308,1e+308\n"
+        "q1=1e+308,-1e+308,-1e+308,-1e+308\n"
+        "carrier_re=1:2.5e+307;g0:2.5e+307;g1:2.5e+307;g01:-2.5e+307;g2:2.5e+307;"
+        "g02:-2.5e+307;g12:-2.5e+307;g012:-2.5e+307;g3:2.5e+307;g03:-2.5e+307;"
+        "g13:-2.5e+307;g013:-2.5e+307;g23:-2.5e+307;g023:-2.5e+307;g123:-2.5e+307;"
+        "g0123:2.5e+307\n"
+        "carrier_im=1:2.5e+307;g0:2.5e+307;g1:2.5e+307;g01:-2.5e+307;g2:-2.5e+307;"
+        "g02:2.5e+307;g12:2.5e+307;g012:2.5e+307;g3:2.5e+307;g03:-2.5e+307;g13:-2.5e+307;"
+        "g013:-2.5e+307;g23:2.5e+307;g023:2.5e+307;g123:2.5e+307;g0123:-2.5e+307\n"
+        "roundtrip_residual=0\n"),
+    ("0.3 -0.2 0.5 0.1 -0.7 0.25 0.125 -1",
+        "components=0.29999999999999999,-0.20000000000000001,0.5,0.10000000000000001,"
+        "-0.69999999999999996,0.25,0.125,-1\n"
+        "q0=0.29999999999999999,0.10000000000000001,-0.5,-0.20000000000000001\n"
+        "q1=0.25,-0.125,1,0.69999999999999996\n"
+        "carrier_re=1:0.074999999999999997;g0:0.074999999999999997;g1:0.03125;"
+        "g01:-0.03125;g2:-0.25;g02:0.25;g12:0.050000000000000003;"
+        "g012:0.050000000000000003;g3:-0.17499999999999999;g03:0.17499999999999999;"
+        "g13:-0.125;g013:-0.125;g23:-0.025000000000000001;g023:-0.025000000000000001;"
+        "g123:-0.0625;g0123:0.0625\n"
+        "carrier_im=1:-0.050000000000000003;g0:-0.050000000000000003;g1:-0.25;g01:0.25;"
+        "g2:-0.03125;g02:0.03125;g12:0.074999999999999997;g012:0.074999999999999997;"
+        "g3:0.0625;g03:-0.0625;g13:-0.025000000000000001;g013:-0.025000000000000001;"
+        "g23:0.125;g023:0.125;g123:-0.17499999999999999;g0123:0.17499999999999999\n"
+        "roundtrip_residual=0\n"),
+]
+
+
+@pytest.mark.parametrize("components, stdout", _DIRAC_GOLDEN, ids=("readme", "1e308", "generic"))
+def test_dirac_stdout_is_golden(capsys, components, stdout):
+    assert run_cli(capsys, ["dirac", "--components", *components.split()]) == (0, stdout, "")
+
+
 def test_x3_extraction_example(capsys):
     # components (0,1, 0,0, 0,0, 0,0) = phi1 = j: q0 must come out as i e3.
     code, out, _ = run_cli(

@@ -6,6 +6,8 @@ from gaspin.core import (EUCLIDEAN4, SPACETIME13, Multivector, geometric_product
                          residual)
 from gaspin.errors import NotInIdeal
 from gaspin.dirac import (
+    CL41,
+    DiracCarrier,
     DiracSpinor,
     carrier_blades,
     dirac_idempotent,
@@ -17,6 +19,7 @@ from gaspin.dirac import (
     j_blade,
     qspinor_to_dirac,
     qspinor_to_geometric,
+    to_cl41,
 )
 from gaspin.isomap import euclidean_to_spacetime
 from gaspin.quatrep import Quaternion
@@ -37,10 +40,15 @@ _GAMMA = (
 _ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-def expansion_display(phi):
-    """The same element written over real/imag groups:
+def _half_v_plus():
+    """v+/2 = (1 + g0)/4, the real part of u(+,+), written out."""
+    return (Multivector.scalar(SPACETIME13, 1.0) + Multivector.basis(SPACETIME13, 0)) * 0.25
 
-    ((x1 + x4 e1 + y4 e2 + x3 e3) + i (y3 + y2 e1 - x2 e2 + y1 e3)) u(+,+)
+
+def expansion_display(phi):
+    """The real part of the same element, written over real/imag groups:
+
+    ((x1 + x4 e1 + y4 e2 + x3 e3) + i (y3 + y2 e1 - x2 e2 + y1 e3)) v+/2
     with i = e123 = g0123; an independent route to ``dirac_to_geometric``.
     """
     x = [c.real for c in phi.components]
@@ -52,11 +60,17 @@ def expansion_display(phi):
     one = Multivector.scalar(SPACETIME13, 1.0)
     first = x[0] * one + x[3] * e[1] + y[3] * e[2] + x[2] * e[3]
     second = y[2] * one + y[1] * e[1] - x[1] * e[2] + y[0] * e[3]
-    return (first + i13 * second) * dirac_idempotent(+1, +1)
+    return (first + i13 * second) * _half_v_plus()
 
 
-def _parts(m):
-    return np.concatenate([m.re.coeffs, m.im.coeffs])
+def _in_cl41(m):
+    """The carrier as the element re + I im of Cl(4,1), I = e12345 playing j."""
+    return to_cl41(m.re) + pseudoscalar(CL41) * to_cl41(m.im)
+
+
+def _blade(k):
+    """Carrier blade k of (1, e13, e3, e1) as a single case."""
+    return Multivector(SPACETIME13, carrier_blades().coeffs[k])
 
 
 def rand_phi(rng, integer=False):
@@ -72,8 +86,8 @@ def rand_phi(rng, integer=False):
 
 def test_no_real_multivector_idempotents():
     # The real-part candidates (1+g0)(1+g30)/4 are NOT idempotent (the two
-    # factors anticommute); P^2 = P/2 instead.  This is why the module
-    # complexifies.
+    # factors anticommute); P^2 = P/2 instead.  This is why the idempotents
+    # live in Cl(4,1), the complexified algebra.
     g0 = Multivector.basis(SPACETIME13, 0)
     g30 = Multivector.blade(SPACETIME13, 0b1001)
     one = Multivector.scalar(SPACETIME13, 1.0)
@@ -83,48 +97,57 @@ def test_no_real_multivector_idempotents():
 
 
 def test_j_is_right_g21_everywhere(rng):
-    # j * basis spinor = basis spinor * g21 exactly, on all 8 basis columns.
+    # j times a column maps to the carrier times g21, exactly, on all 8 basis
+    # columns, and in Cl(4,1) the lifted carriers c = re + I im satisfy
+    # c g21 = I c
+    i5, g21 = pseudoscalar(CL41), to_cl41(j_blade())
     for k in range(4):
         for val in (1.0, 1j):
-            m = dirac_to_geometric(DiracSpinor(val * np.eye(4)[k]))
-            assert residual(m * j_blade(), 1j * m) == 0.0
+            phi = val * np.eye(4)[k]
+            m = dirac_to_geometric(DiracSpinor(phi))
+            assert j_action(m) == dirac_to_geometric(DiracSpinor(1j * phi))
+            assert residual(_in_cl41(m) * g21, i5 * _in_cl41(m)) == 0.0
     phi = rand_phi(rng)
-    m = dirac_to_geometric(phi)
-    assert residual(j_action(m), 1j * m) <= 1e-15
+    m, jm = dirac_to_geometric(phi), dirac_to_geometric(DiracSpinor(1j * phi.components))
+    assert residual(j_action(m).re, jm.re) <= 1e-15
+    assert residual(_in_cl41(m) * g21, i5 * _in_cl41(m)) <= 1e-15
 
 
 def test_j_structure_report():
     # J = -j i (the operative convention) gives v+ (1 + J e3)/2 = u(+,+)
-    # exactly; J = +j i lands on the neighbouring idempotent instead
-    i13 = pseudoscalar(SPACETIME13)
-    _, _, e3, _ = carrier_blades()
-    one = Multivector.scalar(SPACETIME13, 1.0)
-    v_plus = (one + Multivector.basis(SPACETIME13, 0)) * 0.5
+    # exactly in Cl(4,1), j = I; J = +j i lands on the neighbouring
+    # idempotent instead
+    i13, i5 = to_cl41(pseudoscalar(SPACETIME13)), pseudoscalar(CL41)
+    e3 = to_cl41(_blade(2))
+    one = Multivector.scalar(CL41, 1.0)
+    v_plus = to_cl41(_half_v_plus()) * 2.0
 
     def e_plus(sign):  # (1 + J e3)/2 with J = sign * j i
-        return (one + ((sign * 1j) * i13) * e3) * 0.5
+        return (one + (sign * i5 * i13) * e3) * 0.5
 
     assert residual(v_plus * e_plus(-1.0), dirac_idempotent(+1, +1)) == 0.0
     assert residual(v_plus * e_plus(+1.0), dirac_idempotent(+1, +1)) >= 0.25
 
 
 def test_idempotent_report_matches_the_tuple_route():
-    # u(s,t) = (1 + s g0)(1 + t j g12)/4 written out one at a time, and the
-    # report's relations over them one single product at a time
-    g0, g12 = Multivector.basis(SPACETIME13, 0), Multivector.blade(SPACETIME13, 0b0110)
-    one = Multivector.scalar(SPACETIME13, 1.0)
+    # u(s,t) = (1 + s g0)(1 + t j g12)/4 written out one at a time in Cl(4,1)
+    # from the images g0 = e1, g1 = I e2, g2 = I e3 and j = I, so j g12 =
+    # I I e2 I e3 = -I e23, and the report's relations over them one single
+    # product at a time
+    i5 = pseudoscalar(CL41)
+    g0, j_g12 = Multivector.basis(CL41, 0), -1.0 * (i5 * Multivector.blade(CL41, 0b00110))
+    one = Multivector.scalar(CL41, 1.0)
     us = {}
     for s in (+1, -1):
         for t in (+1, -1):
-            base = (one + float(s) * g0) * 0.25
-            us[(s, t)] = base + (t * 1j) * (base * g12)
+            us[(s, t)] = ((one + float(s) * g0) * (one + float(t) * j_g12)) * 0.25
             assert dirac_idempotent(s, t) == us[(s, t)]
-    _, e13, e3, e1 = carrier_blades()
+    e13, e3, e1 = (to_cl41(_blade(k)) for k in (1, 2, 3))
     upp = us[(+1, +1)]
     want = {
         "idempotency": max(residual(u * u, u) for u in us.values()),
         "orthogonality": max((us[a] * us[b]).max_abs() for a in us for b in us if a != b),
-        "completeness": residual(sum(us.values(), Multivector.zero(SPACETIME13)), one),
+        "completeness": residual(sum(us.values(), Multivector.zero(CL41)), one),
         "spectral_frame_conjugations": max(
             residual((-1.0 * e13) * upp * e13, us[(+1, -1)]),
             residual(e3 * upp * e3, us[(-1, +1)]),
@@ -136,7 +159,30 @@ def test_idempotent_report_matches_the_tuple_route():
     assert all(type(v) is float for v in report.values())
 
 
+def test_the_cl41_map_is_a_homomorphism_onto_the_i_free_part(rng):
+    # g0 -> e1, g_k -> I e(k+1): the images square as g0..g3 do and
+    # anticommute, and products map to products, exactly on integers
+    i5 = pseudoscalar(CL41)
+    gens = [to_cl41(Multivector.basis(SPACETIME13, k)) for k in range(4)]
+    assert gens[0] == Multivector.basis(CL41, 0)
+    assert all(gens[k] == i5 * Multivector.basis(CL41, k) for k in range(1, 4))
+    assert [(g * g).scalar_part for g in gens] == [1.0, -1.0, -1.0, -1.0]
+    assert all((a * b + b * a).max_abs() == 0.0 for a in gens for b in gens if a is not b)
+    for _ in range(20):
+        a, b = (Multivector(SPACETIME13, rng.integers(-3, 4, 16)) for _ in range(2))
+        assert to_cl41(a * b) == to_cl41(a) * to_cl41(b)
+
+
 # -------------------------------------------------------------------- the map
+
+
+def test_carrier_holds_re_and_derives_im():
+    m = dirac_to_geometric(DiracSpinor((1, 0.5j, 0, 0.25)))
+    assert m.re.signature == SPACETIME13 and m.re.coeffs.dtype == np.float64
+    assert m.im == m.re * Multivector.blade(SPACETIME13, 0b0110)
+    assert m == DiracCarrier(m.re) and m != DiracCarrier(2.0 * m.re)
+    with pytest.raises(AttributeError):
+        m.re = m.im
 
 
 def test_gamma_matrices_match_left_multiplication(rng):
@@ -148,23 +194,23 @@ def test_gamma_matrices_match_left_multiplication(rng):
         phi = rng.integers(-3, 4, size=4) + 1j * rng.integers(-3, 4, size=4)
         m = dirac_to_geometric(DiracSpinor(phi))
         for mu, gamma in enumerate(_GAMMA):
-            lhs = Multivector.basis(SPACETIME13, mu) * m
+            # left multiplication commutes with j, the right g21, so it acts on re
+            lhs = Multivector.basis(SPACETIME13, mu) * m.re
             rhs = dirac_to_geometric(DiracSpinor(gamma @ phi))
-            assert np.array_equal(_parts(lhs), _parts(rhs))
+            assert np.array_equal(lhs.coeffs, rhs.re.coeffs)
 
 
 def test_unit_column_is_idempotent():
     m = dirac_to_geometric(DiracSpinor((1, 0, 0, 0)))
-    assert residual(m, dirac_idempotent(+1, +1)) == 0.0
+    assert residual(m.re, _half_v_plus()) == 0.0
+    assert residual(_in_cl41(m), dirac_idempotent(+1, +1)) == 0.0
 
 
 def test_j_column_example():
     # phi = (j,0,0,0) maps to i e3 u(+,+) = g21 u(+,+); component x3 = 1.
     m = dirac_to_geometric(DiracSpinor((1j, 0, 0, 0)))
-    i13 = pseudoscalar(SPACETIME13)
-    _, _, e3, _ = carrier_blades()
-    want = (i13 * e3) * dirac_idempotent(+1, +1)
-    assert residual(m, want) == 0.0
+    want = to_cl41(pseudoscalar(SPACETIME13) * _blade(2)) * dirac_idempotent(+1, +1)
+    assert residual(_in_cl41(m), want) == 0.0
     psi = geometric_to_qspinor(m)
     assert np.abs((psi.q0 - Quaternion([0, 0, 0, 1])).coeffs).max() <= 1e-12
     assert np.abs(psi.q1.coeffs).max() <= 1e-12
@@ -178,20 +224,20 @@ def test_real_linearity(rng):
     lam = 0.37
     combo = DiracSpinor(a.components + lam * b.components)
     lhs = dirac_to_geometric(combo)
-    rhs = dirac_to_geometric(a) + lam * dirac_to_geometric(b)
-    assert residual(lhs, rhs) <= 1e-14
+    rhs = dirac_to_geometric(a).re + lam * dirac_to_geometric(b).re
+    assert residual(lhs.re, rhs) <= 1e-14
 
 
 def test_j_linearity(rng):
     phi = rand_phi(rng)
     j_phi = DiracSpinor(1j * phi.components)
-    assert residual(dirac_to_geometric(j_phi), dirac_to_geometric(phi) * j_blade()) <= 1e-14
+    assert residual(dirac_to_geometric(j_phi).re, dirac_to_geometric(phi).re * j_blade()) <= 1e-14
 
 
 def test_expansion_display_matches(rng):
     for _ in range(200):
         phi = rand_phi(rng)
-        assert residual(dirac_to_geometric(phi), expansion_display(phi)) <= 1e-14
+        assert residual(dirac_to_geometric(phi).re, expansion_display(phi)) <= 1e-14
 
 
 def test_component_dictionary():
@@ -235,53 +281,57 @@ def test_integer_columns_give_the_dictionary_quaternions_exactly(rng):
     assert np.all(dirac_roundtrip_residual(phi) == 0.0)
 
 
-def _u_plus_plus():
-    """u(+,+) = (1 + g0)(1 + j g12)/4 written out as products."""
-    u = (Multivector.scalar(SPACETIME13, 1.0) + Multivector.basis(SPACETIME13, 0)) * 0.25
-    return u + 1j * geometric_product(u, Multivector.blade(SPACETIME13, 0b0110))
-
-
 def test_carriers_match_the_product_route(rng):
-    # the cached frames against (phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+)
-    # and (q0 + q1 i) u(+,+) written out as products; each blade carries one
-    # coordinate, so exactly
-    u = _u_plus_plus()
+    # the cached frames against the real parts of (phi1 + phi2 e13 + phi3 e3
+    # + phi4 e1) u(+,+) and (q0 + q1 i) u(+,+) written out as products: with
+    # Re u(+,+) = v+/2 and Im u(+,+) = v+/2 g12, the first is x v+/2 +
+    # y v+/2 g21 for the real and imaginary columns x and y; each blade
+    # carries one coordinate, so exactly
+    half, g12 = _half_v_plus(), Multivector.blade(SPACETIME13, 0b0110)
+    u = to_cl41(half) + pseudoscalar(CL41) * to_cl41(half * g12)
     assert residual(u, dirac_idempotent(+1, +1)) == 0.0
     blades = [euclidean_to_spacetime(Multivector.blade(EUCLIDEAN4, m))
               for m in (0, 0b1010, 0b1000, 0b0010)]  # 1, e13, e3, e1
     i13 = Multivector.blade(SPACETIME13, 0b1111)
+    zero = Multivector.zero(SPACETIME13)
     for _ in range(100):
         vals = rng.uniform(-1, 1, size=8) * 10.0 ** rng.uniform(-100, 100)
         phi = DiracSpinor.from_reals(vals)
-        column = sum((c * b for c, b in zip(phi.components, blades)),
-                     Multivector.zero(SPACETIME13))
-        assert dirac_to_geometric(phi) == geometric_product(column, u)
+        x, y = (sum((c * b for c, b in zip(part, blades)), zero) for part in (vals[0::2], vals[1::2]))
+        want = geometric_product(x, half) - geometric_product(geometric_product(y, half), g12)
+        assert dirac_to_geometric(phi).re == want
         psi = QuatSpinor(Quaternion(vals[:4]), Quaternion(vals[4:]))
         q0m, q1m = (euclidean_to_spacetime(q.to_multivector()) for q in (psi.q0, psi.q1))
-        assert qspinor_to_geometric(psi) == geometric_product(q0m + geometric_product(i13, q1m), u)
+        assert qspinor_to_geometric(psi).re == geometric_product(q0m + i13 * q1m, half)
 
 
 def test_not_in_ideal_rejected():
-    bad = Multivector.basis(SPACETIME13, 1)
+    bad = DiracCarrier(Multivector.basis(SPACETIME13, 1))
     with pytest.raises(NotInIdeal):
         geometric_to_qspinor(bad)
-    # breaking the im = re*g12 pairing must also be rejected
-    good = dirac_to_geometric(DiracSpinor((1, 0.5j, 0, 0.25)))
-    tampered = good.re + 1.5j * good.im
-    with pytest.raises(NotInIdeal):
-        geometric_to_qspinor(tampered)
+    # a real part moved out of the left ideal Cl(1,3) v+ by a right g1 is
+    # rejected, alone or added to a valid one
+    column = np.array([1, 0.5j, 0, 0.25])
+    good = dirac_to_geometric(DiracSpinor(column))
+    moved = good.re * Multivector.basis(SPACETIME13, 1)
+    for tampered in (moved, good.re + moved, good.re + 1e-9 * moved):
+        with pytest.raises(NotInIdeal):
+            geometric_to_qspinor(DiracCarrier(tampered))
+    # re g12, the imaginary part, is itself in the ideal: the column times -j
+    assert geometric_to_qspinor(DiracCarrier(good.im)) == geometric_to_qspinor(
+        dirac_to_geometric(DiracSpinor(-1j * column)))
 
 
 def test_norm_transport(rng):
     # The column norm equals two ga-core-computable norms: the quaternion
-    # pair norm and 4x the squared coefficient norm of the carrier.
+    # pair norm and 4x the squared coefficient norm of the carrier re + j im.
     for _ in range(300):
         phi = rand_phi(rng)
         m = dirac_to_geometric(phi)
         psi = geometric_to_qspinor(m)
         n_col = float(np.sum(np.abs(phi.components) ** 2))
         n_quat = psi.q0.norm2() + psi.q1.norm2()
-        n_coeff = 4.0 * float(np.vdot(m.coeffs, m.coeffs).real)
+        n_coeff = 4.0 * float(np.vdot(m.re.coeffs, m.re.coeffs) + np.vdot(m.im.coeffs, m.im.coeffs))
         assert n_col == pytest.approx(n_quat, abs=1e-12 * max(1.0, n_col))
         assert n_col == pytest.approx(n_coeff, abs=1e-12 * max(1.0, n_col))
 

@@ -4,10 +4,12 @@ The functions are the module-level ones and the methods and properties of
 module-level classes.  Dunders are not found by name, since Python calls
 them; the arithmetic operators among them must instead run when the CLI's
 own flows run (``test_every_operator_runs_under_the_cli``).  A function is
-kept when a name node in the package refers to it (bare or as a module
-attribute), when it is exported in ``gaspin.__all__``, or when it is the CLI
-entry point ``cli.main``.  AST nodes are counted, so a mention in a
-docstring or comment keeps nothing alive.
+kept when a name node in the package refers to it (bare, in a module that
+defines it or imports it, or as a module attribute), when it is exported in
+``gaspin.__all__``, or when it is the CLI entry point ``cli.main``.  So a
+local variable of one module does not keep a function of another module of
+the same name.  AST nodes are counted, so a mention in a docstring or
+comment keeps nothing alive.
 
 A method is kept by an attribute node that names it on a receiver of its
 class.  The receiver's class is resolved where the code states it: a class
@@ -60,6 +62,7 @@ class Package:
         self.classes = {}
         self.functions = {}
         self.aliases = {}  # (module, local name) of ``from . import x [as y]``
+        self.imports = {}  # (module, local name) -> (module, name) of ``from .x import y``
         for module, tree in trees.items():
             for node in tree.body:
                 if isinstance(node, ast.ClassDef):
@@ -67,9 +70,20 @@ class Package:
                     self.classes[node.name] = node
                 elif isinstance(node, _FUNCTIONS):
                     self.functions.setdefault(node.name, []).append(node)
-                elif isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module:
+                elif isinstance(node, ast.ImportFrom) and node.level == 1:
                     for alias in node.names:
-                        self.aliases[module, alias.asname or alias.name] = alias.name
+                        local = module, alias.asname or alias.name
+                        if node.module:
+                            self.imports[local] = node.module, alias.name
+                        else:
+                            self.aliases[local] = alias.name
+
+    def origin(self, module, name):
+        """(defining module, name) of a bare name used in ``module``, its
+        imports followed."""
+        while (module, name) in self.imports:
+            module, name = self.imports[module, name]
+        return module, name
 
     def annotated(self, node):
         """The package class an annotation names, or None."""
@@ -229,7 +243,8 @@ def _scope_env(package, module, scope, outer, owner):
 
 def _references(package):
     """Resolved method references {(class, name)}, names met on unknown
-    receivers {name: [where]}, and bare names referenced."""
+    receivers {name: [where]}, and the (module, name) that bare names and
+    module attributes refer to."""
     resolved, unknown, names = set(), {}, set()
 
     def visit(module, node, env, owner):
@@ -239,12 +254,12 @@ def _references(package):
             owner = node.name
         resolve = Resolver(package, module, env)
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names.add(package.origin(module, node.id))
         elif isinstance(node, ast.Attribute):
             target = resolve.module_of(node.value)
             receiver = None if target else resolve(node.value)
             if target:
-                names.add(node.attr)
+                names.add(package.origin(target, node.attr))
             elif receiver:
                 resolved.add((receiver[1], node.attr))
             else:
@@ -275,13 +290,13 @@ def _class_methods(package):
 def test_every_function_has_a_caller_in_the_package():
     package = _package()
     resolved, unknown, names = _references(package)
-    kept = names | set(unknown) | set(gaspin.__all__)
+    kept = set(unknown) | set(gaspin.__all__)
     uncalled = [
         f"{module}.{node.name}"
         for module, tree in package.trees.items()
         for node in tree.body
         if isinstance(node, _FUNCTIONS) and node.name not in kept
-        and f"{module}.{node.name}" != "cli.main"
+        and (module, node.name) not in names and f"{module}.{node.name}" != "cli.main"
     ]
     uncalled += [
         f"{cls}.{name}"
