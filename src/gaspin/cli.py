@@ -43,7 +43,6 @@ from .isomap import (
 from .quatrep import (
     Quaternion,
     change_of_basis,
-    idempotent_identities,
     matrix_residual,
     quat_mul,
     rep_pss,
@@ -270,10 +269,36 @@ def _suite_quatrep_change_basis(rng, cases):
 
 
 def _suite_quatrep_idempotents(rng, cases):
-    rep = idempotent_identities()
-    # singularity of B: deviation must stay >= 0.5
-    rep["b_times_b_star_max_deviation"] = 0.5 - rep["b_times_b_star_max_deviation"]
-    return rep, core.TOL
+    # The relations tying the two spectral bases, in the core algebra with a
+    # 2x2 matrix of multivectors as one (2, 2) batch.  B = (sqrt2/2) [[i+, i-],
+    # [-i-, i+]] has the halves of 1 +- e123 as entries, not quaternions.  Only
+    # the (sqrt2/2)^2 of the B-form rounds; every other coefficient is dyadic.
+    def mat(rows):
+        return Multivector(EUCLIDEAN4, [[m.coeffs for m in row] for row in rows])
+
+    def rowcol(a, b):  # sum over l of a[j, l] b[l, k], each product in its order
+        terms = Multivector(EUCLIDEAN4, a.coeffs[:, :, None]) * Multivector(EUCLIDEAN4, b.coeffs)
+        return Multivector(EUCLIDEAN4, terms.coeffs.sum(axis=1))
+
+    ip, im = (core.idempotent(EUCLIDEAN4, 0b1110, s) for s in (1, -1))  # (1 +- e123)/2
+    ep, em = (core.idempotent(EUCLIDEAN4, 0b0001, s) for s in (1, -1))  # (1 +- e0)/2
+    Ip, Im = (core.idempotent(EUCLIDEAN4, 0b1111, s) for s in (1, -1))  # (1 +- e0123)/2
+    one, e0, i = (Multivector.blade(EUCLIDEAN4, m) for m in (0, 0b0001, 0b1110))
+    lhs = mat([(one, -i), (i, one)]) * mat([(ep, em)] * 2)  # [[e+, -i e-], [i e+, e-]]
+    pss = mat([(one, e0), (e0, one)]) * mat([(Ip, Im)] * 2)  # [[I+, e0 I-], [e0 I+, I-]]
+    B = mat([(ip, im), (-im, ip)]) * (1.0 / math.sqrt(2.0))
+    B_star = reverse(Multivector(EUCLIDEAN4, np.swapaxes(B.coeffs, 0, 1)))  # reverse, transposed
+    return {
+        "pseudoscalar_idempotent_from_vec": residual(Ip, 2.0 * (im * ep * ip)),
+        "vec_idempotent_from_pseudoscalar": residual(ep, 2.0 * (ip * Ip * im)),
+        "spectral_basis_relation": float(residual(lhs, rowcol(rowcol(B, pss), B_star)).max()),
+        # the outer-product form 2 (i+; -i-) I+ (i-, -i+) of the same relation
+        "spectral_basis_outer_form": float(residual(
+            lhs, 2.0 * (mat([(ip,), (-im,)]) * Ip * mat([(im, -ip)]))).max()),
+        # B has no two-sided inverse: B Bstar stays at least 0.5 from the identity
+        "b_times_b_star_max_deviation": 0.5 - float(residual(
+            rowcol(B, B_star), Multivector(EUCLIDEAN4, np.eye(2)[..., None] * one.coeffs)).max()),
+    }, core.TOL
 
 
 def _suite_isomap_homomorphism(rng, cases):
@@ -433,7 +458,22 @@ def _suite_dirac_roundtrip(rng, cases):
 
 
 def _suite_dirac_idempotents(rng, cases):
-    return dirac_mod.idempotent_report(), core.TOL
+    # the four u(s,t) in Cl(4,1), exactly: u^2 = u, orthogonality,
+    # completeness, and the conjugations of the spectral frame
+    cl41 = dirac_mod.CL41
+    us = dirac_mod.dirac_idempotent(np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1]))
+    pairs = (Multivector(cl41, us.coeffs[:, None]) * us).max_abs()
+    # -e13 u(+,+) e13, e3 u(+,+) e3 and e1 u(+,+) e1 are u(+,-), u(-,+), u(-,-)
+    conj = dirac_mod.to_cl41(Multivector(SPACETIME13, dirac_mod.carrier_blades().coeffs[1:]))
+    sandwiches = (np.array([-1.0, 1.0, 1.0]) * conj) * dirac_mod.dirac_idempotent(+1, +1) * conj
+    return {
+        "idempotency": float(residual(us * us, us).max()),
+        "orthogonality": float(pairs[~np.eye(4, dtype=bool)].max()),
+        "completeness": residual(Multivector(cl41, us.coeffs.sum(axis=0)),
+                                 Multivector.scalar(cl41, 1.0)),
+        "spectral_frame_conjugations": float(residual(sandwiches,
+                                                      Multivector(cl41, us.coeffs[1:])).max()),
+    }, core.TOL
 
 
 def _suite_dirac_j_action(rng, cases):

@@ -458,10 +458,10 @@ def bilinear_table(a: Multivector, b: Multivector, masks: Sequence[int]) -> np.n
 
 def bracket_ratio(x: np.ndarray, table: np.ndarray, y: np.ndarray, n_x, n_y) -> float:
     """sum_k z_k^2 / (n_x n_y) with z = bilinear(x, table, y): the fidelity
-    of two spinors; NonFiniteValue, with no warning, where it is not finite."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        z = bilinear(x, table, y)
-        f = np.vecdot(z, z) / (n_x * n_y)
+    of two spinors; NonFiniteValue where it is not finite.  Its callers hold
+    the ``np.errstate`` that keeps their norms and this ratio from warning."""
+    z = bilinear(x, table, y)
+    f = np.vecdot(z, z) / (n_x * n_y)
     require(np.isfinite(f), NonFiniteValue, "fidelity leaves the float range")
     return f
 
@@ -565,9 +565,10 @@ def blade_names(signature: Signature) -> tuple[str, ...]:
 
 
 def column_matrix(columns) -> np.ndarray:
-    """Read-only matrix with the coefficients of ``columns`` as its columns,
-    ``columns`` a sequence of single cases or one batch (its cases flattened):
-    ``mat @ coords`` is the combination of the columns with those weights."""
+    """Read-only matrix whose column k is case k's coefficients, flattened:
+    ``columns`` is a sequence of single cases or one batch whose first axis
+    alone indexes the cases (a (16, 2, 2, 4) ``QuatMatrix2`` batch gives a
+    (16, 16) matrix); ``mat @ coords`` combines the columns with those weights."""
     rows = columns.coeffs if hasattr(columns, "coeffs") else np.stack([c.coeffs for c in columns])
     mat = np.ascontiguousarray(rows.reshape(len(rows), -1).T)
     mat.setflags(write=False)

@@ -184,27 +184,3 @@ def dirac_roundtrip_residual(phi: DiracSpinor) -> float:
     back = dirac_to_geometric(qspinor_to_dirac(geometric_to_qspinor(m)))
     return residual(back.re, m.re)
 
-
-# ------------------------------------------------------------- verifications
-
-
-def idempotent_report() -> dict[str, float]:
-    """Exact structure of the four idempotents in Cl(4,1): u^2 = u,
-    orthogonality, completeness, and the conjugation relations of the
-    spectral frame."""
-    us = dirac_idempotent(np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1]))
-    r_idem = residual(us * us, us).max()
-    pairs = (Multivector(CL41, us.coeffs[:, None]) * us).max_abs()
-    r_orth = pairs[~np.eye(4, dtype=bool)].max()
-    r_complete = residual(Multivector(CL41, us.coeffs.sum(axis=0)), Multivector.scalar(CL41, 1.0))
-
-    # -e13 u(+,+) e13, e3 u(+,+) e3 and e1 u(+,+) e1 are u(+,-), u(-,+), u(-,-)
-    conj = to_cl41(Multivector(_SIG, carrier_blades().coeffs[1:]))
-    sandwiches = (np.array([-1.0, 1.0, 1.0]) * conj) * dirac_idempotent(+1, +1) * conj
-    r_frame = residual(sandwiches, Multivector(CL41, us.coeffs[1:])).max()
-    return {
-        "idempotency": float(r_idem),
-        "orthogonality": float(r_orth),
-        "completeness": r_complete,
-        "spectral_frame_conjugations": float(r_frame),
-    }

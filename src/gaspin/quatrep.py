@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (EUCLIDEAN4, Multivector, bilinear, blade_images, close, column_matrix, contract,
-                   fields_equal, idempotent, require, residual, reverse)
+                   fields_equal, idempotent, require, residual)
 from .errors import NotInSubalgebra, SignatureMismatch
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -287,48 +287,3 @@ def change_of_basis(M_pss: QuatMatrix2) -> QuatMatrix2:
     A_inv = A.conjugate_transpose()
     return A * M_pss * A_inv
 
-
-def idempotent_identities() -> dict[str, float]:
-    """Residuals of the closed relations tying the two spectral bases.
-
-    All products are evaluated in the core algebra, a 2x2 matrix with
-    multivector entries held as one (2, 2) batch.  B = (sqrt2/2)
-    [[i+, i-], [-i-, i+]] has the idempotent halves of 1 +- e123 as entries,
-    which are not quaternions.  Every residual should vanish: coefficients
-    are dyadic rationals, so floats are exact, except for the (sqrt2/2)^2
-    rounding of the B-form.
-    """
-    def mat(rows):
-        return Multivector(EUCLIDEAN4, [[m.coeffs for m in row] for row in rows])
-
-    def rowcol(a, b):  # sum over l of a[j, l] b[l, k], each product in its order
-        terms = Multivector(EUCLIDEAN4, a.coeffs[:, :, None]) * Multivector(EUCLIDEAN4, b.coeffs)
-        return Multivector(EUCLIDEAN4, terms.coeffs.sum(axis=1))
-
-    ip, im = (idempotent(EUCLIDEAN4, 0b1110, s) for s in (1, -1))  # (1 +- e123)/2
-    ep, em = (idempotent(EUCLIDEAN4, 0b0001, s) for s in (1, -1))  # (1 +- e0)/2
-    Ip, Im = (idempotent(EUCLIDEAN4, 0b1111, s) for s in (1, -1))  # (1 +- e0123)/2
-    one = Multivector.scalar(EUCLIDEAN4, 1.0)
-
-    r_pss = residual(Ip, 2.0 * (im * ep * ip))
-    r_vec = residual(ep, 2.0 * (ip * Ip * im))
-
-    lhs = mat([(one, -_E123), (_E123, one)]) * mat([(ep, em)] * 2)  # [[e+, -i e-], [i e+, e-]]
-    pss = mat([(one, _E0), (_E0, one)]) * mat([(Ip, Im)] * 2)  # [[I+, e0 I-], [e0 I+, I-]]
-    B = mat([(ip, im), (-im, ip)]) * _SQRT1_2
-    B_star = reverse(Multivector(EUCLIDEAN4, np.swapaxes(B.coeffs, 0, 1)))  # reverse, transposed
-    r_eq = residual(lhs, rowcol(rowcol(B, pss), B_star))
-
-    # Outer-product form 2 (i+; -i-) I+ (i-, -i+) of the same relation.
-    r_outer = residual(lhs, 2.0 * (mat([(ip,), (-im,)]) * Ip * mat([(im, -ip)])))
-
-    # B has no two-sided inverse: B Bstar stays away from the identity.
-    b_dev = residual(rowcol(B, B_star), Multivector(EUCLIDEAN4, np.eye(2)[..., None] * one.coeffs))
-
-    return {
-        "pseudoscalar_idempotent_from_vec": r_pss,
-        "vec_idempotent_from_pseudoscalar": r_vec,
-        "spectral_basis_relation": float(r_eq.max()),
-        "spectral_basis_outer_form": float(r_outer.max()),
-        "b_times_b_star_max_deviation": float(b_dev.max()),
-    }

@@ -265,10 +265,11 @@ def fidelity_q(psi: QuatSpinor, chi: QuatSpinor) -> float:
     The bra-ket chain rev(z) z in Cl(1,3), the sum of z_k^2 over the cached
     table; ZeroQ0/NonTimelike propagate from the admissibility check.
     """
-    if psi.tag is not chi.tag:
-        raise TagMismatch(f"{psi.tag} vs {chi.tag}")
-    return bracket_ratio(carrier_coords(psi), _tables()[1], carrier_coords(chi),
-                         _admissible(psi), _admissible(chi))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # typed errors only
+        if psi.tag is not chi.tag:
+            raise TagMismatch(f"{psi.tag} vs {chi.tag}")
+        return bracket_ratio(carrier_coords(psi), _tables()[1], carrier_coords(chi),
+                             _admissible(psi), _admissible(chi))
 
 
 def _admissible(psi: QuatSpinor) -> float:

@@ -240,7 +240,8 @@ def fidelity(psi: IdealSpinor, chi: IdealSpinor) -> float:
     Bloch-sphere probability in [0,1] for G3; the analogous hyperboloid
     quantity (>= 1, not a probability) for G1,2.
     """
-    return bracket_ratio(*_bracket(psi, chi), _admissible_norm(psi), _admissible_norm(chi))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # typed errors only
+        return bracket_ratio(*_bracket(psi, chi), _admissible_norm(psi), _admissible_norm(chi))
 
 
 def fidelity_bloch(tag: AlgebraTag, chart_a, chart_b) -> float:

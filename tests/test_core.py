@@ -72,6 +72,9 @@ def test_blade_names():
     assert EUCLIDEAN4.blade_name(0) == "1"
     assert EUCLIDEAN4.blade_name(0b0110) == "e12"
     assert SPACETIME13.blade_name(0b1111) == "g0123"
+    # labels with no common letter prefix and digit suffix are joined whole
+    assert Signature(2, 1, ("x", "y", "t")).blade_name(0b011) == "xy"
+    assert Signature(2, 0, ("e1", "g2")).blade_name(0b11) == "e1g2"
 
 
 # ------------------------------------------------------------------- product

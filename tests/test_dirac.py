@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from gaspin import cli
 from gaspin.core import (EUCLIDEAN4, SPACETIME13, Multivector, geometric_product, pseudoscalar,
                          residual)
 from gaspin.errors import NotInIdeal
@@ -14,7 +15,6 @@ from gaspin.dirac import (
     dirac_roundtrip_residual,
     dirac_to_geometric,
     geometric_to_qspinor,
-    idempotent_report,
     j_action,
     j_blade,
     qspinor_to_dirac,
@@ -132,8 +132,8 @@ def test_j_structure_report():
 def test_idempotent_report_matches_the_tuple_route():
     # u(s,t) = (1 + s g0)(1 + t j g12)/4 written out one at a time in Cl(4,1)
     # from the images g0 = e1, g1 = I e2, g2 = I e3 and j = I, so j g12 =
-    # I I e2 I e3 = -I e23, and the report's relations over them one single
-    # product at a time
+    # I I e2 I e3 = -I e23, and the ``dirac.idempotents`` suite's relations
+    # over them one single product at a time
     i5 = pseudoscalar(CL41)
     g0, j_g12 = Multivector.basis(CL41, 0), -1.0 * (i5 * Multivector.blade(CL41, 0b00110))
     one = Multivector.scalar(CL41, 1.0)
@@ -154,7 +154,7 @@ def test_idempotent_report_matches_the_tuple_route():
             residual(e1 * upp * e1, us[(-1, -1)]),
         ),
     }
-    report = idempotent_report()
+    report, _ = cli.SUITES["dirac.idempotents"](np.random.default_rng(0), 1)
     assert report == want == dict.fromkeys(want, 0.0)
     assert all(type(v) is float for v in report.values())
 

@@ -451,10 +451,11 @@ def test_fidelity_table_refuses_a_g123_part(monkeypatch):
         quatspinor._tables.cache_clear()
 
 
-@pytest.mark.parametrize("k", (300, 500, -300))
+@pytest.mark.parametrize("k", (300, 500, -300, 520))
 def test_fidelity_outside_the_float_range_is_nonfinite(k):
-    # z^2 and rho^2 rho^2 overflow (or underflow to 0/0) together: a typed
-    # error, with no RuntimeWarning on the way
+    # z^2 and rho^2 rho^2 overflow (or underflow to 0/0) together, and past
+    # 2^511 |q0|^2 and |q1|^2 overflow in the admissibility check first: a
+    # typed error, with no RuntimeWarning on the way
     psi = QuatSpinor.from_bloch_point((0.1, 0.2, 0.0))
     lam = 2.0 ** k
     scaled = QuatSpinor(psi.q0.scale(lam), psi.q1.scale(lam))

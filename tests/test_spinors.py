@@ -405,6 +405,21 @@ def test_fidelity_outside_the_float_range_is_nonfinite(k, tag):
             fidelity(scaled, scaled)
 
 
+@pytest.mark.parametrize("tag, error", [(AlgebraTag.PAULI3, DegenerateState),
+                                        (AlgebraTag.MINKOWSKI12, NonFiniteValue)])
+def test_fidelity_past_the_range_of_the_norms_warns_nothing(tag, error):
+    # at 2^520 the norms overflow in the admissibility check, before the
+    # bracket: a typed error, with no RuntimeWarning on the way (the Pauli3
+    # norm is inf, within tolerance of its inf scale: a "zero state")
+    base = IdealSpinor.from_chart(tag, (0.3, 0.2))
+    lam = CenterScalar(2.0 ** 520, 0.0)
+    scaled = IdealSpinor(tag, base.a0 * lam, base.a1 * lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            fidelity(scaled, scaled)
+
+
 # ------------------------------------------------------------------ antipode
 
 
