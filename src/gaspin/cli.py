@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from .core import (
     SPACETIME13,
     Multivector,
     Signature,
+    fixed,
     residual,
     require,
     reverse,
@@ -581,7 +582,7 @@ def _signature_for(p: int, q: int) -> Signature:
     return Signature(p, q, tuple(f"{prefix}{k}" for k in range(min(p + q, core._MAX_GENERATORS))))
 
 
-@lru_cache(maxsize=None)
+@fixed
 def table_cells(p: int, q: int) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
     """(blade names, signed cells such as ``-g01``) of the Cl(p,q) table, row
     i column j holding blade i times blade j; derived once per signature from
@@ -636,25 +637,22 @@ def _parse_point(text: str) -> tuple[float, float, float]:
     return point
 
 
+#: (lift, angle, rotor, pole algebra, s) per chart: metric factor 4 s / d^2, d = 1 + s |x|^2.
+_CHARTS = {
+    "sphere": (stereo.lift_sphere, stereo.sphere_angle, stereo.sphere_rotor, EUCLIDEAN4, 1.0),
+    "hyper": (stereo.lift_hyper, stereo.hyper_angle, stereo.hyper_boost, SPACETIME13, -1.0),
+}
+
+
 def cmd_project(args) -> int:
     x = stereo.PlanePoint(args.point)
-    if args.geometry == "sphere":
-        lifted = stereo.lift_sphere(x).a_hat
-        angle = stereo.sphere_angle(x)
-        rotor = stereo.sphere_rotor(x)
-        pole = Multivector.basis(EUCLIDEAN4, 0)
-        d = 1.0 + x.norm2
-        factor = 4.0 / (d * d)  # 0.0 once d * d overflows (d ** 2 would raise)
-    else:
-        lifted = stereo.lift_hyper(x).a_hat
-        angle = stereo.hyper_angle(x)
-        rotor = stereo.hyper_boost(x)
-        pole = Multivector.basis(SPACETIME13, 0)
-        d = 1.0 - x.norm2
-        factor = -4.0 / (d * d)
+    lift, angle_of, rotor_of, algebra, s = _CHARTS[args.geometry]
+    lifted, angle, rotor = lift(x).a_hat, angle_of(x), rotor_of(x)  # the lift checks the domain
+    d = 1.0 + s * x.norm2
+    factor = 4.0 * s / (d * d)  # 0.0 once d * d overflows (d ** 2 would raise)
     # re-validate before printing
     sq = scalar_product(lifted, lifted)
-    sandwich = stereo.rotor_apply(rotor, pole)
+    sandwich = stereo.rotor_apply(rotor, Multivector.basis(algebra, 0))
     require(core.close(abs(sq - 1.0), 1.0 + float(lifted.coeffs @ lifted.coeffs))
             and core.close(residual(sandwich, lifted), lifted.abs_sum()),
             VerificationFailure, "emitted point failed re-validation")
@@ -795,7 +793,7 @@ def cmd_dirac(args) -> int:
 # =====================================================================
 
 
-@lru_cache(maxsize=None)
+@fixed
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built by the first :func:`main` call;
     every parse starts from a fresh namespace, so no call sees another's
@@ -841,6 +839,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dirac.set_defaults(func=cmd_dirac)
 
+    for p in (parser, *sub.choices.values()):  # -1,3 and -5e-05 are values, as -1 is
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

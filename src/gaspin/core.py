@@ -60,9 +60,9 @@ case of a batch and names its index.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -181,15 +181,27 @@ def grade_of(mask: int) -> int:
     return bin(mask).count("1")
 
 
-@lru_cache(maxsize=None)
+def fixed(build):
+    """The one rule for fixed maps: ``build`` is cached for good, and every
+    array it returns, alone or in a tuple, is made read-only on its first call."""
+    @functools.lru_cache(maxsize=None)
+    @functools.wraps(build)
+    def cached(*args, **kwargs):
+        out = build(*args, **kwargs)
+        for x in out if isinstance(out, tuple) else (out,):
+            if isinstance(x, np.ndarray):
+                x.setflags(write=False)
+        return out
+    return cached
+
+
+@fixed
 def _grades(n: int) -> np.ndarray:
     """Grade of every blade mask of an n-generator algebra."""
-    out = np.array([grade_of(m) for m in range(1 << n)])
-    out.setflags(write=False)
-    return out
+    return np.array([grade_of(m) for m in range(1 << n)])
 
 
-@lru_cache(maxsize=None)
+@fixed
 def sign_table(p: int, q: int) -> np.ndarray:
     """Integer signs ``S[i, j]`` with blade i * blade j = S[i, j] blade (i ^ j)
     in Cl(p,q), for every pair at once (read-only)."""
@@ -200,29 +212,26 @@ def sign_table(p: int, q: int) -> np.ndarray:
     swaps = sum(grades[(i >> s) & j] for s in range(1, n))
     minus_mask = ((1 << n) - 1) ^ ((1 << p) - 1)
     flips = swaps + grades[i & j & minus_mask]
-    out = 1 - 2 * (flips & 1)
-    out.setflags(write=False)
-    return out
+    return 1 - 2 * (flips & 1)
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _outer_table(p: int, q: int) -> np.ndarray:
     """(dim^2, dim) sign tensor: ``outer(a, b).ravel() @ T`` is ab."""
     dim = 1 << (p + q)
     i, j = np.divmod(np.arange(dim * dim), dim)
     out = np.zeros((dim * dim, dim))
     out[np.arange(dim * dim), i ^ j] = sign_table(p, q)[i, j]
-    out.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _reverse_signs(n: int) -> np.ndarray:
     g = _grades(n)
     return np.where(g * (g - 1) // 2 % 2, -1.0, 1.0)
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _vector_masks(n: int) -> np.ndarray:
     """Blade masks of the n generators, in order."""
     return 1 << np.arange(n)
@@ -271,7 +280,7 @@ class Multivector:
         return Multivector(signature, c)
 
     @staticmethod
-    @lru_cache(maxsize=None)
+    @fixed
     def basis(signature: Signature, k: int) -> "Multivector":
         """Generator number k as a multivector (cached: it is immutable)."""
         return Multivector.blade(signature, 1 << k)
@@ -401,7 +410,7 @@ def contract(ac: np.ndarray, bc: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out.reshape(*shape, table.shape[1])
 
 
-@lru_cache(maxsize=256)
+@fixed
 def _part_rows(p: int, q: int, masks: tuple[int, ...] | None) -> tuple[np.ndarray, ...]:
     """(rows, left, right) of the blades ``masks``, every blade for None:
     rows[k, i] = i ^ masks[k], left[k, j] = S[rows[k, j], j] and
@@ -409,10 +418,7 @@ def _part_rows(p: int, q: int, masks: tuple[int, ...] | None) -> tuple[np.ndarra
     i = np.arange(1 << (p + q))
     rows = (i if masks is None else np.array(masks))[:, None] ^ i
     signs = sign_table(p, q)
-    out = rows, signs[rows, i].astype(float), signs[i, rows].astype(float)
-    for x in out:
-        x.setflags(write=False)
-    return out
+    return rows, signs[rows, i].astype(float), signs[i, rows].astype(float)
 
 
 def _gather(a: Multivector, b: Multivector, masks: tuple[int, ...] | None) -> np.ndarray:
@@ -448,12 +454,10 @@ def bilinear(x: np.ndarray, table: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def bilinear_table(a: Multivector, b: Multivector, masks: Sequence[int]) -> np.ndarray:
-    """Read-only table T[i, k, j] = (a_i b_j)[masks[k]] of :func:`bilinear`
-    over the cases a_i of the batch a and b_j of b."""
+    """Table T[i, k, j] = (a_i b_j)[masks[k]] of :func:`bilinear` over the
+    cases a_i of the batch a and b_j of b, frozen by its :func:`fixed` callers."""
     part = product_part(replace(a, coeffs=a.coeffs[:, None]), b, masks)
-    table = np.ascontiguousarray(part.transpose(0, 2, 1))
-    table.setflags(write=False)
-    return table
+    return np.ascontiguousarray(part.transpose(0, 2, 1))
 
 
 def bracket_ratio(x: np.ndarray, table: np.ndarray, y: np.ndarray, n_x, n_y) -> float:
@@ -557,7 +561,7 @@ def residual(a: Multivector, b: Multivector) -> float:
     return r if r.ndim else float(r)  # one case gets a Python float: the contract, not speed
 
 
-@lru_cache(maxsize=None)
+@fixed
 def blade_names(signature: Signature) -> tuple[str, ...]:
     """Name of every blade of ``signature``, indexed by mask (one immutable
     tuple per signature)."""
@@ -565,14 +569,12 @@ def blade_names(signature: Signature) -> tuple[str, ...]:
 
 
 def column_matrix(columns) -> np.ndarray:
-    """Read-only matrix whose column k is case k's coefficients, flattened:
-    ``columns`` is a sequence of single cases or one batch whose first axis
-    alone indexes the cases (a (16, 2, 2, 4) ``QuatMatrix2`` batch gives a
-    (16, 16) matrix); ``mat @ coords`` combines the columns with those weights."""
+    """Matrix whose column k is case k's coefficients, flattened, frozen by its
+    :func:`fixed` callers: ``columns`` is a sequence of single cases or one batch
+    whose first axis alone indexes the cases (a (16, 2, 2, 4) ``QuatMatrix2``
+    batch gives (16, 16)); ``mat @ coords`` combines the columns with those weights."""
     rows = columns.coeffs if hasattr(columns, "coeffs") else np.stack([c.coeffs for c in columns])
-    mat = np.ascontiguousarray(rows.reshape(len(rows), -1).T)
-    mat.setflags(write=False)
-    return mat
+    return np.ascontiguousarray(rows.reshape(len(rows), -1).T)
 
 
 def blade_images(gens, one):
@@ -589,12 +591,12 @@ def blade_images(gens, one):
     return out
 
 
-@lru_cache(maxsize=None)
+@fixed
 def pseudoscalar(signature: Signature) -> Multivector:
     return Multivector.blade(signature, signature.dim - 1)
 
 
-@lru_cache(maxsize=None)
+@fixed
 def idempotent(signature: Signature, mask: int, sign: int = 1) -> Multivector:
     """(1 + sign * blade)/2 for the blade ``mask``: the spinor-ideal
     idempotents (1 +- e0)/2, (1 +- g0)/2, (1 +- e3)/2 and the spectral ones

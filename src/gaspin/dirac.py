@@ -28,7 +28,6 @@ leading axes index a batch of columns, mapped case by case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .core import (
     close,
     column_matrix,
     fields_equal,
+    fixed,
     idempotent,
     pseudoscalar,
     require,
@@ -58,13 +58,13 @@ CL41 = Signature(4, 1, ("e1", "e2", "e3", "e4", "e5"))
 # ------------------------------------------------------------- the ideal kit
 
 
-@lru_cache(maxsize=None)
+@fixed
 def j_blade() -> Multivector:
     """g21 = -g12: right multiplication by it realizes j on the ideal."""
     return Multivector.blade(_SIG, 0b0110, -1.0)
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _cl41_matrix() -> np.ndarray:
     """(32, 16) matrix of g0 -> e1, g_k -> I e(k+1), read off :func:`core.blade_images`."""
     unit, i5 = np.eye(CL41.dim), pseudoscalar(CL41).coeffs
@@ -84,13 +84,13 @@ def dirac_idempotent(s, t) -> Multivector:
     return base - t * (base * to_cl41(j_blade()) * pseudoscalar(CL41))
 
 
-@lru_cache(maxsize=None)
+@fixed
 def carrier_blades() -> Multivector:
     """Images b_k of (1, e13, e3, e1) in Cl(1,3), one batch: the Dirac column frame."""
     return euclidean_to_spacetime(Multivector(EUCLIDEAN4, np.eye(16)[[0, 0b1010, 0b1000, 0b0010]]))
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _column_frame() -> np.ndarray:
     """Real (16, 8) frame b_k v+/2, b_k v+ g21/2 from the products: ``frame @ reals``
     is the real part of (sum_k phi_k b_k) u(+,+) for a column's (re, im) pairs."""

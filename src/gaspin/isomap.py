@@ -16,7 +16,6 @@ explicitly, so sign conventions stay visible.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .core import (
     Signature,
     blade_images,
     column_matrix,
+    fixed,
 )
 from .errors import SignatureMismatch
 
@@ -54,7 +54,7 @@ _TAG_SIGNATURES = {
 }
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _map_matrix(direction: str) -> np.ndarray:
     """Signed permutation matrix: column b is the image of blade b, read off
     one :func:`core.blade_images` batch of the generator images t0 and

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .core import (EUCLIDEAN4, Multivector, bilinear, blade_images, close, column_matrix, contract,
-                   fields_equal, idempotent, require, residual)
+                   fields_equal, fixed, idempotent, require, residual)
 from .errors import NotInSubalgebra, SignatureMismatch
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -36,14 +35,13 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _embedding() -> np.ndarray:
     """(4, 16) matrix of q = x0 + x1*e23 - x2*e13 + x3*e12: ``coeffs @ E``
     are the Cl(4,0) coefficients of a quaternion, and ``E.T`` reads them
     back off the subalgebra."""
     out = np.zeros((4, EUCLIDEAN4.dim))
     out[range(4), (0, 0b1100, 0b1010, 0b0110)] = (1.0, 1.0, -1.0, 1.0)
-    out.setflags(write=False)
     return out
 
 
@@ -78,7 +76,7 @@ class Quaternion:
         return Quaternion(np.zeros(4))
 
     @staticmethod
-    @lru_cache(maxsize=None)
+    @fixed
     def one() -> "Quaternion":
         return Quaternion(np.eye(4)[0])
 
@@ -116,15 +114,13 @@ class Quaternion:
         return q
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _structure() -> np.ndarray:
     """(4, 4, 4) table of :func:`core.bilinear`: T[a, k, b] is coordinate k of
     unit a times unit b, read off the Cl(4,0) product of their embeddings."""
     units = np.eye(4)
     prod = Quaternion(units[:, None]).to_multivector() * Quaternion(units).to_multivector()
-    table = np.ascontiguousarray(Quaternion.from_multivector(prod).coeffs.transpose(0, 2, 1))
-    table.setflags(write=False)
-    return table
+    return np.ascontiguousarray(Quaternion.from_multivector(prod).coeffs.transpose(0, 2, 1))
 
 
 def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
@@ -133,7 +129,7 @@ def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
     return Quaternion(bilinear(a.coeffs, _structure(), b.coeffs))
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _product_table() -> np.ndarray:
     """(256, 16) table of the 2x2 quaternion-matrix product over flattened
     entries: row (j, l, a, l, k, b) holds the product coordinates of units a
@@ -143,9 +139,7 @@ def _product_table() -> np.ndarray:
     table = np.zeros((2, 2, 4, 2, 2, 4, 2, 2, 4))
     for j, l, k in np.ndindex(2, 2, 2):
         table[j, l, :, l, k, :, j, k, :] = _structure().transpose(0, 2, 1)
-    table = table.reshape(256, 16)
-    table.setflags(write=False)
-    return table
+    return table.reshape(256, 16)
 
 
 @dataclass(frozen=True)
@@ -210,7 +204,7 @@ def _generator_images(basis: str) -> QuatMatrix2:
     return QuatMatrix2(out)
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _rep_matrix(basis: str) -> np.ndarray:
     """(16, 16) matrix: column b is the flattened image of blade b, the
     ordered product of its generator images (one ``blade_images`` batch)."""
@@ -241,7 +235,7 @@ _E0 = Multivector.basis(EUCLIDEAN4, 0)
 _E123 = Multivector.blade(EUCLIDEAN4, 0b1110)  # i
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _unrep_matrix(basis: str) -> np.ndarray:
     """(16, 16) matrix: column u is the sandwich, summed over (j, k), of
     row[j] idem M[j, k] col[k] for matrix unit u (entry (j, k), quaternion

@@ -30,7 +30,6 @@ axes index a batch of states, on which every function acts case by case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .core import (
     close,
     column_matrix,
     fields_equal,
+    fixed,
     idempotent,
     pseudoscalar,
     require,
@@ -85,7 +85,7 @@ def embed_spacetime(q: Quaternion) -> Multivector:
     return Multivector(SPACETIME13, q.coeffs @ _spacetime_units().T)
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _spacetime_units() -> np.ndarray:
     """Columns: the images of 1, i e1, i e2, i e3 under the algebra isomorphism."""
     return column_matrix(euclidean_to_spacetime(Quaternion(np.eye(4)).to_multivector()))
@@ -110,7 +110,7 @@ def carrier_coords(psi: QuatSpinor) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@fixed
 def carrier_frame() -> np.ndarray:
     """Frame of (q0 + q1 i) v+ in Cl(1,3) over the coordinates (q0.s, q0.v,
     q1.s, q1.v), from the products.  Its columns are orthogonal with squared
@@ -169,7 +169,7 @@ def _spacetime_m(q0: Quaternion, q1: Quaternion) -> Multivector:
     return Multivector(SPACETIME13, w @ frame.T + g0)
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _m_frame() -> tuple[np.ndarray, np.ndarray]:
     """Frame of M - g0 over (c, w_k) / |q0|^2: the columns i and the embedded
     i e_k times i g0, from the products; and the coefficients of g0."""
@@ -217,7 +217,7 @@ def bloch_point(psi: QuatSpinor) -> np.ndarray:
 # ------------------------------------------------------- brakets, projector
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _tables() -> tuple[np.ndarray, np.ndarray]:
     """Bracket tables over the carrier coordinates, from the products: of the
     projector 2 a rev(a), (8, 16, 8), and of z = 2 <rev(a) b>_{0+3}, (8, 4, 8)

@@ -27,7 +27,6 @@ points (a, b) a pair of arrays; every function acts on them case by case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .core import (
     close,
     column_matrix,
     fields_equal,
+    fixed,
     geometric_product,
     pseudoscalar,
     require,
@@ -162,7 +162,7 @@ def _coords(psi: IdealSpinor) -> np.ndarray:
     return a.view(float)
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _ideal_frame(tag: AlgebraTag) -> np.ndarray:
     """Frame (u, i u, c u, i c u) of the spinor ideal over the coordinates,
     with u the idempotent, c the carrier generator and i the pseudoscalar:
@@ -217,7 +217,7 @@ def _bracket(psi: IdealSpinor, chi: IdealSpinor) -> tuple[np.ndarray, np.ndarray
     return _coords(psi), _bracket_table(psi.tag), _coords(chi)
 
 
-@lru_cache(maxsize=None)
+@fixed
 def _bracket_table(tag: AlgebraTag) -> np.ndarray:
     """(4, 2, 4) table of 2 <rev(a) b> on the blade 1 and the pseudoscalar
     over the coordinates, read off the frame's columns."""

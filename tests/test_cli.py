@@ -269,6 +269,25 @@ def test_table_bad_signature(capsys):
         assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, want, text",
+    [
+        (["prob", "sphere", "--point-a", "-0.5,0,0", "--point-b", "0,0,0"], 0,
+         "fidelity_braket=0.80000000000000004"),
+        (["dirac", "--components", "-5e-05", "0", "0", "0", "0", "0", "0", "0"], 0,
+         "q0=-5.0000000000000002e-05,0,0,0"),
+        (["table", "--signature", "-1,3"], 2,
+         "bad signature '-1,3': signature counts must be non-negative"),
+    ],
+    ids=("prob", "dirac", "table"),
+)
+def test_a_value_that_begins_with_a_minus_is_a_value(capsys, argv, want, text):
+    # argparse reads only plain negative numbers as values unless told otherwise
+    code, out, err = run_cli(capsys, argv)
+    assert code == want and text in (out if code == 0 else err), err
+    assert_error_format(code, err)
+
+
 def test_table_json(capsys):
     code, out, _ = run_cli(capsys, ["table", "--signature", "1,2", "--format", "json"])
     assert code == 0
@@ -372,8 +391,7 @@ def test_project_hyper_boundary_fails(capsys):
         (["prob", "sphere", "--point-a=0,0,0", "--point-b=0.5,0,0", "--quaternion"], 2),
         # rejected before a label is built for each of its 10^8 generators
         (["table", "--signature", "100000000,0"], 2),
-        # --samples is checked in main, an unparsable coordinate by the type,
-        # and a value starting with "-" needs the = form to reach the type
+        # --samples is checked in main, an unparsable coordinate by the type
         (["figure", "stereo-sphere", "--samples", "1", "--out", "x.csv"], 2),
         (["project", "sphere", "--point=a,0,0"], 2),
         (["table", "--signature=-1,3"], 2),

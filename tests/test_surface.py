@@ -28,8 +28,10 @@ import pathlib
 import pkgutil
 import re
 
+import numpy as np
+
 import gaspin
-from gaspin import cli
+from gaspin import cli, core
 
 PACKAGE = pathlib.Path(gaspin.__file__).parent
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -362,15 +364,40 @@ def _caches(namespace):
             yield value
 
 
-def test_every_operator_runs_under_the_cli(monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)  # the figures write their files here
-    ran, defined = set(), []
+def _modules():
+    """(module, the classes it defines) for every module of the package."""
     for info in pkgutil.iter_modules(gaspin.__path__):
         if info.name == "__main__":  # importing it runs the CLI
             continue
         module = importlib.import_module(f"gaspin.{info.name}")
-        classes = [obj for obj in vars(module).values()
-                   if isinstance(obj, type) and obj.__module__ == module.__name__]
+        yield module, [obj for obj in vars(module).values()
+                       if isinstance(obj, type) and obj.__module__ == module.__name__]
+
+
+def test_every_cache_is_a_fixed_map():
+    # one rule for fixed maps: each cached function is made by core.fixed,
+    # unbounded, and freezes every array it builds, alone or in a tuple
+    made_by_fixed = core.fixed(lambda: None).__wrapped__.__code__
+    found = set()
+    for module, classes in _modules():
+        for namespace in (vars(module), *map(vars, classes)):
+            for fn in _caches(namespace):
+                found.add(fn.__qualname__)
+                assert fn.__wrapped__.__code__ is made_by_fixed, fn.__qualname__
+                assert fn.cache_parameters()["maxsize"] is None, fn.__qualname__
+    assert {"_part_rows", "Multivector.basis", "Quaternion.one", "build_parser"} <= found
+    alone = core.fixed(lambda n: np.arange(n))
+    pair = core.fixed(lambda n: (np.arange(n), np.ones(n), "label"))
+    assert alone(3) is alone(3) and not alone(3).flags.writeable
+    assert not any(x.flags.writeable for x in pair(3)[:2])
+    assert not core._reverse_signs(4).flags.writeable
+    assert not core._vector_masks(4).flags.writeable
+
+
+def test_every_operator_runs_under_the_cli(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)  # the figures write their files here
+    ran, defined = set(), []
+    for module, classes in _modules():
         # a cached builder that already ran would hide the operators it calls
         for namespace in (vars(module), *map(vars, classes)):
             for fn in _caches(namespace):
