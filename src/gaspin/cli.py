@@ -7,8 +7,8 @@ one pass.  Every numeric emission is re-validated against the owning
 module's invariants before it is printed.  All randomness flows from one
 --seed flag (default 0).
 
-Exit codes: 0 success; 1 a GAError or OSError, reported by main on one
-``error: <Type>: <message>`` line; 2 a usage error, reported by argparse
+Exit codes: 0 success; 1 a GAError, OSError or MemoryError, reported by main
+on one ``error: <Type>: <message>`` line; 2 a usage error, reported by argparse
 (the parser's types or main's parser.error) before any command runs.
 """
 from __future__ import annotations
@@ -861,12 +861,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--quaternion states live on the g0 hyperboloid; use geometry 'hyper'")
     if args.command == "prob" and not args.quaternion and (args.point_a[2] or args.point_b[2]):
         parser.error("2-component states use a planar chart; the third component must be 0")
-    # A domain error or an unwritable file is one error line and exit 1; an
-    # overflow becomes a NonFiniteValue on that line, not a warning.
+    # A domain error, an unwritable file or a failed allocation is one error
+    # line and exit 1; an overflow becomes a NonFiniteValue there, not a warning.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (GAError, OSError) as exc:
+    except (GAError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -222,7 +222,7 @@ def hyper_angle(x: PlanePoint) -> float:
     """Hyperbolic angle phi = 2 atanh|x| >= 0 between g0 and the lifted point
     (the form atanh(2|x|/(1+x^2)) rounds its argument to 1 near the edge)."""
     _check_open_ball(x)
-    return 2.0 * np.arctanh(np.sqrt(x.norm2))
+    return 2.0 * np.arctanh(np.hypot.reduce(x.x, axis=-1))
 
 
 def hyper_boost(x: PlanePoint) -> Multivector:

@@ -31,7 +31,7 @@ def run_cli(capsys, argv):
 def assert_error_format(code, err):
     """One stderr format per exit code: a usage error is the usage block and a
     last ``gaspin [command]: error:`` line (argparse); a failure is one
-    ``error: <type>: <message>`` line (main's GAError and OSError handler)."""
+    ``error: <type>: <message>`` line (main's exit-1 handler)."""
     lines = err.splitlines()
     if code == 2:
         assert err.startswith("usage: gaspin"), err
@@ -553,6 +553,20 @@ def test_figure_unwritable_path(capsys):
     assert err == "error: FileNotFoundError: [Errno 2] No such file or directory: '/nonexistent/x.csv'\n"
 
 
+def test_figure_too_large_to_allocate(monkeypatch, tmp_path, capsys):
+    # main's one error line and exit 1; the builder raises without asking for memory
+    def too_large(samples):
+        raise MemoryError(f"Unable to allocate {8 * samples} bytes")
+
+    monkeypatch.setitem(cli.FIGURES, "stereo-sphere", too_large)
+    argv = ["figure", "stereo-sphere", "--samples", "100000000000", "--out", str(tmp_path / "x.csv")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert_error_format(code, err)
+    assert err == "error: MemoryError: Unable to allocate 800000000000 bytes\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 # every lifted row fails the unit check of stereo.SpherePoint/HyperPoint
 _NOT_UNIT = (stereo, "vector_square", lambda a: (2.0, 1.0))
 # an arc that stops short of the unit circle
@@ -730,6 +744,8 @@ def test_project_hyper_edge_lifts(capsys):
     assert (code, err) == (0, "")
     record = dict(ln.split("=", 1) for ln in out.splitlines())
     assert float(record["angle"]) == pytest.approx(2.0 * math.atanh(0.9999999999), rel=1e-15)
+    code, out, err = run_cli(capsys, ["project", "hyper", "--point", "1e-170,0,0"])
+    assert (code, err) == (0, "") and "\nangle=2e-170\n" in out  # 2 atanh|x|, x^2 underflows
     code, out, err = run_cli(capsys, ["project", "sphere", "--point", "1e8,0,0"])
     assert (code, err) == (0, "")
     record = dict(ln.split("=", 1) for ln in out.splitlines())

@@ -278,6 +278,14 @@ def test_hyper_metric_tangency_and_fd(rng):
 # ------------------------------------------------------------- chart edges
 
 
+@pytest.mark.parametrize("r", [0.5, 1e-100, 1e-160, 1e-170, 1e-300, 5e-324])
+def test_hyper_angle_near_the_origin(r):
+    # |x| is read unsquared: below 1e-154, where x^2 underflows, 2 atanh|x| = 2|x| > 0
+    for x in (PlanePoint.of(r, 0, 0), PlanePoint.of(0, r, r)):
+        want = 2.0 * math.atanh(math.hypot(*x.x))
+        assert hyper_angle(x) == pytest.approx(want, rel=1e-15, abs=0) and want > 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(-10.0, math.log10(5e-2)), _DIRECTIONS)
 def test_hyper_roundtrip_to_the_edge(log_gap, direction):
