@@ -1,13 +1,13 @@
 """Every function under ``src/gaspin`` runs when the CLI runs.
 
-``test_every_function_runs_under_the_cli`` measures the rule on the traffic:
-it clears every ``core.fixed`` cache, runs the CLI's flows under
-``sys.setprofile`` and requires that every module-level function, method,
-property and arithmetic operator of the package ran.  Static methods,
-properties and fixed maps are unwrapped to the code of the function they
-hold, so a cached builder counts only when it builds.  What runs under
-``cli.main`` has a caller in the package; what only tests, or a branch no
-flow takes, reach fails.  Exempt, each for its reason:
+The ``unrun`` fixture clears every ``core.fixed`` cache, runs the CLI's
+flows under ``sys.setprofile`` and lists each module-level function, method,
+property and arithmetic operator of the package that did not run; one test
+reads the operators off it, the other the rest.  Static methods, properties
+and fixed maps are unwrapped to the code of the function they hold, so a
+cached builder counts only when it builds.  What runs under ``cli.main`` has
+a caller in the package; what only tests, or a branch no flow takes, reach
+fails.  Exempt, each for its reason:
 
 - the exports in ``gaspin.__all__``: the library's API, which users call;
 - dunders other than the operators, including a function bound under one
@@ -24,6 +24,7 @@ import re
 import sys
 
 import numpy as np
+import pytest
 
 import gaspin
 from gaspin import cli, core
@@ -120,20 +121,31 @@ def _functions():
     return {code: name for code, name in defined.items() if code not in exempt}
 
 
-def test_every_function_runs_under_the_cli(monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)  # the figures write their files here
+@pytest.fixture(scope="module")
+def unrun(tmp_path_factory):
+    """The names the rule covers whose code no CLI flow ran."""
     for module, classes in _modules():
         # a cached builder that already ran would hide what it calls
         for namespace in (vars(module), *map(vars, classes)):
             for fn in _caches(namespace):
                 fn.cache_clear()
     ran, previous = set(), sys.getprofile()
-    sys.setprofile(lambda frame, event, arg: event == "call" and ran.add(frame.f_code))
-    try:
-        for argv in _cli_flows():
-            assert cli.main(argv) == 0, argv
-    finally:
-        sys.setprofile(previous)
-    capsys.readouterr()
-    unrun = sorted(name for code, name in _functions().items() if code not in ran)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path_factory.mktemp("flows"))  # the figures write their files here
+        sys.setprofile(lambda frame, event, arg: event == "call" and ran.add(frame.f_code))
+        try:
+            for argv in _cli_flows():
+                assert cli.main(argv) == 0, argv
+        finally:
+            sys.setprofile(previous)
+    return sorted(name for code, name in _functions().items() if code not in ran)
+
+
+def test_every_function_has_a_caller_in_the_package(unrun):
+    unrun = [name for name in unrun if name.rpartition(".")[2] not in OPERATORS]
     assert not unrun, f"functions that no CLI flow runs: {unrun}"
+
+
+def test_every_operator_runs_under_the_cli(unrun):
+    unrun = [name for name in unrun if name.rpartition(".")[2] in OPERATORS]
+    assert not unrun, f"operators that no CLI flow runs: {unrun}"
