@@ -583,38 +583,34 @@ def _signature_for(p: int, q: int) -> Signature:
 
 
 @fixed
-def table_cells(p: int, q: int) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
-    """(blade names, signed cells such as ``-g01``) of the Cl(p,q) table, row
-    i column j holding blade i times blade j; derived once per signature from
-    :func:`core.sign_table`, as immutable tuples."""
+def table_text(p: int, q: int, fmt: str) -> str:
+    """The finished ``table`` output of Cl(p,q) in ``fmt`` (csv or json): row i
+    column j holds blade i times blade j as a signed name such as ``-g01``,
+    derived from :func:`core.sign_table`; rendered once per signature and format."""
     names = core.blade_names(_signature_for(p, q))
-    cells = tuple(
-        tuple(("+" if s > 0 else "-") + names[i ^ j] for j, s in enumerate(row))
-        for i, row in enumerate(core.sign_table(p, q).tolist())
-    )
-    return names, cells
+    cells = [[("+" if s > 0 else "-") + names[i ^ j] for j, s in enumerate(row)]
+             for i, row in enumerate(core.sign_table(p, q).tolist())]
+    if fmt == "json":
+        return json.dumps({"signature": [p, q], "blades": names, "table": cells},
+                          separators=(",", ":")) + "\n"
+    # no cell needs quoting: each is a sign and a blade name of e/g and digits
+    return "".join(f"{name},{','.join(row)}\n"
+                   for name, row in zip(("blade", *names), (names, *cells)))
 
 
 def _parse_signature(text: str) -> tuple[int, int]:
-    """The ``type=`` of --signature: (p, q) once :func:`table_cells` accepts it."""
+    """The ``type=`` of --signature: (p, q) once :func:`_signature_for` accepts it."""
     try:
         p_str, q_str = text.split(",")
         p, q = int(p_str), int(q_str)
-        table_cells(p, q)
+        _signature_for(p, q)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad signature {text!r}: {exc}") from None
     return p, q
 
 
 def cmd_table(args) -> int:
-    names, cells = table_cells(*args.signature)
-    if args.format == "json":
-        print(json.dumps({"signature": args.signature, "blades": names, "table": cells},
-                         separators=(",", ":")))
-    else:
-        # no cell needs quoting: each is a sign and a blade name of e/g and digits
-        sys.stdout.write("".join(f"{name},{','.join(row)}\n"
-                                 for name, row in zip(("blade", *names), (names, *cells))))
+    sys.stdout.write(table_text(*args.signature, args.format))
     return 0
 
 
@@ -841,6 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (parser, *sub.choices.values()):  # -1,3 and -5e-05 are values, as -1 is
         p._negative_number_matcher = re.compile(r"^-\.?\d")
+        p.format_usage = fixed(p.format_usage)  # usage fixed at its first error's COLUMNS
     return parser
 
 

@@ -302,12 +302,16 @@ ALL_PQ = [(p, n - p) for n in range(1, 7) for p in range(n + 1)]
 
 @pytest.mark.parametrize("p, q", ALL_PQ)
 def test_table_cells_are_cached_exact_and_immutable(capsys, p, q):
-    cli.table_cells.cache_clear()
+    cli.table_text.cache_clear()
     first = [run_cli(capsys, ["table", "--signature", f"{p},{q}", "--format", fmt])
              for fmt in ("csv", "json")]
     second = [run_cli(capsys, ["table", "--signature", f"{p},{q}", "--format", fmt])
               for fmt in ("csv", "json")]
     assert first == second and all(code == 0 for code, _, _ in first)
+    # each format is one cached str, built once and printed as it is
+    for fmt, (_, out, _) in zip(("csv", "json"), first):
+        text = cli.table_text(p, q, fmt)
+        assert type(text) is str and text is cli.table_text(p, q, fmt) and text == out
     # the cells of the blade_product loop, blade i times blade j at (i, j)
     sig = cli._signature_for(p, q)
     names = [sig.blade_name(m) for m in range(sig.dim)]
@@ -318,20 +322,14 @@ def test_table_cells_are_cached_exact_and_immutable(capsys, p, q):
             sign, mask = blade_product(i, j, sig)
             row.append(("+" if sign > 0 else "-") + names[mask])
         want.append(row)
-    rows = list(csv.reader(io.StringIO(first[0][1])))
-    assert rows == [["blade", *names], *([n, *row] for n, row in zip(names, want))]
-    assert json.loads(first[1][1]) == {"signature": [p, q], "blades": names, "table": want}
-    cached_names, cells = cli.table_cells(p, q)
-    # the csv bytes are those of csv.writer on the cached cells
+    # the csv bytes are those of csv.writer on the loop's cells
     rendered = io.StringIO()
     csv.writer(rendered, lineterminator="\n").writerows(
-        [["blade", *cached_names], *([n, *row] for n, row in zip(cached_names, cells))])
+        [["blade", *names], *([n, *row] for n, row in zip(names, want))])
     assert first[0][1] == rendered.getvalue()
-    assert cached_names == tuple(names)
-    assert cells == tuple(map(tuple, want))
-    assert isinstance(cells, tuple) and all(isinstance(row, tuple) for row in cells)
-    with pytest.raises(TypeError):
-        cells[0][0] = "-1"  # type: ignore[index]
+    # the json output is the same dict, compact on one line
+    data = {"signature": [p, q], "blades": names, "table": want}
+    assert first[1][1] == json.dumps(data, separators=(",", ":")) + "\n"
 
 
 def test_project_sphere_origin(capsys):
@@ -832,6 +830,13 @@ def test_usage_error_after_a_successful_call(capsys, monkeypatch, argv, prog, me
     assert captured.out == ""
     assert captured.err.startswith(f"usage: {prog} ")
     assert f"{prog}: error: {message}" in captured.err
+    # the second error reads its usage block from the cache of the parser that failed
+    parser = cli.build_parser()
+    if prog != "gaspin":
+        parser = parser._subparsers._group_actions[0].choices[prog.split()[1]]
+    hits = parser.format_usage.cache_info().hits
+    assert usage_error() == captured
+    assert parser.format_usage.cache_info().hits == hits + 1
     # the same bytes as from a parser built for this call alone
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert usage_error() == captured
