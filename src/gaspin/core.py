@@ -32,22 +32,24 @@ value types of the other modules hold one array each in the same layout:
 quaternions, chart points and Dirac columns their components on the last
 axis, a center scalar one complex value per case.  Each function has one
 path, and a single case runs the batch code.  Outside the product kernel
-three forks remain, each with its measured worth at the function: the
+four forks remain, each with its measured worth at the function: the
 finiteness test of one case, the Python numbers that accessors and
-reductions return for one case, and the shape reading of
-``Multivector.vector`` (a ``states`` round is 10 % slower without it).  The
-gather serves the geometric product of a single factor (one fixed matrix
-applied to the other factor; of two single cases, the left one is) and
-:func:`product_part`, which forms only the blades read (one ``np.vecdot``
-for two batches; :func:`scalar_product` is its <ab>).  The full product of
-two batches is the product's one fork, :func:`contract`: it is contracted
-against the (dim^2, dim) sign tensor ``T[i*dim + j, i ^ j] = S[i, j]``, with
-only the blades nonzero in some case of each factor and the matching rows of
-T (a rotor times a vector in Cl(1,3) is 8 * 4 outer terms a case, not 256),
-at most ``_BLOCK_BYTES`` (128 KB) of outer terms at a time, one
-``np.einsum`` and one matmul a block: on 500 dense cases 3x faster than the
-gather, on vectors 13x.  Factors with the same leading shape are reshaped,
-others broadcast.  It takes any bilinear map given by its table:
+reductions return for one case, the shape reading of ``Multivector.vector``
+(a ``states`` round is 10 % slower without it) and ``Multivector._of``, which
+takes core's own results without the constructor's copy.  The gather serves
+the geometric product of a single factor (one fixed matrix applied to the
+other factor; of two single cases, the left one is) and :func:`product_part`,
+which forms only the blades read (one ``np.vecdot`` for two batches;
+:func:`scalar_product` is its <ab>).  The full product of two batches is the
+product's one fork, :func:`contract`: it is contracted against the (dim^2,
+dim) sign tensor ``T[i*dim + j, i ^ j] = S[i, j]``, with only the blades
+nonzero in some case of each factor (found without a pass when the first
+case has no zero, as in a dense factor) and the matching rows of T (a rotor
+times a vector in Cl(1,3) is 8 * 4 outer terms a case, not 256), at most
+``_BLOCK_BYTES`` (128 KB) of outer terms at a time, one ``np.einsum`` and one
+matmul a block: on 500 dense cases 3x faster than the gather, on vectors
+13x.  Factors with the same leading shape are reshaped, others broadcast.
+It takes any bilinear map given by its table:
 ``quatrep.QuatMatrix2`` products use it with a (256, 16) table.  A fixed
 bilinear form of coordinates, such as a spinor bracket or the quaternion
 product, is an (n, K, m) table (read once off :func:`product_part` by
@@ -111,9 +113,11 @@ def require(ok, error: type[Exception], message) -> None:
 
 def _require_finite(arr: np.ndarray) -> None:
     """NonFiniteValue unless every coefficient is finite.  A finite Python sum
-    proves it for one case (0.4 us against 1.4 us, 16 % of a states round);
-    else the elementwise test names the failing case or passes an overflow."""
-    if not (math.isfinite(sum(arr.tolist())) if arr.ndim == 1 else np.isfinite(arr).all()):
+    proves it for one case (0.4 us against 1.4 us, 16 % of a states round), a
+    count of finite entries for a batch (no ``.all()`` wrapper); else the
+    elementwise test names the failing case or passes an overflow."""
+    if not (math.isfinite(sum(arr.tolist())) if arr.ndim == 1
+            else np.count_nonzero(np.isfinite(arr)) == arr.size):
         require(np.isfinite(arr).all(axis=-1), NonFiniteValue, "coefficients must be finite")
 
 
@@ -259,11 +263,23 @@ class Multivector:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
+    @classmethod
+    def _of(cls, signature: Signature, arr: np.ndarray) -> "Multivector":
+        """Wrap ``arr``, fresh from core and nothing else's: float64 is tested and frozen in
+        place, no copy or shape check (verify 1.7 % faster); other dtypes go to the constructor."""
+        if arr.dtype != np.float64:
+            return cls(signature, arr)
+        _require_finite(arr)
+        arr.setflags(write=False)
+        m = object.__new__(cls)
+        m.__dict__.update(signature=signature, coeffs=arr)
+        return m
+
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def zero(signature: Signature) -> "Multivector":
-        return Multivector(signature, np.zeros(signature.dim))
+        return Multivector._of(signature, np.zeros(signature.dim))
 
     @staticmethod
     def scalar(signature: Signature, value: float) -> "Multivector":
@@ -277,7 +293,7 @@ class Multivector:
         coeff = np.asarray(coeff)  # of its own dtype, so the constructor refuses a complex one
         c = np.zeros((*coeff.shape, signature.dim), dtype=coeff.dtype)
         c[..., mask] = coeff
-        return Multivector(signature, c)
+        return Multivector._of(signature, c)
 
     @staticmethod
     @fixed
@@ -298,7 +314,7 @@ class Multivector:
         c = np.zeros((*shape, signature.dim))
         for k, x in enumerate(components):
             c[..., 1 << k] = x
-        return Multivector(signature, c)
+        return Multivector._of(signature, c)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -346,7 +362,7 @@ class Multivector:
     def __add__(self, other: "Multivector | float") -> "Multivector":
         if isinstance(other, Multivector):
             self._check_signature(other)
-            return Multivector(self.signature, self.coeffs + other.coeffs)
+            return Multivector._of(self.signature, self.coeffs + other.coeffs)
         if isinstance(other, _SCALARS):
             return self + Multivector.scalar(self.signature, other)
         return NotImplemented
@@ -359,7 +375,7 @@ class Multivector:
         return NotImplemented
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.signature, -self.coeffs)
+        return Multivector._of(self.signature, -self.coeffs)
 
     def __mul__(self, other: "Multivector | float") -> "Multivector":
         if isinstance(other, Multivector):
@@ -368,21 +384,21 @@ class Multivector:
 
     def __rmul__(self, other: float) -> "Multivector":
         if isinstance(other, _SCALARS):
-            return Multivector(self.signature, self.coeffs * np.asarray(other)[..., None])
+            return Multivector._of(self.signature, self.coeffs * np.asarray(other)[..., None])
         return NotImplemented
 
     def __truediv__(self, other: float) -> "Multivector":
-        return Multivector(self.signature, self.coeffs / np.asarray(other)[..., None])
+        return Multivector._of(self.signature, self.coeffs / np.asarray(other)[..., None])
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Geometric product ab; bilinear and associative.  Leading (batch) axes
     of the two factors broadcast against each other."""
     if a.coeffs.ndim == 1 or b.coeffs.ndim == 1:
-        return Multivector(a.signature, _gather(a, b, None))
+        return Multivector._of(a.signature, _gather(a, b, None))
     a._check_signature(b)  # two batches: the outer terms of their occupied blades
     table = _outer_table(a.signature.plus_count, a.signature.minus_count)
-    return Multivector(a.signature, contract(a.coeffs, b.coeffs, table))
+    return Multivector._of(a.signature, contract(a.coeffs, b.coeffs, table))
 
 
 def contract(ac: np.ndarray, bc: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -394,8 +410,12 @@ def contract(ac: np.ndarray, bc: np.ndarray, table: np.ndarray) -> np.ndarray:
     most ``_BLOCK_BYTES`` at a time, so memory stays flat in the batch size."""
     na, nb = ac.shape[-1], bc.shape[-1]
     shape = ac.shape[:-1]
-    ia, ib = (x.reshape(-1, x.shape[-1]).any(axis=0).nonzero()[0] for x in (ac, bc))
-    rows = table.take((ia[:, None] * nb + ib).ravel(), axis=0)
+    # a first case with no zero occupies every entry: no pass over the batch (15 us a (500, 16)
+    # operand); two take the whole table and views (a view beside a fancy copy slows einsum 3x)
+    ia, ib = (np.arange(x.shape[1]) if x.shape[0] and np.count_nonzero(x[0]) == x.shape[1]
+              else x.any(axis=0).nonzero()[0] for x in (ac.reshape(-1, na), bc.reshape(-1, nb)))
+    rows, ia, ib = ((table, ..., ...) if ia.size * ib.size == table.shape[0]
+                    else (table.take((ia[:, None] * nb + ib).ravel(), axis=0), ia, ib))
     # only unequal leading shapes are broadcast (0.7 ms of the 4.9 ms a verify round spends here)
     if bc.shape[:-1] != shape:
         shape = np.broadcast_shapes(shape, bc.shape[:-1])
@@ -478,7 +498,7 @@ def scalar_product(a: Multivector, b: Multivector) -> float:
 
 def reverse(a: Multivector) -> Multivector:
     """Reversion: grade k picks up (-1)^(k(k-1)/2)."""
-    return Multivector(a.signature, a.coeffs * _reverse_signs(a.signature.n))
+    return Multivector._of(a.signature, a.coeffs * _reverse_signs(a.signature.n))
 
 
 def grade_select(a: Multivector, grades: Iterable[int]) -> Multivector:
@@ -489,7 +509,7 @@ def grade_select(a: Multivector, grades: Iterable[int]) -> Multivector:
         if not 0 <= g <= n:
             raise GradeOutOfRange(f"grade {g} not in 0..{n}")
     keep_bits = sum(1 << g for g in keep)
-    return Multivector(a.signature, np.where(keep_bits >> _grades(n) & 1, a.coeffs, 0.0))
+    return Multivector._of(a.signature, np.where(keep_bits >> _grades(n) & 1, a.coeffs, 0.0))
 
 
 def close(residual: float, scale: float) -> bool:

@@ -190,7 +190,19 @@ def test_part_products_raise_on_overflow_as_the_product_does():
 
 
 def _structured(rng, sig, n, grades, kind):
-    """n cases with coefficients only on the blades of ``grades``."""
+    """n cases with coefficients only on the blades of ``grades``; "first full"
+    has no zero in its first case and none but zeros on the odd blades after
+    it, "first gap" one zero in its first case and none after it."""
+    if grades == "first full":
+        c = _structured(rng, sig, n, set(range(0, sig.n + 1, 2)), kind)
+        c[0] = operands(rng, (), sig.dim, kind)
+        c[0][c[0] == 0] = 1
+        return c
+    if grades == "first gap":
+        c = operands(rng, (n,), sig.dim, kind)
+        c[c == 0] = 1
+        c[0, -1] = 0
+        return c
     keep = np.array([grade_of(m) in grades for m in range(sig.dim)])
     return np.where(keep, operands(rng, (n,), sig.dim, kind), 0)
 
@@ -201,11 +213,15 @@ def test_structured_batch_products_equal_the_dense_contraction(rng, sig, kind):
     # vectors times vectors, an even element (a rotor's blades) times a
     # vector, an even element times a general one and two general ones; 600
     # cases cross the block of the widest of them in every signature; the
-    # floats' sums keep their bits when the zero terms are dropped.
+    # floats' sums keep their bits when the zero terms are dropped.  Every
+    # blade of "first full" is read off its first case, without the pass over
+    # the batch that "first gap" takes; both meet each other and the others.
     even, every = set(range(0, sig.n + 1, 2)), set(range(sig.n + 1))
     table = core._outer_table(sig.plus_count, sig.minus_count)
     widest = 0
-    for left, right in (({1}, {1}), (even, {1}), (even, every), (every, every)):
+    for left, right in (({1}, {1}), (even, {1}), (even, every), (every, every),
+                        ("first full", {1}), (even, "first full"), ("first full", "first full"),
+                        ("first gap", {1}), (every, "first gap"), ("first gap", "first full")):
         a, b = _structured(rng, sig, 600, left, kind), _structured(rng, sig, 600, right, kind)
         got = geometric_product(Multivector(sig, a), Multivector(sig, b)).coeffs
         dense = (a[:, :, None] * b[:, None, :]).reshape(600, -1) @ table
@@ -213,6 +229,37 @@ def test_structured_batch_products_equal_the_dense_contraction(rng, sig, kind):
         terms = np.count_nonzero(a.any(axis=0)) * np.count_nonzero(b.any(axis=0))
         widest = max(widest, terms * got.itemsize)
     assert core._BLOCK_BYTES // widest < 600
+
+
+def test_contract_reads_a_dense_operand_off_its_first_case(rng):
+    # an operand whose first case has no zero skips the occupancy pass (any),
+    # and two such take the whole table (no take); a first case with a zero,
+    # a sparse operand or an empty batch keeps the pass; the values do not move
+    calls = []
+
+    class Counted(np.ndarray):
+        def any(self, *args, **kwargs):
+            calls.append("any")
+            return np.asarray(self).any(*args, **kwargs)
+
+        def take(self, *args, **kwargs):
+            calls.append("take")
+            return np.asarray(self).take(*args, **kwargs)
+
+    table = core._outer_table(1, 3)
+    dense = rng.uniform(0.5, 1.0, (6, 16))
+    gap = dense.copy()
+    gap[0, 3] = 0.0
+    vector = np.where(np.isin(np.arange(16), (1, 2, 4, 8)), dense, 0.0)
+    empty = np.zeros((0, 16))
+    for a, b, want in ((dense, dense, []), (gap, dense, ["any"]), (dense, gap, ["any"]),
+                       (dense, vector, ["any", "take"]), (vector, vector, ["any", "any", "take"]),
+                       (empty, empty, ["any", "any", "take"])):
+        calls.clear()
+        got = core.contract(a.view(Counted), b.view(Counted), table.view(Counted))
+        assert calls == want
+        want_values = (a[:, :, None] * b[:, None, :]).reshape(len(a), 256) @ table
+        assert np.array_equal(np.asarray(got), want_values)
 
 
 def test_an_all_zero_batch_factor_gives_zeros(rng):

@@ -102,6 +102,27 @@ def test_verify_calls_every_suite_through_the_registry(capsys, monkeypatch):
     assert "cases=2" in out.split("\n\n")[-1].splitlines()
 
 
+@pytest.mark.parametrize("seed", (0, 7, 2**32 + 5))
+def test_every_suite_stream_is_seeded_by_the_seed_and_the_name_bytes(capsys, monkeypatch, seed):
+    # the reference is the (seed, name.encode()) entropy the streams were
+    # first seeded with, so every suite draws what it drew before
+    entry = {}
+
+    def recording(name):
+        def run(rng, cases):
+            entry[name] = rng.bit_generator.state
+            return {}, 1.0
+
+        return run
+
+    for name in list(cli.SUITES):
+        monkeypatch.setitem(cli.SUITES, name, recording(name))
+    assert run_cli(capsys, ["verify", "--seed", str(seed), "--cases", "1"])[0] == 0
+    assert sorted(entry) == list(SUITE_NAMES)
+    for name, state in entry.items():
+        assert state == np.random.default_rng((seed, name.encode())).bit_generator.state, name
+
+
 def test_verify_reports_a_domain_error_on_one_line(capsys, monkeypatch):
     # a GAError escaping a suite ends verify on one error line with exit 1
     def failing(rng, cases):

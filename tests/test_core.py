@@ -407,6 +407,37 @@ def test_immutability():
         a.coeffs[0] = 2.0
 
 
+@pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: "".join(s.generator_labels))
+def test_core_results_are_read_only_and_share_no_operand_memory(rng, sig):
+    # core's own results skip the constructor's copy; each still owns its
+    # coefficients and cannot be written, for one case and for a batch (a
+    # complex factor still reaches the constructor's TypeError: see
+    # test_complex_input_is_a_type_error)
+    one = Multivector(sig, rng.uniform(-1.0, 1.0, sig.dim))
+    batch = Multivector(sig, rng.uniform(-1.0, 1.0, (5, sig.dim)))
+    per_case = rng.uniform(0.5, 1.0, 5)
+    components = [rng.uniform(-1.0, 1.0, 5) for _ in range(sig.n)]
+    results = [
+        ("zero", Multivector.zero(sig), ()),
+        ("blade", Multivector.blade(sig, 1, per_case), (per_case,)),
+        ("vector", Multivector.vector(sig, components), components),
+        ("per-case mul", per_case * batch, (per_case, batch.coeffs)),
+    ]
+    for a, b in ((one, batch), (batch, one), (batch, batch), (one, one)):
+        results += [
+            ("add", a + b, (a.coeffs, b.coeffs)),
+            ("neg", -a, (a.coeffs,)),
+            ("scalar mul", a * 2.5, (a.coeffs,)),
+            ("div", a / 3.0, (a.coeffs,)),
+            ("product", geometric_product(a, b), (a.coeffs, b.coeffs)),
+            ("reverse", reverse(a), (a.coeffs,)),
+            ("grade_select", grade_select(a, (0, 2)), (a.coeffs,)),
+        ]
+    for name, m, sources in results:
+        assert m.coeffs.dtype == np.float64 and not m.coeffs.flags.writeable, name
+        assert not any(np.shares_memory(m.coeffs, x) for x in sources), name
+
+
 def test_repr_of_one_case_and_of_a_batch():
     assert repr(Multivector.vector(EUCLIDEAN4, [1.0, 0.0, -2.5, 0.0])) == "1*e0 + -2.5*e2"
     assert repr(Multivector.zero(PAULI3)) == "0"
