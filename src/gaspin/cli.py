@@ -2,10 +2,11 @@
 
 Output is deliberately diff-able: line-oriented key=value blocks for
 reports, CSV with a mandatory header row for tables and figure data, all
-floats rendered with %.17g and no locale dependence, each output written in
-one pass.  Every numeric emission is re-validated against the owning
+floats rendered with %.17g and no locale dependence, each report written
+with one write.  Every numeric emission is re-validated against the owning
 module's invariants before it is printed.  All randomness flows from one
---seed flag (default 0).
+--seed flag (default 0).  An argv that starts with a command is parsed by
+its parser alone, any other by the top-level parser, as parse_args would.
 
 Exit codes: 0 success; 1 a GAError, OSError or MemoryError, reported by main
 on one ``error: <Type>: <message>`` line; 2 a usage error, reported by argparse
@@ -96,8 +97,9 @@ def _mv_terms(m: Multivector) -> str:
     names = core.blade_names(m.signature)
     mags = np.abs(m.coeffs)
     mags = np.ldexp(mags, -np.frexp(mags.max())[1])
-    keep = np.flatnonzero(~core.close(mags, mags.sum()))
-    return ";".join(f"{names[mask]}:{_f(m.coeffs[mask])}" for mask in keep) or "0"
+    keep = np.flatnonzero(~core.close(mags, mags.sum())).tolist()
+    coeffs = m.coeffs.tolist()
+    return ";".join(f"{names[mask]}:{FMT % coeffs[mask]}" for mask in keep) or "0"
 
 
 # =====================================================================
@@ -567,6 +569,7 @@ def cmd_verify(args) -> int:
 # =====================================================================
 
 
+@fixed
 def _signature_for(p: int, q: int) -> Signature:
     """The signature of one of the four algebras, else generators e0.. or g0.."""
     for tag in AlgebraTag:
@@ -647,13 +650,9 @@ def cmd_project(args) -> int:
     require(core.close(abs(sq - 1.0), 1.0 + float(lifted.coeffs @ lifted.coeffs))
             and core.close(residual(sandwich, lifted), lifted.abs_sum()),
             VerificationFailure, "emitted point failed re-validation")
-    print(f"geometry={args.geometry}")
-    print(f"x_m={_vec(args.point)}")
-    print(f"a_hat={_vec(lifted.vector_components())}")
-    print(f"a_hat_square={_f(sq)}")
-    print(f"angle={_f(angle)}")
-    print(f"rotor={_mv_terms(rotor)}")
-    print(f"metric_factor={_f(factor)}")
+    sys.stdout.write(f"geometry={args.geometry}\nx_m={_vec(args.point)}\n"
+                     f"a_hat={_vec(lifted.vector_components())}\na_hat_square={_f(sq)}\n"
+                     f"angle={_f(angle)}\nrotor={_mv_terms(rotor)}\nmetric_factor={_f(factor)}\n")
     return 0
 
 
@@ -681,12 +680,9 @@ def cmd_prob(args) -> int:
             "fidelity routes disagree beyond tolerance")
     sphere = args.geometry == "sphere"  # main admits --quaternion only on the hyperboloid
     label = "Bloch sphere probability" if sphere else "Bloch hyperboloid quantity (>=1)"
-    print(f"geometry={args.geometry}")
-    print(f"quaternion={'yes' if args.quaternion else 'no'}")
-    print(f"label={label}")
-    print(f"fidelity_braket={_f(f_braket)}")
-    print(f"fidelity_closed_form={_f(f_closed)}")
-    print(f"residual={_f(resid)}")
+    sys.stdout.write(f"geometry={args.geometry}\nquaternion={'yes' if args.quaternion else 'no'}\n"
+                     f"label={label}\nfidelity_braket={_f(f_braket)}\n"
+                     f"fidelity_closed_form={_f(f_closed)}\nresidual={_f(resid)}\n")
     return 0
 
 
@@ -695,28 +691,22 @@ def cmd_prob(args) -> int:
 # =====================================================================
 
 
-def _axis_points(t: np.ndarray) -> stereo.PlanePoint:
-    """The chart points (t, 0, 0)."""
-    return stereo.PlanePoint.of(t, 0.0, 0.0)
-
-
-def _lines(rows: np.ndarray) -> list[str]:
-    """Each row of floats as one CSV line of %.17g values: one format per row."""
-    line = ",".join([FMT] * rows.shape[1])
-    return [line % tuple(row) for row in rows.tolist()]
+def _csv(rows: np.ndarray) -> str:
+    """Each row of floats as one CSV line of %.17g values: one format for all."""
+    return ((",".join([FMT] * rows.shape[1]) + "\n") * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def _figure_stereo_sphere(samples: int):
     # Riemann-sphere cross-section, pole at e3: e1, e2, then e0 read as e3.
     t = np.linspace(-2.0, 2.0, samples)
-    comps = stereo.lift_sphere(_axis_points(t)).a_hat.vector_components()[:, [1, 2, 0]]
-    return ["t,x_m,a_e1,a_e2,a_e3", *_lines(np.column_stack([t, t, comps]))]
+    comps = stereo.lift_sphere(stereo.PlanePoint.of(t, 0.0, 0.0)).a_hat.vector_components()
+    return "t,x_m,a_e1,a_e2,a_e3\n" + _csv(np.column_stack([t, t, comps[:, [1, 2, 0]]]))
 
 
 def _figure_stereo_hyper(samples: int):
     t = np.linspace(-0.9, 0.9, samples)
-    comps = stereo.lift_hyper(_axis_points(t)).a_hat.vector_components()[:, :3]
-    return ["t,x_m,a_g0,a_g1,a_g2", *_lines(np.column_stack([t, t, comps]))]
+    comps = stereo.lift_hyper(stereo.PlanePoint.of(t, 0.0, 0.0)).a_hat.vector_components()[:, :3]
+    return "t,x_m,a_g0,a_g1,a_g2\n" + _csv(np.column_stack([t, t, comps]))
 
 
 def _figure_poincare_geodesic(samples: int):
@@ -736,11 +726,11 @@ def _figure_poincare_geodesic(samples: int):
         if sv[-1] > 1e-8 * sv[0]:
             raise VerificationFailure("lifted arc is not planar through the origin")
     arc = np.column_stack([psi, x1, x2])
-    first, last = (line + ",,," for line in _lines(arc[[0, -1]]))  # three empty lift cells
-    return ["psi,x1,x2,a_g0,a_g1,a_g2", first, *_lines(np.column_stack([arc[inner], comps])), last]
+    first, last = (line + ",,,\n" for line in _csv(arc[[0, -1]]).splitlines())  # no lift cells
+    return "psi,x1,x2,a_g0,a_g1,a_g2\n" + first + _csv(np.hstack([arc[inner], comps])) + last
 
 
-#: Figure name -> builder of its CSV lines (header line first).
+#: Figure name -> builder of its CSV text (header line first).
 FIGURES: dict[str, Callable] = {
     "stereo-sphere": _figure_stereo_sphere,
     "stereo-hyper": _figure_stereo_hyper,
@@ -749,12 +739,11 @@ FIGURES: dict[str, Callable] = {
 
 
 def cmd_figure(args) -> int:
-    lines = FIGURES[args.name](args.samples)
+    text = FIGURES[args.name](args.samples)
     with open(args.out, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"figure={args.name}")
-    print(f"rows={len(lines) - 1}")
-    print(f"out={args.out}")
+        fh.write(text)
+    rows = text.count("\n") - 1  # the lines after the header
+    sys.stdout.write(f"figure={args.name}\nrows={rows}\nout={args.out}\n")
     return 0
 
 
@@ -770,12 +759,9 @@ def cmd_dirac(args) -> int:
     resid = residual(dirac_mod.dirac_to_geometric(dirac_mod.qspinor_to_dirac(psi)).re, m.re)
     require(resid <= 1e-10 * max(1.0, m.re.max_abs()), VerificationFailure,
             "round trip failed re-validation")
-    print(f"components={_vec(args.components)}")
-    print(f"q0={_f(psi.q0.s)},{_vec(psi.q0.v)}")
-    print(f"q1={_f(psi.q1.s)},{_vec(psi.q1.v)}")
-    print(f"carrier_re={_mv_terms(m.re)}")
-    print(f"carrier_im={_mv_terms(m.im)}")
-    print(f"roundtrip_residual={_f(resid)}")
+    sys.stdout.write(f"components={_vec(args.components)}\nq0={_vec(psi.q0.coeffs)}\n"
+                     f"q1={_vec(psi.q1.coeffs)}\ncarrier_re={_mv_terms(m.re)}\n"
+                     f"carrier_im={_mv_terms(m.im)}\nroundtrip_residual={_f(resid)}\n")
     return 0
 
 
@@ -788,7 +774,7 @@ def cmd_dirac(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built by the first :func:`main` call;
     every parse starts from a fresh namespace, so no call sees another's
-    options."""
+    options.  ``parser.commands`` maps each command name to its parser."""
     parser = argparse.ArgumentParser(
         prog="gaspin",
         description="Verified geometric-algebra toolkit: Cl(4,0)/Cl(1,3), "
@@ -825,20 +811,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(func=cmd_figure)
 
     p_dirac = sub.add_parser("dirac", help="column -> quaternion pair round trip")
-    p_dirac.add_argument(
-        "--components", type=float, nargs="+", required=True, metavar="R"
-    )
+    p_dirac.add_argument("--components", type=float, nargs="+", required=True, metavar="R")
     p_dirac.set_defaults(func=cmd_dirac)
 
     for p in (parser, *sub.choices.values()):  # -1,3 and -5e-05 are values, as -1 is
         p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.format_usage = fixed(p.format_usage)  # usage fixed at its first error's COLUMNS
+    parser.commands = sub.choices
     return parser
+
+
+def _parse_argv(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)`` less its pass over every string when argv[0] is a
+    command: the rest parsed as argparse's subparsers action parses it."""
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_argv(parser, sys.argv[1:] if argv is None else argv)
     if args.command == "verify" and args.cases < 1:
         parser.error("--cases must be >= 1")
     if args.command == "verify" and args.seed < 0:

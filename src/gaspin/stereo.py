@@ -65,7 +65,9 @@ class PlanePoint:
     @staticmethod
     def of(*components: float) -> "PlanePoint":
         """From three components, numbers or per-case arrays that broadcast."""
-        return PlanePoint(np.stack(np.broadcast_arrays(*components), axis=-1))
+        x = np.empty((*np.broadcast_shapes(*map(np.shape, components)), 3))
+        x[..., 0], x[..., 1], x[..., 2] = components
+        return PlanePoint(x)
 
     @property
     def norm2(self) -> float:

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,16 @@ from gaspin.quatrep import Quaternion
 from gaspin.spinors import CenterScalar, IdealSpinor
 
 ALL_SIGNATURES = (EUCLIDEAN4, SPACETIME13, PAULI3, MINKOWSKI12)
+
+README = pathlib.Path(__file__).parents[1] / "README.md"
+
+
+def readme_cli_lines():
+    """The argv of each ``gaspin`` line in README's CLI usage block."""
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert block, "README.md has no CLI usage block"
+    return [line.split("#")[0].split()[1:] for line in block.group(1).splitlines()
+            if line.startswith("gaspin ")]
 
 
 def random_mv(rng, signature, integer=False, scale=1.0):

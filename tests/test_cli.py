@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaspin import cli, stereo
-from gaspin.core import EUCLIDEAN4, Multivector
+from gaspin.core import EUCLIDEAN4, SPACETIME13, Multivector
 from gaspin.errors import NotAVector
 from gaspin.quatrep import matrix_residual, rep_vec
 
-from conftest import blade_product
+from conftest import blade_product, readme_cli_lines
 
 
 def run_cli(capsys, argv):
@@ -818,6 +818,94 @@ def test_cli_fuzz_exits_cleanly(argv):
 
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
+
+
+def _parse_outcome(parse, argv):
+    """The namespace of one parse as its sorted (name, repr) pairs, so that
+    NaN equals NaN, or argparse's exit: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return sorted((k, repr(v)) for k, v in vars(parse(list(argv))).items())
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def assert_routed_parse_matches_parse_args(argv):
+    # the routed parse reads argv[1:] with the command's parser alone; the
+    # namespace (command included) or the exit and its bytes are parse_args'
+    parser = cli.build_parser()
+    routed = _parse_outcome(lambda a: cli._parse_argv(parser, a), argv)
+    assert routed == _parse_outcome(parser.parse_args, argv), argv
+    return routed
+
+
+# README's forms, CI's six usage errors, help, an unknown command, no argv,
+# leftovers after a command, "--" and an abbreviated option
+_PARSE_CORPUS = [
+    *readme_cli_lines(),
+    ["verify", "--seed", "0", "--cases", "0"], ["table", "--signature", "7,0"],
+    ["project", "sphere", "--point=1,2"], ["prob", "sphere", "--point-a=0,0,1", "--point-b=0,0,0"],
+    ["figure", "stereo-sphere", "--samples", "1", "--out", "unused.csv"],
+    ["dirac", "--components", "1", "2", "3"],
+    ["-h"], ["table", "-h"], ["bogus"], [],
+    ["table", "--signature", "1,1", "--bogus"], ["table", "--signature", "1,1", "extra"],
+    ["table", "--", "--signature", "1,1"], ["dirac", "--components", "--", "-1", *"0000000"],
+    ["table", "--sig", "2,1"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CORPUS, ids=" ".join)
+def test_routed_parse_matches_parse_args(argv):
+    assert_routed_parse_matches_parse_args(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ARGV)
+def test_routed_parse_matches_parse_args_on_generated_argv(argv):
+    assert_routed_parse_matches_parse_args(argv)
+
+
+def test_top_level_parser_reports_leftovers_after_a_command():
+    argv = ["table", "--signature", "1,1", "--bogus"]
+    code, out, err = assert_routed_parse_matches_parse_args(argv)
+    lines = err.splitlines()
+    assert (code, out) == (2, "")
+    assert lines[0] == "usage: gaspin [-h] {verify,table,project,prob,figure,dirac} ..."
+    assert lines[-1] == "gaspin: error: unrecognized arguments: --bogus"
+
+
+class _RecordingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+def test_each_report_is_one_write(monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # figure writes its --out here
+    stdout = _RecordingStdout()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0
+    assert stdout.writes == 1 and stdout.getvalue().endswith("\n"), argv
+
+
+def test_readme_lines_cover_every_command():
+    assert {argv[0] for argv in readme_cli_lines()} == set(cli.build_parser().commands)
+
+
+def test_signature_for_keeps_valid_pairs_only():
+    cli._signature_for.cache_clear()
+    assert cli._signature_for(3, 3) is cli._signature_for(3, 3)
+    assert cli._signature_for(1, 3) is SPACETIME13
+    for p, q in ((7, 0), (-1, 3), (100000000, 0)):
+        with pytest.raises(ValueError):
+            cli._signature_for(p, q)
+    assert cli._signature_for.cache_info().currsize == 2
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):

@@ -344,3 +344,25 @@ def test_sphere_roundtrip_where_the_lift_underflows():
         assert np.max(np.abs(back - p)) <= b
     back = project_sphere(lift_sphere(PlanePoint(points))).x
     assert np.all(np.max(np.abs(back - points), axis=1) <= bound)
+
+
+@pytest.mark.parametrize("components", [
+    (0.5, -0.25, 0.5),
+    (1, 0, 0),
+    (np.linspace(-2.0, 2.0, 5), 0.0, 0.0),
+    (np.arange(3.0)[:, None], np.arange(4.0), 2.0),
+    ([0.1, 0.2], [[1.0], [2.0], [3.0]], np.float32(0.3)),
+    (np.ones((2, 1, 3)), np.zeros((4, 1)), np.arange(3)),
+])
+def test_plane_point_of_is_the_stacked_broadcast(components):
+    x = PlanePoint.of(*components).x
+    want = np.stack(np.broadcast_arrays(*components), axis=-1).astype(float)
+    assert x.dtype == want.dtype and x.shape == want.shape and np.array_equal(x, want)
+    assert not x.flags.writeable
+
+
+@pytest.mark.parametrize("components", [(0.5, 0.5), (1.0, 0.0, 0.0, 0.0),
+                                        (np.ones(3), np.ones(3)), (np.ones(2),) * 4])
+def test_plane_point_of_needs_three_components(components):
+    with pytest.raises(ValueError):
+        PlanePoint.of(*components)

@@ -18,9 +18,7 @@ fails.  Exempt, each for its reason:
 """
 import importlib
 import inspect
-import pathlib
 import pkgutil
-import re
 import sys
 
 import numpy as np
@@ -29,27 +27,17 @@ import pytest
 import gaspin
 from gaspin import cli, core
 
-PACKAGE = pathlib.Path(gaspin.__file__).parent
+from conftest import readme_cli_lines
 
 #: The arithmetic operators a package class may define.
 OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
              "__truediv__", "__neg__")
 
-README = PACKAGE.parents[1] / "README.md"
-
-
-def _readme_cli_lines():
-    """The argv of each ``gaspin`` line in README's CLI usage block."""
-    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", README.read_text(), re.S | re.M)
-    assert block, "README.md has no CLI usage block"
-    return [line.split("#")[0].split()[1:] for line in block.group(1).splitlines()
-            if line.startswith("gaspin ")]
-
 
 def _cli_flows():
     """The CLI flows every function must serve: ``verify`` on one case, the
     README's CLI lines (``verify`` aside) and the three figures."""
-    readme = [argv for argv in _readme_cli_lines() if argv[0] != "verify"]
+    readme = [argv for argv in readme_cli_lines() if argv[0] != "verify"]
     assert readme, "README.md's CLI block has no gaspin line"
     figures = [["figure", name, "--samples", "101", "--out", f"{name}.csv"]
                for name in cli.FIGURES]
