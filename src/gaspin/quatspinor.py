@@ -22,7 +22,8 @@ projector 2 a rev(a) are bilinear in them, each a cached table; all are read
 once off the geometric products they replace.  The carrier frame's columns
 are orthogonal with squared norm exactly 1/2, so its transpose reads the
 coordinates back, exactly.  :func:`fidelity_q_circ_route` and
-:func:`projector_closed_orthogonal` stay independent second routes.
+:func:`projector_closed_orthogonal` stay independent second routes; the first
+takes u M u~ (u = q0/|q0| commutes with g0 and i) as M over q1 q0*, no bracket.
 
 A quaternion holds its coordinates on the last axis of one array; leading
 axes index a batch of states, on which every function acts case by case.
@@ -161,12 +162,11 @@ def phase_axis(q0: Quaternion) -> tuple[float, np.ndarray]:
     return theta, np.where(real, (0.0, 0.0, 1.0), q0.v / np.where(real, 1.0, vlen[..., None]))
 
 
-def _spacetime_m(q0: Quaternion, q1: Quaternion) -> Multivector:
-    """M = g0 + (c i + w~ i g0) / |q0|^2 in Cl(1,3), with w = q0* q1, c its
-    scalar part and w~ the embedding of its vector part."""
-    w = quat_mul(q0.conjugate(), q1).coeffs / q0.norm2()[..., None]
+def _spacetime_m(q0: Quaternion, w: Quaternion) -> Multivector:
+    """M = g0 + (c i + w~ i g0) / |q0|^2 in Cl(1,3), with w = q0* q1 or q1 q0*,
+    c its scalar part and w~ the embedding of its vector part."""
     frame, g0 = _m_frame()
-    return Multivector(SPACETIME13, w @ frame.T + g0)
+    return Multivector(SPACETIME13, (w.coeffs / q0.norm2()[..., None]) @ frame.T + g0)
 
 
 @fixed
@@ -178,11 +178,12 @@ def _m_frame() -> tuple[np.ndarray, np.ndarray]:
     return column_matrix([i13, *(embed_spacetime(q) * i13 * g0 for q in units)]), g0.coeffs
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # typed errors only
 def canonical_q(psi: QuatSpinor) -> CanonicalQ:
     """Canonical polar data; ZeroQ0 / NonTimelike outside the chart."""
     _admissible(psi)
     theta, x_dir = phase_axis(psi.q0)
-    m13 = _spacetime_m(psi.q0, psi.q1)
+    m13 = _spacetime_m(psi.q0, quat_mul(psi.q0.conjugate(), psi.q1))
     root = np.sqrt(scalar_product(m13, m13))
     mhat13 = m13 / root
     # rho = |q0| sqrt(M^2) shares the rounding of M^2 with Mhat, so rho Mhat
@@ -259,17 +260,17 @@ def projector_closed_orthogonal(psi: QuatSpinor) -> Multivector:
 # ------------------------------------------------------------------ fidelity
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # typed errors only
 def fidelity_q(psi: QuatSpinor, chi: QuatSpinor) -> float:
     """<chi|psi><psi|chi> for internally normalized quaternion spinors.
 
     The bra-ket chain rev(z) z in Cl(1,3), the sum of z_k^2 over the cached
     table; ZeroQ0/NonTimelike propagate from the admissibility check.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # typed errors only
-        if psi.tag is not chi.tag:
-            raise TagMismatch(f"{psi.tag} vs {chi.tag}")
-        return bracket_ratio(carrier_coords(psi), _tables()[1], carrier_coords(chi),
-                             _admissible(psi), _admissible(chi))
+    if psi.tag is not chi.tag:
+        raise TagMismatch(f"{psi.tag} vs {chi.tag}")
+    return bracket_ratio(carrier_coords(psi), _tables()[1], carrier_coords(chi),
+                         _admissible(psi), _admissible(chi))
 
 
 def _admissible(psi: QuatSpinor) -> float:
@@ -283,11 +284,12 @@ def _admissible(psi: QuatSpinor) -> float:
     return rho2
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # typed errors only
 def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor) -> float:
-    """(1 + A' o B')/2 with A' = M'^ g0 M'^ built from phase-conjugated M'.
-
-    Independent of the bra-ket chain; the two must agree to 1e-10.
-    """
+    """(1 + A' o B')/2 with A' = M'^ g0 M'^ and M' = u M u~, u = q0/|q0| embedded, a
+    spatial rotor: it commutes with g0 and i, and u w~ u~ embeds q0 w q0* / |q0|^2, so M'
+    is M over q1 q0* in place of q0* q1.  Through M and a sandwich, never the bracket
+    table, the route stays independent of :func:`fidelity_q`; the two agree to 1e-10."""
     if psi.tag is not chi.tag:
         raise TagMismatch(f"{psi.tag} vs {chi.tag}")
     _admissible(psi)
@@ -295,13 +297,8 @@ def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor) -> float:
     g0 = Multivector.basis(SPACETIME13, 0)
 
     def a_primed(s: QuatSpinor) -> Multivector:
-        m13 = _spacetime_m(s.q0, s.q1)
-        mhat = m13 / np.sqrt(scalar_product(m13, m13))
-        u = embed_spacetime(s.q0.scale(1.0 / s.q0.norm()))
-        m_primed = u * mhat * reverse(u)
-        return m_primed * g0 * m_primed
+        m_primed = _spacetime_m(s.q0, quat_mul(s.q1, s.q0.conjugate()))  # u M u~
+        mhat = m_primed / np.sqrt(scalar_product(m_primed, m_primed))
+        return mhat * g0 * mhat
 
-    a = a_primed(psi)
-    b = a_primed(chi)
-    return 0.5 * (1.0 + scalar_product(a, b))
-
+    return 0.5 * (1.0 + scalar_product(a_primed(psi), a_primed(chi)))

@@ -37,6 +37,7 @@ from .core import (
     Signature,
     close,
     fields_equal,
+    fixed,
     geometric_product,
     require,
     reverse,
@@ -163,11 +164,19 @@ def sphere_angle(x: PlanePoint) -> float:
 
 
 def _pole_rotor(x: PlanePoint, signature: Signature, norm: float) -> Multivector:
-    """(1 + x pole) / norm with norm = sqrt(1 + x^2) on the sphere and
-    sqrt(1 - x^2) on the hyperboloid: the closed form of exp(angle xhat pole / 2).
-    It shares the lift's denominator, so R pole R~ matches the lift to the
-    edge of the ball, where the angle route loses 1 - |x| to rounding."""
-    return (1.0 + geometric_product(x.as_vector(signature), Multivector.basis(signature, 0))) / norm
+    """(1 + x pole) / norm, x pole over the rows of :func:`_pole_frame`, with norm =
+    sqrt(1 + x^2) on the sphere and sqrt(1 - x^2) on the hyperboloid: the closed
+    form of exp(angle xhat pole / 2).  It shares the lift's denominator, so R pole R~
+    matches the lift to the edge of the ball, where the angle route loses 1 - |x|."""
+    c = x.x @ _pole_frame(signature)
+    c[..., 0] = 1.0
+    return Multivector(signature, c / np.asarray(norm)[..., None])
+
+
+@fixed
+def _pole_frame(signature: Signature) -> np.ndarray:
+    """Rows: e_k pole for the chart generators e_k, read off the products (exact)."""
+    return (Multivector(signature, _VECTOR[1:]) * Multivector.basis(signature, 0)).coeffs
 
 
 def sphere_rotor(x: PlanePoint) -> Multivector:

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaspin.core import (
@@ -20,6 +20,7 @@ from gaspin.core import (
     require,
     residual,
     reverse,
+    scalar_product,
 )
 from gaspin import quatspinor
 from gaspin.cli import _accepted as accepted
@@ -71,6 +72,26 @@ def cases(psi):
     """The single spinors of a batch, in order."""
     return [QuatSpinor(Quaternion(q0), Quaternion(q1), psi.tag)
             for q0, q1 in zip(psi.q0.coeffs, psi.q1.coeffs)]
+
+
+def circ_route_u_sandwich(psi, chi):
+    """The circle route with M' = u Mhat u~ formed, u = q0/|q0| embedded: two
+    products where the library reads M' off q1 q0*, the oracle of that identity."""
+    g0 = Multivector.basis(SPACETIME13, 0)
+
+    def a_primed(s):
+        m13 = quatspinor._spacetime_m(s.q0, quat_mul(s.q0.conjugate(), s.q1))
+        mhat = m13 / np.sqrt(scalar_product(m13, m13))
+        u = embed_spacetime(s.q0.scale(1.0 / s.q0.norm()))
+        m_primed = u * mhat * reverse(u)
+        return m_primed * g0 * m_primed
+
+    return 0.5 * (1.0 + scalar_product(a_primed(psi), a_primed(chi)))
+
+
+def cone_gap(psi):
+    """1 - x^2 of a state: rho^2 / |q0|^2, the conditioning of its fidelity."""
+    return norm2_q(psi) / psi.q0.norm2()
 
 
 def spacetime_m_display(q0, q1):
@@ -239,7 +260,7 @@ def test_m_display_agrees_with_canonical(rng):
     from gaspin.quatspinor import _spacetime_m
 
     psi = rand_admissible(rng, 500)
-    lhs = _spacetime_m(psi.q0, psi.q1)
+    lhs = _spacetime_m(psi.q0, quat_mul(psi.q0.conjugate(), psi.q1))
     rhs = spacetime_m_display(psi.q0, psi.q1)
     assert np.all(residual(lhs, rhs) <= 1e-12)
 
@@ -259,7 +280,7 @@ def test_m_display_literal_minus_sign_fails(rng):
 
     q0 = Quaternion([1.0, 0.5, 0.0, 0.0])
     q1 = Quaternion([0.2, 0.0, 0.4, 0.0])
-    lhs = _spacetime_m(q0, q1)
+    lhs = _spacetime_m(q0, quat_mul(q0.conjugate(), q1))
     xv = Multivector.vector(SPACETIME13, (0.0, *q0.v))
     yv = Multivector.vector(SPACETIME13, (0.0, *q1.v))
     wedge = grade_select(xv * yv, {2})
@@ -467,6 +488,47 @@ def test_fidelity_outside_the_float_range_is_nonfinite(k):
             fidelity_q(scaled, QuatSpinor(scaled.q0, scaled.q1.scale(0.5)))
 
 
+@pytest.mark.parametrize("k", (520, 600, 1000))
+@pytest.mark.parametrize("route", (canonical_q, lambda s: quatspinor.fidelity_q_circ_route(s, s)))
+def test_canonical_and_circ_route_outside_the_float_range_do_not_warn(k, route):
+    # |q0|^2 overflows: NonFiniteValue as fidelity_q raises it, with no
+    # RuntimeWarning on the way and no non-finite number returned
+    psi = QuatSpinor.from_bloch_point((0.1, 0.2, 0.0))
+    scaled = QuatSpinor(psi.q0.scale(2.0 ** k), psi.q1.scale(2.0 ** k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue):
+            route(scaled)
+
+
+def test_embedded_unit_quaternions_commute_with_g0_and_i(rng):
+    # the identity behind the circle route: u = q/|q| embedded is a spatial
+    # rotor, so u g0 = g0 u and u i = i u hold exactly
+    q = rng.normal(size=(200, 4))
+    u = embed_spacetime(Quaternion(q / np.linalg.norm(q, axis=-1, keepdims=True)))
+    for blade in (Multivector.basis(SPACETIME13, 0), pseudoscalar(SPACETIME13)):
+        assert np.array_equal((u * blade).coeffs, (blade * u).coeffs)
+
+
+def test_circ_route_agrees_with_the_u_sandwich(rng):
+    # q0 != 1: M over q1 q0* is u M u~, to the circle route's conditioning
+    # eps / ((1 - x^2)(1 - xb^2))
+    psi, chi = rand_admissible(rng, 300), rand_admissible(rng, 300)
+    assert not np.any(np.all(psi.q0.coeffs == (1.0, 0.0, 0.0, 0.0), axis=-1))
+    got, want = quatspinor.fidelity_q_circ_route(psi, chi), circ_route_u_sandwich(psi, chi)
+    tol = 8 * np.finfo(float).eps / (cone_gap(psi) * cone_gap(chi))
+    assert np.all(np.abs(got - want) <= tol * np.abs(want))
+
+
+def test_circ_route_at_unit_q0_has_the_bits_of_the_u_sandwich(rng):
+    # q0 = 1 (from_bloch_point): u = 1, and the two routes round alike
+    xa, xb = rng.uniform(-0.55, 0.55, (2, 100, 3))
+    psi, chi = QuatSpinor.from_bloch_point(xa), QuatSpinor.from_bloch_point(xb)
+    assert np.array_equal(quatspinor.fidelity_q_circ_route(psi, chi), circ_route_u_sandwich(psi, chi))
+    one_a, one_b = QuatSpinor.from_bloch_point(xa[0]), QuatSpinor.from_bloch_point(xb[0])
+    assert quatspinor.fidelity_q_circ_route(one_a, one_b) == circ_route_u_sandwich(one_a, one_b)
+
+
 # ------------------------------------------------------------- G1,2 reduction
 
 
@@ -525,16 +587,28 @@ def test_fidelity_q_is_scale_invariant(k, xa, xb):
     st.tuples(*[st.floats(-0.55, 0.55)] * 3),
     st.sampled_from(TAGS),
 )
+@example(-1.0, (1.0, 1.0, 1.0), (0.5, 0.53125, 0.546875), AlgebraTag.SPACETIME13)
 def test_canonical_q_and_fidelity_up_to_the_light_cone(log_gap, direction, xb, tag):
     # Bloch points with 1 - |x| from 1e-1 down to 1e-10 (rho^2 -> 0+): rho and
     # Mhat share the rounding of M^2, so the reconstruction keeps full
-    # accuracy; the two fidelity routes agree to the conditioning
-    # eps / (1 - x^2) of 1 - x^2, by which both are off the exact value.
+    # accuracy.  The bracket route is off the exact value by eps / (1 - x^2);
+    # the circle route's (1 + A' o B')/2 cancels terms of size a0 b0, so it is
+    # off by eps / ((1 - x^2)(1 - xb^2)).  At the example the routes differ by
+    # 9.1 eps |F| / (1 - x^2): against the exact rational F the bracket is off
+    # by 0.19 eps / (1 - x^2), the circle by 1.5 eps / ((1 - x^2)(1 - xb^2)).
     d = np.array(direction)
     x = d / np.linalg.norm(d) * (1.0 - 10.0 ** log_gap)
     psi = QuatSpinor.from_bloch_point(x, tag)
     carrier = image(psi)
     assert residual(reconstruct(canonical_q(psi), tag), carrier) <= 1e-12 * carrier.abs_sum()
     chi = QuatSpinor.from_bloch_point(xb, tag)
+    tol = 8 * np.finfo(float).eps / ((1.0 - x @ x) * (1.0 - np.dot(xb, xb)))
     f1, f2 = fidelity_q(psi, chi), quatspinor.fidelity_q_circ_route(psi, chi)
-    assert abs(f1 - f2) <= 8 * np.finfo(float).eps / (1.0 - x @ x) * abs(f1)
+    assert abs(f1 - f2) <= tol * abs(f1)
+    # the circle route against its u-sandwich oracle: here q0 = 1, and with a
+    # unit right phase p, (q0 p, q1 p), q0 = p
+    p = Quaternion(np.array([0.6, *(0.8 * d / np.linalg.norm(d))]))
+    psi_p = QuatSpinor(quat_mul(psi.q0, p), quat_mul(psi.q1, p), tag)
+    for s in (psi, psi_p):
+        f3, f4 = quatspinor.fidelity_q_circ_route(s, chi), circ_route_u_sandwich(s, chi)
+        assert abs(f3 - f4) <= tol * abs(f4)

@@ -330,6 +330,29 @@ def test_sphere_lift_where_x_squared_overflows(log_r, direction):
     assert residual(rotor_apply(sphere_rotor(x), E0), a) <= 4 * math.ulp(1.0) * a.abs_sum()
 
 
+def pole_rotor_by_products(x, signature, norm):
+    """(1 + x pole) / norm with the product x pole formed: the route the fixed
+    pole frame replaces."""
+    return (1.0 + geometric_product(x.as_vector(signature), Multivector.basis(signature, 0))) / norm
+
+
+def test_pole_rotors_have_the_bits_of_the_products(rng):
+    # one case and a (50, 3) batch; the origin, |x| = 1e200 on the sphere and
+    # 1 - |x| = 1e-10 in the ball
+    d = rng.normal(size=(50, 3))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    plane = [np.zeros(3), np.array([1e200, 0.0, 0.0]), 1e200 * d[0], rng.uniform(-3, 3, 3),
+             rng.uniform(-3, 3, (50, 3)), 1e200 * d]
+    ball = [np.zeros(3), (1.0 - 1e-10) * d[0], 0.9 * d[1], rng.uniform(-0.5, 0.5, (50, 3)),
+            (1.0 - 1e-10) * d]
+    for x in map(PlanePoint, plane):
+        want = pole_rotor_by_products(x, EUCLIDEAN4, np.hypot.reduce(x.x, axis=-1, initial=1.0))
+        assert np.array_equal(sphere_rotor(x).coeffs, want.coeffs)
+    for x in map(PlanePoint, ball):
+        want = pole_rotor_by_products(x, SPACETIME13, np.sqrt(1.0 - x.norm2))
+        assert np.array_equal(hyper_boost(x).coeffs, want.coeffs)
+
+
 def test_sphere_roundtrip_where_the_lift_underflows():
     # the lift of |x| beyond about 1.3e154 has |a - a0 e0|^2 below the
     # smallest double; the projection scales those components by a power of
