@@ -37,7 +37,6 @@ from .core import (
     Signature,
     close,
     fields_equal,
-    fixed,
     geometric_product,
     require,
     reverse,
@@ -116,6 +115,9 @@ _CHART_MASKS = np.array([2, 4, 8])
 #: components ``comps`` (pole first) in either 16-blade algebra.
 _VECTOR = np.eye(16)[[1, 2, 4, 8]]
 _VECTOR.setflags(write=False)
+#: Row k is e_k pole = -e_0k in Cl(4,0) and Cl(1,3) alike (distinct generators anticommute).
+_POLE = 0.0 - np.eye(16)[[3, 5, 9]]  # +0.0 off the blades, as the products give
+_POLE.setflags(write=False)
 
 
 # ------------------------------------------------------------------ sphere
@@ -164,19 +166,13 @@ def sphere_angle(x: PlanePoint) -> float:
 
 
 def _pole_rotor(x: PlanePoint, signature: Signature, norm: float) -> Multivector:
-    """(1 + x pole) / norm, x pole over the rows of :func:`_pole_frame`, with norm =
+    """(1 + x pole) / norm, x pole over the rows of ``_POLE``, with norm =
     sqrt(1 + x^2) on the sphere and sqrt(1 - x^2) on the hyperboloid: the closed
     form of exp(angle xhat pole / 2).  It shares the lift's denominator, so R pole R~
     matches the lift to the edge of the ball, where the angle route loses 1 - |x|."""
-    c = x.x @ _pole_frame(signature)
+    c = x.x @ _POLE
     c[..., 0] = 1.0
     return Multivector(signature, c / np.asarray(norm)[..., None])
-
-
-@fixed
-def _pole_frame(signature: Signature) -> np.ndarray:
-    """Rows: e_k pole for the chart generators e_k, read off the products (exact)."""
-    return (Multivector(signature, _VECTOR[1:]) * Multivector.basis(signature, 0)).coeffs
 
 
 def sphere_rotor(x: PlanePoint) -> Multivector:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +93,14 @@ def circ_route_u_sandwich(psi, chi):
 def cone_gap(psi):
     """1 - x^2 of a state: rho^2 / |q0|^2, the conditioning of its fidelity."""
     return norm2_q(psi) / psi.q0.norm2()
+
+
+def exact_fidelity(xa, xb):
+    """F of the Bloch points xa, xb, (1 - 2 a.b + a^2 b^2) / ((1 - a^2)(1 - b^2)),
+    in exact rationals and rounded once."""
+    a, b = ([Fraction(float(c)) for c in x] for x in (xa, xb))
+    aa, bb, ab = (sum(u * v for u, v in zip(p, q)) for p, q in ((a, a), (b, b), (a, b)))
+    return float((1 - 2 * ab + aa * bb) / ((1 - aa) * (1 - bb)))
 
 
 def spacetime_m_display(q0, q1):
@@ -591,22 +600,25 @@ def test_fidelity_q_is_scale_invariant(k, xa, xb):
 def test_canonical_q_and_fidelity_up_to_the_light_cone(log_gap, direction, xb, tag):
     # Bloch points with 1 - |x| from 1e-1 down to 1e-10 (rho^2 -> 0+): rho and
     # Mhat share the rounding of M^2, so the reconstruction keeps full
-    # accuracy.  The bracket route is off the exact value by eps / (1 - x^2);
-    # the circle route's (1 + A' o B')/2 cancels terms of size a0 b0, so it is
-    # off by eps / ((1 - x^2)(1 - xb^2)).  At the example the routes differ by
-    # 9.1 eps |F| / (1 - x^2): against the exact rational F the bracket is off
-    # by 0.19 eps / (1 - x^2), the circle by 1.5 eps / ((1 - x^2)(1 - xb^2)).
+    # accuracy.  Against the exact F the bracket route is off by the
+    # conditioning eps / (1 - x^2); the circle route's (1 + A' o B')/2 cancels
+    # terms of size a0 b0, so it and its oracle are off by eps / ((1 - x^2)(1 - xb^2)).
+    # At the example the two routes differ by 9.1 eps |F| / (1 - x^2): the
+    # bracket is off by 0.19 eps / (1 - x^2), the circle by 8.9 eps / (1 - x^2),
+    # which is 1.5 eps / ((1 - x^2)(1 - xb^2)).
     d = np.array(direction)
     x = d / np.linalg.norm(d) * (1.0 - 10.0 ** log_gap)
     psi = QuatSpinor.from_bloch_point(x, tag)
     carrier = image(psi)
     assert residual(reconstruct(canonical_q(psi), tag), carrier) <= 1e-12 * carrier.abs_sum()
     chi = QuatSpinor.from_bloch_point(xb, tag)
-    tol = 8 * np.finfo(float).eps / ((1.0 - x @ x) * (1.0 - np.dot(xb, xb)))
-    f1, f2 = fidelity_q(psi, chi), quatspinor.fidelity_q_circ_route(psi, chi)
-    assert abs(f1 - f2) <= tol * abs(f1)
+    f = exact_fidelity(x, xb)
+    tol = 8 * np.finfo(float).eps / (1.0 - x @ x)
+    assert abs(fidelity_q(psi, chi) - f) <= tol * f
+    tol /= 1.0 - np.dot(xb, xb)
+    assert abs(quatspinor.fidelity_q_circ_route(psi, chi) - f) <= tol * f
     # the circle route against its u-sandwich oracle: here q0 = 1, and with a
-    # unit right phase p, (q0 p, q1 p), q0 = p
+    # unit right phase p about x, (q0 p, q1 p), q0 = p
     p = Quaternion(np.array([0.6, *(0.8 * d / np.linalg.norm(d))]))
     psi_p = QuatSpinor(quat_mul(psi.q0, p), quat_mul(psi.q1, p), tag)
     for s in (psi, psi_p):
