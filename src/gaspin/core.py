@@ -27,35 +27,35 @@ Every operation takes batches: ``coeffs`` has shape ``(..., dim)``, the
 leading axes index cases, and a single case is a batch with no leading
 axes.  Scalars may be batches too (arrays of the leading shape), and
 reductions (``residual``, ``max_abs``, ``abs_sum``, ``scalar_part``,
-``vector_square``) act on the last axis, so a single case gets numbers.  The
-value types of the other modules hold one array each in the same layout:
-quaternions, chart points and Dirac columns their components on the last
-axis, a center scalar one complex value per case.  Each function has one
-path, and a single case runs the batch code.  Outside the product kernel
-four forks remain, each with its measured worth at the function: the
-finiteness test of one case, the Python numbers that accessors and
-reductions return for one case, the shape reading of ``Multivector.vector``
-(a ``states`` round is 10 % slower without it) and ``Multivector._of``, which
-takes core's own results without the constructor's copy.  The gather serves
-the geometric product of a single factor (one fixed matrix applied to the
-other factor; of two single cases, the left one is) and :func:`product_part`,
-which forms only the blades read (one ``np.vecdot`` for two batches;
-:func:`scalar_product` is its <ab>).  The full product of two batches is the
-product's one fork, :func:`contract`: it is contracted against the (dim^2,
-dim) sign tensor ``T[i*dim + j, i ^ j] = S[i, j]``, with only the blades
-nonzero in some case of each factor (found without a pass when the first
-case has no zero, as in a dense factor) and the matching rows of T (a rotor
-times a vector in Cl(1,3) is 8 * 4 outer terms a case, not 256), at most
+``vector_square``) act on the last axis, so a single case gets numbers.  A
+value type holds one read-only finite array in that layout, built by
+:func:`freeze`: multivectors, quaternions, quaternion matrices, chart points
+and Dirac columns.  ``spinors.CenterScalar`` keeps its own constructor: through
+``freeze`` one case's ``z`` is a 0-d array and a states pass ran 3.7 % slower.
+Each function has one path, and a single case runs the batch code.  Outside
+the product kernel four forks remain, each with its measured worth at the
+function: the finiteness test of one case, the Python numbers that accessors
+and reductions return for one case, the shape reading of
+``Multivector.vector`` (a ``states`` round is 10 % slower without it) and
+``Multivector._of``, which takes core's own results without the constructor's
+copy.  The gather serves the geometric product of a single factor (one fixed
+matrix applied to the other factor; of two single cases, the left one is) and
+:func:`product_part`, which forms only the blades read (one ``np.vecdot`` for
+two batches; :func:`scalar_product` is its <ab>).  The full product of two
+batches is the product's one fork, :func:`contract`: it is contracted against
+the (dim^2, dim) sign tensor ``T[i*dim + j, i ^ j] = S[i, j]``, with only the
+blades nonzero in some case of each factor (found without a pass when the
+first case has no zero, as in a dense factor) and the matching rows of T (a
+rotor times a vector in Cl(1,3) is 8 * 4 outer terms a case, not 256), at most
 ``_BLOCK_BYTES`` (128 KB) of outer terms at a time, one ``np.einsum`` and one
-matmul a block: on 500 dense cases 3x faster than the gather, on vectors
-13x.  Factors with the same leading shape are reshaped, others broadcast.
-It takes any bilinear map given by its table:
-``quatrep.QuatMatrix2`` products use it with a (256, 16) table.  A fixed
-bilinear form of coordinates, such as a spinor bracket or the quaternion
-product, is an (n, K, m) table (read once off :func:`product_part` by
-:func:`bilinear_table`) applied by :func:`bilinear` in two matmuls.  A map
-given on the generators extends to every blade mask through
-:func:`blade_images`, n batched products over all 2^n masks at once;
+matmul a block: on 500 dense cases 3x faster than the gather, on vectors 13x.
+Factors with the same leading shape are reshaped, others broadcast.  It takes
+any bilinear map given by its table: ``quatrep.QuatMatrix2`` products use it
+with a (256, 16) table.  A fixed bilinear form of coordinates, such as a
+spinor bracket or the quaternion product, is an (n, K, m) table (read once off
+:func:`product_part` by :func:`bilinear_table`) applied by :func:`bilinear` in
+two matmuls.  A map given on the generators extends to every blade mask
+through :func:`blade_images`, n batched products over all 2^n masks at once;
 ``isomap``, ``quatrep`` and ``dirac`` read their fixed matrices off it.
 Domain checks go through :func:`require`, which raises on the first failing
 case of a batch and names its index.
@@ -111,14 +111,27 @@ def require(ok, error: type[Exception], message) -> None:
     raise error(text)
 
 
-def _require_finite(arr: np.ndarray) -> None:
-    """NonFiniteValue unless every coefficient is finite.  A finite Python sum
-    proves it for one case (0.4 us against 1.4 us, 16 % of a states round), a
-    count of finite entries for a batch (no ``.all()`` wrapper); else the
-    elementwise test names the failing case or passes an overflow."""
+def _require_finite(arr: np.ndarray, axes: int = 1) -> None:
+    """NonFiniteValue unless every entry is finite, a case on the last ``axes`` axes.  A finite
+    Python sum proves it for a 1-d case (0.4 us against 1.4 us, 16 % of a states round), a count
+    of finite entries the rest; else the elementwise test names the bad case or clears overflow."""
     if not (math.isfinite(sum(arr.tolist())) if arr.ndim == 1
             else np.count_nonzero(np.isfinite(arr)) == arr.size):
-        require(np.isfinite(arr).all(axis=-1), NonFiniteValue, "coefficients must be finite")
+        require(np.isfinite(arr).all(axis=tuple(range(-axes, 0))), NonFiniteValue,
+                "coefficients must be finite")
+
+
+def freeze(value, name: str, arr: np.ndarray, tail: tuple[int, ...]) -> None:
+    """The one rule for value types: ValueError unless ``arr`` ends in the axes ``tail``,
+    NonFiniteValue naming the case (the leading axes) of a non-finite entry, a complex
+    ``arr`` read as floats; then ``arr``, read-only, is field ``name`` of ``value``."""
+    if arr.shape[-len(tail):] != tail:
+        raise ValueError(f"{type(value).__name__} needs (..., {', '.join(map(str, tail))}) "
+                         f"values, got {arr.shape}")
+    _require_finite(np.ascontiguousarray(arr).view(float) if arr.dtype.kind == "c" else arr,
+                    len(tail))
+    arr.setflags(write=False)
+    object.__setattr__(value, name, arr)
 
 
 def fields_equal(a, b) -> bool:
@@ -256,12 +269,8 @@ class Multivector:
 
     def __post_init__(self) -> None:
         # a copy; the cast raises on complex input before numpy could warn
-        arr = np.asarray(self.coeffs).astype(float, casting="same_kind")
-        if arr.shape != (self.signature.dim,) and arr.shape[-1:] != (self.signature.dim,):
-            raise ValueError(f"need {self.signature.dim} coefficients, got {arr.shape}")
-        _require_finite(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        freeze(self, "coeffs", np.asarray(self.coeffs).astype(float, casting="same_kind"),
+               (self.signature.dim,))
 
     @classmethod
     def _of(cls, signature: Signature, arr: np.ndarray) -> "Multivector":
@@ -549,6 +558,7 @@ def dot(a: Multivector, b: Multivector) -> float:
     return scalar_product(a, b)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # typed errors only
 def exp_blade(B: Multivector) -> Multivector:
     """Exponential of an element whose square is a real scalar.
 
@@ -565,13 +575,11 @@ def exp_blade(B: Multivector) -> Multivector:
             lambda k: f"B^2 has non-scalar residue {np.asarray(rest)[k]:g}")
     t = np.sqrt(np.abs(sq))
     circular, hyperbolic = sq < 0.0, sq > 0.0
-    # both branches are evaluated for every case; an overflow in the branch a
-    # case does not take is discarded, and in the one it takes the result's
-    # finiteness check raises NonFiniteValue
-    with np.errstate(over="ignore", invalid="ignore"):
-        even = np.where(circular, np.cos(t), np.where(hyperbolic, np.cosh(t), 1.0))
-        odd = np.where(circular, np.sin(t), np.where(hyperbolic, np.sinh(t), 1.0))
-        return even + (odd / np.where(t == 0.0, 1.0, t)) * B
+    # both branches run for every case: an overflow in the one a case does not take is
+    # discarded; in B^2 or in the one it takes, the finiteness check raises NonFiniteValue
+    even = np.where(circular, np.cos(t), np.where(hyperbolic, np.cosh(t), 1.0))
+    odd = np.where(circular, np.sin(t), np.where(hyperbolic, np.sinh(t), 1.0))
+    return even + (odd / np.where(t == 0.0, 1.0, t)) * B
 
 
 def residual(a: Multivector, b: Multivector) -> float:

@@ -41,12 +41,13 @@ from .core import (
     column_matrix,
     fields_equal,
     fixed,
+    freeze,
     idempotent,
     pseudoscalar,
     require,
     residual,
 )
-from .errors import NonFiniteValue, NotInIdeal
+from .errors import NotInIdeal
 from .isomap import AlgebraTag, euclidean_to_spacetime
 from .quatspinor import QuatSpinor, carrier_coords, carrier_frame, from_carrier_coords
 
@@ -109,12 +110,7 @@ class DiracSpinor:
     __eq__ = fields_equal
 
     def __post_init__(self) -> None:
-        comps = np.asarray(self.components, dtype=complex).view()
-        if comps.shape[-1:] != (4,):
-            raise ValueError("a Dirac column has exactly 4 complex components")
-        require(np.isfinite(comps).all(axis=-1), NonFiniteValue, "components must be finite")
-        comps.setflags(write=False)
-        object.__setattr__(self, "components", comps)
+        freeze(self, "components", np.asarray(self.components, dtype=complex).view(), (4,))
 
     @staticmethod
     def from_reals(vals) -> "DiracSpinor":

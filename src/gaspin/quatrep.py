@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (EUCLIDEAN4, Multivector, bilinear, blade_images, close, column_matrix, contract,
-                   fields_equal, fixed, idempotent, require, residual)
+                   fields_equal, fixed, freeze, idempotent, require, residual)
 from .errors import NotInSubalgebra, SignatureMismatch
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -56,11 +56,7 @@ class Quaternion:
     __eq__ = fields_equal
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=float).view()
-        if arr.shape[-1:] != (4,):
-            raise ValueError(f"need (..., 4) coordinates, got {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        freeze(self, "coeffs", np.asarray(self.coeffs, dtype=float).view(), (4,))
 
     @property
     def s(self) -> float:
@@ -155,11 +151,7 @@ class QuatMatrix2:
     __eq__ = fields_equal
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=float)
-        if arr.shape[-3:] != (2, 2, 4):
-            raise ValueError(f"need a (..., 2, 2, 4) array, got {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        freeze(self, "coeffs", np.array(self.coeffs, dtype=float), (2, 2, 4))
 
     @staticmethod
     def from_entries(m00, m01, m10, m11) -> "QuatMatrix2":

@@ -13,7 +13,8 @@ pole + center and mixed terms built from the quaternion q0* q1; M
 squares to the real scalar 1 - |q1|^2/|q0|^2, and rho^2 = |q0|^2 - |q1|^2
 must be positive (timelike states only).  When the scalar part of q0* q1
 vanishes the spinor is orthogonal and M collapses to pole + x_m with x_m a
-plain spacelike vector: the Bloch-point chart of the state.
+plain spacelike vector, :func:`bloch_point`.  It is the chart point that the
+fidelity and the projector see only for real q0: they see q0 x_m q0^-1.
 
 The carrier (over q0.s, q0.v, q1.s, q1.v), the embedding of a quaternion in
 Cl(1,3) and M are linear in quaternion coordinates, each one product with a
@@ -210,8 +211,8 @@ def is_orthogonal(psi: QuatSpinor) -> bool:
 
 
 def bloch_point(psi: QuatSpinor) -> np.ndarray:
-    """x_m = (y0 x - x0 y - x cross y) / |q0|^2 for an orthogonal spinor,
-    on the last axis: the vector part of q1* q0 over |q0|^2."""
+    """x_m = vec(q1* q0) / |q0|^2 of an orthogonal spinor, on the last axis; u psi has the
+    x_m of psi for a unit u.  The fidelity's Bloch point is -vec(q1 q0^-1) = q0 x_m q0^-1."""
     return quat_mul(psi.q1.conjugate(), psi.q0).v / psi.q0.norm2()[..., None]
 
 

@@ -234,14 +234,14 @@ def _admissible_norm(psi: IdealSpinor) -> float:
     return n
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # typed errors only
 def fidelity(psi: IdealSpinor, chi: IdealSpinor) -> float:
     """<chi|psi><psi|chi> for internally normalized states.
 
     Bloch-sphere probability in [0,1] for G3; the analogous hyperboloid
     quantity (>= 1, not a probability) for G1,2.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # typed errors only
-        return bracket_ratio(*_bracket(psi, chi), _admissible_norm(psi), _admissible_norm(chi))
+    return bracket_ratio(*_bracket(psi, chi), _admissible_norm(psi), _admissible_norm(chi))
 
 
 def fidelity_bloch(tag: AlgebraTag, chart_a, chart_b) -> float:

@@ -37,6 +37,7 @@ from .core import (
     Signature,
     close,
     fields_equal,
+    freeze,
     geometric_product,
     require,
     reverse,
@@ -56,11 +57,7 @@ class PlanePoint:
     __eq__ = fields_equal
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float).view()
-        if x.shape[-1:] != (3,):
-            raise ValueError(f"need (..., 3) chart components, got {x.shape}")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
+        freeze(self, "x", np.asarray(self.x, dtype=float).view(), (3,))
 
     @staticmethod
     def of(*components: float) -> "PlanePoint":

@@ -7,6 +7,7 @@ independent route for the batched product.  A batch with one out-of-domain
 case raises what the single call on that case raises, and names the case.
 """
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -579,6 +580,14 @@ _BAD_CASES = {
     "off the Dirac ideal": (
         NotInIdeal, lambda c: dirac.geometric_to_qspinor(dirac.DiracCarrier(
             Multivector(SPACETIME13, c))), [_dirac_carrier(k) for k in (0, 3, 5, 6)], np.eye(16)[0]),
+    "non-finite chart point": (
+        NonFiniteValue, _chart, np.full((4, 3), 0.5), [0.5, np.inf, 0.5]),
+    "non-finite quaternion": (
+        NonFiniteValue, Quaternion, np.ones((4, 4)), [1.0, 0.0, np.nan, 0.0]),
+    # the case index counts the batch axes only, not the matrix's (2, 2, 4)
+    "non-finite quaternion matrix": (
+        NonFiniteValue, QuatMatrix2, np.ones((4, 2, 2, 4)),
+        np.where(np.arange(16).reshape(2, 2, 4) == 9, -np.inf, 1.0)),
     "non-finite Dirac column": (
         NonFiniteValue, dirac.DiracSpinor.from_reals,
         np.full((4, 8), 0.5), np.where(np.arange(8) == 3, np.inf, 0.5)),
@@ -620,20 +629,51 @@ def test_one_bad_case_in_a_batch_raises_like_the_single_call(name):
         call(rows[:4].reshape(2, 2, *rows.shape[1:]))
 
 
+# name: (call on one value, the values): before every value type refused
+# non-finite entries, each call warned or returned NaN
+_NON_FINITE_CALLS = {
+    "sphere_angle": (lambda v: stereo.sphere_angle(_chart([v, 0.0, 0.0])), (np.nan,)),
+    "hyper_angle": (lambda v: stereo.hyper_angle(_chart([v, 0.0, 0.0])), (np.nan,)),
+    "lift_sphere": (lambda v: stereo.lift_sphere(_chart([v, 0.0, 0.0])), (np.inf, -np.inf)),
+    "sphere_rotor": (lambda v: stereo.sphere_rotor(_chart([v, 0.0, 0.0])), (np.inf, -np.inf)),
+    "bloch_point": (lambda v: quatspinor.bloch_point(_qspinor([1, 0, 0, 0, 0, v, 0, 0])),
+                    (np.inf, -np.inf, np.nan)),
+    "qspinor_to_dirac": (lambda v: dirac.qspinor_to_dirac(_qspinor([1, 0, 0, 0, 0, 0, v, 0])),
+                         (np.inf, -np.inf)),  # a NaN column was refused without a warning
+    # B^2 = 1e310 overflows in the product, before any branch
+    "exp_blade g01 in Cl(1,3)": (
+        lambda v: exp_blade(Multivector.blade(SPACETIME13, 0b0011, v)), (1e155,)),
+}
+
+
+@pytest.mark.parametrize("name, value", [(name, v) for name, (_, values)
+                                         in sorted(_NON_FINITE_CALLS.items()) for v in values])
+def test_non_finite_input_raises_nonfinitevalue_without_a_warning(name, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue):
+            _NON_FINITE_CALLS[name][0](value)
+
+
 # name: (error, start of its message, call) for input that no case of any
 # batch could make valid: the wrong shape, signature or tag, raised before
 # any case is read
 _MALFORMED = {
     "Multivector of 8 coefficients in Cl(4,0)": (
-        ValueError, "need 16 coefficients", lambda: Multivector(EUCLIDEAN4, np.ones((3, 8)))),
+        ValueError, "Multivector needs (..., 16) values, got (3, 8)",
+        lambda: Multivector(EUCLIDEAN4, np.ones((3, 8)))),
     "Quaternion of 3 coordinates": (
-        ValueError, "need (..., 4) coordinates", lambda: Quaternion(np.ones((3, 3)))),
+        ValueError, "Quaternion needs (..., 4) values, got (3, 3)",
+        lambda: Quaternion(np.ones((3, 3)))),
     "QuatMatrix2 of 2 x 4 coordinates": (
-        ValueError, "need a (..., 2, 2, 4) array", lambda: QuatMatrix2(np.ones((3, 2, 4)))),
+        ValueError, "QuatMatrix2 needs (..., 2, 2, 4) values, got (3, 2, 4)",
+        lambda: QuatMatrix2(np.ones((3, 2, 4)))),
     "PlanePoint of 2 components": (
-        ValueError, "need (..., 3) chart components", lambda: stereo.PlanePoint(np.ones((3, 2)))),
+        ValueError, "PlanePoint needs (..., 3) values, got (3, 2)",
+        lambda: stereo.PlanePoint(np.ones((3, 2)))),
     "DiracSpinor of 3 components": (
-        ValueError, "a Dirac column has exactly 4", lambda: dirac.DiracSpinor(np.ones((3, 3)))),
+        ValueError, "DiracSpinor needs (..., 4) values, got (3, 3)",
+        lambda: dirac.DiracSpinor(np.ones((3, 3)))),
     "blade mask past the last blade": (
         ValueError, "blade mask 16 out of range", lambda: Multivector.blade(EUCLIDEAN4, 16)),
     "negative blade mask": (

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gaspin.core import (
     reverse,
     vector_inverse,
 )
+from gaspin.dirac import DiracSpinor
 from gaspin.errors import (
     GradeOutOfRange,
     NonFiniteValue,
@@ -30,6 +32,8 @@ from gaspin.errors import (
     NullVector,
     SignatureMismatch,
 )
+from gaspin.quatrep import QuatMatrix2, Quaternion
+from gaspin.stereo import PlanePoint
 
 from conftest import ALL_SIGNATURES, allclose, blade_product, random_mv
 
@@ -492,21 +496,38 @@ _FINITENESS_ROWS = {
 }
 
 
+# Value type: (the float entries of one case, its constructor on them).  Every
+# value type builds its array by ``core.freeze``, so every one keeps these rows.
+_VALUE_TYPES = {
+    "Multivector": ((EUCLIDEAN4.dim,), lambda c: Multivector(EUCLIDEAN4, c)),
+    "PlanePoint": ((3,), PlanePoint),
+    "Quaternion": ((4,), Quaternion),
+    "QuatMatrix2": ((2, 2, 4), QuatMatrix2),
+    "DiracSpinor": ((8,), lambda c: DiracSpinor(c.view(complex))),  # a row's (re, im) pairs
+}
+_ROWS_BY_TYPE = [(name, kind) for kind in _VALUE_TYPES for name in sorted(_FINITENESS_ROWS)]
+
+
 @pytest.mark.parametrize("shape", ((), (5,), (3, 4)), ids=str)
-@pytest.mark.parametrize("name", sorted(_FINITENESS_ROWS))
-def test_finiteness_semantics_for_single_cases_and_batches(name, shape):
+@pytest.mark.parametrize(  # Multivector rows keep the ids they had before the other types
+    "name, kind", _ROWS_BY_TYPE,
+    ids=[name if kind == "Multivector" else f"{kind} {name}" for name, kind in _ROWS_BY_TYPE])
+def test_finiteness_semantics_for_single_cases_and_batches(name, kind, shape):
     # the row sits in the last case of a batch, the other cases are zero; the
-    # sum over the coefficients overflows or is nan, and no warning is raised
+    # sum over the entries overflows or is nan, and no warning is raised
     head, accepted = _FINITENESS_ROWS[name]
-    coeffs = np.zeros((*shape, EUCLIDEAN4.dim))
+    case, build = _VALUE_TYPES[kind]
+    coeffs = np.zeros((*shape, math.prod(case)))
     coeffs[(*(n - 1 for n in shape), slice(len(head)))] = head
+    coeffs = coeffs.reshape(*shape, *case)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if accepted:
-            assert np.array_equal(Multivector(EUCLIDEAN4, coeffs).coeffs, coeffs)
+            value = build(coeffs)
+            assert np.array_equal(getattr(value, fields(value)[-1].name).view(float), coeffs)
             return
         with pytest.raises(NonFiniteValue) as info:
-            Multivector(EUCLIDEAN4, coeffs)
+            build(coeffs)
     if shape:
         last = shape[0] - 1 if len(shape) == 1 else tuple(n - 1 for n in shape)
         assert str(info.value).endswith(f"(case {last})")

@@ -360,6 +360,33 @@ def test_bloch_point_roundtrip(rng):
         assert np.allclose(bloch_point(psi), x, atol=1e-14)
 
 
+def test_fidelity_sees_the_rotated_bloch_point_when_q0_is_not_real(rng):
+    # psi = (q0, q0 v) is orthogonal for a pure v, and u psi for a unit u has
+    # the same bloch_point; the fidelity sees w = -vec(q1 q0^-1) =
+    # q0 bloch_point q0^-1 instead, which u rotates
+    def inverse(q):
+        return q.conjugate().scale(1.0 / q.norm2())
+
+    def w(s):
+        return -quat_mul(s.q1, inverse(s.q0)).v
+
+    eps, off = np.finfo(float).eps, []
+    for _ in range(50):
+        q0, u = (Quaternion(rng.normal(size=4)) for _ in range(2))
+        u = u.scale(1.0 / u.norm())
+        psi = QuatSpinor(q0, quat_mul(q0, Quaternion([0.0, *rng.uniform(-0.5, 0.5, 3)])))
+        chi = QuatSpinor(quat_mul(u, psi.q0), quat_mul(u, psi.q1))
+        assert is_orthogonal(psi) and is_orthogonal(chi)
+        assert np.allclose(bloch_point(chi), bloch_point(psi), rtol=0.0, atol=4 * eps)
+        for s in (psi, chi):
+            rotated = quat_mul(quat_mul(s.q0, Quaternion([0.0, *bloch_point(s)])), inverse(s.q0))
+            assert np.allclose(rotated.v, w(s), rtol=0.0, atol=4 * eps)
+        f = fidelity_q(psi, chi)
+        assert abs(f - exact_fidelity(w(psi), w(chi))) <= 16 * eps * f
+        off.append(abs(f - exact_fidelity(bloch_point(psi), bloch_point(chi))) / f)
+    assert max(off) > 0.5  # the Bloch-point formula at bloch_point: F = 1 for equal points
+
+
 # ------------------------------------------------------- brakets, projectors
 
 
