@@ -19,7 +19,8 @@ A center scalar holds s + p*i as one complex value.  The carrier is linear
 in the coordinates (a0.s, a0.p, a1.s, a1.p), one cached frame, and the
 bracket 2 <rev(a) b>_{0+3} bilinear, one cached table read once off the
 products of the frame's columns (the Gram matrix of the unit spinors).
-:func:`fidelity_bloch` and :func:`fidelity_chart` stay independent routes.
+Of the fidelity triple, the bracket and the sandwich m^ pole m^ of :func:`fidelity_bloch`
+read products; m^2 and the closed form :func:`fidelity_chart` read the chart numbers.
 
 Center scalars hold one complex array for a batch of states, and chart
 points (a, b) a pair of arrays; every function acts on them case by case.
@@ -46,7 +47,7 @@ from .core import (
     reverse,
     scalar_product,
 )
-from .errors import DegenerateState, NonTimelike, TagMismatch
+from .errors import DegenerateState, NonFiniteValue, NonTimelike, TagMismatch
 from .isomap import AlgebraTag
 
 _VALID_TAGS = (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12)
@@ -138,15 +139,25 @@ def chart_lift(tag: AlgebraTag, chart: tuple[float, float]) -> Multivector:
     return geometric_product(geometric_product(mhat, pole), mhat)
 
 
+def _m_square(tag: AlgebraTag, chart: tuple[float, float]) -> tuple[float, float, float]:
+    """(a, b, m^2 = 1 + c (a^2 + b^2)) read as float64, c the square of the chart generators."""
+    a, b = np.float64(chart[0]), np.float64(chart[1])
+    r2 = a * a + b * b
+    msq = 1.0 + tag.signature.metric(_CARRIER[tag]) * r2
+    require(abs(msq) < np.inf, NonFiniteValue, "m^2 leaves the float range")  # NaN too
+    require(np.logical_not(close(msq, 1.0 + r2)), NonTimelike, lambda k: "chart point "
+            f"{tuple(np.broadcast_to(c, np.shape(msq))[k].item() for c in chart)} "
+            "lies outside the hyperboloid chart")
+    return a, b, msq
+
+
 def _unit_m(tag: AlgebraTag, chart: tuple[float, float]) -> tuple[Multivector, float]:
-    """(m / sqrt(m^2), sqrt(m^2)); NonTimelike where m^2 is not positive."""
-    m = m_vector(tag, chart)
-    msq = scalar_product(m, m)
-    require(np.logical_not(close(msq, np.add.reduce(m.coeffs * m.coeffs, axis=-1))), NonTimelike,
-            lambda k: f"chart point {tuple(np.asarray(c)[k].item() for c in chart)} "
-                      "lies outside the hyperboloid chart")
+    """(m / sqrt(m^2), sqrt(m^2)): m^2 and m^ off the chart numbers, m^ one vector."""
+    a, b, msq = _m_square(tag, chart)
     root = np.sqrt(msq)
-    return m / root, root
+    x = [a / root, b / root]
+    x.insert(_POLE[tag], 1.0 / root)  # the pole generator: last in G3, first in G1,2
+    return Multivector.vector(tag.signature, x), root
 
 
 def to_multivector(psi: IdealSpinor) -> Multivector:
@@ -155,10 +166,11 @@ def to_multivector(psi: IdealSpinor) -> Multivector:
 
 
 def _coords(psi: IdealSpinor) -> np.ndarray:
-    """The coordinates (a0.s, a0.p, a1.s, a1.p) on the last axis, the batch
-    axes of a0 and a1 broadcast against each other."""
+    """The coordinates (a0.s, a0.p, a1.s, a1.p) on the last axis, the batch axes of
+    a0 and a1 broadcast; NonFiniteValue names a case a center scalar held non-finite."""
     a = np.empty((*np.broadcast(psi.a0.z, psi.a1.z).shape, 2), complex)
     a[..., 0], a[..., 1] = psi.a0.z, psi.a1.z
+    core._require_finite(a.view(float))
     return a.view(float)
 
 
@@ -192,8 +204,8 @@ def norm2(psi: IdealSpinor) -> float:
 
 def canonical_form(psi: IdealSpinor) -> CanonicalIdeal:
     """Factor out the leading component; refuses the excluded chart point."""
-    # any other a0 is a chart point
     require(psi.a0.z != 0.0, DegenerateState, "a0 = 0 is the excluded pole of the chart")
+    _coords(psi)  # any other finite a0 is a chart point; NonFiniteValue before the ratio warns
     # a1 / a0 without |a0|^2, which underflows for |a0| below 1e-154
     ratio = psi.a1.z / psi.a0.z
     chart = (ratio.real, _CHART_SIGN[psi.tag] * ratio.imag)
@@ -236,27 +248,21 @@ def _admissible_norm(psi: IdealSpinor) -> float:
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # typed errors only
 def fidelity(psi: IdealSpinor, chi: IdealSpinor) -> float:
-    """<chi|psi><psi|chi> for internally normalized states.
-
-    Bloch-sphere probability in [0,1] for G3; the analogous hyperboloid
-    quantity (>= 1, not a probability) for G1,2.
-    """
+    """<chi|psi><psi|chi> for internally normalized states, by the bracket."""
     return bracket_ratio(*_bracket(psi, chi), _admissible_norm(psi), _admissible_norm(chi))
 
 
 def fidelity_bloch(tag: AlgebraTag, chart_a, chart_b) -> float:
     """Closed form (1 + a^ . b^)/2 computed from the chart lifts."""
-    a = chart_lift(tag, chart_a)
-    b = chart_lift(tag, chart_b)
-    return 0.5 * (1.0 + scalar_product(a, b))
+    return 0.5 * (1.0 + scalar_product(chart_lift(tag, chart_a), chart_lift(tag, chart_b)))
 
 
 def fidelity_chart(tag: AlgebraTag, chart_a, chart_b) -> float:
-    """Closed form 1 - (m_a - m_b)^2 / (m_a^2 m_b^2) on chart points."""
-    ma = m_vector(tag, chart_a)
-    mb = m_vector(tag, chart_b)
-    d = ma - mb
-    return 1.0 - scalar_product(d, d) / (scalar_product(ma, ma) * scalar_product(mb, mb))
+    """Closed form 1 - (m_a - m_b)^2 / (m_a^2 m_b^2) off the chart numbers, unlike the others."""
+    a, b, ma2 = _m_square(tag, chart_a)
+    p, q, mb2 = _m_square(tag, chart_b)
+    d, e = a - p, b - q
+    return 1.0 - tag.signature.metric(_CARRIER[tag]) * (d * d + e * e) / (ma2 * mb2)
 
 
 def antipodal_chart(chart: tuple[float, float]) -> tuple[float, float]:
@@ -265,6 +271,8 @@ def antipodal_chart(chart: tuple[float, float]) -> tuple[float, float]:
     On the Bloch sphere this lifts to the antipode -a^; the pole's partner
     would be the excluded south pole, hence the error at the origin.
     """
-    r = np.hypot(*chart)  # x^2 would underflow for |x| below 1e-154
+    a, b = np.float64(chart[0]), np.float64(chart[1])
+    require(np.isfinite(a) & np.isfinite(b), NonFiniteValue, "chart point must be finite")
+    r = np.hypot(a, b)  # x^2 would underflow for |x| below 1e-154
     require(r != 0.0, DegenerateState, "antipode of the pole is the excluded chart point")
-    return tuple(-(c / r) / r for c in chart)
+    return tuple(-(c / r) / r for c in (a, b))

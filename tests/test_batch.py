@@ -643,7 +643,19 @@ _NON_FINITE_CALLS = {
     # B^2 = 1e310 overflows in the product, before any branch
     "exp_blade g01 in Cl(1,3)": (
         lambda v: exp_blade(Multivector.blade(SPACETIME13, 0b0011, v)), (1e155,)),
+    # the chart tuples and center scalars of spinors are read where they are used
+    "antipodal_chart": (lambda v: spinors.antipodal_chart((v, 0.0)), (np.inf, -np.inf, np.nan)),
+    "canonical_form": (lambda v: spinors.canonical_form(_chart_spinor(AlgebraTag.PAULI3, v)),
+                       (np.inf, -np.inf)),  # a NaN chart was refused without a warning
+    # an infinite component was a zero state in G3 and a spacelike one in G1,2
+    **{f"fidelity {tag.value}": (
+        lambda v, tag=tag: spinors.fidelity(_chart_spinor(tag, v), _chart_spinor(tag, 0.1)),
+        (np.inf, -np.inf)) for tag in (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12)},
 }
+
+
+def _chart_spinor(tag, a):
+    return spinors.IdealSpinor.from_chart(tag, (a, 0.0))
 
 
 @pytest.mark.parametrize("name, value", [(name, v) for name, (_, values)

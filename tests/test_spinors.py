@@ -36,6 +36,7 @@ from gaspin.spinors import (
     to_multivector,
 )
 
+import exact
 from conftest import allclose, conj, frame_coords, ideal
 
 TAGS = (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12)
@@ -371,6 +372,66 @@ def test_fidelity_triple_equality(rng):
             assert np.all((-1e-12 <= f1) & (f1 <= 1.0 + 1e-12))
         else:
             assert np.all(f1 >= 1.0 - 1e-12)
+
+
+# Bounds in units of eps, twice the measured worst case or more.  Over these
+# draws and six other seeds of 400 pairs, single and batched: G3 is off by at
+# most 2.0 eps absolute (the bracket; the sandwich 1.5, the closed form 1.5);
+# G1,2 by at most 1.65 eps |F| / (gap_a gap_b) (the sandwich; the bracket
+# 0.61, the closed form 0.39).
+_EXACT_BOUND = {AlgebraTag.PAULI3: 4.0, AlgebraTag.MINKOWSKI12: 4.0}
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_fidelity_triple_against_the_exact_hermitian_form(tag):
+    # Each route against F = |h(psi, chi)|^2 / (h(psi, psi) h(chi, chi)) of
+    # tests/exact.py, rounded once, on 400 seeded pairs as one batch and one
+    # pair at a time.  G3 fills [-2.5, 2.5]^2 and is held to an absolute
+    # bound, since 1 - ... cancels near F = 0 (relative errors reach 297 eps
+    # there on this draw).  G1,2 takes cone gaps 1 - |x|^2 from 1e-8 to 1,
+    # where F grows as 1 / (gap_a gap_b) and so does its rounding.
+    rng = np.random.default_rng(12)
+    n = 400
+    if tag is AlgebraTag.PAULI3:
+        xa, xb = rng.uniform(-2.5, 2.5, (2, n, 2))
+    else:
+        r = np.sqrt(1.0 - 10.0 ** rng.uniform(-8, 0, (2, n)))
+        angle = rng.uniform(0, 2 * np.pi, (2, n))
+        xa, xb = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
+    want = np.array([exact.fidelity(tag, a, b) for a, b in zip(xa, xb)])
+    unit = np.full(n, np.finfo(float).eps * _EXACT_BOUND[tag])
+    if tag is AlgebraTag.MINKOWSKI12:
+        unit *= np.abs(want) / np.array([float(exact.cone_gap(a) * exact.cone_gap(b))
+                                         for a, b in zip(xa, xb)])
+
+    def routes(ca, cb):
+        psi, chi = IdealSpinor.from_chart(tag, ca), IdealSpinor.from_chart(tag, cb)
+        return fidelity(psi, chi), fidelity_bloch(tag, ca, cb), fidelity_chart(tag, ca, cb)
+
+    batch = routes(tuple(xa.T), tuple(xb.T))
+    single = np.array([routes(tuple(a.tolist()), tuple(b.tolist())) for a, b in zip(xa, xb)]).T
+    for kind, results in (("batch", batch), ("single", single)):
+        for name, got in zip(("bracket", "sandwich", "closed form"), results):
+            worst = np.argmax(np.abs(got - want) / unit)
+            assert abs(got[worst] - want[worst]) <= unit[worst], (kind, name, xa[worst], xb[worst])
+
+
+@pytest.mark.parametrize("ca, cb", [((1.0, 0.0), (0.0, 0.0)), ((1.5, 0.0), (0.1, 0.0))])
+def test_every_fidelity_route_refuses_a_chart_point_off_the_hyperboloid(ca, cb):
+    # the closed form once divided by m^2 = 0 at |x| = 1 and gave -0.58 at 1.5
+    tag = AlgebraTag.MINKOWSKI12
+    for a, b in ((ca, cb), (cb, ca)):
+        psi, chi = IdealSpinor.from_chart(tag, a), IdealSpinor.from_chart(tag, b)
+        for route in (lambda: fidelity(psi, chi), lambda: fidelity_bloch(tag, a, b),
+                      lambda: fidelity_chart(tag, a, b)):
+            with pytest.raises(NonTimelike):
+                route()
+    # in a batch the message names the bad case
+    rows = (np.array([0.1, 0.2, -0.3, ca[0], 0.4]), np.array([0.0, 0.1, 0.2, ca[1], -0.5]))
+    with pytest.raises(NonTimelike, match=r"\(case 3\)$"):
+        fidelity_chart(tag, rows, cb)
+    with pytest.raises(NonTimelike, match=r"\(case 3\)$"):
+        fidelity_chart(tag, cb, rows)
 
 
 def test_fidelity_errors():
