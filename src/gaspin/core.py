@@ -28,10 +28,9 @@ leading axes index cases, and a single case is a batch with no leading
 axes.  Scalars may be batches too (arrays of the leading shape), and
 reductions (``residual``, ``max_abs``, ``abs_sum``, ``scalar_part``,
 ``vector_square``) act on the last axis, so a single case gets numbers.  A
-value type holds one read-only finite array in that layout, built by
-:func:`freeze`: multivectors, quaternions, quaternion matrices, chart points
-and Dirac columns.  ``spinors.CenterScalar`` keeps its own constructor: through
-``freeze`` one case's ``z`` is a 0-d array and a states pass ran 3.7 % slower.
+value type holds one read-only finite array in that layout: multivectors,
+quaternions, quaternion matrices, chart points and Dirac columns through
+:func:`freeze`, and center scalars, whose one case is a complex number.
 Each function has one path, and a single case runs the batch code.  Outside
 the product kernel four forks remain, each with its measured worth at the
 function: the finiteness test of one case, the Python numbers that accessors

@@ -144,30 +144,23 @@ class CanonicalQ:
     __eq__ = fields_equal
 
 
-def norm2_q(psi: QuatSpinor) -> float:
-    """rho^2 = |q0|^2 - |q1|^2 (Minkowski-style)."""
-    return psi.q0.norm2() - psi.q1.norm2()
-
-
-def phase_axis(q0: Quaternion) -> tuple[float, np.ndarray]:
-    """Polar split q0 = |q0| exp(theta i xhat) with theta in [0, pi].
+def phase_axis(q0: Quaternion, n: float) -> tuple[float, np.ndarray]:
+    """Polar split q0 = n exp(theta i xhat), theta in [0, pi], n = |q0| > 0 from _admissible.
 
     A real-negative q0 gives theta = pi with the axis fixed at e3 by
     convention (the branch is otherwise undetermined).
     """
-    n = q0.norm()
-    require(n != 0.0, ZeroQ0, "zero leading quaternion has no phase")
     vlen = np.sqrt(np.vecdot(q0.v, q0.v))
     theta = np.arctan2(vlen, q0.s)
     real = close(vlen, n)[..., None]  # no axis: e3 by convention
     return theta, np.where(real, (0.0, 0.0, 1.0), q0.v / np.where(real, 1.0, vlen[..., None]))
 
 
-def _spacetime_m(q0: Quaternion, w: Quaternion) -> Multivector:
-    """M = g0 + (c i + w~ i g0) / |q0|^2 in Cl(1,3), with w = q0* q1 or q1 q0*,
-    c its scalar part and w~ the embedding of its vector part."""
+def _spacetime_m(n0: float, w: Quaternion) -> Multivector:
+    """M = g0 + (c i + w~ i g0) / n0 in Cl(1,3), with n0 = |q0|^2 from :func:`_admissible`,
+    w = q0* q1 or q1 q0*, c its scalar part and w~ the embedding of its vector part."""
     frame, g0 = _m_frame()
-    return Multivector(SPACETIME13, (w.coeffs / q0.norm2()[..., None]) @ frame.T + g0)
+    return Multivector(SPACETIME13, (w.coeffs / n0[..., None]) @ frame.T + g0)
 
 
 @fixed
@@ -182,14 +175,15 @@ def _m_frame() -> tuple[np.ndarray, np.ndarray]:
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # typed errors only
 def canonical_q(psi: QuatSpinor) -> CanonicalQ:
     """Canonical polar data; ZeroQ0 / NonTimelike outside the chart."""
-    _admissible(psi)
-    theta, x_dir = phase_axis(psi.q0)
-    m13 = _spacetime_m(psi.q0, quat_mul(psi.q0.conjugate(), psi.q1))
+    n0, _ = _admissible(psi)
+    n = np.sqrt(n0)
+    theta, x_dir = phase_axis(psi.q0, n)
+    m13 = _spacetime_m(n0, quat_mul(psi.q0.conjugate(), psi.q1))
     root = np.sqrt(scalar_product(m13, m13))
     mhat13 = m13 / root
     # rho = |q0| sqrt(M^2) shares the rounding of M^2 with Mhat, so rho Mhat
     # keeps full accuracy near the light cone (|q1| -> |q0|)
-    return CanonicalQ(psi.q0.norm() * root, theta, x_dir, _in_tag(m13, psi.tag),
+    return CanonicalQ(n * root, theta, x_dir, _in_tag(m13, psi.tag),
                       _in_tag(mhat13, psi.tag))
 
 
@@ -248,11 +242,10 @@ def projector_closed_orthogonal(psi: QuatSpinor) -> Multivector:
     """
     require(is_orthogonal(psi), NotOrthogonal, "closed form asserted only for orthogonal spinors")
     z = quat_mul(psi.q1, psi.q0.conjugate()).v  # x0 y - y0 x - x cross y
-    rho2 = norm2_q(psi)
-    total = psi.q0.norm2() + psi.q1.norm2()
+    n0, n1 = psi.q0.norm2(), psi.q1.norm2()
     out13 = (
-        Multivector.scalar(SPACETIME13, rho2)
-        + total * Multivector.basis(SPACETIME13, 0)
+        Multivector.scalar(SPACETIME13, n0 - n1)
+        + (n0 + n1) * Multivector.basis(SPACETIME13, 0)
         - 2.0 * Multivector.vector(SPACETIME13, (0.0, *np.moveaxis(z, -1, 0)))
     )
     return _in_tag(out13, psi.tag)
@@ -271,18 +264,18 @@ def fidelity_q(psi: QuatSpinor, chi: QuatSpinor) -> float:
     if psi.tag is not chi.tag:
         raise TagMismatch(f"{psi.tag} vs {chi.tag}")
     return bracket_ratio(carrier_coords(psi), _tables()[1], carrier_coords(chi),
-                         _admissible(psi), _admissible(chi))
+                         _admissible(psi)[1], _admissible(chi)[1])
 
 
-def _admissible(psi: QuatSpinor) -> float:
-    """rho^2: ZeroQ0 when |q0|^2 is zero, as in :func:`phase_axis`, and
-    NonTimelike when rho^2 is not positive relative to |q0|^2 + |q1|^2."""
+def _admissible(psi: QuatSpinor) -> tuple[float, float]:
+    """(|q0|^2, rho^2 = |q0|^2 - |q1|^2), the one place the norms are squared: ZeroQ0
+    when |q0|^2 is zero, NonTimelike when rho^2 is not positive relative to |q0|^2 + |q1|^2."""
     n0, n1 = psi.q0.norm2(), psi.q1.norm2()
     require(n0 != 0.0, ZeroQ0, "canonical form divides by q0")
-    rho2 = n0 - n1  # norm2_q(psi)
+    rho2 = n0 - n1
     require(np.logical_not(close(rho2, n0 + n1)), NonTimelike,
             lambda k: f"rho^2 = {np.asarray(rho2)[k]:g} must be positive")
-    return rho2
+    return n0, rho2
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # typed errors only
@@ -293,13 +286,12 @@ def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor) -> float:
     table, the route stays independent of :func:`fidelity_q`; the two agree to 1e-10."""
     if psi.tag is not chi.tag:
         raise TagMismatch(f"{psi.tag} vs {chi.tag}")
-    _admissible(psi)
-    _admissible(chi)
+    n_psi, n_chi = _admissible(psi)[0], _admissible(chi)[0]
     g0 = Multivector.basis(SPACETIME13, 0)
 
-    def a_primed(s: QuatSpinor) -> Multivector:
-        m_primed = _spacetime_m(s.q0, quat_mul(s.q1, s.q0.conjugate()))  # u M u~
+    def a_primed(s: QuatSpinor, n0: float) -> Multivector:
+        m_primed = _spacetime_m(n0, quat_mul(s.q1, s.q0.conjugate()))  # u M u~
         mhat = m_primed / np.sqrt(scalar_product(m_primed, m_primed))
         return mhat * g0 * mhat
 
-    return 0.5 * (1.0 + scalar_product(a_primed(psi), a_primed(chi)))
+    return 0.5 * (1.0 + scalar_product(a_primed(psi, n_psi), a_primed(chi, n_chi)))

@@ -15,15 +15,16 @@ Fidelities normalize internally, so callers pass raw states.  The Pauli
 fidelity is a probability in [0,1]; the Minkowski analogue is >= 1 and is
 reported as the Bloch-hyperboloid quantity.
 
-A center scalar holds s + p*i as one complex value.  The carrier is linear
-in the coordinates (a0.s, a0.p, a1.s, a1.p), one cached frame, and the
-bracket 2 <rev(a) b>_{0+3} bilinear, one cached table read once off the
-products of the frame's columns (the Gram matrix of the unit spinors).
+The carrier is linear in the coordinates (a0.s, a0.p, a1.s, a1.p), one cached
+frame, and the bracket 2 <rev(a) b>_{0+3} bilinear, one cached table read once off
+the products of the frame's columns (the Gram matrix of the unit spinors).
 Of the fidelity triple, the bracket and the sandwich m^ pole m^ of :func:`fidelity_bloch`
 read products; m^2 and the closed form :func:`fidelity_chart` read the chart numbers.
 
-Center scalars hold one complex array for a batch of states, and chart
-points (a, b) a pair of arrays; every function acts on them case by case.
+Each input is checked once, where it enters; every function acts case by case.
+A center scalar, s + p*i as one complex value (an array for a batch), is finite
+when built; a chart point (a, b) is checked where it is read (:func:`_m_square`,
+:func:`antipodal_chart`); :func:`_admissible_norm` squares each component once.
 """
 from __future__ import annotations
 
@@ -68,10 +69,11 @@ class CenterScalar:
     __eq__ = fields_equal
 
     def __init__(self, s: float, p: float) -> None:
-        """From the parts, numbers or per-case arrays that broadcast; exact,
-        signed zeros and infinities included."""
+        """From the parts, numbers or per-case arrays that broadcast; exact, signed
+        zeros included.  NonFiniteValue names the case of a NaN or infinite part."""
         z = np.empty(np.broadcast(s, p).shape, dtype=complex)
         z.real, z.imag = s, p
+        require(np.isfinite(z), NonFiniteValue, "coefficients must be finite")  # s and p
         z.setflags(write=False)
         object.__setattr__(self, "z", z[()])
 
@@ -167,10 +169,9 @@ def to_multivector(psi: IdealSpinor) -> Multivector:
 
 def _coords(psi: IdealSpinor) -> np.ndarray:
     """The coordinates (a0.s, a0.p, a1.s, a1.p) on the last axis, the batch axes of
-    a0 and a1 broadcast; NonFiniteValue names a case a center scalar held non-finite."""
+    a0 and a1 broadcast."""
     a = np.empty((*np.broadcast(psi.a0.z, psi.a1.z).shape, 2), complex)
     a[..., 0], a[..., 1] = psi.a0.z, psi.a1.z
-    core._require_finite(a.view(float))
     return a.view(float)
 
 
@@ -196,16 +197,10 @@ class CanonicalIdeal:
     __eq__ = fields_equal
 
 
-def norm2(psi: IdealSpinor) -> float:
-    """Squared norm |a0|^2 + c^2 |a1|^2 with c the carrier generator:
-    |a0|^2 + |a1|^2 in G3, |a0|^2 - |a1|^2 in G1,2."""
-    return psi.a0.abs2() + psi.tag.signature.metric(_CARRIER[psi.tag]) * psi.a1.abs2()
-
-
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # typed errors only
 def canonical_form(psi: IdealSpinor) -> CanonicalIdeal:
     """Factor out the leading component; refuses the excluded chart point."""
     require(psi.a0.z != 0.0, DegenerateState, "a0 = 0 is the excluded pole of the chart")
-    _coords(psi)  # any other finite a0 is a chart point; NonFiniteValue before the ratio warns
     # a1 / a0 without |a0|^2, which underflows for |a0| below 1e-154
     ratio = psi.a1.z / psi.a0.z
     chart = (ratio.real, _CHART_SIGN[psi.tag] * ratio.imag)
@@ -238,8 +233,11 @@ def _bracket_table(tag: AlgebraTag) -> np.ndarray:
 
 
 def _admissible_norm(psi: IdealSpinor) -> float:
-    n = norm2(psi)
-    ok = np.logical_not(close(n, psi.a0.abs2() + psi.a1.abs2()))
+    """|a0|^2 + c^2 |a1|^2 off one square of each, c the carrier generator; NonTimelike (G1,2)
+    or DegenerateState unless it is positive relative to |a0|^2 + |a1|^2."""
+    n0, n1 = psi.a0.abs2(), psi.a1.abs2()
+    n = n0 + psi.tag.signature.metric(_CARRIER[psi.tag]) * n1
+    ok = np.logical_not(close(n, n0 + n1))
     if psi.tag is AlgebraTag.MINKOWSKI12:
         require(ok, NonTimelike, lambda k: f"norm squared {np.asarray(n)[k]:g} not positive")
     require(ok, DegenerateState, "zero state has no fidelity")

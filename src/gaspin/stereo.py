@@ -187,6 +187,7 @@ def sphere_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, floa
     return _lift_differential(x, dx, EUCLIDEAN4, 1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # past 1e154 NonFiniteValue, not a warning
 def _lift_differential(x: PlanePoint, dx: Sequence[float], signature: Signature, s: float):
     """da = (2 d dx - 4 s (x + pole) (x . dx)) / d^2 with d = 1 + s x^2, and
     (da)^2; s = 1 on the sphere, -1 on the hyperboloid.  ``dx`` holds its
@@ -202,17 +203,19 @@ def _lift_differential(x: PlanePoint, dx: Sequence[float], signature: Signature,
 # -------------------------------------------------------------- hyperboloid
 
 
-def _check_open_ball(x: PlanePoint) -> None:
-    require(np.logical_not(x.norm2 >= 1.0), DomainViolation,
+@np.errstate(over="ignore")  # an overflowing x^2 is outside the ball, not a warning
+def _check_open_ball(x: PlanePoint) -> float:
+    """x^2, the hyperbolic chart's one square of x: DomainViolation unless x^2 < 1."""
+    r2 = x.norm2
+    require(np.logical_not(r2 >= 1.0), DomainViolation,
             "hyperbolic chart requires |x| < 1 strictly")
+    return r2
 
 
 def lift_hyper(x: PlanePoint) -> HyperPoint:
     """x in the open unit ball -> ((1 + x^2) g0 + 2x) / (1 - x^2) on L^3."""
-    _check_open_ball(x)
-    r2 = np.vecdot(x.x, x.x, keepdims=True)
-    d = 1.0 - r2
-    comps = np.concatenate([1.0 + r2, 2.0 * x.x], axis=-1) / d
+    r2 = _check_open_ball(x)[..., None]
+    comps = np.concatenate([1.0 + r2, 2.0 * x.x], axis=-1) / (1.0 - r2)
     return HyperPoint(Multivector(SPACETIME13, comps @ _VECTOR))
 
 
@@ -231,8 +234,7 @@ def hyper_angle(x: PlanePoint) -> float:
 
 def hyper_boost(x: PlanePoint) -> Multivector:
     """Boost R with R g0 R~ = lift_hyper(x); identity at the origin."""
-    _check_open_ball(x)
-    return _pole_rotor(x, SPACETIME13, np.sqrt(1.0 - x.norm2))
+    return _pole_rotor(x, SPACETIME13, np.sqrt(1.0 - _check_open_ball(x)))
 
 
 def hyper_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, float]:

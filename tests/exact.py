@@ -11,9 +11,13 @@ bracket, the sandwich and the closed-form routes alike.
 from fractions import Fraction
 
 from gaspin.isomap import AlgebraTag
-from gaspin.spinors import _CHART_SIGN
 
 ETA = {AlgebraTag.PAULI3: 1, AlgebraTag.MINKOWSKI12: -1}
+
+#: The chart convention, written out here rather than read from the library:
+#: a1/a0 = a + i s b at the chart point (a, b), the chart vector being
+#: a e1 + b e2 in G3 (s = +1) and a g1 - b g2 in G1,2 (s = -1).
+CHART_SIGN = {AlgebraTag.PAULI3: 1, AlgebraTag.MINKOWSKI12: -1}
 
 
 def chart_state(tag, chart):
@@ -21,7 +25,7 @@ def chart_state(tag, chart):
     a1 = a + i s b, with s the tag's ratio-to-chart sign; each component an
     exact (re, im) pair."""
     a, b = (Fraction(float(c)) for c in chart)
-    return (Fraction(1), Fraction(0)), (a, int(_CHART_SIGN[tag]) * b)
+    return (Fraction(1), Fraction(0)), (a, CHART_SIGN[tag] * b)
 
 
 def hermitian(eta, psi, chi):

@@ -667,6 +667,28 @@ def test_non_finite_input_raises_nonfinitevalue_without_a_warning(name, value):
             _NON_FINITE_CALLS[name][0](value)
 
 
+# name: (error, call on the chart point) at x = (1e155, 0, 0), where x^2
+# overflows: each call raised its error only after an overflow warning.  The
+# metric factor 4 / (1 + x^2)^2 is 0 there, so the sphere's NonFiniteValue
+# marks where the plain x^2 stops, not a value that cannot exist.
+_OVERFLOWING_SQUARE_CALLS = {
+    "lift_hyper": (DomainViolation, stereo.lift_hyper),
+    "hyper_angle": (DomainViolation, stereo.hyper_angle),
+    "hyper_boost": (DomainViolation, stereo.hyper_boost),
+    "hyper_metric": (DomainViolation, lambda x: stereo.hyper_metric(x, (0.1, 0.2, 0.3))),
+    "sphere_metric": (NonFiniteValue, lambda x: stereo.sphere_metric(x, (0.1, 0.2, 0.3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING_SQUARE_CALLS))
+def test_chart_point_whose_square_overflows_raises_without_a_warning(name):
+    error, call = _OVERFLOWING_SQUARE_CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call(stereo.PlanePoint.of(1e155, 0.0, 0.0))
+
+
 # name: (error, start of its message, call) for input that no case of any
 # batch could make valid: the wrong shape, signature or tag, raised before
 # any case is read

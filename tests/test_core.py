@@ -33,6 +33,7 @@ from gaspin.errors import (
     SignatureMismatch,
 )
 from gaspin.quatrep import QuatMatrix2, Quaternion
+from gaspin.spinors import CenterScalar
 from gaspin.stereo import PlanePoint
 
 from conftest import ALL_SIGNATURES, allclose, blade_product, random_mv
@@ -497,13 +498,17 @@ _FINITENESS_ROWS = {
 
 
 # Value type: (the float entries of one case, its constructor on them).  Every
-# value type builds its array by ``core.freeze``, so every one keeps these rows.
+# value type is finite when built, so every one keeps these rows.  A center
+# scalar takes its two parts in both orders, so a single bad entry sits in s
+# and in p (the accepted row is the same either way).
 _VALUE_TYPES = {
     "Multivector": ((EUCLIDEAN4.dim,), lambda c: Multivector(EUCLIDEAN4, c)),
     "PlanePoint": ((3,), PlanePoint),
     "Quaternion": ((4,), Quaternion),
     "QuatMatrix2": ((2, 2, 4), QuatMatrix2),
     "DiracSpinor": ((8,), lambda c: DiracSpinor(c.view(complex))),  # a row's (re, im) pairs
+    "CenterScalar": ((2,), lambda c: CenterScalar(c[..., 0], c[..., 1])),
+    "CenterScalar (p, s)": ((2,), lambda c: CenterScalar(c[..., 1], c[..., 0])),
 }
 _ROWS_BY_TYPE = [(name, kind) for kind in _VALUE_TYPES for name in sorted(_FINITENESS_ROWS)]
 
@@ -523,8 +528,9 @@ def test_finiteness_semantics_for_single_cases_and_batches(name, kind, shape):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if accepted:
-            value = build(coeffs)
-            assert np.array_equal(getattr(value, fields(value)[-1].name).view(float), coeffs)
+            value = build(coeffs)  # one case's center scalar is a number: ravel it
+            assert np.array_equal(np.ravel(getattr(value, fields(value)[-1].name)).view(float),
+                                  coeffs.ravel())
             return
         with pytest.raises(NonFiniteValue) as info:
             build(coeffs)

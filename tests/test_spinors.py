@@ -32,7 +32,6 @@ from gaspin.spinors import (
     idempotent,
     inner,
     m_vector,
-    norm2,
     to_multivector,
 )
 
@@ -40,6 +39,11 @@ import exact
 from conftest import allclose, conj, frame_coords, ideal
 
 TAGS = (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12)
+
+
+def norm2(psi):
+    """|a0|^2 + eta |a1|^2, the state's Hermitian form h(psi, psi)."""
+    return psi.a0.abs2() + exact.ETA[psi.tag] * psi.a1.abs2()
 
 
 def rand_center(rng, scale=1.0):
@@ -305,6 +309,16 @@ def test_inner_conjugate_symmetry_and_norm(rng):
         n = inner(psi, psi)
         assert abs(n.p) <= 1e-13
         assert n.s == pytest.approx(norm2(psi), abs=1e-13)
+
+
+def test_canonical_form_at_the_top_of_the_float_range_has_no_warning():
+    # the complex division a1 / a0 overflows inside for a0 = 1e308 + 1e308 i,
+    # although the ratio is 0 and rho = |a0| is finite
+    psi = IdealSpinor(AlgebraTag.PAULI3, CenterScalar(1e308, 1e308), CenterScalar(0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        can = canonical_form(psi)
+    assert can.rho == 1.4142135623730951e308 and can.chart == (0.0, 0.0)
 
 
 def test_inner_tag_mismatch():
