@@ -168,8 +168,7 @@ def to_multivector(psi: IdealSpinor) -> Multivector:
 
 
 def _coords(psi: IdealSpinor) -> np.ndarray:
-    """The coordinates (a0.s, a0.p, a1.s, a1.p) on the last axis, the batch axes of
-    a0 and a1 broadcast."""
+    """(a0.s, a0.p, a1.s, a1.p) on the last axis, the batch axes of a0 and a1 broadcast."""
     a = np.empty((*np.broadcast(psi.a0.z, psi.a1.z).shape, 2), complex)
     a[..., 0], a[..., 1] = psi.a0.z, psi.a1.z
     return a.view(float)
@@ -206,9 +205,10 @@ def canonical_form(psi: IdealSpinor) -> CanonicalIdeal:
     chart = (ratio.real, _CHART_SIGN[psi.tag] * ratio.imag)
     theta = np.arctan2(psi.a0.p, psi.a0.s)
     m_hat, root = _unit_m(psi.tag, chart)
-    # rho = |a0| sqrt(m^2) shares the rounding of m^2 with m_hat, so rho m_hat
-    # keeps full accuracy at the edge of the Minkowski chart
-    return CanonicalIdeal(np.hypot(psi.a0.s, psi.a0.p) * root, theta, m_hat, chart)
+    # rho = |a0| sqrt(m^2) shares m^2's rounding with m_hat: full accuracy at the chart's edge
+    rho = np.hypot(psi.a0.s, psi.a0.p) * root
+    require(rho < np.inf, NonFiniteValue, "rho leaves the float range")
+    return CanonicalIdeal(rho, theta, m_hat, chart)
 
 
 def inner(psi: IdealSpinor, chi: IdealSpinor) -> CenterScalar:

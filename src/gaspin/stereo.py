@@ -44,7 +44,7 @@ from .core import (
     scalar_product,
     vector_square,
 )
-from .errors import DomainViolation, NotAVector, PoleSingularity
+from .errors import DomainViolation, NonFiniteValue, NotAVector, PoleSingularity
 
 
 @dataclass(frozen=True)
@@ -178,26 +178,28 @@ def sphere_rotor(x: PlanePoint) -> Multivector:
     return _pole_rotor(x, EUCLIDEAN4, np.hypot.reduce(x.x, axis=-1, initial=1.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NonFiniteValue past the float range, not a warning
 def sphere_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, float]:
     """Closed-form differential of the lift and its square.
 
     da = (2 (1+x^2) dx - 4 (x + e0) (x . dx)) / (1+x^2)^2 and
     (da)^2 = 4 dx^2 / (1+x^2)^2.
     """
-    return _lift_differential(x, dx, EUCLIDEAN4, 1.0)
+    return _lift_differential(x, x.norm2, dx, EUCLIDEAN4, 1.0)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # past 1e154 NonFiniteValue, not a warning
-def _lift_differential(x: PlanePoint, dx: Sequence[float], signature: Signature, s: float):
-    """da = (2 d dx - 4 s (x + pole) (x . dx)) / d^2 with d = 1 + s x^2, and
-    (da)^2; s = 1 on the sphere, -1 on the hyperboloid.  ``dx`` holds its
-    components on the last axis, as ``x.x`` does."""
-    d = 1.0 + s * x.norm2
+def _lift_differential(x: PlanePoint, r2: float, dx: Sequence[float], signature: Signature,
+                       s: float):
+    """da = (2 d dx - 4 s (x + pole) (x . dx)) / d^2 and (da)^2, d = 1 + s r2, r2 = x^2; s = 1 on
+    the sphere, -1 on the hyperboloid; dx on the last axis, as x.x; NonFiniteValue on overflow."""
+    d = 1.0 + s * r2
     dx = PlanePoint(dx)
     m = x.as_vector(signature) + Multivector.basis(signature, 0)
     num = 2.0 * d * dx.as_vector(signature) - (4.0 * s * np.vecdot(x.x, dx.x)) * m
     da = num / (d * d)  # d ** 2 raises on overflow
-    return da, scalar_product(da, da)
+    sq = scalar_product(da, da)
+    require((d * d < np.inf) & np.isfinite(sq), NonFiniteValue, "d^2 or (da)^2 overflows")
+    return da, sq
 
 
 # -------------------------------------------------------------- hyperboloid
@@ -207,8 +209,7 @@ def _lift_differential(x: PlanePoint, dx: Sequence[float], signature: Signature,
 def _check_open_ball(x: PlanePoint) -> float:
     """x^2, the hyperbolic chart's one square of x: DomainViolation unless x^2 < 1."""
     r2 = x.norm2
-    require(np.logical_not(r2 >= 1.0), DomainViolation,
-            "hyperbolic chart requires |x| < 1 strictly")
+    require(r2 < 1.0, DomainViolation, "hyperbolic chart requires |x| < 1 strictly")  # x is finite
     return r2
 
 
@@ -243,8 +244,7 @@ def hyper_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, float
     da = (2 (1-x^2) dx + 4 (x + g0) (x . dx)) / (1-x^2)^2 and
     (da)^2 = -4 dx^2 / (1-x^2)^2; the sign flip is the hyperbolic metric.
     """
-    _check_open_ball(x)
-    return _lift_differential(x, dx, SPACETIME13, -1.0)
+    return _lift_differential(x, _check_open_ball(x), dx, SPACETIME13, -1.0)
 
 
 def rotor_apply(rotor: Multivector, a: Multivector) -> Multivector:

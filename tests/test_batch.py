@@ -667,10 +667,11 @@ def test_non_finite_input_raises_nonfinitevalue_without_a_warning(name, value):
             _NON_FINITE_CALLS[name][0](value)
 
 
-# name: (error, call on the chart point) at x = (1e155, 0, 0), where x^2
-# overflows: each call raised its error only after an overflow warning.  The
-# metric factor 4 / (1 + x^2)^2 is 0 there, so the sphere's NonFiniteValue
-# marks where the plain x^2 stops, not a value that cannot exist.
+# name: (error, call on the chart point) at x = (r, 0, 0), where (1 + x^2)^2
+# overflows (r = 1e100) or x^2 itself (r = 1e155): each call raised its error,
+# or at 1e100 returned da = 0, only after an overflow warning.  The metric
+# factor 4 / (1 + x^2)^2 is below the float range there, so the sphere's
+# NonFiniteValue marks where the plain squares stop, not a value that cannot exist.
 _OVERFLOWING_SQUARE_CALLS = {
     "lift_hyper": (DomainViolation, stereo.lift_hyper),
     "hyper_angle": (DomainViolation, stereo.hyper_angle),
@@ -680,13 +681,14 @@ _OVERFLOWING_SQUARE_CALLS = {
 }
 
 
+@pytest.mark.parametrize("r", (1e100, 1e155), ids=str)
 @pytest.mark.parametrize("name", sorted(_OVERFLOWING_SQUARE_CALLS))
-def test_chart_point_whose_square_overflows_raises_without_a_warning(name):
+def test_chart_point_whose_square_overflows_raises_without_a_warning(name, r):
     error, call = _OVERFLOWING_SQUARE_CALLS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error):
-            call(stereo.PlanePoint.of(1e155, 0.0, 0.0))
+            call(stereo.PlanePoint.of(r, 0.0, 0.0))
 
 
 # name: (error, start of its message, call) for input that no case of any

@@ -315,10 +315,25 @@ def test_canonical_form_at_the_top_of_the_float_range_has_no_warning():
     # the complex division a1 / a0 overflows inside for a0 = 1e308 + 1e308 i,
     # although the ratio is 0 and rho = |a0| is finite
     psi = IdealSpinor(AlgebraTag.PAULI3, CenterScalar(1e308, 1e308), CenterScalar(0.0, 0.0))
+    past = IdealSpinor(AlgebraTag.PAULI3, CenterScalar(1.5e308, 1.5e308), CenterScalar(0.0, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         can = canonical_form(psi)
+        with pytest.raises(NonFiniteValue, match="rho"):  # |a0| = 2.1e308 is past the range
+            canonical_form(past)
     assert can.rho == 1.4142135623730951e308 and can.chart == (0.0, 0.0)
+
+
+def test_center_products_that_overflow_raise_nonfinitevalue():
+    # finite parts whose products pass 1.8e308: the center scalar built from
+    # them is refused (before center scalars checked finiteness, it held inf)
+    big = IdealSpinor(AlgebraTag.PAULI3, CenterScalar(1e200, 1e200), CenterScalar(1e200, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning comes first
+        with pytest.raises(NonFiniteValue):
+            inner(big, big)
+        with pytest.raises(NonFiniteValue):
+            big.a0 * big.a0
 
 
 def test_inner_tag_mismatch():
