@@ -165,23 +165,12 @@ def _rand_admissible_q(rng, n: int, tag: AlgebraTag = AlgebraTag.SPACETIME13) ->
     return from_carrier_coords(_accepted(rng, n, 8, _admissible_rows), tag)
 
 
-def _uniform_rows(rng, n: int, *ranges: tuple[float, float]) -> np.ndarray:
-    """n rows with column k uniform over ranges[k] = (low, high), in one
-    call: the same values and generator state as n loops of single draws."""
-    low, high = zip(*ranges)
-    return rng.uniform(low, high, size=(n, len(ranges)))
-
-
 def _ball(rows: np.ndarray) -> stereo.PlanePoint:
     """Points v / |v| * r of the open ball from rows (v, r) with v uniform
     in [-1, 1]^3; each (1, 3) @ (3, 1) product sums |v|^2 as one case's
     np.linalg.norm does."""
     v, r = rows[:, :3], rows[:, 3:]
     return stereo.PlanePoint(v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0] * r)
-
-
-#: Column ranges of the cube [-1, 1]^3.
-_BOX = ((-1.0, 1.0),) * 3
 
 
 def _rand_chart(rng, tag: AlgebraTag, n: int):
@@ -203,15 +192,19 @@ def _suite_core_associativity(rng, cases):
     return parts, core.TOL
 
 
-def _suite_core_reverse(rng, cases):
-    parts = {}
-    for tag in (AlgebraTag.EUCLIDEAN4, AlgebraTag.SPACETIME13):
-        a, b = _rand_mvs(rng, tag.signature, max(1, cases // 2), 2)
-        parts[tag.value] = residual(reverse(a * b), reverse(b) * reverse(a))
-    return parts, core.TOL
+def _suite_core_exp_unitarity(rng, cases):
+    # per case: theta in [-3, 3], then an axis in [-1, 1]^3, redrawn if shorter than 1e-6
+    draws = _accepted(rng, cases, 4,
+                      lambda rows: rows[np.linalg.norm(rows[:, 1:], axis=1) >= 1e-6],
+                      (-3.0, -1.0, -1.0, -1.0), (3.0, 1.0, 1.0, 1.0))
+    xhat = draws[:, 1:] / np.linalg.norm(draws[:, 1:], axis=1)[:, None]
+    xhat = Multivector.vector(EUCLIDEAN4, (0.0, *xhat.T))
+    B = draws[:, 0] * (xhat * Multivector.basis(EUCLIDEAN4, 0))
+    one = Multivector.scalar(EUCLIDEAN4, 1.0)
+    return {"euclidean4": residual(core.exp_blade(B) * core.exp_blade(-B), one)}, core.TOL
 
 
-def _suite_core_generators(rng, cases):
+def _suite_core_generator_contract(rng, cases):
     # g_i g_j + g_j g_i = 2 eta_ij, all pairs of generators as one (n, n) batch
     parts = {}
     for tag in AlgebraTag:
@@ -224,18 +217,6 @@ def _suite_core_generators(rng, cases):
     return parts, core.TOL
 
 
-def _suite_core_exp(rng, cases):
-    # per case: theta in [-3, 3], then an axis in [-1, 1]^3, redrawn if shorter than 1e-6
-    draws = _accepted(rng, cases, 4,
-                      lambda rows: rows[np.linalg.norm(rows[:, 1:], axis=1) >= 1e-6],
-                      (-3.0, -1.0, -1.0, -1.0), (3.0, 1.0, 1.0, 1.0))
-    xhat = draws[:, 1:] / np.linalg.norm(draws[:, 1:], axis=1)[:, None]
-    xhat = Multivector.vector(EUCLIDEAN4, (0.0, *xhat.T))
-    B = draws[:, 0] * (xhat * Multivector.basis(EUCLIDEAN4, 0))
-    one = Multivector.scalar(EUCLIDEAN4, 1.0)
-    return {"euclidean4": residual(core.exp_blade(B) * core.exp_blade(-B), one)}, core.TOL
-
-
 def _suite_core_grade_partition(rng, cases):
     parts = {}
     for tag in (AlgebraTag.EUCLIDEAN4, AlgebraTag.MINKOWSKI12):
@@ -245,219 +226,12 @@ def _suite_core_grade_partition(rng, cases):
     return parts, core.TOL
 
 
-def _suite_quatrep_embedding(rng, cases):
-    coords = rng.uniform(-1.0, 1.0, size=(cases, 2, 4))
-    a, b = Quaternion(coords[:, 0]), Quaternion(coords[:, 1])
-    lhs = quat_mul(a, b).to_multivector()
-    rhs = a.to_multivector() * b.to_multivector()
-    return {"euclidean4": residual(lhs, rhs)}, core.TOL
-
-
-def _suite_quatrep_homomorphism(rng, cases):
-    a, b = _rand_mvs(rng, EUCLIDEAN4, cases, 2)
-    ab = a * b
-    return {"vec": matrix_residual(rep_vec(ab), rep_vec(a) * rep_vec(b)),
-            "pss": matrix_residual(rep_pss(ab), rep_pss(a) * rep_pss(b))}, core.TOL
-
-
-def _suite_quatrep_faithfulness(rng, cases):
-    blades = Multivector(EUCLIDEAN4, np.eye(EUCLIDEAN4.dim))
-    return {"vec": residual(unrep_vec(rep_vec(blades)), blades),
-            "pss": residual(unrep_pss(rep_pss(blades)), blades)}, core.TOL
-
-
-def _suite_quatrep_change_basis(rng, cases):
-    (g,) = _rand_mvs(rng, EUCLIDEAN4, cases)
-    return {"pss_to_vec": matrix_residual(change_of_basis(rep_pss(g)), rep_vec(g))}, core.TOL
-
-
-def _suite_quatrep_idempotents(rng, cases):
-    # The relations tying the two spectral bases, in the core algebra with a
-    # 2x2 matrix of multivectors as one (2, 2) batch.  B = (sqrt2/2) [[i+, i-],
-    # [-i-, i+]] has the halves of 1 +- e123 as entries, not quaternions.  Only
-    # the (sqrt2/2)^2 of the B-form rounds; every other coefficient is dyadic.
-    def mat(rows):
-        return Multivector(EUCLIDEAN4, [[m.coeffs for m in row] for row in rows])
-
-    def rowcol(a, b):  # sum over l of a[j, l] b[l, k], each product in its order
-        terms = Multivector(EUCLIDEAN4, a.coeffs[:, :, None]) * Multivector(EUCLIDEAN4, b.coeffs)
-        return Multivector(EUCLIDEAN4, terms.coeffs.sum(axis=1))
-
-    ip, im = (core.idempotent(EUCLIDEAN4, 0b1110, s) for s in (1, -1))  # (1 +- e123)/2
-    ep, em = (core.idempotent(EUCLIDEAN4, 0b0001, s) for s in (1, -1))  # (1 +- e0)/2
-    Ip, Im = (core.idempotent(EUCLIDEAN4, 0b1111, s) for s in (1, -1))  # (1 +- e0123)/2
-    one, e0, i = (Multivector.blade(EUCLIDEAN4, m) for m in (0, 0b0001, 0b1110))
-    lhs = mat([(one, -i), (i, one)]) * mat([(ep, em)] * 2)  # [[e+, -i e-], [i e+, e-]]
-    pss = mat([(one, e0), (e0, one)]) * mat([(Ip, Im)] * 2)  # [[I+, e0 I-], [e0 I+, I-]]
-    B = mat([(ip, im), (-im, ip)]) * (1.0 / math.sqrt(2.0))
-    B_star = reverse(Multivector(EUCLIDEAN4, np.swapaxes(B.coeffs, 0, 1)))  # reverse, transposed
-    return {
-        "pseudoscalar_idempotent_from_vec": residual(Ip, 2.0 * (im * ep * ip)),
-        "vec_idempotent_from_pseudoscalar": residual(ep, 2.0 * (ip * Ip * im)),
-        "spectral_basis_relation": float(residual(lhs, rowcol(rowcol(B, pss), B_star)).max()),
-        # the outer-product form 2 (i+; -i-) I+ (i-, -i+) of the same relation
-        "spectral_basis_outer_form": float(residual(
-            lhs, 2.0 * (mat([(ip,), (-im,)]) * Ip * mat([(im, -ip)]))).max()),
-        # B has no two-sided inverse: B Bstar stays at least 0.5 from the identity
-        "b_times_b_star_max_deviation": 0.5 - float(residual(
-            rowcol(B, B_star), Multivector(EUCLIDEAN4, np.eye(2)[..., None] * one.coeffs)).max()),
-    }, core.TOL
-
-
-def _suite_isomap_homomorphism(rng, cases):
-    # per case: a, b in Cl(4,0), then a, b in Cl(1,3)
-    n = max(1, cases // 2)
-    coeffs = rng.uniform(-1.0, 1.0, size=(n, 2, 2, EUCLIDEAN4.dim))
+def _suite_core_reverse_antiautomorphism(rng, cases):
     parts = {}
-    for k, (tag, f) in enumerate(((AlgebraTag.EUCLIDEAN4, euclidean_to_spacetime),
-                                  (AlgebraTag.SPACETIME13, spacetime_to_euclidean))):
-        a, b = (Multivector(tag.signature, coeffs[:, k, j]) for j in (0, 1))
-        parts[tag.value] = residual(f(a * b), f(a) * f(b))
+    for tag in (AlgebraTag.EUCLIDEAN4, AlgebraTag.SPACETIME13):
+        a, b = _rand_mvs(rng, tag.signature, max(1, cases // 2), 2)
+        parts[tag.value] = residual(reverse(a * b), reverse(b) * reverse(a))
     return parts, core.TOL
-
-
-def _suite_isomap_inverse(rng, cases):
-    # the 16 blades of each algebra, then cases // 2 random elements of each
-    parts = {}
-    for tag, there, back in (
-        (AlgebraTag.EUCLIDEAN4, euclidean_to_spacetime, spacetime_to_euclidean),
-        (AlgebraTag.SPACETIME13, spacetime_to_euclidean, euclidean_to_spacetime),
-    ):
-        (g,) = _rand_mvs(rng, tag.signature, max(1, cases // 2))
-        g = Multivector(g.signature, np.concatenate([np.eye(g.signature.dim), g.coeffs]))
-        parts[tag.value] = residual(back(there(g)), g)
-    return parts, core.TOL
-
-
-def _suite_stereo_roundtrip(rng, cases):
-    rows = _uniform_rows(rng, max(1, cases // 2), *((-3.0, 3.0),) * 3, *_BOX, (0.01, 0.95))
-    x, xh = stereo.PlanePoint(rows[:, :3]), _ball(rows[:, 3:])
-    back = stereo.project_sphere(stereo.lift_sphere(x))
-    back_h = stereo.project_hyper(stereo.lift_hyper(xh))
-    return {"sphere": np.abs(back.x - x.x), "hyper": np.abs(back_h.x - xh.x)}, 100.0 * core.TOL
-
-
-def _suite_stereo_rotor(rng, cases):
-    rows = _uniform_rows(rng, max(1, cases // 2), *((-3.0, 3.0),) * 3, *_BOX, (0.01, 0.95))
-    x, xh = stereo.PlanePoint(rows[:, :3]), _ball(rows[:, 3:])
-    e0 = Multivector.basis(EUCLIDEAN4, 0)
-    g0 = Multivector.basis(SPACETIME13, 0)
-    sphere = residual(stereo.rotor_apply(stereo.sphere_rotor(x), e0), stereo.lift_sphere(x).a_hat)
-    hyper = residual(stereo.rotor_apply(stereo.hyper_boost(xh), g0), stereo.lift_hyper(xh).a_hat)
-    return {"sphere": sphere, "hyper": hyper}, 100.0 * core.TOL
-
-
-def _suite_stereo_trig(rng, cases):
-    # |x|^2 over the chart box [-3, 3]^3 on the sphere, below 0.9 in the ball
-    r2, r2h = _uniform_rows(rng, cases, (0.0, 27.0), (0.0, 0.9)).T
-    c = (1.0 - r2) / (1.0 + r2)
-    s = 2.0 * np.sqrt(r2) / (1.0 + r2)
-    ch = (1.0 + r2h) / (1.0 - r2h)
-    sh = 2.0 * np.sqrt(r2h) / (1.0 - r2h)
-    return {"sphere": np.abs(c * c + s * s - 1.0),
-            "hyper": np.abs(ch * ch - sh * sh - 1.0) / np.maximum(1.0, ch * ch)}, core.TOL
-
-
-def _suite_stereo_metric(rng, cases):
-    h = 1e-5
-    rows = _uniform_rows(rng, max(1, cases // 2), *((-2.0, 2.0),) * 3, *_BOX, *_BOX, (0.01, 0.8))
-    x, dx, xh = stereo.PlanePoint(rows[:, :3]), rows[:, 3:6], _ball(rows[:, 6:])
-    errors = []
-    # (point, metric, lift, sign of the metric: positive on the sphere,
-    # negative on the hyperboloid)
-    for p, metric, lift, sign in ((x, stereo.sphere_metric, stereo.lift_sphere, 1.0),
-                                  (xh, stereo.hyper_metric, stereo.lift_hyper, -1.0)):
-        _, ds2 = metric(p, dx)
-        xp, xm = stereo.PlanePoint(p.x + h * dx), stereo.PlanePoint(p.x - h * dx)
-        da_fd = (lift(xp).a_hat - lift(xm).a_hat) / (2 * h)
-        ds2_fd = scalar_product(da_fd, da_fd)
-        errors.append(np.where(sign * ds2 > 0.0,
-                               np.abs(ds2_fd - ds2) / np.maximum(1e-30, np.abs(ds2)), math.inf))
-    return dict(zip(("sphere", "hyper"), errors)), 1e-6
-
-
-def _suite_gspinor_fidelity(rng, cases):
-    parts = {}
-    for tag in (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12):
-        # charts in draw order: a of case 0, b of case 0, a of case 1, ...
-        x, y = _rand_chart(rng, tag, 2 * max(1, cases // 2))
-        ca, cb = (x[0::2], y[0::2]), (x[1::2], y[1::2])
-        psi = IdealSpinor.from_chart(tag, ca)
-        chi = IdealSpinor.from_chart(tag, cb)
-        f1 = fidelity(psi, chi)
-        f2 = fidelity_bloch(tag, ca, cb)
-        f3 = fidelity_chart(tag, ca, cb)
-        scale = np.maximum(1.0, np.abs(f1))
-        violation = np.maximum(-f1, f1 - 1.0) if tag is AlgebraTag.PAULI3 else 1.0 - f1
-        # the bounds hold to core.TOL itself, not to the 100x route tolerance
-        parts |= {f"{tag.value}.bloch": np.abs(f1 - f2) / scale,
-                  f"{tag.value}.chart": np.abs(f2 - f3) / scale,
-                  f"{tag.value}.bounds": 100.0 * violation}
-    return parts, 100.0 * core.TOL
-
-
-def _suite_gspinor_antipode(rng, cases):
-    ca = tuple(_accepted(rng, cases, 2, lambda rows: rows[np.sum(rows * rows, axis=1) >= 1e-3],
-                         -2.0, 2.0).T)
-    cb = antipodal_chart(ca)
-    psi = IdealSpinor.from_chart(AlgebraTag.PAULI3, ca)
-    chi = IdealSpinor.from_chart(AlgebraTag.PAULI3, cb)
-    dot = core.dot(m_vector(AlgebraTag.PAULI3, ca), m_vector(AlgebraTag.PAULI3, cb))
-    return {"fidelity": fidelity(psi, chi), "m_dot": np.abs(dot)}, core.TOL
-
-
-def _suite_gspinor_canonical(rng, cases):
-    parts = {}
-    for tag in (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12):
-        n = max(1, cases // 2)
-        if tag is AlgebraTag.PAULI3:  # per case: chart, phase, scale
-            draws = rng.uniform((-2.5, -2.5, 0.0, 0.3), (2.5, 2.5, 2 * math.pi, 1.5), size=(n, 4))
-            ca, (phase, s) = tuple(draws[:, :2].T), draws[:, 2:].T
-        else:  # the charts by rejection, then the phases and scales
-            ca = _rand_chart(rng, tag, n)
-            phase, s = rng.uniform((0.0, 0.3), (2 * math.pi, 1.5), size=(n, 2)).T
-        z = CenterScalar(s * np.cos(phase), s * np.sin(phase))
-        base = IdealSpinor.from_chart(tag, ca)
-        psi = IdealSpinor(tag, base.a0 * z, base.a1 * z)
-        can = canonical_form(psi)
-        ph = CenterScalar(np.cos(can.theta), np.sin(can.theta)).embed(tag)
-        recon = can.rho * ph * can.m_hat * idempotent(tag)
-        parts[tag.value] = residual(recon, to_multivector(psi))
-    return parts, core.TOL
-
-
-def _suite_qspinor_canonical(rng, cases):
-    psi = _rand_admissible_q(rng, max(1, cases // 2))
-    can = canonical_q(psi)
-    want = 1.0 - psi.q1.norm2() / psi.q0.norm2()
-    return {"reconstruction": residual(reconstruct(can, psi.tag), image(psi)),
-            "m_square": np.abs(scalar_product(can.M, can.M) - want)}, core.TOL
-
-
-def _suite_qspinor_projector(rng, cases):
-    psi = from_carrier_coords(_accepted(rng, max(1, cases // 2), 8, _orthogonal_rows),
-                              AlgebraTag.SPACETIME13)
-    can = canonical_q(psi)
-    # an orthogonal spinor's M is the plain vector g0 + x_m of its Bloch point
-    m = Multivector.vector(SPACETIME13, (1.0, *bloch_point(psi).T))
-    return {"projector": residual(projector(psi), projector_closed_orthogonal(psi)),
-            "reconstruction": residual(reconstruct(can, psi.tag), image(psi)),
-            "m_vector": residual(m, can.M)}, core.TOL
-
-
-def _suite_qspinor_fidelity(rng, cases):
-    # per case: psi, then chi
-    coords = _accepted(rng, 2 * max(1, cases // 2), 8, _admissible_rows)
-    psi = from_carrier_coords(coords[0::2], AlgebraTag.SPACETIME13)
-    chi = from_carrier_coords(coords[1::2], AlgebraTag.SPACETIME13)
-    f1 = fidelity_q(psi, chi)
-    f2 = fidelity_q_circ_route(psi, chi)
-    return {"circ_route": np.abs(f1 - f2) / np.maximum(1.0, np.abs(f1))}, 100.0 * core.TOL
-
-
-def _suite_dirac_roundtrip(rng, cases):
-    phi = dirac_mod.DiracSpinor.from_reals(rng.uniform(-1.0, 1.0, size=(cases, 8)))
-    return {"spacetime13": dirac_mod.dirac_roundtrip_residual(phi)}, core.TOL
 
 
 def _suite_dirac_idempotents(rng, cases):
@@ -490,33 +264,228 @@ def _suite_dirac_j_action(rng, cases):
             "carrier": residual(cl41(jm.re) + i5 * cl41(jm.im), i5 * c)}, core.TOL
 
 
-SUITES: dict[str, Callable] = {
-    "core.associativity": _suite_core_associativity,
-    "core.exp_unitarity": _suite_core_exp,
-    "core.generator_contract": _suite_core_generators,
-    "core.grade_partition": _suite_core_grade_partition,
-    "core.reverse_antiautomorphism": _suite_core_reverse,
-    "dirac.idempotents": _suite_dirac_idempotents,
-    "dirac.j_action": _suite_dirac_j_action,
-    "dirac.roundtrip": _suite_dirac_roundtrip,
-    "gspinor.antipode": _suite_gspinor_antipode,
-    "gspinor.canonical_reconstruction": _suite_gspinor_canonical,
-    "gspinor.fidelity_triple": _suite_gspinor_fidelity,
-    "isomap.homomorphism": _suite_isomap_homomorphism,
-    "isomap.inverse_blades": _suite_isomap_inverse,
-    "qspinor.canonical_reconstruction": _suite_qspinor_canonical,
-    "qspinor.fidelity_dual_route": _suite_qspinor_fidelity,
-    "qspinor.orthogonal_projector": _suite_qspinor_projector,
-    "quatrep.change_of_basis": _suite_quatrep_change_basis,
-    "quatrep.embedding_product": _suite_quatrep_embedding,
-    "quatrep.faithfulness": _suite_quatrep_faithfulness,
-    "quatrep.homomorphism": _suite_quatrep_homomorphism,
-    "quatrep.idempotent_relations": _suite_quatrep_idempotents,
-    "stereo.metric_finite_difference": _suite_stereo_metric,
-    "stereo.roundtrip": _suite_stereo_roundtrip,
-    "stereo.rotor_sandwich": _suite_stereo_rotor,
-    "stereo.trig_identities": _suite_stereo_trig,
-}
+def _suite_dirac_roundtrip(rng, cases):
+    phi = dirac_mod.DiracSpinor.from_reals(rng.uniform(-1.0, 1.0, size=(cases, 8)))
+    return {"spacetime13": dirac_mod.dirac_roundtrip_residual(phi)}, core.TOL
+
+
+def _suite_gspinor_antipode(rng, cases):
+    ca = tuple(_accepted(rng, cases, 2, lambda rows: rows[np.sum(rows * rows, axis=1) >= 1e-3],
+                         -2.0, 2.0).T)
+    cb = antipodal_chart(ca)
+    psi = IdealSpinor.from_chart(AlgebraTag.PAULI3, ca)
+    chi = IdealSpinor.from_chart(AlgebraTag.PAULI3, cb)
+    dot = core.dot(m_vector(AlgebraTag.PAULI3, ca), m_vector(AlgebraTag.PAULI3, cb))
+    return {"fidelity": fidelity(psi, chi), "m_dot": np.abs(dot)}, core.TOL
+
+
+def _suite_gspinor_canonical_reconstruction(rng, cases):
+    parts = {}
+    for tag in (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12):
+        n = max(1, cases // 2)
+        if tag is AlgebraTag.PAULI3:  # per case: chart, phase, scale
+            draws = rng.uniform((-2.5, -2.5, 0.0, 0.3), (2.5, 2.5, 2 * math.pi, 1.5), size=(n, 4))
+            ca, (phase, s) = tuple(draws[:, :2].T), draws[:, 2:].T
+        else:  # the charts by rejection, then the phases and scales
+            ca = _rand_chart(rng, tag, n)
+            phase, s = rng.uniform((0.0, 0.3), (2 * math.pi, 1.5), size=(n, 2)).T
+        z = CenterScalar(s * np.cos(phase), s * np.sin(phase))
+        base = IdealSpinor.from_chart(tag, ca)
+        psi = IdealSpinor(tag, base.a0 * z, base.a1 * z)
+        can = canonical_form(psi)
+        ph = CenterScalar(np.cos(can.theta), np.sin(can.theta)).embed(tag)
+        recon = can.rho * ph * can.m_hat * idempotent(tag)
+        parts[tag.value] = residual(recon, to_multivector(psi))
+    return parts, core.TOL
+
+
+def _suite_gspinor_fidelity_triple(rng, cases):
+    parts = {}
+    for tag in (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12):
+        # charts in draw order: a of case 0, b of case 0, a of case 1, ...
+        x, y = _rand_chart(rng, tag, 2 * max(1, cases // 2))
+        ca, cb = (x[0::2], y[0::2]), (x[1::2], y[1::2])
+        psi = IdealSpinor.from_chart(tag, ca)
+        chi = IdealSpinor.from_chart(tag, cb)
+        f1 = fidelity(psi, chi)
+        f2 = fidelity_bloch(tag, ca, cb)
+        f3 = fidelity_chart(tag, ca, cb)
+        scale = np.maximum(1.0, np.abs(f1))
+        violation = np.maximum(-f1, f1 - 1.0) if tag is AlgebraTag.PAULI3 else 1.0 - f1
+        # the bounds hold to core.TOL itself, not to the 100x route tolerance
+        parts |= {f"{tag.value}.bloch": np.abs(f1 - f2) / scale,
+                  f"{tag.value}.chart": np.abs(f2 - f3) / scale,
+                  f"{tag.value}.bounds": 100.0 * violation}
+    return parts, 100.0 * core.TOL
+
+
+def _suite_isomap_homomorphism(rng, cases):
+    # per case: a, b in Cl(4,0), then a, b in Cl(1,3)
+    n = max(1, cases // 2)
+    coeffs = rng.uniform(-1.0, 1.0, size=(n, 2, 2, EUCLIDEAN4.dim))
+    parts = {}
+    for k, (tag, f) in enumerate(((AlgebraTag.EUCLIDEAN4, euclidean_to_spacetime),
+                                  (AlgebraTag.SPACETIME13, spacetime_to_euclidean))):
+        a, b = (Multivector(tag.signature, coeffs[:, k, j]) for j in (0, 1))
+        parts[tag.value] = residual(f(a * b), f(a) * f(b))
+    return parts, core.TOL
+
+
+def _suite_isomap_inverse_blades(rng, cases):
+    # the 16 blades of each algebra, then cases // 2 random elements of each
+    parts = {}
+    for tag, there, back in (
+        (AlgebraTag.EUCLIDEAN4, euclidean_to_spacetime, spacetime_to_euclidean),
+        (AlgebraTag.SPACETIME13, spacetime_to_euclidean, euclidean_to_spacetime),
+    ):
+        (g,) = _rand_mvs(rng, tag.signature, max(1, cases // 2))
+        g = Multivector(g.signature, np.concatenate([np.eye(g.signature.dim), g.coeffs]))
+        parts[tag.value] = residual(back(there(g)), g)
+    return parts, core.TOL
+
+
+def _suite_qspinor_canonical_reconstruction(rng, cases):
+    psi = _rand_admissible_q(rng, max(1, cases // 2))
+    can = canonical_q(psi)
+    want = 1.0 - psi.q1.norm2() / psi.q0.norm2()
+    return {"reconstruction": residual(reconstruct(can, psi.tag), image(psi)),
+            "m_square": np.abs(scalar_product(can.M, can.M) - want)}, core.TOL
+
+
+def _suite_qspinor_fidelity_dual_route(rng, cases):
+    # per case: psi, then chi
+    coords = _accepted(rng, 2 * max(1, cases // 2), 8, _admissible_rows)
+    psi = from_carrier_coords(coords[0::2], AlgebraTag.SPACETIME13)
+    chi = from_carrier_coords(coords[1::2], AlgebraTag.SPACETIME13)
+    f1 = fidelity_q(psi, chi)
+    f2 = fidelity_q_circ_route(psi, chi)
+    return {"circ_route": np.abs(f1 - f2) / np.maximum(1.0, np.abs(f1))}, 100.0 * core.TOL
+
+
+def _suite_qspinor_orthogonal_projector(rng, cases):
+    psi = from_carrier_coords(_accepted(rng, max(1, cases // 2), 8, _orthogonal_rows),
+                              AlgebraTag.SPACETIME13)
+    can = canonical_q(psi)
+    # an orthogonal spinor's M is the plain vector g0 + x_m of its Bloch point
+    m = Multivector.vector(SPACETIME13, (1.0, *bloch_point(psi).T))
+    return {"projector": residual(projector(psi), projector_closed_orthogonal(psi)),
+            "reconstruction": residual(reconstruct(can, psi.tag), image(psi)),
+            "m_vector": residual(m, can.M)}, core.TOL
+
+
+def _suite_quatrep_change_of_basis(rng, cases):
+    (g,) = _rand_mvs(rng, EUCLIDEAN4, cases)
+    return {"pss_to_vec": matrix_residual(change_of_basis(rep_pss(g)), rep_vec(g))}, core.TOL
+
+
+def _suite_quatrep_embedding_product(rng, cases):
+    coords = rng.uniform(-1.0, 1.0, size=(cases, 2, 4))
+    a, b = Quaternion(coords[:, 0]), Quaternion(coords[:, 1])
+    lhs = quat_mul(a, b).to_multivector()
+    rhs = a.to_multivector() * b.to_multivector()
+    return {"euclidean4": residual(lhs, rhs)}, core.TOL
+
+
+def _suite_quatrep_faithfulness(rng, cases):
+    blades = Multivector(EUCLIDEAN4, np.eye(EUCLIDEAN4.dim))
+    return {"vec": residual(unrep_vec(rep_vec(blades)), blades),
+            "pss": residual(unrep_pss(rep_pss(blades)), blades)}, core.TOL
+
+
+def _suite_quatrep_homomorphism(rng, cases):
+    a, b = _rand_mvs(rng, EUCLIDEAN4, cases, 2)
+    ab = a * b
+    return {"vec": matrix_residual(rep_vec(ab), rep_vec(a) * rep_vec(b)),
+            "pss": matrix_residual(rep_pss(ab), rep_pss(a) * rep_pss(b))}, core.TOL
+
+
+def _suite_quatrep_idempotent_relations(rng, cases):
+    # The relations tying the two spectral bases, in the core algebra with a
+    # 2x2 matrix of multivectors as one (2, 2) batch.  B = (sqrt2/2) [[i+, i-],
+    # [-i-, i+]] has the halves of 1 +- e123 as entries, not quaternions.  Only
+    # the (sqrt2/2)^2 of the B-form rounds; every other coefficient is dyadic.
+    def mat(rows):
+        return Multivector(EUCLIDEAN4, [[m.coeffs for m in row] for row in rows])
+
+    def rowcol(a, b):  # sum over l of a[j, l] b[l, k], each product in its order
+        terms = Multivector(EUCLIDEAN4, a.coeffs[:, :, None]) * Multivector(EUCLIDEAN4, b.coeffs)
+        return Multivector(EUCLIDEAN4, terms.coeffs.sum(axis=1))
+
+    ip, im = (core.idempotent(EUCLIDEAN4, 0b1110, s) for s in (1, -1))  # (1 +- e123)/2
+    ep, em = (core.idempotent(EUCLIDEAN4, 0b0001, s) for s in (1, -1))  # (1 +- e0)/2
+    Ip, Im = (core.idempotent(EUCLIDEAN4, 0b1111, s) for s in (1, -1))  # (1 +- e0123)/2
+    one, e0, i = (Multivector.blade(EUCLIDEAN4, m) for m in (0, 0b0001, 0b1110))
+    lhs = mat([(one, -i), (i, one)]) * mat([(ep, em)] * 2)  # [[e+, -i e-], [i e+, e-]]
+    pss = mat([(one, e0), (e0, one)]) * mat([(Ip, Im)] * 2)  # [[I+, e0 I-], [e0 I+, I-]]
+    B = mat([(ip, im), (-im, ip)]) * (1.0 / math.sqrt(2.0))
+    B_star = reverse(Multivector(EUCLIDEAN4, np.swapaxes(B.coeffs, 0, 1)))  # reverse, transposed
+    return {
+        "pseudoscalar_idempotent_from_vec": residual(Ip, 2.0 * (im * ep * ip)),
+        "vec_idempotent_from_pseudoscalar": residual(ep, 2.0 * (ip * Ip * im)),
+        "spectral_basis_relation": float(residual(lhs, rowcol(rowcol(B, pss), B_star)).max()),
+        # the outer-product form 2 (i+; -i-) I+ (i-, -i+) of the same relation
+        "spectral_basis_outer_form": float(residual(
+            lhs, 2.0 * (mat([(ip,), (-im,)]) * Ip * mat([(im, -ip)]))).max()),
+        # B has no two-sided inverse: B Bstar stays at least 0.5 from the identity
+        "b_times_b_star_max_deviation": 0.5 - float(residual(
+            rowcol(B, B_star), Multivector(EUCLIDEAN4, np.eye(2)[..., None] * one.coeffs)).max()),
+    }, core.TOL
+
+
+def _suite_stereo_metric_finite_difference(rng, cases):
+    h = 1e-5
+    rows = rng.uniform((-2.0,) * 3 + (-1.0,) * 6 + (0.01,), (2.0,) * 3 + (1.0,) * 6 + (0.8,),
+                       size=(max(1, cases // 2), 10))
+    x, dx, xh = stereo.PlanePoint(rows[:, :3]), rows[:, 3:6], _ball(rows[:, 6:])
+    errors = []
+    # (point, metric, lift, sign of the metric: positive on the sphere,
+    # negative on the hyperboloid)
+    for p, metric, lift, sign in ((x, stereo.sphere_metric, stereo.lift_sphere, 1.0),
+                                  (xh, stereo.hyper_metric, stereo.lift_hyper, -1.0)):
+        _, ds2 = metric(p, dx)
+        xp, xm = stereo.PlanePoint(p.x + h * dx), stereo.PlanePoint(p.x - h * dx)
+        da_fd = (lift(xp).a_hat - lift(xm).a_hat) / (2 * h)
+        ds2_fd = scalar_product(da_fd, da_fd)
+        errors.append(np.where(sign * ds2 > 0.0,
+                               np.abs(ds2_fd - ds2) / np.maximum(1e-30, np.abs(ds2)), math.inf))
+    return dict(zip(("sphere", "hyper"), errors)), 1e-6
+
+
+def _suite_stereo_roundtrip(rng, cases):
+    rows = rng.uniform((-3.0,) * 3 + (-1.0,) * 3 + (0.01,), (3.0,) * 3 + (1.0,) * 3 + (0.95,),
+                       size=(max(1, cases // 2), 7))
+    x, xh = stereo.PlanePoint(rows[:, :3]), _ball(rows[:, 3:])
+    back = stereo.project_sphere(stereo.lift_sphere(x))
+    back_h = stereo.project_hyper(stereo.lift_hyper(xh))
+    return {"sphere": np.abs(back.x - x.x), "hyper": np.abs(back_h.x - xh.x)}, 100.0 * core.TOL
+
+
+def _suite_stereo_rotor_sandwich(rng, cases):
+    rows = rng.uniform((-3.0,) * 3 + (-1.0,) * 3 + (0.01,), (3.0,) * 3 + (1.0,) * 3 + (0.95,),
+                       size=(max(1, cases // 2), 7))
+    x, xh = stereo.PlanePoint(rows[:, :3]), _ball(rows[:, 3:])
+    e0 = Multivector.basis(EUCLIDEAN4, 0)
+    g0 = Multivector.basis(SPACETIME13, 0)
+    sphere = residual(stereo.rotor_apply(stereo.sphere_rotor(x), e0), stereo.lift_sphere(x).a_hat)
+    hyper = residual(stereo.rotor_apply(stereo.hyper_boost(xh), g0), stereo.lift_hyper(xh).a_hat)
+    return {"sphere": sphere, "hyper": hyper}, 100.0 * core.TOL
+
+
+def _suite_stereo_trig_identities(rng, cases):
+    # |x|^2 over the chart box [-3, 3]^3 on the sphere, below 0.9 in the ball
+    r2, r2h = rng.uniform(0.0, (27.0, 0.9), size=(cases, 2)).T
+    c = (1.0 - r2) / (1.0 + r2)
+    s = 2.0 * np.sqrt(r2) / (1.0 + r2)
+    ch = (1.0 + r2h) / (1.0 - r2h)
+    sh = 2.0 * np.sqrt(r2h) / (1.0 - r2h)
+    return {"sphere": np.abs(c * c + s * s - 1.0),
+            "hyper": np.abs(ch * ch - sh * sh - 1.0) / np.maximum(1.0, ch * ch)}, core.TOL
+
+
+#: Suite name -> suite, read off the ``_suite_<group>_<name>`` functions in definition
+#: order: ``_suite_core_exp_unitarity`` is the suite ``core.exp_unitarity``.
+SUITES: dict[str, Callable] = {key.removeprefix("_suite_").replace("_", ".", 1): fn
+                               for key, fn in globals().items() if key.startswith("_suite_")}
 
 
 def _reduce(parts: dict) -> tuple[float, tuple[str, int] | None]:
@@ -730,12 +699,10 @@ def _figure_poincare_geodesic(samples: int):
     return "psi,x1,x2,a_g0,a_g1,a_g2\n" + first + _csv(np.hstack([arc[inner], comps])) + last
 
 
-#: Figure name -> builder of its CSV text (header line first).
-FIGURES: dict[str, Callable] = {
-    "stereo-sphere": _figure_stereo_sphere,
-    "stereo-hyper": _figure_stereo_hyper,
-    "poincare-geodesic": _figure_poincare_geodesic,
-}
+#: Figure name -> builder of its CSV text (header line first), read off the
+#: ``_figure_<name>`` functions in definition order, ``_`` read as ``-``.
+FIGURES: dict[str, Callable] = {key.removeprefix("_figure_").replace("_", "-"): fn
+                                for key, fn in globals().items() if key.startswith("_figure_")}
 
 
 def cmd_figure(args) -> int:

@@ -19,10 +19,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import core
 from .core import (
     EUCLIDEAN4,
-    MINKOWSKI12,
-    PAULI3,
     SPACETIME13,
     Multivector,
     Signature,
@@ -34,7 +33,7 @@ from .errors import SignatureMismatch
 
 
 class AlgebraTag(Enum):
-    """Names for the four algebras the library works in."""
+    """The four algebras the library works in; a tag's signature is core's constant of its name."""
 
     EUCLIDEAN4 = "euclidean4"
     SPACETIME13 = "spacetime13"
@@ -43,15 +42,7 @@ class AlgebraTag(Enum):
 
     @property
     def signature(self) -> Signature:
-        return _TAG_SIGNATURES[self]
-
-
-_TAG_SIGNATURES = {
-    AlgebraTag.EUCLIDEAN4: EUCLIDEAN4,
-    AlgebraTag.SPACETIME13: SPACETIME13,
-    AlgebraTag.PAULI3: PAULI3,
-    AlgebraTag.MINKOWSKI12: MINKOWSKI12,
-}
+        return getattr(core, self._name_)
 
 
 @fixed
