@@ -22,7 +22,7 @@ from .quatrep import QuatMatrix2, Quaternion, quat_mul, rep_pss, rep_vec, unrep_
 from .spinors import CenterScalar, IdealSpinor, fidelity, inner
 from .quatspinor import QuatSpinor, canonical_q, fidelity_q
 from .dirac import (DiracCarrier, DiracSpinor, dirac_to_geometric, geometric_to_qspinor,
-                    qspinor_to_dirac)
+                    qspinor_to_dirac, qspinor_to_geometric)
 
 __all__ = [
     "AlgebraTag",
@@ -52,6 +52,7 @@ __all__ = [
     "grade_select",
     "inner",
     "qspinor_to_dirac",
+    "qspinor_to_geometric",
     "quat_mul",
     "rep_pss",
     "rep_vec",

@@ -92,11 +92,9 @@ def _vec(xs) -> str:
 
 def _mv_terms(m: Multivector) -> str:
     """Nonzero terms of m; a term within rounding of m's size counts as zero.
-    The moduli are scaled by a power of two, exactly, to a largest one in
-    [0.5, 1), so their sum cannot overflow."""
+    The moduli are scaled by :func:`core.exponent`, so their sum cannot overflow."""
     names = core.blade_names(m.signature)
-    mags = np.abs(m.coeffs)
-    mags = np.ldexp(mags, -np.frexp(mags.max())[1])
+    mags = np.ldexp(np.abs(m.coeffs), -core.exponent(m.coeffs))
     keep = np.flatnonzero(~core.close(mags, mags.sum())).tolist()
     coeffs = m.coeffs.tolist()
     return ";".join(f"{names[mask]}:{FMT % coeffs[mask]}" for mask in keep) or "0"

@@ -528,6 +528,13 @@ def close(residual: float, scale: float) -> bool:
     return residual <= TOL * scale
 
 
+def exponent(x: np.ndarray) -> np.ndarray:
+    """The e with max|x| 2^-e in [0.5, 1) over the last axis, kept as an axis of 1 (0 where x is
+    0): ``np.ldexp(x, -e)`` scales x exactly (Higham, 2002, sec. 2.1), where the factor
+    ``np.ldexp(1.0, -e)`` is inf for a subnormal max|x|."""
+    return np.frexp(np.maximum.reduce(np.abs(x), axis=-1, keepdims=True))[1]
+
+
 def vector_square(a: Multivector) -> tuple[float, float]:
     """(a^2, sum of |a_k|^2) of a grade-1 element, from its coefficients; the
     second is the scale of the first.  NotAVector when other grades hold

@@ -39,6 +39,7 @@ from .core import (
     blade_images,
     close,
     column_matrix,
+    exponent,
     fields_equal,
     fixed,
     freeze,
@@ -149,12 +150,16 @@ def j_action(c: DiracCarrier) -> DiracCarrier:
 
 
 def geometric_to_qspinor(c: DiracCarrier) -> QuatSpinor:
-    """Extract (q0, q1) with re = (q0 + q1 i) v+/2; NotInIdeal otherwise."""
+    """Extract (q0, q1) with re = (q0 + q1 i) v+/2; NotInIdeal otherwise.  Both run on re scaled
+    up by its :func:`core.exponent`, exactly, so a subnormal re keeps its digits."""
+    e = np.minimum(exponent(c.re.coeffs), 0)  # scaling down would drop a column's tiny terms
+    re = np.ldexp(c.re.coeffs, -e)
     # re is half a carrier, whose coordinates are twice its products with the frame
-    psi = from_carrier_coords(4.0 * (c.re.coeffs @ carrier_frame()), AlgebraTag.SPACETIME13)
-    require(close(residual(qspinor_to_geometric(psi).re, c.re), c.re.abs_sum()), NotInIdeal,
+    coords = 4.0 * (re @ carrier_frame())
+    off = np.abs(coords @ carrier_frame().T * 0.5 - re).max(axis=-1)  # qspinor_to_geometric
+    require(close(off, np.abs(re).sum(axis=-1)), NotInIdeal,
             "element has components outside the Dirac ideal")
-    return psi
+    return from_carrier_coords(np.ldexp(coords, e), AlgebraTag.SPACETIME13)
 
 
 def qspinor_to_geometric(psi: QuatSpinor) -> DiracCarrier:

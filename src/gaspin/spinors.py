@@ -200,8 +200,10 @@ class CanonicalIdeal:
 def canonical_form(psi: IdealSpinor) -> CanonicalIdeal:
     """Factor out the leading component; refuses the excluded chart point."""
     require(psi.a0.z != 0.0, DegenerateState, "a0 = 0 is the excluded pole of the chart")
-    # a1 / a0 without |a0|^2, which underflows for |a0| below 1e-154
-    ratio = psi.a1.z / psi.a0.z
+    # a1 / a0 without |a0|^2, on both scaled by one power of two (a subnormal a0 overflows inside)
+    parts = _coords(psi)
+    a = np.ldexp(parts, -core.exponent(parts)).view(complex)
+    ratio = a[..., 1] / a[..., 0]
     chart = (ratio.real, _CHART_SIGN[psi.tag] * ratio.imag)
     theta = np.arctan2(psi.a0.p, psi.a0.s)
     m_hat, root = _unit_m(psi.tag, chart)

@@ -36,6 +36,7 @@ from .core import (
     Multivector,
     Signature,
     close,
+    exponent,
     fields_equal,
     freeze,
     geometric_product,
@@ -125,9 +126,8 @@ def lift_sphere(x: PlanePoint) -> SpherePoint:
     2 s y) / (s^2 + y^2) on y = s x, with s <= 1 the power of two that brings the
     largest |x_k| below 1: every rounding is the unscaled form's, but y^2 cannot
     overflow (|x| = 1e200 lifts to -e0 + 2e-200 e1)."""
-    big = np.maximum.reduce(np.abs(x.x), axis=-1, keepdims=True, initial=0.5)
-    s = np.ldexp(1.0, -np.frexp(big)[1])
-    y = s * x.x
+    n = np.minimum(-exponent(x.x), 0)  # s = 2^n
+    s, y = np.ldexp(1.0, n), np.ldexp(x.x, n)
     s2, r2 = s * s, np.vecdot(y, y, keepdims=True)
     d = s2 + r2
     comps = np.concatenate([s2 - r2, 2.0 * y * s], axis=-1) / d
@@ -139,21 +139,19 @@ def project_sphere(a: SpherePoint) -> PlanePoint:
 
     On the southern half 1 + a0 cancels, so it is taken as |a|^2 / (1 - a0),
     which keeps full relative accuracy up to the pole, where it is 0.  There
-    the chart point is (y s) / (y^2 / (1 - a0)) on y = s a, with s the power
-    of two that brings the largest |a_k| into [1/2, 1), as in
-    :func:`lift_sphere`: the roundings are the unscaled form's, but y^2 does
-    not underflow for lifts of |x| beyond 1e154.
+    the chart point is (y 2^n) / (y^2 / (1 - a0)) on y = a 2^n, with -n the
+    :func:`core.exponent` of the a_k: the roundings are the unscaled form's,
+    but y^2 does not underflow for lifts of |x| beyond 1e154.
     """
     c = a.a_hat.coeffs
     rest = c.take(_CHART_MASKS, -1)
     a0 = c[..., 1:2]
     north = a0 >= 0.0
-    big = np.maximum.reduce(np.abs(rest), axis=-1, keepdims=True)
-    s = np.where(north, 1.0, np.ldexp(1.0, -np.frexp(big)[1]))
-    rest = s * rest
-    denom = np.where(north, 1.0 + a0, np.vecdot(rest, rest, keepdims=True) / (1.0 + np.abs(a0)))
+    n = np.where(north, 0, -exponent(rest))
+    y = np.ldexp(rest, n)
+    denom = np.where(north, 1.0 + a0, np.vecdot(y, y, keepdims=True) / (1.0 + np.abs(a0)))
     require(denom[..., 0] != 0.0, PoleSingularity, "projection undefined at the south pole")
-    return PlanePoint(s * rest / denom)
+    return PlanePoint(np.ldexp(y, n) / denom)
 
 
 def sphere_angle(x: PlanePoint) -> float:
@@ -183,22 +181,25 @@ def sphere_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, floa
     """Closed-form differential of the lift and its square.
 
     da = (2 (1+x^2) dx - 4 (x + e0) (x . dx)) / (1+x^2)^2 and
-    (da)^2 = 4 dx^2 / (1+x^2)^2.
+    (da)^2 = 4 dx^2 / (1+x^2)^2, on the scaled y = k x of :func:`lift_sphere`.
     """
-    return _lift_differential(x, x.norm2, dx, EUCLIDEAN4, 1.0)
+    n = np.minimum(-exponent(x.x), 0)
+    y = PlanePoint(np.ldexp(x.x, n))
+    return _lift_differential(y, np.ldexp(1.0, n[..., 0]), y.norm2, dx, EUCLIDEAN4, 1.0)
 
 
-def _lift_differential(x: PlanePoint, r2: float, dx: Sequence[float], signature: Signature,
-                       s: float):
-    """da = (2 d dx - 4 s (x + pole) (x . dx)) / d^2 and (da)^2, d = 1 + s r2, r2 = x^2; s = 1 on
-    the sphere, -1 on the hyperboloid; dx on the last axis, as x.x; NonFiniteValue on overflow."""
-    d = 1.0 + s * r2
+def _lift_differential(y: PlanePoint, k: float, r2: float, dx: Sequence[float],
+                       signature: Signature, s: float):
+    """da = k^2 (2 d dx - 4 s (y + k pole) (y . dx)) / d^2 and (da)^2, d = k^2 + s r2, r2 = y^2:
+    the lift's differential at x = y / k, every term scaled exactly by the power of two k; s = 1
+    on the sphere, -1 on the hyperboloid; dx on the last axis; NonFiniteValue on overflow."""
+    d = k * k + s * r2
     dx = PlanePoint(dx)
-    m = x.as_vector(signature) + Multivector.basis(signature, 0)
-    num = 2.0 * d * dx.as_vector(signature) - (4.0 * s * np.vecdot(x.x, dx.x)) * m
-    da = num / (d * d)  # d ** 2 raises on overflow
+    m = y.as_vector(signature) + Multivector.basis(signature, 0) * k
+    num = 2.0 * d * dx.as_vector(signature) - (4.0 * s * np.vecdot(y.x, dx.x)) * m
+    da = k * (k * num / (d * d))  # one rounding where da is subnormal
     sq = scalar_product(da, da)
-    require((d * d < np.inf) & np.isfinite(sq), NonFiniteValue, "d^2 or (da)^2 overflows")
+    require(np.isfinite(sq), NonFiniteValue, "(da)^2 overflows")
     return da, sq
 
 
@@ -244,7 +245,7 @@ def hyper_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, float
     da = (2 (1-x^2) dx + 4 (x + g0) (x . dx)) / (1-x^2)^2 and
     (da)^2 = -4 dx^2 / (1-x^2)^2; the sign flip is the hyperbolic metric.
     """
-    return _lift_differential(x, _check_open_ball(x), dx, SPACETIME13, -1.0)
+    return _lift_differential(x, 1.0, _check_open_ball(x), dx, SPACETIME13, -1.0)
 
 
 def rotor_apply(rotor: Multivector, a: Multivector) -> Multivector:

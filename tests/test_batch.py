@@ -8,6 +8,7 @@ case raises what the single call on that case raises, and names the case.
 """
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -668,16 +669,13 @@ def test_non_finite_input_raises_nonfinitevalue_without_a_warning(name, value):
 
 
 # name: (error, call on the chart point) at x = (r, 0, 0), where (1 + x^2)^2
-# overflows (r = 1e100) or x^2 itself (r = 1e155): each call raised its error,
-# or at 1e100 returned da = 0, only after an overflow warning.  The metric
-# factor 4 / (1 + x^2)^2 is below the float range there, so the sphere's
-# NonFiniteValue marks where the plain squares stop, not a value that cannot exist.
+# overflows (r = 1e100) or x^2 itself (r = 1e155): each call raised its error
+# only after an overflow warning
 _OVERFLOWING_SQUARE_CALLS = {
     "lift_hyper": (DomainViolation, stereo.lift_hyper),
     "hyper_angle": (DomainViolation, stereo.hyper_angle),
     "hyper_boost": (DomainViolation, stereo.hyper_boost),
     "hyper_metric": (DomainViolation, lambda x: stereo.hyper_metric(x, (0.1, 0.2, 0.3))),
-    "sphere_metric": (NonFiniteValue, lambda x: stereo.sphere_metric(x, (0.1, 0.2, 0.3))),
 }
 
 
@@ -689,6 +687,23 @@ def test_chart_point_whose_square_overflows_raises_without_a_warning(name, r):
         warnings.simplefilter("error")
         with pytest.raises(error):
             call(stereo.PlanePoint.of(r, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("r", (1e100, 1e155), ids=str)
+def test_sphere_metric_where_the_square_overflows_is_the_exact_differential(r):
+    # da = (2 d dx - 4 (x + e0)(x . dx)) / d^2, d = 1 + x^2, is a normal float at 1e100
+    # (about 2e-201) and subnormal at 1e155, where (1 + x^2)^2 or x^2 overflows; it was
+    # NonFiniteValue (and da = 0 after a warning before that).  The exact value in Fraction,
+    # within 4 eps of its largest component or 2 subnormal steps.
+    x, dx = [Fraction(r), Fraction(0), Fraction(0)], [Fraction(v) for v in (0.1, 0.2, 0.3)]
+    d, xdx = 1 + sum(c * c for c in x), sum(a * b for a, b in zip(x, dx))
+    want = [-4 * xdx / d**2] + [(2 * d * b - 4 * a * xdx) / d**2 for a, b in zip(x, dx)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        da, sq = stereo.sphere_metric(stereo.PlanePoint.of(r, 0.0, 0.0), (0.1, 0.2, 0.3))
+    bound = 4 * Fraction(np.finfo(float).eps) * max(map(abs, want)) + 2 * Fraction(5e-324)
+    assert all(abs(Fraction(g) - w) <= bound for g, w in zip(da.vector_components(), want))
+    assert sq == 0.0  # 4 dx^2 / d^2 is below the smallest subnormal
 
 
 # name: (error, start of its message, call) for input that no case of any

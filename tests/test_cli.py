@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -692,6 +693,22 @@ def test_dirac_carrier_terms_when_their_sum_overflows(capsys):
         assert len(unit) == 16 and scaled.keys() == unit.keys()
         for blade, value in unit.items():
             assert float(scaled[blade]) == 1e308 * float(value)
+
+
+def test_dirac_subnormal_column_extracts_the_carrier_exactly(capsys):
+    # the extraction and its ideal test run on the carrier scaled by a power of two:
+    # at 1e-315 the test once refused the column (NotInIdeal), and at 1e-307 q0 came
+    # out one ulp below the component; q0 is four times the carrier's 1-coefficient
+    for first in ("1e-315", "1e-307"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["dirac", "--components", first, *["0"] * 7])
+        assert (code, err) == (0, "")
+        record = dict(ln.split("=", 1) for ln in out.splitlines())
+        q0 = float(record["q0"].split(",")[0])
+        assert q0 == 4.0 * float(record["carrier_re"].split(";")[0].removeprefix("1:"))
+        assert record["roundtrip_residual"] == "0"
+    assert q0 == float(record["components"].split(",")[0])  # 1e-307 is a normal float
 
 
 def test_dirac_arity(capsys):

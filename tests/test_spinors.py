@@ -324,6 +324,16 @@ def test_canonical_form_at_the_top_of_the_float_range_has_no_warning():
     assert can.rho == 1.4142135623730951e308 and can.chart == (0.0, 0.0)
 
 
+def test_canonical_form_at_a_subnormal_a0_has_no_warning():
+    # the complex division a1 / a0 overflows inside for a0 = 1e-320 unless both
+    # are scaled by one power of two first; the chart (0, 0) and rho = |a0| exist
+    psi = IdealSpinor(AlgebraTag.PAULI3, CenterScalar(1e-320, 0.0), CenterScalar(0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        can = canonical_form(psi)
+    assert can.chart == (0.0, 0.0) and can.rho == 1e-320 and can.theta == 0.0
+
+
 def test_center_products_that_overflow_raise_nonfinitevalue():
     # finite parts whose products pass 1.8e308: the center scalar built from
     # them is refused (before center scalars checked finiteness, it held inf)
