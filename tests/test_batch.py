@@ -692,9 +692,8 @@ def test_chart_point_whose_square_overflows_raises_without_a_warning(name, r):
 @pytest.mark.parametrize("r", (1e100, 1e155), ids=str)
 def test_sphere_metric_where_the_square_overflows_is_the_exact_differential(r):
     # da = (2 d dx - 4 (x + e0)(x . dx)) / d^2, d = 1 + x^2, is a normal float at 1e100
-    # (about 2e-201) and subnormal at 1e155, where (1 + x^2)^2 or x^2 overflows; it was
-    # NonFiniteValue (and da = 0 after a warning before that).  The exact value in Fraction,
-    # within 4 eps of its largest component or 2 subnormal steps.
+    # (about 2e-201) and subnormal at 1e155, where (1 + x^2)^2 or x^2 overflows: the exact
+    # value in Fraction, within 4 eps of its largest component or 2 subnormal steps
     x, dx = [Fraction(r), Fraction(0), Fraction(0)], [Fraction(v) for v in (0.1, 0.2, 0.3)]
     d, xdx = 1 + sum(c * c for c in x), sum(a * b for a, b in zip(x, dx))
     want = [-4 * xdx / d**2] + [(2 * d * b - 4 * a * xdx) / d**2 for a, b in zip(x, dx)]

@@ -696,9 +696,9 @@ def test_dirac_carrier_terms_when_their_sum_overflows(capsys):
 
 
 def test_dirac_subnormal_column_extracts_the_carrier_exactly(capsys):
-    # the extraction and its ideal test run on the carrier scaled by a power of two:
-    # at 1e-315 the test once refused the column (NotInIdeal), and at 1e-307 q0 came
-    # out one ulp below the component; q0 is four times the carrier's 1-coefficient
+    # the extraction and its ideal test run on the carrier scaled by a power of two, so a
+    # subnormal carrier keeps its digits: q0 is four times the carrier's 1-coefficient, and
+    # at 1e-307, whose carrier is subnormal, the component itself
     for first in ("1e-315", "1e-307"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
