@@ -30,14 +30,14 @@ reductions (``residual``, ``max_abs``, ``abs_sum``, ``scalar_part``,
 ``vector_square``) act on the last axis, so a single case gets numbers.  A
 value type holds one read-only finite array in that layout: multivectors,
 quaternions, quaternion matrices, chart points and Dirac columns through
-:func:`freeze`, and center scalars, whose one case is a complex number.
+:func:`freeze` (one same-kind cast, a view) and center scalars (complex).
 Each function has one path, and a single case runs the batch code.  Outside
 the product kernel four forks remain, each with its measured worth at the
 function: the finiteness test of one case, the Python numbers that accessors
 and reductions return for one case, the shape reading of
 ``Multivector.vector`` (a ``states`` round is 10 % slower without it) and
-``Multivector._of``, which takes core's own results without the constructor's
-copy.  The gather serves the geometric product of a single factor (one fixed
+``Multivector._of``, which wraps core's own results: no init, cast or shape
+check.  The gather serves the geometric product of a single factor (one fixed
 matrix applied to the other factor; of two single cases, the left one is) and
 :func:`product_part`, which forms only the blades read (one ``np.vecdot`` for
 two batches; :func:`scalar_product` is its <ab>).  The full product of two
@@ -120,10 +120,11 @@ def _require_finite(arr: np.ndarray, axes: int = 1) -> None:
                 "coefficients must be finite")
 
 
-def freeze(value, name: str, arr: np.ndarray, tail: tuple[int, ...]) -> None:
-    """The one rule for value types: ValueError unless ``arr`` ends in the axes ``tail``,
-    NonFiniteValue naming the case (the leading axes) of a non-finite entry, a complex
-    ``arr`` read as floats; then ``arr``, read-only, is field ``name`` of ``value``."""
+def freeze(value, name: str, data, tail: tuple[int, ...], dtype=float) -> None:
+    """The one rule for value types: ``data`` cast by kind to ``dtype`` (TypeError for complex
+    data and a real field), viewed; ValueError unless it ends in the axes ``tail``, NonFiniteValue
+    naming the case (its leading axes) of a non-finite entry; then, read-only, field ``name``."""
+    arr = np.asarray(data).astype(dtype, casting="same_kind", copy=False).view()
     if arr.shape[-len(tail):] != tail:
         raise ValueError(f"{type(value).__name__} needs (..., {', '.join(map(str, tail))}) "
                          f"values, got {arr.shape}")
@@ -267,14 +268,12 @@ class Multivector:
     __array_ufunc__ = None
 
     def __post_init__(self) -> None:
-        # a copy; the cast raises on complex input before numpy could warn
-        freeze(self, "coeffs", np.asarray(self.coeffs).astype(float, casting="same_kind"),
-               (self.signature.dim,))
+        freeze(self, "coeffs", self.coeffs, (self.signature.dim,))
 
     @classmethod
     def _of(cls, signature: Signature, arr: np.ndarray) -> "Multivector":
-        """Wrap ``arr``, fresh from core and nothing else's: float64 is tested and frozen in
-        place, no copy or shape check (verify 1.7 % faster); other dtypes go to the constructor."""
+        """Wrap ``arr``, fresh from core and nothing else's: float64 is tested and frozen in place,
+        with no dataclass init, cast or shape check (0.7-1.6 us a result); others go to init."""
         if arr.dtype != np.float64:
             return cls(signature, arr)
         _require_finite(arr)

@@ -8,16 +8,16 @@ with I^2 = -1: under g0 -> e1, g_k -> I e(k+1) (one ``core.blade_images``
 matrix, as in ``isomap``) and j -> I the u(s,t) are real multivectors.
 
 On the ideal j is right multiplication by g21 = -g12, so a column's image
-(phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+) is re + j re g12 with re in
-the left ideal Cl(1,3) v+, Hestenes' real Dirac spinor (J. Math. Phys. 8,
-1967): one real (16, 8) frame over the column's 8 reals.  A
-:class:`DiracCarrier` holds re and derives im = re g12 for the two readers
-of both parts, the CLI's carrier lines and the benchmark's round-trip check.
-The sign convention is J = -j i with i = g0123: v+ (1 + J e3)/2 = u(+,+)
-with e3 the image of the Euclidean e3 (J = +j i gives u(+,-)).  Then
-re = (q0 + q1 i) v+/2 with the quaternion pair read off by the transpose of
-the carrier frame, whose columns are orthogonal with squared norm exactly
-1/2 (integer columns give their quaternions exactly), and
+(phi1 + phi2 e13 + phi3 e3 + phi4 e1) u(+,+) is re + j re g12 with re in the
+left ideal Cl(1,3) v+, Hestenes' real Dirac spinor (J. Math. Phys. 8, 1967):
+one real (16, 8) frame of +-1/4 entries over the column's 8 reals (so a
+subnormal column's carrier rounds).  A :class:`DiracCarrier` holds re and
+derives im = re g12 for the two readers of both parts, the CLI's carrier lines
+and the benchmark's round-trip check.  The sign convention is J = -j i with
+i = g0123: v+ (1 + J e3)/2 = u(+,+) with e3 the image of the Euclidean e3
+(J = +j i gives u(+,-)).  Then re = (q0 + q1 i) v+/2, and the transpose of the
+carrier frame, +-1/2 twice a column, reads the quaternion pair off 4 re exactly
+for every carrier in the ideal, with
 
     phi1 = x0 + j x3,  phi2 = -x2 + j x1,
     phi3 = -y3 + j y0, phi4 = -y1 - j y2.
@@ -39,7 +39,6 @@ from .core import (
     blade_images,
     close,
     column_matrix,
-    exponent,
     fields_equal,
     fixed,
     freeze,
@@ -111,12 +110,12 @@ class DiracSpinor:
     __eq__ = fields_equal
 
     def __post_init__(self) -> None:
-        freeze(self, "components", np.asarray(self.components, dtype=complex).view(), (4,))
+        freeze(self, "components", self.components, (4,), complex)
 
     @staticmethod
     def from_reals(vals) -> "DiracSpinor":
         """Column of 8 reals (re, im per component) on the last axis."""
-        vals = np.array(vals, dtype=float, order="C")  # a copy, viewed as complex pairs
+        vals = np.asarray(vals).astype(float, casting="same_kind", order="C")  # a copy, viewed
         if vals.shape[-1:] != (8,):
             raise ValueError("need 8 reals: (re, im) per component")
         return DiracSpinor(vals.view(complex))
@@ -150,16 +149,14 @@ def j_action(c: DiracCarrier) -> DiracCarrier:
 
 
 def geometric_to_qspinor(c: DiracCarrier) -> QuatSpinor:
-    """Extract (q0, q1) with re = (q0 + q1 i) v+/2; NotInIdeal otherwise.  Both run on re scaled
-    up by its :func:`core.exponent`, exactly, so a subnormal re keeps its digits."""
-    e = np.minimum(exponent(c.re.coeffs), 0)  # scaling down would drop a column's tiny terms
-    re = np.ldexp(c.re.coeffs, -e)
-    # re is half a carrier, whose coordinates are twice its products with the frame
-    coords = 4.0 * (re @ carrier_frame())
+    """Extract (q0, q1) with re = (q0 + q1 i) v+/2; NotInIdeal otherwise.  In the ideal 4 re holds
+    each coordinate twice, which a frame column (+-1/2 twice) averages: exact at any scale."""
+    re = c.re.coeffs
+    coords = (4.0 * re) @ carrier_frame()
     off = np.abs(coords @ carrier_frame().T * 0.5 - re).max(axis=-1)  # qspinor_to_geometric
     require(close(off, np.abs(re).sum(axis=-1)), NotInIdeal,
             "element has components outside the Dirac ideal")
-    return from_carrier_coords(np.ldexp(coords, e), AlgebraTag.SPACETIME13)
+    return from_carrier_coords(coords, AlgebraTag.SPACETIME13)
 
 
 def qspinor_to_geometric(psi: QuatSpinor) -> DiracCarrier:

@@ -56,7 +56,7 @@ class Quaternion:
     __eq__ = fields_equal
 
     def __post_init__(self) -> None:
-        freeze(self, "coeffs", np.asarray(self.coeffs, dtype=float).view(), (4,))
+        freeze(self, "coeffs", self.coeffs, (4,))
 
     @property
     def s(self) -> float:
@@ -151,7 +151,7 @@ class QuatMatrix2:
     __eq__ = fields_equal
 
     def __post_init__(self) -> None:
-        freeze(self, "coeffs", np.array(self.coeffs, dtype=float), (2, 2, 4))
+        freeze(self, "coeffs", self.coeffs, (2, 2, 4))
 
     @staticmethod
     def from_entries(m00, m01, m10, m11) -> "QuatMatrix2":

@@ -74,7 +74,7 @@ class QuatSpinor:
     def from_bloch_point(x, tag: AlgebraTag = AlgebraTag.SPACETIME13) -> "QuatSpinor":
         """Orthogonal unit-leading spinor whose Bloch point is x (3 reals, or
         an array with them on the last axis)."""
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
         q1 = np.concatenate([np.zeros_like(x[..., :1]), -x], axis=-1)
         return QuatSpinor(Quaternion.one(), Quaternion(q1), tag)
 
@@ -226,6 +226,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
             bilinear_table(2.0 * reverse(cols), cols, (0, 0b0111, 0b1011, 0b1101)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # typed errors only
 def projector(psi: QuatSpinor) -> Multivector:
     """|psi><psi| = 2 * image * reversed image, reversed in Cl(1,3) and then
     mapped like the ket: x^T T x over the carrier coordinates x."""

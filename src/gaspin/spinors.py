@@ -72,7 +72,8 @@ class CenterScalar:
         """From the parts, numbers or per-case arrays that broadcast; exact, signed
         zeros included.  NonFiniteValue names the case of a NaN or infinite part."""
         z = np.empty(np.broadcast(s, p).shape, dtype=complex)
-        z.real, z.imag = s, p
+        np.copyto(z.real, s, casting="same_kind")  # a complex part is a TypeError
+        np.copyto(z.imag, p, casting="same_kind")
         require(np.isfinite(z), NonFiniteValue, "coefficients must be finite")  # s and p
         z.setflags(write=False)
         object.__setattr__(self, "z", z[()])

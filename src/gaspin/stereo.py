@@ -58,7 +58,7 @@ class PlanePoint:
     __eq__ = fields_equal
 
     def __post_init__(self) -> None:
-        freeze(self, "x", np.asarray(self.x, dtype=float).view(), (3,))
+        freeze(self, "x", self.x, (3,))
 
     @staticmethod
     def of(*components: float) -> "PlanePoint":

@@ -141,6 +141,22 @@ def test_product_blocks_cover_large_batches(rng):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: "".join(s.generator_labels))
+def test_products_of_strided_values_equal_those_of_their_contiguous_copies(rng, sig):
+    # a Multivector views its input, so a column of a block (verify's draws) or of a frame
+    # reaches the kernels strided; single-factor and batch products read it bit for bit as
+    # its contiguous copy, a first case with a zero (the occupancy pass) included
+    block = rng.uniform(-1.0, 1.0, (300, 3, sig.dim))
+    block[0, 1, ::3] = 0.0
+    frame = rng.uniform(-1.0, 1.0, (sig.dim, 2))
+    for j in range(3):
+        strided = [Multivector(sig, block[:, j]), Multivector(sig, frame[:, j % 2])]
+        copies = [Multivector(sig, np.ascontiguousarray(m.coeffs)) for m in strided]
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            got, want = strided[a] * strided[b], copies[a] * copies[b]
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
 #: Operand shapes of a part product: single cases, a batch, a single case
 #: against a batch, and (3, 4) against (4,).
 PART_SHAPES = (((), ()), ((5,), (5,)), ((), (5,)), ((3, 4), (4,)))
@@ -362,11 +378,14 @@ def test_batch_fields_are_read_only_views_of_their_inputs(rng):
     c = rng.uniform(-1.0, 1.0, (3, 4, 4))
     z = c + 1j * c
     q, x, phi = Quaternion(c), stereo.PlanePoint(c[..., :3]), dirac.DiracSpinor(z)
-    for field, source in ((q.coeffs, c), (q.s, c), (q.v, c), (x.x, c), (phi.components, z)):
+    w = rng.uniform(-1.0, 1.0, (3, 4, 16))
+    m, mat = Multivector(EUCLIDEAN4, w), QuatMatrix2(w.reshape(3, 4, 2, 2, 4))
+    for field, source in ((q.coeffs, c), (q.s, c), (q.v, c), (x.x, c), (phi.components, z),
+                          (m.coeffs, w), (mat.coeffs, w)):
         assert field.shape[:2] == (3, 4) and np.shares_memory(field, source)
         with pytest.raises(ValueError):
             field[0, 0] = 1.0
-    assert c.flags.writeable and z.flags.writeable
+    assert c.flags.writeable and z.flags.writeable and w.flags.writeable
 
 
 @pytest.mark.parametrize("shapes", PAIR_SHAPES, ids=str)
@@ -644,6 +663,9 @@ _NON_FINITE_CALLS = {
     # B^2 = 1e310 overflows in the product, before any branch
     "exp_blade g01 in Cl(1,3)": (
         lambda v: exp_blade(Multivector.blade(SPACETIME13, 0b0011, v)), (1e155,)),
+    # |q1|^2 = 1e310 overflows in the bracket's matmul
+    "projector": (lambda v: quatspinor.projector(_qspinor([1, 0, 0, 0, 0, v, 0, 0])),
+                  (1e155,)),
     # the chart tuples and center scalars of spinors are read where they are used
     "antipodal_chart": (lambda v: spinors.antipodal_chart((v, 0.0)), (np.inf, -np.inf, np.nan)),
     "canonical_form": (lambda v: spinors.canonical_form(_chart_spinor(AlgebraTag.PAULI3, v)),

@@ -696,9 +696,9 @@ def test_dirac_carrier_terms_when_their_sum_overflows(capsys):
 
 
 def test_dirac_subnormal_column_extracts_the_carrier_exactly(capsys):
-    # the extraction and its ideal test run on the carrier scaled by a power of two, so a
-    # subnormal carrier keeps its digits: q0 is four times the carrier's 1-coefficient, and
-    # at 1e-307, whose carrier is subnormal, the component itself
+    # the extraction reads four times the carrier, which the frame halves exactly at any
+    # scale: q0 is four times the carrier's 1-coefficient, and at 1e-307, whose carrier is
+    # subnormal, the component itself
     for first in ("1e-315", "1e-307"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -709,6 +709,20 @@ def test_dirac_subnormal_column_extracts_the_carrier_exactly(capsys):
         assert q0 == 4.0 * float(record["carrier_re"].split(";")[0].removeprefix("1:"))
         assert record["roundtrip_residual"] == "0"
     assert q0 == float(record["components"].split(",")[0])  # 1e-307 is a normal float
+
+
+def test_dirac_column_with_a_subnormal_beside_a_normal_component_extracts_exactly(capsys):
+    # a scale of the whole carrier cannot serve both terms: the one of 2 is normal and the
+    # subnormal one sits below it; unscaled, q1 is still the component (phi3 = -y3 + j y0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["dirac", "--components", "2", *["0"] * 3, "1.23e-315",
+                                          *["0"] * 3])
+    assert (code, err) == (0, "")
+    record = dict(ln.split("=", 1) for ln in out.splitlines())
+    assert record["q1"] == "0,0,0,-1.2300000021344028e-315"
+    assert -float(record["q1"].split(",")[3]) == float(record["components"].split(",")[4])
+    assert record["roundtrip_residual"] == "0"
 
 
 def test_dirac_arity(capsys):

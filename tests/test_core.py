@@ -32,8 +32,10 @@ from gaspin.errors import (
     NullVector,
     SignatureMismatch,
 )
+from gaspin.isomap import AlgebraTag
 from gaspin.quatrep import QuatMatrix2, Quaternion
-from gaspin.spinors import CenterScalar
+from gaspin.quatspinor import QuatSpinor
+from gaspin.spinors import CenterScalar, IdealSpinor
 from gaspin.stereo import PlanePoint
 
 from conftest import ALL_SIGNATURES, allclose, blade_product, random_mv
@@ -556,9 +558,11 @@ _CL41 = Signature(4, 1, ("e1", "e2", "e3", "e4", "e5"))
 
 
 def test_complex_input_is_a_type_error():
-    # the constructor's same-kind cast refuses complex input before numpy
-    # could warn and drop the imaginary part, so no warning is raised either
+    # the one same-kind cast of every value type (and of a center scalar's parts)
+    # refuses complex input for a real field before numpy could warn and drop the
+    # imaginary part, so no warning is raised either
     m = Multivector.basis(EUCLIDEAN4, 0)
+    z = np.array([1 + 2j, 0.5, -1j, 3.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for make in (lambda: Multivector(EUCLIDEAN4, [1j] * 16),
@@ -569,7 +573,13 @@ def test_complex_input_is_a_type_error():
                      lambda: Multivector.blade(EUCLIDEAN4, 3, 1j),
                      lambda: Multivector.blade(EUCLIDEAN4, 3, np.array([1.0, 1j])),
                      lambda: Multivector.scalar(EUCLIDEAN4, 2j),
-                     lambda: m / 1j):
+                     lambda: m / 1j,
+                     lambda: Quaternion(z), lambda: PlanePoint(z[:3]),
+                     lambda: QuatMatrix2(np.resize(z, (2, 2, 4))),
+                     lambda: QuatSpinor.from_bloch_point(z[:3]),
+                     lambda: DiracSpinor.from_reals(np.resize(z, 8)),
+                     lambda: CenterScalar(z[0], 0.0),
+                     lambda: IdealSpinor.from_chart(AlgebraTag.PAULI3, (z[0], 0.0))):
             with pytest.raises(TypeError):
                 make()
 

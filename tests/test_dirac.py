@@ -23,7 +23,7 @@ from gaspin.dirac import (
 )
 from gaspin.isomap import euclidean_to_spacetime
 from gaspin.quatrep import Quaternion
-from gaspin.quatspinor import QuatSpinor
+from gaspin.quatspinor import QuatSpinor, carrier_frame
 
 
 # Dirac basis conjugated by g0, in the module's column dictionary: written
@@ -279,6 +279,24 @@ def test_integer_columns_give_the_dictionary_quaternions_exactly(rng):
     phi = DiracSpinor.from_reals(vals)
     assert geometric_to_qspinor(dirac_to_geometric(phi)) == want
     assert np.all(dirac_roundtrip_residual(phi) == 0.0)
+
+
+def test_every_carrier_extracts_exactly_at_any_scale(rng):
+    # each coordinate at its own power of two, subnormal beside normal in one case: a carrier
+    # term is a quarter of its coordinate (rounded where subnormal), and the extraction gives
+    # four times the term, exactly, so the carrier maps back to itself bit for bit
+    vals = rng.uniform(-1.0, 1.0, (500, 8)) * np.ldexp(1.0, rng.integers(-1074, 1020, (500, 8)))
+    psi = QuatSpinor(Quaternion(vals[:, :4]), Quaternion(vals[:, 4:]))
+    c = qspinor_to_geometric(psi)
+    frame = carrier_frame()
+    rows = np.abs(frame).argmax(axis=0)  # each column has two entries of +-0.5
+    want = 4.0 * c.re.coeffs[:, rows] * np.sign(frame[rows, range(8)])
+    got = geometric_to_qspinor(c)
+    assert np.array_equal(np.concatenate([got.q0.coeffs, got.q1.coeffs], axis=-1), want)
+    assert qspinor_to_geometric(got) == c
+    normal = np.all((vals == 0) | (np.abs(vals) >= 2.0**-1020), axis=-1)  # a quarter is exact
+    assert normal.any() and not normal.all()
+    assert np.array_equal(want[normal], vals[normal])
 
 
 def test_carriers_match_the_product_route(rng):
