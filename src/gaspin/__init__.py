@@ -2,20 +2,10 @@
 representations, stereographic charts on the 3-sphere and the hyperboloid,
 and the tower of 2-component, quaternion, and Dirac spinors."""
 
-from .core import (
-    EUCLIDEAN4,
-    MINKOWSKI12,
-    PAULI3,
-    SPACETIME13,
-    Multivector,
-    Signature,
-    dot,
-    exp_blade,
-    geometric_product,
-    grade_select,
-    reverse,
-    vector_inverse,
-)
+import types
+
+from .core import (EUCLIDEAN4, MINKOWSKI12, PAULI3, SPACETIME13, Multivector, Signature, dot,
+                   exp_blade, geometric_product, grade_select, reverse, vector_inverse)
 from .errors import GAError
 from .isomap import AlgebraTag, euclidean_to_spacetime, spacetime_to_euclidean
 from .quatrep import QuatMatrix2, Quaternion, quat_mul, rep_pss, rep_vec, unrep_pss, unrep_vec
@@ -24,43 +14,8 @@ from .quatspinor import QuatSpinor, canonical_q, fidelity_q
 from .dirac import (DiracCarrier, DiracSpinor, dirac_to_geometric, geometric_to_qspinor,
                     qspinor_to_dirac, qspinor_to_geometric)
 
-__all__ = [
-    "AlgebraTag",
-    "CenterScalar",
-    "DiracCarrier",
-    "DiracSpinor",
-    "EUCLIDEAN4",
-    "GAError",
-    "IdealSpinor",
-    "MINKOWSKI12",
-    "Multivector",
-    "PAULI3",
-    "QuatMatrix2",
-    "QuatSpinor",
-    "Quaternion",
-    "SPACETIME13",
-    "Signature",
-    "canonical_q",
-    "dirac_to_geometric",
-    "dot",
-    "euclidean_to_spacetime",
-    "exp_blade",
-    "fidelity",
-    "fidelity_q",
-    "geometric_product",
-    "geometric_to_qspinor",
-    "grade_select",
-    "inner",
-    "qspinor_to_dirac",
-    "qspinor_to_geometric",
-    "quat_mul",
-    "rep_pss",
-    "rep_vec",
-    "reverse",
-    "spacetime_to_euclidean",
-    "unrep_pss",
-    "unrep_vec",
-    "vector_inverse",
-]
+#: Every public name imported above, sorted: the API, stated once.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))
 
 __version__ = "0.1.0"

@@ -598,17 +598,18 @@ def _parse_point(text: str) -> tuple[float, float, float]:
     return point
 
 
-#: (lift, angle, rotor, pole algebra, s) per chart: metric factor 4 s / d^2, d = 1 + s |x|^2.
+#: (lift, angle, rotor, pole algebra) per chart.
 _CHARTS = {
-    "sphere": (stereo.lift_sphere, stereo.sphere_angle, stereo.sphere_rotor, EUCLIDEAN4, 1.0),
-    "hyper": (stereo.lift_hyper, stereo.hyper_angle, stereo.hyper_boost, SPACETIME13, -1.0),
+    "sphere": (stereo.lift_sphere, stereo.sphere_angle, stereo.sphere_rotor, EUCLIDEAN4),
+    "hyper": (stereo.lift_hyper, stereo.hyper_angle, stereo.hyper_boost, SPACETIME13),
 }
 
 
 def cmd_project(args) -> int:
     x = stereo.PlanePoint(args.point)
-    lift, angle_of, rotor_of, algebra, s = _CHARTS[args.geometry]
+    lift, angle_of, rotor_of, algebra = _CHARTS[args.geometry]
     lifted, angle, rotor = lift(x).a_hat, angle_of(x), rotor_of(x)  # the lift checks the domain
+    s = algebra.metric(1)  # the chart generators' square: metric factor 4 s / d^2
     d = 1.0 + s * x.norm2
     factor = 4.0 * s / (d * d)  # 0.0 once d * d overflows (d ** 2 would raise)
     # re-validate before printing
@@ -750,35 +751,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run every property suite")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--cases", type=int, default=200)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit the exact blade product table")
     p_table.add_argument("--signature", type=_parse_signature, required=True, metavar="P,Q")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_table.set_defaults(func=cmd_table)
 
     p_project = sub.add_parser("project", help="stereographic lift of a chart point")
     p_project.add_argument("geometry", choices=("sphere", "hyper"))
     p_project.add_argument("--point", type=_parse_point, required=True, metavar="X,Y,Z")
-    p_project.set_defaults(func=cmd_project)
 
     p_prob = sub.add_parser("prob", help="state fidelity between two chart points")
     p_prob.add_argument("geometry", choices=("sphere", "hyper"))
     p_prob.add_argument("--point-a", type=_parse_point, required=True, metavar="X,Y,Z")
     p_prob.add_argument("--point-b", type=_parse_point, required=True, metavar="X,Y,Z")
     p_prob.add_argument("--quaternion", action="store_true")
-    p_prob.set_defaults(func=cmd_prob)
 
     p_fig = sub.add_parser("figure", help="emit curve data as CSV")
     p_fig.add_argument("name", choices=tuple(FIGURES))
     p_fig.add_argument("--samples", type=int, default=101)
     p_fig.add_argument("--out", required=True)
-    p_fig.set_defaults(func=cmd_figure)
 
     p_dirac = sub.add_parser("dirac", help="column -> quaternion pair round trip")
     p_dirac.add_argument("--components", type=float, nargs="+", required=True, metavar="R")
-    p_dirac.set_defaults(func=cmd_dirac)
 
+    for name, p in sub.choices.items():  # command <name> runs cmd_<name>
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     for p in (parser, *sub.choices.values()):  # -1,3 and -5e-05 are values, as -1 is
         p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.format_usage = fixed(p.format_usage)  # usage fixed at its first error's COLUMNS

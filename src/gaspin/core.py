@@ -134,6 +134,13 @@ def freeze(value, name: str, data, tail: tuple[int, ...], dtype=float) -> None:
     object.__setattr__(value, name, arr)
 
 
+def real(x):
+    """``np.float64(x)`` by the kind rule of :func:`freeze`: TypeError for complex data."""
+    if not isinstance(x, float) and np.asarray(x).dtype.kind == "c":  # a float skips asarray
+        raise TypeError(f"cannot read complex data {x!r} as float64")
+    return np.float64(x)
+
+
 def fields_equal(a, b) -> bool:
     """Exact ``==`` for the frozen dataclasses whose fields may hold per-case
     arrays: the same type and ``np.array_equal`` on every field (same shape,
@@ -320,7 +327,7 @@ class Multivector:
                 shape = np.broadcast_shapes(shape, x.shape)
         c = np.zeros((*shape, signature.dim))
         for k, x in enumerate(components):
-            c[..., 1 << k] = x
+            c[..., 1 << k] = real(x)
         return Multivector._of(signature, c)
 
     # -- basic queries ---------------------------------------------------------

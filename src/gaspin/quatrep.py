@@ -261,6 +261,7 @@ def unrep_pss(M: QuatMatrix2) -> Multivector:
 # --------------------------------------------------------------------------
 # Change of basis between the two representations.
 
+@fixed
 def basis_change_matrix() -> QuatMatrix2:
     """A = (1/sqrt2) [[1, 1], [-1, 1]]; unitary, A Astar = 1."""
     a = Quaternion.one().scale(_SQRT1_2)
@@ -268,8 +269,7 @@ def basis_change_matrix() -> QuatMatrix2:
 
 
 def change_of_basis(M_pss: QuatMatrix2) -> QuatMatrix2:
-    """Conjugate a pseudoscalar-basis matrix into the vector basis."""
+    """Conjugate a pseudoscalar-basis matrix into the vector basis: A M A*."""
     A = basis_change_matrix()
-    A_inv = A.conjugate_transpose()
-    return A * M_pss * A_inv
+    return A * M_pss * A.conjugate_transpose()
 

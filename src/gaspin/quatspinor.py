@@ -16,15 +16,16 @@ vanishes the spinor is orthogonal and M collapses to pole + x_m with x_m a
 plain spacelike vector, :func:`bloch_point`.  It is the chart point that the
 fidelity and the projector see only for real q0: they see q0 x_m q0^-1.
 
-The carrier (over q0.s, q0.v, q1.s, q1.v), the embedding of a quaternion in
-Cl(1,3) and M are linear in quaternion coordinates, each one product with a
-cached frame; the fidelity's bracket z = 2 <rev(a) b>_{0+3} and the
-projector 2 a rev(a) are bilinear in them, each a cached table; all are read
-once off the geometric products they replace.  The carrier frame's columns
-are orthogonal with squared norm exactly 1/2, so its transpose reads the
-coordinates back, exactly.  :func:`fidelity_q_circ_route` and
-:func:`projector_closed_orthogonal` stay independent second routes; the first
-takes u M u~ (u = q0/|q0| commutes with g0 and i) as M over q1 q0*, no bracket.
+The embedding of a quaternion in Cl(1,3) is the two fixed maps composed, into
+Cl(4,0) and through the isomorphism.  The carrier (over q0.s, q0.v, q1.s, q1.v)
+and M are linear in quaternion coordinates, each one product with a cached
+frame; the fidelity's bracket z = 2 <rev(a) b>_{0+3} and the projector
+2 a rev(a) are bilinear in them, each a cached table; all are read once off the
+geometric products they replace.  The carrier frame's columns are orthogonal
+with squared norm exactly 1/2, so its transpose reads the coordinates back,
+exactly.  :func:`fidelity_q_circ_route` and :func:`projector_closed_orthogonal`
+stay independent second routes; the first takes u M u~ (u = q0/|q0| commutes
+with g0 and i) as M over q1 q0*, no bracket.
 
 A quaternion holds its coordinates on the last axis of one array; leading
 axes index a batch of states, on which every function acts case by case.
@@ -84,13 +85,7 @@ class QuatSpinor:
 
 def embed_spacetime(q: Quaternion) -> Multivector:
     """Quaternion as a Cl(1,3) element (through the algebra isomorphism)."""
-    return Multivector(SPACETIME13, q.coeffs @ _spacetime_units().T)
-
-
-@fixed
-def _spacetime_units() -> np.ndarray:
-    """Columns: the images of 1, i e1, i e2, i e3 under the algebra isomorphism."""
-    return column_matrix(euclidean_to_spacetime(Quaternion(np.eye(4)).to_multivector()))
+    return euclidean_to_spacetime(q.to_multivector())
 
 
 def _in_tag(m13: Multivector, tag: AlgebraTag) -> Multivector:

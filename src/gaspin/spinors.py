@@ -53,10 +53,10 @@ from .isomap import AlgebraTag
 
 _VALID_TAGS = (AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12)
 
-# Generator roles per algebra: (carrier index, pole index, ratio-to-chart sign).
+# Generator roles per algebra: carrier index, pole index, ratio-to-chart sign (carrier squared).
 _CARRIER = {AlgebraTag.PAULI3: 0, AlgebraTag.MINKOWSKI12: 1}
 _POLE = {AlgebraTag.PAULI3: 2, AlgebraTag.MINKOWSKI12: 0}
-_CHART_SIGN = {AlgebraTag.PAULI3: 1.0, AlgebraTag.MINKOWSKI12: -1.0}
+_CHART_SIGN = {tag: float(tag.signature.metric(k)) for tag, k in _CARRIER.items()}
 
 
 @dataclass(frozen=True, init=False)
@@ -143,10 +143,10 @@ def chart_lift(tag: AlgebraTag, chart: tuple[float, float]) -> Multivector:
 
 
 def _m_square(tag: AlgebraTag, chart: tuple[float, float]) -> tuple[float, float, float]:
-    """(a, b, m^2 = 1 + c (a^2 + b^2)) read as float64, c the square of the chart generators."""
-    a, b = np.float64(chart[0]), np.float64(chart[1])
+    """(a, b, m^2 = 1 + c (a^2 + b^2)) read by :func:`core.real`, c the chart generators' square."""
+    a, b = core.real(chart[0]), core.real(chart[1])
     r2 = a * a + b * b
-    msq = 1.0 + tag.signature.metric(_CARRIER[tag]) * r2
+    msq = 1.0 + _CHART_SIGN[tag] * r2
     require(abs(msq) < np.inf, NonFiniteValue, "m^2 leaves the float range")  # NaN too
     require(np.logical_not(close(msq, 1.0 + r2)), NonTimelike, lambda k: "chart point "
             f"{tuple(np.broadcast_to(c, np.shape(msq))[k].item() for c in chart)} "
@@ -239,7 +239,7 @@ def _admissible_norm(psi: IdealSpinor) -> float:
     """|a0|^2 + c^2 |a1|^2 off one square of each, c the carrier generator; NonTimelike (G1,2)
     or DegenerateState unless it is positive relative to |a0|^2 + |a1|^2."""
     n0, n1 = psi.a0.abs2(), psi.a1.abs2()
-    n = n0 + psi.tag.signature.metric(_CARRIER[psi.tag]) * n1
+    n = n0 + _CHART_SIGN[psi.tag] * n1
     ok = np.logical_not(close(n, n0 + n1))
     if psi.tag is AlgebraTag.MINKOWSKI12:
         require(ok, NonTimelike, lambda k: f"norm squared {np.asarray(n)[k]:g} not positive")
@@ -263,7 +263,7 @@ def fidelity_chart(tag: AlgebraTag, chart_a, chart_b) -> float:
     a, b, ma2 = _m_square(tag, chart_a)
     p, q, mb2 = _m_square(tag, chart_b)
     d, e = a - p, b - q
-    return 1.0 - tag.signature.metric(_CARRIER[tag]) * (d * d + e * e) / (ma2 * mb2)
+    return 1.0 - _CHART_SIGN[tag] * (d * d + e * e) / (ma2 * mb2)
 
 
 def antipodal_chart(chart: tuple[float, float]) -> tuple[float, float]:
@@ -272,7 +272,7 @@ def antipodal_chart(chart: tuple[float, float]) -> tuple[float, float]:
     On the Bloch sphere this lifts to the antipode -a^; the pole's partner
     would be the excluded south pole, hence the error at the origin.
     """
-    a, b = np.float64(chart[0]), np.float64(chart[1])
+    a, b = core.real(chart[0]), core.real(chart[1])
     require(np.isfinite(a) & np.isfinite(b), NonFiniteValue, "chart point must be finite")
     r = np.hypot(a, b)  # x^2 would underflow for |x| below 1e-154
     require(r != 0.0, DegenerateState, "antipode of the pole is the excluded chart point")

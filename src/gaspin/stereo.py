@@ -185,14 +185,14 @@ def sphere_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, floa
     """
     n = np.minimum(-exponent(x.x), 0)
     y = PlanePoint(np.ldexp(x.x, n))
-    return _lift_differential(y, np.ldexp(1.0, n[..., 0]), y.norm2, dx, EUCLIDEAN4, 1.0)
+    return _lift_differential(y, np.ldexp(1.0, n[..., 0]), y.norm2, dx, EUCLIDEAN4)
 
 
 def _lift_differential(y: PlanePoint, k: float, r2: float, dx: Sequence[float],
-                       signature: Signature, s: float):
+                       signature: Signature):
     """da = k^2 (2 d dx - 4 s (y + k pole) (y . dx)) / d^2 and (da)^2, d = k^2 + s r2, r2 = y^2:
-    the lift's differential at x = y / k, every term scaled exactly by the power of two k; s = 1
-    on the sphere, -1 on the hyperboloid; dx on the last axis; NonFiniteValue on overflow."""
+    the lift's differential at x = y / k, every term scaled exactly by the power of two k."""
+    s = signature.metric(1)  # the chart generators' square: 1 on the sphere, -1 on the hyperboloid
     d = k * k + s * r2
     dx = PlanePoint(dx)
     m = y.as_vector(signature) + Multivector.basis(signature, 0) * k
@@ -245,7 +245,7 @@ def hyper_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, float
     da = (2 (1-x^2) dx + 4 (x + g0) (x . dx)) / (1-x^2)^2 and
     (da)^2 = -4 dx^2 / (1-x^2)^2; the sign flip is the hyperbolic metric.
     """
-    return _lift_differential(x, 1.0, _check_open_ball(x), dx, SPACETIME13, -1.0)
+    return _lift_differential(x, 1.0, _check_open_ball(x), dx, SPACETIME13)
 
 
 def rotor_apply(rotor: Multivector, a: Multivector) -> Multivector:

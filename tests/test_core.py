@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaspin import core
+from gaspin import core, spinors
 from gaspin.core import (
     EUCLIDEAN4,
     MINKOWSKI12,
@@ -558,13 +558,24 @@ _CL41 = Signature(4, 1, ("e1", "e2", "e3", "e4", "e5"))
 
 
 def test_complex_input_is_a_type_error():
-    # the one same-kind cast of every value type (and of a center scalar's parts)
-    # refuses complex input for a real field before numpy could warn and drop the
-    # imaginary part, so no warning is raised either
+    # the one same-kind cast of every value type (and of a center scalar's parts,
+    # a chart tuple's numbers and a vector's components) refuses complex input for
+    # a real field before numpy could warn and drop the imaginary part, so no
+    # warning is raised either
     m = Multivector.basis(EUCLIDEAN4, 0)
     z = np.array([1 + 2j, 0.5, -1j, 3.0])
+    pauli, mink = AlgebraTag.PAULI3, AlgebraTag.MINKOWSKI12
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        for c in (np.complex128(0.5 + 2j), np.array([0.5 + 2j])):
+            for make in (lambda: spinors.antipodal_chart((c, 0.0)),
+                         lambda: spinors.fidelity_chart(pauli, (c, 0.0), (0.1, 0.2)),
+                         lambda: spinors.fidelity_bloch(pauli, (0.1, 0.2), (0.0, c)),
+                         lambda: spinors.chart_lift(mink, (0.0, c)),
+                         lambda: spinors.m_vector(pauli, (c, 0.0)),
+                         lambda: Multivector.vector(EUCLIDEAN4, (1.0, c, 0.0, 2.0))):
+                with pytest.raises(TypeError):
+                    make()
         for make in (lambda: Multivector(EUCLIDEAN4, [1j] * 16),
                      lambda: Multivector(EUCLIDEAN4, np.arange(16) * (1 + 2j)),
                      lambda: Multivector(EUCLIDEAN4, np.ones((3, 16), dtype=np.complex64)),
