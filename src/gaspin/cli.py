@@ -757,11 +757,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_project = sub.add_parser("project", help="stereographic lift of a chart point")
-    p_project.add_argument("geometry", choices=("sphere", "hyper"))
+    p_project.add_argument("geometry", choices=tuple(_CHARTS))
     p_project.add_argument("--point", type=_parse_point, required=True, metavar="X,Y,Z")
 
     p_prob = sub.add_parser("prob", help="state fidelity between two chart points")
-    p_prob.add_argument("geometry", choices=("sphere", "hyper"))
+    p_prob.add_argument("geometry", choices=tuple(_CHARTS))
     p_prob.add_argument("--point-a", type=_parse_point, required=True, metavar="X,Y,Z")
     p_prob.add_argument("--point-b", type=_parse_point, required=True, metavar="X,Y,Z")
     p_prob.add_argument("--quaternion", action="store_true")
