@@ -190,9 +190,10 @@ def sphere_metric(x: PlanePoint, dx: Sequence[float]) -> tuple[Multivector, floa
 
 def _lift_differential(y: PlanePoint, k: float, r2: float, dx: Sequence[float],
                        signature: Signature):
-    """da = k^2 (2 d dx - 4 s (y + k pole) (y . dx)) / d^2 and (da)^2, d = k^2 + s r2, r2 = y^2:
-    the lift's differential at x = y / k, every term scaled exactly by the power of two k."""
-    s = signature.metric(1)  # the chart generators' square: 1 on the sphere, -1 on the hyperboloid
+    """da = k^2 (2 d dx - 4 s (y + k pole) (y . dx)) / d^2 and (da)^2, d = k^2 + s r2, r2 = y^2,
+    s the chart generators' square: the lift's differential at x = y / k, every term scaled
+    exactly by the power of two k."""
+    s = signature.metric(1)  # 1 on the sphere, -1 on the hyperboloid
     d = k * k + s * r2
     dx = PlanePoint(dx)
     m = y.as_vector(signature) + Multivector.basis(signature, 0) * k
