@@ -3,10 +3,10 @@
 Output is deliberately diff-able: line-oriented key=value blocks for
 reports, CSV with a mandatory header row for tables and figure data, all
 floats rendered with %.17g and no locale dependence, each report written
-with one write.  Every numeric emission is re-validated against the owning
-module's invariants before it is printed.  All randomness flows from one
---seed flag (default 0).  An argv that starts with a command is parsed by
-its parser alone, any other by the top-level parser, as parse_args would.
+with one write.  Each emitted number is re-validated through core.close against the
+owning module's invariants (a geodesic figure's lifts: a0 = sqrt2 a1) before it is printed.
+All randomness flows from one --seed flag (default 0).  An argv that starts with a command
+is parsed by its parser alone, any other by the top-level parser, as parse_args would.
 
 Exit codes: 0 success; 1 a GAError, OSError or MemoryError, reported by main
 on one ``error: <Type>: <message>`` line; 2 a usage error, reported by argparse
@@ -470,14 +470,13 @@ def _suite_stereo_rotor_sandwich(rng, cases):
 
 
 def _suite_stereo_trig_identities(rng, cases):
-    # |x|^2 over the chart box [-3, 3]^3 on the sphere, below 0.9 in the ball
-    r2, r2h = rng.uniform(0.0, (27.0, 0.9), size=(cases, 2)).T
-    c = (1.0 - r2) / (1.0 + r2)
-    s = 2.0 * np.sqrt(r2) / (1.0 + r2)
-    ch = (1.0 + r2h) / (1.0 - r2h)
-    sh = 2.0 * np.sqrt(r2h) / (1.0 - r2h)
-    return {"sphere": np.abs(c * c + s * s - 1.0),
-            "hyper": np.abs(ch * ch - sh * sh - 1.0) / np.maximum(1.0, ch * ch)}, core.TOL
+    # |x|^2 over the chart box [-3, 3]^3 on the sphere, below 0.9 in the ball, x on the e1 axis:
+    # the cos (cosh) of the chart angle is the lift's pole component
+    r2 = rng.uniform(0.0, (27.0, 0.9), size=(cases, 2))
+    x, xh = (stereo.PlanePoint.of(np.sqrt(r), 0.0, 0.0) for r in r2.T)
+    c, ch = stereo.lift_sphere(x).a_hat.coefficient(1), stereo.lift_hyper(xh).a_hat.coefficient(1)
+    return {"sphere": np.abs(np.cos(stereo.sphere_angle(x)) - c),
+            "hyper": np.abs(np.cosh(stereo.hyper_angle(xh)) - ch) / ch}, core.TOL  # ch >= 1
 
 
 #: Suite name -> suite, read off the ``_suite_<group>_<name>`` functions in definition
@@ -644,7 +643,7 @@ def cmd_prob(args) -> int:
         f_braket = fidelity(psi, chi)
         f_closed = fidelity_chart(tag, ca, cb)
     resid = abs(f_braket - f_closed)
-    require(resid <= 1e-10 * max(1.0, abs(f_braket)), VerificationFailure,
+    require(core.close(resid, 100.0 * max(1.0, abs(f_braket))), VerificationFailure,
             "fidelity routes disagree beyond tolerance")
     sphere = args.geometry == "sphere"  # main admits --quaternion only on the hyperboloid
     label = "Bloch sphere probability" if sphere else "Bloch hyperboloid quantity (>=1)"
@@ -683,16 +682,16 @@ def _figure_poincare_geodesic(samples: int):
     # the unit circle and carry no lift.
     psi = np.linspace(3 * math.pi / 4, 5 * math.pi / 4, samples)
     x1, x2 = math.sqrt(2.0) + np.cos(psi), np.sin(psi)
-    if np.any(np.abs(x1[[0, -1]] ** 2 + x2[[0, -1]] ** 2 - 1.0) > 1e-10):
-        raise VerificationFailure("arc endpoints must lie on the unit circle")
+    r2 = x1[[0, -1]] ** 2 + x2[[0, -1]] ** 2
+    require(np.all(core.close(np.abs(r2 - 1.0), r2 + 1.0)), VerificationFailure,
+            "arc endpoints must lie on the unit circle")
     inner = slice(1, samples - 1)
     lifted = stereo.lift_hyper(stereo.PlanePoint.of(x1[inner], x2[inner], 0.0))
     comps = lifted.a_hat.vector_components()[:, :3]
-    # geodesic = hyperboloid cut by a plane through the origin
-    if len(comps) >= 3:
-        sv = np.linalg.svd(comps, compute_uv=False)
-        if sv[-1] > 1e-8 * sv[0]:
-            raise VerificationFailure("lifted arc is not planar through the origin")
+    # geodesic = hyperboloid cut by the plane a0 = sqrt2 a1 (1 + x^2 = 2 sqrt2 x1 on the arc)
+    a0, a1 = comps[:, 0], comps[:, 1]
+    require(core.close(np.abs(a0 - math.sqrt(2.0) * a1), a0 + math.sqrt(2.0) * np.abs(a1)),
+            VerificationFailure, "lifted arc leaves its plane a0 = sqrt2 a1")
     arc = np.column_stack([psi, x1, x2])
     first, last = (line + ",,,\n" for line in _csv(arc[[0, -1]]).splitlines())  # no lift cells
     return "psi,x1,x2,a_g0,a_g1,a_g2\n" + first + _csv(np.hstack([arc[inner], comps])) + last
@@ -723,7 +722,7 @@ def cmd_dirac(args) -> int:
     m = dirac_mod.dirac_to_geometric(phi)
     psi = dirac_mod.geometric_to_qspinor(m)
     resid = residual(dirac_mod.dirac_to_geometric(dirac_mod.qspinor_to_dirac(psi)).re, m.re)
-    require(resid <= 1e-10 * max(1.0, m.re.max_abs()), VerificationFailure,
+    require(core.close(resid, 100.0 * max(1.0, m.re.max_abs())), VerificationFailure,
             "round trip failed re-validation")
     sys.stdout.write(f"components={_vec(args.components)}\nq0={_vec(psi.q0.coeffs)}\n"
                      f"q1={_vec(psi.q1.coeffs)}\ncarrier_re={_mv_terms(m.re)}\n"

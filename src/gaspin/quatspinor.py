@@ -279,7 +279,7 @@ def fidelity_q_circ_route(psi: QuatSpinor, chi: QuatSpinor) -> float:
     """(1 + A' o B')/2 with A' = M'^ g0 M'^ and M' = u M u~, u = q0/|q0| embedded, a
     spatial rotor: it commutes with g0 and i, and u w~ u~ embeds q0 w q0* / |q0|^2, so M'
     is M over q1 q0* in place of q0* q1.  Through M and a sandwich, never the bracket
-    table, the route stays independent of :func:`fidelity_q`; the two agree to 1e-10."""
+    table, the route stays independent of :func:`fidelity_q`; the two agree to 100 core.TOL."""
     if psi.tag is not chi.tag:
         raise TagMismatch(f"{psi.tag} vs {chi.tag}")
     n_psi, n_chi = _admissible(psi)[0], _admissible(chi)[0]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaspin import cli, stereo
+from gaspin import cli, core, stereo
 from gaspin.core import EUCLIDEAN4, SPACETIME13, Multivector
 from gaspin.errors import NotAVector
 from gaspin.quatrep import matrix_residual, rep_vec
@@ -138,6 +138,13 @@ def test_fixed_input_suites_ignore_the_case_count():
     for name in FIXED_INPUT_SUITES:
         few, many = (cli.run_suite(name, 7, cases) for cases in (1, 50))
         assert few == many and few.cases is None
+
+
+def test_trig_identities_reads_the_chart_angle(monkeypatch):
+    # the suite compares stereo's chart angle with the lift, so a wrong angle fails it
+    monkeypatch.setattr(stereo, "sphere_angle", lambda x, f=stereo.sphere_angle: f(x) + 1e-6)
+    r = cli.run_suite("stereo.trig_identities", 7, 50)
+    assert not r.passed and r.witness[0] == "sphere"
 
 
 class _FirstRowZero:
@@ -591,7 +598,18 @@ def test_figure_too_large_to_allocate(monkeypatch, tmp_path, capsys):
 _NOT_UNIT = (stereo, "vector_square", lambda a: (2.0, 1.0))
 # an arc that stops short of the unit circle
 _SHORT_ARC = (np, "linspace", lambda a, b, n, f=np.linspace: f(a + 0.1, b - 0.1, n))
-_NOT_PLANAR = (np.linalg, "svd", lambda m, compute_uv: [1.0, 1.0, 1.0])
+
+
+def _turned_lift(x, lift=stereo.lift_hyper):
+    """The hyperbolic lift turned about g0 by 1e-3 in the g1 g2 plane: still a unit timelike
+    vector, so HyperPoint admits it, but off the geodesic's plane a0 = sqrt2 a1."""
+    rotor = core.exp_blade(Multivector.blade(SPACETIME13, 0b0110, 0.5e-3))
+    return stereo.HyperPoint(stereo.rotor_apply(rotor, lift(x).a_hat))
+
+
+# every lifted arc sample leaves the geodesic's plane
+_OFF_PLANE = (stereo, "lift_hyper", _turned_lift)
+_OFF_PLANE_MESSAGE = "lifted arc leaves its plane a0 = sqrt2 a1 (case 0)"
 
 
 @pytest.mark.parametrize(
@@ -601,12 +619,15 @@ _NOT_PLANAR = (np.linalg, "svd", lambda m, compute_uv: [1.0, 1.0, 1.0])
         ("stereo-hyper", _NOT_UNIT, "2.0 is not 1"),
         ("poincare-geodesic", _NOT_UNIT, "2.0 is not 1"),
         ("poincare-geodesic", _SHORT_ARC, "arc endpoints must lie on the unit circle"),
-        ("poincare-geodesic", _NOT_PLANAR, "lifted arc is not planar through the origin"),
+        ("poincare-geodesic", _OFF_PLANE, _OFF_PLANE_MESSAGE),
+        # one or two lifted rows are enough to check the plane
+        ("poincare-geodesic --samples 3", _OFF_PLANE, _OFF_PLANE_MESSAGE),
+        ("poincare-geodesic --samples 4", _OFF_PLANE, _OFF_PLANE_MESSAGE),
     ],
 )
 def test_figure_verification_failure_exits_1(tmp_path, capsys, monkeypatch, name, patch, message):
     monkeypatch.setattr(*patch)
-    code, _, err = run_cli(capsys, ["figure", name, "--out", str(tmp_path / "f.csv")])
+    code, _, err = run_cli(capsys, ["figure", *name.split(), "--out", str(tmp_path / "f.csv")])
     kind = "NotAVector: vector square" if patch is _NOT_UNIT else "VerificationFailure:"
     assert (code, err) == (1, f"error: {kind} {message}\n")
 
