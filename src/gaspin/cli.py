@@ -56,7 +56,6 @@ from .quatspinor import (
     QuatSpinor,
     bloch_point,
     canonical_q,
-    from_carrier_coords,
     fidelity_q,
     fidelity_q_circ_route,
     image,
@@ -125,60 +124,32 @@ def _rand_mvs(rng, sig: Signature, n: int, k: int = 1) -> list[Multivector]:
     return [Multivector(sig, coeffs[:, j]) for j in range(k)]
 
 
-def _accepted(rng, n: int, width: int, keep: Callable, low=-1.0, high=1.0) -> np.ndarray:
-    """n rows of ``width`` uniform draws that ``keep(rows) -> kept rows``
-    accepts, in draw order: the same rows as one-at-a-time rejection sampling
-    (over-drawing the stream); ``low`` and ``high`` may be per column."""
-    got: list[np.ndarray] = []
-    have = 0
-    while have < n:
-        rows = keep(rng.uniform(low, high, size=(n - have + n // 4 + 8, width)))
-        got.append(rows)
-        have += len(rows)
-    return np.concatenate(got)[:n]
+def _ball(rows: np.ndarray) -> np.ndarray:
+    """Points v / |v| * r of a ball from rows (v, r) of any width, r the last column; each
+    (1, k) @ (k, 1) product sums |v|^2 as one case's np.linalg.norm does."""
+    v, r = rows[:, :-1], rows[:, -1:]
+    return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0] * r
 
 
-def _admissible_rows(rows: np.ndarray) -> np.ndarray:
-    """Timelike rows of coordinates (q0, q1): |q0|^2 >= 0.3, q1 shrunk to
-    0.6 |q0| when |q1|^2 >= 0.8 |q0|^2, and then rho^2 > 0.05."""
-    q0, q1 = Quaternion(rows[:, :4]), Quaternion(rows[:, 4:])
-    n0, n1 = q0.norm2(), q1.norm2()
-    shrink = n1 >= 0.8 * n0
-    q1 = q1.scale(np.where(shrink, 0.6 * q0.norm() / np.sqrt(np.where(shrink, n1, 1.0)), 1.0))
-    keep = (n0 >= 0.3) & (n0 - q1.norm2() > 0.05)
-    return np.concatenate([rows[:, :4], q1.coeffs], axis=1)[keep]
-
-
-def _orthogonal_rows(rows: np.ndarray) -> np.ndarray:
-    """Admissible rows with the scalar part of q0* q1 removed from q1, kept
-    when then rho^2 > 0.05."""
-    rows = _admissible_rows(rows)
-    q0, q1 = Quaternion(rows[:, :4]), Quaternion(rows[:, 4:])
-    q1 = q1 - q0.scale(quat_mul(q0.conjugate(), q1).s / q0.norm2())
-    return np.concatenate([rows[:, :4], q1.coeffs], axis=1)[q0.norm2() - q1.norm2() > 0.05]
-
-
-def _rand_admissible_q(rng, n: int, tag: AlgebraTag = AlgebraTag.SPACETIME13) -> QuatSpinor:
-    """A batch of n timelike quaternion spinors."""
-    return from_carrier_coords(_accepted(rng, n, 8, _admissible_rows), tag)
-
-
-def _ball(rows: np.ndarray) -> stereo.PlanePoint:
-    """Points v / |v| * r of the open ball from rows (v, r) with v uniform
-    in [-1, 1]^3; each (1, 3) @ (3, 1) product sums |v|^2 as one case's
-    np.linalg.norm does."""
-    v, r = rows[:, :3], rows[:, 3:]
-    return stereo.PlanePoint(v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0] * r)
+def _rand_q(rng, n: int, pure: bool = False) -> QuatSpinor:
+    """n timelike spinors (q0, w q0) of Cl(1,3) from 10 uniforms a case: ball points q0 of radius
+    in [sqrt 0.3, 2] and w of radius below 0.995, w's scalar part zeroed when ``pure``.  rho^2 =
+    |q0|^2 (1 - |w|^2) > 0, and s(q0* w q0) = |q0|^2 s(w): a pure w gives an orthogonal spinor."""
+    rows = rng.uniform((-1.0,) * 4 + (math.sqrt(0.3),) + (-1.0,) * 4 + (0.0,),
+                       (1.0,) * 4 + (2.0,) + (1.0,) * 4 + (0.995,), size=(n, 10))
+    q0, w = _ball(rows[:, :5]), _ball(rows[:, 5:])
+    if pure:
+        w[:, 0] = 0.0
+    return QuatSpinor(Quaternion(q0), quat_mul(Quaternion(w), Quaternion(q0)))
 
 
 def _rand_chart(rng, tag: AlgebraTag, n: int):
     """Chart points (a, b): a pair of arrays of n.  Pauli charts fill
-    [-2.5, 2.5]^2; Minkowski charts have a^2 + b^2 < 0.9."""
+    [-2.5, 2.5]^2; Minkowski charts are ball points with a^2 + b^2 < 0.9."""
     if tag is AlgebraTag.PAULI3:
         c = rng.uniform(-2.5, 2.5, size=(n, 2))
     else:
-        c = _accepted(rng, n, 2, lambda rows: rows[np.sum(rows * rows, axis=1) < 0.9],
-                      -0.95, 0.95)
+        c = _ball(rng.uniform((-1.0, -1.0, 0.0), (1.0, 1.0, math.sqrt(0.9)), size=(n, 3)))
     return tuple(c.T)
 
 
@@ -191,10 +162,8 @@ def _suite_core_associativity(rng, cases):
 
 
 def _suite_core_exp_unitarity(rng, cases):
-    # per case: theta in [-3, 3], then an axis in [-1, 1]^3, redrawn if shorter than 1e-6
-    draws = _accepted(rng, cases, 4,
-                      lambda rows: rows[np.linalg.norm(rows[:, 1:], axis=1) >= 1e-6],
-                      (-3.0, -1.0, -1.0, -1.0), (3.0, 1.0, 1.0, 1.0))
+    # per case: theta in [-3, 3], then an axis in [-1, 1]^3
+    draws = rng.uniform((-3.0, -1.0, -1.0, -1.0), (3.0, 1.0, 1.0, 1.0), size=(cases, 4))
     xhat = draws[:, 1:] / np.linalg.norm(draws[:, 1:], axis=1)[:, None]
     xhat = Multivector.vector(EUCLIDEAN4, (0.0, *xhat.T))
     B = draws[:, 0] * (xhat * Multivector.basis(EUCLIDEAN4, 0))
@@ -268,8 +237,9 @@ def _suite_dirac_roundtrip(rng, cases):
 
 
 def _suite_gspinor_antipode(rng, cases):
-    ca = tuple(_accepted(rng, cases, 2, lambda rows: rows[np.sum(rows * rows, axis=1) >= 1e-3],
-                         -2.0, 2.0).T)
+    # ball points with 1e-3 <= |c|^2 <= 8: the square [-2, 2]^2 to its corners
+    ca = tuple(_ball(rng.uniform((-1.0, -1.0, math.sqrt(1e-3)), (1.0, 1.0, math.sqrt(8.0)),
+                                 size=(cases, 3))).T)
     cb = antipodal_chart(ca)
     psi = IdealSpinor.from_chart(AlgebraTag.PAULI3, ca)
     chi = IdealSpinor.from_chart(AlgebraTag.PAULI3, cb)
@@ -284,7 +254,7 @@ def _suite_gspinor_canonical_reconstruction(rng, cases):
         if tag is AlgebraTag.PAULI3:  # per case: chart, phase, scale
             draws = rng.uniform((-2.5, -2.5, 0.0, 0.3), (2.5, 2.5, 2 * math.pi, 1.5), size=(n, 4))
             ca, (phase, s) = tuple(draws[:, :2].T), draws[:, 2:].T
-        else:  # the charts by rejection, then the phases and scales
+        else:  # the charts as ball points, then the phases and scales
             ca = _rand_chart(rng, tag, n)
             phase, s = rng.uniform((0.0, 0.3), (2 * math.pi, 1.5), size=(n, 2)).T
         z = CenterScalar(s * np.cos(phase), s * np.sin(phase))
@@ -343,7 +313,7 @@ def _suite_isomap_inverse_blades(rng, cases):
 
 
 def _suite_qspinor_canonical_reconstruction(rng, cases):
-    psi = _rand_admissible_q(rng, max(1, cases // 2))
+    psi = _rand_q(rng, max(1, cases // 2))
     can = canonical_q(psi)
     want = 1.0 - psi.q1.norm2() / psi.q0.norm2()
     return {"reconstruction": residual(reconstruct(can, psi.tag), image(psi)),
@@ -351,18 +321,14 @@ def _suite_qspinor_canonical_reconstruction(rng, cases):
 
 
 def _suite_qspinor_fidelity_dual_route(rng, cases):
-    # per case: psi, then chi
-    coords = _accepted(rng, 2 * max(1, cases // 2), 8, _admissible_rows)
-    psi = from_carrier_coords(coords[0::2], AlgebraTag.SPACETIME13)
-    chi = from_carrier_coords(coords[1::2], AlgebraTag.SPACETIME13)
+    psi, chi = (_rand_q(rng, max(1, cases // 2)) for _ in range(2))
     f1 = fidelity_q(psi, chi)
     f2 = fidelity_q_circ_route(psi, chi)
     return {"circ_route": np.abs(f1 - f2) / np.maximum(1.0, np.abs(f1))}, 100.0 * core.TOL
 
 
 def _suite_qspinor_orthogonal_projector(rng, cases):
-    psi = from_carrier_coords(_accepted(rng, max(1, cases // 2), 8, _orthogonal_rows),
-                              AlgebraTag.SPACETIME13)
+    psi = _rand_q(rng, max(1, cases // 2), pure=True)
     can = canonical_q(psi)
     # an orthogonal spinor's M is the plain vector g0 + x_m of its Bloch point
     m = Multivector.vector(SPACETIME13, (1.0, *bloch_point(psi).T))
@@ -434,7 +400,7 @@ def _suite_stereo_metric_finite_difference(rng, cases):
     h = 1e-5
     rows = rng.uniform((-2.0,) * 3 + (-1.0,) * 6 + (0.01,), (2.0,) * 3 + (1.0,) * 6 + (0.8,),
                        size=(max(1, cases // 2), 10))
-    x, dx, xh = stereo.PlanePoint(rows[:, :3]), rows[:, 3:6], _ball(rows[:, 6:])
+    x, dx, xh = stereo.PlanePoint(rows[:, :3]), rows[:, 3:6], stereo.PlanePoint(_ball(rows[:, 6:]))
     errors = []
     # (point, metric, lift, sign of the metric: positive on the sphere,
     # negative on the hyperboloid)
@@ -452,7 +418,7 @@ def _suite_stereo_metric_finite_difference(rng, cases):
 def _suite_stereo_roundtrip(rng, cases):
     rows = rng.uniform((-3.0,) * 3 + (-1.0,) * 3 + (0.01,), (3.0,) * 3 + (1.0,) * 3 + (0.95,),
                        size=(max(1, cases // 2), 7))
-    x, xh = stereo.PlanePoint(rows[:, :3]), _ball(rows[:, 3:])
+    x, xh = stereo.PlanePoint(rows[:, :3]), stereo.PlanePoint(_ball(rows[:, 3:]))
     back = stereo.project_sphere(stereo.lift_sphere(x))
     back_h = stereo.project_hyper(stereo.lift_hyper(xh))
     return {"sphere": np.abs(back.x - x.x), "hyper": np.abs(back_h.x - xh.x)}, 100.0 * core.TOL
@@ -461,7 +427,7 @@ def _suite_stereo_roundtrip(rng, cases):
 def _suite_stereo_rotor_sandwich(rng, cases):
     rows = rng.uniform((-3.0,) * 3 + (-1.0,) * 3 + (0.01,), (3.0,) * 3 + (1.0,) * 3 + (0.95,),
                        size=(max(1, cases // 2), 7))
-    x, xh = stereo.PlanePoint(rows[:, :3]), _ball(rows[:, 3:])
+    x, xh = stereo.PlanePoint(rows[:, :3]), stereo.PlanePoint(_ball(rows[:, 3:]))
     e0 = Multivector.basis(EUCLIDEAN4, 0)
     g0 = Multivector.basis(SPACETIME13, 0)
     sphere = residual(stereo.rotor_apply(stereo.sphere_rotor(x), e0), stereo.lift_sphere(x).a_hat)

@@ -89,9 +89,6 @@ class Quaternion:
         """a * q, with a a number or one number per case."""
         return Quaternion(np.asarray(a)[..., None] * self.coeffs)
 
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.coeffs - other.coeffs)
-
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.coeffs)
 

@@ -259,11 +259,11 @@ def fidelity_bloch(tag: AlgebraTag, chart_a, chart_b) -> float:
 
 
 def fidelity_chart(tag: AlgebraTag, chart_a, chart_b) -> float:
-    """Closed form 1 - (m_a - m_b)^2 / (m_a^2 m_b^2) off the chart numbers, unlike the others."""
+    """Closed form |1 + c x_a* x_b|^2 / (m_a^2 m_b^2) off the chart numbers, c as in m^2."""
     a, b, ma2 = _m_square(tag, chart_a)
     p, q, mb2 = _m_square(tag, chart_b)
-    d, e = a - p, b - q
-    return 1.0 - _CHART_SIGN[tag] * (d * d + e * e) / (ma2 * mb2)
+    u, v = 1.0 + _CHART_SIGN[tag] * (a * p + b * q), a * q - b * p
+    return (u * u + v * v) / (ma2 * mb2)
 
 
 def antipodal_chart(chart: tuple[float, float]) -> tuple[float, float]:

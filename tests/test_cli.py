@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaspin import cli, core, stereo
+from gaspin import cli, core, quatspinor, stereo
 from gaspin.core import EUCLIDEAN4, SPACETIME13, Multivector
 from gaspin.errors import NotAVector
+from gaspin.isomap import AlgebraTag
 from gaspin.quatrep import matrix_residual, rep_vec
 
 from conftest import blade_product, readme_cli_lines
@@ -147,31 +148,34 @@ def test_trig_identities_reads_the_chart_angle(monkeypatch):
     assert not r.passed and r.witness[0] == "sphere"
 
 
-class _FirstRowZero:
-    """A stream whose first uniform draw has a zero first row: a draw that
-    the filtering suites must reject and replace."""
-
-    def __init__(self):
-        self.rng, self.first = np.random.default_rng(0), True
-
-    def uniform(self, low, high, size):
-        rows = self.rng.uniform(low, high, size)
-        if self.first:
-            rows[0] = 0.0
-        self.first = False
-        return rows
+def test_seed_283_checks_its_one_antipode_case():
+    # the one chart of seed 283 once had |c|^2 < 1e-3; a ball point is checked as drawn
+    r = cli.run_suite("gspinor.antipode", 283, 1)
+    assert r.cases == 1 and r.witness is not None and r.witness[1] == 0
 
 
-@pytest.mark.parametrize("suite, part", [("core.exp_unitarity", "euclidean4"),
-                                         ("gspinor.antipode", "fidelity")])
-def test_filtering_suites_replace_the_draws_they_reject(suite, part):
-    # an axis shorter than 1e-6 and a chart with |c|^2 < 1e-3 are redrawn, so
-    # the suite checks exactly as many cases as asked
-    for cases in (1, 3):
-        parts, _ = cli.SUITES[suite](_FirstRowZero(), cases)
-        assert len(parts[part]) == cases
-    # seed 283 draws the rejected chart as its only case
-    assert cli.run_suite("gspinor.antipode", 283, 1).witness == ("fidelity", 0)
+@pytest.mark.parametrize("seed", (0, 1, 7, 283))
+def test_every_draw_lies_in_its_domain(monkeypatch, seed):
+    # spinors (q0, w q0) are timelike, orthogonal when w is pure, and come near
+    # the light cone; Minkowski charts fill a^2 + b^2 < 0.9, antipode charts
+    # keep |c|^2 >= 1e-3
+    rng = np.random.default_rng(seed)
+    gaps = []
+    for pure in (False, True):
+        psi = cli._rand_q(rng, 10_000, pure)
+        n0, rho2 = quatspinor._admissible(psi)  # NonTimelike or ZeroQ0 otherwise
+        if pure:
+            assert np.all(quatspinor.is_orthogonal(psi))
+        gaps.append(rho2 / (n0 + psi.q1.norm2()))
+    assert np.concatenate(gaps).min() < 0.02
+    a, b = cli._rand_chart(rng, AlgebraTag.MINKOWSKI12, 10_000)
+    assert np.all(a * a + b * b < 0.9)
+    charts = []
+    monkeypatch.setattr(cli, "antipodal_chart",
+                        lambda c, f=cli.antipodal_chart: charts.append(c) or f(c))
+    cli.run_suite("gspinor.antipode", seed, 10_000)
+    ((a, b),) = charts
+    assert len(a) == 10_000 and np.all(a * a + b * b >= 1e-3)
 
 
 @pytest.mark.parametrize("suite, key", [

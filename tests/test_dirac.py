@@ -212,7 +212,7 @@ def test_j_column_example():
     want = to_cl41(pseudoscalar(SPACETIME13) * _blade(2)) * dirac_idempotent(+1, +1)
     assert residual(_in_cl41(m), want) == 0.0
     psi = geometric_to_qspinor(m)
-    assert np.abs((psi.q0 - Quaternion([0, 0, 0, 1])).coeffs).max() <= 1e-12
+    assert np.abs(psi.q0.coeffs - (0, 0, 0, 1)).max() <= 1e-12
     assert np.abs(psi.q1.coeffs).max() <= 1e-12
     back = qspinor_to_dirac(psi).components
     assert max(abs(a - b) for a, b in zip(back, (1j, 0, 0, 0))) <= 1e-12
@@ -264,8 +264,8 @@ def test_roundtrip_from_qspinor_side(rng):
         psi = QuatSpinor(Quaternion(vals[:4]), Quaternion(vals[4:]))
         m = qspinor_to_geometric(psi)
         back = geometric_to_qspinor(m)
-        assert np.abs((back.q0 - psi.q0).coeffs).max() <= 1e-12
-        assert np.abs((back.q1 - psi.q1).coeffs).max() <= 1e-12
+        assert np.abs(back.q0.coeffs - psi.q0.coeffs).max() <= 1e-12
+        assert np.abs(back.q1.coeffs - psi.q1.coeffs).max() <= 1e-12
 
 
 def test_integer_columns_give_the_dictionary_quaternions_exactly(rng):

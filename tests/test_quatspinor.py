@@ -24,10 +24,7 @@ from gaspin.core import (
     scalar_product,
 )
 from gaspin import quatspinor
-from gaspin.cli import _accepted as accepted
-from gaspin.cli import _admissible_rows as admissible_rows
-from gaspin.cli import _orthogonal_rows as orthogonal_rows
-from gaspin.cli import _rand_admissible_q as rand_admissible
+from gaspin.cli import _rand_q as rand_q
 from gaspin.errors import (
     NonFiniteValue,
     NonTimelike,
@@ -61,11 +58,14 @@ from conftest import allclose, frame_coords
 TAGS = (AlgebraTag.SPACETIME13, AlgebraTag.EUCLIDEAN4)
 
 
-def per_tag(rows):
-    """Spinors of TAGS[k] from the k-th equal share of ``rows``: split from one
-    draw of both tags' rows, the rows a loop over TAGS drawing one spinor at
-    a time would take."""
-    return zip(TAGS, (from_carrier_coords(r, tag) for r, tag in zip(np.split(rows, len(TAGS)), TAGS)))
+def retag(psi, tag):
+    """psi's quaternions as a spinor of ``tag``."""
+    return QuatSpinor(psi.q0, psi.q1, tag)
+
+
+def per_tag(rng, n, pure=False):
+    """(tag, n spinors of the suites' draw as tag) for each of TAGS in turn."""
+    return ((tag, retag(rand_q(rng, n, pure), tag)) for tag in TAGS)
 
 
 def cases(psi):
@@ -190,8 +190,8 @@ def test_image_matches_the_product_route(rng):
 def test_image_consistent_across_iso(rng):
     # a Cl(4,0)-tagged result is the isomorphic image of the Cl(1,3) one, to
     # the bit; the products formed in Cl(4,0) agree to rounding
-    coords = accepted(rng, 200, 8, orthogonal_rows)
-    psi13, psi4 = (from_carrier_coords(coords, tag) for tag in TAGS)
+    psi13 = rand_q(rng, 200, pure=True)
+    psi4 = retag(psi13, AlgebraTag.EUCLIDEAN4)
     can13, can4 = canonical_q(psi13), canonical_q(psi4)
     pairs = [(image(psi4), image(psi13)), (can4.M, can13.M), (can4.M_hat, can13.M_hat),
              (projector_closed_orthogonal(psi4), projector_closed_orthogonal(psi13))]
@@ -240,7 +240,7 @@ def test_canonical_boundary_rejected():
 
 
 def test_canonical_reconstruction(rng):
-    for tag, psi in per_tag(accepted(rng, 500 * len(TAGS), 8, admissible_rows)):
+    for tag, psi in per_tag(rng, 500):
         can = canonical_q(psi)
         assert np.all(residual(reconstruct(can, tag), image(psi)) <= 1e-12)
 
@@ -249,7 +249,7 @@ def test_canonical_m_matches_the_product_route(rng):
     # M = g0 + (c i + w~ i g0) / |q0|^2 with w = q0* q1 and w~ its embedded
     # vector part, as products; the cached frame agrees exactly
     i13, g0 = Multivector.blade(SPACETIME13, 0b1111), Multivector.basis(SPACETIME13, 0)
-    for psi in cases(rand_admissible(rng, 200)):
+    for psi in cases(rand_q(rng, 200)):
         n0 = psi.q0.norm2()
         w = quat_mul(psi.q0.conjugate(), psi.q1)
         bivec = euclidean_to_spacetime(Quaternion([0.0, *w.v]).to_multivector())
@@ -258,7 +258,7 @@ def test_canonical_m_matches_the_product_route(rng):
 
 
 def test_m_squared_identity(rng):
-    psi = rand_admissible(rng, 500)
+    psi = rand_q(rng, 500)
     can = canonical_q(psi)
     msq = geometric_product(can.M, can.M)
     want = 1.0 - psi.q1.norm2() / psi.q0.norm2()
@@ -272,7 +272,7 @@ def test_m_squared_identity(rng):
 def test_m_display_agrees_with_canonical(rng):
     from gaspin.quatspinor import _spacetime_m
 
-    psi = rand_admissible(rng, 500)
+    psi = rand_q(rng, 500)
     lhs = _spacetime_m(psi.q0.norm2(), quat_mul(psi.q0.conjugate(), psi.q1))
     rhs = spacetime_m_display(psi.q0, psi.q1)
     assert np.all(residual(lhs, rhs) <= 1e-12)
@@ -281,7 +281,7 @@ def test_m_display_agrees_with_canonical(rng):
 def test_m_display_iso_route(rng):
     # The Cl(4,0) canonical M maps onto the spacetime display through the
     # isomorphism: the two expressions of M agree across algebras.
-    psi = rand_admissible(rng, 500, AlgebraTag.EUCLIDEAN4)
+    psi = retag(rand_q(rng, 500), AlgebraTag.EUCLIDEAN4)
     mapped = euclidean_to_spacetime(canonical_q(psi).M)
     assert np.all(residual(mapped, spacetime_m_display(psi.q0, psi.q1)) <= 1e-10)
 
@@ -340,10 +340,9 @@ def test_orthogonal_trivial_and_rejection():
 
 
 def test_orthogonal_random_reconstruction(rng):
-    # 200 orthogonal spinors per tag as one batch, the rows of 200 single
-    # rand_orthogonal draws: M is the plain vector g0 + x_m of the Bloch
-    # point, and rho Mhat v+ rebuilds the carrier
-    for tag, psi in per_tag(accepted(rng, 200 * len(TAGS), 8, orthogonal_rows)):
+    # 200 orthogonal spinors per tag as one batch: M is the plain vector
+    # g0 + x_m of the Bloch point, and rho Mhat v+ rebuilds the carrier
+    for tag, psi in per_tag(rng, 200, pure=True):
         can, xm = canonical_q(psi), bloch_point(psi)
         m = Multivector.vector(SPACETIME13, (1.0, *xm.T))
         if tag is AlgebraTag.EUCLIDEAN4:
@@ -402,7 +401,7 @@ def test_projector_trivial():
 
 
 def test_projector_closed_form_orthogonal(rng):
-    for _, psi in per_tag(accepted(rng, 300 * len(TAGS), 8, orthogonal_rows)):
+    for _, psi in per_tag(rng, 300, pure=True):
         assert np.all(residual(projector(psi), projector_closed_orthogonal(psi)) <= 1e-12)
 
 
@@ -410,7 +409,7 @@ def test_bra_ket_contraction_norm(rng):
     # <a| |a> = 2 rho^2 v+ for all admissible spinors.
     for tag in TAGS:
         vp = idempotent(tag.signature, 0b0001)
-        psi = rand_admissible(rng, 300, tag)
+        psi = retag(rand_q(rng, 300), tag)
         # the bra is the ket reversed in Cl(1,3), then mapped like the ket
         ket = math.sqrt(2.0) * image(psi)
         if tag is AlgebraTag.SPACETIME13:
@@ -435,7 +434,7 @@ def test_native_g4_reverse_would_break_norm(rng):
 
 
 def test_phase_invariance_of_rho_and_projector(rng):
-    psi = rand_admissible(rng, 200)
+    psi = rand_q(rng, 200)
     theta = rng.uniform(0, 2 * math.pi, size=(200, 1))
     axis = rng.uniform(-1, 1, size=(200, 3))
     axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
@@ -451,7 +450,7 @@ def test_phase_invariance_of_rho_and_projector(rng):
 
 
 def test_fidelity_self_and_phase(rng):
-    psi = rand_admissible(rng, 100)
+    psi = rand_q(rng, 100)
     assert np.all(np.abs(fidelity_q(psi, psi) - 1.0) <= 1e-11)
     # pure phases with q1 = 0 always have fidelity 1
     for _ in range(50):
@@ -490,7 +489,7 @@ def test_fidelity_table_is_the_bra_ket_chain(rng):
         out[..., masks] = 2.0 * product_part(reverse(am), bm, masks)
         return Multivector(SPACETIME13, out)
 
-    psi, chi = rand_admissible(rng, 300), rand_admissible(rng, 300)
+    psi, chi = rand_q(rng, 300), rand_q(rng, 300)
     am, bm = image(psi), image(chi)
     prod = chain_inner(bm, am) * chain_inner(am, bm)
     size = (psi.q0.norm2() + psi.q1.norm2()) * (chi.q0.norm2() + chi.q1.norm2())
@@ -553,7 +552,7 @@ def test_embedded_unit_quaternions_commute_with_g0_and_i(rng):
 def test_circ_route_agrees_with_the_u_sandwich(rng):
     # q0 != 1: M over q1 q0* is u M u~, to the circle route's conditioning
     # eps / ((1 - x^2)(1 - xb^2))
-    psi, chi = rand_admissible(rng, 300), rand_admissible(rng, 300)
+    psi, chi = rand_q(rng, 300), rand_q(rng, 300)
     assert not np.any(np.all(psi.q0.coeffs == (1.0, 0.0, 0.0, 0.0), axis=-1))
     got, want = quatspinor.fidelity_q_circ_route(psi, chi), circ_route_u_sandwich(psi, chi)
     tol = 8 * np.finfo(float).eps / (cone_gap(psi) * cone_gap(chi))

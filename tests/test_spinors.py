@@ -455,6 +455,20 @@ def test_fidelity_triple_against_the_exact_hermitian_form(tag):
             assert abs(got[worst] - want[worst]) <= unit[worst], (kind, name, xa[worst], xb[worst])
 
 
+@pytest.mark.parametrize("cb", [(0.0, 0.0), (-1e-8, 0.0)])
+@pytest.mark.parametrize("ca", [(1e8, 0.0), (1e154, 0.0)])
+def test_closed_form_keeps_a_small_fidelity(ca, cb):
+    # F far below 1: the closed form has the bracket's value, within 4 eps of
+    # the exact F, where 1 - |x_a - x_b|^2 / (m_a^2 m_b^2) read 0 or -2.2e-16;
+    # 1 + a p rounds by eps |a p| at most, which m_a^2 m_b^2 divides squared
+    tag = AlgebraTag.PAULI3
+    got = fidelity_chart(tag, ca, cb)
+    assert got == fidelity(IdealSpinor.from_chart(tag, ca), IdealSpinor.from_chart(tag, cb))
+    eps, ap = np.finfo(float).eps, abs(ca[0] * cb[0])
+    floor = (eps * ap) ** 2 / ((1.0 + ca[0] ** 2) * (1.0 + cb[0] ** 2))
+    assert 0.0 <= got and abs(got - exact.fidelity(tag, ca, cb)) <= 4 * eps * got + floor
+
+
 @pytest.mark.parametrize("ca, cb", [((1.0, 0.0), (0.0, 0.0)), ((1.5, 0.0), (0.1, 0.0))])
 def test_every_fidelity_route_refuses_a_chart_point_off_the_hyperboloid(ca, cb):
     # the closed form once divided by m^2 = 0 at |x| = 1 and gave -0.58 at 1.5
